@@ -19,7 +19,7 @@ import (
 // end-to-end transfer times are meaningful.
 //
 // The engine is written against the transport seam (internal/transport),
-// never a concrete network: under simtransport (the discrete-event
+// never a concrete network: under a simnet.Network (the discrete-event
 // emulator) behavior is deterministic and bit-identical to the
 // pre-seam engine; the same machinery drives real sockets when handed a
 // tcptransport. All engine callbacks run on the transport's event loop.

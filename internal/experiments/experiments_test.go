@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
+	"tap/internal/pastry"
 	"tap/internal/rng"
+	"tap/internal/trace"
 )
 
 // Small-scale parameter sets keep the full pipelines under a second each
@@ -256,13 +261,14 @@ func TestTablesRender(t *testing.T) {
 }
 
 func TestParallelRunsAll(t *testing.T) {
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
+	tbl := trace.NewTable("t", "x", "s")
 	seen := make([]bool, 50)
-	err := Parallel(50, func(i int) error {
-		<-mu
+	err := runTrials(tbl, 50, func(i int, mem *pastry.Scratch, add addFn) error {
+		if mem == nil {
+			t.Errorf("trial %d got no scratch", i)
+		}
 		seen[i] = true
-		mu <- struct{}{}
+		add(0, "s", float64(i))
 		return nil
 	})
 	if err != nil {
@@ -273,25 +279,34 @@ func TestParallelRunsAll(t *testing.T) {
 			t.Fatalf("index %d not run", i)
 		}
 	}
-}
-
-func TestParallelPropagatesError(t *testing.T) {
-	err := Parallel(10, func(i int) error {
-		if i == 7 {
-			return errTest
-		}
-		return nil
-	})
-	if err != errTest {
-		t.Fatalf("err = %v", err)
+	if a := tbl.Get(0, "s"); a == nil || a.N() != 50 || a.Min() != 0 || a.Max() != 49 {
+		t.Fatalf("table did not receive every trial's sample: %+v", a)
 	}
 }
 
-var errTest = &testErr{}
-
-type testErr struct{}
-
-func (*testErr) Error() string { return "test error" }
+// The error reported is the lowest failing index's, not the first to
+// complete: with four workers index 8 fails while index 3 is still asleep.
+func TestParallelPropagatesError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	err3, err7, err8 := errors.New("trial 3"), errors.New("trial 7"), errors.New("trial 8")
+	for _, c := range []struct {
+		errs map[int]error
+		want error
+	}{
+		{map[int]error{7: err7}, err7},
+		{map[int]error{8: err8, 3: err3}, err3},
+	} {
+		err := runTrials(trace.NewTable("t", "x", "s"), 10, func(i int, _ *pastry.Scratch, _ addFn) error {
+			if i == 3 {
+				time.Sleep(10 * time.Millisecond)
+			}
+			return c.errs[i]
+		})
+		if err != c.want {
+			t.Fatalf("failing %v: err = %v, want %v", c.errs, err, c.want)
+		}
+	}
+}
 
 func TestBuildWorldDeterministic(t *testing.T) {
 	w1, err := BuildWorld(100, 3, rng.New(5))

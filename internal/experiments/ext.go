@@ -64,7 +64,7 @@ const (
 // routing policies.
 func ExtSecRoute(p ExtSecRouteParams) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: secure routing — honest owner resolution vs malicious routers (N=%d, %d lookups, trials=%d)",
 			p.N, p.Lookups, p.Trials),
 		"p", SeriesNaive, SeriesSecure, SeriesParanoid)
@@ -76,7 +76,7 @@ func ExtSecRoute(p ExtSecRouteParams) (*trace.Table, error) {
 		}
 	}
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		frac := p.Fracs[j.fIdx]
 		stream := root.SplitN(fmt.Sprintf("extsec-f%d", j.fIdx), j.trial)
@@ -122,14 +122,14 @@ func ExtSecRoute(p ExtSecRouteParams) (*trace.Table, error) {
 					honest++
 				}
 			}
-			tbl.Add(frac, pol.name, float64(honest)/float64(len(probes)))
+			add(frac, pol.name, float64(honest)/float64(len(probes)))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }
 
 // --- tunnel detection -----------------------------------------------------------
@@ -178,7 +178,7 @@ const (
 // monitor-managed tunnel under silent droppers.
 func ExtDetect(p ExtDetectParams) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: tunnel detection — send success vs dropper fraction (N=%d, l=%d, %d sends, trials=%d)",
 			p.N, p.Length, p.Sends, p.Trials),
 		"p", SeriesUnmanaged, SeriesMonitored)
@@ -190,7 +190,7 @@ func ExtDetect(p ExtDetectParams) (*trace.Table, error) {
 		}
 	}
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		frac := p.Fracs[j.fIdx]
 		stream := root.SplitN(fmt.Sprintf("extdet-f%d", j.fIdx), j.trial)
@@ -254,7 +254,7 @@ func ExtDetect(p ExtDetectParams) (*trace.Table, error) {
 				return err
 			}
 		}
-		tbl.Add(frac, SeriesUnmanaged, float64(okU)/float64(p.Sends))
+		add(frac, SeriesUnmanaged, float64(okU)/float64(p.Sends))
 
 		// Monitored: probe-and-replace before each send.
 		ms := stream.Split("monitored")
@@ -273,13 +273,13 @@ func ExtDetect(p ExtDetectParams) (*trace.Table, error) {
 				okM++
 			}
 		}
-		tbl.Add(frac, SeriesMonitored, float64(okM)/float64(p.Sends))
+		add(frac, SeriesMonitored, float64(okM)/float64(p.Sends))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }
 
 // --- cover traffic ---------------------------------------------------------------
@@ -332,12 +332,12 @@ const (
 // and reports total network bytes as a multiple of the no-cover run.
 func ExtCover(p ExtCoverParams) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: cover traffic cost — network bytes multiplier vs cover rate (N=%d, %d transfers of %d bytes, trials=%d)",
 			p.N, p.Transfers, p.FileBytes, p.Trials),
 		"rate", SeriesOverheadX, SeriesCoverMsgs)
 	root := rng.New(p.Seed)
-	err := ParallelScratch(p.Trials, func(trial int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("extcover", trial)
 		var baseline float64
 		for _, rate := range p.Rates {
@@ -400,11 +400,11 @@ func ExtCover(p ExtCoverParams) (*trace.Table, error) {
 			if baseline == 0 {
 				return fmt.Errorf("experiments: ext-cover: rates must include 0 first")
 			}
-			tbl.Add(rate, SeriesOverheadX, total/baseline)
+			add(rate, SeriesOverheadX, total/baseline)
 			if gen != nil {
-				tbl.Add(rate, SeriesCoverMsgs, float64(gen.Sent))
+				add(rate, SeriesCoverMsgs, float64(gen.Sent))
 			} else {
-				tbl.Add(rate, SeriesCoverMsgs, 0)
+				add(rate, SeriesCoverMsgs, 0)
 			}
 		}
 		return nil
@@ -412,5 +412,5 @@ func ExtCover(p ExtCoverParams) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }

@@ -60,12 +60,12 @@ const (
 func ExtAnon(p ExtAnonParams) (*trace.Table, error) {
 	p = p.withDefaults()
 	fr := ascending(p.Fracs)
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: degree of initiator anonymity vs malicious fraction (N=%d, tunnels=%d, l=%d, k=%d, trials=%d)",
 			p.N, p.Tunnels, p.Length, p.K, p.Trials),
 		"p", SeriesDegree, SeriesIdentified)
 	root := rng.New(p.Seed)
-	err := ParallelScratch(p.Trials, func(trial int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("extanon", trial)
 		w, err := BuildWorldIn(mem, p.N, p.K, stream.Split("world"))
 		if err != nil {
@@ -79,19 +79,19 @@ func ExtAnon(p ExtAnonParams) (*trace.Table, error) {
 		for _, f := range fr {
 			w.Col.MarkCount(int(f*float64(p.N)), mark)
 			n := w.OV.Size()
-			tbl.Add(f, SeriesDegree, anonmetrics.MeanDegree(w.Col, ts.Tunnels, n))
+			add(f, SeriesDegree, anonmetrics.MeanDegree(w.Col, ts.Tunnels, n))
 			identified := 0
 			for _, t := range ts.Tunnels {
 				if anonmetrics.DegreeOfAnonymity(w.Col, t, n) == 0 {
 					identified++
 				}
 			}
-			tbl.Add(f, SeriesIdentified, float64(identified)/float64(len(ts.Tunnels)))
+			add(f, SeriesIdentified, float64(identified)/float64(len(ts.Tunnels)))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }

@@ -66,7 +66,7 @@ const (
 // churn intensity. The x axis is churn events per minute (0 = none).
 func ExtInflight(p ExtInflightParams) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: in-flight churn — 2Mb tunnel transfers racing churn (N=%d, l=%d, %d transfers, trials=%d)",
 			p.N, p.Length, p.Transfers, p.Trials),
 		"churn/min", SeriesDelivered, SeriesMeanSecs)
@@ -78,7 +78,7 @@ func ExtInflight(p ExtInflightParams) (*trace.Table, error) {
 		}
 	}
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		gap := p.MeanGaps[j.gIdx]
 		perMin := 0.0
@@ -162,14 +162,14 @@ func ExtInflight(p ExtInflightParams) (*trace.Table, error) {
 				lat.Add((r.out.At - starts[tr]).Seconds())
 			}
 		}
-		tbl.Add(perMin, SeriesDelivered, float64(delivered)/float64(p.Transfers))
+		add(perMin, SeriesDelivered, float64(delivered)/float64(p.Transfers))
 		if lat.N() > 0 {
-			tbl.Add(perMin, SeriesMeanSecs, lat.Mean())
+			add(perMin, SeriesMeanSecs, lat.Mean())
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }

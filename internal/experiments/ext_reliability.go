@@ -83,7 +83,7 @@ const (
 // retransmits.
 func ExtReliability(p ExtReliabilityParams) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: churn reliability — ACK/retransmit vs fire-and-forget under link loss + hop crashes (N=%d, l=%d, %d flows, crash frac %.2f, trials=%d)",
 			p.N, p.Length, p.Flows, p.CrashFrac, p.Trials),
 		"loss %",
@@ -97,7 +97,7 @@ func ExtReliability(p ExtReliabilityParams) (*trace.Table, error) {
 		}
 	}
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		loss := p.LossRates[j.li]
 		x := loss * 100
@@ -111,17 +111,17 @@ func ExtReliability(p ExtReliabilityParams) (*trace.Table, error) {
 				return err
 			}
 			if retx {
-				tbl.Add(x, SeriesDeliveredRetx, delivered)
+				add(x, SeriesDeliveredRetx, delivered)
 				if lat.N() > 0 {
-					tbl.Add(x, SeriesLatencyRetx, lat.Mean())
+					add(x, SeriesLatencyRetx, lat.Mean())
 				}
 				if att.N() > 0 {
-					tbl.Add(x, SeriesAttemptsRetx, att.Mean())
+					add(x, SeriesAttemptsRetx, att.Mean())
 				}
 			} else {
-				tbl.Add(x, SeriesDeliveredNoRetx, delivered)
+				add(x, SeriesDeliveredNoRetx, delivered)
 				if lat.N() > 0 {
-					tbl.Add(x, SeriesLatencyNoRetx, lat.Mean())
+					add(x, SeriesLatencyNoRetx, lat.Mean())
 				}
 			}
 		}
@@ -130,7 +130,7 @@ func ExtReliability(p ExtReliabilityParams) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }
 
 // runReliabilityTrial runs one world through the faulty network in one

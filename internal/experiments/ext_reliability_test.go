@@ -45,8 +45,7 @@ func TestExtReliabilityAcceptance(t *testing.T) {
 }
 
 // TestExtReliabilityDeterministic: the same seed must reproduce the exact
-// table bit for bit. Trials=1 keeps one Add per cell so parallel
-// accumulation order cannot perturb the floating-point means.
+// table bit for bit.
 func TestExtReliabilityDeterministic(t *testing.T) {
 	run := func() string {
 		tbl, err := ExtReliability(ExtReliabilityParams{

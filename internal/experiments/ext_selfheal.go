@@ -104,7 +104,7 @@ const (
 // schedule, so the comparison is paired, not sampled.
 func ExtSelfHeal(p ExtSelfHealParams) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: self-healing pools — availability and time-to-repair under batch churn (N=%d, k=%d, l=%d, pool=%d, %v session, trials=%d)",
 			p.N, p.K, p.Length, p.PoolSize, p.Horizon, p.Trials),
 		"churn %/epoch",
@@ -117,7 +117,7 @@ func ExtSelfHeal(p ExtSelfHealParams) (*trace.Table, error) {
 		}
 	}
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		frac := p.ChurnRates[j.ci]
 		stream := root.SplitN(fmt.Sprintf("selfheal-c%d", j.ci), j.trial)
@@ -126,17 +126,17 @@ func ExtSelfHeal(p ExtSelfHealParams) (*trace.Table, error) {
 			return err
 		}
 		x := frac * 100
-		tbl.Add(x, SeriesAvailPool, res.availPool)
-		tbl.Add(x, SeriesAvailSingle, res.availSingle)
+		add(x, SeriesAvailPool, res.availPool)
+		add(x, SeriesAvailSingle, res.availSingle)
 		if res.repairs > 0 {
-			tbl.Add(x, SeriesTTRPool, res.ttr.Seconds())
+			add(x, SeriesTTRPool, res.ttr.Seconds())
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }
 
 // selfHealResult is one trial's measurement.

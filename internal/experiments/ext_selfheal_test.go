@@ -38,8 +38,7 @@ func TestExtSelfHealAcceptance(t *testing.T) {
 }
 
 // TestExtSelfHealDeterministic: the same seed must reproduce the exact
-// table bit for bit. Trials=1 keeps one Add per cell so parallel
-// accumulation order cannot perturb the floating-point means.
+// table bit for bit.
 func TestExtSelfHealDeterministic(t *testing.T) {
 	run := func() string {
 		tbl, err := ExtSelfHeal(ExtSelfHealParams{

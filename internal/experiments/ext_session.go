@@ -67,7 +67,7 @@ const (
 // exchanges, per churn rate, for both tunnel designs.
 func ExtSession(p ExtSessionParams) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: session survival vs churn rate (N=%d, l=%d, %d exchanges, %d sessions, trials=%d)",
 			p.N, p.Length, p.Exchanges, p.Sessions, p.Trials),
 		"churn/exchange", SeriesTAPSession, SeriesFixedSession)
@@ -80,7 +80,7 @@ func ExtSession(p ExtSessionParams) (*trace.Table, error) {
 	}
 	root := rng.New(p.Seed)
 	echo := func(req []byte) []byte { return req }
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		rate := p.ChurnRates[j.rIdx]
 		stream := root.SplitN(fmt.Sprintf("extsess-r%d", j.rIdx), j.trial)
@@ -148,12 +148,12 @@ func ExtSession(p ExtSessionParams) (*trace.Table, error) {
 				fixedOK++
 			}
 		}
-		tbl.Add(rate, SeriesTAPSession, float64(tapOK)/float64(p.Sessions))
-		tbl.Add(rate, SeriesFixedSession, float64(fixedOK)/float64(p.Sessions))
+		add(rate, SeriesTAPSession, float64(tapOK)/float64(p.Sessions))
+		add(rate, SeriesFixedSession, float64(fixedOK)/float64(p.Sessions))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }

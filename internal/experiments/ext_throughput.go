@@ -140,7 +140,7 @@ func ExtThroughput(p ExtThroughputParams) (*trace.Table, error) {
 		series = append(series, seriesGoodput(w), seriesFCTp50(w), seriesFCTp99(w),
 			seriesRetxRatio(w), seriesDelivered(w), seriesPeakConc(w))
 	}
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: streaming throughput — %d zipf flows over %d tunnels under churn (N=%d, l=%d, %dB flows, %d fails)",
 			p.Flows, p.Clients*p.TunnelsPer, p.N, p.Length, p.FlowBytes, p.ChurnFails),
 		"loss %", series...)
@@ -153,7 +153,7 @@ func ExtThroughput(p ExtThroughputParams) (*trace.Table, error) {
 		}
 	}
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		loss := p.LossRates[j.li]
 		window := p.Windows[j.wi]
@@ -165,18 +165,18 @@ func ExtThroughput(p ExtThroughputParams) (*trace.Table, error) {
 			return err
 		}
 		x := loss * 100
-		tbl.Add(x, seriesGoodput(window), m.goodputMBps)
-		tbl.Add(x, seriesFCTp50(window), m.fct.Quantile(0.50))
-		tbl.Add(x, seriesFCTp99(window), m.fct.Quantile(0.99))
-		tbl.Add(x, seriesRetxRatio(window), m.retxRatio)
-		tbl.Add(x, seriesDelivered(window), m.delivered)
-		tbl.Add(x, seriesPeakConc(window), float64(m.peakConcurrent))
+		add(x, seriesGoodput(window), m.goodputMBps)
+		add(x, seriesFCTp50(window), m.fct.Quantile(0.50))
+		add(x, seriesFCTp99(window), m.fct.Quantile(0.99))
+		add(x, seriesRetxRatio(window), m.retxRatio)
+		add(x, seriesDelivered(window), m.delivered)
+		add(x, seriesPeakConc(window), float64(m.peakConcurrent))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }
 
 // throughputMetrics is one (loss, window) combo's outcome.

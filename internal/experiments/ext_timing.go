@@ -80,7 +80,7 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 	for _, f := range p.Fracs {
 		series = append(series, seriesTraced(f, true))
 	}
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: timing analysis — exits traced to initiator vs traffic density (N=%d, l=%d, %d flows, window=%v, trials=%d)",
 			p.N, p.Length, p.Flows, p.Window, p.Trials),
 		"flows/min", series...)
@@ -97,7 +97,7 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 		}
 	}
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		gap := p.FlowGaps[j.gIdx]
 		frac := p.Fracs[j.fIdx]
@@ -170,17 +170,17 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 		if score.Exits == 0 {
 			// The adversary never served a tail hop: no opportunities at
 			// all this trial.
-			tbl.Add(perMin, seriesTraced(frac, j.opt), 0)
+			add(perMin, seriesTraced(frac, j.opt), 0)
 			return nil
 		}
 		// Best-effort attribution: the adversary commits to the earliest
 		// candidate even under ambiguity (the strict confident-only rate
 		// is near zero everywhere — see package timing tests).
-		tbl.Add(perMin, seriesTraced(frac, j.opt), float64(score.GuessCorrect)/float64(score.Exits))
+		add(perMin, seriesTraced(frac, j.opt), float64(score.GuessCorrect)/float64(score.Exits))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }

@@ -71,7 +71,7 @@ func Fig2(p Fig2Params) (*trace.Table, error) {
 	for _, k := range p.Ks {
 		series = append(series, seriesTAP(k))
 	}
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 2: tunnel failure vs node failure fraction (N=%d, tunnels=%d, l=%d, trials=%d)",
 			p.N, p.Tunnels, p.Length, p.Trials),
 		"p", series...)
@@ -88,7 +88,7 @@ func Fig2(p Fig2Params) (*trace.Table, error) {
 		}
 	}
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		k := p.Ks[j.kIdx]
 		frac := p.Fracs[j.fIdx]
@@ -124,7 +124,7 @@ func Fig2(p Fig2Params) (*trace.Table, error) {
 				failedTAP++
 			}
 		}
-		tbl.Add(frac, seriesTAP(k), float64(failedTAP)/float64(p.Tunnels))
+		add(frac, seriesTAP(k), float64(failedTAP)/float64(p.Tunnels))
 
 		if fixed != nil {
 			failedFixed := 0
@@ -133,12 +133,12 @@ func Fig2(p Fig2Params) (*trace.Table, error) {
 					failedFixed++
 				}
 			}
-			tbl.Add(frac, SeriesCurrent, float64(failedFixed)/float64(p.Tunnels))
+			add(frac, SeriesCurrent, float64(failedFixed)/float64(p.Tunnels))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }

@@ -62,12 +62,12 @@ const SeriesFirstTail = "first+tail"
 func Fig3(p Fig3Params) (*trace.Table, error) {
 	p = p.withDefaults()
 	fr := ascending(p.Fracs)
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 3: corrupted tunnels vs malicious fraction (N=%d, tunnels=%d, l=%d, k=%d, trials=%d)",
 			p.N, p.Tunnels, p.Length, p.K, p.Trials),
 		"p", SeriesCorrupted, SeriesFirstTail)
 	root := rng.New(p.Seed)
-	err := ParallelScratch(p.Trials, func(trial int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("fig3", trial)
 		w, err := BuildWorldIn(mem, p.N, p.K, stream.Split("world"))
 		if err != nil {
@@ -80,21 +80,21 @@ func Fig3(p Fig3Params) (*trace.Table, error) {
 		mark := stream.Split("mark")
 		for _, f := range fr {
 			w.Col.MarkCount(int(f*float64(p.N)), mark)
-			tbl.Add(f, SeriesCorrupted, w.Col.CorruptionRate(ts.Tunnels))
+			add(f, SeriesCorrupted, w.Col.CorruptionRate(ts.Tunnels))
 			ftc := 0
 			for _, t := range ts.Tunnels {
 				if w.Col.FirstTailCompromised(t, w.Dir) {
 					ftc++
 				}
 			}
-			tbl.Add(f, SeriesFirstTail, float64(ftc)/float64(len(ts.Tunnels)))
+			add(f, SeriesFirstTail, float64(ftc)/float64(len(ts.Tunnels)))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }
 
 // ascending returns a sorted copy of fracs.

@@ -51,7 +51,7 @@ func (p Fig4aParams) withDefaults() Fig4aParams {
 // (replication is a storage-layer parameter).
 func Fig4a(p Fig4aParams) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 4a: corrupted tunnels vs replication factor (N=%d, tunnels=%d, l=%d, p=%.2f, trials=%d)",
 			p.N, p.Tunnels, p.Length, p.Malicious, p.Trials),
 		"k", SeriesCorrupted)
@@ -63,7 +63,7 @@ func Fig4a(p Fig4aParams) (*trace.Table, error) {
 		}
 	}
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		k := p.Ks[j.kIdx]
 		stream := root.SplitN(fmt.Sprintf("fig4a-k%d", k), j.trial)
@@ -76,13 +76,13 @@ func Fig4a(p Fig4aParams) (*trace.Table, error) {
 			return err
 		}
 		w.Col.MarkFraction(p.Malicious, stream.Split("mark"))
-		tbl.Add(float64(k), SeriesCorrupted, w.Col.CorruptionRate(ts.Tunnels))
+		add(float64(k), SeriesCorrupted, w.Col.CorruptionRate(ts.Tunnels))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }
 
 // Fig4bParams configures Figure 4(b): corrupted tunnels vs tunnel length,
@@ -128,12 +128,12 @@ func (p Fig4bParams) withDefaults() Fig4bParams {
 // population into the same network, before the adversary is marked.
 func Fig4b(p Fig4bParams) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 4b: corrupted tunnels vs tunnel length (N=%d, tunnels=%d, k=%d, p=%.2f, trials=%d)",
 			p.N, p.Tunnels, p.K, p.Malicious, p.Trials),
 		"l", SeriesCorrupted)
 	root := rng.New(p.Seed)
-	err := ParallelScratch(p.Trials, func(trial int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("fig4b", trial)
 		w, err := BuildWorldIn(mem, p.N, p.K, stream.Split("world"))
 		if err != nil {
@@ -149,12 +149,12 @@ func Fig4b(p Fig4bParams) (*trace.Table, error) {
 		}
 		w.Col.MarkFraction(p.Malicious, stream.Split("mark"))
 		for _, l := range p.Lengths {
-			tbl.Add(float64(l), SeriesCorrupted, w.Col.CorruptionRate(sets[l].Tunnels))
+			add(float64(l), SeriesCorrupted, w.Col.CorruptionRate(sets[l].Tunnels))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }

@@ -73,12 +73,12 @@ const (
 // each time unit for both policies.
 func Fig5(p Fig5Params) (*trace.Table, error) {
 	p = p.withDefaults()
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 5: corrupted tunnels over time under churn (N=%d, tunnels=%d, l=%d, k=%d, p=%.2f, %d+%d per unit, trials=%d)",
 			p.N, p.Tunnels, p.Length, p.K, p.Malicious, p.LeavePerUnit, p.JoinPerUnit, p.Trials),
 		"time", SeriesUnrefreshed, SeriesRefreshed)
 	root := rng.New(p.Seed)
-	err := ParallelScratch(p.Trials, func(trial int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("fig5", trial)
 		w, err := BuildWorldIn(mem, p.N, p.K, stream.Split("world"))
 		if err != nil {
@@ -98,17 +98,17 @@ func Fig5(p Fig5Params) (*trace.Table, error) {
 			return err
 		}
 
-		tbl.Add(0, SeriesUnrefreshed, w.Col.CorruptionRate(unrefreshed.Tunnels))
-		tbl.Add(0, SeriesRefreshed, w.Col.CorruptionRate(refreshed.Tunnels))
+		add(0, SeriesUnrefreshed, w.Col.CorruptionRate(unrefreshed.Tunnels))
+		add(0, SeriesRefreshed, w.Col.CorruptionRate(refreshed.Tunnels))
 
 		for unit := 1; unit <= p.Units; unit++ {
 			churn.Wave(w.OV, p.LeavePerUnit, p.JoinPerUnit, stream.SplitN("wave", unit), benign)
 
 			// The original tunnels keep aging.
-			tbl.Add(float64(unit), SeriesUnrefreshed, w.Col.CorruptionRate(unrefreshed.Tunnels))
+			add(float64(unit), SeriesUnrefreshed, w.Col.CorruptionRate(unrefreshed.Tunnels))
 			// The refreshed population was rebuilt at the start of this
 			// unit, so it experienced exactly one unit of churn.
-			tbl.Add(float64(unit), SeriesRefreshed, w.Col.CorruptionRate(refreshed.Tunnels))
+			add(float64(unit), SeriesRefreshed, w.Col.CorruptionRate(refreshed.Tunnels))
 
 			// Refresh for the next unit: owners delete their anchors with
 			// the password proofs and deploy fresh ones.
@@ -131,5 +131,5 @@ func Fig5(p Fig5Params) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Table(), nil
+	return tbl, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"tap/internal/core"
@@ -81,32 +80,20 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 			series = append(series, s+"_p95")
 		}
 	}
-	tbl := newSyncTable(
+	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 6: 2Mb transfer time (s) vs network size (k=%d, %d sims x %d transfers, 1-230ms links @1.5Mb/s)",
 			p.K, p.Sims, p.Transfers),
 		"nodes", series...)
 
-	// Tail collection across jobs.
+	// Tail collection: each job keeps its own raw observations, so no two
+	// workers share a slice.
 	type sampleKey struct {
 		x      float64
 		series string
 	}
-	var tailMu sync.Mutex
-	tails := make(map[sampleKey]*trace.Sample)
-	record := func(x float64, s string, v float64) {
-		tbl.Add(x, s, v)
-		if !p.WithTails {
-			return
-		}
-		tailMu.Lock()
-		key := sampleKey{x, s}
-		smp := tails[key]
-		if smp == nil {
-			smp = &trace.Sample{}
-			tails[key] = smp
-		}
-		smp.Add(v)
-		tailMu.Unlock()
+	type tailObs struct {
+		key sampleKey
+		v   float64
 	}
 
 	type job struct{ sizeIdx, sim int }
@@ -116,11 +103,18 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 			jobs = append(jobs, job{si, sim})
 		}
 	}
+	tails := make([][]tailObs, len(jobs))
 	root := rng.New(p.Seed)
-	err := ParallelScratch(len(jobs), func(i int, mem *pastry.Scratch) error {
+	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
 		j := jobs[i]
 		size := p.Sizes[j.sizeIdx]
 		stream := root.SplitN(fmt.Sprintf("fig6-n%d", size), j.sim)
+		record := func(s string, v float64) {
+			add(float64(size), s, v)
+			if p.WithTails {
+				tails[i] = append(tails[i], tailObs{sampleKey{float64(size), s}, v})
+			}
+		}
 		w, err := BuildWorldIn(mem, size, p.K, stream.Split("world"))
 		if err != nil {
 			return err
@@ -174,7 +168,7 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 			if err != nil {
 				return err
 			}
-			record(float64(size), SeriesOvert, d.Seconds())
+			record(SeriesOvert, d.Seconds())
 
 			for _, l := range p.Lengths {
 				tun, err := in.FormTunnel(l)
@@ -192,7 +186,7 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 				if err != nil {
 					return err
 				}
-				record(float64(size), seriesBasic(l), d.Seconds())
+				record(seriesBasic(l), d.Seconds())
 
 				// Optimized tunneling: fresh address hints per §5.
 				cache := core.NewHintCache()
@@ -209,7 +203,7 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 				if err != nil {
 					return err
 				}
-				record(float64(size), seriesOpt(l), d.Seconds())
+				record(seriesOpt(l), d.Seconds())
 			}
 		}
 		return nil
@@ -217,10 +211,19 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.WithTails {
-		for key, smp := range tails {
-			tbl.Add(key.x, key.series+"_p95", smp.P95())
+	p95 := make(map[sampleKey]*trace.Sample)
+	for _, obs := range tails {
+		for _, o := range obs {
+			smp := p95[o.key]
+			if smp == nil {
+				smp = &trace.Sample{}
+				p95[o.key] = smp
+			}
+			smp.Add(o.v)
 		}
 	}
-	return tbl.Table(), nil
+	for key, smp := range p95 {
+		tbl.Add(key.x, key.series+"_p95", smp.P95())
+	}
+	return tbl, nil
 }

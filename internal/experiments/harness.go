@@ -1,9 +1,13 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (§7). Each FigN function takes a parameter struct whose zero value is
 // filled with the paper's settings scaled to the caller's request, runs
-// the Monte-Carlo trials — in parallel across worker goroutines, with one
-// deterministic RNG stream per trial — and returns a trace.Table whose
-// rows are the figure's x axis and whose columns are its series.
+// the Monte-Carlo trials and returns a trace.Table whose rows are the
+// figure's x axis and whose columns are its series.
+//
+// Every sweep goes through one runner, runTrials: trials run in parallel
+// across worker goroutines with one deterministic RNG stream per trial,
+// record into per-trial slots, and are folded into the table in trial
+// order, so a table is bit-identical for any GOMAXPROCS.
 //
 // cmd/tapsim prints these tables; bench_test.go wraps each in a testing.B
 // benchmark; EXPERIMENTS.md records the measured shapes against the
@@ -119,78 +123,39 @@ func TunnelFunctional(w *World, in *core.Initiator, t *core.Tunnel, fullWalk boo
 
 // --- parallel trial execution ----------------------------------------------
 
-// Parallel runs fn(i) for every i in [0, n) across min(GOMAXPROCS, n)
-// workers and returns the first error. Each fn must derive all its
-// randomness from its index so results are order-independent.
-func Parallel(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return firstErr
-}
+// addFn records one sample for (x, series) on behalf of the running trial.
+type addFn func(x float64, series string, v float64)
 
-// ParallelScratch is Parallel for trial functions that build worlds: each
-// worker goroutine owns one pastry.Scratch, handed to every trial it runs,
-// so successive trials on a worker rebuild their overlay in the same
-// memory (BuildWorldIn). The scratch argument is only valid for the
-// duration of fn — a trial must not retain its world past its return.
-func ParallelScratch(n int, fn func(i int, mem *pastry.Scratch) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// runTrials runs fn(i, mem, add) for every i in [0, n) across
+// min(GOMAXPROCS, n) workers, then folds what the trials recorded into tbl.
+//
+// Each worker owns one pastry.Scratch, handed to every trial it runs, so
+// successive trials rebuild their overlay in the same memory (BuildWorldIn);
+// mem is only valid for the duration of fn. Each trial's add appends to that
+// trial's own slot and nothing is shared between workers. After all trials
+// finish the slots are folded into tbl in index order — trace.Accum is a
+// running mean, order-dependent in the last ulp — so a table is bit-identical
+// for any worker count. The error returned is that of the lowest failing
+// index. Each fn must derive all its randomness from its index.
+func runTrials(tbl *trace.Table, n int, fn func(i int, mem *pastry.Scratch, add addFn) error) error {
+	type sample struct {
+		x      float64
+		series string
+		v      float64
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	slots := make([][]sample, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
 	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			mem := pastry.NewScratch()
 			for i := range idx {
-				if err := fn(i, mem); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
+				errs[i] = fn(i, mem, func(x float64, series string, v float64) {
+					slots[i] = append(slots[i], sample{x, series, v})
+				})
 			}
 		}()
 	}
@@ -199,23 +164,13 @@ func ParallelScratch(n int, fn func(i int, mem *pastry.Scratch) error) error {
 	}
 	close(idx)
 	wg.Wait()
-	return firstErr
+	for i, slot := range slots {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		for _, s := range slot {
+			tbl.Add(s.x, s.series, s.v)
+		}
+	}
+	return nil
 }
-
-// syncTable wraps a trace.Table for concurrent Adds from trial workers.
-type syncTable struct {
-	mu sync.Mutex
-	t  *trace.Table
-}
-
-func newSyncTable(title, xLabel string, series ...string) *syncTable {
-	return &syncTable{t: trace.NewTable(title, xLabel, series...)}
-}
-
-func (s *syncTable) Add(x float64, series string, v float64) {
-	s.mu.Lock()
-	s.t.Add(x, series, v)
-	s.mu.Unlock()
-}
-
-func (s *syncTable) Table() *trace.Table { return s.t }

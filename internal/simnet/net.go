@@ -278,7 +278,7 @@ func (n *Network) Serialization(size int) Time { return n.Link.Serialization(siz
 func (n *Network) MaxLatency() Time { return n.Link.MaxLatency }
 
 // The simulated network is the deterministic Transport implementation;
-// internal/transport/simtransport documents the pairing.
+// this assertion is the contract that it keeps satisfying the seam.
 var _ transport.Transport = (*Network)(nil)
 
 // --- partitions -------------------------------------------------------------

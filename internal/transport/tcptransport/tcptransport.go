@@ -531,7 +531,7 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 	if err != nil {
 		t.m.dialFails.Inc()
 		t.logf("tcptransport: dial %d (%s): %v", dst, p.hostport, err)
-		t.dropPeer(dst, p, false)
+		t.dropPeer(dst, p)
 		return
 	}
 	t.m.dialSeconds.Observe(time.Since(dialStart).Seconds())
@@ -566,7 +566,7 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 			if _, err := conn.Write(frame); err != nil {
 				t.m.dropConnDown.Inc()
 				t.logf("tcptransport: write %d (%s): %v", dst, p.hostport, err)
-				t.dropPeer(dst, p, true)
+				t.dropPeer(dst, p)
 				return
 			}
 			t.m.framesOut.Inc()
@@ -579,7 +579,7 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 // and — if it was still the live record for dst — marks the address
 // down for Reachable. A stale peer (already replaced by SetPeer) is
 // drained without touching the fresh endpoint's state.
-func (t *Transport) dropPeer(dst transport.Addr, p *peer, hadConn bool) {
+func (t *Transport) dropPeer(dst transport.Addr, p *peer) {
 	p.shutdown()
 	t.mu.Lock()
 	current := t.conns[dst] == p
@@ -599,7 +599,6 @@ func (t *Transport) dropPeer(dst transport.Addr, p *peer, hadConn bool) {
 			t.enqueue(func() { fn(dst, false) })
 		}
 	}
-	_ = hadConn
 }
 
 // discardQueued drains whatever was queued behind a dead connection,

@@ -6,9 +6,9 @@
 // Transport and Clock interfaces here, never against a concrete network.
 // Two implementations exist:
 //
-//   - internal/simnet.Network, the deterministic discrete-event emulator
-//     (adapted by internal/transport/simtransport), where Time is a
-//     simulated clock and Schedule files events into the calendar queue;
+//   - internal/simnet.Network, the deterministic discrete-event emulator,
+//     where Time is a simulated clock and Schedule files events into the
+//     calendar queue;
 //   - internal/transport/tcptransport, which frames messages over real
 //     TCP connections between OS processes, where Time is the wall clock
 //     and Schedule arms real timers.

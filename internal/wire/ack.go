@@ -2,16 +2,13 @@ package wire
 
 import "fmt"
 
-// ACK frame versions. Version 1 is the PR-1 stop-and-wait acknowledgment:
-// one flow id plus the hop count of the data packet it acknowledges.
-// Version 2 is the windowed-streaming acknowledgment: a cumulative
-// sequence number (every segment below it has been received) plus up to
-// MaxAckRanges selective ranges of segments received above the cumulative
-// point, so a sender retransmits exactly the gaps.
-const (
-	AckVerBasic byte = 1
-	AckVerSACK  byte = 2
-)
+// AckVerSACK is the one ACK frame version: the windowed-streaming
+// acknowledgment, a cumulative sequence number (every segment below it has
+// been received) plus up to MaxAckRanges selective ranges of segments
+// received above the cumulative point, so a sender retransmits exactly the
+// gaps. Version 1 (the stop-and-wait acknowledgment) is retired and decodes
+// as an unknown version.
+const AckVerSACK byte = 2
 
 // MaxAckRanges bounds the selective ranges one SACK frame carries. Gaps
 // beyond the bound are simply not reported in this frame; the cumulative
@@ -23,26 +20,17 @@ type AckRange struct {
 	Start, End uint64
 }
 
-// AckFrame is a decoded acknowledgment of either version.
+// AckFrame is a decoded acknowledgment.
 type AckFrame struct {
 	Ver  byte
 	Flow uint64
-	// DataHops is the acknowledged data packet's hop count (version 1).
-	DataHops uint32
 	// Cum is the cumulative acknowledgment: all segments with
-	// seq < Cum have been received (version 2).
+	// seq < Cum have been received.
 	Cum uint64
-	// Ranges are the selective runs above Cum (version 2). Decoding
+	// Ranges are the selective runs above Cum. Decoding
 	// appends into the slice passed to ReadAck, so a caller that supplies
 	// capacity gets a zero-allocation decode.
 	Ranges []AckRange
-}
-
-// AppendAckBasic encodes a version-1 acknowledgment.
-func AppendAckBasic(w *Writer, flow uint64, dataHops uint32) {
-	w.Byte(AckVerBasic)
-	w.Uint64(flow)
-	w.Uint32(dataHops)
 }
 
 // AppendAckSACK encodes a version-2 acknowledgment. Ranges beyond
@@ -62,47 +50,40 @@ func AppendAckSACK(w *Writer, flow uint64, cum uint64, ranges []AckRange) {
 	}
 }
 
-// ReadAck decodes an acknowledgment of either version, appending selective
-// ranges into the caller's slice.
+// ReadAck decodes an acknowledgment, appending selective ranges into the
+// caller's slice.
 func ReadAck(r *Reader, ranges []AckRange) (AckFrame, error) {
 	var f AckFrame
 	f.Ver = r.Byte()
 	f.Flow = r.Uint64()
-	switch f.Ver {
-	case AckVerBasic:
-		f.DataHops = r.Uint32()
-	case AckVerSACK:
-		f.Cum = r.Uint64()
-		n := int(r.Byte())
-		if n > MaxAckRanges {
-			return f, fmt.Errorf("wire: ack carries %d ranges, max %d", n, MaxAckRanges)
-		}
-		for i := 0; i < n; i++ {
-			start := r.Uint64()
-			end := r.Uint64()
-			if r.Err() != nil {
-				break
-			}
-			if end <= start || start < f.Cum {
-				return f, fmt.Errorf("wire: ack range [%d,%d) malformed against cum %d", start, end, f.Cum)
-			}
-			if len(ranges) > 0 && start < ranges[len(ranges)-1].End {
-				return f, fmt.Errorf("wire: ack ranges out of order at [%d,%d)", start, end)
-			}
-			ranges = append(ranges, AckRange{Start: start, End: end})
-		}
-		f.Ranges = ranges
-	default:
+	if f.Ver != AckVerSACK {
 		return f, fmt.Errorf("wire: unknown ack version %d", f.Ver)
 	}
+	f.Cum = r.Uint64()
+	n := int(r.Byte())
+	if n > MaxAckRanges {
+		return f, fmt.Errorf("wire: ack carries %d ranges, max %d", n, MaxAckRanges)
+	}
+	for i := 0; i < n; i++ {
+		start := r.Uint64()
+		end := r.Uint64()
+		if r.Err() != nil {
+			break
+		}
+		if end <= start || start < f.Cum {
+			return f, fmt.Errorf("wire: ack range [%d,%d) malformed against cum %d", start, end, f.Cum)
+		}
+		if len(ranges) > 0 && start < ranges[len(ranges)-1].End {
+			return f, fmt.Errorf("wire: ack ranges out of order at [%d,%d)", start, end)
+		}
+		ranges = append(ranges, AckRange{Start: start, End: end})
+	}
+	f.Ranges = ranges
 	if err := r.Err(); err != nil {
 		return f, err
 	}
 	return f, nil
 }
-
-// AckSizeBasic is the encoded size of a version-1 acknowledgment.
-func AckSizeBasic() int { return 1 + 8 + 4 }
 
 // AckSizeSACK is the encoded size of a version-2 acknowledgment carrying
 // nranges selective ranges.

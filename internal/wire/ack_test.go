@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-func TestAckBasicRoundTrip(t *testing.T) {
-	w := NewWriter(16)
-	AppendAckBasic(w, 42, 7)
-	if got := w.Len(); got != AckSizeBasic() {
-		t.Fatalf("encoded size %d, AckSizeBasic %d", got, AckSizeBasic())
-	}
-	r := NewReader(w.Bytes())
-	f, err := ReadAck(r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if f.Ver != AckVerBasic || f.Flow != 42 || f.DataHops != 7 {
-		t.Fatalf("round trip mismatch: %+v", f)
-	}
-}
-
 func TestAckSACKRoundTrip(t *testing.T) {
 	ranges := []AckRange{{Start: 12, End: 14}, {Start: 17, End: 18}, {Start: 20, End: 25}}
 	w := NewWriter(64)
@@ -86,6 +67,12 @@ func TestAckRejectsMalformed(t *testing.T) {
 		"unknown version": func(w *Writer) {
 			w.Byte(99)
 			w.Uint64(1)
+		},
+		// A well-formed frame of the retired version 1 (flow id, hop count).
+		"retired version 1": func(w *Writer) {
+			w.Byte(0x01)
+			w.Uint64(42)
+			w.Uint32(7)
 		},
 		"inverted range": func(w *Writer) {
 			w.Byte(AckVerSACK)
