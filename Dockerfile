@@ -1,7 +1,7 @@
 # Build image for the real-process deployment binaries (tapboard,
 # tapnode). Used by docker-compose.yml to run a five-node localhost
 # overlay; see DESIGN.md §14.
-FROM golang:1.22-alpine AS build
+FROM golang:1.24-alpine AS build
 WORKDIR /src
 COPY go.mod ./
 COPY . .

@@ -9,8 +9,9 @@
 //
 //   - hot:     the steady-state hot paths (LayeredSeal/LayeredPeel, the
 //     TunnelPool probe cycle, the kernel schedule/run cycle, the
-//     windowed stream transfer, and the obs counter/histogram increment
-//     paths that instrument all of them) — many timed samples, minimum
+//     windowed stream transfer, the obs counter/histogram increment
+//     paths that instrument all of them, and the deployed relay's
+//     peel-and-forward) — many timed samples, minimum
 //     taken, so shared-VM scheduler noise does not masquerade as a
 //     regression (or an improvement);
 //   - micro:   the remaining micro-benchmarks — a few short samples;
@@ -79,7 +80,7 @@ type group struct {
 }
 
 var defaultGroups = []group{
-	{name: "hot", pattern: "^(BenchmarkLayeredSeal|BenchmarkLayeredPeel|BenchmarkPoolProbeCycle|BenchmarkKernelScheduleRun|BenchmarkStreamThroughput|BenchmarkObsCounterInc|BenchmarkObsHistogramObserve)$", benchtime: "500ms", count: 10},
+	{name: "hot", pattern: "^(BenchmarkLayeredSeal|BenchmarkLayeredPeel|BenchmarkPoolProbeCycle|BenchmarkKernelScheduleRun|BenchmarkStreamThroughput|BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkRelayForward)$", benchtime: "500ms", count: 10},
 	{name: "micro", pattern: "^(BenchmarkSeal|BenchmarkOpen|BenchmarkSealer|BenchmarkPastryRoute|BenchmarkOverlayBuild|BenchmarkTunnelWalk|BenchmarkPastryJoinProtocol|BenchmarkReplicaMigration|BenchmarkSecureLookup)", benchtime: "200ms", count: 3},
 	{name: "figures", pattern: "^(BenchmarkFig|BenchmarkExt|BenchmarkAblation)", benchtime: "1x", count: 1},
 }

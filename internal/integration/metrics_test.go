@@ -156,9 +156,10 @@ func TestMetricsScrapeAcrossProcesses(t *testing.T) {
 	}
 
 	// Invariant 4 — anchor conservation: the client deployed exactly
-	// fw+rp anchors; they live on the relays (hop IDs are unique, so
-	// redeploys overwrite, never duplicate), and the client cannot have
-	// consumed more acks than installations that happened.
+	// fw+rp anchors; they live on the relays (hop IDs are unique and a
+	// redeployed record is an idempotent re-install, so never a
+	// duplicate), and the client cannot have consumed more acks than
+	// installations that were acknowledged.
 	if held := sumAcross(snaps, "tap_node_anchors"); held != anchors {
 		t.Errorf("anchors held across relays = %v, want %d", held, anchors)
 	}

@@ -13,6 +13,7 @@
 package procnode
 
 import (
+	"errors"
 	"fmt"
 
 	"tap/internal/core"
@@ -62,31 +63,31 @@ type DataMsg struct {
 func (m *DataMsg) SizeBytes() int { return id.Size + len(m.Payload) }
 
 // Codec frames the procnode message set for tcptransport. All decoded
-// messages own their buffers (the transport's read buffer is reused).
+// messages own their buffers: the payload handed to Decode is a window
+// into the connection's read buffer, and the bytes behind it are the next
+// frame.
 type Codec struct{}
 
-// Encode implements tcptransport.Codec.
-func (Codec) Encode(msg transport.Message) (byte, []byte, error) {
+// AppendEncode implements tcptransport.Codec: it appends msg's encoding
+// to dst, leaving dst's own bytes untouched.
+func (Codec) AppendEncode(dst []byte, msg transport.Message) (byte, []byte, error) {
+	w := wire.NewWriterOn(dst)
 	switch m := msg.(type) {
 	case *AnchorMsg:
-		w := wire.NewWriter(tha.WireSize + 8)
 		w.ID(m.Anchor.HopID)
 		w.Blob(m.Anchor.Key[:])
 		w.Blob(m.Anchor.PWHash[:])
 		return kindAnchor, w.Bytes(), nil
 	case *AnchorAck:
-		w := wire.NewWriter(id.Size)
 		w.ID(m.HopID)
 		return kindAnchorAck, w.Bytes(), nil
 	case *core.Envelope:
-		w := wire.NewWriter(m.SizeBytes() + 16)
 		w.ID(m.HopID)
 		w.Int64(int64(m.Hint))
 		w.Blob(m.Sealed)
 		w.Uint32(uint32(m.Pad))
 		return kindForward, w.Bytes(), nil
 	case *core.ReplyEnvelope:
-		w := wire.NewWriter(m.SizeBytes() + 24)
 		w.ID(m.Target)
 		w.Int64(int64(m.Hint))
 		w.Blob(m.Onion)
@@ -94,7 +95,6 @@ func (Codec) Encode(msg transport.Message) (byte, []byte, error) {
 		w.Uint32(uint32(m.Pad))
 		return kindReply, w.Bytes(), nil
 	case *DataMsg:
-		w := wire.NewWriter(id.Size + len(m.Payload) + 8)
 		w.ID(m.Dest)
 		w.Blob(m.Payload)
 		return kindData, w.Bytes(), nil
@@ -102,6 +102,20 @@ func (Codec) Encode(msg transport.Message) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("procnode: cannot encode %T", msg)
 	}
 }
+
+// Encode is AppendEncode into a fresh buffer. The capacity covers every
+// kind's fields beyond SizeBytes (hint, pad, length prefixes), so the
+// encoding is one allocation.
+func (c Codec) Encode(msg transport.Message) (byte, []byte, error) {
+	return c.AppendEncode(make([]byte, 0, msg.SizeBytes()+32), msg)
+}
+
+// errPad refuses an envelope whose pad count no frame could account for.
+// Pad is modelled padding, four bytes on the wire whatever it claims, but
+// it counts toward SizeBytes — which sizes the next hop's envelope and
+// the buffer that frames it — so a peer's claim is bounded where it
+// enters.
+var errPad = errors.New("pad exceeds the frame limit")
 
 // Decode implements tcptransport.Codec.
 func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
@@ -131,6 +145,9 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: forward envelope: %w", err)
 		}
+		if m.Pad > wire.MaxFramePayload {
+			return nil, fmt.Errorf("procnode: forward envelope: %w", errPad)
+		}
 		return &m, nil
 	case kindReply:
 		var m core.ReplyEnvelope
@@ -141,6 +158,9 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 		m.Pad = int(r.Uint32())
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: reply envelope: %w", err)
+		}
+		if m.Pad > wire.MaxFramePayload {
+			return nil, fmt.Errorf("procnode: reply envelope: %w", errPad)
 		}
 		return &m, nil
 	case kindData:

@@ -1,0 +1,126 @@
+package procnode
+
+import (
+	"bytes"
+	"errors"
+	"reflect"
+	"testing"
+
+	"tap/internal/core"
+	"tap/internal/tha"
+	"tap/internal/transport"
+	"tap/internal/wire"
+)
+
+// codecMessages is one message of each of the five kinds.
+func codecMessages() []transport.Message {
+	var a tha.Anchor
+	a.HopID = NodeID(8)
+	copy(a.Key[:], "a layer key, thirty-two bytes...")
+	copy(a.PWHash[:], "and the hash of its password....")
+	return []transport.Message{
+		&AnchorMsg{Anchor: a},
+		&AnchorAck{HopID: NodeID(9)},
+		&core.Envelope{HopID: NodeID(1), Hint: 4, Sealed: []byte("sealed"), Pad: 3},
+		&core.ReplyEnvelope{Target: NodeID(2), Hint: transport.NoAddr, Onion: []byte("onion"), Data: []byte("data"), Pad: 1},
+		&DataMsg{Dest: NodeID(3), Payload: []byte("payload")},
+	}
+}
+
+// checkCodecContracts holds one decoded message to the codec's
+// contracts: it re-encodes, AppendEncode leaves the bytes ahead of it
+// alone and appends exactly what Encode returns, the encoding decodes
+// back to an equal message, and nothing decoded aliases the decoder's
+// input — the transport hands Decode a window of its read buffer, and the
+// bytes behind the window are the next frame. input is scribbled over.
+func checkCodecContracts(t *testing.T, kind byte, msg transport.Message, input []byte) {
+	t.Helper()
+	var c Codec
+	k, enc, err := c.Encode(msg)
+	if err != nil || k != kind {
+		t.Fatalf("%T: re-encode: kind %d (want %d), err %v", msg, k, kind, err)
+	}
+
+	const prefix = "frame header and addresses"
+	dst := append(make([]byte, 0, len(prefix)+len(enc)+64), prefix...)
+	k, out, err := c.AppendEncode(dst, msg)
+	if err != nil || k != kind {
+		t.Fatalf("%T: AppendEncode: kind %d (want %d), err %v", msg, k, kind, err)
+	}
+	if string(out[:len(prefix)]) != prefix || !bytes.Equal(out[len(prefix):], enc) {
+		t.Fatalf("%T: AppendEncode(prefix, m) != prefix + Encode(m)", msg)
+	}
+
+	again, err := c.Decode(kind, enc)
+	if err != nil {
+		t.Fatalf("%T: decoding its own encoding: %v", msg, err)
+	}
+	if !reflect.DeepEqual(again, msg) {
+		t.Fatalf("%T: round trip changed the message:\n got %+v\nwant %+v", msg, again, msg)
+	}
+
+	for i := range input {
+		input[i] ^= 0xff
+	}
+	if _, after, _ := c.Encode(msg); !bytes.Equal(after, enc) {
+		t.Fatalf("%T: the decoded message aliases the decoder's input", msg)
+	}
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	var c Codec
+	kinds := make(map[byte]bool)
+	for _, m := range codecMessages() {
+		kind, payload, err := c.Encode(m)
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		kinds[kind] = true
+		got, err := c.Decode(kind, payload)
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("%T: decoded %+v, want %+v", m, got, m)
+		}
+		checkCodecContracts(t, kind, got, payload)
+	}
+	if len(kinds) != 5 {
+		t.Fatalf("%d distinct frame kinds, want 5", len(kinds))
+	}
+	if _, err := c.Decode(99, nil); err == nil {
+		t.Fatal("unknown kind accepted")
+	}
+	// A pad no frame could carry is refused where it enters: it would
+	// size the next hop's envelope, and the buffer that frames it.
+	_, hostile, _ := c.AppendEncode(nil, &core.Envelope{HopID: NodeID(1), Sealed: []byte("sealed"), Pad: wire.MaxFramePayload + 1})
+	if _, err := c.Decode(kindForward, hostile); !errors.Is(err, errPad) {
+		t.Fatalf("an envelope claiming %d bytes of padding decoded: %v", wire.MaxFramePayload+1, err)
+	}
+	if _, _, err := c.AppendEncode(nil, transport.Message(nil)); err == nil {
+		t.Fatal("a message outside the set was encoded")
+	}
+}
+
+// FuzzCodecDecode feeds the socket-facing decoder arbitrary (kind, bytes):
+// it must never panic, and whatever it accepts must satisfy every codec
+// contract. The committed corpus holds a genuine payload of each kind and
+// the hostile shapes: truncation, a blob length past the buffer, trailing
+// bytes, an unknown kind, a four-gigabyte pad claim.
+func FuzzCodecDecode(f *testing.F) {
+	var c Codec
+	for _, m := range codecMessages() {
+		kind, payload, err := c.Encode(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(kind, payload)
+	}
+	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
+		msg, err := c.Decode(kind, data)
+		if err != nil {
+			return
+		}
+		checkCodecContracts(t, kind, msg, data)
+	})
+}

@@ -17,6 +17,7 @@ type nodeMetrics struct {
 	repliesHome     *obs.Counter // reply envelopes consumed as initiator
 
 	anchorInstalls *obs.Counter // anchors installed on behalf of initiators
+	anchorRejects  *obs.Counter // installs refused: a different record under a held hopid
 	anchorAcks     *obs.Counter // anchor acks received as initiator
 	anchorsHeld    *obs.Gauge   // anchors currently stored
 
@@ -41,6 +42,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		repliesHome:     reg.Counter("tap_node_replies_home_total", "Replies consumed as initiator."),
 
 		anchorInstalls: reg.Counter("tap_node_anchor_installs_total", "Anchors installed for initiators."),
+		anchorRejects:  reg.Counter("tap_node_anchor_rejects_total", "Anchor installs refused because the hopid is held with a different record."),
 		anchorAcks:     reg.Counter("tap_node_anchor_acks_total", "Anchor acks received as initiator."),
 		anchorsHeld:    reg.Gauge("tap_node_anchors", "Anchors currently stored."),
 

@@ -2,6 +2,7 @@ package procnode
 
 import (
 	"crypto/rand"
+	"crypto/subtle"
 	"fmt"
 	"sync"
 	"time"
@@ -38,7 +39,7 @@ type Node struct {
 	logf func(format string, args ...any)
 	m    *nodeMetrics
 
-	anchors map[id.ID]tha.Anchor
+	anchors map[id.ID]heldAnchor
 
 	// byID is the full-membership node-ID index. Unlike anchors it is
 	// written off-loop (SetPeers runs on the joining goroutine), so it
@@ -63,7 +64,7 @@ func New(tr *tcptransport.Transport, addr transport.Addr, logf func(format strin
 		tr:      tr,
 		logf:    logf,
 		m:       newNodeMetrics(reg),
-		anchors: make(map[id.ID]tha.Anchor),
+		anchors: make(map[id.ID]heldAnchor),
 		byID:    map[id.ID]transport.Addr{NodeID(addr): addr},
 		acks:    make(chan id.ID, 64),
 		replies: make(chan []byte, 64),
@@ -93,6 +94,50 @@ func (n *Node) lookupID(target id.ID) (transport.Addr, bool) {
 	return a, ok
 }
 
+// heldAnchor is one installed anchor and how many layers it has peeled,
+// counted only as far as the retention rule needs.
+type heldAnchor struct {
+	tha.Anchor
+	peels uint8 // saturates at 2, the peel that starts caching the key schedule
+}
+
+// installAnchor stores a, first writer wins — the rule the simulator's
+// replica store applies (past.Manager.Insert refuses a stored key). Every
+// earlier hop of a tunnel learns the next hopid, so an install that could
+// overwrite would let any of them swap a live hop's key. The identical
+// record again is the initiator retransmitting after a lost ack: accepted
+// and re-acked, and whatever the held copy has cached stays.
+func (n *Node) installAnchor(a tha.Anchor) bool {
+	if held, ok := n.anchors[a.HopID]; ok {
+		same := subtle.ConstantTimeCompare(held.Key[:], a.Key[:]) &
+			subtle.ConstantTimeCompare(held.PWHash[:], a.PWHash[:])
+		return same == 1
+	}
+	n.anchors[a.HopID] = heldAnchor{Anchor: a}
+	n.m.anchorsHeld.Set(int64(len(n.anchors)))
+	return true
+}
+
+// peelAnchor returns the anchor to open one layer addressed to hopID
+// with. The first layer an anchor peels uses a throwaway key schedule and
+// the held copy starts caching one at the second: a tunnel that carries
+// one message (tunnel formation, a probe) then never pins the ~1.2 KiB of
+// AES/HMAC state behind its ~80-byte record — nothing here evicts
+// anchors, so retaining at install would make the anchor flood the
+// paper's puzzle prices a 15-fold memory amplifier — while a stream pays
+// the derivation twice and never again.
+func (n *Node) peelAnchor(hopID id.ID) (tha.Anchor, bool) {
+	h, ok := n.anchors[hopID]
+	if ok && h.peels < 2 {
+		h.peels++
+		if h.peels == 2 {
+			h.Anchor = h.Anchor.WithSealerCache()
+		}
+		n.anchors[hopID] = h
+	}
+	return h.Anchor, ok
+}
+
 // AnchorCount reports how many anchors this node currently holds. Only
 // meaningful from the dispatch loop or after traffic has quiesced.
 func (n *Node) AnchorCount() int { return len(n.anchors) }
@@ -102,9 +147,12 @@ func (n *Node) AnchorCount() int { return len(n.anchors) }
 func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 	switch m := msg.(type) {
 	case *AnchorMsg:
-		n.anchors[m.Anchor.HopID] = m.Anchor
-		n.m.anchorInstalls.Inc()
-		n.m.anchorsHeld.Set(int64(len(n.anchors)))
+		if !n.installAnchor(m.Anchor) {
+			n.m.anchorRejects.Inc()
+			n.logf("procnode %d: refusing a different anchor for held hop %s", n.Addr, m.Anchor.HopID.Short())
+			return
+		}
+		n.m.anchorInstalls.Inc() // every acked install, so installs >= acks holds under retransmission
 		n.sendTo(from, &AnchorAck{HopID: m.Anchor.HopID}, 0)
 	case *AnchorAck:
 		n.m.anchorAcks.Inc()
@@ -187,7 +235,7 @@ func (n *Node) sendTo(dst transport.Addr, msg transport.Message, attempt int) {
 // handleForward peels one forward layer and relays, or — at the exit —
 // routes the payload to its destination node.
 func (n *Node) handleForward(env *core.Envelope) {
-	a, ok := n.anchors[env.HopID]
+	a, ok := n.peelAnchor(env.HopID)
 	if !ok {
 		n.logf("procnode %d: no anchor for hop %s", n.Addr, env.HopID.Short())
 		return
@@ -218,16 +266,19 @@ func (n *Node) handleForward(env *core.Envelope) {
 		n.logf("procnode %d: cannot route hop %s (no hint, no index entry)", n.Addr, layer.Next.Short())
 		return
 	}
-	next := &core.Envelope{HopID: layer.Next, Hint: layer.NextHint, Sealed: layer.Inner}
-	next.PadToMatch(env.SizeBytes())
+	// The envelope is ours (that is what let us peel it in place), so it
+	// carries the inner layer onward itself.
+	size := env.SizeBytes()
+	env.HopID, env.Hint, env.Sealed = layer.Next, layer.NextHint, layer.Inner
+	env.PadToMatch(size)
 	n.m.relaysForwarded.Inc()
-	n.sendTo(dst, next, 0)
+	n.sendTo(dst, env, 0)
 }
 
 // handleReply peels one reply layer when this node anchors the target
 // hop, or consumes the envelope when it is the initiator's own bid.
 func (n *Node) handleReply(env *core.ReplyEnvelope) {
-	a, ok := n.anchors[env.Target]
+	a, ok := n.peelAnchor(env.Target)
 	if !ok {
 		if env.Target == n.ID {
 			// The tail hop resolved our bid: the reply is home.
@@ -250,15 +301,16 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 	}
 	n.m.peelsReply.Inc()
 	n.m.peelSeconds.Observe((n.tr.Now() - t0).Seconds())
-	out := &core.ReplyEnvelope{Target: next, Hint: hint, Onion: rest, Data: env.Data}
-	out.PadToMatch(env.SizeBytes())
+	size := env.SizeBytes()
+	env.Target, env.Hint, env.Onion = next, hint, rest
+	env.PadToMatch(size)
 	if hint != transport.NoAddr {
-		n.sendTo(hint, out, 0)
+		n.sendTo(hint, env, 0)
 		return
 	}
 	// The tail layer names the initiator's bid with no hint; resolve it
 	// through the membership index, tolerating a lagging view.
-	n.sendResolved(next, 0, func(dst transport.Addr) { n.sendTo(dst, out, 0) })
+	n.sendResolved(next, 0, func(dst transport.Addr) { n.sendTo(dst, env, 0) })
 }
 
 // Exit payload format (the plaintext the exit layer reveals, §4's

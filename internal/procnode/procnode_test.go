@@ -142,48 +142,3 @@ func TestRelayCannotReadPayload(t *testing.T) {
 		}
 	}
 }
-
-func TestCodecRoundTrip(t *testing.T) {
-	var c Codec
-	msgs := []transport.Message{
-		&AnchorAck{HopID: NodeID(9)},
-		&core.Envelope{HopID: NodeID(1), Hint: 4, Sealed: []byte("sealed"), Pad: 3},
-		&core.ReplyEnvelope{Target: NodeID(2), Hint: transport.NoAddr, Onion: []byte("onion"), Data: []byte("data"), Pad: 1},
-		&DataMsg{Dest: NodeID(3), Payload: []byte("payload")},
-	}
-	for _, m := range msgs {
-		kind, payload, err := c.Encode(m)
-		if err != nil {
-			t.Fatalf("%T: %v", m, err)
-		}
-		got, err := c.Decode(kind, payload)
-		if err != nil {
-			t.Fatalf("%T: %v", m, err)
-		}
-		switch want := m.(type) {
-		case *AnchorAck:
-			if *got.(*AnchorAck) != *want {
-				t.Fatalf("ack mismatch")
-			}
-		case *core.Envelope:
-			g := got.(*core.Envelope)
-			if g.HopID != want.HopID || g.Hint != want.Hint || !bytes.Equal(g.Sealed, want.Sealed) || g.Pad != want.Pad {
-				t.Fatalf("envelope mismatch")
-			}
-		case *core.ReplyEnvelope:
-			g := got.(*core.ReplyEnvelope)
-			if g.Target != want.Target || g.Hint != want.Hint || !bytes.Equal(g.Onion, want.Onion) ||
-				!bytes.Equal(g.Data, want.Data) || g.Pad != want.Pad {
-				t.Fatalf("reply envelope mismatch")
-			}
-		case *DataMsg:
-			g := got.(*DataMsg)
-			if g.Dest != want.Dest || !bytes.Equal(g.Payload, want.Payload) {
-				t.Fatalf("data mismatch")
-			}
-		}
-	}
-	if _, err := c.Decode(99, nil); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-}

@@ -32,25 +32,41 @@ type Anchor struct {
 	Key    crypt.Key
 	PWHash crypt.PasswordHash
 
-	// sealer caches the layer-crypto key schedule for Key. Deploy installs
-	// an empty cell, so every copy of the record handed out by the replica
-	// store — anchors are passed by value — shares one schedule and a hop
-	// node pays the subkey derivation once per anchor, not once per
-	// message. The schedule itself is derived lazily on first use: most
-	// deployed anchors never seal a message (availability and corruption
-	// experiments deploy hundreds of thousands), so deployment must not
-	// pay AES/HMAC setup. It is node-local state, never serialized:
-	// WireSize excludes it. Like the rest of the simulator it assumes
-	// single-goroutine use.
+	// sealer, when non-nil, caches the layer-crypto key schedule for Key:
+	// every copy of the record made from this one — anchors are passed by
+	// value — shares the cell, so a hop node pays the subkey derivation
+	// once per anchor, not once per message. Only WithSealerCache installs
+	// a cell. The simulator's Deploy does so for every stored record; an
+	// anchor decoded off a socket or built by Generate has none until its
+	// holder asks for one. The schedule itself is derived lazily on first
+	// use: most deployed anchors never seal a message (availability and
+	// corruption experiments deploy hundreds of thousands), so installing
+	// a cell must not pay AES/HMAC setup. It is node-local state, never
+	// serialized: WireSize excludes it. Like the rest of the relay state
+	// it assumes single-goroutine use.
 	sealer *sealerCell
 }
 
 // sealerCell is the shared, lazily-filled key-schedule slot.
 type sealerCell struct{ s *crypt.Sealer }
 
-// Sealer returns the anchor's cached key schedule, deriving it on first
-// use. Anchors that never passed through Deploy (hand-built test values)
-// get an uncached throwaway schedule.
+// WithSealerCache returns a copy of the record carrying an empty
+// key-schedule cell: the first Sealer call on it, or on any copy of it,
+// derives the schedule and every later call reuses it. A holder that
+// expects an anchor to process many messages stores this copy; one that
+// does not keeps the bare record and its ~1.2 KiB of AES/HMAC state
+// unallocated.
+func (a Anchor) WithSealerCache() Anchor {
+	a.sealer = &sealerCell{}
+	return a
+}
+
+// Sealer returns the anchor's key schedule. On a record from
+// WithSealerCache it is derived on first use and cached; on a bare
+// record — everything Generate mints and everything a node decodes off
+// the wire — every call derives a fresh throwaway schedule (HKDF
+// subkeys, AES expansion, HMAC keying), which is the right price for one
+// message and the wrong one for a stream.
 func (a Anchor) Sealer() *crypt.Sealer {
 	if a.sealer != nil {
 		if a.sealer.s == nil {
@@ -171,10 +187,9 @@ func (d *Directory) Deploy(a Anchor, nonce uint64) error {
 			return fmt.Errorf("%w: %v", ErrPuzzleRequired, err)
 		}
 	}
-	// Install the key-schedule cell all replica copies will share; the
-	// schedule is derived on the first message this anchor processes.
-	a.sealer = &sealerCell{}
-	if err := d.mgr.Insert(a.HopID, a); err != nil {
+	// All replica copies share one key-schedule cell; the schedule is
+	// derived on the first message this anchor processes.
+	if err := d.mgr.Insert(a.HopID, a.WithSealerCache()); err != nil {
 		return fmt.Errorf("tha: deploy: %w", err)
 	}
 	d.deployed++

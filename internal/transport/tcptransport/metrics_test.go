@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tap/internal/obs"
+	"tap/internal/wire"
 )
 
 // TestStatsAccessorMatchesScrape is the regression test for replacing
@@ -33,6 +34,15 @@ func TestStatsAccessorMatchesScrape(t *testing.T) {
 		a.Send(0, 1, textMsg{body: []byte("metered")})
 	}
 	cb.wait(t, n)
+	// The writer counts a frame once its Write has returned, and the
+	// receiver can deliver the frame before that: wait for the count.
+	wantBytes := uint64(n * (wire.FrameHeaderSize + addrPrefixSize + len("metered")))
+	for deadline := time.Now().Add(5 * time.Second); a.m.bytesOut.Load() != wantBytes; {
+		if time.Now().After(deadline) {
+			t.Fatalf("bytes out %d, want %d", a.m.bytesOut.Load(), wantBytes)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	a.Send(0, 99, textMsg{body: []byte("void")}) // unknown peer → drop
 
 	st := a.Stats()

@@ -37,6 +37,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -46,15 +47,37 @@ import (
 	"tap/internal/wire"
 )
 
-// Codec translates between engine messages and frame payloads. Encode
-// returns the frame kind and payload for a message; Decode reverses it.
-// The payload slice passed to Decode aliases the connection's read
-// buffer and is valid only for the duration of the call — implementations
-// copy what they keep.
+// Codec translates between engine messages and frame payloads.
+//
+// AppendEncode appends msg's encoding to dst and returns the frame kind
+// and the extended slice. dst is the frame under construction — header
+// and address prefix already laid out — so an implementation appends and
+// never touches dst[:len(dst)].
+//
+// Decode reverses it. The payload slice is a window into the connection's
+// read buffer, valid only for the duration of the call: the bytes behind
+// it are the next frame and the buffer is overwritten by the next read,
+// so implementations copy what they keep.
 type Codec interface {
-	Encode(msg transport.Message) (kind byte, payload []byte, err error)
+	AppendEncode(dst []byte, msg transport.Message) (kind byte, out []byte, err error)
 	Decode(kind byte, payload []byte) (transport.Message, error)
 }
+
+const (
+	// addrPrefixSize is the [src:8][dst:8] prefix every frame payload
+	// opens with, ahead of the codec's bytes.
+	addrPrefixSize = 16
+	// codecSlack is added to msg.SizeBytes() when sizing a frame buffer:
+	// room for what a codec writes beyond the message's modelled size
+	// (length prefixes, hints), so encoding does not regrow the buffer. A
+	// capacity hint only — a codec that needs more still gets it.
+	codecSlack = 32
+	// readBufSize is each inbound connection's read buffer. It never
+	// grows: a frame that does not fit is read into a one-off allocation
+	// of its validated length, so a peer cannot pin more than this per
+	// connection beyond the frame in flight.
+	readBufSize = 64 << 10
+)
 
 // Dialer is the connection-establishment seam. The zero Config uses a
 // net.Dialer bounded by DialTimeout; tests inject failing or in-memory
@@ -351,7 +374,9 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 }
 
 // readLoop decodes frames from one inbound connection and dispatches
-// them. The frame payload is [src:8][dst:8][codec payload].
+// them. The frame payload is [src:8][dst:8][codec payload]. Each Read
+// takes whatever the socket holds — usually several frames under load,
+// one syscall for all of them.
 //
 // The src address is taken from the frame as-is: the transport trusts
 // the network segment it runs on and does no per-connection
@@ -378,29 +403,68 @@ func (t *Transport) readLoop(conn net.Conn) {
 		case <-done:
 		}
 	}()
-	buf := make([]byte, 64<<10)
+	buf := make([]byte, readBufSize)
+	have := 0 // buf[:have] is received and not yet consumed
 	for {
-		kind, payload, err := wire.ReadFrame(conn, buf)
-		if err != nil {
+		n, readErr := conn.Read(buf[have:])
+		have += n
+		// Walk every complete frame in place. ParseFrame validates each
+		// header — magic, version, length guard — before its payload is
+		// looked at, and nothing here allocates.
+		rest := buf[:have]
+		for {
+			kind, payload, tail, err := wire.ParseFrame(rest)
+			if err == wire.ErrShort {
+				break
+			}
+			if err != nil || !t.receive(conn, kind, payload) {
+				return
+			}
+			rest = tail
+		}
+		if readErr != nil {
 			return
 		}
-		t.m.framesIn.Inc()
-		t.m.bytesIn.Add(uint64(wire.FrameHeaderSize + len(payload)))
-		if len(payload) < 16 {
-			t.m.runtFrames.Inc()
-			t.logf("tcptransport: runt frame (%d bytes) from %s", len(payload), conn.RemoteAddr())
-			return
+		// rest is the head of a frame still arriving. One that can never
+		// fit the buffer is finished in an allocation of exactly its
+		// validated length; anything else moves to the front.
+		if size, err := wire.FrameSize(rest); err == nil && size > len(buf) {
+			big := make([]byte, size)
+			got := copy(big, rest)
+			if _, err := io.ReadFull(conn, big[got:]); err != nil {
+				return
+			}
+			kind, payload, _, err := wire.ParseFrame(big)
+			if err != nil || !t.receive(conn, kind, payload) {
+				return
+			}
+			rest = nil
 		}
-		src := transport.Addr(int64(binary.BigEndian.Uint64(payload[0:8])))
-		dst := transport.Addr(int64(binary.BigEndian.Uint64(payload[8:16])))
-		msg, err := t.cfg.Codec.Decode(kind, payload[16:])
-		if err != nil {
-			t.m.decodeErrs.Inc()
-			t.logf("tcptransport: decode kind %d from %s: %v", kind, conn.RemoteAddr(), err)
-			continue
-		}
-		t.deliverLocal(src, dst, msg)
+		have = copy(buf, rest)
 	}
+}
+
+// receive accounts for one inbound frame and dispatches its message;
+// false means the connection is not worth reading further. payload is
+// only valid until receive returns.
+func (t *Transport) receive(conn net.Conn, kind byte, payload []byte) bool {
+	t.m.framesIn.Inc()
+	t.m.bytesIn.Add(uint64(wire.FrameHeaderSize + len(payload)))
+	if len(payload) < addrPrefixSize {
+		t.m.runtFrames.Inc()
+		t.logf("tcptransport: runt frame (%d bytes) from %s", len(payload), conn.RemoteAddr())
+		return false
+	}
+	src := transport.Addr(int64(binary.BigEndian.Uint64(payload[0:8])))
+	dst := transport.Addr(int64(binary.BigEndian.Uint64(payload[8:16])))
+	msg, err := t.cfg.Codec.Decode(kind, payload[addrPrefixSize:])
+	if err != nil {
+		t.m.decodeErrs.Inc()
+		t.logf("tcptransport: decode kind %d from %s: %v", kind, conn.RemoteAddr(), err)
+		return true
+	}
+	t.deliverLocal(src, dst, msg)
+	return true
 }
 
 // deliverLocal routes a decoded (or loopback) message to dst's handler on
@@ -448,18 +512,6 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 		t.deliverLocal(src, dst, msg)
 		return
 	}
-	kind, payload, err := t.cfg.Codec.Encode(msg)
-	if err != nil {
-		t.logf("tcptransport: encode to %d: %v", dst, err)
-		t.m.dropEncode.Inc()
-		return
-	}
-	body := make([]byte, 0, 16+len(payload))
-	body = binary.BigEndian.AppendUint64(body, uint64(int64(src)))
-	body = binary.BigEndian.AppendUint64(body, uint64(int64(dst)))
-	body = append(body, payload...)
-	frame := wire.AppendFrame(nil, kind, body)
-
 	p := t.peerFor(dst)
 	if p == nil {
 		t.m.dropUnknownPeer.Inc()
@@ -472,6 +524,13 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 		t.m.dropConnDown.Inc()
 		return
 	default:
+	}
+	// Only a message with somewhere to go is worth encoding.
+	frame, err := t.frame(src, dst, msg)
+	if err != nil {
+		t.logf("tcptransport: encode to %d: %v", dst, err)
+		t.m.dropEncode.Inc()
+		return
 	}
 	select {
 	case p.out <- frame:
@@ -492,6 +551,32 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 		// overloaded link would.
 		t.m.dropQueueFull.Inc()
 	}
+}
+
+// frame builds msg's whole frame — header, [src][dst] prefix, codec
+// bytes — in one buffer: allocated once at the message's size, encoded
+// into directly, the header patched in last when the length is known.
+// The buffer belongs to the peer queue from here on and is dropped after
+// its single conn.Write; nothing reuses it.
+func (t *Transport) frame(src, dst transport.Addr, msg transport.Message) ([]byte, error) {
+	const prefix = wire.FrameHeaderSize + addrPrefixSize
+	size := msg.SizeBytes()
+	if size < 0 || size > wire.MaxFramePayload {
+		// SizeBytes counts modelled padding a peer can set; refuse before
+		// it sizes an allocation.
+		return nil, fmt.Errorf("%w: message of %d bytes", wire.ErrFrameSize, size)
+	}
+	buf := make([]byte, prefix, prefix+size+codecSlack)
+	binary.BigEndian.PutUint64(buf[wire.FrameHeaderSize:], uint64(int64(src)))
+	binary.BigEndian.PutUint64(buf[wire.FrameHeaderSize+8:], uint64(int64(dst)))
+	kind, buf, err := t.cfg.Codec.AppendEncode(buf, msg)
+	if err != nil {
+		return nil, err
+	}
+	if err := wire.PutFrameHeader(buf, kind, len(buf)-wire.FrameHeaderSize); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // peerFor returns the live peer record for dst, creating its queue and

@@ -3,6 +3,7 @@ package tcptransport
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -20,12 +21,12 @@ func (m textMsg) SizeBytes() int { return len(m.body) }
 
 type textCodec struct{}
 
-func (textCodec) Encode(msg transport.Message) (byte, []byte, error) {
+func (textCodec) AppendEncode(dst []byte, msg transport.Message) (byte, []byte, error) {
 	tm, ok := msg.(textMsg)
 	if !ok {
 		return 0, nil, fmt.Errorf("unexpected message %T", msg)
 	}
-	return 1, tm.body, nil
+	return 1, append(dst, tm.body...), nil
 }
 
 func (textCodec) Decode(kind byte, payload []byte) (transport.Message, error) {
@@ -50,7 +51,13 @@ func (c *collector) Deliver(from transport.Addr, msg transport.Message) {
 	c.got = append(c.got, string(msg.(textMsg).body))
 	c.from = append(c.from, from)
 	c.mu.Unlock()
-	c.ch <- struct{}{}
+	// Never block the dispatch loop: a test that floods a collector it
+	// does not wait on (TestSendDuringPeerTeardown) would otherwise fill
+	// the channel, wedge the loop in this handler and hang Close.
+	select {
+	case c.ch <- struct{}{}:
+	default:
+	}
 }
 
 func (c *collector) wait(t *testing.T, n int) {
@@ -153,6 +160,57 @@ func TestUnknownPeerDrops(t *testing.T) {
 	}
 	if a.Reachable(42) {
 		t.Fatal("unknown peer reported reachable")
+	}
+}
+
+// countingCodec counts what Send asks it to encode.
+type countingCodec struct {
+	textCodec
+	encodes *atomic32
+}
+
+func (c countingCodec) AppendEncode(dst []byte, msg transport.Message) (byte, []byte, error) {
+	c.encodes.inc()
+	return c.textCodec.AppendEncode(dst, msg)
+}
+
+// TestNoEncodeWithoutDestination: a message with nowhere to go — an
+// unknown or removed peer, a peer already torn down, a closed transport —
+// is dropped under its own cause before the codec or an allocation is
+// spent on it.
+func TestNoEncodeWithoutDestination(t *testing.T) {
+	encodes := &atomic32{}
+	d := &memDialer{serve: func(c net.Conn) { io.Copy(io.Discard, c) }}
+	a := New(Config{Codec: countingCodec{encodes: encodes}, Dialer: d})
+	t.Cleanup(a.Close)
+	msg := textMsg{body: []byte("undeliverable")}
+
+	a.Send(0, 42, msg) // never known
+	a.SetPeer(7, "mem")
+	a.RemovePeer(7)
+	a.Send(0, 7, msg) // known once, removed
+	if got := a.m.dropUnknownPeer.Load(); got != 2 {
+		t.Fatalf("unknown-peer drops = %d, want 2", got)
+	}
+
+	a.SetPeer(8, "mem")
+	p := a.peerFor(8)
+	p.shutdown() // torn down, still the record Send resolves
+	a.Send(0, 8, msg)
+	if got := a.m.dropConnDown.Load(); got != 1 {
+		t.Fatalf("conn-down drops = %d, want 1", got)
+	}
+
+	a.Close()
+	a.Send(0, 8, msg)
+	if got := a.m.dropUnknownPeer.Load(); got != 3 {
+		t.Fatalf("unknown-peer drops after Close = %d, want 3", got)
+	}
+	if n := encodes.get(); n != 0 {
+		t.Fatalf("%d undeliverable messages were encoded", n)
+	}
+	if st := a.Stats(); st.Sent != 4 || st.Dropped != 4 {
+		t.Fatalf("stats %+v, want 4 sent, 4 dropped", st)
 	}
 }
 

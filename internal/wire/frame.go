@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // This file is the stream framing for the real transport path. The
@@ -48,31 +49,52 @@ var (
 	ErrFrameSize  = fmt.Errorf("wire: frame payload exceeds limit")
 )
 
+// PutFrameHeader writes the header of a kind frame carrying an n-byte
+// payload into hdr[:FrameHeaderSize]. It is the one place that knows the
+// header layout and applies the MaxFramePayload guard on the sending
+// side: AppendFrame, WriteFrame and the transport's in-place framing all
+// go through it.
+func PutFrameHeader(hdr []byte, kind byte, n int) error {
+	if n > MaxFramePayload {
+		return fmt.Errorf("%w: %d bytes", ErrFrameSize, n)
+	}
+	_ = hdr[FrameHeaderSize-1]
+	hdr[0], hdr[1], hdr[2], hdr[3] = FrameMagic0, FrameMagic1, FrameVersion, kind
+	binary.BigEndian.PutUint32(hdr[4:], uint32(n))
+	return nil
+}
+
+// appendFrame appends a framed payload to dst, growing it at most once.
+// The size guard runs before anything is allocated.
+func appendFrame(dst []byte, kind byte, payload []byte) ([]byte, error) {
+	var hdr [FrameHeaderSize]byte
+	if err := PutFrameHeader(hdr[:], kind, len(payload)); err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, FrameHeaderSize+len(payload))
+	return append(append(dst, hdr[:]...), payload...), nil
+}
+
 // AppendFrame appends a framed payload to dst and returns the extended
 // slice. It panics if payload exceeds MaxFramePayload — senders construct
 // their own payloads, so an oversized one is a programming error, not a
 // peer's misbehavior.
 func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
-	if len(payload) > MaxFramePayload {
-		panic(fmt.Sprintf("wire: frame payload %d exceeds limit %d", len(payload), MaxFramePayload))
+	out, err := appendFrame(dst, kind, payload)
+	if err != nil {
+		panic(err)
 	}
-	dst = append(dst, FrameMagic0, FrameMagic1, FrameVersion, kind)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
+	return out
 }
 
-// WriteFrame writes one framed payload to w.
+// WriteFrame writes one framed payload to w in a single Write, so a frame
+// costs one syscall and leaves as one segment where it fits.
 func WriteFrame(w io.Writer, kind byte, payload []byte) error {
-	var hdr [FrameHeaderSize]byte
-	hdr[0], hdr[1], hdr[2], hdr[3] = FrameMagic0, FrameMagic1, FrameVersion, kind
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("%w: %d bytes", ErrFrameSize, len(payload))
-	}
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	frame, err := appendFrame(nil, kind, payload)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err = w.Write(frame)
 	return err
 }
 
@@ -123,8 +145,10 @@ func ReadFrame(r io.Reader, buf []byte) (kind byte, payload []byte, err error) {
 
 // ParseFrame decodes one frame from the front of b, returning the kind,
 // the payload (aliasing b), and the remainder after the frame. It is the
-// allocation-free, slice-based twin of ReadFrame, used where a whole
-// buffer is already in memory (tests, fuzzing, datagram-style callers).
+// allocation-free, slice-based twin of ReadFrame, used where the bytes
+// are already in memory: the transport walks its read buffer with it.
+// ErrShort means b ends before the frame does; the header, if complete,
+// has been validated by then.
 func ParseFrame(b []byte) (kind byte, payload []byte, rest []byte, err error) {
 	if len(b) < FrameHeaderSize {
 		return 0, nil, nil, ErrShort
@@ -137,4 +161,20 @@ func ParseFrame(b []byte) (kind byte, payload []byte, rest []byte, err error) {
 		return 0, nil, nil, ErrShort
 	}
 	return kind, b[FrameHeaderSize : FrameHeaderSize+n], b[FrameHeaderSize+n:], nil
+}
+
+// FrameSize returns the full length, header included, of the frame whose
+// header opens b, validated as ParseFrame validates it. A reader holding
+// part of a frame learns from it how many bytes the rest will take
+// before committing memory to them. ErrShort means b does not yet hold a
+// whole header.
+func FrameSize(b []byte) (int, error) {
+	if len(b) < FrameHeaderSize {
+		return 0, ErrShort
+	}
+	_, n, err := checkHeader(b[:FrameHeaderSize])
+	if err != nil {
+		return 0, err
+	}
+	return FrameHeaderSize + n, nil
 }

@@ -109,3 +109,66 @@ func TestFrameReadTruncatedStream(t *testing.T) {
 		t.Fatal("mid-payload cut: want ErrUnexpectedEOF")
 	}
 }
+
+// countingWriter records how a frame reached it.
+type countingWriter struct {
+	writes int
+	bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameIsOneWrite: header and payload leave in a single Write —
+// on a socket, one syscall and one segment, not two — and the bytes are
+// AppendFrame's.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	for _, p := range [][]byte{nil, []byte("board request"), bytes.Repeat([]byte{7}, 70_000)} {
+		var w countingWriter
+		if err := WriteFrame(&w, 4, p); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Fatalf("%d-byte payload took %d writes, want 1", len(p), w.writes)
+		}
+		if !bytes.Equal(w.Bytes(), AppendFrame(nil, 4, p)) {
+			t.Fatalf("%d-byte payload: WriteFrame and AppendFrame disagree", len(p))
+		}
+	}
+	var w countingWriter
+	if err := WriteFrame(&w, 4, make([]byte, MaxFramePayload+1)); !errors.Is(err, ErrFrameSize) || w.writes != 0 {
+		t.Fatalf("oversized payload: err %v after %d writes", err, w.writes)
+	}
+}
+
+// TestPutFrameHeaderAndFrameSize cover the two halves a caller that
+// frames in place and reads in place uses directly: the header patched
+// into a buffer is the one AppendFrame writes, and FrameSize reads back
+// the whole frame's length from any prefix that holds the header.
+func TestPutFrameHeaderAndFrameSize(t *testing.T) {
+	payload := []byte("encoded straight behind the reserved header")
+	buf := append(make([]byte, FrameHeaderSize), payload...)
+	if err := PutFrameHeader(buf, 6, len(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, AppendFrame(nil, 6, payload)) {
+		t.Fatal("a patched-in header differs from AppendFrame's")
+	}
+	if err := PutFrameHeader(buf, 6, MaxFramePayload+1); !errors.Is(err, ErrFrameSize) {
+		t.Fatalf("oversized length: got %v", err)
+	}
+	for _, have := range []int{FrameHeaderSize, FrameHeaderSize + 3, len(buf)} {
+		if size, err := FrameSize(buf[:have]); err != nil || size != len(buf) {
+			t.Fatalf("FrameSize of a %d-byte prefix = %d, %v; want %d", have, size, err, len(buf))
+		}
+	}
+	if _, err := FrameSize(buf[:FrameHeaderSize-1]); !errors.Is(err, ErrShort) {
+		t.Fatalf("short header: got %v", err)
+	}
+	buf[0] = 'X'
+	if _, err := FrameSize(buf); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("bad magic: got %v", err)
+	}
+}

@@ -34,6 +34,11 @@ func NewWriter(capacity int) *Writer {
 	return &Writer{buf: make([]byte, 0, capacity)}
 }
 
+// NewWriterOn returns a writer that appends to dst, for encoding straight
+// into a buffer the caller has already laid out (a frame with its header
+// reserved). Bytes returns dst extended; dst's own bytes are untouched.
+func NewWriterOn(dst []byte) *Writer { return &Writer{buf: dst} }
+
 // Bytes returns the encoded buffer. The writer must not be reused after.
 func (w *Writer) Bytes() []byte { return w.buf }
 
