@@ -510,7 +510,7 @@ func BenchmarkLayeredPeel(b *testing.B) {
 // healthy 3-tunnel pool, driven to quiescence on the simulated clock:
 // three echo envelopes built and walked end to end, ACK bookkeeping, and
 // the health accounting on their return. This is the pool's steady-state
-// background cost per ProbeInterval; the alloc-regression gate watches it
+// background cost per probe interval; the alloc-regression gate watches it
 // so probing stays cheap enough to run continuously.
 func BenchmarkPoolProbeCycle(b *testing.B) {
 	root := rng.New(1)

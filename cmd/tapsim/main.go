@@ -26,9 +26,17 @@ import (
 	"tap/internal/trace"
 )
 
+// experimentNames is every value -experiment accepts; the flag's usage
+// and the unknown-experiment error both print it.
+var experimentNames = strings.Join([]string{
+	"fig2", "fig3", "fig4a", "fig4b", "fig5", "fig6", "all",
+	"ext", "ext-secroute", "ext-detect", "ext-cover", "ext-anon", "ext-session", "ext-inflight",
+	"ext-timing", "ext-reliability", "ext-selfheal", "ext-scale", "ext-throughput",
+}, "|")
+
 func main() {
 	var (
-		exp     = flag.String("experiment", "all", "fig2|fig3|fig4a|fig4b|fig5|fig6|all")
+		exp     = flag.String("experiment", "all", experimentNames+" (all: the paper's figures; ext: the ext-* sweeps that take no flags of their own)")
 		n       = flag.Int("n", 1000, "network size (nodes)")
 		tunnels = flag.Int("tunnels", 500, "number of tunnels")
 		length  = flag.Int("length", 5, "tunnel length l")
@@ -335,7 +343,7 @@ func main() {
 		})
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "tapsim: unknown experiment %q (want fig2|fig3|fig4a|fig4b|fig5|fig6|all|ext|ext-secroute|ext-detect|ext-cover|ext-anon|ext-session|ext-inflight|ext-timing|ext-reliability|ext-selfheal|ext-scale|ext-throughput)\n", *exp)
+		fmt.Fprintf(os.Stderr, "tapsim: unknown experiment %q (want %s)\n", *exp, experimentNames)
 		os.Exit(2)
 	}
 }

@@ -21,7 +21,9 @@
 package board
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -54,10 +56,19 @@ func encodePeers(peers map[transport.Addr]string) []byte {
 	return w.Bytes()
 }
 
-// decodePeers parses an encodePeers payload.
+// minPeerEntry is the least one encoded peer occupies: an 8-byte address
+// and a one-byte uvarint length.
+const minPeerEntry = 9
+
+// decodePeers parses an encodePeers payload. The count comes off the
+// socket, so it is held to what the bytes behind it could encode before
+// it sizes the map.
 func decodePeers(b []byte) (map[transport.Addr]string, error) {
 	r := wire.NewReader(b)
 	n := r.Uint32()
+	if int64(n) > int64(r.Remaining()/minPeerEntry) {
+		return nil, fmt.Errorf("board: peer list: count %d exceeds the %d bytes that follow", n, r.Remaining())
+	}
 	out := make(map[transport.Addr]string, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		a := transport.Addr(r.Int64())
@@ -111,6 +122,7 @@ type metrics struct {
 	prunes        *obs.Counter // members evicted by staleness
 	waitersParked *obs.Gauge   // Wait requests parked below quorum
 	waitsServed   *obs.Counter // kindReady replies, immediate or woken
+	rejects       *obs.Counter // request frames refused on their header
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -122,6 +134,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		prunes:        reg.Counter("tap_board_prunes_total", "Members evicted for stale heartbeats."),
 		waitersParked: reg.Gauge("tap_board_waiters_parked", "Wait requests parked until quorum."),
 		waitsServed:   reg.Counter("tap_board_waits_served_total", "Wait requests answered with a peer list."),
+		rejects:       reg.Counter("tap_board_rejects_total", "Request frames refused on their header: malformed, or larger than any request."),
 	}
 }
 
@@ -259,6 +272,35 @@ func (b *Board) pruneLoop() {
 	}
 }
 
+// maxRequest bounds a request frame's payload. A request is a host:port or
+// a uint32; nothing a member sends comes near it.
+const maxRequest = 4096
+
+// errRefused marks a request frame refused on its header alone.
+var errRefused = errors.New("board: request refused")
+
+// readRequest reads one request frame into buf, which must hold
+// wire.FrameHeaderSize+maxRequest bytes. Connections are unauthenticated,
+// so a header claiming more than maxRequest is refused before any of its
+// payload is read or a byte allocated for it. The payload aliases buf.
+func readRequest(conn io.Reader, buf []byte) (kind byte, payload []byte, err error) {
+	if _, err := io.ReadFull(conn, buf[:wire.FrameHeaderSize]); err != nil {
+		return 0, nil, err
+	}
+	size, err := wire.FrameSize(buf[:wire.FrameHeaderSize])
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", errRefused, err)
+	}
+	if size > len(buf) {
+		return 0, nil, fmt.Errorf("%w: %d-byte payload, limit %d", errRefused, size-wire.FrameHeaderSize, maxRequest)
+	}
+	if _, err := io.ReadFull(conn, buf[wire.FrameHeaderSize:size]); err != nil {
+		return 0, nil, err
+	}
+	kind, payload, _, err = wire.ParseFrame(buf[:size])
+	return kind, payload, err
+}
+
 // serve handles one member connection until it closes; registrations
 // made on it die with it.
 func (b *Board) serve(conn net.Conn) {
@@ -297,10 +339,15 @@ func (b *Board) serve(conn net.Conn) {
 		defer writeMu.Unlock()
 		return wire.WriteFrame(conn, kind, payload)
 	}
-	buf := make([]byte, 4096)
+	buf := make([]byte, wire.FrameHeaderSize+maxRequest)
 	for {
-		kind, payload, err := wire.ReadFrame(conn, buf)
+		kind, payload, err := readRequest(conn, buf)
 		if err != nil {
+			if errors.Is(err, errRefused) {
+				b.m.rejects.Inc()
+				b.logf("board: %v", err)
+				reply(kindError, []byte(err.Error()))
+			}
 			return
 		}
 		switch kind {

@@ -28,7 +28,7 @@ import (
 //     plus a global RateLimiter, so mass churn cannot trigger a
 //     correlated rebuild storm.
 //   - Hysteresis: a rebuilt tunnel is "recovering" until it passes
-//     HealthyThreshold consecutive probes; it only then counts toward
+//     healthyThreshold consecutive probes; it only then counts toward
 //     the pool's healthy size.
 //   - Graceful degradation: Send picks the healthiest slot and fails
 //     over to the next on failure; when nothing is usable (e.g. the
@@ -52,7 +52,7 @@ type TunnelPool struct {
 	degraded bool
 	// consecRebuildFails counts rebuild cycles that failed to produce a
 	// trusted tunnel (formation error, or death while recovering) since
-	// the last promotion. Crossing DegradedAfter flips the pool degraded.
+	// the last promotion. Crossing degradedAfter flips the pool degraded.
 	consecRebuildFails int
 
 	// OnStateChange, when non-nil, observes degraded-state transitions.
@@ -61,69 +61,24 @@ type TunnelPool struct {
 	Stats PoolStats
 }
 
-// PoolConfig tunes a TunnelPool. The zero value of every field gets a
-// sensible default from withDefaults; see DESIGN.md §11 for why these
-// particular constants.
+// PoolConfig sizes a TunnelPool. The lifecycle policy — probe cadence,
+// thresholds, rebuild backoff — is the constants below; see DESIGN.md §11
+// for why these particular values.
 type PoolConfig struct {
 	// Size is the target number of healthy tunnels (default 3); Length
-	// their hop count (default 3, the paper's default l).
+	// their hop count (default 3, the paper's default l). The pool keeps
+	// Length anchors deployed beyond Size*Length so a rebuild can avoid
+	// quarantined anchors without a deployment round trip.
 	Size   int
 	Length int
-	// SpareAnchors keeps extra anchors deployed beyond Size*Length so a
-	// rebuild can avoid quarantined anchors without a deployment round
-	// trip. Default Length.
-	SpareAnchors int
-
-	// ProbeInterval is the per-slot echo cadence (default 2s), jittered
-	// by ProbeJitterFrac (default 0.1) so pools across a network do not
-	// synchronize. ProbeTimeout (default 5s) declares an unanswered
-	// probe failed; ProbeAttempts (default 1) is the probe flow's
-	// retransmit budget — probes are cheap and frequent, so they detect
-	// rather than persist. SendAttempts (default 3) is the budget for
-	// pool data sends: enough to ride out one transient loss, small
-	// enough that failover to another tunnel is fast.
-	ProbeInterval   simnet.Time
-	ProbeJitterFrac float64
-	ProbeTimeout    simnet.Time
-	ProbeAttempts   int
-	SendAttempts    int
-
-	// FailThreshold consecutive probe failures declare a tunnel dead
-	// (default 2: one failure can be loss, two in a row is a dead hop).
-	// HealthyThreshold consecutive successes promote a recovering tunnel
-	// (default 2: hysteresis so a flapping path cannot oscillate the
-	// pool's health accounting).
-	FailThreshold    int
-	HealthyThreshold int
-
-	// Rebuild backoff per slot: first retry after RebuildBackoffMin
-	// (default 1s), multiplied by RebuildBackoffFactor (default 2) per
-	// consecutive failure up to RebuildBackoffMax (default 8s), jittered
-	// by RebuildJitterFrac (default 0.2).
-	RebuildBackoffMin    simnet.Time
-	RebuildBackoffMax    simnet.Time
-	RebuildBackoffFactor float64
-	RebuildJitterFrac    float64
 
 	// Limiter is the global rebuild admission control, shared across
 	// pools to cap the aggregate rebuild rate. Nil gets a private
 	// limiter (0.2/s sustained, burst Size).
 	Limiter *RateLimiter
 
-	// DegradedAfter consecutive failed rebuild cycles flip the pool into
-	// the degraded state (default 2). While degraded with FallbackLength
-	// > 0, rebuilds form shorter tunnels of that length — trading some
-	// anonymity margin for connectivity — until a full-length tunnel is
-	// promoted again. FallbackLength 0 disables the fallback.
-	DegradedAfter  int
-	FallbackLength int
-
 	// Quarantine tunes the hop scoreboard installed on the initiator.
 	Quarantine QuarantineConfig
-
-	// Stream roots the pool's jitter and probe nonces. Default: a
-	// private split of the initiator's stream.
-	Stream *rng.Stream
 
 	// DisableRebuild and BypassAdmission are fault-injection seams in
 	// the spirit of Service.HopFilter, planted by the simulation checker
@@ -141,47 +96,42 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.Length == 0 {
 		c.Length = 3
 	}
-	if c.SpareAnchors == 0 {
-		c.SpareAnchors = c.Length
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeJitterFrac == 0 {
-		c.ProbeJitterFrac = 0.1
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 5 * time.Second
-	}
-	if c.ProbeAttempts == 0 {
-		c.ProbeAttempts = 1
-	}
-	if c.SendAttempts == 0 {
-		c.SendAttempts = 3
-	}
-	if c.FailThreshold == 0 {
-		c.FailThreshold = 2
-	}
-	if c.HealthyThreshold == 0 {
-		c.HealthyThreshold = 2
-	}
-	if c.RebuildBackoffMin == 0 {
-		c.RebuildBackoffMin = time.Second
-	}
-	if c.RebuildBackoffMax == 0 {
-		c.RebuildBackoffMax = 8 * time.Second
-	}
-	if c.RebuildBackoffFactor == 0 {
-		c.RebuildBackoffFactor = 2
-	}
-	if c.RebuildJitterFrac == 0 {
-		c.RebuildJitterFrac = 0.2
-	}
-	if c.DegradedAfter == 0 {
-		c.DegradedAfter = 2
-	}
 	return c
 }
+
+const (
+	// probeInterval is the per-slot echo cadence, jittered by
+	// probeJitterFrac so pools across a network do not synchronize.
+	// probeTimeout declares an unanswered probe failed; probeAttempts is
+	// the probe flow's retransmit budget — probes are cheap and frequent,
+	// so they detect rather than persist. sendAttempts is the budget for
+	// pool data sends: enough to ride out one transient loss, small enough
+	// that failover to another tunnel is fast.
+	probeInterval   = 2 * time.Second
+	probeJitterFrac = 0.1
+	probeTimeout    = 5 * time.Second
+	probeAttempts   = 1
+	sendAttempts    = 3
+
+	// failThreshold consecutive probe failures declare a tunnel dead: one
+	// failure can be loss, two in a row is a dead hop. healthyThreshold
+	// consecutive successes promote a recovering tunnel: hysteresis so a
+	// flapping path cannot oscillate the pool's health accounting.
+	failThreshold    = 2
+	healthyThreshold = 2
+
+	// Rebuild backoff per slot: first retry after rebuildBackoffMin,
+	// multiplied by rebuildBackoffFactor per consecutive failure up to
+	// rebuildBackoffMax, jittered by rebuildJitterFrac.
+	rebuildBackoffMin    = time.Second
+	rebuildBackoffMax    = 8 * time.Second
+	rebuildBackoffFactor = 2
+	rebuildJitterFrac    = 0.2
+
+	// degradedAfter consecutive failed rebuild cycles flip the pool into
+	// the degraded state.
+	degradedAfter = 2
+)
 
 // PoolStats counts pool lifecycle activity.
 type PoolStats struct {
@@ -196,7 +146,6 @@ type PoolStats struct {
 	Rebuilds        uint64 // rebuild attempts admitted (tunnel formed or tried)
 	RebuildsDenied  uint64 // rebuilds refused by the rate limiter
 	RebuildFailures uint64 // admitted rebuilds whose formation failed
-	FallbackForms   uint64 // rebuilds that used the shorter fallback length
 
 	Sends        uint64 // pool sends accepted
 	SendFailures uint64 // individual tunnel attempts that failed
@@ -263,10 +212,7 @@ func NewTunnelPool(in *Initiator, eng *NetEngine, cfg PoolConfig) (*TunnelPool, 
 		eng:     eng,
 		cfg:     cfg,
 		limiter: cfg.Limiter,
-		stream:  cfg.Stream,
-	}
-	if p.stream == nil {
-		p.stream = in.stream.Split("tunnel-pool")
+		stream:  in.stream.Split("tunnel-pool"),
 	}
 	if p.limiter == nil {
 		p.limiter = NewRateLimiter(0.2, float64(cfg.Size))
@@ -316,14 +262,14 @@ func (p *TunnelPool) now() simnet.Time { return p.eng.net.Now() }
 
 // jittered spreads d by ±frac.
 func (p *TunnelPool) jittered(d simnet.Time, frac float64) simnet.Time {
-	if frac <= 0 || d <= 0 {
+	if d <= 0 {
 		return d
 	}
 	return simnet.Time(float64(d) * (1 + frac*(2*p.stream.Float64()-1)))
 }
 
 func (p *TunnelPool) scheduleTick() {
-	p.eng.net.Schedule(p.jittered(p.cfg.ProbeInterval, p.cfg.ProbeJitterFrac), func() {
+	p.eng.net.Schedule(p.jittered(probeInterval, probeJitterFrac), func() {
 		if p.stopped {
 			return
 		}
@@ -341,7 +287,7 @@ func (p *TunnelPool) tick() {
 
 // ProbeRound fires an echo probe on every slot that holds a tunnel and is
 // not already probing. Exposed for the probe-cycle benchmark and tests;
-// the Start loop calls it every ProbeInterval.
+// the Start loop calls it every probeInterval.
 func (p *TunnelPool) ProbeRound() {
 	for _, s := range p.slots {
 		if s.tunnel != nil && s.health != slotDying && !s.probing {
@@ -365,7 +311,7 @@ func (p *TunnelPool) probeSlot(s *poolSlot) {
 
 // probeTunnel builds and sends an echo probe over t, invoking cb exactly
 // once with the verdict: either the flow's outcome or, if nothing came
-// home within ProbeTimeout, failure. The probe destination is a bid owned
+// home within probeTimeout, failure. The probe destination is a bid owned
 // by the initiator's own node, so delivery loops the full tunnel and
 // comes home — the same §4 mechanism reply tunnels use.
 func (p *TunnelPool) probeTunnel(t *Tunnel, cache *HintCache, cb func(ok bool)) {
@@ -384,11 +330,11 @@ func (p *TunnelPool) probeTunnel(t *Tunnel, cache *HintCache, cb func(ok bool)) 
 		fired = true
 		cb(ok)
 	}
-	opts := SendOpts{MaxAttempts: p.cfg.ProbeAttempts, Cache: cache, Hops: t.HopIDs()}
+	opts := SendOpts{MaxAttempts: probeAttempts, Cache: cache, Hops: t.HopIDs()}
 	p.eng.SendForwardOpt(p.in.node.Ref().Addr, env, opts, func(o Outcome) {
 		once(o.Delivered)
 	})
-	p.eng.net.Schedule(p.cfg.ProbeTimeout, func() {
+	p.eng.net.Schedule(probeTimeout, func() {
 		if !fired {
 			p.Stats.ProbeTimeouts++
 		}
@@ -410,14 +356,14 @@ func (p *TunnelPool) onProbeResult(s *poolSlot, ok bool) {
 		for _, h := range s.tunnel.Hops {
 			p.quar.ReportSuccess(h.HopID)
 		}
-		if s.health == slotRecovering && s.consecOK >= p.cfg.HealthyThreshold {
+		if s.health == slotRecovering && s.consecOK >= healthyThreshold {
 			p.promote(s)
 		}
 	} else {
 		p.Stats.ProbesFailed++
 		s.consecOK = 0
 		s.consecFail++
-		if s.consecFail >= p.cfg.FailThreshold {
+		if s.consecFail >= failThreshold {
 			p.declareDead(s)
 		}
 	}
@@ -529,7 +475,7 @@ func (p *TunnelPool) teardown(s *poolSlot) {
 	s.health = slotEmpty
 	s.consecOK, s.consecFail = 0, 0
 	s.probing = false
-	s.nextRebuildAt = p.now() + p.jittered(s.backoff, p.cfg.RebuildJitterFrac)
+	s.nextRebuildAt = p.now() + p.jittered(s.backoff, rebuildJitterFrac)
 	p.updateState()
 }
 
@@ -538,11 +484,11 @@ func (p *TunnelPool) teardown(s *poolSlot) {
 func (p *TunnelPool) noteRebuildFailure(s *poolSlot) {
 	p.consecRebuildFails++
 	if s.backoff == 0 {
-		s.backoff = p.cfg.RebuildBackoffMin
+		s.backoff = rebuildBackoffMin
 	} else {
-		s.backoff = simnet.Time(float64(s.backoff) * p.cfg.RebuildBackoffFactor)
-		if s.backoff > p.cfg.RebuildBackoffMax {
-			s.backoff = p.cfg.RebuildBackoffMax
+		s.backoff = simnet.Time(float64(s.backoff) * rebuildBackoffFactor)
+		if s.backoff > rebuildBackoffMax {
+			s.backoff = rebuildBackoffMax
 		}
 	}
 }
@@ -568,7 +514,7 @@ func (p *TunnelPool) tryRebuild() {
 				p.Stats.RebuildsDenied++
 				// Bucket empty: retry when tokens have refilled; no other
 				// slot can be admitted this tick either.
-				s.nextRebuildAt = now + p.cfg.ProbeInterval
+				s.nextRebuildAt = now + probeInterval
 				return
 			}
 		}
@@ -582,19 +528,11 @@ func (p *TunnelPool) tryRebuild() {
 // rebuild forms a replacement tunnel in an empty slot.
 func (p *TunnelPool) rebuild(s *poolSlot) {
 	p.Stats.Rebuilds++
-	length := p.cfg.Length
-	if p.degraded && p.cfg.FallbackLength > 0 && p.cfg.FallbackLength < length {
-		// Degraded fallback: a shorter tunnel has fewer hops to lose and
-		// fewer anchors to find — connectivity over anonymity margin
-		// until the pool is healthy again.
-		length = p.cfg.FallbackLength
-		p.Stats.FallbackForms++
-	}
 	if err := p.ensureAnchors(); err != nil {
 		p.failRebuild(s)
 		return
 	}
-	t, err := p.in.FormTunnel(length)
+	t, err := p.in.FormTunnel(p.cfg.Length)
 	if err != nil {
 		p.failRebuild(s)
 		return
@@ -613,21 +551,14 @@ func (p *TunnelPool) rebuild(s *poolSlot) {
 func (p *TunnelPool) failRebuild(s *poolSlot) {
 	p.Stats.RebuildFailures++
 	p.noteRebuildFailure(s)
-	s.nextRebuildAt = p.now() + p.jittered(maxTime(s.backoff, p.cfg.RebuildBackoffMin), p.cfg.RebuildJitterFrac)
+	s.nextRebuildAt = p.now() + p.jittered(s.backoff, rebuildJitterFrac)
 	p.updateState()
 }
 
-func maxTime(a, b simnet.Time) simnet.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ensureAnchors tops the initiator's pool up to Size*Length+SpareAnchors
-// usable (non-quarantined) anchors.
+// ensureAnchors tops the initiator's pool up to (Size+1)*Length usable
+// (non-quarantined) anchors: one tunnel's worth of spares.
 func (p *TunnelPool) ensureAnchors() error {
-	target := p.cfg.Size*p.cfg.Length + p.cfg.SpareAnchors
+	target := (p.cfg.Size + 1) * p.cfg.Length
 	usable := 0
 	for _, s := range p.in.Pool() {
 		if !p.quarBlocked(s.HopID) {
@@ -668,7 +599,7 @@ func (p *TunnelPool) updateState() {
 			usable++
 		}
 	}
-	deg := usable == 0 || p.consecRebuildFails >= p.cfg.DegradedAfter
+	deg := usable == 0 || p.consecRebuildFails >= degradedAfter
 	if deg == p.degraded {
 		return
 	}
@@ -720,7 +651,7 @@ func (p *TunnelPool) Send(dest id.ID, payload []byte, done func(Outcome)) error 
 			try(i+1, prev)
 			return
 		}
-		opts := SendOpts{MaxAttempts: p.cfg.SendAttempts, Cache: s.cache, Hops: s.tunnel.HopIDs()}
+		opts := SendOpts{MaxAttempts: sendAttempts, Cache: s.cache, Hops: s.tunnel.HopIDs()}
 		p.eng.SendForwardOpt(p.in.node.Ref().Addr, env, opts, func(o Outcome) {
 			if o.Delivered {
 				if done != nil {
@@ -749,7 +680,7 @@ func (p *TunnelPool) noteSendFailure(s *poolSlot) {
 	}
 	s.consecOK = 0
 	s.consecFail++
-	if s.consecFail >= p.cfg.FailThreshold {
+	if s.consecFail >= failThreshold {
 		p.declareDead(s)
 	}
 	p.updateState()

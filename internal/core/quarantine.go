@@ -14,9 +14,8 @@ type QuarantineConfig struct {
 	// (an imperfect attribution during churn), two is a pattern.
 	Threshold int
 	// BaseOpen is the first open period; each re-open after a failed
-	// half-open trial doubles it, up to MaxOpen. Defaults 30s / 5m.
+	// half-open trial doubles it, up to maxQuarantineOpen. Default 30s.
 	BaseOpen simnet.Time
-	MaxOpen  simnet.Time
 	// StrikeOut retires an anchor for good after this many opens (0 =
 	// never). A hop that keeps failing its half-open trials sits on a
 	// node that is down, overloaded, or hostile; past this point the
@@ -32,14 +31,14 @@ func (c QuarantineConfig) withDefaults() QuarantineConfig {
 	if c.BaseOpen == 0 {
 		c.BaseOpen = 30 * time.Second
 	}
-	if c.MaxOpen == 0 {
-		c.MaxOpen = 5 * time.Minute
-	}
 	if c.StrikeOut == 0 {
 		c.StrikeOut = 3
 	}
 	return c
 }
+
+// maxQuarantineOpen caps the doubling of an anchor's open period.
+const maxQuarantineOpen = 5 * time.Minute
 
 // Quarantine is a per-initiator circuit breaker over hop anchors. Hops
 // that probes attribute failures to are quarantined (their breaker opens)
@@ -107,8 +106,8 @@ func (q *Quarantine) ReportFailure(h id.ID) (strikeOut bool) {
 	case e.open && q.now() >= e.openUntil:
 		// Failed its half-open trial: re-open for twice as long.
 		e.openDur *= 2
-		if e.openDur > q.cfg.MaxOpen {
-			e.openDur = q.cfg.MaxOpen
+		if e.openDur > maxQuarantineOpen {
+			e.openDur = maxQuarantineOpen
 		}
 		e.openUntil = q.now() + e.openDur
 		e.opens++

@@ -86,7 +86,7 @@ func TestTunnelRTOConcurrentAccess(t *testing.T) {
 	go func() { // ack path: decay toward the floor
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			eng.relaxTunnelRTO(keys[i%len(keys)], i%3 == 0, 1)
+			eng.relaxTunnelRTO(keys[i%len(keys)], i%3 == 0)
 		}
 	}()
 	go func() { // teardown path

@@ -27,54 +27,35 @@ type Reliability struct {
 	// MaxAttempts bounds the total end-to-end send attempts per flow
 	// (first transmission included). Default 8.
 	MaxAttempts int
-	// RTOScale multiplies the estimated one-way delivery time to produce
-	// the initial retransmit timeout. Default 2.
-	RTOScale float64
-	// ExpectHops is the overlay hop budget assumed by the timeout
-	// estimate — generous is safe (a late timeout only delays recovery;
-	// duplicates are suppressed end to end). Default 16.
-	ExpectHops int
-	// Backoff multiplies the timeout after each attempt. Default 1.5.
-	Backoff float64
-	// JitterFrac randomizes each timeout by ±this fraction, desynchronizing
-	// retransmissions that share a loss event. Default 0.1.
-	JitterFrac float64
-	// MinRTO floors the timeout. Default 50ms.
-	MinRTO simnet.Time
-	// HintInvalidateAfter is the number of RTO expirations after which a
-	// flow bound to a tunnel (SendOpts.Cache/Hops) stops trusting the
-	// cached hop addresses and invalidates them all — the exhaust-time
-	// path, run early. Before this change only direct-send misses
-	// invalidated hints, so a flow whose packets died beyond the first
-	// hop kept dispatching into the same poisoned cache until its budget
-	// ran out. Default 3.
-	HintInvalidateAfter int
 }
 
-func (r Reliability) withDefaults() Reliability {
-	if r.MaxAttempts == 0 {
-		r.MaxAttempts = 8
-	}
-	if r.RTOScale == 0 {
-		r.RTOScale = 2
-	}
-	if r.ExpectHops == 0 {
-		r.ExpectHops = 16
-	}
-	if r.Backoff == 0 {
-		r.Backoff = 1.5
-	}
-	if r.JitterFrac == 0 {
-		r.JitterFrac = 0.1
-	}
-	if r.MinRTO == 0 {
-		r.MinRTO = 50 * time.Millisecond
-	}
-	if r.HintInvalidateAfter == 0 {
-		r.HintInvalidateAfter = 3
-	}
-	return r
-}
+// The retransmit timer's policy: fixed, so that a delivered fraction or a
+// latency measured under loss names one protocol.
+const (
+	// rtoScale multiplies the estimated one-way delivery time to produce
+	// the initial retransmit timeout.
+	rtoScale = 2
+	// rtoExpectHops is the overlay hop budget assumed by the timeout
+	// estimate — generous is safe (a late timeout only delays recovery;
+	// duplicates are suppressed end to end).
+	rtoExpectHops = 16
+	// rtoBackoff multiplies the timeout after each attempt.
+	rtoBackoff = 1.5
+	// rtoJitterFrac randomizes each timeout by ±this fraction,
+	// desynchronizing retransmissions that share a loss event.
+	rtoJitterFrac = 0.1
+	// minFlowRTO floors the timeout; a tunnel's remembered backoff that
+	// decays to it is forgotten.
+	minFlowRTO = 50 * time.Millisecond
+	// hintInvalidateAfter is the number of RTO expirations after which a
+	// flow or stream bound to a tunnel (SendOpts.Cache/Hops, a tunnel
+	// Stream) stops trusting the cached hop addresses and invalidates them
+	// all — the exhaust-time path, run early. A dispatch-time miss marks
+	// only the hint it tried, so without this a flow whose packets die
+	// beyond the first hop keeps dispatching into the same poisoned cache
+	// until its budget runs out.
+	hintInvalidateAfter = 3
+)
 
 // SendOpts tunes one reliable flow and binds it to the tunnel state it
 // rode, so exhaustion can clean up after a dead tunnel.
@@ -142,8 +123,10 @@ type hintKey struct {
 // started afterwards. Flows already in flight keep fire-and-forget
 // semantics.
 func (e *NetEngine) EnableReliability(cfg Reliability) {
-	r := cfg.withDefaults()
-	e.rel = &r
+	if cfg.MaxAttempts == 0 {
+		cfg.MaxAttempts = 8
+	}
+	e.rel = &cfg
 }
 
 // --- per-tunnel backoff memory ----------------------------------------------
@@ -179,7 +162,7 @@ func (e *NetEngine) dropTunnelRTO(key id.ID) {
 // relaxTunnelRTO eases a tunnel's backoff memory after a delivery: a
 // first-attempt success clears it outright, a delivery that needed
 // retransmits halves it, dropping the entry once it decays to the floor.
-func (e *NetEngine) relaxTunnelRTO(key id.ID, firstAttempt bool, minRTO simnet.Time) {
+func (e *NetEngine) relaxTunnelRTO(key id.ID, firstAttempt bool) {
 	e.rtoMu.Lock()
 	defer e.rtoMu.Unlock()
 	if firstAttempt {
@@ -190,7 +173,7 @@ func (e *NetEngine) relaxTunnelRTO(key id.ID, firstAttempt bool, minRTO simnet.T
 	if !ok {
 		return
 	}
-	if stored /= 2; stored <= minRTO {
+	if stored /= 2; stored <= minFlowRTO {
 		delete(e.tunnelRTO, key)
 	} else {
 		e.tunnelRTO[key] = stored
@@ -254,13 +237,13 @@ func (e *NetEngine) startReliable(flow uint64, origin simnet.Addr, size int, opt
 }
 
 // initialRTO estimates a generous one-way delivery time for a message of
-// the given size: ExpectHops store-and-forward hops, each paying full
-// serialization plus the worst-case link latency, scaled by RTOScale.
+// the given size: rtoExpectHops store-and-forward hops, each paying full
+// serialization plus the worst-case link latency, scaled by rtoScale.
 func (e *NetEngine) initialRTO(size int) simnet.Time {
 	perHop := e.net.Serialization(size) + e.net.MaxLatency()
-	rto := simnet.Time(float64(int64(perHop)*int64(e.rel.ExpectHops)) * e.rel.RTOScale)
-	if rto < e.rel.MinRTO {
-		rto = e.rel.MinRTO
+	rto := simnet.Time(float64(int64(perHop)*rtoExpectHops) * rtoScale)
+	if rto < minFlowRTO {
+		rto = minFlowRTO
 	}
 	return rto
 }
@@ -282,10 +265,7 @@ func (e *NetEngine) attempt(flow uint64, st *flowState) {
 func (e *NetEngine) armTimer(flow uint64, st *flowState) {
 	st.gen++
 	gen := st.gen
-	wait := st.rto
-	if j := e.rel.JitterFrac; j > 0 {
-		wait = simnet.Time(float64(wait) * (1 + j*(2*e.jitter.Float64()-1)))
-	}
+	wait := simnet.Time(float64(st.rto) * (1 + rtoJitterFrac*(2*e.jitter.Float64()-1)))
 	e.net.Schedule(wait, func() {
 		cur, ok := e.flows[flow]
 		if !ok || cur.gen != gen {
@@ -295,13 +275,13 @@ func (e *NetEngine) armTimer(flow uint64, st *flowState) {
 			e.exhaust(flow, cur)
 			return
 		}
-		cur.rto = simnet.Time(float64(cur.rto) * e.rel.Backoff)
+		cur.rto = simnet.Time(float64(cur.rto) * rtoBackoff)
 		if cur.hasBackoffKey {
 			// Per-tunnel backoff memory: later flows over this tunnel
 			// start from the backed-off timeout instead of resetting it.
 			e.storeTunnelRTO(cur.backoffKey, cur.rto)
 		}
-		if !cur.hintsInvalidated && cur.attempts >= e.rel.HintInvalidateAfter {
+		if !cur.hintsInvalidated && cur.attempts >= hintInvalidateAfter {
 			// Repeated RTO expiry: every retransmission is dying
 			// somewhere past dispatch, so the cached hop addresses are no
 			// longer trustworthy. Run the exhaust-time eviction now so
@@ -387,7 +367,7 @@ func (e *NetEngine) handleAck(p *packet) {
 		// Delivered on the first attempt: the tunnel proved healthy, drop
 		// its backoff memory. Delivered after retransmits: decay rather
 		// than reset, so a marginal tunnel keeps some caution.
-		e.relaxTunnelRTO(st.backoffKey, st.attempts == 1, e.rel.MinRTO)
+		e.relaxTunnelRTO(st.backoffKey, st.attempts == 1)
 	}
 	cb := e.done[p.flow]
 	delete(e.done, p.flow)

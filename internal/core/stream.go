@@ -38,11 +38,6 @@ import (
 // id spaces can never collide in the engine's shared packet field.
 const streamIDBase uint64 = 1 << 62
 
-// streamHintInvalidateAfter is the number of consecutive RTO expirations
-// after which a tunnel stream concludes its cached hop addresses are
-// poisoned and invalidates them all (the exhaust-time path of PR 4).
-const streamHintInvalidateAfter = 3
-
 // recvWindowCap bounds the receive-side reorder buffer: segments more
 // than this far ahead of the in-order cursor are dropped (the sender
 // retransmits them once the window slides). Four times the default send
@@ -59,18 +54,6 @@ type StreamConfig struct {
 	// MaxRetries bounds per-segment retransmissions before the stream
 	// fails. Default 12.
 	MaxRetries int
-	// DupAckThreshold is the number of duplicate cumulative ACKs that
-	// triggers a fast retransmit of the oldest unacknowledged segment.
-	// Default 3.
-	DupAckThreshold int
-	// InitRTO is the retransmit timeout before the first RTT sample.
-	// Default 1s — generous, because a tunnel round trip spans many
-	// store-and-forward hops; the estimator converges after one ACK.
-	InitRTO simnet.Time
-	// MinRTO floors the estimated timeout. Default 20ms.
-	MinRTO simnet.Time
-	// MaxRTO caps exponential backoff. Default 30s.
-	MaxRTO simnet.Time
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
@@ -83,20 +66,23 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 12
 	}
-	if c.DupAckThreshold == 0 {
-		c.DupAckThreshold = 3
-	}
-	if c.InitRTO == 0 {
-		c.InitRTO = time.Second
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 20 * time.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 30 * time.Second
-	}
 	return c
 }
+
+// The stream's loss-recovery policy.
+const (
+	// dupAckThreshold is the number of duplicate cumulative ACKs that
+	// triggers a fast retransmit of the oldest unacknowledged segment.
+	dupAckThreshold = 3
+	// streamInitRTO is the retransmit timeout before the first RTT sample
+	// — generous, because a tunnel round trip spans many store-and-forward
+	// hops; the estimator converges after one ACK.
+	streamInitRTO = time.Second
+	// streamMinRTO floors the estimated timeout; streamMaxRTO caps
+	// exponential backoff.
+	streamMinRTO = 20 * time.Millisecond
+	streamMaxRTO = 30 * time.Second
+)
 
 // rttEstimator is the RFC 6298 smoothed round-trip estimator: SRTT and
 // RTTVAR with gains 1/8 and 1/4, RTO = SRTT + 4·RTTVAR. Callers apply
@@ -122,16 +108,16 @@ func (r *rttEstimator) observe(sample simnet.Time) {
 	r.srtt += (sample - r.srtt) / 8
 }
 
-func (r *rttEstimator) rto(cfg *StreamConfig) simnet.Time {
+func (r *rttEstimator) rto() simnet.Time {
 	if !r.valid {
-		return cfg.InitRTO
+		return streamInitRTO
 	}
 	rto := r.srtt + 4*r.rttvar
-	if rto < cfg.MinRTO {
-		rto = cfg.MinRTO
+	if rto < streamMinRTO {
+		rto = streamMinRTO
 	}
-	if rto > cfg.MaxRTO {
-		rto = cfg.MaxRTO
+	if rto > streamMaxRTO {
+		rto = streamMaxRTO
 	}
 	return rto
 }
@@ -244,7 +230,7 @@ func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 		tun:      tun,
 		cache:    cache,
 		cfg:      cfg,
-		rto:      cfg.InitRTO,
+		rto:      streamInitRTO,
 	}
 	ringSize := cfg.Window
 	if e.StreamWindowBypass {
@@ -450,15 +436,15 @@ func (s *Stream) onTimeout(now simnet.Time) {
 	s.eng.StreamTimeouts++
 	s.backoffCount++
 	s.rto *= 2
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > streamMaxRTO {
+		s.rto = streamMaxRTO
 	}
 	if s.hasTunKey {
 		// Remember the backed-off timeout for this tunnel so new streams
 		// and flows over it start from reality, not from scratch.
 		s.eng.storeTunnelRTO(s.tunKey, s.rto)
 	}
-	if s.backoffCount == streamHintInvalidateAfter && s.tun != nil {
+	if s.backoffCount == hintInvalidateAfter && s.tun != nil {
 		// Repeated expiry: stop trusting the cached hop addresses.
 		s.eng.invalidateTunnelHints(s.cache, s.hopIDs)
 	}
@@ -487,7 +473,7 @@ func (s *Stream) handleAck(cum uint64, ranges []wire.AckRange) {
 		s.sndUna = cum
 		s.dupAcks = 0
 		s.backoffCount = 0
-		s.rto = s.rtt.rto(&s.cfg)
+		s.rto = s.rtt.rto()
 		if s.inflight() > 0 {
 			s.rtxDeadline = now + s.rto
 			s.schedTimer(s.rtxDeadline)
@@ -496,7 +482,7 @@ func (s *Stream) handleAck(cum uint64, ranges []wire.AckRange) {
 		}
 	} else if cum == s.sndUna && s.inflight() > 0 {
 		s.dupAcks++
-		if s.dupAcks >= s.cfg.DupAckThreshold {
+		if s.dupAcks >= dupAckThreshold {
 			s.dupAcks = 0
 			head := s.slot(s.sndUna)
 			if head.used && !head.sacked {

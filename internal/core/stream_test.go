@@ -271,10 +271,9 @@ func TestStreamWindowBypassSeam(t *testing.T) {
 }
 
 func TestStreamRTTEstimator(t *testing.T) {
-	cfg := StreamConfig{}.withDefaults()
 	var est rttEstimator
-	if est.rto(&cfg) != cfg.InitRTO {
-		t.Fatal("estimator without samples must return InitRTO")
+	if est.rto() != streamInitRTO {
+		t.Fatal("estimator without samples must return streamInitRTO")
 	}
 	sample := simnet.Time(50 * time.Millisecond)
 	for i := 0; i < 40; i++ {
@@ -284,20 +283,20 @@ func TestStreamRTTEstimator(t *testing.T) {
 		t.Fatalf("srtt converged to %v, want %v", est.srtt, sample)
 	}
 	// Constant samples decay RTTVAR toward zero, so RTO approaches SRTT
-	// (floored well above MinRTO here).
-	if got := est.rto(&cfg); got < sample || got > 2*sample {
+	// (floored well above streamMinRTO here).
+	if got := est.rto(); got < sample || got > 2*sample {
 		t.Fatalf("rto = %v, want within [%v, %v]", got, sample, 2*sample)
 	}
 	// A spike inflates RTTVAR and thus RTO.
 	est.observe(simnet.Time(250 * time.Millisecond))
-	if got := est.rto(&cfg); got <= sample {
+	if got := est.rto(); got <= sample {
 		t.Fatalf("rto = %v after a spike, want above the base sample", got)
 	}
 	// And the floor holds for tiny samples.
 	var tiny rttEstimator
 	tiny.observe(simnet.Time(time.Microsecond))
-	if got := tiny.rto(&cfg); got != cfg.MinRTO {
-		t.Fatalf("rto = %v for microsecond RTT, want MinRTO %v", got, cfg.MinRTO)
+	if got := tiny.rto(); got != streamMinRTO {
+		t.Fatalf("rto = %v for microsecond RTT, want streamMinRTO %v", got, simnet.Time(streamMinRTO))
 	}
 }
 
@@ -444,13 +443,13 @@ func TestStreamTunnelBackoffMemory(t *testing.T) {
 	ns.net.InstallFaults(&simnet.FaultPlan{Seed: 3, LossRate: 1})
 	s2 := ns.eng.OpenTunnelStream(origin, tun, cache, dest, StreamConfig{MaxRetries: 20})
 	pumpStream(s2, patternData(2048))
-	// InitRTO 1s doubling per expiry: backoffCount hits 3 (the hint
+	// streamInitRTO (1s) doubling per expiry: backoffCount hits 3 (the hint
 	// eviction point) by t=7s. Check at 20s, long before 20 retries.
 	if err := ns.kernel.RunUntil(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := ns.eng.tunnelRTO[key]; got <= simnet.Time(time.Second) {
-		t.Fatalf("tunnelRTO after repeated timeouts = %v, want grown beyond InitRTO", got)
+		t.Fatalf("tunnelRTO after repeated timeouts = %v, want grown beyond streamInitRTO", got)
 	}
 	for _, hop := range tun.HopIDs() {
 		if a := cache.Get(hop); a != simnet.NoAddr {
@@ -516,7 +515,7 @@ func TestReliableFlowBackoffMemory(t *testing.T) {
 
 // TestReliableFlowRepeatedRTOInvalidatesHints covers the repeated-expiry
 // satellite for reliable flows: a flow whose retransmissions keep dying
-// evicts its tunnel's cached hop addresses at HintInvalidateAfter
+// evicts its tunnel's cached hop addresses at hintInvalidateAfter
 // expirations — long before the attempt budget exhausts.
 func TestReliableFlowRepeatedRTOInvalidatesHints(t *testing.T) {
 	ns := newNetSys(t, 400, 3, 40)

@@ -17,11 +17,14 @@ import (
 // fixed-seed scale. Together with the pastry route-trace goldens they prove
 // substrate refactors (arena overlay, calendar-queue kernel) are
 // behaviour-preserving end to end: same seeds, same tables, byte for byte.
+// ext-reliability, ext-selfheal and ext-throughput have golden files too:
+// they are the only tables that move when a retransmission, pool or stream
+// policy constant in internal/core does.
 //
-// Every case — the figures and, without a golden file, each ext experiment
-// that sweeps through runTrials — is also run at GOMAXPROCS 1 and 4 and
-// every cell compared by its float bits: a table must not depend on how
-// many workers computed it. The %.6f CSV would hide last-ulp drift.
+// Every case — those with a golden file and, without one, each other ext
+// experiment that sweeps through runTrials — is also run at GOMAXPROCS 1
+// and 4 and every cell compared by its float bits: a table must not depend
+// on how many workers computed it. The %.6f CSV would hide last-ulp drift.
 //
 // Regenerate (only when results are *supposed* to change, with review):
 //
@@ -58,6 +61,16 @@ func TestGoldenFigures(t *testing.T) {
 			return Fig6(Fig6Params{Sizes: []int{100, 200}, Lengths: []int{3}, K: 3,
 				FileBytes: 50_000, Transfers: 3, Sims: 2, Seed: 46})
 		}},
+		{"ext-reliability", func() (*trace.Table, error) {
+			return ExtReliability(ExtReliabilityParams{LossRates: []float64{0.05}, Flows: 10, Trials: 4, Seed: 58})
+		}},
+		{"ext-selfheal", func() (*trace.Table, error) {
+			return ExtSelfHeal(ExtSelfHealParams{ChurnRates: []float64{0.10}, N: 150, Singles: 3, Trials: 4, Seed: 59})
+		}},
+		{"ext-throughput", func() (*trace.Table, error) {
+			return ExtThroughput(ExtThroughputParams{N: 200, Clients: 2, TunnelsPer: 2, Length: 3, Flows: 40,
+				FlowBytes: 2048, Dests: 16, Windows: []int{1, 8}, LossRates: []float64{0.01}, ChurnFails: 2, Seed: 60})
+		}},
 	}
 	// No golden file: pinned across worker counts only.
 	sweeps := []tableCase{
@@ -90,16 +103,6 @@ func TestGoldenFigures(t *testing.T) {
 		{"ext-timing", func() (*trace.Table, error) {
 			return ExtTiming(ExtTimingParams{N: 200, Length: 3, FlowGaps: []time.Duration{2 * time.Second},
 				Fracs: []float64{0.3}, Flows: 10, Trials: 4, Seed: 57})
-		}},
-		{"ext-reliability", func() (*trace.Table, error) {
-			return ExtReliability(ExtReliabilityParams{LossRates: []float64{0.05}, Flows: 10, Trials: 4, Seed: 58})
-		}},
-		{"ext-selfheal", func() (*trace.Table, error) {
-			return ExtSelfHeal(ExtSelfHealParams{ChurnRates: []float64{0.10}, N: 150, Singles: 3, Trials: 4, Seed: 59})
-		}},
-		{"ext-throughput", func() (*trace.Table, error) {
-			return ExtThroughput(ExtThroughputParams{N: 200, Clients: 2, TunnelsPer: 2, Length: 3, Flows: 40,
-				FlowBytes: 2048, Dests: 16, Windows: []int{1, 8}, LossRates: []float64{0.01}, ChurnFails: 2, Seed: 60})
 		}},
 	}
 	for _, c := range figures {

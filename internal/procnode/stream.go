@@ -29,10 +29,11 @@ type StreamConfig struct {
 	// Timeout bounds each network wait (anchor ack, chunk echo).
 	// Default 5s.
 	Timeout time.Duration
-	// Retries is how many times a lost anchor deploy or chunk is
-	// retransmitted before the stream fails. Default 3.
-	Retries int
 }
+
+// streamRetries is how many times a lost anchor deploy or chunk is
+// retransmitted before the stream fails.
+const streamRetries = 3
 
 func (c *StreamConfig) defaults() {
 	if c.ChunkSize == 0 {
@@ -40,9 +41,6 @@ func (c *StreamConfig) defaults() {
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 5 * time.Second
-	}
-	if c.Retries == 0 {
-		c.Retries = 3
 	}
 }
 
@@ -106,7 +104,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 				if n.awaitAck(a.HopID, cfg.Timeout) {
 					break
 				}
-				if attempt >= cfg.Retries {
+				if attempt >= streamRetries {
 					return fmt.Errorf("procnode: deploying anchor %s to node %d: no ack after %d attempts",
 						a.HopID.Short(), hop, attempt+1)
 				}
@@ -171,7 +169,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			if echo != nil {
 				break
 			}
-			if attempt >= cfg.Retries {
+			if attempt >= streamRetries {
 				return nil, fmt.Errorf("procnode: chunk %d/%d lost after %d attempts", seq+1, nChunks, attempt+1)
 			}
 		}

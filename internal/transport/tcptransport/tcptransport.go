@@ -18,11 +18,11 @@
 // drops messages instead, which is exactly the unreliable-send semantics
 // the seam promises and the layers above already recover from.
 //
-// Dialing goes through the Dialer seam: the default is a net.Dialer with
-// Config.DialTimeout, and tests (or an onion-routed deployment wrapping
-// connections in another transport) inject their own — the same
-// wrapper-with-transparent-fallback shape as a TorDialer around a node
-// dialer.
+// Dialing goes through the Dialer seam: the default is a net.Dialer,
+// every attempt is bounded by dialTimeout, and tests (or an onion-routed
+// deployment wrapping connections in another transport) inject their own
+// — the same wrapper-with-transparent-fallback shape as a TorDialer
+// around a node dialer.
 //
 // Trust model. The transport assumes it runs on a trusted network
 // segment (localhost testbeds, a closed lab LAN): frames carry their
@@ -77,12 +77,20 @@ const (
 	// of its validated length, so a peer cannot pin more than this per
 	// connection beyond the frame in flight.
 	readBufSize = 64 << 10
+	// dialTimeout bounds each connection attempt, whatever the Dialer.
+	dialTimeout = 3 * time.Second
+	// sendQueueDepth is the per-peer outbound queue depth; a full queue
+	// drops (unreliable-send semantics).
+	sendQueueDepth = 256
+	// latencyCeiling is what MaxLatency reports — a coarse upper bound
+	// used only to seed retransmit-timeout estimates.
+	latencyCeiling = 200 * time.Millisecond
 )
 
 // Dialer is the connection-establishment seam. The zero Config uses a
-// net.Dialer bounded by DialTimeout; tests inject failing or in-memory
-// dialers, and a hardened deployment can wrap connections in another
-// transport without this package knowing.
+// net.Dialer; tests inject failing or in-memory dialers, and a hardened
+// deployment can wrap connections in another transport without this
+// package knowing.
 type Dialer interface {
 	DialContext(ctx context.Context, network, address string) (net.Conn, error)
 }
@@ -92,20 +100,7 @@ type Dialer interface {
 type Config struct {
 	// Codec is required: it defines the message set on the wire.
 	Codec Codec
-	// DialTimeout bounds each connection attempt. Default 3s.
-	DialTimeout time.Duration
-	// LatencyCeiling is what MaxLatency reports — a coarse upper bound
-	// used only to seed retransmit-timeout estimates. Default 200ms.
-	LatencyCeiling time.Duration
-	// BandwidthBitsPerSec, when positive, makes Serialization report
-	// size*8/bandwidth; zero reports no serialization delay (TCP's own
-	// pacing governs).
-	BandwidthBitsPerSec int64
-	// SendQueue is the per-peer outbound queue depth; a full queue drops
-	// (unreliable-send semantics). Default 256.
-	SendQueue int
-	// Dialer overrides connection establishment. Default: net.Dialer
-	// with DialTimeout.
+	// Dialer overrides connection establishment. Default: net.Dialer.
 	Dialer Dialer
 	// Logf, when non-nil, receives diagnostic messages (dial failures,
 	// decode errors). Default: silent.
@@ -277,17 +272,8 @@ func New(cfg Config) *Transport {
 	if cfg.Codec == nil {
 		panic("tcptransport: Config.Codec is required")
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
-	if cfg.LatencyCeiling == 0 {
-		cfg.LatencyCeiling = 200 * time.Millisecond
-	}
-	if cfg.SendQueue == 0 {
-		cfg.SendQueue = 256
-	}
 	if cfg.Dialer == nil {
-		cfg.Dialer = &net.Dialer{Timeout: cfg.DialTimeout}
+		cfg.Dialer = &net.Dialer{}
 	}
 	t := &Transport{
 		cfg:      cfg,
@@ -595,7 +581,7 @@ func (t *Transport) peerFor(dst transport.Addr) *peer {
 	if !ok {
 		return nil
 	}
-	p := &peer{hostport: hostport, out: make(chan []byte, t.cfg.SendQueue), quit: make(chan struct{})}
+	p := &peer{hostport: hostport, out: make(chan []byte, sendQueueDepth), quit: make(chan struct{})}
 	t.conns[dst] = p
 	t.wg.Add(1)
 	go t.writeLoop(dst, p)
@@ -608,7 +594,7 @@ func (t *Transport) peerFor(dst transport.Addr) *peer {
 // above sees only message loss in between.
 func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 	defer t.wg.Done()
-	ctx, cancel := context.WithTimeout(context.Background(), t.cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 	t.m.dials.Inc()
 	dialStart := time.Now()
 	conn, err := t.cfg.Dialer.DialContext(ctx, "tcp", p.hostport)
@@ -773,17 +759,12 @@ func (t *Transport) WatchAddrs(fn func(addr transport.Addr, up bool)) {
 	t.mu.Unlock()
 }
 
-// Serialization reports the configured bandwidth estimate's clocking
-// time, or zero when none is configured.
-func (t *Transport) Serialization(size int) transport.Time {
-	if t.cfg.BandwidthBitsPerSec <= 0 || size <= 0 {
-		return 0
-	}
-	return time.Duration(int64(size) * 8 * int64(time.Second) / t.cfg.BandwidthBitsPerSec)
-}
+// Serialization reports no clocking time: the transport models no link
+// rate, TCP's own pacing governs.
+func (t *Transport) Serialization(int) transport.Time { return 0 }
 
-// MaxLatency reports the configured latency ceiling.
-func (t *Transport) MaxLatency() transport.Time { return t.cfg.LatencyCeiling }
+// MaxLatency reports latencyCeiling.
+func (t *Transport) MaxLatency() transport.Time { return latencyCeiling }
 
 // --- peer table -------------------------------------------------------------
 
