@@ -11,9 +11,9 @@
 //     TunnelPool probe cycle, the kernel schedule/run cycle, the
 //     windowed stream transfer, the obs counter/histogram increment
 //     paths that instrument all of them, and the deployed relay's
-//     peel-and-forward) — many timed samples, minimum
-//     taken, so shared-VM scheduler noise does not masquerade as a
-//     regression (or an improvement);
+//     peel-and-forward and responder's echo) — many timed samples,
+//     minimum taken, so shared-VM scheduler noise does not masquerade
+//     as a regression (or an improvement);
 //   - micro:   the remaining micro-benchmarks — a few short samples;
 //   - figures: the figure/extension/ablation experiment benchmarks —
 //     one iteration each (they are end-to-end experiments; their value
@@ -80,7 +80,7 @@ type group struct {
 }
 
 var defaultGroups = []group{
-	{name: "hot", pattern: "^(BenchmarkLayeredSeal|BenchmarkLayeredPeel|BenchmarkPoolProbeCycle|BenchmarkKernelScheduleRun|BenchmarkStreamThroughput|BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkRelayForward)$", benchtime: "500ms", count: 10},
+	{name: "hot", pattern: "^(BenchmarkLayeredSeal|BenchmarkLayeredPeel|BenchmarkPoolProbeCycle|BenchmarkKernelScheduleRun|BenchmarkStreamThroughput|BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkRelayForward|BenchmarkExitEcho)$", benchtime: "500ms", count: 10},
 	{name: "micro", pattern: "^(BenchmarkSeal|BenchmarkOpen|BenchmarkSealer|BenchmarkPastryRoute|BenchmarkOverlayBuild|BenchmarkTunnelWalk|BenchmarkPastryJoinProtocol|BenchmarkReplicaMigration|BenchmarkSecureLookup)", benchtime: "200ms", count: 3},
 	{name: "figures", pattern: "^(BenchmarkFig|BenchmarkExt|BenchmarkAblation)", benchtime: "1x", count: 1},
 }

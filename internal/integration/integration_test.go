@@ -162,10 +162,12 @@ func TestFiveProcessRoundTrip(t *testing.T) {
 
 	// The client waits for all 6 members (5 relays + itself), then
 	// streams through a 3-hop forward and 2-hop reply tunnel, with the
-	// highest-addressed relay doubling as the destination.
+	// highest-addressed relay doubling as the destination. 48 chunks are
+	// three of the stream's 16-chunk windows: the window fills and slides
+	// across real processes.
 	cp := startProc(t, nodeBin,
 		"-board", boardAddr, "-client", "-quorum", fmt.Sprint(relays+1),
-		"-fwhops", "3", "-rphops", "2", "-bytes", "4096", "-chunk", "512")
+		"-fwhops", "3", "-rphops", "2", "-bytes", "12288", "-chunk", "256")
 	expectLine(t, cp.out, "client", "ROUNDTRIP OK", 60*time.Second)
 
 	if err := cp.wait(30 * time.Second); err != nil {

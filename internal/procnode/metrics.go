@@ -23,6 +23,7 @@ type nodeMetrics struct {
 
 	parkRetries  *obs.Counter // sends parked on a lagging membership view
 	resolveDrops *obs.Counter // messages dropped after the retry budget
+	notifyDrops  *obs.Counter // acks and echoes that found the initiator's channel full
 
 	streamChunks      *obs.Counter   // chunks round-tripped by RoundTripStream
 	streamRetransmits *obs.Counter   // anchor redeploys + chunk resends after a timeout
@@ -48,6 +49,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 
 		parkRetries:  reg.Counter("tap_node_park_retries_total", "Sends parked awaiting membership catch-up."),
 		resolveDrops: reg.Counter("tap_node_resolve_drops_total", "Messages dropped after the resolve retry budget."),
+		notifyDrops:  reg.Counter("tap_node_notify_drops_total", "Acks and echoes dropped because the initiator's notification channel was full."),
 
 		streamChunks:      reg.Counter("tap_node_stream_chunks_total", "Chunks round-tripped by streams."),
 		streamRetransmits: reg.Counter("tap_node_stream_retransmits_total", "Stream retransmissions after a timeout."),

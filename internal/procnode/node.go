@@ -27,10 +27,11 @@ func NodeID(addr transport.Addr) id.ID {
 
 // Node is one overlay member: an anchor store plus the relay logic for
 // forward envelopes, reply envelopes, and exit payloads. Relay state
-// (the anchor store) is touched only from the transport's dispatch loop
-// — the seam's serialization contract, the same discipline the simulated
-// engines rely on — so it needs no lock; only the membership index,
-// which SetPeers writes from the joining goroutine, carries one.
+// (the anchor store, the responder's echo key schedule) is touched only
+// from the transport's dispatch loop — the seam's serialization contract,
+// the same discipline the simulated engines rely on — so it needs no
+// lock; only the membership index, which SetPeers writes from the joining
+// goroutine, carries one.
 type Node struct {
 	Addr transport.Addr
 	ID   id.ID
@@ -41,16 +42,31 @@ type Node struct {
 
 	anchors map[id.ID]heldAnchor
 
+	// echoKey and echoSealer are the responder's one-entry key-schedule
+	// cache: the last request's K_I and its schedule (echoSealerFor).
+	echoKey    crypt.Key
+	echoSealer *crypt.Sealer
+
 	// byID is the full-membership node-ID index. Unlike anchors it is
 	// written off-loop (SetPeers runs on the joining goroutine), so it
 	// carries its own lock.
 	idMu sync.RWMutex
 	byID map[id.ID]transport.Addr // nodeID → transport address
 
-	// Initiator-side notification channels, consumed by RoundTripStream.
-	acks    chan id.ID
-	replies chan []byte
+	// Initiator-side notification channels, consumed by RoundTripStream,
+	// which streamMu admits one call at a time.
+	streamMu sync.Mutex
+	acks     chan id.ID
+	replies  chan []byte
 }
+
+// notifyDepth is the depth of the initiator's notification channels: the
+// most echoes one stream can have outstanding, every chunk of a full
+// window answered once per send. The one anchor awaiting its ack needs far
+// less and takes the same bound. A notification that finds its channel
+// full is dropped and counted (tap_node_notify_drops_total); the stream
+// recovers it as it would a lost frame.
+const notifyDepth = streamWindow * (1 + streamRetries)
 
 // New attaches a node at addr on tr. Pass a nil logf for silence and a
 // nil reg to run without metrics (obs's no-op sink).
@@ -66,8 +82,8 @@ func New(tr *tcptransport.Transport, addr transport.Addr, logf func(format strin
 		m:       newNodeMetrics(reg),
 		anchors: make(map[id.ID]heldAnchor),
 		byID:    map[id.ID]transport.Addr{NodeID(addr): addr},
-		acks:    make(chan id.ID, 64),
-		replies: make(chan []byte, 64),
+		acks:    make(chan id.ID, notifyDepth),
+		replies: make(chan []byte, notifyDepth),
 	}
 	tr.Attach(addr, n)
 	return n
@@ -159,6 +175,7 @@ func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 		select {
 		case n.acks <- m.HopID:
 		default:
+			n.m.notifyDrops.Inc()
 			n.logf("procnode %d: ack channel full, dropping ack for %s", n.Addr, m.HopID.Short())
 		}
 	case *core.Envelope:
@@ -286,6 +303,7 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 			select {
 			case n.replies <- env.Data:
 			default:
+				n.m.notifyDrops.Inc()
 				n.logf("procnode %d: reply channel full", n.Addr)
 			}
 			return
@@ -318,9 +336,12 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 //
 //	sid uint64, seq uint32, fin byte, key blob, replyTunnel blob, chunk blob
 //
-// Echo payload, sealed under key:
+// key is the stream's K_I: one per RoundTripStream, the same in each of
+// its requests, so the responder needs nothing but the request in hand.
 //
-//	sid uint64, seq uint32, chunk blob
+// Echo payload, sealed under key with a fresh nonce per echo:
+//
+//	sid uint64, seq uint32, fin byte, chunk blob
 
 func encodeRequest(sid uint64, seq uint32, fin bool, key crypt.Key, rt, chunk []byte) []byte {
 	w := wire.NewWriter(32 + len(rt) + len(chunk))
@@ -337,6 +358,19 @@ func encodeRequest(sid uint64, seq uint32, fin bool, key crypt.Key, rt, chunk []
 	return w.Bytes()
 }
 
+// echoSealerFor returns key's schedule from the responder's cache, which
+// holds exactly one: a stream's requests all carry one key, so from a
+// stream's second chunk on nothing is derived. Any other key derives and
+// replaces the entry — two interleaved streams thrash it and stay correct
+// — so what a responder retains for all the initiators it ever serves is
+// bounded at one schedule.
+func (n *Node) echoSealerFor(key crypt.Key) *crypt.Sealer {
+	if n.echoSealer == nil || subtle.ConstantTimeCompare(n.echoKey[:], key[:]) != 1 {
+		n.echoKey, n.echoSealer = key, crypt.NewSealer(key)
+	}
+	return n.echoSealer
+}
+
 // handleExitPayload is the responder role: decode a stream request, seal
 // the echo under the request's key, and launch it down the reply tunnel.
 func (n *Node) handleExitPayload(payload []byte) {
@@ -347,7 +381,7 @@ func (n *Node) handleExitPayload(payload []byte) {
 	fin := r.Byte()
 	var key crypt.Key
 	copy(key[:], r.Blob())
-	rtEnc := append([]byte(nil), r.Blob()...)
+	rtEnc := r.Blob() // DecodeReplyTunnel copies the onion it keeps
 	chunk := r.Blob()
 	if err := r.Done(); err != nil {
 		n.logf("procnode %d: bad exit payload: %v", n.Addr, err)
@@ -363,7 +397,7 @@ func (n *Node) handleExitPayload(payload []byte) {
 	echo.Uint32(seq)
 	echo.Byte(fin)
 	echo.Blob(chunk)
-	sealed, err := crypt.Seal(key, rand.Reader, echo.Bytes())
+	sealed, err := n.echoSealerFor(key).SealTo(nil, rand.Reader, echo.Bytes())
 	if err != nil {
 		n.logf("procnode %d: sealing echo: %v", n.Addr, err)
 		return

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tap/internal/core"
+	"tap/internal/obs"
 	"tap/internal/tha"
 	"tap/internal/transport"
 	"tap/internal/transport/tcptransport"
@@ -14,13 +15,25 @@ import (
 
 // startOverlay brings up n nodes, each with its own tcptransport over
 // localhost TCP, all fully meshed through a shared peer table — the same
-// wiring the bulletin board performs for real processes.
+// wiring the bulletin board performs for real processes. Every node has a
+// registry, so tests read its counters.
 func startOverlay(t *testing.T, n int) []*Node {
+	t.Helper()
+	return startOverlayOn(t, n, nil)
+}
+
+// startOverlayOn is startOverlay with the codec of chosen nodes replaced:
+// the seam the loss tests reach a node's inbound frames through.
+func startOverlayOn(t *testing.T, n int, codecs map[transport.Addr]tcptransport.Codec) []*Node {
 	t.Helper()
 	trs := make([]*tcptransport.Transport, n)
 	peers := make(map[transport.Addr]string, n)
 	for i := 0; i < n; i++ {
-		tr := tcptransport.New(tcptransport.Config{Codec: Codec{}, Logf: t.Logf})
+		var codec tcptransport.Codec = Codec{}
+		if c, ok := codecs[transport.Addr(i)]; ok {
+			codec = c
+		}
+		tr := tcptransport.New(tcptransport.Config{Codec: codec, Logf: t.Logf})
 		t.Cleanup(tr.Close)
 		hostport, err := tr.Listen("127.0.0.1:0")
 		if err != nil {
@@ -31,7 +44,7 @@ func startOverlay(t *testing.T, n int) []*Node {
 	}
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = New(trs[i], transport.Addr(i), t.Logf, nil)
+		nodes[i] = New(trs[i], transport.Addr(i), t.Logf, obs.NewRegistry())
 		nodes[i].SetPeers(peers)
 	}
 	return nodes

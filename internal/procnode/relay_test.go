@@ -196,6 +196,94 @@ func TestRelayKeyScheduleOncePerAnchor(t *testing.T) {
 	}
 }
 
+// exitRequest returns a stream request addressed to the rig's relay as
+// responder — the exit payload as the exit hop hands it over — and the
+// sealer that opens its echoes. The responder only reads a request, so one
+// can be delivered any number of times. The reply tunnel starts at the
+// sink, so each echo surfaces there as a ReplyEnvelope.
+func (r *relayRig) exitRequest(t testing.TB, seq uint32) (*DataMsg, *crypt.Sealer) {
+	t.Helper()
+	key, err := crypt.NewKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := core.BuildReply(r.rp, []transport.Addr{sinkAddr, sinkAddr}, NodeID(sinkAddr), r.strm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := encodeRequest(9, seq, false, key, rt.Encode(), []byte("sixty-four bytes or so of stream chunk, give or take a few more"))
+	return &DataMsg{Dest: r.relay.ID, Payload: req}, crypt.NewSealer(key)
+}
+
+// echoAtSink returns the chunk number of the next echo at the sink, opened
+// with s.
+func (r *relayRig) echoAtSink(t testing.TB, s *crypt.Sealer) int {
+	t.Helper()
+	env, ok := r.await(t).(*core.ReplyEnvelope)
+	if !ok {
+		t.Fatal("the responder sent something other than a reply envelope")
+	}
+	seq, _, ok := openEcho(s, 9, env.Data)
+	if !ok {
+		t.Fatal("the echo does not open under its request's key")
+	}
+	return seq
+}
+
+// TestExitEchoKeyScheduleOncePerStream pins the responder's one-entry
+// cache: a stream's chunks all carry one key, and from the second on
+// answering one costs a handful of allocations, a budget one
+// crypt.NewSealer call alone overruns; another key takes the entry over,
+// and either way the echo opens under the key its request carried.
+func TestExitEchoKeyScheduleOncePerStream(t *testing.T) {
+	// Responder bookkeeping per chunk: the decoded reply tunnel and its
+	// onion, the echo and its sealed form, the envelope, the dispatch
+	// closure. Measured 6; the margin is for toolchain drift and stays
+	// under a key schedule (measured 22).
+	const maxEchoAllocs = 12
+	var key crypt.Key
+	if perSchedule := testing.AllocsPerRun(10, func() { crypt.NewSealer(key) }); perSchedule <= maxEchoAllocs {
+		t.Fatalf("crypt.NewSealer costs %.0f allocations: a budget of %d no longer detects a per-chunk key schedule", perSchedule, maxEchoAllocs)
+	}
+
+	const runs = 50
+	r := newRelayRig(t)
+	first, firstKey := r.exitRequest(t, 1)
+	other, otherKey := r.exitRequest(t, 2)
+
+	r.relay.Deliver(sinkAddr, first)
+	if got := r.echoAtSink(t, firstKey); got != 1 {
+		t.Fatalf("echo for chunk %d, want 1", got)
+	}
+	cached := r.relay.echoSealer
+	delivered := 1
+	got := testing.AllocsPerRun(runs, func() { r.relay.Deliver(sinkAddr, first); delivered++ })
+	for i := 1; i < delivered; i++ {
+		r.echoAtSink(t, firstKey)
+	}
+	if got > maxEchoAllocs {
+		t.Errorf("%.1f allocations per echo from a stream's second chunk on, want <= %d: the responder is deriving a key schedule per chunk", got, maxEchoAllocs)
+	}
+	if r.relay.echoSealer != cached {
+		t.Error("the cached schedule was replaced within one stream")
+	}
+
+	r.relay.Deliver(sinkAddr, other)
+	if got := r.echoAtSink(t, otherKey); got != 2 {
+		t.Fatalf("echo for chunk %d, want 2", got)
+	}
+	if r.relay.echoSealer == cached {
+		t.Error("a request under another key was answered from the first key's entry")
+	}
+	r.relay.Deliver(sinkAddr, first) // the first stream again, its entry gone
+	if got := r.echoAtSink(t, firstKey); got != 1 {
+		t.Fatalf("echo for chunk %d, want 1", got)
+	}
+	if got := r.relay.m.exitPayloads.Load(); got != uint64(delivered+2) {
+		t.Errorf("%d exit payloads handled, want %d", got, delivered+2)
+	}
+}
+
 // TestAnchorInstallFirstWriterWins: every earlier hop of a tunnel learns
 // the next hopid, so an install that could overwrite would hand any of
 // them the hop's key. The identical record again — a retransmitted
@@ -328,5 +416,29 @@ func BenchmarkRelayForward(b *testing.B) {
 	b.StopTimer()
 	if got := r.relay.m.peelsForward.Load(); got != uint64(b.N) {
 		b.Fatalf("%d of %d envelopes opened", got, b.N)
+	}
+}
+
+// BenchmarkExitEcho is the deployed responder's steady state: Deliver of
+// a stream's request after its first — parse it, seal the echo under the
+// cached schedule of the stream's key, launch it down the reply tunnel.
+// In tapbench's hot group beside BenchmarkRelayForward, for the same
+// reason: a key schedule per chunk (22 allocations) would show in CI's
+// allocation gate.
+func BenchmarkExitEcho(b *testing.B) {
+	r := newRelayRig(b)
+	req, _ := r.exitRequest(b, 1)
+	r.relay.tr.Detach(sinkAddr)
+	r.relay.tr.Attach(sinkAddr, transport.HandlerFunc(func(transport.Addr, transport.Message) {}))
+	r.relay.Deliver(sinkAddr, req) // the stream's first chunk derives the schedule
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.relay.Deliver(sinkAddr, req)
+	}
+	b.StopTimer()
+	if got := r.relay.m.exitPayloads.Load(); got != uint64(b.N)+1 {
+		b.Fatalf("%d of %d requests handled", got, b.N+1)
 	}
 }

@@ -1,0 +1,302 @@
+package procnode
+
+import (
+	"bytes"
+	"crypto/rand"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"tap/internal/crypt"
+	"tap/internal/transport"
+	"tap/internal/transport/tcptransport"
+	"tap/internal/wire"
+)
+
+// The loss tests' overlay: client, three forward hops, two reply hops, the
+// responder — one transport each, as in the deployment.
+const (
+	lossClient = transport.Addr(0)
+	lossHop0   = transport.Addr(1)
+	lossHop1   = transport.Addr(2)
+	lossNodes  = 7
+)
+
+func lossStreamConfig(timeout time.Duration) StreamConfig {
+	return StreamConfig{
+		ForwardHops: []transport.Addr{lossHop0, lossHop1, 3},
+		ReplyHops:   []transport.Addr{4, 5},
+		Dest:        6,
+		ChunkSize:   64,
+		Timeout:     timeout,
+	}
+}
+
+// frameTap is a test's hold on one node's inbound frames of one kind: the
+// node's codec with a Decode that can refuse a frame. The transport counts
+// a refused frame as a decode error and delivers nothing, so refusing is
+// losing — the frame the test chose, no timing involved.
+type frameTap struct {
+	Codec
+	kind byte
+
+	mu   sync.Mutex
+	seen [][]byte                         // every frame of kind, in arrival order
+	lose func(nth int, frame []byte) bool // called with mu held; nil loses nothing
+}
+
+func (f *frameTap) Decode(kind byte, payload []byte) (transport.Message, error) {
+	if kind == f.kind {
+		f.mu.Lock()
+		nth := len(f.seen)
+		f.seen = append(f.seen, bytes.Clone(payload))
+		lost := f.lose != nil && f.lose(nth, payload)
+		f.mu.Unlock()
+		if lost {
+			return nil, errors.New("frame lost by the test")
+		}
+	}
+	return f.Codec.Decode(kind, payload)
+}
+
+// arrivals returns the positions, in arrival order, of the frames equal to
+// the nth: a re-sent envelope is the same bytes again.
+func (f *frameTap) arrivals(nth int) []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var at []int
+	for i, frame := range f.seen {
+		if bytes.Equal(frame, f.seen[nth]) {
+			at = append(at, i)
+		}
+	}
+	return at
+}
+
+func streamPayload(t *testing.T, n int) []byte {
+	t.Helper()
+	p := make([]byte, n)
+	if _, err := rand.Read(p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestStreamResendsOnlyTheLostChunk loses one chunk of 40 — on the forward
+// path, on the reply path, or not at all but held back past its deadline —
+// and requires selective repeat: the stream completes, that chunk alone is
+// sent twice, and meanwhile the window slid on to its full width, so hop 0
+// sees the re-send exactly streamWindow frames after the original.
+func TestStreamResendsOnlyTheLostChunk(t *testing.T) {
+	const (
+		nChunks = 40
+		lost    = 10
+		timeout = 50 * time.Millisecond
+	)
+	loseNth := func(nth int, _ []byte) bool { return nth == lost }
+	cases := []struct {
+		name        string
+		at          transport.Addr
+		kind        byte
+		late        bool // the lost frame turns up again, after the re-send was made
+		repliesHome uint64
+	}{
+		{name: "lost on the forward path", at: lossHop1, kind: kindForward, repliesHome: nChunks},
+		{name: "echo lost on the reply path", at: lossClient, kind: kindReply, repliesHome: nChunks},
+		{name: "echo delayed past the deadline", at: lossClient, kind: kindReply, late: true, repliesHome: nChunks + 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			order := &frameTap{kind: kindForward} // hop 0's view: what the initiator sent, in order
+			fault := &frameTap{kind: c.kind, lose: loseNth}
+			nodes := startOverlayOn(t, lossNodes, map[transport.Addr]tcptransport.Codec{lossHop0: order, c.at: fault})
+			client := nodes[lossClient]
+			if c.late {
+				// The echoes behind the held one arrive in order, so the
+				// next frame after a window's worth is the re-sent chunk's:
+				// hand the original in just ahead of it.
+				fault.mu.Lock()
+				var held transport.Message
+				fault.lose = func(nth int, frame []byte) bool {
+					switch nth {
+					case lost:
+						held, _ = fault.Codec.Decode(kindReply, frame)
+						return true
+					case lost + streamWindow:
+						msg := held
+						client.tr.Schedule(0, func() { client.Deliver(5, msg) })
+					}
+					return false
+				}
+				fault.mu.Unlock()
+			}
+
+			payload := streamPayload(t, nChunks*64)
+			echo, err := client.RoundTripStream(lossStreamConfig(timeout), payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(echo, payload) {
+				t.Fatal("echo differs from payload")
+			}
+			if got := client.m.streamRetransmits.Load(); got != 1 {
+				t.Errorf("%d retransmits, want 1", got)
+			}
+			if got := client.m.streamChunks.Load(); got != nChunks {
+				t.Errorf("stream_chunks = %d, want %d: a chunk answered twice counts once", got, nChunks)
+			}
+			if got := client.m.repliesHome.Load(); got != c.repliesHome {
+				t.Errorf("%d echoes came home, want %d", got, c.repliesHome)
+			}
+			if got := nodes[lossHop0].m.peelsForward.Load(); got != nChunks+1 {
+				t.Errorf("hop 0 peeled %d envelopes, want %d: every chunk once and the lost one again", got, nChunks+1)
+			}
+			if at := order.arrivals(lost); len(at) != 2 || at[1] != lost+streamWindow {
+				t.Errorf("chunk %d reached hop 0 at positions %v, want [%d %d]: the window did not slide to its full width past the lost chunk",
+					lost, at, lost, lost+streamWindow)
+			}
+		})
+	}
+}
+
+// TestStreamGivesUpOnAChunk loses one chunk every time it is sent: after
+// streamRetries re-sends the call fails, promptly, naming the chunk.
+func TestStreamGivesUpOnAChunk(t *testing.T) {
+	const (
+		nChunks = 40
+		lost    = 10
+		timeout = 50 * time.Millisecond
+	)
+	var doomed []byte
+	fault := &frameTap{kind: kindForward, lose: func(nth int, frame []byte) bool {
+		if nth == lost {
+			doomed = bytes.Clone(frame)
+		}
+		return bytes.Equal(frame, doomed)
+	}}
+	nodes := startOverlayOn(t, lossNodes, map[transport.Addr]tcptransport.Codec{lossHop1: fault})
+	client := nodes[lossClient]
+
+	start := time.Now()
+	_, err := client.RoundTripStream(lossStreamConfig(timeout), streamPayload(t, nChunks*64))
+	elapsed := time.Since(start)
+	want := fmt.Sprintf("chunk %d/%d lost after %d attempts", lost+1, nChunks, streamRetries+1)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want one naming %q", err, want)
+	}
+	if got := client.m.streamRetransmits.Load(); got != streamRetries {
+		t.Errorf("%d retransmits, want %d", got, streamRetries)
+	}
+	if sent := fault.arrivals(lost); len(sent) != streamRetries+1 {
+		t.Errorf("the chunk was sent %d times, want %d", len(sent), streamRetries+1)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("gave up after %v; %d deadlines of %v were due", elapsed, streamRetries+1, timeout)
+	}
+}
+
+// TestStreamPayloadSizes runs the window's boundary cases back to back on
+// one overlay: nothing to send, less than a window, exactly one, one more.
+func TestStreamPayloadSizes(t *testing.T) {
+	nodes := startOverlay(t, lossNodes)
+	client := nodes[lossClient]
+	cfg := lossStreamConfig(0)
+	for _, c := range []struct{ bytes, chunks int }{
+		{0, 1},
+		{1, 1},
+		{cfg.ChunkSize, 1},
+		{streamWindow * cfg.ChunkSize, streamWindow},
+		{streamWindow*cfg.ChunkSize + 1, streamWindow + 1},
+		{3*streamWindow*cfg.ChunkSize - 7, 3 * streamWindow},
+	} {
+		before := client.m.streamChunks.Load()
+		payload := streamPayload(t, c.bytes)
+		echo, err := client.RoundTripStream(cfg, payload)
+		if err != nil {
+			t.Fatalf("%d bytes: %v", c.bytes, err)
+		}
+		if !bytes.Equal(echo, payload) {
+			t.Fatalf("%d bytes: echo differs from payload", c.bytes)
+		}
+		if got := client.m.streamChunks.Load() - before; got != uint64(c.chunks) {
+			t.Errorf("%d bytes: %d chunks, want %d", c.bytes, got, c.chunks)
+		}
+	}
+	if got := client.m.streamRetransmits.Load(); got != 0 {
+		t.Errorf("%d retransmits on a lossless overlay", got)
+	}
+}
+
+// TestStreamIgnoresStaleEcho leaves in the reply channel what a previous
+// stream's straggler would: a well-formed echo for chunk 0, wrong bytes,
+// sealed under that stream's key. Accepting it would fail the next stream
+// with an echo mismatch.
+func TestStreamIgnoresStaleEcho(t *testing.T) {
+	nodes := startOverlay(t, lossNodes)
+	client := nodes[lossClient]
+
+	var oldKey crypt.Key
+	oldKey[0] = 1
+	w := wire.NewWriter(32)
+	w.Uint64(7) // sid
+	w.Uint32(0) // seq
+	w.Byte(0)
+	w.Blob([]byte("an earlier stream's chunk"))
+	stale, err := crypt.NewSealer(oldKey).SealTo(nil, rand.Reader, w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.replies <- stale
+
+	payload := streamPayload(t, 5*64)
+	echo, err := client.RoundTripStream(lossStreamConfig(0), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(echo, payload) {
+		t.Fatal("echo differs from payload")
+	}
+	if len(client.replies) != 0 {
+		t.Errorf("%d replies left unconsumed", len(client.replies))
+	}
+}
+
+// TestConcurrentStreamsDoNotStealEchoes calls RoundTripStream on one node
+// from two goroutines. Acks and echoes arrive on per-node channels, so
+// streams that overlapped would take each other's and each theft would
+// cost a retransmit timeout; the node runs them one after the other
+// instead, and neither ever retransmits.
+func TestConcurrentStreamsDoNotStealEchoes(t *testing.T) {
+	nodes := startOverlay(t, lossNodes)
+	client := nodes[lossClient]
+	streams := []struct {
+		chunk   int
+		payload []byte
+	}{
+		{64, streamPayload(t, 64*64)},
+		{4096, streamPayload(t, 16*4096)},
+	}
+	var wg sync.WaitGroup
+	for _, s := range streams {
+		s := s
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := lossStreamConfig(200 * time.Millisecond)
+			cfg.ChunkSize = s.chunk
+			echo, err := client.RoundTripStream(cfg, s.payload)
+			if err != nil {
+				t.Errorf("stream of %d-byte chunks: %v", s.chunk, err)
+			} else if !bytes.Equal(echo, s.payload) {
+				t.Errorf("stream of %d-byte chunks: echo differs from payload", s.chunk)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := client.m.streamRetransmits.Load(); got != 0 {
+		t.Errorf("tap_node_stream_retransmits_total = %d, want 0: a stream lost an ack or an echo to the other", got)
+	}
+}

@@ -77,6 +77,10 @@ const (
 	// of its validated length, so a peer cannot pin more than this per
 	// connection beyond the frame in flight.
 	readBufSize = 64 << 10
+	// writeBatchSize is where a writer stops gathering queued frames into
+	// one Write: what the peer's single Read can take. It also bounds how
+	// much of a queue of large frames is copied before the socket sees any.
+	writeBatchSize = readBufSize
 	// dialTimeout bounds each connection attempt, whatever the Dialer.
 	dialTimeout = 3 * time.Second
 	// sendQueueDepth is the per-peer outbound queue depth; a full queue
@@ -542,8 +546,8 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 // frame builds msg's whole frame — header, [src][dst] prefix, codec
 // bytes — in one buffer: allocated once at the message's size, encoded
 // into directly, the header patched in last when the length is known.
-// The buffer belongs to the peer queue from here on and is dropped after
-// its single conn.Write; nothing reuses it.
+// The buffer belongs to the peer queue from here on and is dropped once
+// writeLoop has written it or copied it into its batch; nothing reuses it.
 func (t *Transport) frame(src, dst transport.Addr, msg transport.Message) ([]byte, error) {
 	const prefix = wire.FrameHeaderSize + addrPrefixSize
 	size := msg.SizeBytes()
@@ -589,9 +593,12 @@ func (t *Transport) peerFor(dst transport.Addr) *peer {
 }
 
 // writeLoop owns one peer's connection: dial once (per connection
-// lifetime), then drain the queue onto it. Any error tears the peer down;
-// the next Send re-creates it, so reconnection is lazy and the engine
-// above sees only message loss in between.
+// lifetime), then drain the queue onto it, everything queued in one Write
+// — frames that travel together (a stream's window, relayed hop by hop)
+// cross each socket in one syscall, and readLoop walks them out of one
+// Read. Any error tears the peer down; the next Send re-creates it, so
+// reconnection is lazy and the engine above sees only message loss in
+// between.
 func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 	defer t.wg.Done()
 	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
@@ -628,20 +635,45 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 		case <-done:
 		}
 	}()
+	var batch []byte // frames gathered for one Write; this goroutine's alone
 	for {
 		select {
 		case <-p.quit:
 			return
 		case frame := <-p.out:
-			t.m.queueDepth.Dec()
-			if _, err := conn.Write(frame); err != nil {
-				t.m.dropConnDown.Inc()
+			// Write what is queued, not one frame. A frame alone in the
+			// queue goes out from its own buffer: not copied, not delayed.
+			buf, frames := frame, uint64(1)
+		gather:
+			for len(buf) < writeBatchSize {
+				select {
+				case next := <-p.out:
+					if frames == 1 {
+						batch = append(batch[:0], frame...)
+					}
+					batch = append(batch, next...)
+					buf = batch
+					frames++
+				default:
+					break gather
+				}
+			}
+			t.m.queueDepth.Add(-int64(frames))
+			// One plain Write, not net.Buffers: writev lacks the race
+			// detector's release/acquire edge that tests synchronising
+			// through a socket rely on.
+			_, err := conn.Write(buf)
+			if cap(batch) > 2*writeBatchSize {
+				batch = nil // an oversize frame passed through: do not pin its size per peer
+			}
+			if err != nil {
+				t.m.dropConnDown.Add(frames)
 				t.logf("tcptransport: write %d (%s): %v", dst, p.hostport, err)
 				t.dropPeer(dst, p)
 				return
 			}
-			t.m.framesOut.Inc()
-			t.m.bytesOut.Add(uint64(len(frame)))
+			t.m.framesOut.Add(frames)
+			t.m.bytesOut.Add(uint64(len(buf)))
 		}
 	}
 }
