@@ -68,11 +68,8 @@ func NewService(svc *core.Service) *Service {
 	return &Service{svc: svc, boxes: make(map[id.ID][]Message)}
 }
 
-// Errors.
-var (
-	ErrReplyLost = errors.New("mail: reply did not reach the sender")
-	ErrFetchLost = errors.New("mail: mailbox contents did not reach the recipient")
-)
+// ErrFetchLost reports a fetch whose answer never came back.
+var ErrFetchLost = errors.New("mail: mailbox contents did not reach the recipient")
 
 // NewPseudonym mints an unlinkable mailbox id for a recipient: a hash of
 // recipient-secret material, like a hopid (nobody can link it to the

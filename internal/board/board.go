@@ -196,13 +196,6 @@ func (b *Board) MemberCount() int {
 	return len(b.members)
 }
 
-// Members returns a snapshot of the live peer table.
-func (b *Board) Members() map[transport.Addr]string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.peersLocked()
-}
-
 func (b *Board) peersLocked() map[transport.Addr]string {
 	out := make(map[transport.Addr]string, len(b.members))
 	for a, m := range b.members {

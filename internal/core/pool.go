@@ -730,22 +730,8 @@ func (p *TunnelPool) HealthyCount() int {
 	return n
 }
 
-// UsableCount returns healthy plus recovering slots.
-func (p *TunnelPool) UsableCount() int {
-	n := 0
-	for _, s := range p.slots {
-		if s.health == slotHealthy || s.health == slotRecovering {
-			n++
-		}
-	}
-	return n
-}
-
 // Degraded reports the pool's degraded flag.
 func (p *TunnelPool) Degraded() bool { return p.degraded }
-
-// Quarantine returns the hop scoreboard installed on the initiator.
-func (p *TunnelPool) Quarantine() *Quarantine { return p.quar }
 
 // Limiter returns the rebuild admission limiter (shared or private).
 func (p *TunnelPool) Limiter() *RateLimiter { return p.limiter }

@@ -82,18 +82,6 @@ func (q *Quarantine) Blocked(h id.ID) bool {
 	return e != nil && e.open && q.now() < e.openUntil
 }
 
-// BlockedCount returns the number of currently blocked anchors.
-func (q *Quarantine) BlockedCount() int {
-	n := 0
-	now := q.now()
-	for _, e := range q.m {
-		if e.open && now < e.openUntil {
-			n++
-		}
-	}
-	return n
-}
-
 // ReportFailure records an attributed failure against an anchor and
 // reports whether it has struck out (the caller should retire it).
 func (q *Quarantine) ReportFailure(h id.ID) (strikeOut bool) {
@@ -152,9 +140,6 @@ func (q *Quarantine) ReportSuccess(h id.ID) {
 		e.fails = 0
 	}
 }
-
-// Forget discards all state for an anchor (e.g. it was deleted).
-func (q *Quarantine) Forget(h id.ID) { delete(q.m, h) }
 
 // RateLimiter is a deterministic token bucket on the simulated clock: the
 // pool's global rebuild admission control. Mass churn kills many tunnels

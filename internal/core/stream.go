@@ -592,10 +592,8 @@ type RecvStream struct {
 
 	finSeq uint64
 	finSet bool
-	closed bool
 
-	bytes uint64
-	segs  uint64
+	segs uint64
 
 	OnData  func(seq uint64, data []byte)
 	OnClose func(rs *RecvStream)
@@ -606,12 +604,6 @@ func (rs *RecvStream) ID() uint64 { return rs.id }
 
 // Dest returns the destination id the stream was addressed to.
 func (rs *RecvStream) Dest() id.ID { return rs.dest }
-
-// Bytes returns the in-order payload bytes delivered so far.
-func (rs *RecvStream) Bytes() uint64 { return rs.bytes }
-
-// Closed reports whether the FIN was delivered in order.
-func (rs *RecvStream) Closed() bool { return rs.closed }
 
 // handleStreamData consumes a kindStream packet at the target id's owner.
 func (e *NetEngine) handleStreamData(self simnet.Addr, p *packet) {
@@ -679,7 +671,6 @@ func (rs *RecvStream) accept(self simnet.Addr, seq uint64, fin bool, data []byte
 // deliverSeg hands one segment to the application.
 func (rs *RecvStream) deliverSeg(seq uint64, fin bool, data []byte) {
 	rs.segs++
-	rs.bytes += uint64(len(data))
 	rs.eng.StreamBytesRecv += uint64(len(data))
 	if fin {
 		rs.finSet = true
@@ -794,7 +785,6 @@ func (e *NetEngine) sendStreamAck(self simnet.Addr, sid uint64, to simnet.Addr, 
 
 // close finishes the incoming stream: the FIN arrived in order.
 func (rs *RecvStream) close(self simnet.Addr) {
-	rs.closed = true
 	rs.ring = nil
 	delete(rs.eng.recvStreams, rs.id)
 	rs.eng.closedStreams[rs.id] = closedStreamRec{ackTo: rs.ackTo, cum: rs.rcvNxt}

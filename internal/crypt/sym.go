@@ -35,14 +35,10 @@ const tagSize = 16
 // counting in tunnel messages uses it to compute wire sizes.
 const Overhead = nonceSize + tagSize
 
-// NonceSize and TagSize are Overhead's two components, exported so layered
-// message builders can reserve the exact margins around an in-place
-// plaintext region: a sealed blob is nonce (NonceSize) || body || tag
-// (TagSize).
-const (
-	NonceSize = nonceSize
-	TagSize   = tagSize
-)
+// NonceSize is Overhead's leading component, exported so layered message
+// builders can reserve the exact margin ahead of an in-place plaintext
+// region: a sealed blob is nonce (NonceSize) || body || tag.
+const NonceSize = nonceSize
 
 // Key is a symmetric layer key — the K of a tunnel hop anchor.
 type Key [KeySize]byte

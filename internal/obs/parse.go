@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -229,18 +228,4 @@ func (s *Snapshot) Sum(name string) float64 {
 		}
 	}
 	return total
-}
-
-// Names returns the sorted set of sample names in the snapshot.
-func (s *Snapshot) Names() []string {
-	seen := make(map[string]bool)
-	for _, smp := range s.Samples {
-		seen[smp.Name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -121,9 +121,6 @@ func NewManager(ov *pastry.Overlay, k int) *Manager {
 // K returns the replication factor.
 func (m *Manager) K() int { return m.k }
 
-// Len returns the number of stored items.
-func (m *Manager) Len() int { return len(m.entries) }
-
 // LostCount returns the number of items lost because their whole replica
 // set failed within one batch.
 func (m *Manager) LostCount() int { return m.lost }
@@ -369,16 +366,7 @@ func (m *Manager) EndBatch() {
 	// sets; a full sweep of dirty regions is unnecessary because resync
 	// already reconciles against the post-batch oracle. Keys untouched by
 	// any dead node but displaced by joiners are reconciled lazily by
-	// CheckInvariants callers or the next event; experiments that mix
-	// joins into a batch should call ResyncAll.
-}
-
-// ResyncAll reconciles every key; O(total items · k). Experiments use it
-// after unusual batch mixes, tests use it to establish a clean baseline.
-func (m *Manager) ResyncAll() {
-	for key := range m.entries {
-		m.resync(key)
-	}
+	// CheckInvariants callers or the next event.
 }
 
 // CheckInvariants verifies that every entry's replica list matches the

@@ -68,9 +68,6 @@ type NodeRef struct {
 	Addr simnet.Addr
 }
 
-// IsZero reports whether the reference is unset.
-func (r NodeRef) IsZero() bool { return r.ID.IsZero() && r.Addr == 0 }
-
 func (r NodeRef) String() string {
 	return fmt.Sprintf("%s@%d", r.ID.Short(), r.Addr)
 }

@@ -28,9 +28,10 @@ func codecMessages() []transport.Message {
 }
 
 // checkCodecContracts holds one decoded message to the codec's
-// contracts: it re-encodes, AppendEncode leaves the bytes ahead of it
-// alone and appends exactly what Encode returns, the encoding decodes
-// back to an equal message, and nothing decoded aliases the decoder's
+// contracts: it re-encodes — an anchor or an ack to the very bytes it came
+// from —, AppendEncode leaves the bytes ahead of it alone and appends
+// exactly what Encode returns, the encoding decodes back to an equal
+// message, and nothing decoded aliases the decoder's
 // input — the transport hands Decode a window of its read buffer, and the
 // bytes behind the window are the next frame. input is scribbled over.
 func checkCodecContracts(t *testing.T, kind byte, msg transport.Message, input []byte) {
@@ -49,6 +50,12 @@ func checkCodecContracts(t *testing.T, kind byte, msg transport.Message, input [
 	}
 	if string(out[:len(prefix)]) != prefix || !bytes.Equal(out[len(prefix):], enc) {
 		t.Fatalf("%T: AppendEncode(prefix, m) != prefix + Encode(m)", msg)
+	}
+
+	// An anchor or an ack is fixed-width fields only: what decodes has one
+	// encoding, the one it arrived in.
+	if (kind == kindAnchor || kind == kindAnchorAck) && !bytes.Equal(enc, input) {
+		t.Fatalf("%T: decoded from %x, re-encodes as %x", msg, input, enc)
 	}
 
 	again, err := c.Decode(kind, enc)
@@ -97,6 +104,33 @@ func TestCodecRoundTrip(t *testing.T) {
 	if _, err := c.Decode(kindForward, hostile); !errors.Is(err, errPad) {
 		t.Fatalf("an envelope claiming %d bytes of padding decoded: %v", wire.MaxFramePayload+1, err)
 	}
+	// A key or hash blob that is not its field's length is refused: copied
+	// as it came, the 22-byte frame below would install an all-zero key.
+	hop := NodeID(8)
+	key, hash := make([]byte, len(tha.Anchor{}.Key)), make([]byte, len(tha.Anchor{}.PWHash))
+	for name, blobs := range map[string][2][]byte{
+		"both empty": {nil, nil},
+		"short key":  {key[1:], hash},
+		"long key":   {append(key, 0), hash},
+		"short hash": {key, hash[1:]},
+		"long hash":  {key, append(hash, 0)},
+		"swapped":    {hash, key},
+	} {
+		w := wire.NewWriter(128)
+		w.ID(hop)
+		w.Blob(blobs[0])
+		w.Blob(blobs[1])
+		if _, err := c.Decode(kindAnchor, w.Bytes()); !errors.Is(err, errBlobLen) {
+			t.Errorf("anchor frame, %s (%d bytes): err = %v", name, w.Len(), err)
+		}
+	}
+	// The same lengths under a two-byte length prefix: a second encoding of
+	// one anchor, refused.
+	overlong := append(hop[:], byte(len(key))|0x80, 0)
+	overlong = append(append(overlong, key...), byte(len(hash)))
+	if _, err := c.Decode(kindAnchor, append(overlong, hash...)); !errors.Is(err, errBlobLen) {
+		t.Errorf("anchor frame with an overlong length prefix: err = %v", err)
+	}
 	if _, _, err := c.AppendEncode(nil, transport.Message(nil)); err == nil {
 		t.Fatal("a message outside the set was encoded")
 	}
@@ -106,7 +140,8 @@ func TestCodecRoundTrip(t *testing.T) {
 // it must never panic, and whatever it accepts must satisfy every codec
 // contract. The committed corpus holds a genuine payload of each kind and
 // the hostile shapes: truncation, a blob length past the buffer, trailing
-// bytes, an unknown kind, a four-gigabyte pad claim.
+// bytes, an unknown kind, a four-gigabyte pad claim, anchors whose key
+// blobs are empty or a byte too long.
 func FuzzCodecDecode(f *testing.F) {
 	var c Codec
 	for _, m := range codecMessages() {

@@ -61,11 +61,11 @@ type Node struct {
 }
 
 // notifyDepth is the depth of the initiator's notification channels: the
-// most echoes one stream can have outstanding, every chunk of a full
-// window answered once per send. The one anchor awaiting its ack needs far
-// less and takes the same bound. A notification that finds its channel
-// full is dropped and counted (tap_node_notify_drops_total); the stream
-// recovers it as it would a lost frame.
+// most answers one stream can have outstanding, every request of a full
+// window — installs or chunks — answered once per send. A notification
+// that finds its channel full is dropped and counted
+// (tap_node_notify_drops_total); the stream recovers it as it would a lost
+// frame.
 const notifyDepth = streamWindow * (1 + streamRetries)
 
 // New attaches a node at addr on tr. Pass a nil logf for silence and a
@@ -90,10 +90,18 @@ func New(tr *tcptransport.Transport, addr transport.Addr, logf func(format strin
 }
 
 // SetPeers installs the bulletin board's peer table: transport endpoints
-// for dialing and the node-ID index for destination resolution.
+// for dialing and the node-ID index for destination resolution. The node
+// is left knowing exactly that table and itself: a member the board has
+// pruned is forgotten here too, its endpoint, queue and down mark with it.
 func (n *Node) SetPeers(peers map[transport.Addr]string) {
 	n.idMu.Lock()
 	defer n.idMu.Unlock()
+	for nid, a := range n.byID {
+		if _, member := peers[a]; !member && a != n.Addr {
+			delete(n.byID, nid)
+			n.tr.RemovePeer(a)
+		}
+	}
 	for a, hp := range peers {
 		if a != n.Addr {
 			n.tr.SetPeer(a, hp)
@@ -169,7 +177,7 @@ func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 			return
 		}
 		n.m.anchorInstalls.Inc() // every acked install, so installs >= acks holds under retransmission
-		n.sendTo(from, &AnchorAck{HopID: m.Anchor.HopID}, 0)
+		n.send(from, id.ID{}, &AnchorAck{HopID: m.Anchor.HopID}, 0)
 	case *AnchorAck:
 		n.m.anchorAcks.Inc()
 		select {
@@ -195,58 +203,40 @@ func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 	}
 }
 
-// resolve maps an overlay identifier to a transport address: the §5 hint
-// when present, else the full-membership node-ID index.
-func (n *Node) resolve(hint transport.Addr, target id.ID) (transport.Addr, bool) {
-	if hint != transport.NoAddr {
-		return hint, true
-	}
-	return n.lookupID(target)
-}
-
-// Membership lag tolerance: a node that cannot yet resolve a node ID —
-// typically because the target joined after this node's last peer-table
-// refresh — parks the message and retries on the dispatch loop instead
-// of dropping it. This is what lets a freshly joined initiator receive
-// its first reply without eating a full initiator-side retransmit
-// timeout.
+// Membership lag tolerance: a node whose view of the membership is behind
+// — the target joined after this node's last peer-table refresh — parks
+// the message and retries on the dispatch loop instead of dropping it.
+// This is what lets a freshly joined initiator receive its anchor acks and
+// its first reply without eating a full initiator-side retransmit timeout.
 const (
 	resolveRetries = 25
 	resolveDelay   = 200 * time.Millisecond
 )
 
-// sendResolved delivers msg to the node whose ID is target, retrying
-// while the membership index catches up. send runs with the resolved
-// address once available; after resolveRetries misses the message is
-// dropped with a log line.
-func (n *Node) sendResolved(target id.ID, attempt int, send func(dst transport.Addr)) {
-	if dst, ok := n.lookupID(target); ok {
-		send(dst)
-		return
+// send transmits msg to dst, the §5 hint, or — when there is none, dst ==
+// NoAddr — to the member whose node ID is target, through the membership
+// index; with an address in hand target goes unread. While the ID is
+// unknown or the address has no dialable endpoint the message is parked
+// and re-tried from the top, with the hint it came with: a failed lookup's
+// Addr is the zero value, and 0 is somebody's address. After resolveRetries
+// a still-unknown ID is dropped and counted; a known address is sent to
+// anyway, so the transport's drop accounting sees it.
+func (n *Node) send(dst transport.Addr, target id.ID, msg transport.Message, attempt int) {
+	to, known := dst, true
+	if dst == transport.NoAddr {
+		to, known = n.lookupID(target)
 	}
-	if attempt >= resolveRetries {
+	switch {
+	case known && (n.tr.Reachable(to) || attempt >= resolveRetries):
+		n.tr.Send(n.Addr, to, msg)
+	case attempt >= resolveRetries:
 		n.m.resolveDrops.Inc()
 		n.logf("procnode %d: cannot resolve node %s after %d attempts, dropping",
 			n.Addr, target.Short(), attempt)
-		return
+	default:
+		n.m.parkRetries.Inc()
+		n.tr.Schedule(resolveDelay, func() { n.send(dst, target, msg, attempt+1) })
 	}
-	n.m.parkRetries.Inc()
-	n.tr.Schedule(resolveDelay, func() { n.sendResolved(target, attempt+1, send) })
-}
-
-// sendTo transmits msg to dst, parking it while dst has no dialable
-// endpoint yet — the mirror image of sendResolved for plain transport
-// addresses. A relay answering a freshly joined member (an anchor ack to
-// an initiator it has never refreshed into its peer table) hits this on
-// the first exchange; after the retry budget the send is attempted
-// anyway so the transport's drop accounting sees it.
-func (n *Node) sendTo(dst transport.Addr, msg transport.Message, attempt int) {
-	if n.tr.Reachable(dst) || attempt >= resolveRetries {
-		n.tr.Send(n.Addr, dst, msg)
-		return
-	}
-	n.m.parkRetries.Inc()
-	n.tr.Schedule(resolveDelay, func() { n.sendTo(dst, msg, attempt+1) })
 }
 
 // handleForward peels one forward layer and relays, or — at the exit —
@@ -271,16 +261,7 @@ func (n *Node) handleForward(env *core.Envelope) {
 			n.handleExitPayload(layer.Payload)
 			return
 		}
-		payload := append([]byte(nil), layer.Payload...)
-		dest := layer.Dest
-		n.sendResolved(dest, 0, func(dst transport.Addr) {
-			n.sendTo(dst, &DataMsg{Dest: dest, Payload: payload}, 0)
-		})
-		return
-	}
-	dst, ok := n.resolve(layer.NextHint, layer.Next)
-	if !ok {
-		n.logf("procnode %d: cannot route hop %s (no hint, no index entry)", n.Addr, layer.Next.Short())
+		n.send(transport.NoAddr, layer.Dest, &DataMsg{Dest: layer.Dest, Payload: append([]byte(nil), layer.Payload...)}, 0)
 		return
 	}
 	// The envelope is ours (that is what let us peel it in place), so it
@@ -289,7 +270,7 @@ func (n *Node) handleForward(env *core.Envelope) {
 	env.HopID, env.Hint, env.Sealed = layer.Next, layer.NextHint, layer.Inner
 	env.PadToMatch(size)
 	n.m.relaysForwarded.Inc()
-	n.sendTo(dst, env, 0)
+	n.send(env.Hint, env.HopID, env, 0)
 }
 
 // handleReply peels one reply layer when this node anchors the target
@@ -322,13 +303,9 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 	size := env.SizeBytes()
 	env.Target, env.Hint, env.Onion = next, hint, rest
 	env.PadToMatch(size)
-	if hint != transport.NoAddr {
-		n.sendTo(hint, env, 0)
-		return
-	}
-	// The tail layer names the initiator's bid with no hint; resolve it
-	// through the membership index, tolerating a lagging view.
-	n.sendResolved(next, 0, func(dst transport.Addr) { n.sendTo(dst, env, 0) })
+	// The tail layer names the initiator's bid with no hint: send resolves
+	// it through the membership index.
+	n.send(hint, next, env, 0)
 }
 
 // Exit payload format (the plaintext the exit layer reveals, §4's
@@ -380,10 +357,14 @@ func (n *Node) handleExitPayload(payload []byte) {
 	seq := r.Uint32()
 	fin := r.Byte()
 	var key crypt.Key
-	copy(key[:], r.Blob())
+	keyOK := fixedBlob(r, key[:])
 	rtEnc := r.Blob() // DecodeReplyTunnel copies the onion it keeps
 	chunk := r.Blob()
-	if err := r.Done(); err != nil {
+	err := r.Done()
+	if err == nil && !keyOK {
+		err = errBlobLen
+	}
+	if err != nil {
 		n.logf("procnode %d: bad exit payload: %v", n.Addr, err)
 		return
 	}
@@ -402,12 +383,7 @@ func (n *Node) handleExitPayload(payload []byte) {
 		n.logf("procnode %d: sealing echo: %v", n.Addr, err)
 		return
 	}
-	dst, ok := n.resolve(rt.FirstHint, rt.First)
-	if !ok {
-		n.logf("procnode %d: cannot route reply head %s", n.Addr, rt.First.Short())
-		return
-	}
-	n.sendTo(dst, &core.ReplyEnvelope{
+	n.send(rt.FirstHint, rt.First, &core.ReplyEnvelope{
 		Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: sealed,
 	}, 0)
 }

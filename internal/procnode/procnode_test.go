@@ -72,11 +72,37 @@ func TestAnchorDeployAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	client.tr.Send(client.Addr, holder.Addr, &AnchorMsg{Anchor: sec.Anchor})
-	if !client.awaitAck(sec.HopID, 5*time.Second) {
+	select {
+	case got := <-client.acks:
+		if got != sec.HopID {
+			t.Fatalf("ack for %s, deployed %s", got.Short(), sec.HopID.Short())
+		}
+	case <-time.After(5 * time.Second):
 		t.Fatal("no ack for deployed anchor")
 	}
 	if holder.AnchorCount() != 1 {
 		t.Fatalf("holder stores %d anchors", holder.AnchorCount())
+	}
+}
+
+// TestSetPeersForgetsDepartedMembers: the board prunes a silent member, and
+// the next table a node is handed no longer lists it. The node must end up
+// knowing that table exactly — plus itself, listed or not.
+func TestSetPeersForgetsDepartedMembers(t *testing.T) {
+	nodes := startOverlay(t, 3)
+	n := nodes[0]
+	n.SetPeers(map[transport.Addr]string{1: "127.0.0.1:1"})
+	if _, ok := n.lookupID(NodeID(2)); ok || n.tr.Reachable(2) {
+		t.Error("a member gone from the board's table still resolves or is still dialable")
+	}
+	if a, ok := n.lookupID(NodeID(1)); !ok || a != 1 || !n.tr.Reachable(1) {
+		t.Error("a member still in the table was forgotten")
+	}
+	if a, ok := n.lookupID(n.ID); !ok || a != n.Addr {
+		t.Error("the node forgot itself")
+	}
+	if len(n.byID) != 2 {
+		t.Errorf("the index holds %d members, want 2", len(n.byID))
 	}
 }
 

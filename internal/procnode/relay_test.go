@@ -12,6 +12,7 @@ import (
 
 	"tap/internal/core"
 	"tap/internal/crypt"
+	"tap/internal/id"
 	"tap/internal/obs"
 	"tap/internal/rng"
 	"tap/internal/tha"
@@ -37,10 +38,11 @@ const relayAddr, sinkAddr transport.Addr = 1, 2
 
 func newRelayRig(t testing.TB) *relayRig {
 	t.Helper()
-	tr := tcptransport.New(tcptransport.Config{Codec: Codec{}})
+	reg := obs.NewRegistry() // the transport's too: the parking tests read its Stats
+	tr := tcptransport.New(tcptransport.Config{Codec: Codec{}, Registry: reg})
 	t.Cleanup(tr.Close)
 	r := &relayRig{
-		relay: New(tr, relayAddr, t.Logf, obs.NewRegistry()),
+		relay: New(tr, relayAddr, t.Logf, reg),
 		sunk:  make(chan transport.Message, 1024),
 		strm:  rng.New(16).Split("relay-rig"),
 	}
@@ -331,6 +333,113 @@ func TestAnchorInstallFirstWriterWins(t *testing.T) {
 	if _, ok := r.await(t).(*core.Envelope); !ok {
 		t.Fatal("the held anchor no longer peels its tunnel's traffic")
 	}
+}
+
+// TestExitRefusesWrongLengthEchoKey: a request whose key blob is not a key
+// is refused, not answered under the zero-padded or truncated key that
+// copying it would make.
+func TestExitRefusesWrongLengthEchoKey(t *testing.T) {
+	r := newRelayRig(t)
+	good, _ := r.exitRequest(t, 1)
+	rd := wire.NewReader(good.Payload)
+	sid, seq, fin, key, rt, chunk := rd.Uint64(), rd.Uint32(), rd.Byte(), rd.Blob(), rd.Blob(), rd.Blob()
+	if rd.Done() != nil {
+		t.Fatal("the rig's own request does not parse")
+	}
+	for name, k := range map[string][]byte{"empty": nil, "short": key[:len(key)-1], "long": append(bytes.Clone(key), 0)} {
+		w := wire.NewWriter(len(good.Payload) + 1)
+		w.Uint64(sid)
+		w.Uint32(seq)
+		w.Byte(fin)
+		w.Blob(k)
+		w.Blob(rt)
+		w.Blob(chunk)
+		r.relay.Deliver(sinkAddr, &DataMsg{Dest: r.relay.ID, Payload: w.Bytes()})
+		r.quiet(t)
+		if r.relay.echoSealer != nil {
+			t.Fatalf("a request with a %s key blob had a key schedule derived for it", name)
+		}
+	}
+	r.relay.Deliver(sinkAddr, good)
+	if _, ok := r.await(t).(*core.ReplyEnvelope); !ok {
+		t.Fatal("the well-formed request was not answered")
+	}
+}
+
+// tailReply returns a reply envelope whose one layer the rig's relay
+// peels to find the bid — the sink's node ID — and no hint: the message a
+// tail hop must resolve through its membership index.
+func (r *relayRig) tailReply(t testing.TB) *core.ReplyEnvelope {
+	t.Helper()
+	r.install(t, r.rp.Hops[0].Anchor)
+	rt, err := core.BuildReply(&core.Tunnel{Hops: r.rp.Hops[:1]}, []transport.Addr{relayAddr}, NodeID(sinkAddr), r.strm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &core.ReplyEnvelope{Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: []byte("sealed echo")}
+}
+
+// afterRetry returns once a retry parked before the call has run.
+func (r *relayRig) afterRetry() {
+	done := make(chan struct{})
+	r.relay.tr.Schedule(resolveDelay+resolveDelay/2, func() { close(done) })
+	<-done
+}
+
+// TestSendParksUntilTheMemberIsKnown is the lagging view: the relay peels
+// a reply tail naming a member its peer table does not hold yet. The
+// message waits — nothing is sent, nothing dropped — and goes out, once,
+// on the first retry after SetPeers brings the member.
+func TestSendParksUntilTheMemberIsKnown(t *testing.T) {
+	r := newRelayRig(t)
+	r.relay.Deliver(sinkAddr, r.tailReply(t))
+	r.quiet(t)
+	if got := r.relay.m.parkRetries.Load(); got != 1 {
+		t.Fatalf("tap_node_park_retries_total = %d, want 1: the unresolved tail was not parked", got)
+	}
+	r.relay.SetPeers(map[transport.Addr]string{sinkAddr: "hosted on the relay's own transport"})
+	env, ok := r.await(t).(*core.ReplyEnvelope)
+	if !ok || env.Target != NodeID(sinkAddr) || env.Hint != transport.NoAddr {
+		t.Fatalf("the sink received %+v, want the reply addressed to its node ID", env)
+	}
+	r.afterRetry()
+	r.quiet(t) // delivered once
+	if got := r.relay.m.resolveDrops.Load(); got != 0 {
+		t.Errorf("tap_node_resolve_drops_total = %d, want 0", got)
+	}
+}
+
+// TestSendGivesUp pins send's two ends. An ID still unknown when the retry
+// budget is spent is dropped and counted — and its last retry must ask the
+// index again, not send to the zero Addr a failed lookup returned, which is
+// a valid address (here, a live one). An address that never became
+// dialable is sent to anyway, for the transport to count.
+func TestSendGivesUp(t *testing.T) {
+	r := newRelayRig(t)
+	r.relay.tr.Attach(0, transport.HandlerFunc(func(_ transport.Addr, m transport.Message) {
+		t.Errorf("address 0 received a %T meant for an unresolved node ID", m)
+	}))
+	stranger, msg := NodeID(77), &AnchorAck{HopID: NodeID(78)}
+
+	r.relay.send(transport.NoAddr, stranger, msg, resolveRetries)
+	if drops, parks := r.relay.m.resolveDrops.Load(), r.relay.m.parkRetries.Load(); drops != 1 || parks != 0 {
+		t.Fatalf("out of retries: %d resolve drops and %d parks, want 1 and 0", drops, parks)
+	}
+	r.relay.send(transport.NoAddr, stranger, msg, resolveRetries-1)
+	r.afterRetry()
+	if drops, parks := r.relay.m.resolveDrops.Load(), r.relay.m.parkRetries.Load(); drops != 2 || parks != 1 {
+		t.Fatalf("one retry left: %d resolve drops and %d parks, want 2 and 1", drops, parks)
+	}
+	if got := r.relay.tr.Stats().Sent; got != 0 {
+		t.Fatalf("%d messages reached the transport for an ID nobody holds", got)
+	}
+
+	const undialable = transport.Addr(9)
+	r.relay.send(undialable, id.ID{}, msg, resolveRetries)
+	if st := r.relay.tr.Stats(); st.Sent != 1 || st.Dropped != 1 {
+		t.Errorf("an undialable address out of retries: transport sent %d, dropped %d, want 1 and 1", st.Sent, st.Dropped)
+	}
+	r.quiet(t)
 }
 
 // pipeDialer hands the transport one end of a net.Pipe and sends what

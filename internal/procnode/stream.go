@@ -9,7 +9,6 @@ import (
 
 	"tap/internal/core"
 	"tap/internal/crypt"
-	"tap/internal/id"
 	"tap/internal/rng"
 	"tap/internal/tha"
 	"tap/internal/transport"
@@ -44,39 +43,55 @@ const (
 	streamWindow = 16
 )
 
-func (c *StreamConfig) defaults() {
+// validate fills the defaults in and refuses what no stream can run with.
+func (c *StreamConfig) validate() error {
+	if len(c.ForwardHops) == 0 || len(c.ReplyHops) == 0 {
+		return fmt.Errorf("procnode: both tunnels need at least one hop")
+	}
+	if c.ChunkSize < 0 || c.Timeout < 0 {
+		return fmt.Errorf("procnode: chunk size %d and timeout %v must not be below 0 (0 takes the default)", c.ChunkSize, c.Timeout)
+	}
 	if c.ChunkSize == 0 {
 		c.ChunkSize = 512
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 5 * time.Second
 	}
+	return nil
 }
 
+// frameSlack bounds what framing adds to an envelope's SizeBytes: the
+// transport's address prefix and the codec's hint, pad and length fields.
+const frameSlack = 64
+
 // RoundTripStream runs the full paper flow as one initiator call: mint
-// anchors, deploy them to the configured hop nodes (acknowledged, so no
-// install-vs-traffic race), build the forward tunnel and the pre-peeled
-// reply tunnel, then stream the payload through the overlay in
-// onion-sealed chunks. Each chunk travels the forward tunnel to the
-// responder, which seals its echo under the stream's key K_I — drawn once
-// per call, carried in every request — and sends it back down the reply
-// tunnel; the echoes, each verified against its chunk, are returned
+// anchors, deploy them to the configured hop nodes, build the forward
+// tunnel and the pre-peeled reply tunnel, then stream the payload through
+// the overlay in onion-sealed chunks. Each chunk travels the forward tunnel
+// to the responder, which seals its echo under the stream's key K_I — drawn
+// once per call, carried in every request — and sends it back down the
+// reply tunnel; the echoes, each verified against its chunk, are returned
 // reassembled in order.
 //
-// Up to streamWindow chunks are in flight at once. Every chunk has its own
-// deadline, cfg.Timeout after it was last sent; transport losses (a full
-// send queue, a dropped connection) surface as a chunk outliving its
-// deadline, and then that chunk alone is re-sent, up to streamRetries
-// times, while the rest of the window keeps moving — selective repeat,
-// mirroring the simulator's reliability layer in miniature.
+// The call is one sequence of requests over one window. The first are the
+// anchor installs, each addressed to its own hop node and answered by that
+// node's AnchorAck — nothing orders one hop's anchor after another's, so
+// they are all in flight together; the rest are the chunks, each answered
+// by its echo, and held back until every install is acked, so no layer
+// reaches a hop ahead of its anchor. Up to streamWindow requests are in
+// flight at once. Every request has its own deadline, cfg.Timeout after it
+// was last sent; transport losses (a full send queue, a dropped connection)
+// surface as a request outliving its deadline, and then that request alone
+// is re-sent, up to streamRetries times, while the rest of the window keeps
+// moving — selective repeat, mirroring the simulator's reliability layer in
+// miniature.
 //
 // A node runs one stream at a time: acks and echoes arrive on per-node
 // channels, where two streams would take each other's, so concurrent
 // calls on one Node queue behind a mutex held for the whole call.
 func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error) {
-	cfg.defaults()
-	if len(cfg.ForwardHops) == 0 || len(cfg.ReplyHops) == 0 {
-		return nil, fmt.Errorf("procnode: both tunnels need at least one hop")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	n.streamMu.Lock()
 	defer n.streamMu.Unlock()
@@ -94,53 +109,16 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	mint := func(k int) ([]tha.Secret, error) {
-		out := make([]tha.Secret, k)
-		for i := range out {
-			if out[i], err = gen.Generate(rand.Reader); err != nil {
-				return nil, err
-			}
+	// One anchor per hop, the forward tunnel's then the reply tunnel's.
+	hops := append(append([]transport.Addr(nil), cfg.ForwardHops...), cfg.ReplyHops...)
+	secrets := make([]tha.Secret, len(hops))
+	for i := range secrets {
+		if secrets[i], err = gen.Generate(rand.Reader); err != nil {
+			return nil, err
 		}
-		return out, nil
 	}
-	fwSecrets, err := mint(len(cfg.ForwardHops))
-	if err != nil {
-		return nil, err
-	}
-	rpSecrets, err := mint(len(cfg.ReplyHops))
-	if err != nil {
-		return nil, err
-	}
-
-	// Deploy every anchor and wait for its holder's ack.
-	deploy := func(hops []transport.Addr, secrets []tha.Secret) error {
-		for i, hop := range hops {
-			a := secrets[i].Anchor
-			for attempt := 0; ; attempt++ {
-				if attempt > 0 {
-					n.m.streamRetransmits.Inc()
-				}
-				n.tr.Send(n.Addr, hop, &AnchorMsg{Anchor: a})
-				if n.awaitAck(a.HopID, cfg.Timeout) {
-					break
-				}
-				if attempt >= streamRetries {
-					return fmt.Errorf("procnode: deploying anchor %s to node %d: no ack after %d attempts",
-						a.HopID.Short(), hop, attempt+1)
-				}
-			}
-		}
-		return nil
-	}
-	if err := deploy(cfg.ForwardHops, fwSecrets); err != nil {
-		return nil, err
-	}
-	if err := deploy(cfg.ReplyHops, rpSecrets); err != nil {
-		return nil, err
-	}
-
-	fwTunnel := &core.Tunnel{Hops: fwSecrets}
-	rpTunnel := &core.Tunnel{Hops: rpSecrets}
+	fwTunnel := &core.Tunnel{Hops: secrets[:len(cfg.ForwardHops)]}
+	rpTunnel := &core.Tunnel{Hops: secrets[len(cfg.ForwardHops):]}
 	rt, err := core.BuildReply(rpTunnel, cfg.ReplyHops, n.ID, stream)
 	if err != nil {
 		return nil, err
@@ -170,33 +148,76 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 		lo := seq * cfg.ChunkSize
 		return payload[lo:min(lo+cfg.ChunkSize, len(payload))]
 	}
+	envelope := func(seq int) (*core.Envelope, error) {
+		req := encodeRequest(sid, uint32(seq), seq == nChunks-1, key, rtEnc, chunkOf(seq))
+		return core.BuildForward(fwTunnel, cfg.ForwardHops, destID, req, stream)
+	}
+	// No chunk is longer than the first. Build it before anything is sent:
+	// an envelope too large for a frame is dropped by the transport, and
+	// would otherwise surface only as a chunk lost streamRetries+1 times.
+	first, err := envelope(0)
+	if err != nil {
+		return nil, err
+	}
+	if size := first.SizeBytes() + frameSlack; size > wire.MaxFramePayload {
+		return nil, fmt.Errorf("procnode: a %d-byte chunk makes a %d-byte frame, over the %d-byte frame limit (wire.MaxFramePayload)",
+			len(chunkOf(0)), size, wire.MaxFramePayload)
+	}
 
-	// Chunks [base, next) are in flight, slot seq%streamWindow each; every
-	// chunk below base is answered. The timer is armed for the earliest
-	// deadline in the window and re-armed only when it fires: deadlines
-	// only move later, so it can be early, never late.
+	// Requests [0, installs) are the anchor installs, [installs, total) the
+	// chunks. Requests [base, next) are in flight, slot i%streamWindow each;
+	// every request below base is answered. The timer is armed for the
+	// earliest deadline in the window and re-armed only when it fires:
+	// deadlines only move later, so it can be early, never late.
+	installs := len(secrets)
+	total := installs + nChunks
 	var window [streamWindow]inflight
 	echoed := make([]byte, len(payload))
 	base, next := 0, 0
+	answered := func(i int) {
+		window[i%streamWindow].done = true
+		for base < next && window[base%streamWindow].done {
+			base++
+		}
+	}
 	timer := time.NewTimer(cfg.Timeout)
 	defer timer.Stop()
-	for base < nChunks {
-		for ; next < nChunks && next-base < streamWindow; next++ {
-			req := encodeRequest(sid, uint32(next), next == nChunks-1, key, rtEnc, chunkOf(next))
-			env, err := core.BuildForward(fwTunnel, cfg.ForwardHops, destID, req, stream)
-			if err != nil {
-				return nil, err
+	for base < total {
+		// The barrier: chunks wait until every install is answered.
+		for ; next < total && next-base < streamWindow && (next < installs || base >= installs); next++ {
+			c := inflight{deadline: time.Now().Add(cfg.Timeout)}
+			switch {
+			case next < installs:
+				c.dst, c.msg = hops[next], &AnchorMsg{Anchor: secrets[next].Anchor}
+			case next == installs:
+				c.dst, c.msg = cfg.ForwardHops[0], first
+			default:
+				env, err := envelope(next - installs)
+				if err != nil {
+					return nil, err
+				}
+				c.dst, c.msg = cfg.ForwardHops[0], env
 			}
-			window[next%streamWindow] = inflight{env: env, deadline: time.Now().Add(cfg.Timeout)}
-			n.tr.Send(n.Addr, cfg.ForwardHops[0], env)
+			window[next%streamWindow] = c
+			n.tr.Send(n.Addr, c.dst, c.msg)
 		}
 		select {
+		case hop := <-n.acks:
+			// An ack this window does not wait for — an earlier call's, or a
+			// re-sent install's second — matches nothing and is ignored.
+			for i := base; i < min(next, installs); i++ {
+				if secrets[i].HopID == hop && !window[i%streamWindow].done {
+					answered(i)
+					break
+				}
+			}
 		case sealed := <-n.replies:
 			// Not ours (a previous stream's straggler fails the key), or an
 			// answer this window no longer waits for (the echo of a chunk
 			// that was also re-sent): ignored.
 			seq, echo, ok := openEcho(sealer, sid, sealed)
-			if !ok || seq < base || seq >= next || window[seq%streamWindow].done {
+			i := installs + seq
+			if !ok || i < base || i >= next || window[i%streamWindow].done {
 				continue
 			}
 			chunk := chunkOf(seq)
@@ -204,27 +225,28 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 				return nil, fmt.Errorf("procnode: chunk %d echo mismatch (%d vs %d bytes)", seq, len(echo), len(chunk))
 			}
 			copy(echoed[seq*cfg.ChunkSize:], echo)
-			window[seq%streamWindow].done = true
 			n.m.streamChunks.Inc()
-			for base < next && window[base%streamWindow].done {
-				base++
-			}
+			answered(i)
 		case <-timer.C:
 			now := time.Now()
 			wake := now.Add(cfg.Timeout)
-			for seq := base; seq < next; seq++ {
-				c := &window[seq%streamWindow]
+			for i := base; i < next; i++ {
+				c := &window[i%streamWindow]
 				if c.done {
 					continue
 				}
 				if !c.deadline.After(now) {
 					if c.attempts >= streamRetries {
-						return nil, fmt.Errorf("procnode: chunk %d/%d lost after %d attempts", seq+1, nChunks, c.attempts+1)
+						if i < installs {
+							return nil, fmt.Errorf("procnode: deploying anchor %s to node %d: no ack after %d attempts",
+								secrets[i].HopID.Short(), c.dst, c.attempts+1)
+						}
+						return nil, fmt.Errorf("procnode: chunk %d/%d lost after %d attempts", i-installs+1, nChunks, c.attempts+1)
 					}
 					c.attempts++
 					c.deadline = now.Add(cfg.Timeout)
 					n.m.streamRetransmits.Inc()
-					n.tr.Send(n.Addr, cfg.ForwardHops[0], c.env)
+					n.tr.Send(n.Addr, c.dst, c.msg)
 				}
 				if c.deadline.Before(wake) {
 					wake = c.deadline
@@ -236,12 +258,13 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	return echoed, nil
 }
 
-// inflight is one chunk of the window.
+// inflight is one request of the window: an anchor install or a chunk.
 type inflight struct {
-	env      *core.Envelope // built once; a re-send is the same envelope
-	deadline time.Time      // when this chunk, and only it, is re-sent
-	attempts int            // re-sends so far
-	done     bool           // echo received and verified
+	dst      transport.Addr
+	msg      transport.Message // built once; a re-send is the same message
+	deadline time.Time         // when this request, and only it, is re-sent
+	attempts int               // re-sends so far
+	done     bool              // answered: the ack received, or the echo received and verified
 }
 
 // openEcho authenticates a delivered reply under the stream's key, in
@@ -261,21 +284,4 @@ func openEcho(s *crypt.Sealer, sid uint64, sealed []byte) (seq int, chunk []byte
 		return 0, nil, false
 	}
 	return int(gotSeq), chunk, true
-}
-
-// awaitAck waits for an anchor ack with the given hop id, discarding
-// stale acks from earlier retries.
-func (n *Node) awaitAck(hopID id.ID, timeout time.Duration) bool {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		select {
-		case got := <-n.acks:
-			if got == hopID {
-				return true
-			}
-		case <-deadline.C:
-			return false
-		}
-	}
 }

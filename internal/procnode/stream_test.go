@@ -162,6 +162,170 @@ func TestStreamResendsOnlyTheLostChunk(t *testing.T) {
 	}
 }
 
+// anchorCounts sums what the hop nodes count: anchors installed (every acked
+// AnchorMsg, so a re-sent one counts again) and anchors held.
+func anchorCounts(nodes []*Node) (installed uint64, held int64) {
+	for _, n := range nodes {
+		installed += n.m.anchorInstalls.Load()
+		held += n.m.anchorsHeld.Load()
+	}
+	return installed, held
+}
+
+// TestInstallsShareTheWindow holds every AnchorAck at the client until the
+// fifth has arrived: all five installs were on the wire before any ack was
+// consumed, which a deployment that waits for one ack before sending the
+// next install never reaches. Released, they open the barrier, and no chunk
+// left the client before that.
+func TestInstallsShareTheWindow(t *testing.T) {
+	var nodes []*Node
+	var held []transport.Message
+	var chunksBeforeRelease uint64
+	acks := &frameTap{kind: kindAnchorAck}
+	acks.lose = func(nth int, frame []byte) bool {
+		if nth >= 5 {
+			return false
+		}
+		msg, _ := acks.Codec.Decode(kindAnchorAck, frame)
+		held = append(held, msg)
+		if nth == 4 {
+			chunksBeforeRelease = nodes[lossHop0].m.peelsForward.Load()
+			client := nodes[lossClient]
+			for _, msg := range held {
+				msg := msg
+				client.tr.Schedule(0, func() { client.Deliver(lossHop0, msg) })
+			}
+		}
+		return true
+	}
+	nodes = startOverlayOn(t, lossNodes, map[transport.Addr]tcptransport.Codec{lossClient: acks})
+	client := nodes[lossClient]
+
+	payload := streamPayload(t, 3*64)
+	echo, err := client.RoundTripStream(lossStreamConfig(0), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(echo, payload) {
+		t.Fatal("echo differs from payload")
+	}
+	if installed, held := anchorCounts(nodes); installed != 5 || held != 5 {
+		t.Errorf("%d installs for %d anchors held, want 5 and 5", installed, held)
+	}
+	if chunksBeforeRelease != 0 {
+		t.Errorf("hop 0 had peeled %d chunks while every ack was still held", chunksBeforeRelease)
+	}
+	if got := client.m.streamRetransmits.Load(); got != 0 {
+		t.Errorf("%d retransmits, want 0", got)
+	}
+}
+
+// TestStreamResendsOnlyTheLostInstall loses one AnchorAck on its way home:
+// that install alone is sent again, its holder — first writer wins, the same
+// record is welcome twice — acks again, and the chunks wait behind the
+// barrier until that fifth ack.
+func TestStreamResendsOnlyTheLostInstall(t *testing.T) {
+	var nodes []*Node
+	var chunksAtAck []uint64 // hop 0's peel count as each ack reached the client
+	acks := &frameTap{kind: kindAnchorAck, lose: func(nth int, _ []byte) bool {
+		chunksAtAck = append(chunksAtAck, nodes[lossHop0].m.peelsForward.Load())
+		return nth == 2
+	}}
+	nodes = startOverlayOn(t, lossNodes, map[transport.Addr]tcptransport.Codec{lossClient: acks})
+	client := nodes[lossClient]
+
+	payload := streamPayload(t, 3*64)
+	echo, err := client.RoundTripStream(lossStreamConfig(50*time.Millisecond), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(echo, payload) {
+		t.Fatal("echo differs from payload")
+	}
+	if got := client.m.streamRetransmits.Load(); got != 1 {
+		t.Errorf("%d retransmits, want 1", got)
+	}
+	if installed, held := anchorCounts(nodes); installed != 6 || held != 5 {
+		t.Errorf("%d installs for %d anchors held, want 6 and 5: one install sent twice, stored once", installed, held)
+	}
+	if len(chunksAtAck) != 6 {
+		t.Fatalf("%d acks reached the client, want 6", len(chunksAtAck))
+	}
+	for nth, chunks := range chunksAtAck {
+		if chunks != 0 {
+			t.Errorf("hop 0 had peeled %d chunks when ack %d arrived: a layer left ahead of its anchor's ack", chunks, nth)
+		}
+	}
+}
+
+// TestStreamGivesUpOnAnInstall loses one hop's AnchorMsg every time: after
+// streamRetries re-sends the call fails, promptly, naming the anchor and
+// the node, and not one chunk was sent into the half-built tunnel.
+func TestStreamGivesUpOnAnInstall(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	fault := &frameTap{kind: kindAnchor, lose: func(int, []byte) bool { return true }}
+	nodes := startOverlayOn(t, lossNodes, map[transport.Addr]tcptransport.Codec{lossHop1: fault})
+	client := nodes[lossClient]
+
+	start := time.Now()
+	_, err := client.RoundTripStream(lossStreamConfig(timeout), streamPayload(t, 3*64))
+	elapsed := time.Since(start)
+	want := fmt.Sprintf("to node %d: no ack after %d attempts", lossHop1, streamRetries+1)
+	if err == nil || !strings.Contains(err.Error(), "deploying anchor") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want a deploying-anchor error naming %q", err, want)
+	}
+	if got := client.m.streamRetransmits.Load(); got != streamRetries {
+		t.Errorf("%d retransmits, want %d", got, streamRetries)
+	}
+	if sent := fault.arrivals(0); len(sent) != streamRetries+1 {
+		t.Errorf("the install was sent %d times, want %d", len(sent), streamRetries+1)
+	}
+	if installed, _ := anchorCounts(nodes); installed != 4 {
+		t.Errorf("%d installs, want the other 4, once each", installed)
+	}
+	if got := nodes[lossHop0].m.peelsForward.Load(); got != 0 {
+		t.Errorf("hop 0 peeled %d chunks of a stream whose tunnel never deployed", got)
+	}
+	if elapsed < (streamRetries+1)*timeout || elapsed > 2*time.Second {
+		t.Errorf("gave up after %v; %d deadlines of %v were due", elapsed, streamRetries+1, timeout)
+	}
+}
+
+// TestStreamConfigRefused: a stream that cannot run is refused by the call,
+// at once and before any anchor leaves the node, with an error naming the
+// limit — not answered with zero bytes, a panic, or a chunk reported lost
+// four timeouts later.
+func TestStreamConfigRefused(t *testing.T) {
+	nodes := startOverlay(t, lossNodes)
+	client := nodes[lossClient]
+	for _, c := range []struct {
+		name    string
+		edit    func(*StreamConfig)
+		payload int
+		want    string
+	}{
+		{"negative chunk size", func(c *StreamConfig) { c.ChunkSize = -1 }, 10, "chunk size -1"},
+		{"negative chunk size, nothing to send", func(c *StreamConfig) { c.ChunkSize = -1 }, 0, "chunk size -1"},
+		{"negative timeout", func(c *StreamConfig) { c.Timeout = -time.Second }, 10, "timeout -1s"},
+		{"a chunk no frame holds", func(c *StreamConfig) { c.ChunkSize = wire.MaxFramePayload }, wire.MaxFramePayload,
+			fmt.Sprintf("over the %d-byte frame limit", wire.MaxFramePayload)},
+	} {
+		cfg := lossStreamConfig(time.Minute)
+		c.edit(&cfg)
+		start := time.Now()
+		echo, err := client.RoundTripStream(cfg, make([]byte, c.payload))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %d bytes and err = %v, want an error naming %q", c.name, len(echo), err, c.want)
+		}
+		if elapsed := time.Since(start); elapsed > 30*time.Second {
+			t.Errorf("%s: refused after %v", c.name, elapsed)
+		}
+	}
+	if installed, _ := anchorCounts(nodes); installed != 0 {
+		t.Errorf("%d anchors were installed for streams that were refused", installed)
+	}
+}
+
 // TestStreamGivesUpOnAChunk loses one chunk every time it is sent: after
 // streamRetries re-sends the call fails, promptly, naming the chunk.
 func TestStreamGivesUpOnAChunk(t *testing.T) {
@@ -230,10 +394,11 @@ func TestStreamPayloadSizes(t *testing.T) {
 	}
 }
 
-// TestStreamIgnoresStaleEcho leaves in the reply channel what a previous
-// stream's straggler would: a well-formed echo for chunk 0, wrong bytes,
-// sealed under that stream's key. Accepting it would fail the next stream
-// with an echo mismatch.
+// TestStreamIgnoresStaleEcho leaves in the notification channels what a
+// previous stream's stragglers would: a well-formed echo for chunk 0, wrong
+// bytes, sealed under that stream's key — accepting it would fail the next
+// stream with an echo mismatch — and an ack for a hopid this call never
+// minted, which must answer none of its installs.
 func TestStreamIgnoresStaleEcho(t *testing.T) {
 	nodes := startOverlay(t, lossNodes)
 	client := nodes[lossClient]
@@ -250,6 +415,7 @@ func TestStreamIgnoresStaleEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	client.replies <- stale
+	client.acks <- NodeID(99)
 
 	payload := streamPayload(t, 5*64)
 	echo, err := client.RoundTripStream(lossStreamConfig(0), payload)
@@ -259,8 +425,14 @@ func TestStreamIgnoresStaleEcho(t *testing.T) {
 	if !bytes.Equal(echo, payload) {
 		t.Fatal("echo differs from payload")
 	}
-	if len(client.replies) != 0 {
-		t.Errorf("%d replies left unconsumed", len(client.replies))
+	if len(client.replies) != 0 || len(client.acks) != 0 {
+		t.Errorf("%d replies and %d acks left unconsumed", len(client.replies), len(client.acks))
+	}
+	if got := client.m.anchorAcks.Load(); got != 5 {
+		t.Errorf("%d acks arrived, want 5: the stale one stood in for an install's", got)
+	}
+	if got := client.m.streamRetransmits.Load(); got != 0 {
+		t.Errorf("%d retransmits, want 0", got)
 	}
 }
 

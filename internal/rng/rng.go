@@ -81,9 +81,6 @@ func (s *Stream) DurationRangeMs(lo, hi int) int {
 	return lo + s.Intn(hi-lo+1)
 }
 
-// Pick returns a uniformly random element index in [0, n).
-func (s *Stream) Pick(n int) int { return s.Intn(n) }
-
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool { return s.Float64() < p }
 

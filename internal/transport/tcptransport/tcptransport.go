@@ -836,17 +836,6 @@ func (t *Transport) RemovePeer(addr transport.Addr) {
 	}
 }
 
-// Peers returns a snapshot of the peer table.
-func (t *Transport) Peers() map[transport.Addr]string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[transport.Addr]string, len(t.peers))
-	for a, hp := range t.peers {
-		out[a] = hp
-	}
-	return out
-}
-
 // Close stops the listener, the dispatch loop, and every peer writer,
 // and waits for them to exit.
 func (t *Transport) Close() {
