@@ -587,20 +587,7 @@ func BenchmarkStreamThroughput(b *testing.B) {
 			root.Split("data").Bytes(data)
 			transfer := func() {
 				s := eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, core.StreamConfig{Window: w})
-				off := 0
-				pump := func() {
-					for off < len(data) {
-						want := len(data) - off
-						n := s.Write(data[off:])
-						off += n
-						if n < want {
-							return // window full; OnWritable resumes
-						}
-					}
-					s.Close()
-				}
-				s.OnWritable = pump
-				pump()
+				s.WriteAll(data)
 				if err := kernel.Run(); err != nil {
 					b.Fatal(err)
 				}

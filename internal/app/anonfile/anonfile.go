@@ -277,19 +277,6 @@ func Upload(eng *core.NetEngine, in *core.Initiator, tun *core.Tunnel, cache *co
 	fid := id.HashString(name)
 	s := eng.OpenTunnelStream(in.Node().Ref().Addr, tun, cache, fid, cfg)
 	s.OnComplete = done
-	off := 0
-	pump := func() {
-		for off < len(content) {
-			want := len(content) - off
-			n := s.Write(content[off:])
-			off += n
-			if n < want {
-				return // window full; resumed by OnWritable
-			}
-		}
-		s.Close()
-	}
-	s.OnWritable = pump
-	pump()
+	s.WriteAll(content)
 	return fid, s
 }

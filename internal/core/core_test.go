@@ -102,21 +102,21 @@ func TestBuildForwardManualPeel(t *testing.T) {
 	if env.HopID != tun.Hops[0].HopID {
 		t.Fatalf("envelope addressed to %s, want first hop", env.HopID.Short())
 	}
-	l1, err := OpenForwardLayer(tun.Hops[0].Anchor, env.Sealed)
+	l1, err := OpenForwardLayerInPlace(tun.Hops[0].Anchor, bytes.Clone(env.Sealed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l1.IsExit || l1.Next != tun.Hops[1].HopID {
 		t.Fatalf("layer 1 should relay to hop 2")
 	}
-	l2, err := OpenForwardLayer(tun.Hops[1].Anchor, l1.Inner)
+	l2, err := OpenForwardLayerInPlace(tun.Hops[1].Anchor, l1.Inner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l2.IsExit || l2.Next != tun.Hops[2].HopID {
 		t.Fatalf("layer 2 should relay to hop 3")
 	}
-	l3, err := OpenForwardLayer(tun.Hops[2].Anchor, l2.Inner)
+	l3, err := OpenForwardLayerInPlace(tun.Hops[2].Anchor, l2.Inner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestBuildForwardManualPeel(t *testing.T) {
 		t.Fatalf("exit layer mismatch")
 	}
 	// Out-of-order peeling fails.
-	if _, err := OpenForwardLayer(tun.Hops[1].Anchor, env.Sealed); err == nil {
+	if _, err := OpenForwardLayerInPlace(tun.Hops[1].Anchor, bytes.Clone(env.Sealed)); err == nil {
 		t.Fatalf("hop 2 opened hop 1's layer")
 	}
 }

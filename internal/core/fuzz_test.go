@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"tap/internal/id"
@@ -24,7 +25,7 @@ func FuzzOpenForwardLayer(f *testing.F) {
 	anchor := tun.Hops[0].Anchor
 	valid := string(env.Sealed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		layer, err := OpenForwardLayer(anchor, data)
+		layer, err := OpenForwardLayerInPlace(anchor, bytes.Clone(data))
 		if err != nil {
 			return
 		}
@@ -48,7 +49,7 @@ func FuzzOpenReplyLayer(f *testing.F) {
 	anchor := tun.Hops[0].Anchor
 	valid := string(rt.Onion)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _, err := OpenReplyLayer(anchor, data)
+		_, _, _, err := OpenReplyLayerInPlace(anchor, bytes.Clone(data))
 		if err == nil && string(data) != valid {
 			t.Fatalf("forged reply onion accepted")
 		}

@@ -145,18 +145,12 @@ func BuildForward(t *Tunnel, hints []simnet.Addr, dest id.ID, payload []byte, st
 	return &Envelope{HopID: t.Hops[0].HopID, Hint: hintAt(hints, 0), Sealed: buf}, nil
 }
 
-// OpenForwardLayer is the single symmetric operation a hop performs: strip
-// one layer with the anchor key and reveal either the next hop or the
-// exit. sealed is left untouched (the layer is peeled on a private copy);
-// hop engines that own their buffer use OpenForwardLayerInPlace.
-func OpenForwardLayer(a tha.Anchor, sealed []byte) (ForwardLayer, error) {
-	return OpenForwardLayerInPlace(a, append([]byte(nil), sealed...))
-}
-
-// OpenForwardLayerInPlace peels one layer decrypting sealed where it
-// lies, using the anchor's cached key schedule: one MAC pass, one cipher
-// pass, zero copies. The returned layer aliases sealed — the caller must
-// own the buffer and must not treat it as ciphertext afterwards.
+// OpenForwardLayerInPlace is the single symmetric operation a hop
+// performs: strip one layer with the anchor key and reveal either the next
+// hop or the exit. It decrypts sealed where it lies, using the anchor's
+// cached key schedule: one MAC pass, one cipher pass, zero copies. The
+// returned layer aliases sealed — the caller must own the buffer (every
+// relay does, DESIGN §9) and must not treat it as ciphertext afterwards.
 func OpenForwardLayerInPlace(a tha.Anchor, sealed []byte) (ForwardLayer, error) {
 	plain, err := a.Sealer().OpenInPlace(sealed)
 	if err != nil {
@@ -308,17 +302,11 @@ func BuildReply(t *Tunnel, hints []simnet.Addr, bid id.ID, stream *rng.Stream) (
 	return &ReplyTunnel{First: t.Hops[0].HopID, FirstHint: hintAt(hints, 0), Onion: buf}, nil
 }
 
-// OpenReplyLayer strips one reply-onion layer, yielding the next target
-// (a hopid — or, at the end, the bid, though the hop cannot tell which)
-// and the remaining onion. onion is left untouched; hop engines that own
-// their buffer use OpenReplyLayerInPlace.
-func OpenReplyLayer(a tha.Anchor, onion []byte) (next id.ID, hint simnet.Addr, rest []byte, err error) {
-	return OpenReplyLayerInPlace(a, append([]byte(nil), onion...))
-}
-
-// OpenReplyLayerInPlace peels one reply layer decrypting onion where it
-// lies with the anchor's cached key schedule. The returned rest aliases
-// onion — the caller must own the buffer.
+// OpenReplyLayerInPlace strips one reply-onion layer, yielding the next
+// target (a hopid — or, at the end, the bid, though the hop cannot tell
+// which) and the remaining onion. It decrypts onion where it lies with the
+// anchor's cached key schedule; the returned rest aliases onion — the
+// caller must own the buffer.
 func OpenReplyLayerInPlace(a tha.Anchor, onion []byte) (next id.ID, hint simnet.Addr, rest []byte, err error) {
 	plain, err := a.Sealer().OpenInPlace(onion)
 	if err != nil {

@@ -168,36 +168,6 @@ func TestBuildReplyMatchesReference(t *testing.T) {
 	}
 }
 
-func TestOpenLayerWrappersLeaveInputIntact(t *testing.T) {
-	s := rng.New(83)
-	tun := handTunnel(t, 3, s)
-	var dest id.ID
-	s.Bytes(dest[:])
-	env, err := BuildForward(tun, nil, dest, []byte("borrowed"), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]byte(nil), env.Sealed...)
-	if _, err := OpenForwardLayer(tun.Hops[0].Anchor, env.Sealed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(env.Sealed, before) {
-		t.Fatal("OpenForwardLayer mutated the sealed input")
-	}
-
-	rt, err := BuildReply(tun, nil, dest, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	beforeOnion := append([]byte(nil), rt.Onion...)
-	if _, _, _, err := OpenReplyLayer(tun.Hops[0].Anchor, rt.Onion); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rt.Onion, beforeOnion) {
-		t.Fatal("OpenReplyLayer mutated the onion input")
-	}
-}
-
 // TestDeliverLeavesEnvelopeIntact pins the retransmit contract: the
 // walker peels on its own copy, so delivering the same envelope twice
 // works and the envelope bytes never change.

@@ -19,24 +19,29 @@ import (
 // end-to-end transfer times are meaningful.
 //
 // The engine is written against the transport seam (internal/transport),
-// never a concrete network: under a simnet.Network (the discrete-event
-// emulator) behavior is deterministic and bit-identical to the
-// pre-seam engine; the same machinery drives real sockets when handed a
-// tcptransport. All engine callbacks run on the transport's event loop.
+// never a concrete network; the one implementation it has ever been handed
+// is simnet.Network (the discrete-event emulator), under which behavior is
+// deterministic. The deployed relay is internal/procnode, not this engine
+// (ROADMAP item 1). All engine callbacks run on the transport's event loop.
+//
+// Buffer ownership (DESIGN §9): a packet in flight, its envelope and the
+// envelope's onion have exactly one owner — whichever node holds the
+// packet. The send entries make one private copy of the caller's onion per
+// attempt; every hop then peels that copy where it lies and passes the
+// same packet on.
 type NetEngine struct {
 	svc *Service
 	net transport.Transport
 
+	// flows holds every flow whose outcome has not fired yet — reliable or
+	// fire-and-forget — so a duplicate or late packet of a finished flow
+	// can never re-count it.
 	nextFlow uint64
-	done     map[uint64]func(Outcome)
-	// pending tracks flows whose outcome has not fired yet, so a
-	// duplicate or late packet of a finished flow can never re-count it.
-	pending map[uint64]struct{}
+	flows    map[uint64]*flowState
 
 	// Reliability state (reliable.go). rel == nil means the protocol is
 	// off and flows behave as fire-and-forget.
 	rel    *Reliability
-	flows  map[uint64]*flowState
 	acked  map[uint64]ackRecord
 	jitter *rng.Stream
 	// staleHints records (hop target, address) pairs observed to be dead
@@ -64,8 +69,9 @@ type NetEngine struct {
 	OnStream func(rs *RecvStream)
 
 	// Packet and segment-buffer freelists. The event loop is single-
-	// threaded, so plain slices suffice; in steady state the stream hot
-	// path allocates nothing.
+	// threaded, so plain slices suffice; in steady state a direct stream
+	// allocates nothing and a tunnel stream only what sealing a segment
+	// does (stream.go).
 	pktFree  []*packet
 	segPools map[int][][]byte
 
@@ -173,7 +179,8 @@ type packet struct {
 	direct bool  // true when sent straight to an address hint
 	hops   int   // network hops taken so far
 	// lastFrom is the network-level sender of the most recent hop —
-	// what a receiving node sees as its predecessor.
+	// what a receiving node sees as its predecessor. The exit hop sends the
+	// packet it peeled on as the payload leg, so the field rides along.
 	lastFrom simnet.Addr
 
 	payloadSize int            // kindPayload
@@ -181,9 +188,10 @@ type packet struct {
 	renv        *ReplyEnvelope // kindReply
 
 	// Reliability fields. ackTo is the initiator-side address a terminal
-	// ACKs to (zero-valued on fire-and-forget flows, where it is never
-	// read); dataHops is, on a kindAck, the hop count of the data packet
-	// being acknowledged.
+	// ACKs to: every attempt is stamped with the flow's origin, the exit's
+	// payload leg keeps it, and it is read only when the flow can re-send.
+	// dataHops is, on a kindAck, the hop count of the data packet being
+	// acknowledged.
 	ackTo    simnet.Addr
 	dataHops int
 
@@ -225,8 +233,6 @@ func (p *packet) SizeBytes() int {
 func NewNetEngine(svc *Service, net transport.Transport) *NetEngine {
 	e := &NetEngine{
 		svc: svc, net: net,
-		done:          make(map[uint64]func(Outcome)),
-		pending:       make(map[uint64]struct{}),
 		flows:         make(map[uint64]*flowState),
 		acked:         make(map[uint64]ackRecord),
 		staleHints:    make(map[hintKey]struct{}),
@@ -267,16 +273,6 @@ func (e *NetEngine) attach(addr simnet.Addr) {
 	}))
 }
 
-// newFlow registers a completion callback and returns the flow id.
-func (e *NetEngine) newFlow(done func(Outcome)) uint64 {
-	e.nextFlow++
-	e.pending[e.nextFlow] = struct{}{}
-	if done != nil {
-		e.done[e.nextFlow] = done
-	}
-	return e.nextFlow
-}
-
 // finish concludes p at this node: the terminal was reached (delivered) or
 // the packet died here. On a reliable flow, delivery triggers an
 // end-to-end ACK and a death is left to the initiator's retransmit timer;
@@ -287,11 +283,12 @@ func (e *NetEngine) finish(self simnet.Addr, p *packet, delivered bool, why stri
 		// Stream traffic has its own retransmit machinery; a segment or
 		// ACK dying mid-route is recovered by the sender's RTO, not by a
 		// flow outcome. Stream ids live in their own space, so the flow
-		// maps below must never see them.
+		// table below must never see them.
 		e.StreamSegsLost++
 		return
 	}
-	if st, ok := e.flows[p.flow]; ok {
+	st, open := e.flows[p.flow]
+	if open && st.resend != nil {
 		// The flow is still pending under the reliability protocol.
 		if delivered {
 			e.ackDelivery(self, p)
@@ -312,28 +309,28 @@ func (e *NetEngine) finish(self simnet.Addr, p *packet, delivered bool, why stri
 			return
 		}
 	}
-	if _, open := e.pending[p.flow]; !open {
+	if !open {
 		return // duplicate or late packet of a finished flow
 	}
-	delete(e.pending, p.flow)
 	if delivered {
 		e.observeDeliver(p.flow, false)
 	} else {
 		e.FailFlows++
 	}
-	cb, ok := e.done[p.flow]
-	if !ok {
+	e.conclude(p.flow, st, Outcome{Delivered: delivered, NetHops: p.hops, FailedAt: why})
+}
+
+// conclude is the one place a flow's outcome fires: the flow leaves the
+// table, so nothing can conclude it twice, and the callback gets o with
+// the flow's identity, the time and its attempt history filled in.
+func (e *NetEngine) conclude(flow uint64, st *flowState, o Outcome) {
+	delete(e.flows, flow)
+	if st.done == nil {
 		return
 	}
-	delete(e.done, p.flow)
-	cb(Outcome{
-		Flow:      p.flow,
-		Delivered: delivered,
-		At:        e.net.Now(),
-		NetHops:   p.hops,
-		FailedAt:  why,
-		Attempts:  1,
-	})
+	o.Flow, o.At = flow, e.net.Now()
+	o.Attempts, o.Backoff = st.attempts, st.lastAt-st.firstAt
+	st.done(o)
 }
 
 // send transmits p one network hop.
@@ -437,80 +434,68 @@ func (e *NetEngine) process(self simnet.Addr, p *packet) {
 			e.finish(self, p, false, fmt.Sprintf("hop %s lost", p.env.HopID.Short()))
 			return
 		}
-		layer, err := OpenForwardLayer(anchor, p.env.Sealed)
+		// Link padding keeps the wire size constant, so an observer cannot
+		// read the tunnel position off the message length: note the size
+		// before the peel shrinks the onion.
+		env, size := p.env, p.env.SizeBytes()
+		layer, err := OpenForwardLayerInPlace(anchor, env.Sealed)
 		if err != nil {
-			e.finish(self, p, false, fmt.Sprintf("hop %s: %v", p.env.HopID.Short(), err))
+			e.finish(self, p, false, fmt.Sprintf("hop %s: %v", env.HopID.Short(), err))
 			return
 		}
-		if layer.IsExit {
-			if e.Tap != nil {
-				e.Tap.ExitObserved(self, e.net.Now(), p.flow, layer.Dest)
-			}
-			if wire.IsStreamSegment(layer.Payload) {
-				// A windowed-stream segment rode the tunnel: unwrap the
-				// framing and route the segment to the destination owner.
-				// The data slice aliases the exit's fresh decrypt buffer.
-				stream, seq, fin, ackTo, data, err := wire.ReadStreamSegment(layer.Payload)
-				if err != nil {
-					e.StreamSegsLost++
-					return
-				}
-				out := e.getPacket()
-				out.kind, out.flow, out.target = kindStream, stream, layer.Dest
-				out.hops, out.lastFrom = p.hops, p.lastFrom
-				out.seq, out.fin, out.data = seq, fin, data
-				out.ackTo = simnet.Addr(ackTo)
-				e.forwardToward(self, out)
+		if !layer.IsExit {
+			env.HopID, env.Hint, env.Sealed = layer.Next, layer.NextHint, layer.Inner
+			env.PadToMatch(size)
+			p.target = layer.Next
+			e.dispatch(self, p, layer.NextHint)
+			return
+		}
+		// Tail hop: the same packet, stripped of its envelope, carries the
+		// payload to the destination owner.
+		if e.Tap != nil {
+			e.Tap.ExitObserved(self, e.net.Now(), p.flow, layer.Dest)
+		}
+		p.env, p.target = nil, layer.Dest
+		if wire.IsStreamSegment(layer.Payload) {
+			// A windowed-stream segment rode the tunnel: unwrap the
+			// framing. The data slice aliases the peeled onion, which is
+			// this packet's own.
+			stream, seq, fin, ackTo, data, err := wire.ReadStreamSegment(layer.Payload)
+			if err != nil {
+				e.StreamSegsLost++
 				return
 			}
-			// Tail hop: route the payload to the destination owner.
-			out := &packet{
-				kind: kindPayload, flow: p.flow, target: layer.Dest,
-				hops: p.hops, payloadSize: len(layer.Payload),
-				ackTo: p.ackTo,
-			}
-			e.forwardToward(self, out)
-			return
+			p.kind, p.flow = kindStream, stream
+			p.seq, p.fin, p.data = seq, fin, data
+			p.ackTo = simnet.Addr(ackTo)
+		} else {
+			p.kind, p.payloadSize = kindPayload, len(layer.Payload)
 		}
-		env := &Envelope{HopID: layer.Next, Hint: layer.NextHint, Sealed: layer.Inner}
-		// Link padding: keep the wire size constant so an observer cannot
-		// read the tunnel position off the message length.
-		env.PadToMatch(p.env.SizeBytes())
-		next := &packet{
-			kind: kindForward, flow: p.flow, target: layer.Next, hops: p.hops,
-			env: env,
-			// The hop's own relay origin is whoever handed it the
-			// incoming envelope.
-			lastFrom: p.lastFrom,
-			ackTo:    p.ackTo,
-		}
-		e.dispatch(self, next, layer.NextHint)
+		e.forwardToward(self, p)
 
 	case kindReply:
-		anchor, err := e.svc.Dir.FetchAsHolder(self, p.renv.Target)
+		renv := p.renv
+		anchor, err := e.svc.Dir.FetchAsHolder(self, renv.Target)
 		if err != nil {
 			// No anchor here: final delivery point (the initiator, when
 			// the tunnel held).
 			e.finish(self, p, true, "")
 			return
 		}
-		if !e.svc.hopServes(self, p.renv.Target) {
-			e.finish(self, p, false, fmt.Sprintf("reply hop %s dropped at node %d", p.renv.Target.Short(), self))
+		if !e.svc.hopServes(self, renv.Target) {
+			e.finish(self, p, false, fmt.Sprintf("reply hop %s dropped at node %d", renv.Target.Short(), self))
 			return
 		}
-		next, hint, rest, err := OpenReplyLayer(anchor, p.renv.Onion)
+		size := renv.SizeBytes()
+		next, hint, rest, err := OpenReplyLayerInPlace(anchor, renv.Onion)
 		if err != nil {
-			e.finish(self, p, false, fmt.Sprintf("reply hop %s: %v", p.renv.Target.Short(), err))
+			e.finish(self, p, false, fmt.Sprintf("reply hop %s: %v", renv.Target.Short(), err))
 			return
 		}
-		renv := &ReplyEnvelope{Target: next, Hint: hint, Onion: rest, Data: p.renv.Data}
-		renv.PadToMatch(p.renv.SizeBytes())
-		out := &packet{
-			kind: kindReply, flow: p.flow, target: next, hops: p.hops,
-			renv:  renv,
-			ackTo: p.ackTo,
-		}
-		e.dispatch(self, out, hint)
+		renv.Target, renv.Hint, renv.Onion = next, hint, rest
+		renv.PadToMatch(size)
+		p.target = next
+		e.dispatch(self, p, hint)
 	}
 }
 
@@ -534,24 +519,40 @@ func (e *NetEngine) dispatch(self simnet.Addr, p *packet, hint simnet.Addr) {
 	e.forwardToward(self, p)
 }
 
+// launch opens a flow and makes its first attempt. build returns one
+// attempt's packet — which the path will own and rewrite, so it must share
+// no writable bytes with the caller or with another attempt — and the
+// first-hop address hint to try. Under the reliability protocol build is
+// kept to make the retransmissions (size seeds the timeout); otherwise the
+// flow is fire-and-forget and opts is ignored.
+func (e *NetEngine) launch(from simnet.Addr, size int, opts SendOpts, done func(Outcome), build func() (*packet, simnet.Addr)) uint64 {
+	// The first attempt can conclude, and its callback launch again, before
+	// this returns: the id is this frame's, not nextFlow's.
+	e.nextFlow++
+	flow := e.nextFlow
+	st := &flowState{origin: from, done: done, opts: opts, firstAt: e.net.Now()}
+	e.flows[flow] = st
+	if e.rel != nil {
+		st.resend = build
+		st.rto = e.initialRTO(size, opts)
+	}
+	e.attempt(flow, st, build)
+	return flow
+}
+
 // SendOvert starts a plain overt transfer and returns its flow id: size bytes routed over the
 // P2P infrastructure from `from` to the owner of dest. The baseline curve
 // of Figure 6.
 func (e *NetEngine) SendOvert(from simnet.Addr, dest id.ID, size int, done func(Outcome)) uint64 {
-	flow := e.newFlow(done)
-	if e.rel != nil {
-		e.startReliable(flow, from, size, SendOpts{}, func() (*packet, simnet.Addr) {
-			return &packet{kind: kindPayload, flow: flow, target: dest, payloadSize: size, ackTo: from}, simnet.NoAddr
-		})
-		return flow
-	}
-	e.forwardToward(from, &packet{kind: kindPayload, flow: flow, target: dest, payloadSize: size})
-	return flow
+	return e.launch(from, size, SendOpts{}, done, func() (*packet, simnet.Addr) {
+		return &packet{kind: kindPayload, target: dest, payloadSize: size}, simnet.NoAddr
+	})
 }
 
 // SendForward starts a forward-tunnel transfer from the initiator's
 // address. With hints inside env (built via a HintCache) this is TAP_opt;
-// without, TAP_basic.
+// without, TAP_basic. env stays the caller's, intact: each attempt travels
+// as a private copy.
 func (e *NetEngine) SendForward(from simnet.Addr, env *Envelope, done func(Outcome)) uint64 {
 	return e.SendForwardOpt(from, env, SendOpts{}, done)
 }
@@ -561,16 +562,11 @@ func (e *NetEngine) SendForward(from simnet.Addr, env *Envelope, done func(Outco
 // invalidate a dead tunnel's hints. The options only apply under the
 // reliability protocol; a fire-and-forget flow ignores them.
 func (e *NetEngine) SendForwardOpt(from simnet.Addr, env *Envelope, opts SendOpts, done func(Outcome)) uint64 {
-	flow := e.newFlow(done)
-	if e.rel != nil {
-		e.startReliable(flow, from, env.SizeBytes(), opts, func() (*packet, simnet.Addr) {
-			return &packet{kind: kindForward, flow: flow, target: env.HopID, env: env, ackTo: from}, env.Hint
-		})
-		return flow
-	}
-	p := &packet{kind: kindForward, flow: flow, target: env.HopID, env: env}
-	e.dispatch(from, p, env.Hint)
-	return flow
+	return e.launch(from, env.SizeBytes(), opts, done, func() (*packet, simnet.Addr) {
+		own := *env
+		own.Sealed = append([]byte(nil), env.Sealed...)
+		return &packet{kind: kindForward, target: env.HopID, env: &own}, env.Hint
+	})
 }
 
 // WireBytes returns the byte slices a tunnel-protocol message actually
@@ -597,15 +593,12 @@ func WireBytes(msg simnet.Message) [][]byte {
 }
 
 // SendReply starts a reply-tunnel transfer from the responder's address.
+// Hops rewrite the onion and never the data, so an attempt's private copy
+// is of the onion alone.
 func (e *NetEngine) SendReply(from simnet.Addr, renv *ReplyEnvelope, done func(Outcome)) uint64 {
-	flow := e.newFlow(done)
-	if e.rel != nil {
-		e.startReliable(flow, from, renv.SizeBytes(), SendOpts{}, func() (*packet, simnet.Addr) {
-			return &packet{kind: kindReply, flow: flow, target: renv.Target, renv: renv, ackTo: from}, renv.Hint
-		})
-		return flow
-	}
-	p := &packet{kind: kindReply, flow: flow, target: renv.Target, renv: renv}
-	e.dispatch(from, p, renv.Hint)
-	return flow
+	return e.launch(from, renv.SizeBytes(), SendOpts{}, done, func() (*packet, simnet.Addr) {
+		own := *renv
+		own.Onion = append([]byte(nil), renv.Onion...)
+		return &packet{kind: kindReply, target: renv.Target, renv: &own}, renv.Hint
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -25,6 +26,20 @@ func newNetSys(t testing.TB, n, k int, seed uint64) *netSys {
 	s.svc.Net = net
 	eng := NewNetEngine(s.svc, net)
 	return &netSys{sys: s, kernel: kernel, net: net, eng: eng}
+}
+
+// openFlow puts a flow in the engine's table without sending anything, for
+// tests that drive finish/handleAck/exhaust by hand. A reliable flow is one
+// that can re-send.
+func (ns *netSys) openFlow(done func(Outcome), reliable bool) uint64 {
+	e := ns.eng
+	e.nextFlow++
+	st := &flowState{done: done, attempts: 1}
+	if reliable {
+		st.resend = func() (*packet, simnet.Addr) { return &packet{}, simnet.NoAddr }
+	}
+	e.flows[e.nextFlow] = st
+	return e.nextFlow
 }
 
 const fileSize = 250_000 // 2 Mb, the paper's transfer size
@@ -302,4 +317,74 @@ func TestNetDeterministicTiming(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("timing not deterministic: %v vs %v", a, b)
 	}
+}
+
+// TestNetSendLeavesEnvelopeIntact is the NetEngine twin of
+// TestDeliverLeavesEnvelopeIntact. The hops peel the bytes they are handed
+// where they lie, so the send entries hand them a private copy per attempt:
+// the same envelope sent twice is delivered twice, a retransmission of it —
+// after the first attempt was peeled three hops deep and then dropped — is
+// delivered too, and the caller's envelope never changes.
+func TestNetSendLeavesEnvelopeIntact(t *testing.T) {
+	ns := newNetSys(t, 150, 3, 85)
+	in := ns.readyInitiator(t, "borrow", 30)
+	tun, err := in.FormTunnel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := BuildForward(tun, nil, id.HashString("borrow-dest"), []byte("retransmit me"), ns.root.Split("msg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := BuildReply(tun, nil, in.NewBid(), ns.root.Split("reply"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	renv := &ReplyEnvelope{Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: []byte("reply data")}
+	wantEnv, wantSealed := *env, bytes.Clone(env.Sealed)
+	wantRenv, wantOnion, wantData := *renv, bytes.Clone(renv.Onion), bytes.Clone(renv.Data)
+
+	// The first copy to reach the tunnel's last hop while lose is set dies
+	// there, dropped by a misbehaving hop — a loss placed exactly.
+	lose := false
+	ns.svc.HopFilter = func(_ simnet.Addr, hop id.ID) bool {
+		if hop == tun.Hops[3].HopID && lose {
+			lose = false
+			return false
+		}
+		return true
+	}
+	origin := in.Node().Ref().Addr
+	responder := ns.ov.RandomLive(ns.root.Split("responder")).Ref().Addr
+	sendBoth := func(round string, attempts int) {
+		t.Helper()
+		for _, dir := range []struct {
+			name string
+			send func(done func(Outcome))
+		}{
+			{"forward", func(done func(Outcome)) { ns.eng.SendForward(origin, env, done) }},
+			{"reply", func(done func(Outcome)) { ns.eng.SendReply(responder, renv, done) }},
+		} {
+			lose = attempts > 1
+			var out Outcome
+			dir.send(func(o Outcome) { out = o })
+			if err := ns.kernel.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !out.Delivered || out.Attempts != attempts {
+				t.Fatalf("%s, %s: outcome %+v, want delivery on attempt %d", round, dir.name, out, attempts)
+			}
+			if env.HopID != wantEnv.HopID || env.Hint != wantEnv.Hint || env.Pad != wantEnv.Pad || !bytes.Equal(env.Sealed, wantSealed) {
+				t.Fatalf("%s, %s: the engine changed the caller's envelope", round, dir.name)
+			}
+			if renv.Target != wantRenv.Target || renv.Hint != wantRenv.Hint || renv.Pad != wantRenv.Pad ||
+				!bytes.Equal(renv.Onion, wantOnion) || !bytes.Equal(renv.Data, wantData) {
+				t.Fatalf("%s, %s: the engine changed the caller's reply envelope", round, dir.name)
+			}
+		}
+	}
+	sendBoth("fire-and-forget", 1)
+	sendBoth("fire-and-forget again", 1)
+	ns.eng.EnableReliability(Reliability{})
+	sendBoth("reliable, first attempt dropped at the last hop", 2)
 }

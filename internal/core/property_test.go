@@ -48,7 +48,7 @@ func TestPropForwardLayeringRoundTrip(t *testing.T) {
 		}
 		sealed := env.Sealed
 		for i := 0; i < l; i++ {
-			layer, err := OpenForwardLayer(tun.Hops[i].Anchor, sealed)
+			layer, err := OpenForwardLayerInPlace(tun.Hops[i].Anchor, sealed)
 			if err != nil {
 				return false
 			}
@@ -88,7 +88,7 @@ func TestPropReplyOnionRoundTrip(t *testing.T) {
 			if target != tun.Hops[i].HopID {
 				return false
 			}
-			next, _, rest, err := OpenReplyLayer(tun.Hops[i].Anchor, onion)
+			next, _, rest, err := OpenReplyLayerInPlace(tun.Hops[i].Anchor, onion)
 			if err != nil {
 				return false
 			}
@@ -111,13 +111,13 @@ func TestPropLayerKeysNonInterchangeable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := OpenForwardLayer(tun.Hops[1].Anchor, env.Sealed); err == nil {
+		if _, err := OpenForwardLayerInPlace(tun.Hops[1].Anchor, bytes.Clone(env.Sealed)); err == nil {
 			return false
 		}
-		if _, err := OpenForwardLayer(tun.Hops[2].Anchor, env.Sealed); err == nil {
+		if _, err := OpenForwardLayerInPlace(tun.Hops[2].Anchor, bytes.Clone(env.Sealed)); err == nil {
 			return false
 		}
-		_, err = OpenForwardLayer(tun.Hops[0].Anchor, env.Sealed)
+		_, err = OpenForwardLayerInPlace(tun.Hops[0].Anchor, bytes.Clone(env.Sealed))
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -141,7 +141,7 @@ func TestPropTamperAlwaysDetected(t *testing.T) {
 		pos := int(posRaw) % len(env.Sealed)
 		mut := append([]byte(nil), env.Sealed...)
 		mut[pos] ^= byte(mask)
-		_, err := OpenForwardLayer(tun.Hops[0].Anchor, mut)
+		_, err := OpenForwardLayerInPlace(tun.Hops[0].Anchor, mut)
 		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

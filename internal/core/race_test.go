@@ -92,7 +92,7 @@ func TestTunnelRTOConcurrentAccess(t *testing.T) {
 	go func() { // teardown path
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			eng.dropTunnelRTO(keys[(i*3)%len(keys)])
+			eng.relaxTunnelRTO(keys[(i*3)%len(keys)], true)
 		}
 	}()
 	go func() { // send path: seed the next stream's RTO
@@ -108,7 +108,7 @@ func TestTunnelRTOConcurrentAccess(t *testing.T) {
 	if got := eng.loadTunnelRTO(keys[0]); got != 42 {
 		t.Fatalf("loadTunnelRTO = %v after store", got)
 	}
-	eng.dropTunnelRTO(keys[0])
+	eng.relaxTunnelRTO(keys[0], true)
 	if got := eng.loadTunnelRTO(keys[0]); got != 0 {
 		t.Fatalf("loadTunnelRTO = %v after drop", got)
 	}

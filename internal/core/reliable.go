@@ -72,13 +72,17 @@ type SendOpts struct {
 	Hops  []id.ID
 }
 
-// flowState is the initiator-side record of one in-flight reliable flow.
+// flowState is the initiator-side record of one flow whose outcome has not
+// fired. A flow with no resend is fire-and-forget: one attempt, no timer.
 type flowState struct {
 	origin simnet.Addr
+	done   func(Outcome) // may be nil
 	// resend builds a fresh attempt: the packet plus the first-hop
 	// address hint to try (the hint is re-checked against the stale set
 	// on every dispatch).
-	resend   func() (*packet, simnet.Addr)
+	resend func() (*packet, simnet.Addr)
+	// opts binds the flow to its tunnel: opts.Hops[0], when present, keys
+	// the tunnel's shared backoff memory (NetEngine.tunnelRTO).
 	opts     SendOpts
 	attempts int
 	// gen invalidates superseded timers: only the timer armed for the
@@ -88,10 +92,6 @@ type flowState struct {
 	firstAt simnet.Time
 	lastAt  simnet.Time
 	lastErr string // why the most recent packet died, when observed
-	// backoffKey binds the flow to its tunnel's shared backoff memory
-	// (the first hop id); see NetEngine.tunnelRTO.
-	backoffKey    id.ID
-	hasBackoffKey bool
 	// hintsInvalidated marks that the repeated-RTO hint eviction already
 	// ran for this flow.
 	hintsInvalidated bool
@@ -151,14 +151,6 @@ func (e *NetEngine) storeTunnelRTO(key id.ID, rto simnet.Time) {
 	e.rtoMu.Unlock()
 }
 
-// dropTunnelRTO forgets a tunnel's backoff memory (the tunnel proved
-// healthy).
-func (e *NetEngine) dropTunnelRTO(key id.ID) {
-	e.rtoMu.Lock()
-	delete(e.tunnelRTO, key)
-	e.rtoMu.Unlock()
-}
-
 // relaxTunnelRTO eases a tunnel's backoff memory after a delivery: a
 // first-attempt success clears it outright, a delivery that needed
 // retransmits halves it, dropping the entry once it decays to the floor.
@@ -213,50 +205,40 @@ func (e *NetEngine) invalidateTunnelHints(cache *HintCache, hops []id.ID) {
 	}
 }
 
-// startReliable registers flow state and fires the first attempt. A flow
-// bound to a tunnel (opts.Hops) inherits that tunnel's remembered backoff:
-// retransmit state is per tunnel, not per message, so a lossy tunnel does
-// not reset to the optimistic initial timeout on every new send.
-func (e *NetEngine) startReliable(flow uint64, origin simnet.Addr, size int, opts SendOpts, resend func() (*packet, simnet.Addr)) {
-	st := &flowState{
-		origin:  origin,
-		resend:  resend,
-		opts:    opts,
-		rto:     e.initialRTO(size),
-		firstAt: e.net.Now(),
-	}
-	if len(opts.Hops) > 0 {
-		st.backoffKey = opts.Hops[0]
-		st.hasBackoffKey = true
-		if stored := e.loadTunnelRTO(st.backoffKey); stored > st.rto {
-			st.rto = stored
-		}
-	}
-	e.flows[flow] = st
-	e.attempt(flow, st)
-}
-
 // initialRTO estimates a generous one-way delivery time for a message of
 // the given size: rtoExpectHops store-and-forward hops, each paying full
-// serialization plus the worst-case link latency, scaled by rtoScale.
-func (e *NetEngine) initialRTO(size int) simnet.Time {
+// serialization plus the worst-case link latency, scaled by rtoScale. A
+// flow bound to a tunnel (opts.Hops) inherits that tunnel's remembered
+// backoff when it is longer: retransmit state is per tunnel, not per
+// message, so a lossy tunnel does not reset to the optimistic initial
+// timeout on every new send.
+func (e *NetEngine) initialRTO(size int, opts SendOpts) simnet.Time {
 	perHop := e.net.Serialization(size) + e.net.MaxLatency()
 	rto := simnet.Time(float64(int64(perHop)*rtoExpectHops) * rtoScale)
 	if rto < minFlowRTO {
 		rto = minFlowRTO
 	}
+	if len(opts.Hops) > 0 {
+		if stored := e.loadTunnelRTO(opts.Hops[0]); stored > rto {
+			rto = stored
+		}
+	}
 	return rto
 }
 
-// attempt transmits one copy of the flow and arms its retransmit timer.
-func (e *NetEngine) attempt(flow uint64, st *flowState) {
+// attempt transmits one copy of the flow, built by build, and on a
+// reliable flow arms its retransmit timer.
+func (e *NetEngine) attempt(flow uint64, st *flowState, build func() (*packet, simnet.Addr)) {
 	st.attempts++
 	st.lastAt = e.net.Now()
 	if st.attempts > 1 {
 		e.Retransmits++
 	}
-	p, hint := st.resend()
-	e.armTimer(flow, st)
+	p, hint := build()
+	p.flow, p.ackTo = flow, st.origin
+	if st.resend != nil {
+		e.armTimer(flow, st)
+	}
 	e.dispatch(st.origin, p, hint)
 }
 
@@ -276,10 +258,10 @@ func (e *NetEngine) armTimer(flow uint64, st *flowState) {
 			return
 		}
 		cur.rto = simnet.Time(float64(cur.rto) * rtoBackoff)
-		if cur.hasBackoffKey {
+		if len(cur.opts.Hops) > 0 {
 			// Per-tunnel backoff memory: later flows over this tunnel
 			// start from the backed-off timeout instead of resetting it.
-			e.storeTunnelRTO(cur.backoffKey, cur.rto)
+			e.storeTunnelRTO(cur.opts.Hops[0], cur.rto)
 		}
 		if !cur.hintsInvalidated && cur.attempts >= hintInvalidateAfter {
 			// Repeated RTO expiry: every retransmission is dying
@@ -289,7 +271,7 @@ func (e *NetEngine) armTimer(flow uint64, st *flowState) {
 			cur.hintsInvalidated = true
 			e.invalidateTunnelHints(cur.opts.Cache, cur.opts.Hops)
 		}
-		e.attempt(flow, cur)
+		e.attempt(flow, cur, cur.resend)
 	})
 }
 
@@ -297,8 +279,6 @@ func (e *NetEngine) armTimer(flow uint64, st *flowState) {
 // initiator concludes the tunnel is dead (every retransmission would need
 // a hop anchor with no live replica, or the path loses every copy).
 func (e *NetEngine) exhaust(flow uint64, st *flowState) {
-	delete(e.flows, flow)
-	delete(e.pending, flow)
 	e.FailFlows++
 	// The tunnel this flow rode is presumed dead: evict every hop's cached
 	// address and remember the dead ends, so the stale hints cannot keep
@@ -309,16 +289,7 @@ func (e *NetEngine) exhaust(flow uint64, st *flowState) {
 	if why == "" {
 		why = "no ACK"
 	}
-	cb := e.done[flow]
-	delete(e.done, flow)
-	if cb == nil {
-		return
-	}
-	cb(Outcome{
-		Flow:     flow,
-		At:       e.net.Now(),
-		Attempts: st.attempts,
-		Backoff:  st.lastAt - st.firstAt,
+	e.conclude(flow, st, Outcome{
 		FailedAt: fmt.Sprintf("retransmit budget exhausted after %d attempts (%s)", st.attempts, why),
 	})
 }
@@ -361,25 +332,11 @@ func (e *NetEngine) handleAck(p *packet) {
 		return
 	}
 	e.AcksRecv++
-	delete(e.flows, p.flow)
-	delete(e.pending, p.flow)
-	if st.hasBackoffKey {
+	if len(st.opts.Hops) > 0 {
 		// Delivered on the first attempt: the tunnel proved healthy, drop
 		// its backoff memory. Delivered after retransmits: decay rather
 		// than reset, so a marginal tunnel keeps some caution.
-		e.relaxTunnelRTO(st.backoffKey, st.attempts == 1)
+		e.relaxTunnelRTO(st.opts.Hops[0], st.attempts == 1)
 	}
-	cb := e.done[p.flow]
-	delete(e.done, p.flow)
-	if cb == nil {
-		return
-	}
-	cb(Outcome{
-		Flow:      p.flow,
-		Delivered: true,
-		At:        e.net.Now(),
-		NetHops:   p.dataHops,
-		Attempts:  st.attempts,
-		Backoff:   st.lastAt - st.firstAt,
-	})
+	e.conclude(p.flow, st, Outcome{Delivered: true, NetHops: p.dataHops})
 }

@@ -76,7 +76,7 @@ func TestDirectSendMissMarksStaleHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &packet{kind: kindForward, flow: ns.eng.newFlow(nil), target: hop, env: env, direct: true}
+	p := &packet{kind: kindForward, flow: ns.openFlow(nil, false), target: hop, env: env, direct: true}
 	ns.eng.deliver(wrong.Ref().Addr, p)
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestDirectSendMissMarksStaleHint(t *testing.T) {
 	// A later dispatch with the same hint skips the direct attempt: no
 	// p.direct packet is sent at the stale address again.
 	misses := ns.eng.HintMiss
-	p2 := &packet{kind: kindForward, flow: ns.eng.newFlow(nil), target: hop, env: env}
+	p2 := &packet{kind: kindForward, flow: ns.openFlow(nil, false), target: hop, env: env}
 	ns.eng.dispatch(wrong.Ref().Addr, p2, wrong.Ref().Addr)
 	if p2.direct {
 		t.Fatal("dispatch retried a hint already known stale")
@@ -123,10 +123,9 @@ func TestTerminalAckDedupBothOrders(t *testing.T) {
 			ns.eng.OnDeliver = func(flow uint64, dup bool) { deliveries = append(deliveries, dup) }
 
 			fired := 0
-			flow := ns.eng.newFlow(func(Outcome) { fired++ })
+			flow := ns.openFlow(func(Outcome) { fired++ }, true)
 			origin := simnet.Addr(7)
 			terminal := simnet.Addr(3)
-			ns.eng.flows[flow] = &flowState{origin: origin}
 
 			first := &packet{kind: kindPayload, flow: flow, hops: tc.firstHops, ackTo: origin}
 			ns.eng.finish(terminal, first, true, "")
@@ -172,9 +171,8 @@ func TestReliableFinishDoesNotDoubleCount(t *testing.T) {
 	ns.eng.EnableReliability(Reliability{MaxAttempts: 3})
 	fired := 0
 	var out Outcome
-	flow := ns.eng.newFlow(func(o Outcome) { fired++; out = o })
-	st := &flowState{origin: simnet.Addr(5)}
-	ns.eng.flows[flow] = st
+	flow := ns.openFlow(func(o Outcome) { fired++; out = o }, true)
+	st := ns.eng.flows[flow]
 
 	// Two attempts die mid-flight: packet-level losses, no flow verdict.
 	ns.eng.finish(1, &packet{kind: kindPayload, flow: flow}, false, "first copy died")

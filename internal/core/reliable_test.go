@@ -14,7 +14,7 @@ func TestNetFinishIgnoresDuplicateLatePackets(t *testing.T) {
 	// FailFlows on duplicate/late packet deaths.
 	ns := newNetSys(t, 100, 3, 21)
 	fired := 0
-	p := &packet{flow: ns.eng.newFlow(func(Outcome) { fired++ })}
+	p := &packet{flow: ns.openFlow(func(Outcome) { fired++ }, false)}
 	ns.eng.finish(0, p, false, "first death")
 	ns.eng.finish(0, p, false, "late duplicate")
 	ns.eng.finish(0, p, true, "")

@@ -29,10 +29,16 @@ import (
 // pipe full. Acknowledgments return over the overt path to the sender's
 // address, exactly like PR 1's end-to-end ACKs.
 //
-// The hot path is zero-allocation in steady state: window slots are ring
-// buffers with pooled payload storage, packets come from a freelist, ACK
-// ranges reuse per-packet arrays, and the retransmit timer re-arms a
-// single preallocated closure through the kernel's slot arena.
+// A direct stream's hot path is zero-allocation in steady state: window
+// slots are ring buffers with pooled payload storage, packets come from a
+// freelist, ACK ranges reuse per-packet arrays, and the retransmit timer
+// re-arms a single preallocated closure through the kernel's slot arena
+// (TestStreamSteadyStateZeroAlloc). A tunnel stream allocates what sealing
+// a segment does — the framed segment and a fresh onion per transmission,
+// 12 objects at three hops — and nothing per hop: the path owns that onion,
+// peels it where it lies, and the packet that left the freelist at the
+// sender returns to it at the receiver
+// (TestStreamTunnelSteadyStateAllocBudget).
 
 // streamIDBase offsets stream ids away from reliable-flow ids so the two
 // id spaces can never collide in the engine's shared packet field.
@@ -149,11 +155,10 @@ type Stream struct {
 	// Direct mode: an optional address hint for the destination owner.
 	destHint simnet.Addr
 	// Tunnel mode: segments are sealed over tun with cache's hints.
-	tun       *Tunnel
-	cache     *HintCache
-	hopIDs    []id.ID
-	tunKey    id.ID // first hop id: the per-tunnel backoff memory key
-	hasTunKey bool
+	// hopIDs[0] keys the tunnel's backoff memory (NetEngine.tunnelRTO).
+	tun    *Tunnel
+	cache  *HintCache
+	hopIDs []id.ID
 
 	ring   []sendSlot
 	sndUna uint64 // oldest unacknowledged sequence number
@@ -239,12 +244,10 @@ func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 	s.ring = make([]sendSlot, ringSize)
 	if tun != nil {
 		s.hopIDs = tun.HopIDs()
-		s.tunKey = tun.Hops[0].HopID
-		s.hasTunKey = true
 		// Per-tunnel backoff memory: a stream over a tunnel that recently
 		// proved lossy inherits the backed-off timeout instead of
 		// resetting it and hammering the same loss.
-		if stored := e.loadTunnelRTO(s.tunKey); stored > s.rto {
+		if stored := e.loadTunnelRTO(s.hopIDs[0]); stored > s.rto {
 			s.rto = stored
 		}
 	}
@@ -305,6 +308,19 @@ func (s *Stream) Write(p []byte) int {
 		s.transmit(sl)
 	}
 	return accepted
+}
+
+// WriteAll writes content through the window — what fits now, the rest as
+// acknowledgments free space — then closes the stream. It installs
+// OnWritable; content must stay unchanged until it has all been accepted.
+func (s *Stream) WriteAll(content []byte) {
+	s.OnWritable = func() {
+		content = content[s.Write(content):]
+		if len(content) == 0 {
+			s.Close()
+		}
+	}
+	s.OnWritable()
 }
 
 // Close marks the stream finished: a FIN segment is sent as soon as the
@@ -380,7 +396,8 @@ func (s *Stream) sendSegment(sl *sendSlot) {
 	}
 	// Tunnel mode: seal the framed segment as a forward envelope. Each
 	// (re)transmission re-resolves hints through the cache, preserving
-	// the §6 failover semantics of the reliability layer.
+	// the §6 failover semantics of the reliability layer — and is a fresh
+	// envelope, which the path owns from here on.
 	w := wire.NewWriter(wire.StreamSegmentOverhead + sl.n)
 	wire.AppendStreamSegment(w, s.id, sl.seq, sl.fin, int64(s.origin), sl.buf[:sl.n])
 	env, err := BuildForwardWithCache(s.tun, s.cache, s.dest, w.Bytes(), e.svc.Stream)
@@ -439,14 +456,14 @@ func (s *Stream) onTimeout(now simnet.Time) {
 	if s.rto > streamMaxRTO {
 		s.rto = streamMaxRTO
 	}
-	if s.hasTunKey {
+	if s.tun != nil {
 		// Remember the backed-off timeout for this tunnel so new streams
 		// and flows over it start from reality, not from scratch.
-		s.eng.storeTunnelRTO(s.tunKey, s.rto)
-	}
-	if s.backoffCount == hintInvalidateAfter && s.tun != nil {
-		// Repeated expiry: stop trusting the cached hop addresses.
-		s.eng.invalidateTunnelHints(s.cache, s.hopIDs)
+		s.eng.storeTunnelRTO(s.hopIDs[0], s.rto)
+		if s.backoffCount == hintInvalidateAfter {
+			// Repeated expiry: stop trusting the cached hop addresses.
+			s.eng.invalidateTunnelHints(s.cache, s.hopIDs)
+		}
 	}
 	s.retransmit(head)
 	s.rtxDeadline = now + s.rto
@@ -533,9 +550,9 @@ func (s *Stream) release(sl *sendSlot) {
 func (s *Stream) complete() {
 	s.done = true
 	delete(s.eng.sendStreams, s.id)
-	if s.hasTunKey && s.SegsRetx == 0 {
+	if s.tun != nil && s.SegsRetx == 0 {
 		// A clean run over this tunnel: drop the backoff memory.
-		s.eng.dropTunnelRTO(s.tunKey)
+		s.eng.relaxTunnelRTO(s.hopIDs[0], true)
 	}
 	if s.OnComplete != nil {
 		s.OnComplete(true)

@@ -723,20 +723,7 @@ func (r *runner) stream(c *client, ev Event) {
 	r.streams[s.ID()] = rec
 	r.streamIDs = append(r.streamIDs, s.ID())
 	s.OnComplete = func(bool) { rec.completions++ }
-	off := 0
-	pump := func() {
-		for off < len(content) {
-			want := len(content) - off
-			n := s.Write(content[off:])
-			off += n
-			if n < want {
-				return // window full; resumed by OnWritable
-			}
-		}
-		s.Close()
-	}
-	s.OnWritable = pump
-	pump()
+	s.WriteAll(content)
 }
 
 // payload builds a canary-prefixed payload of at least size bytes.

@@ -345,11 +345,8 @@ func ExtCover(p ExtCoverParams) (*trace.Table, error) {
 			if err != nil {
 				return err
 			}
-			kernel := simnet.NewKernel()
+			kernel, net, eng := w.NewEngine(stream.Seed())
 			kernel.MaxSteps = 20_000_000
-			net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(stream.Seed()), w.OV.NumAddrs())
-			w.Svc.Net = net
-			eng := core.NewNetEngine(w.Svc, net)
 
 			// Workload: transfers started one simulated second apart.
 			ts := stream.SplitN("transfers", int(rate*100))

@@ -90,11 +90,8 @@ func ExtInflight(p ExtInflightParams) (*trace.Table, error) {
 		if err != nil {
 			return err
 		}
-		kernel := simnet.NewKernel()
+		kernel, net, eng := w.NewEngine(stream.Seed())
 		kernel.MaxSteps = 0
-		net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(stream.Seed()), w.OV.NumAddrs())
-		w.Svc.Net = net
-		eng := core.NewNetEngine(w.Svc, net)
 
 		// Transfers start 40 s apart (a basic l=5 transfer takes ~30 s),
 		// so at most two overlap and the churn clock keeps running the

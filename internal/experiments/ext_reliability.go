@@ -142,11 +142,8 @@ func runReliabilityTrial(p ExtReliabilityParams, loss float64, retx bool, stream
 	if err != nil {
 		return 0, lat, att, err
 	}
-	kernel := simnet.NewKernel()
+	kernel, net, eng := w.NewEngine(stream.Seed())
 	kernel.MaxSteps = 0
-	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(stream.Seed()), w.OV.NumAddrs())
-	w.Svc.Net = net
-	eng := core.NewNetEngine(w.Svc, net)
 	if retx {
 		eng.EnableReliability(core.Reliability{MaxAttempts: p.MaxAttempts})
 	}

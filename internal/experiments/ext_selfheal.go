@@ -156,11 +156,8 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 	if err != nil {
 		return res, err
 	}
-	kernel := simnet.NewKernel()
+	kernel, net, eng := w.NewEngine(stream.Seed())
 	kernel.MaxSteps = 0
-	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(stream.Seed()), w.OV.NumAddrs())
-	w.Svc.Net = net
-	eng := core.NewNetEngine(w.Svc, net)
 	eng.EnableReliability(core.Reliability{MaxAttempts: p.MaxAttempts})
 
 	// Clients are exempt from churn: a dead initiator measures nothing.

@@ -195,11 +195,8 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 	if err != nil {
 		return nil, err
 	}
-	kernel := simnet.NewKernel()
+	kernel, net, eng := w.NewEngine(stream.Seed())
 	kernel.MaxSteps = 0
-	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(stream.Seed()), w.OV.NumAddrs())
-	w.Svc.Net = net
-	eng := core.NewNetEngine(w.Svc, net)
 	if loss > 0 {
 		net.InstallFaults(&simnet.FaultPlan{Seed: stream.Seed(), LossRate: loss})
 	}
@@ -304,20 +301,7 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 					doneAt.Add(kernel.Now().Seconds())
 				}
 			}
-			off := 0
-			pump := func() {
-				for off < len(content) {
-					want := len(content) - off
-					n := st.Write(content[off:])
-					off += n
-					if n < want {
-						return
-					}
-				}
-				st.Close()
-			}
-			st.OnWritable = pump
-			pump()
+			st.WriteAll(content)
 		})
 	}
 

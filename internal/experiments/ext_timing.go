@@ -107,11 +107,8 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 		if err != nil {
 			return err
 		}
-		kernel := simnet.NewKernel()
+		kernel, _, eng := w.NewEngine(stream.Seed())
 		kernel.MaxSteps = 0
-		net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(stream.Seed()), w.OV.NumAddrs())
-		w.Svc.Net = net
-		eng := core.NewNetEngine(w.Svc, net)
 
 		mal := make(map[simnet.Addr]struct{})
 		refs := w.OV.LiveRefs()

@@ -8,7 +8,6 @@ import (
 	"tap/internal/id"
 	"tap/internal/pastry"
 	"tap/internal/rng"
-	"tap/internal/simnet"
 	"tap/internal/trace"
 )
 
@@ -119,12 +118,9 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 		if err != nil {
 			return err
 		}
-		kernel := simnet.NewKernel()
+		kernel, net, eng := w.NewEngine(stream.Split("links").Seed())
 		kernel.MaxSteps = 0
-		net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(stream.Split("links").Seed()), w.OV.NumAddrs())
 		net.UplinkContention = p.UplinkContention
-		w.Svc.Net = net
-		eng := core.NewNetEngine(w.Svc, net)
 
 		maxLen := 0
 		for _, l := range p.Lengths {

@@ -24,6 +24,7 @@ import (
 	"tap/internal/past"
 	"tap/internal/pastry"
 	"tap/internal/rng"
+	"tap/internal/simnet"
 	"tap/internal/tha"
 	"tap/internal/trace"
 )
@@ -60,6 +61,16 @@ func BuildWorldIn(mem *pastry.Scratch, n, k int, stream *rng.Stream) (*World, er
 	svc := core.NewService(ov, dir, stream.Split("svc"))
 	col := adversary.NewCollusion(ov, mgr)
 	return &World{Root: stream, OV: ov, Mgr: mgr, Dir: dir, Svc: svc, Col: col}, nil
+}
+
+// NewEngine puts the world on a simulated network of its own — a fresh
+// kernel, the default link model seeded with linkSeed — and attaches a
+// networked engine to every node.
+func (w *World) NewEngine(linkSeed uint64) (*simnet.Kernel, *simnet.Network, *core.NetEngine) {
+	kernel := simnet.NewKernel()
+	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(linkSeed), w.OV.NumAddrs())
+	w.Svc.Net = net
+	return kernel, net, core.NewNetEngine(w.Svc, net)
 }
 
 // TunnelSet is a population of tunnels with their owners, the workload

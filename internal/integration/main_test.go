@@ -1,4 +1,4 @@
-package procnode
+package integration
 
 import (
 	"testing"

@@ -261,7 +261,9 @@ func (n *Node) handleForward(env *core.Envelope) {
 			n.handleExitPayload(layer.Payload)
 			return
 		}
-		n.send(transport.NoAddr, layer.Dest, &DataMsg{Dest: layer.Dest, Payload: append([]byte(nil), layer.Payload...)}, 0)
+		// The payload lies in the envelope's buffer, which is ours and has
+		// no other reader: send encodes, parks or drops the message.
+		n.send(transport.NoAddr, layer.Dest, &DataMsg{Dest: layer.Dest, Payload: layer.Payload}, 0)
 		return
 	}
 	// The envelope is ours (that is what let us peel it in place), so it

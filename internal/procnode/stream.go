@@ -180,6 +180,19 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			base++
 		}
 	}
+	// A co-hosted first hop is handed the very message, not a decode of it
+	// (tcptransport's local short-circuit), and peels what it is handed in
+	// place; the window keeps its envelope for re-sending, so that hop gets
+	// a copy. Cloning here rather than decoding every local delivery keeps
+	// the relay hot path, and the benchmarks that co-host its sink, as is.
+	transmit := func(dst transport.Addr, msg transport.Message) {
+		if env, ok := msg.(*core.Envelope); ok && n.tr.Attached(dst) {
+			own := *env
+			own.Sealed = bytes.Clone(env.Sealed)
+			msg = &own
+		}
+		n.tr.Send(n.Addr, dst, msg)
+	}
 	timer := time.NewTimer(cfg.Timeout)
 	defer timer.Stop()
 	for base < total {
@@ -199,7 +212,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 				c.dst, c.msg = cfg.ForwardHops[0], env
 			}
 			window[next%streamWindow] = c
-			n.tr.Send(n.Addr, c.dst, c.msg)
+			transmit(c.dst, c.msg)
 		}
 		select {
 		case hop := <-n.acks:
@@ -246,7 +259,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 					c.attempts++
 					c.deadline = now.Add(cfg.Timeout)
 					n.m.streamRetransmits.Inc()
-					n.tr.Send(n.Addr, c.dst, c.msg)
+					transmit(c.dst, c.msg)
 				}
 				if c.deadline.Before(wake) {
 					wake = c.deadline

@@ -23,6 +23,10 @@ const (
 	lossHop0   = transport.Addr(1)
 	lossHop1   = transport.Addr(2)
 	lossNodes  = 7
+	// lossTimeout is the re-send deadline of the tests that lose a frame.
+	// Each waits one deadline per loss, and a loaded box must not reach it
+	// for a frame that was not lost: 50 ms did, under -race.
+	lossTimeout = 250 * time.Millisecond
 )
 
 func lossStreamConfig(timeout time.Duration) StreamConfig {
@@ -94,7 +98,7 @@ func TestStreamResendsOnlyTheLostChunk(t *testing.T) {
 	const (
 		nChunks = 40
 		lost    = 10
-		timeout = 50 * time.Millisecond
+		timeout = lossTimeout
 	)
 	loseNth := func(nth int, _ []byte) bool { return nth == lost }
 	cases := []struct {
@@ -159,6 +163,35 @@ func TestStreamResendsOnlyTheLostChunk(t *testing.T) {
 					lost, at, lost, lost+streamWindow)
 			}
 		})
+	}
+}
+
+// TestStreamResendsThroughItsOwnFirstHop makes the initiator its own first
+// forward hop — the transport hands the chunk's envelope to the very node
+// that keeps it for re-sending, and that node peels what it is handed in
+// place — and loses one echo. The re-send must be the envelope as built,
+// not what the first peel left of it.
+func TestStreamResendsThroughItsOwnFirstHop(t *testing.T) {
+	const nChunks = 4
+	fault := &frameTap{kind: kindReply, lose: func(nth int, _ []byte) bool { return nth == 1 }}
+	nodes := startOverlayOn(t, lossNodes, map[transport.Addr]tcptransport.Codec{lossClient: fault})
+	client := nodes[lossClient]
+	cfg := lossStreamConfig(lossTimeout)
+	cfg.ForwardHops = []transport.Addr{lossClient, lossHop1, 3}
+
+	payload := streamPayload(t, nChunks*64)
+	echo, err := client.RoundTripStream(cfg, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(echo, payload) {
+		t.Fatal("echo differs from payload")
+	}
+	if got := client.m.streamRetransmits.Load(); got != 1 {
+		t.Errorf("%d retransmits, want 1", got)
+	}
+	if got := client.m.peelsForward.Load(); got != nChunks+1 {
+		t.Errorf("the client peeled %d envelopes as hop 0, want %d: every chunk once and the lost one again", got, nChunks+1)
 	}
 }
 
@@ -235,7 +268,7 @@ func TestStreamResendsOnlyTheLostInstall(t *testing.T) {
 	client := nodes[lossClient]
 
 	payload := streamPayload(t, 3*64)
-	echo, err := client.RoundTripStream(lossStreamConfig(50*time.Millisecond), payload)
+	echo, err := client.RoundTripStream(lossStreamConfig(lossTimeout), payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +295,7 @@ func TestStreamResendsOnlyTheLostInstall(t *testing.T) {
 // streamRetries re-sends the call fails, promptly, naming the anchor and
 // the node, and not one chunk was sent into the half-built tunnel.
 func TestStreamGivesUpOnAnInstall(t *testing.T) {
-	const timeout = 50 * time.Millisecond
+	const timeout = lossTimeout
 	fault := &frameTap{kind: kindAnchor, lose: func(int, []byte) bool { return true }}
 	nodes := startOverlayOn(t, lossNodes, map[transport.Addr]tcptransport.Codec{lossHop1: fault})
 	client := nodes[lossClient]
@@ -332,7 +365,7 @@ func TestStreamGivesUpOnAChunk(t *testing.T) {
 	const (
 		nChunks = 40
 		lost    = 10
-		timeout = 50 * time.Millisecond
+		timeout = lossTimeout
 	)
 	var doomed []byte
 	fault := &frameTap{kind: kindForward, lose: func(nth int, frame []byte) bool {

@@ -1,4 +1,4 @@
-package procnode
+package tcptransport
 
 import (
 	"testing"

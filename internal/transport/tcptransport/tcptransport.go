@@ -492,7 +492,9 @@ func (t *Transport) Schedule(delay transport.Time, fn func()) {
 // Send encodes and transmits msg. Local destinations (an attached
 // handler in this process) short-circuit through the dispatch loop
 // without touching a socket, so one process can host several addresses —
-// the integration tests and single-binary demos rely on that.
+// the integration tests and single-binary demos rely on that. A local
+// handler is handed msg itself, not a decode of it, and owns it from then
+// on: a sender that keeps msg to send again sends a copy (DESIGN §14).
 func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 	t.m.sent.Inc()
 	t.mu.Lock()
