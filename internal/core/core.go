@@ -15,7 +15,12 @@
 // node is numerically closest to — capped with a fake onion so the last
 // reply hop cannot tell it is last.
 //
-// Two delivery engines share these formats:
+// Three relays carry these messages, and take one hop step. The step —
+// open the layer with the hop's anchor key where it lies, re-address the
+// message to the hopid the layer names, pad it back to the size it arrived
+// with — is Envelope.Peel and ReplyEnvelope.Peel (message.go), the only
+// writers of a message in flight; what differs is how a relay gets the
+// message to the node that holds the anchor:
 //
 //   - the logical walker (walk.go) executes a tunnel traversal
 //     synchronously with full cryptography, for availability and
@@ -23,7 +28,11 @@
 //   - the networked engine (netdeliver.go) drives the same traversal
 //     through the discrete-event simulator hop by overlay hop, producing
 //     the transfer latencies of Figure 6, including the §5 optimization
-//     that embeds each hop node's address as a shortcut hint.
+//     that embeds each hop node's address as a shortcut hint. Its relay
+//     path asks the node it runs at three questions — Service.routeAt,
+//     holds, anchorAt — and reads the rest from the packet;
+//   - the deployed relay (internal/procnode) hands envelopes decoded off a
+//     TCP connection to the same two methods, with its own anchor store.
 //
 // The package also implements the "current tunneling" baseline
 // (baseline.go): fixed-node onion paths that die with any member node,
@@ -128,6 +137,33 @@ type Service struct {
 // hopServes applies the filter (nil means all hops behave).
 func (svc *Service) hopServes(addr simnet.Addr, hopID id.ID) bool {
 	return svc.HopFilter == nil || svc.HopFilter(addr, hopID)
+}
+
+// routeAt, holds and anchorAt are the three questions a relaying node asks
+// about itself, and all that NetEngine's relay path and the walker's hint
+// check read of the world. The simulated overlay and replica stores answer
+// them here; a deployed node would from its own tables (ROADMAP item 1(c)).
+
+// routeAt takes one routing step toward key at self: the next address, or
+// here when self is key's destination. alive is false, and no step taken,
+// when self is not a live overlay member.
+func (svc *Service) routeAt(self simnet.Addr, key id.ID) (next simnet.Addr, here, alive bool) {
+	node := svc.OV.Node(self)
+	if node == nil || !node.Alive() {
+		return simnet.NoAddr, false, false
+	}
+	ref, here := node.NextHop(key)
+	return ref.Addr, here, true
+}
+
+// holds reports whether self stores hopID's anchor.
+func (svc *Service) holds(self simnet.Addr, hopID id.ID) bool {
+	return svc.Dir.Manager().HolderHas(self, hopID)
+}
+
+// anchorAt hands self the anchor it holds for hopID.
+func (svc *Service) anchorAt(self simnet.Addr, hopID id.ID) (tha.Anchor, error) {
+	return svc.Dir.FetchAsHolder(self, hopID)
 }
 
 // ErrDropped reports a message silently discarded by a misbehaving hop

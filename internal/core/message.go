@@ -180,6 +180,23 @@ func OpenForwardLayerInPlace(a tha.Anchor, sealed []byte) (ForwardLayer, error) 
 	}
 }
 
+// Peel is the whole hop step, for the node holding a: note the wire size,
+// open one layer where it lies, re-address the envelope to the hop the layer
+// names, pad it back to the size it arrived with. An exit layer names no hop
+// and leaves the envelope as it is; its payload aliases Sealed. Every relay
+// — the walker, NetEngine, procnode — takes the step here, the only writer
+// of a message in flight (DESIGN §9): the caller must own the envelope.
+func (e *Envelope) Peel(a tha.Anchor) (ForwardLayer, error) {
+	size := e.SizeBytes()
+	layer, err := OpenForwardLayerInPlace(a, e.Sealed)
+	if err != nil || layer.IsExit {
+		return layer, err
+	}
+	e.HopID, e.Hint, e.Sealed = layer.Next, layer.NextHint, layer.Inner
+	e.PadToMatch(size)
+	return layer, nil
+}
+
 // --- reply tunnels -----------------------------------------------------------
 
 // ReplyEnvelope is the wire unit of a reply tunnel. Unlike forward
@@ -320,4 +337,18 @@ func OpenReplyLayerInPlace(a tha.Anchor, onion []byte) (next id.ID, hint simnet.
 		return id.ID{}, simnet.NoAddr, nil, fmt.Errorf("core: reply layer: %w", err)
 	}
 	return next, hint, rest, nil
+}
+
+// Peel is the reply-side hop step (see Envelope.Peel): open one onion layer
+// in place, re-address to the target it names, pad back to the arriving
+// size. Data is never touched.
+func (e *ReplyEnvelope) Peel(a tha.Anchor) error {
+	size := e.SizeBytes()
+	next, hint, rest, err := OpenReplyLayerInPlace(a, e.Onion)
+	if err != nil {
+		return err
+	}
+	e.Target, e.Hint, e.Onion = next, hint, rest
+	e.PadToMatch(size)
+	return nil
 }

@@ -187,11 +187,12 @@ type packet struct {
 	env         *Envelope      // kindForward
 	renv        *ReplyEnvelope // kindReply
 
-	// Reliability fields. ackTo is the initiator-side address a terminal
-	// ACKs to: every attempt is stamped with the flow's origin, the exit's
-	// payload leg keeps it, and it is read only when the flow can re-send.
-	// dataHops is, on a kindAck, the hop count of the data packet being
-	// acknowledged.
+	// Reliability fields, stamped on every attempt and kept by the exit's
+	// payload leg. reliable says the flow can re-send: its terminal ACKs a
+	// delivery, to ackTo — the initiator-side address — and a death is the
+	// retransmit timer's to recover. dataHops is, on a kindAck, the hop
+	// count of the data packet being acknowledged.
+	reliable bool
 	ackTo    simnet.Addr
 	dataHops int
 
@@ -274,41 +275,39 @@ func (e *NetEngine) attach(addr simnet.Addr) {
 }
 
 // finish concludes p at this node: the terminal was reached (delivered) or
-// the packet died here. On a reliable flow, delivery triggers an
-// end-to-end ACK and a death is left to the initiator's retransmit timer;
-// otherwise the flow outcome fires once — duplicate or late packets of an
-// already-finished flow are ignored rather than re-counted.
+// the packet died here. The packet says what kind of flow it serves, so the
+// node needs nothing of the initiator's to decide: a reliable flow's
+// delivery is ACKed end to end and its death left to the retransmit timer;
+// a fire-and-forget flow's outcome fires once — duplicate or late packets
+// of an already-finished flow are ignored rather than re-counted.
 func (e *NetEngine) finish(self simnet.Addr, p *packet, delivered bool, why string) {
-	if p.kind == kindStream || p.kind == kindStreamAck {
-		// Stream traffic has its own retransmit machinery; a segment or
-		// ACK dying mid-route is recovered by the sender's RTO, not by a
-		// flow outcome. Stream ids live in their own space, so the flow
-		// table below must never see them.
+	if p.flow >= streamIDBase {
+		// Stream traffic — a segment, sealed in its tunnel envelope or out
+		// of it — has its own retransmit machinery: one dying mid-route is
+		// recovered by the sender's RTO, not by a flow outcome, and returns
+		// to the freelist it came from. Stream ids live in their own space,
+		// so the flow table below must never see them.
 		e.StreamSegsLost++
+		e.putPacket(p)
 		return
 	}
-	st, open := e.flows[p.flow]
-	if open && st.resend != nil {
-		// The flow is still pending under the reliability protocol.
+	if p.reliable {
 		if delivered {
 			e.ackDelivery(self, p)
-		} else {
+			return
+		}
+		// Sim-only oracle, not protocol: the node where a packet died tells
+		// the origin's still-open flow why, so an exhausted flow's Outcome
+		// names the cause. A deployed initiator sees only a missing ACK.
+		if st, open := e.flows[p.flow]; open {
 			st.lastErr = why
 			e.PacketsLost++
 		}
 		return
 	}
-	if delivered {
-		if rec, ok := e.acked[p.flow]; ok {
-			// A duplicate of an already-ACKed delivery: the earlier ACK
-			// may have been lost, so re-ACK, but never re-deliver.
-			e.DupDeliveries++
-			// With dedup sabotaged the duplicate is (wrongly) fresh.
-			e.observeDeliver(p.flow, !e.DisableAckDedup)
-			e.sendAck(self, p.flow, rec)
-			return
-		}
-	}
+	// Fire-and-forget: the terminal fires the initiator's outcome — the
+	// same oracle, which Figure 6's transfer times are measured with.
+	st, open := e.flows[p.flow]
 	if !open {
 		return // duplicate or late packet of a finished flow
 	}
@@ -350,17 +349,29 @@ func (e *NetEngine) send(from, to simnet.Addr, p *packet) {
 // forwardToward moves p one Pastry hop toward its target, or processes it
 // here if this node is the destination.
 func (e *NetEngine) forwardToward(self simnet.Addr, p *packet) {
-	node := e.svc.OV.Node(self)
-	if node == nil || !node.Alive() {
+	next, here, alive := e.svc.routeAt(self, p.target)
+	switch {
+	case !alive:
 		e.finish(self, p, false, fmt.Sprintf("node %d died holding packet", self))
-		return
+	case here:
+		e.process(self, p)
+	default:
+		e.send(self, next, p)
 	}
-	next, deliverHere := node.NextHop(p.target)
-	if !deliverHere {
-		e.send(self, next.Addr, p)
-		return
+}
+
+// serves reports whether self can act on p where a hint landed it: a tunnel
+// envelope needs its hop's anchor held here, a stream segment a live node
+// that owns the target id.
+func (e *NetEngine) serves(self simnet.Addr, p *packet) bool {
+	switch p.kind {
+	case kindForward, kindReply:
+		return e.svc.holds(self, p.target)
+	case kindStream:
+		_, here, alive := e.svc.routeAt(self, p.target)
+		return alive && here
 	}
-	e.process(self, p)
+	return false
 }
 
 // deliver is the per-node network handler.
@@ -374,33 +385,14 @@ func (e *NetEngine) deliver(self simnet.Addr, p *packet) {
 		return
 	}
 	if p.direct {
-		// A hint shortcut landed here. If this node can act on the packet
-		// (it holds the hop anchor), process it; otherwise the hint was
-		// stale and the node falls back to DHT routing toward the target.
+		// A hint shortcut landed here. If this node can act on the packet,
+		// process it; otherwise the hint was stale and the node falls back
+		// to DHT routing toward the target.
 		p.direct = false
-		switch p.kind {
-		case kindForward:
-			if e.svc.Dir.Manager().HolderHas(self, p.env.HopID) {
-				e.HintHits++
-				e.process(self, p)
-				return
-			}
-		case kindReply:
-			if e.svc.Dir.Manager().HolderHas(self, p.renv.Target) {
-				e.HintHits++
-				e.process(self, p)
-				return
-			}
-		case kindStream:
-			// The hint pointed straight at the destination owner; if this
-			// node still owns the target id, consume the segment here.
-			if node := e.svc.OV.Node(self); node != nil && node.Alive() {
-				if _, here := node.NextHop(p.target); here {
-					e.HintHits++
-					e.process(self, p)
-					return
-				}
-			}
+		if e.serves(self, p) {
+			e.HintHits++
+			e.process(self, p)
+			return
 		}
 		e.HintMiss++
 		// The hinted node does not serve this hop any more: remember the
@@ -422,30 +414,25 @@ func (e *NetEngine) process(self simnet.Addr, p *packet) {
 		e.handleStreamData(self, p)
 
 	case kindForward:
-		if e.Tap != nil && e.svc.Dir.Manager().HolderHas(self, p.env.HopID) {
+		env := p.env
+		if e.Tap != nil && e.svc.holds(self, env.HopID) {
 			e.Tap.EnvelopeReceived(self, e.net.Now(), p.lastFrom, p.flow)
 		}
-		if !e.svc.hopServes(self, p.env.HopID) {
-			e.finish(self, p, false, fmt.Sprintf("hop %s dropped at node %d", p.env.HopID.Short(), self))
+		if !e.svc.hopServes(self, env.HopID) {
+			e.finish(self, p, false, fmt.Sprintf("hop %s dropped at node %d", env.HopID.Short(), self))
 			return
 		}
-		anchor, err := e.svc.Dir.FetchAsHolder(self, p.env.HopID)
+		anchor, err := e.svc.anchorAt(self, env.HopID)
 		if err != nil {
-			e.finish(self, p, false, fmt.Sprintf("hop %s lost", p.env.HopID.Short()))
+			e.finish(self, p, false, fmt.Sprintf("hop %s lost", env.HopID.Short()))
 			return
 		}
-		// Link padding keeps the wire size constant, so an observer cannot
-		// read the tunnel position off the message length: note the size
-		// before the peel shrinks the onion.
-		env, size := p.env, p.env.SizeBytes()
-		layer, err := OpenForwardLayerInPlace(anchor, env.Sealed)
+		layer, err := env.Peel(anchor)
 		if err != nil {
 			e.finish(self, p, false, fmt.Sprintf("hop %s: %v", env.HopID.Short(), err))
 			return
 		}
 		if !layer.IsExit {
-			env.HopID, env.Hint, env.Sealed = layer.Next, layer.NextHint, layer.Inner
-			env.PadToMatch(size)
 			p.target = layer.Next
 			e.dispatch(self, p, layer.NextHint)
 			return
@@ -463,6 +450,7 @@ func (e *NetEngine) process(self simnet.Addr, p *packet) {
 			stream, seq, fin, ackTo, data, err := wire.ReadStreamSegment(layer.Payload)
 			if err != nil {
 				e.StreamSegsLost++
+				e.putPacket(p)
 				return
 			}
 			p.kind, p.flow = kindStream, stream
@@ -475,7 +463,7 @@ func (e *NetEngine) process(self simnet.Addr, p *packet) {
 
 	case kindReply:
 		renv := p.renv
-		anchor, err := e.svc.Dir.FetchAsHolder(self, renv.Target)
+		anchor, err := e.svc.anchorAt(self, renv.Target)
 		if err != nil {
 			// No anchor here: final delivery point (the initiator, when
 			// the tunnel held).
@@ -486,16 +474,12 @@ func (e *NetEngine) process(self simnet.Addr, p *packet) {
 			e.finish(self, p, false, fmt.Sprintf("reply hop %s dropped at node %d", renv.Target.Short(), self))
 			return
 		}
-		size := renv.SizeBytes()
-		next, hint, rest, err := OpenReplyLayerInPlace(anchor, renv.Onion)
-		if err != nil {
+		if err := renv.Peel(anchor); err != nil {
 			e.finish(self, p, false, fmt.Sprintf("reply hop %s: %v", renv.Target.Short(), err))
 			return
 		}
-		renv.Target, renv.Hint, renv.Onion = next, hint, rest
-		renv.PadToMatch(size)
-		p.target = next
-		e.dispatch(self, p, hint)
+		p.target = renv.Target
+		e.dispatch(self, p, renv.Hint)
 	}
 }
 

@@ -77,9 +77,6 @@ type PoolConfig struct {
 	// limiter (0.2/s sustained, burst Size).
 	Limiter *RateLimiter
 
-	// Quarantine tunes the hop scoreboard installed on the initiator.
-	Quarantine QuarantineConfig
-
 	// DisableRebuild and BypassAdmission are fault-injection seams in
 	// the spirit of Service.HopFilter, planted by the simulation checker
 	// to prove the pool invariants fire: the first stalls every rebuild
@@ -217,7 +214,7 @@ func NewTunnelPool(in *Initiator, eng *NetEngine, cfg PoolConfig) (*TunnelPool, 
 	if p.limiter == nil {
 		p.limiter = NewRateLimiter(0.2, float64(cfg.Size))
 	}
-	p.quar = NewQuarantine(cfg.Quarantine, eng.net.Now)
+	p.quar = NewQuarantine(eng.net.Now)
 	in.Quarantine = p.quar
 
 	if err := p.ensureAnchors(); err != nil {

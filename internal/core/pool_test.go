@@ -258,8 +258,9 @@ func TestPoolDeterministic(t *testing.T) {
 
 func TestQuarantineBreakerLifecycle(t *testing.T) {
 	var now simnet.Time
-	q := NewQuarantine(QuarantineConfig{Threshold: 2, BaseOpen: 10 * time.Second, StrikeOut: 3}, func() simnet.Time { return now })
+	q := NewQuarantine(func() simnet.Time { return now })
 	h := id.HashString("hop")
+	const base = quarantineBaseOpen
 
 	if q.Blocked(h) {
 		t.Fatal("fresh hop blocked")
@@ -273,7 +274,7 @@ func TestQuarantineBreakerLifecycle(t *testing.T) {
 		t.Fatal("not blocked after threshold failures")
 	}
 	// Half-open after the open period.
-	now = 11 * time.Second
+	now = base + time.Second
 	if q.Blocked(h) {
 		t.Fatal("still blocked after open period (no half-open)")
 	}
@@ -282,11 +283,11 @@ func TestQuarantineBreakerLifecycle(t *testing.T) {
 	if !q.Blocked(h) {
 		t.Fatal("not re-opened after failed trial")
 	}
-	now = 21 * time.Second // 11s + 10s: within the doubled 20s window
+	now += base + time.Second // past one base period, within the doubled window
 	if !q.Blocked(h) {
 		t.Fatal("re-open did not double the period")
 	}
-	now = 32 * time.Second
+	now += base
 	if q.Blocked(h) {
 		t.Fatal("not half-open after doubled period")
 	}
@@ -299,15 +300,19 @@ func TestQuarantineBreakerLifecycle(t *testing.T) {
 
 func TestQuarantineStrikeOut(t *testing.T) {
 	var now simnet.Time
-	q := NewQuarantine(QuarantineConfig{Threshold: 1, BaseOpen: time.Second, StrikeOut: 3}, func() simnet.Time { return now })
+	q := NewQuarantine(func() simnet.Time { return now })
 	h := id.HashString("bad-hop")
+	q.ReportFailure(h) // one below the threshold: the next failure opens
 	struck := false
-	for i := 0; i < 3; i++ {
+	for i := 0; i < quarantineStrikeOut; i++ {
+		if struck {
+			t.Fatalf("struck out after %d opens, want %d", i, quarantineStrikeOut)
+		}
 		struck = q.ReportFailure(h)
-		now += 10 * time.Second // past each open window: next failure is a failed trial
+		now += maxQuarantineOpen // past each open window: next failure is a failed trial
 	}
 	if !struck || q.Strikes != 1 {
-		t.Fatalf("no strike-out after 3 opens (strikes=%d)", q.Strikes)
+		t.Fatalf("no strike-out after %d opens (strikes=%d)", quarantineStrikeOut, q.Strikes)
 	}
 	if q.Blocked(h) {
 		t.Fatal("struck-out hop still tracked")
@@ -316,7 +321,7 @@ func TestQuarantineStrikeOut(t *testing.T) {
 
 func TestQuarantineSuccessResetsStreak(t *testing.T) {
 	var now simnet.Time
-	q := NewQuarantine(QuarantineConfig{Threshold: 2, BaseOpen: time.Second}, func() simnet.Time { return now })
+	q := NewQuarantine(func() simnet.Time { return now })
 	h := id.HashString("flappy")
 	q.ReportFailure(h)
 	q.ReportSuccess(h)
@@ -330,10 +335,15 @@ func TestFormTunnelAvoidsQuarantinedAnchors(t *testing.T) {
 	s := newSys(t, 300, 3, 47)
 	in := s.readyInitiator(t, "a", 12)
 	var now simnet.Time
-	q := NewQuarantine(QuarantineConfig{Threshold: 1, BaseOpen: time.Hour}, func() simnet.Time { return now })
+	q := NewQuarantine(func() simnet.Time { return now })
 	in.Quarantine = q
 	bad := in.Pool()[0].HopID
-	q.ReportFailure(bad)
+	for i := 0; i < quarantineThreshold; i++ {
+		q.ReportFailure(bad)
+	}
+	if !q.Blocked(bad) {
+		t.Fatal("test setup: anchor not quarantined")
+	}
 	for i := 0; i < 20; i++ {
 		tun, err := in.FormTunnel(3)
 		if err != nil {

@@ -7,38 +7,22 @@ import (
 	"tap/internal/simnet"
 )
 
-// QuarantineConfig tunes the per-initiator hop quarantine scoreboard.
-type QuarantineConfig struct {
-	// Threshold is the number of attributed failures that open an
-	// anchor's circuit breaker. Default 2: one failure can be collateral
-	// (an imperfect attribution during churn), two is a pattern.
-	Threshold int
-	// BaseOpen is the first open period; each re-open after a failed
-	// half-open trial doubles it, up to maxQuarantineOpen. Default 30s.
-	BaseOpen simnet.Time
-	// StrikeOut retires an anchor for good after this many opens (0 =
-	// never). A hop that keeps failing its half-open trials sits on a
-	// node that is down, overloaded, or hostile; past this point the
-	// initiator deletes the anchor rather than keep paying trial probes.
-	// Default 3.
-	StrikeOut int
-}
-
-func (c QuarantineConfig) withDefaults() QuarantineConfig {
-	if c.Threshold == 0 {
-		c.Threshold = 2
-	}
-	if c.BaseOpen == 0 {
-		c.BaseOpen = 30 * time.Second
-	}
-	if c.StrikeOut == 0 {
-		c.StrikeOut = 3
-	}
-	return c
-}
-
-// maxQuarantineOpen caps the doubling of an anchor's open period.
-const maxQuarantineOpen = 5 * time.Minute
+// The per-initiator hop quarantine scoreboard's policy.
+const (
+	// quarantineThreshold is the number of attributed failures that open
+	// an anchor's circuit breaker: one failure can be collateral (an
+	// imperfect attribution during churn), two is a pattern.
+	quarantineThreshold = 2
+	// quarantineBaseOpen is the first open period; each re-open after a
+	// failed half-open trial doubles it, up to maxQuarantineOpen.
+	quarantineBaseOpen = 30 * time.Second
+	maxQuarantineOpen  = 5 * time.Minute
+	// quarantineStrikeOut retires an anchor for good after this many
+	// opens. A hop that keeps failing its half-open trials sits on a node
+	// that is down, overloaded, or hostile; past this point the initiator
+	// deletes the anchor rather than keep paying trial probes.
+	quarantineStrikeOut = 3
+)
 
 // Quarantine is a per-initiator circuit breaker over hop anchors. Hops
 // that probes attribute failures to are quarantined (their breaker opens)
@@ -49,7 +33,6 @@ const maxQuarantineOpen = 5 * time.Minute
 // FormDisjointTunnels consult, so a flapping or hostile hop node stops
 // attracting fresh tunnels without being written off forever.
 type Quarantine struct {
-	cfg QuarantineConfig
 	now func() simnet.Time
 	m   map[id.ID]*qEntry
 
@@ -70,8 +53,8 @@ type qEntry struct {
 }
 
 // NewQuarantine builds a quarantine on the given clock.
-func NewQuarantine(cfg QuarantineConfig, now func() simnet.Time) *Quarantine {
-	return &Quarantine{cfg: cfg.withDefaults(), now: now, m: make(map[id.ID]*qEntry)}
+func NewQuarantine(now func() simnet.Time) *Quarantine {
+	return &Quarantine{now: now, m: make(map[id.ID]*qEntry)}
 }
 
 // Blocked reports whether hop formation should avoid this anchor right
@@ -105,18 +88,18 @@ func (q *Quarantine) ReportFailure(h id.ID) (strikeOut bool) {
 		// hop) extends nothing — the breaker is doing its job.
 	default:
 		e.fails++
-		if e.fails >= q.cfg.Threshold {
+		if e.fails >= quarantineThreshold {
 			e.fails = 0
 			e.open = true
 			if e.openDur == 0 {
-				e.openDur = q.cfg.BaseOpen
+				e.openDur = quarantineBaseOpen
 			}
 			e.openUntil = q.now() + e.openDur
 			e.opens++
 			q.Opens++
 		}
 	}
-	if q.cfg.StrikeOut > 0 && e.opens >= q.cfg.StrikeOut {
+	if e.opens >= quarantineStrikeOut {
 		q.Strikes++
 		delete(q.m, h) // the caller retires the anchor; no state to keep
 		return true

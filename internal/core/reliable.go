@@ -235,8 +235,8 @@ func (e *NetEngine) attempt(flow uint64, st *flowState, build func() (*packet, s
 		e.Retransmits++
 	}
 	p, hint := build()
-	p.flow, p.ackTo = flow, st.origin
-	if st.resend != nil {
+	p.flow, p.ackTo, p.reliable = flow, st.origin, st.resend != nil
+	if p.reliable {
 		e.armTimer(flow, st)
 	}
 	e.dispatch(st.origin, p, hint)
@@ -295,8 +295,10 @@ func (e *NetEngine) exhaust(flow uint64, st *flowState) {
 }
 
 // ackDelivery runs at the terminal node when a reliable flow's data
-// arrives while the flow is still pending: record the delivery (so
-// duplicates are suppressed) and ACK the origin.
+// arrives: record the first delivery and ACK the origin; a duplicate — a
+// retransmission that raced the ACK, or outlived it — is re-ACKed from the
+// record, the earlier ACK may have been lost, and never re-delivered. The
+// terminal's own acked table is all it consults.
 func (e *NetEngine) ackDelivery(self simnet.Addr, p *packet) {
 	if rec, ok := e.acked[p.flow]; ok && !e.DisableAckDedup {
 		e.DupDeliveries++

@@ -127,7 +127,8 @@ func TestTerminalAckDedupBothOrders(t *testing.T) {
 			origin := simnet.Addr(7)
 			terminal := simnet.Addr(3)
 
-			first := &packet{kind: kindPayload, flow: flow, hops: tc.firstHops, ackTo: origin}
+			// Hand-built packets carry the flag attempt would have stamped.
+			first := &packet{kind: kindPayload, flow: flow, hops: tc.firstHops, ackTo: origin, reliable: true}
 			ns.eng.finish(terminal, first, true, "")
 			if rec, ok := ns.eng.acked[flow]; !ok || rec.dataHops != tc.firstHops {
 				t.Fatalf("first arrival not recorded: %+v ok=%v", ns.eng.acked[flow], ok)
@@ -140,7 +141,7 @@ func TestTerminalAckDedupBothOrders(t *testing.T) {
 				t.Fatalf("outcome fired %d times after ACK", fired)
 			}
 
-			later := &packet{kind: kindPayload, flow: flow, hops: tc.laterHops, ackTo: origin}
+			later := &packet{kind: kindPayload, flow: flow, hops: tc.laterHops, ackTo: origin, reliable: true}
 			ns.eng.finish(terminal, later, true, "")
 			if fired != 1 {
 				t.Fatalf("duplicate arrival re-fired the outcome (%d times)", fired)
@@ -165,7 +166,9 @@ func TestTerminalAckDedupBothOrders(t *testing.T) {
 // TestReliableFinishDoesNotDoubleCount: mid-flight deaths of a pending
 // reliable flow count as PacketsLost — never FailFlows, which is reserved
 // for the flow-level verdict — and packets of a flow that already
-// completed are ignored entirely.
+// concluded never re-count it: the origin ignores a late death and a late
+// ACK alike. (The terminal does ACK a late delivery, once: it cannot know
+// the origin gave up, and the origin's flow table is not its to read.)
 func TestReliableFinishDoesNotDoubleCount(t *testing.T) {
 	ns := newNetSys(t, 100, 3, 34)
 	ns.eng.EnableReliability(Reliability{MaxAttempts: 3})
@@ -175,8 +178,8 @@ func TestReliableFinishDoesNotDoubleCount(t *testing.T) {
 	st := ns.eng.flows[flow]
 
 	// Two attempts die mid-flight: packet-level losses, no flow verdict.
-	ns.eng.finish(1, &packet{kind: kindPayload, flow: flow}, false, "first copy died")
-	ns.eng.finish(2, &packet{kind: kindPayload, flow: flow}, false, "second copy died")
+	ns.eng.finish(1, &packet{kind: kindPayload, flow: flow, reliable: true}, false, "first copy died")
+	ns.eng.finish(2, &packet{kind: kindPayload, flow: flow, reliable: true}, false, "second copy died")
 	if ns.eng.PacketsLost != 2 {
 		t.Fatalf("PacketsLost = %d, want 2", ns.eng.PacketsLost)
 	}
@@ -198,14 +201,17 @@ func TestReliableFinishDoesNotDoubleCount(t *testing.T) {
 		t.Fatalf("outcome = %+v", out)
 	}
 
-	// Late copies of the concluded flow change nothing.
-	ns.eng.finish(3, &packet{kind: kindPayload, flow: flow}, false, "straggler died")
-	ns.eng.finish(4, &packet{kind: kindPayload, flow: flow, ackTo: simnet.Addr(5)}, true, "")
-	if fired != 1 || ns.eng.FailFlows != 1 || ns.eng.PacketsLost != 2 {
-		t.Fatalf("late packets re-counted: fired=%d FailFlows=%d PacketsLost=%d",
-			fired, ns.eng.FailFlows, ns.eng.PacketsLost)
+	// Late copies of the concluded flow change nothing at the origin: the
+	// death is not counted, and the ACK the terminal sends for the late
+	// delivery finds no flow to complete.
+	ns.eng.finish(3, &packet{kind: kindPayload, flow: flow, reliable: true}, false, "straggler died")
+	ns.eng.finish(4, &packet{kind: kindPayload, flow: flow, ackTo: simnet.Addr(5), reliable: true}, true, "")
+	if ns.eng.AcksSent != 1 {
+		t.Fatalf("AcksSent = %d, want 1: the terminal ACKs the late delivery", ns.eng.AcksSent)
 	}
-	if ns.eng.AcksSent != 0 {
-		t.Fatalf("late delivery of an exhausted flow sent an ACK")
+	ns.eng.handleAck(&packet{kind: kindAck, flow: flow})
+	if fired != 1 || ns.eng.FailFlows != 1 || ns.eng.PacketsLost != 2 || ns.eng.AcksRecv != 0 {
+		t.Fatalf("late packets re-counted: fired=%d FailFlows=%d PacketsLost=%d AcksRecv=%d",
+			fired, ns.eng.FailFlows, ns.eng.PacketsLost, ns.eng.AcksRecv)
 	}
 }

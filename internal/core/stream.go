@@ -57,9 +57,6 @@ type StreamConfig struct {
 	Window int
 	// SegSize is the payload capacity of one segment. Default 1024.
 	SegSize int
-	// MaxRetries bounds per-segment retransmissions before the stream
-	// fails. Default 12.
-	MaxRetries int
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
@@ -68,9 +65,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	}
 	if c.SegSize == 0 {
 		c.SegSize = 1024
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 12
 	}
 	return c
 }
@@ -88,6 +82,9 @@ const (
 	// exponential backoff.
 	streamMinRTO = 20 * time.Millisecond
 	streamMaxRTO = 30 * time.Second
+	// streamMaxRetries bounds per-segment retransmissions before the
+	// stream fails.
+	streamMaxRetries = 12
 )
 
 // rttEstimator is the RFC 6298 smoothed round-trip estimator: SRTT and
@@ -446,7 +443,7 @@ func (s *Stream) onTimeout(now simnet.Time) {
 	if !head.used {
 		return
 	}
-	if head.rtx >= s.cfg.MaxRetries {
+	if head.rtx >= streamMaxRetries {
 		s.fail(fmt.Sprintf("segment %d: retransmit budget exhausted after %d tries", head.seq, head.rtx+1))
 		return
 	}

@@ -180,6 +180,61 @@ func TestStreamTunnelTransfer(t *testing.T) {
 	}
 }
 
+// TestStreamTunnelSegmentDiesAtHopNode: a tunnel-mode segment is a
+// kindForward packet carrying a stream id until the exit unwraps it. One
+// that dies at a hop node is a lost stream segment — counted, kept out of
+// the flow table, and returned to the freelist — and the stream recovers
+// through the replica that took the hop over.
+func TestStreamTunnelSegmentDiesAtHopNode(t *testing.T) {
+	ns := newNetSys(t, 400, 3, 35)
+	in := ns.readyInitiator(t, "a", 12)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewHintCache()
+	if err := cache.Refresh(ns.svc, tun); err != nil {
+		t.Fatal(err)
+	}
+	// Kill the middle hop's node but leave it attached: the hinted packet
+	// arrives at a node that is dead to the overlay ("died holding packet").
+	mid, ok := ns.dir.HopNode(tun.Hops[1].HopID)
+	if !ok {
+		t.Fatal("no middle hop node")
+	}
+	if err := ns.ov.Fail(mid.Ref().Addr); err != nil {
+		t.Fatal(err)
+	}
+	sink := &streamSink{}
+	sink.install(ns.eng)
+	data := patternData(4096)
+	s := ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, cache, id.HashString("d"), StreamConfig{Window: 4})
+	s.WriteAll(data)
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Done() || !bytes.Equal(sink.buf, data) {
+		_, why := s.Failed()
+		t.Fatalf("stream did not recover through the replica: done=%v why=%q", s.Done(), why)
+	}
+	if ns.eng.StreamSegsLost == 0 {
+		t.Fatal("segments died at the dead hop node but StreamSegsLost = 0")
+	}
+	if len(ns.eng.flows) != 0 || ns.eng.FailFlows != 0 || ns.eng.PacketsLost != 0 {
+		t.Fatalf("a stream segment's death reached the flow table: flows=%d FailFlows=%d PacketsLost=%d",
+			len(ns.eng.flows), ns.eng.FailFlows, ns.eng.PacketsLost)
+	}
+
+	// The dying packet returns to the freelist its sender took it from.
+	p := ns.eng.getPacket()
+	p.kind, p.flow, p.env = kindForward, s.ID(), &Envelope{}
+	free := len(ns.eng.pktFree)
+	ns.eng.finish(mid.Ref().Addr, p, false, "hop lost")
+	if len(ns.eng.pktFree) != free+1 || ns.eng.pktFree[free] != p || p.env != nil {
+		t.Fatal("a segment that died at a hop was not recycled")
+	}
+}
+
 func TestStreamBackpressure(t *testing.T) {
 	ns := newNetSys(t, 100, 3, 34)
 	src := ns.ov.RandomLive(ns.root.Split("src"))
@@ -488,10 +543,11 @@ func TestStreamTunnelBackoffMemory(t *testing.T) {
 	// off, and repeated expiry invalidates the cached hop hints well
 	// before the retry budget runs out.
 	ns.net.InstallFaults(&simnet.FaultPlan{Seed: 3, LossRate: 1})
-	s2 := ns.eng.OpenTunnelStream(origin, tun, cache, dest, StreamConfig{MaxRetries: 20})
+	s2 := ns.eng.OpenTunnelStream(origin, tun, cache, dest, StreamConfig{})
 	s2.WriteAll(patternData(2048))
 	// streamInitRTO (1s) doubling per expiry: backoffCount hits 3 (the hint
-	// eviction point) by t=7s. Check at 20s, long before 20 retries.
+	// eviction point) by t=7s. Check at 20s — four expiries, long before
+	// the streamMaxRetries budget.
 	if err := ns.kernel.RunUntil(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}

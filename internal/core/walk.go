@@ -46,35 +46,31 @@ type ReplyResult struct {
 	Stats      WalkStats
 }
 
-// locateHop finds the node currently serving hopID, trying the §5 address
-// hint first and falling back to DHT routing from `from`. It returns the
-// node and the overlay hops spent.
-func (svc *Service) locateHop(from simnet.Addr, hopID id.ID, hint simnet.Addr, stats *WalkStats) (*pastry.Node, error) {
+// locate finds the node a message addressed to key is handed to next: the
+// §5 address hint when the node there is alive and holds key's anchor,
+// else the end of the DHT route from `from`. It counts the overlay hops
+// spent and reports whether it routed — a hinted node holds the anchor
+// without having to be the id's owner, so only a routed result can be
+// checked against the owner oracle.
+func (svc *Service) locate(from simnet.Addr, key id.ID, hint simnet.Addr, stats *WalkStats) (node *pastry.Node, routed bool, err error) {
 	if hint != simnet.NoAddr {
-		n := svc.OV.Node(hint)
-		if n != nil && n.Alive() && svc.Dir.Manager().HolderHas(hint, hopID) {
+		if n := svc.OV.Node(hint); n != nil && n.Alive() && svc.holds(hint, key) {
 			stats.HintHits++
 			stats.OverlayHops++ // one direct network hop
-			return n, nil
+			return n, false, nil
 		}
 		stats.HintMisses++
 	}
-	node, ok := svc.Dir.HopNode(hopID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrHopLost, hopID.Short())
-	}
-	path, err := svc.OV.RoutePath(from, hopID)
+	path, err := svc.OV.RoutePath(from, key)
 	if err != nil {
-		return nil, fmt.Errorf("core: routing to hop %s: %w", hopID.Short(), err)
-	}
-	end := path[len(path)-1]
-	if end.ID != node.ID() {
-		// Routing and the replica oracle disagree — overlay state is
-		// corrupt; surface loudly rather than mis-deliver.
-		return nil, fmt.Errorf("core: route for %s ended at %s, owner is %s", hopID.Short(), end.ID.Short(), node.ID().Short())
+		return nil, true, fmt.Errorf("core: routing to %s: %w", key.Short(), err)
 	}
 	stats.OverlayHops += len(path) - 1
-	return node, nil
+	node = svc.OV.ByID(path[len(path)-1].ID)
+	if node == nil {
+		return nil, true, fmt.Errorf("core: route for %s ended at dead node", key.Short())
+	}
+	return node, true, nil
 }
 
 // DeliverForward walks a forward envelope from the initiator's address
@@ -83,34 +79,47 @@ func (svc *Service) locateHop(from simnet.Addr, hopID id.ID, hint simnet.Addr, s
 func (svc *Service) DeliverForward(from simnet.Addr, env *Envelope) (*ForwardResult, error) {
 	var stats WalkStats
 	cur := from
-	// Copy the onion once; each hop then peels its layer in place on the
-	// walker-owned buffer. env.Sealed must stay intact — the initiator's
-	// reliability layer re-sends the same envelope on retransmit.
-	hopID, hint, sealed := env.HopID, env.Hint, append([]byte(nil), env.Sealed...)
+	// The walker owns a private copy, which every hop peels where it lies.
+	// env stays the caller's, intact — the initiator's reliability layer
+	// re-sends the same envelope on retransmit.
+	own := *env
+	own.Sealed = append([]byte(nil), env.Sealed...)
 	for depth := 0; ; depth++ {
 		if depth > 64 {
 			return nil, fmt.Errorf("core: forward walk exceeded 64 hops; malformed tunnel")
 		}
-		node, err := svc.locateHop(cur, hopID, hint, &stats)
+		hopID := own.HopID
+		// The replica oracle, which only a simulator has: a hop with no
+		// live replica is lost whatever routing would say (a hint that
+		// hits proves a live replica, so asking first changes nothing).
+		owner, ok := svc.Dir.HopNode(hopID)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrHopLost, hopID.Short())
+		}
+		node, routed, err := svc.locate(cur, hopID, own.Hint, &stats)
 		if err != nil {
 			return nil, err
 		}
+		if routed && node.ID() != owner.ID() {
+			// Routing and the oracle disagree — overlay state is corrupt;
+			// surface loudly rather than mis-deliver.
+			return nil, fmt.Errorf("core: route for %s ended at %s, owner is %s", hopID.Short(), node.ID().Short(), owner.ID().Short())
+		}
+		cur = node.Ref().Addr
 		stats.HopNodes = append(stats.HopNodes, node.Ref())
-		if !svc.hopServes(node.Ref().Addr, hopID) {
+		if !svc.hopServes(cur, hopID) {
 			return nil, fmt.Errorf("%w: hop %s at node %s", ErrDropped, hopID.Short(), node.Ref())
 		}
-		anchor, err := svc.Dir.FetchAsHolder(node.Ref().Addr, hopID)
+		anchor, err := svc.anchorAt(cur, hopID)
 		if err != nil {
 			return nil, fmt.Errorf("%w: hop node %s for %s", ErrNotHolder, node.Ref(), hopID.Short())
 		}
-		layer, err := OpenForwardLayerInPlace(anchor, sealed)
+		layer, err := own.Peel(anchor)
 		if err != nil {
 			return nil, err
 		}
 		stats.CryptoOps++
-		cur = node.Ref().Addr
 		if !layer.IsExit {
-			hopID, hint, sealed = layer.Next, layer.NextHint, layer.Inner
 			continue
 		}
 		// Tail node routes the plaintext payload to the destination owner.
@@ -136,57 +145,39 @@ func (svc *Service) DeliverForward(from simnet.Addr, env *Envelope) (*ForwardRes
 func (svc *Service) DeliverReply(from simnet.Addr, env *ReplyEnvelope) (*ReplyResult, error) {
 	var stats WalkStats
 	cur := from
-	// Copy the onion once and peel in place, as in DeliverForward.
-	target, hint, onion := env.Target, env.Hint, append([]byte(nil), env.Onion...)
+	// A private copy peeled in place, as in DeliverForward; hops never
+	// touch the data.
+	own := *env
+	own.Onion = append([]byte(nil), env.Onion...)
 	for depth := 0; ; depth++ {
 		if depth > 64 {
 			return nil, fmt.Errorf("core: reply walk exceeded 64 hops; malformed reply tunnel")
 		}
-		// Try the hint, then DHT-route to the owner of the target id.
-		var node *pastry.Node
-		if hint != simnet.NoAddr {
-			n := svc.OV.Node(hint)
-			if n != nil && n.Alive() && svc.Dir.Manager().HolderHas(hint, target) {
-				stats.HintHits++
-				stats.OverlayHops++
-				node = n
-			} else {
-				stats.HintMisses++
-			}
-		}
-		if node == nil {
-			path, err := svc.OV.RoutePath(cur, target)
-			if err != nil {
-				return nil, fmt.Errorf("core: reply routing to %s: %w", target.Short(), err)
-			}
-			stats.OverlayHops += len(path) - 1
-			node = svc.OV.ByID(path[len(path)-1].ID)
-			if node == nil {
-				return nil, fmt.Errorf("core: reply route ended at dead node")
-			}
+		target := own.Target
+		node, _, err := svc.locate(cur, target, own.Hint, &stats)
+		if err != nil {
+			return nil, err
 		}
 		cur = node.Ref().Addr
-		anchor, err := svc.Dir.FetchAsHolder(node.Ref().Addr, target)
+		anchor, err := svc.anchorAt(cur, target)
 		if err != nil {
 			// No anchor here: the message has arrived at its final
 			// destination (whoever owns the target id now).
 			return &ReplyResult{
 				Target:     target,
 				LandedNode: node.Ref(),
-				Remainder:  onion, // aliases the walker-owned buffer
+				Remainder:  own.Onion, // aliases the walker-owned buffer
 				Data:       append([]byte(nil), env.Data...),
 				Stats:      stats,
 			}, nil
 		}
 		stats.HopNodes = append(stats.HopNodes, node.Ref())
-		if !svc.hopServes(node.Ref().Addr, target) {
+		if !svc.hopServes(cur, target) {
 			return nil, fmt.Errorf("%w: reply hop %s at node %s", ErrDropped, target.Short(), node.Ref())
 		}
-		next, nextHint, rest, err := OpenReplyLayerInPlace(anchor, onion)
-		if err != nil {
+		if err := own.Peel(anchor); err != nil {
 			return nil, err
 		}
 		stats.CryptoOps++
-		target, hint, onion = next, nextHint, rest
 	}
 }

@@ -72,8 +72,8 @@ func (c *Counter) Add(n uint64) {
 }
 
 // Store overwrites the counter's value. It exists for publish-style
-// instrumentation — a host snapshotting an engine's internally kept
-// monotone totals (core.EngineMetrics) on each scrape — and must only
+// instrumentation — a host snapshotting a monotone total kept elsewhere
+// (the runtime's GC cycle count, http.go) on each scrape — and must only
 // ever be fed non-decreasing values, or scrapers will see counter
 // resets.
 func (c *Counter) Store(v uint64) {

@@ -247,9 +247,10 @@ func (n *Node) handleForward(env *core.Envelope) {
 		n.logf("procnode %d: no anchor for hop %s", n.Addr, env.HopID.Short())
 		return
 	}
-	// The codec gave us an owned buffer: peel in place.
+	// The codec gave us an owned envelope, so the hop step may rewrite it:
+	// past a relay layer it is the inner message, addressed and padded.
 	t0 := n.tr.Now()
-	layer, err := core.OpenForwardLayerInPlace(a, env.Sealed)
+	layer, err := env.Peel(a)
 	if err != nil {
 		n.logf("procnode %d: %v", n.Addr, err)
 		return
@@ -266,11 +267,6 @@ func (n *Node) handleForward(env *core.Envelope) {
 		n.send(transport.NoAddr, layer.Dest, &DataMsg{Dest: layer.Dest, Payload: layer.Payload}, 0)
 		return
 	}
-	// The envelope is ours (that is what let us peel it in place), so it
-	// carries the inner layer onward itself.
-	size := env.SizeBytes()
-	env.HopID, env.Hint, env.Sealed = layer.Next, layer.NextHint, layer.Inner
-	env.PadToMatch(size)
 	n.m.relaysForwarded.Inc()
 	n.send(env.Hint, env.HopID, env, 0)
 }
@@ -295,19 +291,15 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 		return
 	}
 	t0 := n.tr.Now()
-	next, hint, rest, err := core.OpenReplyLayerInPlace(a, env.Onion)
-	if err != nil {
+	if err := env.Peel(a); err != nil {
 		n.logf("procnode %d: %v", n.Addr, err)
 		return
 	}
 	n.m.peelsReply.Inc()
 	n.m.peelSeconds.Observe((n.tr.Now() - t0).Seconds())
-	size := env.SizeBytes()
-	env.Target, env.Hint, env.Onion = next, hint, rest
-	env.PadToMatch(size)
 	// The tail layer names the initiator's bid with no hint: send resolves
 	// it through the membership index.
-	n.send(hint, next, env, 0)
+	n.send(env.Hint, env.Target, env, 0)
 }
 
 // Exit payload format (the plaintext the exit layer reveals, §4's
