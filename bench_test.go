@@ -224,8 +224,8 @@ func BenchmarkAblationReplication(b *testing.B) {
 }
 
 // BenchmarkAblationHintStaleness measures the §5 optimization's
-// sensitivity to cache staleness: overlay hops per delivery as a function
-// of how many hop nodes changed since the cache was refreshed.
+// sensitivity to hint staleness: overlay hops per delivery as a function
+// of how many hop nodes changed since the hints were refreshed.
 func BenchmarkAblationHintStaleness(b *testing.B) {
 	for _, stale := range []int{0, 1, 3, 5} {
 		b.Run("stale_hops="+itoa(stale), func(b *testing.B) {
@@ -250,8 +250,7 @@ func BenchmarkAblationHintStaleness(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cache := core.NewHintCache()
-				if err := cache.Refresh(w.Svc, tun); err != nil {
+				if err := tun.RefreshHints(w.Svc); err != nil {
 					b.Fatal(err)
 				}
 				// Invalidate `stale` hints by killing those hop nodes.
@@ -267,7 +266,7 @@ func BenchmarkAblationHintStaleness(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				env, err := core.BuildForwardWithCache(tun, cache, id.HashString("d"), make([]byte, 100), root.Split("b"))
+				env, err := core.BuildForwardHinted(tun, id.HashString("d"), make([]byte, 100), root.Split("b"))
 				if err != nil {
 					b.Fatal(err)
 				}

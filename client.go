@@ -119,7 +119,7 @@ func (c *Client) RetrieveFile(fid ID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := anonfile.Retrieve(c.net.lib, c.in, fwd, rep, fid, nil, nil, c.stream.Split("retrieve"))
+	res, err := anonfile.Retrieve(c.net.lib, c.in, fwd, rep, fid, c.stream.Split("retrieve"))
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func (c *Client) RetrieveFile(fid ID) ([]byte, error) {
 // RetrieveFileVia is RetrieveFile over caller-supplied tunnels, letting
 // applications reuse long-lived tunnels across retrievals.
 func (c *Client) RetrieveFileVia(fwd, rep *Tunnel, fid ID) ([]byte, error) {
-	res, err := anonfile.Retrieve(c.net.lib, c.in, fwd, rep, fid, nil, nil, c.stream.Split("retrieve"))
+	res, err := anonfile.Retrieve(c.net.lib, c.in, fwd, rep, fid, c.stream.Split("retrieve"))
 	if err != nil {
 		return nil, err
 	}
@@ -243,17 +243,12 @@ func (c *Client) TimedTransfer(mode TransferMode, dest ID, size int, l int) (tim
 		if err != nil {
 			return 0, err
 		}
-		payload := make([]byte, size)
-		var env *core.Envelope
 		if mode == TAPOpt {
-			cache := core.NewHintCache()
-			if err := cache.Refresh(c.net.svc, tun); err != nil {
+			if err := tun.RefreshHints(c.net.svc); err != nil {
 				return 0, err
 			}
-			env, err = core.BuildForwardWithCache(tun, cache, dest, payload, c.stream)
-		} else {
-			env, err = core.BuildForward(tun, nil, dest, payload, c.stream)
 		}
+		env, err := core.BuildForwardHinted(tun, dest, make([]byte, size), c.stream)
 		if err != nil {
 			return 0, err
 		}

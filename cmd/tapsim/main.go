@@ -265,8 +265,8 @@ func main() {
 	if strings.EqualFold(*exp, "ext-selfheal") {
 		matched = true
 		run("ext-selfheal", func() (*trace.Table, error) {
-			// K and Length stay at the experiment's defaults (k=2, l=3):
-			// thin replication is the point — at the usual k=3, batch churn
+			// k=2, l=3 are the experiment's constants: thin replication
+			// is the point — at the usual k=3, batch churn
 			// almost never kills an anchor and both modes tie at ~1.0.
 			return experiments.ExtSelfHeal(experiments.ExtSelfHealParams{
 				N: *n, Trials: *trials, Seed: *seed,

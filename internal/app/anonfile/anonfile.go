@@ -128,10 +128,10 @@ type Result struct {
 
 // Retrieve performs the full §4 exchange with the logical walker:
 // initiator → forward tunnel → responder → reply tunnel → initiator. fwd
-// and rep must be distinct tunnels owned by in. Hints (optional caches)
-// enable the §5 optimization on either direction.
+// and rep must be distinct tunnels owned by in. A tunnel whose hints were
+// refreshed gets the §5 optimization in its direction.
 func Retrieve(lib *Library, in *core.Initiator, fwd, rep *core.Tunnel, fid id.ID,
-	fwdCache, repCache *core.HintCache, stream *rng.Stream) (*Result, error) {
+	stream *rng.Stream) (*Result, error) {
 
 	// Initiator side: temporary keypair, bid, reply tunnel, request.
 	kI, err := crypt.NewBoxKeyPair(stream)
@@ -139,22 +139,12 @@ func Retrieve(lib *Library, in *core.Initiator, fwd, rep *core.Tunnel, fid id.ID
 		return nil, err
 	}
 	bid := in.NewBid()
-	var rt *core.ReplyTunnel
-	if repCache != nil {
-		rt, err = core.BuildReplyWithCache(rep, repCache, bid, stream)
-	} else {
-		rt, err = core.BuildReply(rep, nil, bid, stream)
-	}
+	rt, err := core.BuildReplyHinted(rep, bid, stream)
 	if err != nil {
 		return nil, err
 	}
 	payload := encodeRequest(request{FID: fid, KIPub: kI.Public().Bytes(), Reply: rt.Encode()})
-	var env *core.Envelope
-	if fwdCache != nil {
-		env, err = core.BuildForwardWithCache(fwd, fwdCache, fid, payload, stream)
-	} else {
-		env, err = core.BuildForward(fwd, nil, fid, payload, stream)
-	}
+	env, err := core.BuildForwardHinted(fwd, fid, payload, stream)
 	if err != nil {
 		return nil, err
 	}
@@ -271,11 +261,11 @@ func ServeUploads(lib *Library, eng *core.NetEngine) *UploadServer {
 // the initiator. Writes are pumped through the send window as
 // acknowledgments free space; done fires with the stream outcome once the
 // FIN is acknowledged. Returns the fid and the stream for inspection.
-func Upload(eng *core.NetEngine, in *core.Initiator, tun *core.Tunnel, cache *core.HintCache,
+func Upload(eng *core.NetEngine, in *core.Initiator, tun *core.Tunnel,
 	name string, content []byte, cfg core.StreamConfig, done func(ok bool)) (id.ID, *core.Stream) {
 
 	fid := id.HashString(name)
-	s := eng.OpenTunnelStream(in.Node().Ref().Addr, tun, cache, fid, cfg)
+	s := eng.OpenTunnelStream(in.Node().Ref().Addr, tun, fid, cfg)
 	s.OnComplete = done
 	s.WriteAll(content)
 	return fid, s

@@ -63,7 +63,7 @@ func TestRetrieveEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Retrieve(s.lib, in, fwd, rep, fid, nil, nil, s.root.Split("r"))
+	res, err := Retrieve(s.lib, in, fwd, rep, fid, s.root.Split("r"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRetrieveUnknownFile(t *testing.T) {
 	in := s.initiator(t, 20)
 	fwd, _ := in.FormTunnel(3)
 	rep, _ := in.FormTunnel(3)
-	_, err := Retrieve(s.lib, in, fwd, rep, id.HashString("missing"), nil, nil, s.root.Split("r"))
+	_, err := Retrieve(s.lib, in, fwd, rep, id.HashString("missing"), s.root.Split("r"))
 	if !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("err = %v, want ErrNoSuchFile", err)
 	}
@@ -121,7 +121,7 @@ func TestRetrieveSurvivesHopFailures(t *testing.T) {
 			}
 		}
 	}
-	res, err := Retrieve(s.lib, in, fwd, rep, fid, nil, nil, s.root.Split("r"))
+	res, err := Retrieve(s.lib, in, fwd, rep, fid, s.root.Split("r"))
 	if err != nil {
 		t.Fatalf("retrieval failed after hop-node failures: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestRetrieveFailsWhenReplyAnchorLost(t *testing.T) {
 		}
 	}
 	s.mgr.EndBatch()
-	_, err := Retrieve(s.lib, in, fwd, rep, fid, nil, nil, s.root.Split("r"))
+	_, err := Retrieve(s.lib, in, fwd, rep, fid, s.root.Split("r"))
 	if !errors.Is(err, ErrReplyLost) {
 		t.Fatalf("err = %v, want ErrReplyLost", err)
 	}
@@ -158,18 +158,17 @@ func TestRetrieveWithHints(t *testing.T) {
 	fwd, _ := in.FormTunnel(4)
 	rep, _ := in.FormTunnel(4)
 
-	plain, err := Retrieve(s.lib, in, fwd, rep, fid, nil, nil, s.root.Split("r1"))
+	plain, err := Retrieve(s.lib, in, fwd, rep, fid, s.root.Split("r1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, rc := core.NewHintCache(), core.NewHintCache()
-	if err := fc.Refresh(s.svc, fwd); err != nil {
+	if err := fwd.RefreshHints(s.svc); err != nil {
 		t.Fatal(err)
 	}
-	if err := rc.Refresh(s.svc, rep); err != nil {
+	if err := rep.RefreshHints(s.svc); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Retrieve(s.lib, in, fwd, rep, fid, fc, rc, s.root.Split("r2"))
+	opt, err := Retrieve(s.lib, in, fwd, rep, fid, s.root.Split("r2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +198,7 @@ func TestUploadUnderLossAndReorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := core.NewHintCache()
-	if err := cache.Refresh(s.svc, tun); err != nil {
+	if err := tun.RefreshHints(s.svc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,7 +217,7 @@ func TestUploadUnderLossAndReorder(t *testing.T) {
 		content[i] = byte(i*13 + 5)
 	}
 	var okDone bool
-	fid, st := Upload(eng, in, tun, cache, "papers/uploaded.pdf", content,
+	fid, st := Upload(eng, in, tun, "papers/uploaded.pdf", content,
 		core.StreamConfig{Window: 16}, func(ok bool) { okDone = ok })
 	if err := kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -247,7 +245,7 @@ func TestUploadUnderLossAndReorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Retrieve(s.lib, in, tun, rep, fid, nil, nil, s.root.Split("r"))
+	res, err := Retrieve(s.lib, in, tun, rep, fid, s.root.Split("r"))
 	if err != nil {
 		t.Fatalf("retrieving the uploaded file: %v", err)
 	}

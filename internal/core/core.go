@@ -64,6 +64,10 @@ type Tunnel struct {
 	// lazily on first build. Like the rest of a Tunnel it belongs to one
 	// goroutine — the owner.
 	sealers []*crypt.Sealer
+
+	// link holds what the owner has learned about the tunnel — address
+	// hints and backoff memory — behind its own lock.
+	link *tunnelLink
 }
 
 // hopSealer returns the cached Sealer for hop i, deriving it on first use.
@@ -176,86 +180,98 @@ func NewService(ov *pastry.Overlay, dir *tha.Directory, stream *rng.Stream) *Ser
 	return &Service{OV: ov, Dir: dir, Stream: stream}
 }
 
-// HintCache is the initiator-side cache mapping hopids to the addresses of
-// their current hop nodes (§5: "The initiator can maintain a cache of the
-// mappings between a tunnel hop hopid and the IP address of its tunnel hop
-// node, and it can periodically refresh the cache").
-//
-// The cache is owned by the initiating application, not the engine: over a
-// real transport a background refresher and the engine's event loop touch
-// it from different goroutines, so access is guarded by an internal
-// RWMutex. (On the simulator everything runs on one loop and the lock is
-// uncontended.)
-type HintCache struct {
+// tunnelLink is what a tunnel's initiator has learned about it: the §5
+// address hints ("The initiator can maintain a cache of the mappings
+// between a tunnel hop hopid and the IP address of its tunnel hop node, and
+// it can periodically refresh the cache") and the retransmit backoff the
+// tunnel has earned (reliable.go). Over a real transport a background
+// refresher, application goroutines opening streams and the engine's event
+// loop touch it from different goroutines, so it carries the lock. (On the
+// simulator everything runs on one loop and the lock is uncontended.)
+type tunnelLink struct {
 	mu sync.RWMutex
-	m  map[id.ID]simnet.Addr
+	// hints is index-aligned with the whole tunnel's Hops; nil until the
+	// first RefreshHints, which is the basic, unhinted mode.
+	hints []simnet.Addr
+	// rto is the remembered backed-off retransmit timeout; 0 is none.
+	rto simnet.Time
 }
 
-// NewHintCache returns an empty cache.
-func NewHintCache() *HintCache {
-	return &HintCache{m: make(map[id.ID]simnet.Addr)}
+// linked returns the tunnel's link, creating it on first use — by the owner,
+// before it shares the tunnel with another goroutine.
+func (t *Tunnel) linked() *tunnelLink {
+	if t.link == nil {
+		t.link = &tunnelLink{}
+	}
+	return t.link
 }
 
-// Refresh resolves the current hop node of every hop in the tunnel and
+// RefreshHints resolves the current hop node of every hop in the tunnel and
 // records its address. In deployment this is a periodic background lookup;
-// experiments call it explicitly to model fresh or stale caches.
-func (c *HintCache) Refresh(svc *Service, t *Tunnel) error {
-	for _, h := range t.Hops {
+// experiments call it explicitly to model fresh or stale hints.
+func (t *Tunnel) RefreshHints(svc *Service) error {
+	l := t.linked()
+	for i, h := range t.Hops {
 		node, ok := svc.Dir.HopNode(h.HopID)
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrHopLost, h.HopID.Short())
 		}
-		addr := node.Ref().Addr
-		c.mu.Lock()
-		c.m[h.HopID] = addr
-		c.mu.Unlock()
+		l.mu.Lock()
+		if l.hints == nil {
+			l.hints = make([]simnet.Addr, len(t.Hops))
+			for j := range l.hints {
+				l.hints[j] = simnet.NoAddr
+			}
+		}
+		l.hints[i] = node.Ref().Addr
+		l.mu.Unlock()
 	}
 	return nil
 }
 
-// Invalidate drops the cached address for hopID. Initiators call it when
-// a direct send misses (the hinted node is unreachable or no longer holds
-// the hop anchor), so subsequent messages fall back to DHT routing until
-// the next Refresh re-resolves the hop node.
-func (c *HintCache) Invalidate(hopID id.ID) {
-	if c != nil && c.m != nil {
-		c.mu.Lock()
-		delete(c.m, hopID)
-		c.mu.Unlock()
-	}
+// Hint returns the remembered address of hop i's node, or NoAddr.
+func (t *Tunnel) Hint(i int) simnet.Addr {
+	l := t.linked()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return hintAt(l.hints, i)
 }
 
-// Get returns the cached address for hopID, or NoAddr.
-func (c *HintCache) Get(hopID id.ID) simnet.Addr {
-	if c == nil || c.m == nil {
-		return simnet.NoAddr
+// dropHint forgets hop i's address. The engine calls it when the tunnel is
+// presumed dead (invalidateTunnelHints), so subsequent messages fall back
+// to DHT routing until the next RefreshHints re-resolves the hop node.
+func (t *Tunnel) dropHint(i int) {
+	l := t.linked()
+	l.mu.Lock()
+	if l.hints != nil {
+		l.hints[i] = simnet.NoAddr
 	}
-	c.mu.RLock()
-	a, ok := c.m[hopID]
-	c.mu.RUnlock()
-	if ok {
-		return a
-	}
-	return simnet.NoAddr
+	l.mu.Unlock()
 }
 
-// hintsFor collects the per-hop hints for a tunnel; a nil cache yields all
-// NoAddr (the basic, unoptimized mode).
-func hintsFor(c *HintCache, t *Tunnel) []simnet.Addr {
-	out := make([]simnet.Addr, len(t.Hops))
-	for i, h := range t.Hops {
-		out[i] = c.Get(h.HopID)
+// BuildForwardHinted builds the §5 optimized forward message, every hop's
+// address hint the tunnel's own. Before the first RefreshHints that is
+// BuildForward(t, nil, …), byte for byte.
+func BuildForwardHinted(t *Tunnel, dest id.ID, payload []byte, stream *rng.Stream) (*Envelope, error) {
+	l := t.linked()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return BuildForward(t, l.hintsOf(t), dest, payload, stream)
+}
+
+// BuildReplyHinted builds the optimized reply tunnel with the tunnel's hints.
+func BuildReplyHinted(t *Tunnel, bid id.ID, stream *rng.Stream) (*ReplyTunnel, error) {
+	l := t.linked()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return BuildReply(t, l.hintsOf(t), bid, stream)
+}
+
+// hintsOf returns, under the read lock, t's share of the hints: all of them,
+// or the first hops' when t is a prefix of the tunnel the link belongs to.
+func (l *tunnelLink) hintsOf(t *Tunnel) []simnet.Addr {
+	if len(l.hints) > len(t.Hops) {
+		return l.hints[:len(t.Hops)]
 	}
-	return out
-}
-
-// BuildForwardWithCache builds the §5 optimized forward message, taking
-// every hop's address hint from the cache.
-func BuildForwardWithCache(t *Tunnel, cache *HintCache, dest id.ID, payload []byte, stream *rng.Stream) (*Envelope, error) {
-	return BuildForward(t, hintsFor(cache, t), dest, payload, stream)
-}
-
-// BuildReplyWithCache builds the optimized reply tunnel with cached hints.
-func BuildReplyWithCache(t *Tunnel, cache *HintCache, bid id.ID, stream *rng.Stream) (*ReplyTunnel, error) {
-	return BuildReply(t, hintsFor(cache, t), bid, stream)
+	return l.hints
 }

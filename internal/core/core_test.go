@@ -361,11 +361,10 @@ func TestHintOptimizationReducesHops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := NewHintCache()
-	if err := cache.Refresh(s.svc, tun); err != nil {
+	if err := tun.RefreshHints(s.svc); err != nil {
 		t.Fatal(err)
 	}
-	optEnv, err := BuildForward(tun, hintsFor(cache, tun), dest, []byte("x"), s.root.Split("b2"))
+	optEnv, err := BuildForwardHinted(tun, dest, []byte("x"), s.root.Split("b2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,17 +387,16 @@ func TestStaleHintsFallBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(s.svc, tun); err != nil {
+	if err := tun.RefreshHints(s.svc); err != nil {
 		t.Fatal(err)
 	}
-	// Kill two of the cached hop nodes: their hints go stale.
-	for _, h := range tun.Hops[:2] {
-		if err := s.ov.Fail(cache.Get(h.HopID)); err != nil {
+	// Kill two of the hinted hop nodes: their hints go stale.
+	for i := range tun.Hops[:2] {
+		if err := s.ov.Fail(tun.Hint(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	env, err := BuildForward(tun, hintsFor(cache, tun), id.HashString("d"), []byte("x"), s.root.Split("b"))
+	env, err := BuildForwardHinted(tun, id.HashString("d"), []byte("x"), s.root.Split("b"))
 	if err != nil {
 		t.Fatal(err)
 	}

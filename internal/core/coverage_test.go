@@ -2,24 +2,55 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"tap/internal/id"
 	"tap/internal/simnet"
 )
 
-func TestHintCacheNilAndMissing(t *testing.T) {
-	var nilCache *HintCache
-	if nilCache.Get(id.HashString("x")) != simnet.NoAddr {
-		t.Fatalf("nil cache should return NoAddr")
+// TestUnrefreshedTunnelIsBasic pins what the callers that no longer fork on
+// "hinted or basic" rest on: before RefreshHints a tunnel hints NoAddr
+// everywhere, and the hinted builders produce the basic message byte for
+// byte on the same stream seed.
+func TestUnrefreshedTunnelIsBasic(t *testing.T) {
+	s := newSys(t, 200, 3, 80)
+	in := s.readyInitiator(t, "a", 8)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := NewHintCache()
-	if c.Get(id.HashString("x")) != simnet.NoAddr {
-		t.Fatalf("empty cache should return NoAddr")
+	for i := range tun.Hops {
+		if a := tun.Hint(i); a != simnet.NoAddr {
+			t.Fatalf("unrefreshed hop %d hints %d", i, a)
+		}
+	}
+	dest, payload := id.HashString("d"), []byte("payload")
+	basic, err := BuildForward(tun, nil, dest, payload, s.root.Split("f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hinted, err := BuildForwardHinted(tun, dest, payload, s.root.Split("f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hinted, basic) {
+		t.Fatalf("unrefreshed BuildForwardHinted differs from BuildForward(t, nil, …)")
+	}
+	basicRT, err := BuildReply(tun, nil, dest, s.root.Split("r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hintedRT, err := BuildReplyHinted(tun, dest, s.root.Split("r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hintedRT, basicRT) {
+		t.Fatalf("unrefreshed BuildReplyHinted differs from BuildReply(t, nil, …)")
 	}
 }
 
-func TestHintCacheRefreshFailsOnLostAnchor(t *testing.T) {
+func TestRefreshHintsFailsOnLostAnchor(t *testing.T) {
 	s := newSys(t, 200, 3, 81)
 	in := s.readyInitiator(t, "a", 8)
 	tun, err := in.FormTunnel(3)
@@ -33,13 +64,17 @@ func TestHintCacheRefreshFailsOnLostAnchor(t *testing.T) {
 		}
 	}
 	s.mgr.EndBatch()
-	cache := NewHintCache()
-	if err := cache.Refresh(s.svc, tun); !errors.Is(err, ErrHopLost) {
-		t.Fatalf("Refresh err = %v, want ErrHopLost", err)
+	if err := tun.RefreshHints(s.svc); !errors.Is(err, ErrHopLost) {
+		t.Fatalf("RefreshHints err = %v, want ErrHopLost", err)
+	}
+	// Partial is usable: the hops before the lost one are hinted, the rest
+	// fall back to DHT routing.
+	if tun.Hint(0) == simnet.NoAddr || tun.Hint(1) != simnet.NoAddr || tun.Hint(2) != simnet.NoAddr {
+		t.Fatalf("hints after a partial refresh = %d, %d, %d", tun.Hint(0), tun.Hint(1), tun.Hint(2))
 	}
 }
 
-func TestBuildWithCacheHelpers(t *testing.T) {
+func TestBuildHintedHelpers(t *testing.T) {
 	s := newSys(t, 300, 3, 82)
 	in := s.readyInitiator(t, "a", 20)
 	fwd, err := in.FormTunnel(3)
@@ -50,19 +85,18 @@ func TestBuildWithCacheHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(s.svc, fwd); err != nil {
+	if err := fwd.RefreshHints(s.svc); err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.Refresh(s.svc, rep); err != nil {
+	if err := rep.RefreshHints(s.svc); err != nil {
 		t.Fatal(err)
 	}
-	env, err := BuildForwardWithCache(fwd, cache, id.HashString("d"), []byte("x"), s.root.Split("b"))
+	env, err := BuildForwardHinted(fwd, id.HashString("d"), []byte("x"), s.root.Split("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if env.Hint == simnet.NoAddr {
-		t.Fatalf("cached build produced no first-hop hint")
+		t.Fatalf("hinted build produced no first-hop hint")
 	}
 	res, err := s.svc.DeliverForward(in.Node().Ref().Addr, env)
 	if err != nil {
@@ -73,12 +107,12 @@ func TestBuildWithCacheHelpers(t *testing.T) {
 	}
 
 	bid := in.NewBid()
-	rt, err := BuildReplyWithCache(rep, cache, bid, s.root.Split("r"))
+	rt, err := BuildReplyHinted(rep, bid, s.root.Split("r"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt.FirstHint == simnet.NoAddr {
-		t.Fatalf("cached reply build produced no first-hop hint")
+		t.Fatalf("hinted reply build produced no first-hop hint")
 	}
 	rres, err := s.svc.DeliverReply(s.ov.RandomLive(s.root.Split("resp")).Ref().Addr, &ReplyEnvelope{
 		Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: []byte("d"),
@@ -87,7 +121,7 @@ func TestBuildWithCacheHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rres.LandedNode.ID != in.Node().ID() {
-		t.Fatalf("cached reply lost")
+		t.Fatalf("hinted reply lost")
 	}
 	if rres.Stats.HintHits == 0 {
 		t.Fatalf("reply path used no hints")

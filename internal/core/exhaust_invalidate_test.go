@@ -9,10 +9,10 @@ import (
 
 // TestExhaustInvalidatesTunnelHints is the satellite-1 regression: when a
 // reliable flow burns its whole attempt budget, the initiator has
-// concluded the tunnel is dead — so the HintCache entries for every hop it
-// rode must be evicted (and remembered as stale), not just the ones a
+// concluded the tunnel is dead — so the tunnel's hint for every hop it
+// rode must be dropped (and remembered as stale), not just the ones a
 // direct send happened to miss. Before the fix, only in-flight hint misses
-// invalidated, so a dead hop's cached address kept poisoning later flows.
+// invalidated, so a dead hop's remembered address kept poisoning later flows.
 func TestExhaustInvalidatesTunnelHints(t *testing.T) {
 	ns := newNetSys(t, 300, 3, 31)
 	ns.eng.EnableReliability(Reliability{MaxAttempts: 3})
@@ -21,8 +21,7 @@ func TestExhaustInvalidatesTunnelHints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
 	// Kill every replica of the middle hop in one batch so the anchor is
@@ -36,17 +35,13 @@ func TestExhaustInvalidatesTunnelHints(t *testing.T) {
 	}
 	ns.mgr.EndBatch()
 
-	env, err := BuildForwardWithCache(tun, cache, id.HashString("d"), make([]byte, 500), ns.root.Split("b"))
+	env, err := BuildForwardHinted(tun, id.HashString("d"), make([]byte, 500), ns.root.Split("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hops := make([]id.ID, len(tun.Hops))
-	for i, h := range tun.Hops {
-		hops[i] = h.HopID
-	}
 	var out Outcome
 	gotOut := false
-	ns.eng.SendForwardOpt(in.Node().Ref().Addr, env, SendOpts{Cache: cache, Hops: hops},
+	ns.eng.SendForwardOpt(in.Node().Ref().Addr, env, SendOpts{Tunnel: tun},
 		func(o Outcome) { out = o; gotOut = true })
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -57,9 +52,9 @@ func TestExhaustInvalidatesTunnelHints(t *testing.T) {
 	if out.Attempts != 3 {
 		t.Fatalf("attempts = %d, want the full budget of 3", out.Attempts)
 	}
-	for i, h := range hops {
-		if cache.Get(h) != simnet.NoAddr {
-			t.Fatalf("hop %d hint still cached after exhaustion", i)
+	for i := range tun.Hops {
+		if tun.Hint(i) != simnet.NoAddr {
+			t.Fatalf("hop %d hint still remembered after exhaustion", i)
 		}
 	}
 	if ns.eng.StaleHints == 0 {

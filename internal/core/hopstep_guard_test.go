@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -80,6 +82,73 @@ func TestOneHopStepOneWorldSeam(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestTunnelStateStaysOnTheTunnel statically audits that what an initiator
+// learns about one tunnel — hints, backoff — lives on that Tunnel's link
+// and nowhere else: NetEngine declares no lock and no table keyed by an id
+// (a hopid-keyed map is tunnel state by convention), SendOpts binds a flow
+// to its tunnel through exactly one field, and the cache type and builders
+// the link replaced are named by no non-test file in the module.
+func TestTunnelStateStaysOnTheTunnel(t *testing.T) {
+	fset := token.NewFileSet()
+	structs := map[string]*ast.StructType{}
+	for _, name := range []string{"netdeliver.go", "reliable.go"} {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					structs[ts.Name.Name] = st
+				}
+			}
+			return true
+		})
+	}
+	isSel := func(e ast.Expr, pkg, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && lastName(sel.X) == pkg && (name == "" || sel.Sel.Name == name)
+	}
+	eng, opts := structs["NetEngine"], structs["SendOpts"]
+	if eng == nil || opts == nil {
+		t.Fatal("NetEngine or SendOpts not found in netdeliver.go, reliable.go")
+	}
+	for _, f := range eng.Fields.List {
+		if m, ok := f.Type.(*ast.MapType); isSel(f.Type, "sync", "") || (ok && isSel(m.Key, "id", "ID")) {
+			t.Errorf("%s: NetEngine field %s — a lock or an id-keyed table on the engine; per-tunnel state belongs on the Tunnel's link",
+				fset.Position(f.Pos()), f.Names[0].Name)
+		}
+	}
+	var names []string
+	for _, f := range opts.Fields.List {
+		for _, n := range f.Names {
+			names = append(names, n.Name)
+		}
+	}
+	if got := strings.Join(names, ","); got != "MaxAttempts,Tunnel" {
+		t.Errorf("SendOpts fields = %s, want MaxAttempts,Tunnel", got)
+	}
+
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, gone := range []string{"HintCache", "WithCache"} {
+			if bytes.Contains(src, []byte(gone)) {
+				t.Errorf("%s names %s — hints live on the Tunnel (RefreshHints, BuildForwardHinted)", path, gone)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

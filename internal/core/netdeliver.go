@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"tap/internal/id"
 	"tap/internal/pastry"
@@ -49,15 +48,6 @@ type NetEngine struct {
 	// could not reach — so later dispatches fall back to DHT routing
 	// instead of repeating the same miss.
 	staleHints map[hintKey]struct{}
-	// tunnelRTO remembers the backed-off retransmit timeout per tunnel
-	// (keyed by first hop), so a new flow over a tunnel that just proved
-	// lossy starts from the inherited backoff instead of resetting it.
-	// rtoMu guards it: on the simulated transport every access happens on
-	// the single event loop, but applications running over a real
-	// transport may open streams from their own goroutines, making this
-	// the first engine map reachable from more than one goroutine.
-	rtoMu     sync.Mutex
-	tunnelRTO map[id.ID]simnet.Time
 
 	// Windowed-stream state (stream.go).
 	nextStream    uint64
@@ -237,7 +227,6 @@ func NewNetEngine(svc *Service, net transport.Transport) *NetEngine {
 		flows:         make(map[uint64]*flowState),
 		acked:         make(map[uint64]ackRecord),
 		staleHints:    make(map[hintKey]struct{}),
-		tunnelRTO:     make(map[id.ID]simnet.Time),
 		sendStreams:   make(map[uint64]*Stream),
 		recvStreams:   make(map[uint64]*RecvStream),
 		closedStreams: make(map[uint64]closedStreamRec),
@@ -347,8 +336,8 @@ func (e *NetEngine) send(from, to simnet.Addr, p *packet) {
 }
 
 // forwardToward moves p one Pastry hop toward its target, or processes it
-// here if this node is the destination.
-func (e *NetEngine) forwardToward(self simnet.Addr, p *packet) {
+// here if this node is the destination, and reports which.
+func (e *NetEngine) forwardToward(self simnet.Addr, p *packet) (here bool) {
 	next, here, alive := e.svc.routeAt(self, p.target)
 	switch {
 	case !alive:
@@ -358,6 +347,7 @@ func (e *NetEngine) forwardToward(self simnet.Addr, p *packet) {
 	default:
 		e.send(self, next, p)
 	}
+	return here
 }
 
 // serves reports whether self can act on p where a hint landed it: a tunnel
@@ -489,15 +479,24 @@ func (e *NetEngine) process(self simnet.Addr, p *packet) {
 // falls back to DHT routing immediately; a hint already known stale is
 // skipped without a connection attempt.
 func (e *NetEngine) dispatch(self simnet.Addr, p *packet, hint simnet.Addr) {
-	if hint != simnet.NoAddr && hint != self && !e.hintStale(p.target, hint) {
-		if e.net.Reachable(hint) {
-			p.direct = true
-			e.send(self, hint, p)
-			return
+	switch {
+	case hint == simnet.NoAddr:
+	case e.hintStale(p.target, hint):
+		e.HintMiss++
+	case hint == self:
+		// The hint names the node the packet is already at: the best
+		// possible hit when routing ends here too, as the walker's locate
+		// counts it. A mere replica holder routes on, counted as neither.
+		if e.forwardToward(self, p) {
+			e.HintHits++
 		}
+		return
+	case e.net.Reachable(hint):
+		p.direct = true
+		e.send(self, hint, p)
+		return
+	default:
 		e.markStaleHint(p.target, hint)
-	}
-	if hint != simnet.NoAddr {
 		e.HintMiss++
 	}
 	e.forwardToward(self, p)
@@ -534,7 +533,7 @@ func (e *NetEngine) SendOvert(from simnet.Addr, dest id.ID, size int, done func(
 }
 
 // SendForward starts a forward-tunnel transfer from the initiator's
-// address. With hints inside env (built via a HintCache) this is TAP_opt;
+// address. With hints inside env (BuildForwardHinted) this is TAP_opt;
 // without, TAP_basic. env stays the caller's, intact: each attempt travels
 // as a private copy.
 func (e *NetEngine) SendForward(from simnet.Addr, env *Envelope, done func(Outcome)) uint64 {
@@ -542,8 +541,8 @@ func (e *NetEngine) SendForward(from simnet.Addr, env *Envelope, done func(Outco
 }
 
 // SendForwardOpt is SendForward with per-flow options: a custom attempt
-// budget (health probes) and the hint-cache binding that lets exhaustion
-// invalidate a dead tunnel's hints. The options only apply under the
+// budget (health probes) and the tunnel binding that lets exhaustion drop
+// a dead tunnel's hints. The options only apply under the
 // reliability protocol; a fire-and-forget flow ignores them.
 func (e *NetEngine) SendForwardOpt(from simnet.Addr, env *Envelope, opts SendOpts, done func(Outcome)) uint64 {
 	return e.launch(from, env.SizeBytes(), opts, done, func() (*packet, simnet.Addr) {

@@ -7,6 +7,7 @@ import (
 
 	"tap/internal/id"
 	"tap/internal/simnet"
+	"tap/internal/tha"
 )
 
 // netSys extends sys with a simulated network and engine.
@@ -116,11 +117,10 @@ func TestNetTunnelBasicVsOptVsOvert(t *testing.T) {
 		t.Fatalf("basic transfer failed: %+v", basic)
 	}
 
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
-	optEnv, err := BuildForward(tun, hintsFor(cache, tun), dest, payload, ns.root.Split("b2"))
+	optEnv, err := BuildForwardHinted(tun, dest, payload, ns.root.Split("b2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,16 +197,15 @@ func TestNetStaleHintFallsBackInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
 	// Make the second hop's hint stale in the §5 sense — the hinted node
 	// is alive and reachable but "not the tunnel hop node any more":
-	// join k nodes with ids right at the hopid so the cached node is
+	// join k nodes with ids right at the hopid so the hinted node is
 	// evicted from the replica set entirely.
 	hop := tun.Hops[1].HopID
-	staleAddr := cache.Get(hop)
+	staleAddr := tun.Hint(1)
 	for i := 0; i < ns.mgr.K(); i++ {
 		nid := hop
 		nid[id.Size-1] ^= byte(i + 1) // k distinct ids adjacent to the hopid
@@ -215,9 +214,9 @@ func TestNetStaleHintFallsBackInFlight(t *testing.T) {
 		}
 	}
 	if ns.dir.Manager().HolderHas(staleAddr, hop) {
-		t.Fatalf("test setup: cached node still holds the anchor")
+		t.Fatalf("test setup: hinted node still holds the anchor")
 	}
-	env, err := BuildForward(tun, hintsFor(cache, tun), id.HashString("d"), make([]byte, 1000), ns.root.Split("b"))
+	env, err := BuildForwardHinted(tun, id.HashString("d"), make([]byte, 1000), ns.root.Split("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +230,61 @@ func TestNetStaleHintFallsBackInFlight(t *testing.T) {
 	}
 	if ns.eng.HintMiss == 0 {
 		t.Fatalf("no hint miss recorded despite stale hint")
+	}
+}
+
+// TestHintAtSelfCountsAsHit: two consecutive hops anchored on one node
+// make the second hop's hint name the node the packet is already at. That
+// is the best possible hit, and both engines must count it as one — the
+// networked engine used to skip the direct send and book a miss.
+func TestHintAtSelfCountsAsHit(t *testing.T) {
+	ns := newNetSys(t, 20, 3, 7)
+	in := ns.readyInitiator(t, "a", 40)
+	owner := func(s tha.Secret) id.ID {
+		n, ok := ns.dir.HopNode(s.HopID)
+		if !ok {
+			t.Fatalf("anchor %s lost", s.HopID.Short())
+		}
+		return n.ID()
+	}
+	pool := in.Pool()
+	var tun *Tunnel
+	for i := 0; i < len(pool) && tun == nil; i++ {
+		for j := i + 1; j < len(pool); j++ {
+			if owner(pool[i]) == owner(pool[j]) {
+				tun = &Tunnel{Hops: []tha.Secret{pool[i], pool[j], pool[(j+1)%len(pool)]}}
+				break
+			}
+		}
+	}
+	if tun == nil {
+		t.Fatal("test setup: 40 anchors on 20 nodes and no two share an owner")
+	}
+	if err := tun.RefreshHints(ns.svc); err != nil {
+		t.Fatal(err)
+	}
+	env, err := BuildForwardHinted(tun, id.HashString("d"), []byte("x"), ns.root.Split("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := in.Node().Ref().Addr
+	walked, err := ns.svc.DeliverForward(origin, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Outcome
+	ns.eng.SendForward(origin, env, func(o Outcome) { out = o })
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !out.Delivered {
+		t.Fatalf("flow failed: %+v", out)
+	}
+	if walked.Stats.HintHits != 3 || walked.Stats.HintMisses != 0 {
+		t.Fatalf("walker hits/misses = %d/%d, want 3/0", walked.Stats.HintHits, walked.Stats.HintMisses)
+	}
+	if ns.eng.HintHits != 3 || ns.eng.HintMiss != 0 {
+		t.Fatalf("NetEngine hits/misses = %d/%d, the walker's 3/0", ns.eng.HintHits, ns.eng.HintMiss)
 	}
 }
 

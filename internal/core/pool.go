@@ -170,7 +170,6 @@ const (
 type poolSlot struct {
 	idx     int
 	tunnel  *Tunnel
-	cache   *HintCache
 	health  slotHealth
 	probing bool
 
@@ -225,10 +224,9 @@ func NewTunnelPool(in *Initiator, eng *NetEngine, cfg PoolConfig) (*TunnelPool, 
 		return nil, err
 	}
 	for i, t := range tunnels {
-		s := &poolSlot{idx: i, tunnel: t, cache: NewHintCache(), health: slotHealthy}
 		// Best effort: an unresolvable hop just means DHT routing for it.
-		_ = s.cache.Refresh(in.svc, t)
-		p.slots = append(p.slots, s)
+		_ = t.RefreshHints(in.svc)
+		p.slots = append(p.slots, &poolSlot{idx: i, tunnel: t, health: slotHealthy})
 	}
 	return p, nil
 }
@@ -297,7 +295,7 @@ func (p *TunnelPool) ProbeRound() {
 func (p *TunnelPool) probeSlot(s *poolSlot) {
 	s.probing = true
 	p.Stats.ProbesSent++
-	p.probeTunnel(s.tunnel, s.cache, func(ok bool) {
+	p.probeTunnel(s.tunnel, func(ok bool) {
 		s.probing = false
 		if p.stopped {
 			return
@@ -311,10 +309,10 @@ func (p *TunnelPool) probeSlot(s *poolSlot) {
 // home within probeTimeout, failure. The probe destination is a bid owned
 // by the initiator's own node, so delivery loops the full tunnel and
 // comes home — the same §4 mechanism reply tunnels use.
-func (p *TunnelPool) probeTunnel(t *Tunnel, cache *HintCache, cb func(ok bool)) {
+func (p *TunnelPool) probeTunnel(t *Tunnel, cb func(ok bool)) {
 	var nonce [16]byte
 	p.stream.Bytes(nonce[:])
-	env, err := BuildForwardWithCache(t, cache, p.in.NewBid(), nonce[:], p.stream)
+	env, err := BuildForwardHinted(t, p.in.NewBid(), nonce[:], p.stream)
 	if err != nil {
 		cb(false)
 		return
@@ -327,7 +325,7 @@ func (p *TunnelPool) probeTunnel(t *Tunnel, cache *HintCache, cb func(ok bool)) 
 		fired = true
 		cb(ok)
 	}
-	opts := SendOpts{MaxAttempts: probeAttempts, Cache: cache, Hops: t.HopIDs()}
+	opts := SendOpts{MaxAttempts: probeAttempts, Tunnel: t}
 	p.eng.SendForwardOpt(p.in.node.Ref().Addr, env, opts, func(o Outcome) {
 		once(o.Delivered)
 	})
@@ -394,8 +392,7 @@ func (p *TunnelPool) declareDead(s *poolSlot) {
 		p.noteRebuildFailure(s)
 	}
 	s.health = slotDying
-	t := s.tunnel
-	p.attribute(t, s.cache, func(culprit id.ID, found bool) {
+	p.attribute(s.tunnel, func(culprit id.ID, found bool) {
 		if found {
 			p.Stats.Attributions++
 			if p.quar.ReportFailure(culprit) {
@@ -415,7 +412,7 @@ func (p *TunnelPool) declareDead(s *poolSlot) {
 // echo home from hop m-1); if the echo returns, the fault is deeper.
 // Invariant: the lo-prefix works, the hi-prefix fails; the culprit is
 // hop hi-1. O(log l) probes against l for a linear scan.
-func (p *TunnelPool) attribute(t *Tunnel, cache *HintCache, done func(culprit id.ID, found bool)) {
+func (p *TunnelPool) attribute(t *Tunnel, done func(culprit id.ID, found bool)) {
 	l := len(t.Hops)
 	if l == 0 {
 		done(id.ID{}, false)
@@ -437,7 +434,7 @@ func (p *TunnelPool) attribute(t *Tunnel, cache *HintCache, done func(culprit id
 			return
 		}
 		mid := (lo + hi) / 2
-		p.probeTunnel(t.prefix(mid), cache, func(ok bool) {
+		p.probeTunnel(t.prefix(mid), func(ok bool) {
 			if ok {
 				lo = mid
 			} else {
@@ -450,10 +447,11 @@ func (p *TunnelPool) attribute(t *Tunnel, cache *HintCache, done func(culprit id
 }
 
 // prefix returns the sub-tunnel of t's first m hops, sharing the parent's
-// key schedules where already derived (attribution probes pay no extra
-// AES setup after the first full-tunnel message).
+// link — attribution probes ride its hints, and what they learn is the
+// parent's — and its key schedules where already derived (the probes pay no
+// extra AES setup after the first full-tunnel message).
 func (t *Tunnel) prefix(m int) *Tunnel {
-	sub := &Tunnel{Hops: t.Hops[:m]}
+	sub := &Tunnel{Hops: t.Hops[:m], link: t.linked()}
 	if len(t.sealers) == len(t.Hops) {
 		sub.sealers = t.sealers[:m]
 	}
@@ -468,7 +466,6 @@ func (p *TunnelPool) teardown(s *poolSlot) {
 		p.in.Release(s.tunnel)
 	}
 	s.tunnel = nil
-	s.cache = nil
 	s.health = slotEmpty
 	s.consecOK, s.consecFail = 0, 0
 	s.probing = false
@@ -535,8 +532,7 @@ func (p *TunnelPool) rebuild(s *poolSlot) {
 		return
 	}
 	s.tunnel = t
-	s.cache = NewHintCache()
-	_ = s.cache.Refresh(p.in.svc, t)
+	_ = t.RefreshHints(p.in.svc)
 	s.health = slotRecovering
 	s.consecOK, s.consecFail = 0, 0
 	// Probe immediately: a rebuilt tunnel should earn trust (or fail)
@@ -643,12 +639,12 @@ func (p *TunnelPool) Send(dest id.ID, payload []byte, done func(Outcome)) error 
 			try(i+1, prev) // the slot died since ranking
 			return
 		}
-		env, err := BuildForwardWithCache(s.tunnel, s.cache, dest, payload, p.stream)
+		env, err := BuildForwardHinted(s.tunnel, dest, payload, p.stream)
 		if err != nil {
 			try(i+1, prev)
 			return
 		}
-		opts := SendOpts{MaxAttempts: sendAttempts, Cache: s.cache, Hops: s.tunnel.HopIDs()}
+		opts := SendOpts{MaxAttempts: sendAttempts, Tunnel: s.tunnel}
 		p.eng.SendForwardOpt(p.in.node.Ref().Addr, env, opts, func(o Outcome) {
 			if o.Delivered {
 				if done != nil {

@@ -114,6 +114,63 @@ func TestPoolDetectsDeathAttributesAndRebuilds(t *testing.T) {
 	}
 }
 
+// TestPrefixSharesParentLink: an attribution probe rides a prefix of the
+// dead tunnel, and what the initiator knows — and learns — about that
+// prefix is the parent's: the probe is hinted with the parent's hints, its
+// delivery relaxes the parent's backoff memory, and a flow exhausted over a
+// prefix drops the parent's hints for the hops it rode and leaves its
+// backed-off timeout for the parent's next send.
+func TestPrefixSharesParentLink(t *testing.T) {
+	ns, in, p := newPoolSys(t, 300, 45, PoolConfig{Size: 1, Length: 3})
+	tun := p.slots[0].tunnel
+	for i := range tun.Hops {
+		if tun.Hint(i) == simnet.NoAddr {
+			t.Fatalf("pool left hop %d unhinted", i)
+		}
+	}
+
+	tun.storeRTO(simnet.Time(time.Minute))
+	var probed, ok bool
+	p.probeTunnel(tun.prefix(2), func(o bool) { probed, ok = true, o })
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !probed || !ok {
+		t.Fatalf("prefix probe over a healthy tunnel: fired=%v ok=%v", probed, ok)
+	}
+	if ns.eng.HintHits == 0 {
+		t.Fatal("prefix probe did not ride the parent's hints")
+	}
+	if got := tun.loadRTO(); got != 0 {
+		t.Fatalf("parent backoff memory %v after a first-attempt prefix delivery, want cleared", got)
+	}
+
+	killAnchor(t, ns, tun.Hops[1].HopID, simnet.NoAddr)
+	sub := tun.prefix(2)
+	env, err := BuildForwardHinted(sub, in.NewBid(), []byte("probe"), ns.root.Split("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Outcome
+	ns.eng.SendForwardOpt(in.Node().Ref().Addr, env, SendOpts{MaxAttempts: 2, Tunnel: sub},
+		func(o Outcome) { out = o })
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if out.Delivered || out.Attempts != 2 {
+		t.Fatalf("flow over the dead prefix should have exhausted: %+v", out)
+	}
+	if tun.Hint(0) != simnet.NoAddr || tun.Hint(1) != simnet.NoAddr {
+		t.Fatalf("prefix exhaustion left the parent hinting %d, %d", tun.Hint(0), tun.Hint(1))
+	}
+	if tun.Hint(2) == simnet.NoAddr {
+		t.Fatal("prefix exhaustion dropped a hop it did not ride")
+	}
+	if tun.loadRTO() == 0 {
+		t.Fatal("prefix backoff not remembered on the parent")
+	}
+}
+
 // TestPoolPartitionedInitiatorFailsFast is the satellite-3 regression: a
 // partitioned initiator's sends must be rejected immediately (degraded
 // state) instead of each burning a full retransmit schedule — and the

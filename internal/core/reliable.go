@@ -48,28 +48,28 @@ const (
 	// decays to it is forgotten.
 	minFlowRTO = 50 * time.Millisecond
 	// hintInvalidateAfter is the number of RTO expirations after which a
-	// flow or stream bound to a tunnel (SendOpts.Cache/Hops, a tunnel
-	// Stream) stops trusting the cached hop addresses and invalidates them
-	// all — the exhaust-time path, run early. A dispatch-time miss marks
-	// only the hint it tried, so without this a flow whose packets die
-	// beyond the first hop keeps dispatching into the same poisoned cache
-	// until its budget runs out.
+	// flow or stream bound to a tunnel (SendOpts.Tunnel, a tunnel Stream)
+	// stops trusting the remembered hop addresses and drops them all — the
+	// exhaust-time path, run early. A dispatch-time miss marks only the
+	// hint it tried, so without this a flow whose packets die beyond the
+	// first hop keeps dispatching into the same poisoned hints until its
+	// budget runs out.
 	hintInvalidateAfter = 3
 )
 
-// SendOpts tunes one reliable flow and binds it to the tunnel state it
-// rode, so exhaustion can clean up after a dead tunnel.
+// SendOpts tunes one reliable flow and binds it to the tunnel it rode, so
+// exhaustion can clean up after a dead tunnel.
 type SendOpts struct {
 	// MaxAttempts, when > 0, overrides Reliability.MaxAttempts for this
 	// flow. Health probes use a small budget so a dead tunnel is detected
 	// in one or two RTOs rather than after the full backoff schedule.
 	MaxAttempts int
-	// Cache and Hops bind the flow to the tunnel it was built over. When
-	// the flow exhausts its attempt budget, the cached address of every
-	// hop is marked stale and evicted: the initiator has concluded the
-	// tunnel is dead, so its hints must not poison later flows.
-	Cache *HintCache
-	Hops  []id.ID
+	// Tunnel binds the flow to the tunnel it was built over: the flow
+	// starts from and feeds the tunnel's backoff memory, and when it
+	// exhausts its attempt budget every hop's hint is marked stale and
+	// dropped: the initiator has concluded the tunnel is dead, so its
+	// hints must not poison later flows.
+	Tunnel *Tunnel
 }
 
 // flowState is the initiator-side record of one flow whose outcome has not
@@ -80,9 +80,7 @@ type flowState struct {
 	// resend builds a fresh attempt: the packet plus the first-hop
 	// address hint to try (the hint is re-checked against the stale set
 	// on every dispatch).
-	resend func() (*packet, simnet.Addr)
-	// opts binds the flow to its tunnel: opts.Hops[0], when present, keys
-	// the tunnel's shared backoff memory (NetEngine.tunnelRTO).
+	resend   func() (*packet, simnet.Addr)
 	opts     SendOpts
 	attempts int
 	// gen invalidates superseded timers: only the timer armed for the
@@ -131,44 +129,36 @@ func (e *NetEngine) EnableReliability(cfg Reliability) {
 
 // --- per-tunnel backoff memory ----------------------------------------------
 //
-// The tunnelRTO map is shared by reliable flows and streams and may be
-// consulted from application goroutines when the engine runs over a real
-// transport, so every access goes through these rtoMu-guarded helpers.
+// Reliable flows and streams over one tunnel share the backed-off timeout
+// on its link, so a new send over a tunnel that just proved lossy starts
+// from the inherited backoff instead of resetting it.
 
-// loadTunnelRTO returns the remembered backed-off timeout for a tunnel
-// (zero when none is stored).
-func (e *NetEngine) loadTunnelRTO(key id.ID) simnet.Time {
-	e.rtoMu.Lock()
-	v := e.tunnelRTO[key]
-	e.rtoMu.Unlock()
-	return v
+// loadRTO returns the tunnel's remembered backed-off timeout (zero: none).
+func (t *Tunnel) loadRTO() simnet.Time {
+	l := t.linked()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.rto
 }
 
-// storeTunnelRTO records a backed-off timeout observed on a tunnel.
-func (e *NetEngine) storeTunnelRTO(key id.ID, rto simnet.Time) {
-	e.rtoMu.Lock()
-	e.tunnelRTO[key] = rto
-	e.rtoMu.Unlock()
+// storeRTO records a backed-off timeout observed on the tunnel.
+func (t *Tunnel) storeRTO(rto simnet.Time) {
+	l := t.linked()
+	l.mu.Lock()
+	l.rto = rto
+	l.mu.Unlock()
 }
 
-// relaxTunnelRTO eases a tunnel's backoff memory after a delivery: a
+// relaxRTO eases the tunnel's backoff memory after a delivery: a
 // first-attempt success clears it outright, a delivery that needed
-// retransmits halves it, dropping the entry once it decays to the floor.
-func (e *NetEngine) relaxTunnelRTO(key id.ID, firstAttempt bool) {
-	e.rtoMu.Lock()
-	defer e.rtoMu.Unlock()
-	if firstAttempt {
-		delete(e.tunnelRTO, key)
-		return
-	}
-	stored, ok := e.tunnelRTO[key]
-	if !ok {
-		return
-	}
-	if stored /= 2; stored <= minFlowRTO {
-		delete(e.tunnelRTO, key)
-	} else {
-		e.tunnelRTO[key] = stored
+// retransmits halves it, forgetting it once it decays to the floor.
+func (t *Tunnel) relaxRTO(firstAttempt bool) {
+	l := t.linked()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.rto /= 2
+	if firstAttempt || l.rto <= minFlowRTO {
+		l.rto = 0
 	}
 }
 
@@ -189,18 +179,18 @@ func (e *NetEngine) hintStale(target id.ID, addr simnet.Addr) bool {
 	return ok
 }
 
-// invalidateTunnelHints evicts every hop's cached address and records the
-// dead ends, so stale hints cannot keep poisoning later dispatches. This
-// is the exhaust-time cleanup, shared by flow exhaustion, repeated RTO
-// expiry, and stream failure.
-func (e *NetEngine) invalidateTunnelHints(cache *HintCache, hops []id.ID) {
-	if cache == nil {
+// invalidateTunnelHints drops every hop's remembered address and records
+// the dead ends, so stale hints cannot keep poisoning later dispatches.
+// This is the exhaust-time cleanup, shared by flow exhaustion, repeated RTO
+// expiry, and stream failure. A flow bound to no tunnel has none.
+func (e *NetEngine) invalidateTunnelHints(t *Tunnel) {
+	if t == nil {
 		return
 	}
-	for _, hop := range hops {
-		if a := cache.Get(hop); a != simnet.NoAddr {
-			e.markStaleHint(hop, a)
-			cache.Invalidate(hop)
+	for i, h := range t.Hops {
+		if a := t.Hint(i); a != simnet.NoAddr {
+			e.markStaleHint(h.HopID, a)
+			t.dropHint(i)
 		}
 	}
 }
@@ -208,7 +198,7 @@ func (e *NetEngine) invalidateTunnelHints(cache *HintCache, hops []id.ID) {
 // initialRTO estimates a generous one-way delivery time for a message of
 // the given size: rtoExpectHops store-and-forward hops, each paying full
 // serialization plus the worst-case link latency, scaled by rtoScale. A
-// flow bound to a tunnel (opts.Hops) inherits that tunnel's remembered
+// flow bound to a tunnel (opts.Tunnel) inherits that tunnel's remembered
 // backoff when it is longer: retransmit state is per tunnel, not per
 // message, so a lossy tunnel does not reset to the optimistic initial
 // timeout on every new send.
@@ -218,8 +208,8 @@ func (e *NetEngine) initialRTO(size int, opts SendOpts) simnet.Time {
 	if rto < minFlowRTO {
 		rto = minFlowRTO
 	}
-	if len(opts.Hops) > 0 {
-		if stored := e.loadTunnelRTO(opts.Hops[0]); stored > rto {
+	if opts.Tunnel != nil {
+		if stored := opts.Tunnel.loadRTO(); stored > rto {
 			rto = stored
 		}
 	}
@@ -258,10 +248,10 @@ func (e *NetEngine) armTimer(flow uint64, st *flowState) {
 			return
 		}
 		cur.rto = simnet.Time(float64(cur.rto) * rtoBackoff)
-		if len(cur.opts.Hops) > 0 {
+		if cur.opts.Tunnel != nil {
 			// Per-tunnel backoff memory: later flows over this tunnel
 			// start from the backed-off timeout instead of resetting it.
-			e.storeTunnelRTO(cur.opts.Hops[0], cur.rto)
+			cur.opts.Tunnel.storeRTO(cur.rto)
 		}
 		if !cur.hintsInvalidated && cur.attempts >= hintInvalidateAfter {
 			// Repeated RTO expiry: every retransmission is dying
@@ -269,7 +259,7 @@ func (e *NetEngine) armTimer(flow uint64, st *flowState) {
 			// longer trustworthy. Run the exhaust-time eviction now so
 			// the remaining attempts re-resolve via the DHT.
 			cur.hintsInvalidated = true
-			e.invalidateTunnelHints(cur.opts.Cache, cur.opts.Hops)
+			e.invalidateTunnelHints(cur.opts.Tunnel)
 		}
 		e.attempt(flow, cur, cur.resend)
 	})
@@ -284,7 +274,7 @@ func (e *NetEngine) exhaust(flow uint64, st *flowState) {
 	// address and remember the dead ends, so the stale hints cannot keep
 	// poisoning later flows (they would each burn a hint miss per send
 	// until somebody refreshed the cache).
-	e.invalidateTunnelHints(st.opts.Cache, st.opts.Hops)
+	e.invalidateTunnelHints(st.opts.Tunnel)
 	why := st.lastErr
 	if why == "" {
 		why = "no ACK"
@@ -334,11 +324,11 @@ func (e *NetEngine) handleAck(p *packet) {
 		return
 	}
 	e.AcksRecv++
-	if len(st.opts.Hops) > 0 {
+	if st.opts.Tunnel != nil {
 		// Delivered on the first attempt: the tunnel proved healthy, drop
 		// its backoff memory. Delivered after retransmits: decay rather
 		// than reset, so a marginal tunnel keeps some caution.
-		e.relaxTunnelRTO(st.opts.Hops[0], st.attempts == 1)
+		st.opts.Tunnel.relaxRTO(st.attempts == 1)
 	}
 	e.conclude(p.flow, st, Outcome{Delivered: true, NetHops: p.dataHops})
 }

@@ -13,45 +13,34 @@ import (
 // arrival orders, and finish()'s double-count protection for reliable
 // flows.
 
-// TestHintCacheInvalidateDropsOnlyTarget: Invalidate removes exactly the
-// missed hop's entry; the rest of the cache keeps serving hints, and the
-// nil/empty cache forms are safe to invalidate.
-func TestHintCacheInvalidateDropsOnlyTarget(t *testing.T) {
+// TestDropHintDropsOnlyTarget: dropHint forgets exactly the missed hop's
+// address; the rest of the tunnel keeps serving hints, and a tunnel never
+// refreshed is safe to drop from.
+func TestDropHintDropsOnlyTarget(t *testing.T) {
 	ns := newNetSys(t, 150, 3, 31)
 	in := ns.readyInitiator(t, "a", 12)
 	tun, err := in.FormTunnel(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	tun.dropHint(1) // nothing remembered yet: a no-op
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range tun.Hops {
-		if cache.Get(h.HopID) == simnet.NoAddr {
-			t.Fatalf("hop %s not cached after Refresh", h.HopID.Short())
-		}
-	}
-	missed := tun.Hops[1].HopID
-	cache.Invalidate(missed)
-	if got := cache.Get(missed); got != simnet.NoAddr {
-		t.Fatalf("invalidated hop still hinted at %d", got)
-	}
 	for i, h := range tun.Hops {
-		if i == 1 {
-			continue
-		}
-		if cache.Get(h.HopID) == simnet.NoAddr {
-			t.Fatalf("Invalidate(%s) also dropped hop %s", missed.Short(), h.HopID.Short())
+		if tun.Hint(i) == simnet.NoAddr {
+			t.Fatalf("hop %s not hinted after RefreshHints", h.HopID.Short())
 		}
 	}
-	// Repeated and unknown invalidations are no-ops; a nil cache is safe.
-	cache.Invalidate(missed)
-	cache.Invalidate(id.HashString("never cached"))
-	var nilCache *HintCache
-	nilCache.Invalidate(missed)
-	if nilCache.Get(missed) != simnet.NoAddr {
-		t.Fatal("nil cache returned an address")
+	tun.dropHint(1)
+	tun.dropHint(1) // repeated: a no-op
+	if got := tun.Hint(1); got != simnet.NoAddr {
+		t.Fatalf("dropped hop still hinted at %d", got)
+	}
+	for _, i := range []int{0, 2} {
+		if tun.Hint(i) == simnet.NoAddr {
+			t.Fatalf("dropHint(1) also dropped hop %d", i)
+		}
 	}
 }
 

@@ -79,11 +79,10 @@ func TestNetReliableCrashFailoverInvalidatesHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
-	victim := cache.Get(tun.Hops[0].HopID)
+	victim := tun.Hint(0)
 	origin := in.Node().Ref().Addr
 	if victim == origin {
 		t.Skip("first hop held by the initiator itself at this seed")
@@ -98,7 +97,7 @@ func TestNetReliableCrashFailoverInvalidatesHint(t *testing.T) {
 		},
 	})
 	ns.eng.EnableReliability(Reliability{})
-	env, err := BuildForwardWithCache(tun, cache, id.HashString("d"), make([]byte, 1000), ns.root.Split("b"))
+	env, err := BuildForwardHinted(tun, id.HashString("d"), make([]byte, 1000), ns.root.Split("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,28 +301,4 @@ func TestNetReliableDeterministicUnderFaults(t *testing.T) {
 	if at1 != at2 || att1 != att2 {
 		t.Fatalf("reliable delivery not deterministic: (%v,%d) vs (%v,%d)", at1, att1, at2, att2)
 	}
-}
-
-func TestHintCacheInvalidate(t *testing.T) {
-	s := newSys(t, 200, 3, 27)
-	in := s.readyInitiator(t, "a", 6)
-	tun, err := in.FormTunnel(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewHintCache()
-	if err := cache.Refresh(s.svc, tun); err != nil {
-		t.Fatal(err)
-	}
-	hop := tun.Hops[1].HopID
-	if cache.Get(hop) == simnet.NoAddr {
-		t.Fatal("refresh left no hint")
-	}
-	cache.Invalidate(hop)
-	if cache.Get(hop) != simnet.NoAddr {
-		t.Fatal("invalidated hint still cached")
-	}
-	// Nil-safety mirrors Get.
-	var nilCache *HintCache
-	nilCache.Invalidate(hop)
 }

@@ -151,23 +151,20 @@ type Stream struct {
 
 	// Direct mode: an optional address hint for the destination owner.
 	destHint simnet.Addr
-	// Tunnel mode: segments are sealed over tun with cache's hints.
-	// hopIDs[0] keys the tunnel's backoff memory (NetEngine.tunnelRTO).
-	tun    *Tunnel
-	cache  *HintCache
-	hopIDs []id.ID
+	// Tunnel mode: segments are sealed over tun with its hints, and the
+	// stream starts from and feeds its backoff memory.
+	tun *Tunnel
 
 	ring   []sendSlot
 	sndUna uint64 // oldest unacknowledged sequence number
 	sndNxt uint64 // next sequence number to assign
 
-	finSeq    uint64
-	finSet    bool
-	finWanted bool
-	closed    bool
-	done      bool
-	failed    bool
-	failWhy   string
+	finSeq  uint64
+	finSet  bool
+	closed  bool
+	done    bool
+	failed  bool
+	failWhy string
 
 	rtt          rttEstimator
 	rto          simnet.Time
@@ -208,7 +205,7 @@ type closedStreamRec struct {
 // dest, optionally hinting the owner's address (NoAddr for pure DHT
 // routing).
 func (e *NetEngine) OpenStream(origin simnet.Addr, dest id.ID, hint simnet.Addr, cfg StreamConfig) *Stream {
-	return e.openStream(origin, dest, hint, nil, nil, cfg)
+	return e.openStream(origin, dest, hint, nil, cfg)
 }
 
 // OpenTunnelStream opens a windowed stream whose segments each ride the
@@ -216,11 +213,11 @@ func (e *NetEngine) OpenStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 // dest. Retransmissions re-seal and re-resolve hints, so a segment lost
 // to a hop crash is re-driven through whichever replica now holds the
 // anchor.
-func (e *NetEngine) OpenTunnelStream(origin simnet.Addr, tun *Tunnel, cache *HintCache, dest id.ID, cfg StreamConfig) *Stream {
-	return e.openStream(origin, dest, simnet.NoAddr, tun, cache, cfg)
+func (e *NetEngine) OpenTunnelStream(origin simnet.Addr, tun *Tunnel, dest id.ID, cfg StreamConfig) *Stream {
+	return e.openStream(origin, dest, simnet.NoAddr, tun, cfg)
 }
 
-func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr, tun *Tunnel, cache *HintCache, cfg StreamConfig) *Stream {
+func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr, tun *Tunnel, cfg StreamConfig) *Stream {
 	cfg = cfg.withDefaults()
 	e.nextStream++
 	s := &Stream{
@@ -230,7 +227,6 @@ func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 		dest:     dest,
 		destHint: hint,
 		tun:      tun,
-		cache:    cache,
 		cfg:      cfg,
 		rto:      streamInitRTO,
 	}
@@ -240,11 +236,10 @@ func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 	}
 	s.ring = make([]sendSlot, ringSize)
 	if tun != nil {
-		s.hopIDs = tun.HopIDs()
 		// Per-tunnel backoff memory: a stream over a tunnel that recently
 		// proved lossy inherits the backed-off timeout instead of
 		// resetting it and hammering the same loss.
-		if stored := e.loadTunnelRTO(s.hopIDs[0]); stored > s.rto {
+		if stored := tun.loadRTO(); stored > s.rto {
 			s.rto = stored
 		}
 	}
@@ -328,7 +323,6 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
-	s.finWanted = true
 	s.tryFin()
 }
 
@@ -345,7 +339,7 @@ func (s *Stream) claim() *sendSlot {
 
 // tryFin emits the FIN segment once window space allows.
 func (s *Stream) tryFin() {
-	if !s.finWanted || s.finSet || s.failed || s.inflight() >= len(s.ring) {
+	if !s.closed || s.finSet || s.failed || s.inflight() >= len(s.ring) {
 		return
 	}
 	sl := s.claim()
@@ -392,12 +386,12 @@ func (s *Stream) sendSegment(sl *sendSlot) {
 		return
 	}
 	// Tunnel mode: seal the framed segment as a forward envelope. Each
-	// (re)transmission re-resolves hints through the cache, preserving
+	// (re)transmission re-reads the tunnel's hints, preserving
 	// the §6 failover semantics of the reliability layer — and is a fresh
 	// envelope, which the path owns from here on.
 	w := wire.NewWriter(wire.StreamSegmentOverhead + sl.n)
 	wire.AppendStreamSegment(w, s.id, sl.seq, sl.fin, int64(s.origin), sl.buf[:sl.n])
-	env, err := BuildForwardWithCache(s.tun, s.cache, s.dest, w.Bytes(), e.svc.Stream)
+	env, err := BuildForwardHinted(s.tun, s.dest, w.Bytes(), e.svc.Stream)
 	if err != nil {
 		s.fail(fmt.Sprintf("sealing segment %d: %v", sl.seq, err))
 		return
@@ -456,10 +450,10 @@ func (s *Stream) onTimeout(now simnet.Time) {
 	if s.tun != nil {
 		// Remember the backed-off timeout for this tunnel so new streams
 		// and flows over it start from reality, not from scratch.
-		s.eng.storeTunnelRTO(s.hopIDs[0], s.rto)
+		s.tun.storeRTO(s.rto)
 		if s.backoffCount == hintInvalidateAfter {
-			// Repeated expiry: stop trusting the cached hop addresses.
-			s.eng.invalidateTunnelHints(s.cache, s.hopIDs)
+			// Repeated expiry: stop trusting the remembered hop addresses.
+			s.eng.invalidateTunnelHints(s.tun)
 		}
 	}
 	s.retransmit(head)
@@ -549,7 +543,7 @@ func (s *Stream) complete() {
 	delete(s.eng.sendStreams, s.id)
 	if s.tun != nil && s.SegsRetx == 0 {
 		// A clean run over this tunnel: drop the backoff memory.
-		s.eng.relaxTunnelRTO(s.hopIDs[0], true)
+		s.tun.relaxRTO(true)
 	}
 	if s.OnComplete != nil {
 		s.OnComplete(true)
@@ -569,11 +563,9 @@ func (s *Stream) fail(why string) {
 		}
 	}
 	delete(s.eng.sendStreams, s.id)
-	if s.tun != nil {
-		// The tunnel is presumed dead, exactly like reliable-flow
-		// exhaustion: evict every hop's cached address.
-		s.eng.invalidateTunnelHints(s.cache, s.hopIDs)
-	}
+	// The tunnel is presumed dead, exactly like reliable-flow exhaustion:
+	// drop every hop's remembered address.
+	s.eng.invalidateTunnelHints(s.tun)
 	if s.OnComplete != nil {
 		s.OnComplete(false)
 	}

@@ -150,8 +150,7 @@ func TestStreamTunnelTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
 	ns.net.InstallFaults(&simnet.FaultPlan{Seed: 5, LossRate: 0.05})
@@ -160,7 +159,7 @@ func TestStreamTunnelTransfer(t *testing.T) {
 
 	data := patternData(32_000)
 	dest := id.HashString("streamed-file")
-	s := ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, cache, dest, StreamConfig{Window: 8})
+	s := ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, dest, StreamConfig{Window: 8})
 	var okDone bool
 	s.OnComplete = func(o bool) { okDone = o }
 	s.WriteAll(data)
@@ -192,8 +191,7 @@ func TestStreamTunnelSegmentDiesAtHopNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the middle hop's node but leave it attached: the hinted packet
@@ -208,7 +206,7 @@ func TestStreamTunnelSegmentDiesAtHopNode(t *testing.T) {
 	sink := &streamSink{}
 	sink.install(ns.eng)
 	data := patternData(4096)
-	s := ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, cache, id.HashString("d"), StreamConfig{Window: 4})
+	s := ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, id.HashString("d"), StreamConfig{Window: 4})
 	s.WriteAll(data)
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -457,14 +455,13 @@ func TestStreamTunnelSteadyStateAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
 	dest := id.HashString("alloc-file")
 	origin := in.Node().Ref().Addr
 	perSeg := steadyStateMallocsPerSeg(t, ns, 512, func() *Stream {
-		return ns.eng.OpenTunnelStream(origin, tun, cache, dest, StreamConfig{})
+		return ns.eng.OpenTunnelStream(origin, tun, dest, StreamConfig{})
 	})
 
 	// What sendSegment does before the packet leaves and what each hop does
@@ -478,7 +475,7 @@ func TestStreamTunnelSteadyStateAllocBudget(t *testing.T) {
 	crypto := testing.AllocsPerRun(100, func() {
 		w := wire.NewWriter(wire.StreamSegmentOverhead + len(seg))
 		wire.AppendStreamSegment(w, 1, 1, false, int64(origin), seg)
-		env, err := BuildForwardWithCache(tun, cache, dest, w.Bytes(), ns.svc.Stream)
+		env, err := BuildForwardHinted(tun, dest, w.Bytes(), ns.svc.Stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,18 +505,16 @@ func TestStreamTunnelBackoffMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
-	key := tun.Hops[0].HopID
 	origin := in.Node().Ref().Addr
 	dest := id.HashString("backoff-file")
 
 	// Inheritance: a stored backoff beats the optimistic initial RTO.
 	stored := simnet.Time(5 * time.Second)
-	ns.eng.tunnelRTO[key] = stored
-	s := ns.eng.OpenTunnelStream(origin, tun, cache, dest, StreamConfig{})
+	tun.storeRTO(stored)
+	s := ns.eng.OpenTunnelStream(origin, tun, dest, StreamConfig{})
 	if s.rto != stored {
 		t.Fatalf("stream started with rto %v, want inherited %v", s.rto, stored)
 	}
@@ -535,15 +530,15 @@ func TestStreamTunnelBackoffMemory(t *testing.T) {
 		_, why := s.Failed()
 		t.Fatalf("clean transfer failed: %s", why)
 	}
-	if _, ok := ns.eng.tunnelRTO[key]; ok {
+	if tun.loadRTO() != 0 {
 		t.Fatal("clean run should drop the tunnel's backoff memory")
 	}
 
 	// Total loss: timeouts grow the shared memory while the stream backs
-	// off, and repeated expiry invalidates the cached hop hints well
+	// off, and repeated expiry drops the tunnel's hop hints well
 	// before the retry budget runs out.
 	ns.net.InstallFaults(&simnet.FaultPlan{Seed: 3, LossRate: 1})
-	s2 := ns.eng.OpenTunnelStream(origin, tun, cache, dest, StreamConfig{})
+	s2 := ns.eng.OpenTunnelStream(origin, tun, dest, StreamConfig{})
 	s2.WriteAll(patternData(2048))
 	// streamInitRTO (1s) doubling per expiry: backoffCount hits 3 (the hint
 	// eviction point) by t=7s. Check at 20s — four expiries, long before
@@ -551,12 +546,12 @@ func TestStreamTunnelBackoffMemory(t *testing.T) {
 	if err := ns.kernel.RunUntil(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := ns.eng.tunnelRTO[key]; got <= simnet.Time(time.Second) {
-		t.Fatalf("tunnelRTO after repeated timeouts = %v, want grown beyond streamInitRTO", got)
+	if got := tun.loadRTO(); got <= simnet.Time(time.Second) {
+		t.Fatalf("tunnel backoff memory after repeated timeouts = %v, want grown beyond streamInitRTO", got)
 	}
-	for _, hop := range tun.HopIDs() {
-		if a := cache.Get(hop); a != simnet.NoAddr {
-			t.Fatalf("hop %s hint still cached after repeated RTO expiry", hop.Short())
+	for i, h := range tun.Hops {
+		if a := tun.Hint(i); a != simnet.NoAddr {
+			t.Fatalf("hop %s hint still remembered after repeated RTO expiry", h.HopID.Short())
 		}
 	}
 	if done := s2.Done(); done {
@@ -564,7 +559,7 @@ func TestStreamTunnelBackoffMemory(t *testing.T) {
 	}
 
 	// A fresh stream over the same tunnel inherits the grown backoff.
-	s3 := ns.eng.OpenTunnelStream(origin, tun, cache, dest, StreamConfig{})
+	s3 := ns.eng.OpenTunnelStream(origin, tun, dest, StreamConfig{})
 	if s3.rto <= simnet.Time(time.Second) {
 		t.Fatalf("new stream started with rto %v, want inherited backed-off value", s3.rto)
 	}
@@ -581,17 +576,15 @@ func TestReliableFlowBackoffMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
-	key := tun.Hops[0].HopID
 	origin := in.Node().Ref().Addr
 	dest := id.HashString("flow-file")
-	opts := SendOpts{Cache: cache, Hops: tun.HopIDs()}
+	opts := SendOpts{Tunnel: tun}
 
 	build := func(label string) *Envelope {
-		env, err := BuildForward(tun, hintsFor(cache, tun), dest, patternData(512), ns.root.Split(label))
+		env, err := BuildForwardHinted(tun, dest, patternData(512), ns.root.Split(label))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -601,7 +594,7 @@ func TestReliableFlowBackoffMemory(t *testing.T) {
 	// Inheritance: a new flow over a tunnel with stored backoff starts
 	// from the stored timeout, not the optimistic estimate.
 	stored := simnet.Time(60 * time.Second)
-	ns.eng.tunnelRTO[key] = stored
+	tun.storeRTO(stored)
 	flow := ns.eng.SendForwardOpt(origin, build("f1"), opts, nil)
 	st := ns.eng.flows[flow]
 	if st == nil || st.rto != stored {
@@ -611,14 +604,14 @@ func TestReliableFlowBackoffMemory(t *testing.T) {
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ns.eng.tunnelRTO[key]; ok {
+	if tun.loadRTO() != 0 {
 		t.Fatal("first-attempt delivery should drop the tunnel's backoff memory")
 	}
 }
 
 // TestReliableFlowRepeatedRTOInvalidatesHints covers the repeated-expiry
 // satellite for reliable flows: a flow whose retransmissions keep dying
-// evicts its tunnel's cached hop addresses at hintInvalidateAfter
+// drops its tunnel's remembered hop addresses at hintInvalidateAfter
 // expirations — long before the attempt budget exhausts.
 func TestReliableFlowRepeatedRTOInvalidatesHints(t *testing.T) {
 	ns := newNetSys(t, 400, 3, 40)
@@ -628,22 +621,21 @@ func TestReliableFlowRepeatedRTOInvalidatesHints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewHintCache()
-	if err := cache.Refresh(ns.svc, tun); err != nil {
+	if err := tun.RefreshHints(ns.svc); err != nil {
 		t.Fatal(err)
 	}
-	for _, hop := range tun.HopIDs() {
-		if cache.Get(hop) == simnet.NoAddr {
-			t.Fatalf("hop %s missing from cache before the flow", hop.Short())
+	for i, h := range tun.Hops {
+		if tun.Hint(i) == simnet.NoAddr {
+			t.Fatalf("hop %s unhinted before the flow", h.HopID.Short())
 		}
 	}
-	env, err := BuildForward(tun, hintsFor(cache, tun), dest40, patternData(512), ns.root.Split("f1"))
+	env, err := BuildForwardHinted(tun, dest40, patternData(512), ns.root.Split("f1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every transmission dies in flight: the flow sees only RTO expiry.
 	ns.net.InstallFaults(&simnet.FaultPlan{Seed: 3, LossRate: 1})
-	flow := ns.eng.SendForwardOpt(in.Node().Ref().Addr, env, SendOpts{Cache: cache, Hops: tun.HopIDs()}, nil)
+	flow := ns.eng.SendForwardOpt(in.Node().Ref().Addr, env, SendOpts{Tunnel: tun}, nil)
 	// With the default-model initial RTO (~7.4s) and 1.5x backoff, the
 	// third attempt's timer — the invalidation point — fires by ~40s,
 	// while exhaustion (10 attempts) is past 500s.
@@ -653,9 +645,9 @@ func TestReliableFlowRepeatedRTOInvalidatesHints(t *testing.T) {
 	if _, pending := ns.eng.flows[flow]; !pending {
 		t.Fatal("flow exhausted before the mid-run check; timing assumption broken")
 	}
-	for _, hop := range tun.HopIDs() {
-		if a := cache.Get(hop); a != simnet.NoAddr {
-			t.Fatalf("hop %s hint still cached after repeated RTO expiry", hop.Short())
+	for i, h := range tun.Hops {
+		if a := tun.Hint(i); a != simnet.NoAddr {
+			t.Fatalf("hop %s hint still remembered after repeated RTO expiry", h.HopID.Short())
 		}
 	}
 	if ns.eng.StaleHints == 0 {

@@ -664,11 +664,10 @@ func (r *runner) send(c *client, tun *core.Tunnel, ev Event) {
 			env.HopID = tun.Hops[0].HopID
 		}
 	case ev.Hints:
-		cache := core.NewHintCache()
-		// A partially refreshed cache (some hop lost) is still usable:
-		// missing entries fall back to DHT routing.
-		_ = cache.Refresh(r.svc, tun)
-		env, err = core.BuildForwardWithCache(tun, cache, dest, payload, r.traffic)
+		// Partially refreshed hints (some hop lost) are still usable: a
+		// missing one falls back to DHT routing.
+		_ = tun.RefreshHints(r.svc)
+		env, err = core.BuildForwardHinted(tun, dest, payload, r.traffic)
 	default:
 		env, err = core.BuildForward(tun, nil, dest, payload, r.traffic)
 	}
@@ -711,11 +710,8 @@ func (r *runner) stream(c *client, ev Event) {
 	var s *core.Stream
 	if len(c.tunnels) > 0 {
 		tun := c.tunnels[ev.T%len(c.tunnels)]
-		cache := core.NewHintCache()
-		// A partially refreshed cache (some hop lost) is still usable:
-		// missing entries fall back to DHT routing.
-		_ = cache.Refresh(r.svc, tun)
-		s = r.eng.OpenTunnelStream(origin, tun, cache, dest, cfg)
+		_ = tun.RefreshHints(r.svc) // partial is usable, as in send
+		s = r.eng.OpenTunnelStream(origin, tun, dest, cfg)
 	} else {
 		s = r.eng.OpenStream(origin, dest, simnet.NoAddr, cfg)
 	}

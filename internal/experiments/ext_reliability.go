@@ -20,31 +20,29 @@ import (
 // experiment measures what that survival is worth to in-flight traffic
 // once someone actually retransmits into the recovered tunnel.
 type ExtReliabilityParams struct {
-	N         int
-	Length    int
-	FileBytes int
+	N int
 	// LossRates are the per-link loss probabilities swept on the x axis.
 	LossRates []float64
 	// CrashFrac is the fraction of flows whose middle-hop node crashes
 	// 300 ms after the flow starts (restarting 30 s later). The crashed
 	// node drops out of the overlay, so the hop anchor migrates to its
 	// replica; its address hint goes stale.
-	CrashFrac   float64
-	Flows       int
-	Trials      int
-	MaxAttempts int
-	Seed        uint64
+	CrashFrac float64
+	Flows     int
+	Trials    int
+	Seed      uint64
 }
+
+// What every run of the experiment holds fixed.
+const (
+	relLength      = 3    // tunnel length l
+	relFileBytes   = 2000 // payload per flow
+	relMaxAttempts = 10   // the reliable mode's end-to-end attempt budget
+)
 
 func (p ExtReliabilityParams) withDefaults() ExtReliabilityParams {
 	if p.N == 0 {
 		p.N = 250
-	}
-	if p.Length == 0 {
-		p.Length = 3
-	}
-	if p.FileBytes == 0 {
-		p.FileBytes = 2000
 	}
 	if len(p.LossRates) == 0 {
 		p.LossRates = []float64{0, 0.02, 0.05, 0.10}
@@ -57,9 +55,6 @@ func (p ExtReliabilityParams) withDefaults() ExtReliabilityParams {
 	}
 	if p.Trials == 0 {
 		p.Trials = 2
-	}
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 10
 	}
 	if p.Seed == 0 {
 		p.Seed = 2004
@@ -78,14 +73,14 @@ const (
 
 // ExtReliability reports delivery rate, successful-transfer latency, and
 // (for the reliable mode) mean end-to-end attempts per loss rate. Both
-// modes replay the identical scenario — same world, tunnels, hint caches,
+// modes replay the identical scenario — same world, tunnels, hints,
 // destinations, and fault plan — differing only in whether the engine
 // retransmits.
 func ExtReliability(p ExtReliabilityParams) (*trace.Table, error) {
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: churn reliability — ACK/retransmit vs fire-and-forget under link loss + hop crashes (N=%d, l=%d, %d flows, crash frac %.2f, trials=%d)",
-			p.N, p.Length, p.Flows, p.CrashFrac, p.Trials),
+			p.N, relLength, p.Flows, p.CrashFrac, p.Trials),
 		"loss %",
 		SeriesDeliveredRetx, SeriesDeliveredNoRetx,
 		SeriesLatencyRetx, SeriesLatencyNoRetx, SeriesAttemptsRetx)
@@ -145,10 +140,10 @@ func runReliabilityTrial(p ExtReliabilityParams, loss float64, retx bool, stream
 	kernel, net, eng := w.NewEngine(stream.Seed())
 	kernel.MaxSteps = 0
 	if retx {
-		eng.EnableReliability(core.Reliability{MaxAttempts: p.MaxAttempts})
+		eng.EnableReliability(core.Reliability{MaxAttempts: relMaxAttempts})
 	}
 
-	// Flows are formed up front (hint caches resolve the t=0 hop nodes)
+	// Flows are formed up front (hints resolve the t=0 hop nodes)
 	// and spaced out so each crash lands 300 ms into its own flow.
 	const spacing = 20 * time.Second
 	ts := stream.Split("flows")
@@ -170,21 +165,20 @@ func runReliabilityTrial(p ExtReliabilityParams, loss float64, retx bool, stream
 		if err != nil {
 			return 0, lat, att, err
 		}
-		if err := in.DeployDirect(p.Length); err != nil {
+		if err := in.DeployDirect(relLength); err != nil {
 			return 0, lat, att, err
 		}
-		tun, err := in.FormTunnel(p.Length)
+		tun, err := in.FormTunnel(relLength)
 		if err != nil {
 			return 0, lat, att, err
 		}
 		origins[node.Ref().Addr] = struct{}{}
-		cache := core.NewHintCache()
-		if err := cache.Refresh(w.Svc, tun); err != nil {
+		if err := tun.RefreshHints(w.Svc); err != nil {
 			return 0, lat, att, err
 		}
 		var dest id.ID
 		ts.Bytes(dest[:])
-		env, err := core.BuildForwardWithCache(tun, cache, dest, make([]byte, p.FileBytes), ts)
+		env, err := core.BuildForwardHinted(tun, dest, make([]byte, relFileBytes), ts)
 		if err != nil {
 			return 0, lat, att, err
 		}

@@ -15,7 +15,7 @@ import (
 // ExtSelfHealParams configures the self-healing-pool experiment: a
 // long-running client sending through a TunnelPool versus the same
 // client riding one fixed tunnel, both under sustained correlated churn.
-// Every Epoch a random ChurnRate fraction of the network fails as one
+// Every selfHealEpoch a random ChurnRate fraction of the network fails as one
 // batch (replica migration suspended, the Figure 2 correlated-failure
 // model — the only failure mode that actually kills anchors) and the
 // same number of fresh nodes join. The paper's §6 hop takeover keeps
@@ -24,62 +24,45 @@ import (
 // churn is batched and replication is thin (k=2), so tunnels genuinely
 // die mid-session.
 type ExtSelfHealParams struct {
-	N      int
-	K      int // replication factor; default 2 so batch churn kills anchors
-	Length int
-	// PoolSize is the pool's target tunnel count; Singles is how many
-	// independent single-tunnel baseline clients run alongside it (their
-	// availabilities average into one baseline series).
-	PoolSize int
-	Singles  int
+	N int
+	// Singles is how many independent single-tunnel baseline clients run
+	// alongside the pool (their availabilities average into one baseline
+	// series).
+	Singles int
 	// ChurnRates are the per-epoch batch-failure fractions swept on the x
-	// axis; Epoch and Horizon set the churn cadence and session length.
+	// axis.
 	ChurnRates []float64
-	Epoch      simnet.Time
-	Horizon    simnet.Time
-	// SendEvery is the client send cadence; PayloadBytes each send's size.
-	SendEvery    simnet.Time
-	PayloadBytes int
-	// MaxAttempts is the baseline's end-to-end retransmit budget (the
-	// pool uses its own per-flow budgets).
-	MaxAttempts int
-	Trials      int
-	Seed        uint64
+	Trials     int
+	Seed       uint64
 }
+
+// What every run of the experiment holds fixed.
+const (
+	selfHealK        = 2 // replication factor: 2 so batch churn kills anchors
+	selfHealLength   = 3
+	selfHealPoolSize = 3 // the pool's target tunnel count
+	// selfHealEpoch and selfHealHorizon set the churn cadence and session
+	// length.
+	selfHealEpoch   = 30 * time.Second
+	selfHealHorizon = 600 * time.Second
+	// selfHealSendEvery is the client send cadence; selfHealPayloadBytes
+	// each send's size.
+	selfHealSendEvery    = 2 * time.Second
+	selfHealPayloadBytes = 512
+	// selfHealMaxAttempts is the baseline's end-to-end retransmit budget
+	// (the pool uses its own per-flow budgets).
+	selfHealMaxAttempts = 4
+)
 
 func (p ExtSelfHealParams) withDefaults() ExtSelfHealParams {
 	if p.N == 0 {
 		p.N = 250
-	}
-	if p.K == 0 {
-		p.K = 2
-	}
-	if p.Length == 0 {
-		p.Length = 3
-	}
-	if p.PoolSize == 0 {
-		p.PoolSize = 3
 	}
 	if p.Singles == 0 {
 		p.Singles = 8
 	}
 	if len(p.ChurnRates) == 0 {
 		p.ChurnRates = []float64{0.02, 0.05, 0.10}
-	}
-	if p.Epoch == 0 {
-		p.Epoch = 30 * time.Second
-	}
-	if p.Horizon == 0 {
-		p.Horizon = 600 * time.Second
-	}
-	if p.SendEvery == 0 {
-		p.SendEvery = 2 * time.Second
-	}
-	if p.PayloadBytes == 0 {
-		p.PayloadBytes = 512
-	}
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 4
 	}
 	if p.Trials == 0 {
 		p.Trials = 2
@@ -106,7 +89,7 @@ func ExtSelfHeal(p ExtSelfHealParams) (*trace.Table, error) {
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: self-healing pools — availability and time-to-repair under batch churn (N=%d, k=%d, l=%d, pool=%d, %v session, trials=%d)",
-			p.N, p.K, p.Length, p.PoolSize, p.Horizon, p.Trials),
+			p.N, selfHealK, selfHealLength, selfHealPoolSize, selfHealHorizon, p.Trials),
 		"churn %/epoch",
 		SeriesAvailPool, SeriesAvailSingle, SeriesTTRPool)
 	type job struct{ ci, trial int }
@@ -149,16 +132,16 @@ type selfHealResult struct {
 }
 
 // runSelfHealTrial runs one world with a pooled client and Singles
-// baseline clients through Horizon of batch churn.
+// baseline clients through selfHealHorizon of batch churn.
 func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem *pastry.Scratch) (selfHealResult, error) {
 	var res selfHealResult
-	w, err := BuildWorldIn(mem, p.N, p.K, stream.Split("world"))
+	w, err := BuildWorldIn(mem, p.N, selfHealK, stream.Split("world"))
 	if err != nil {
 		return res, err
 	}
 	kernel, net, eng := w.NewEngine(stream.Seed())
 	kernel.MaxSteps = 0
-	eng.EnableReliability(core.Reliability{MaxAttempts: p.MaxAttempts})
+	eng.EnableReliability(core.Reliability{MaxAttempts: selfHealMaxAttempts})
 
 	// Clients are exempt from churn: a dead initiator measures nothing.
 	protected := make(map[simnet.Addr]bool)
@@ -171,8 +154,8 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 		return res, err
 	}
 	pool, err := core.NewTunnelPool(poolIn, eng, core.PoolConfig{
-		Size:   p.PoolSize,
-		Length: p.Length,
+		Size:   selfHealPoolSize,
+		Length: selfHealLength,
 	})
 	if err != nil {
 		return res, err
@@ -182,7 +165,6 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 	type single struct {
 		origin simnet.Addr
 		tun    *core.Tunnel
-		cache  *core.HintCache
 	}
 	singles := make([]*single, 0, p.Singles)
 	for i := 0; i < p.Singles; i++ {
@@ -195,18 +177,17 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 		if err != nil {
 			return res, err
 		}
-		if err := in.DeployDirect(p.Length); err != nil {
+		if err := in.DeployDirect(selfHealLength); err != nil {
 			return res, err
 		}
-		tun, err := in.FormTunnel(p.Length)
+		tun, err := in.FormTunnel(selfHealLength)
 		if err != nil {
 			return res, err
 		}
-		cache := core.NewHintCache()
-		if err := cache.Refresh(w.Svc, tun); err != nil {
+		if err := tun.RefreshHints(w.Svc); err != nil {
 			return res, err
 		}
-		singles = append(singles, &single{origin: node.Ref().Addr, tun: tun, cache: cache})
+		singles = append(singles, &single{origin: node.Ref().Addr, tun: tun})
 	}
 
 	// Batch churn: every epoch, kill a random frac of the network in one
@@ -237,11 +218,11 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 			w.OV.Join()
 		}
 	}
-	for at := p.Epoch; at < p.Horizon; at += p.Epoch {
+	for at := selfHealEpoch; at < selfHealHorizon; at += selfHealEpoch {
 		kernel.At(at, churnEpoch)
 	}
 
-	// The paired workload: every SendEvery, one pool send and one send per
+	// The paired workload: every selfHealSendEvery, one pool send and one send per
 	// baseline client. A pool fast-fail (degraded) counts as a failed
 	// send — refusing service is still unavailability.
 	traffic := stream.Split("traffic")
@@ -250,7 +231,7 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 		var dest id.ID
 		traffic.Bytes(dest[:])
 		poolSent++
-		_ = pool.Send(dest, make([]byte, p.PayloadBytes), func(o core.Outcome) {
+		_ = pool.Send(dest, make([]byte, selfHealPayloadBytes), func(o core.Outcome) {
 			if o.Delivered {
 				poolOK++
 			}
@@ -259,7 +240,7 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 			var d id.ID
 			traffic.Bytes(d[:])
 			singleSent++
-			env, err := core.BuildForwardWithCache(s.tun, s.cache, d, make([]byte, p.PayloadBytes), traffic)
+			env, err := core.BuildForwardHinted(s.tun, d, make([]byte, selfHealPayloadBytes), traffic)
 			if err != nil {
 				continue
 			}
@@ -270,10 +251,10 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 			})
 		}
 	}
-	for at := simnet.Time(0); at < p.Horizon; at += p.SendEvery {
+	for at := simnet.Time(0); at < selfHealHorizon; at += selfHealSendEvery {
 		kernel.At(at, sendRound)
 	}
-	kernel.At(p.Horizon, pool.Stop)
+	kernel.At(selfHealHorizon, pool.Stop)
 
 	if err := kernel.Run(); err != nil {
 		return res, err

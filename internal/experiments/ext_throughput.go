@@ -28,26 +28,30 @@ type ExtThroughputParams struct {
 	TunnelsPer int // formed tunnels per client
 	Length     int // tunnel length l
 	// Flows is the concurrent stream population per combo. All flows open
-	// within the Ramp window, so with flow completion times longer than
+	// within the throughputRamp window, so with flow completion times longer than
 	// the ramp the whole population is in flight at once.
 	Flows     int
 	FlowBytes int // payload bytes per stream
-	// Dests and ZipfS shape the destination catalog: Flows draws from a
-	// Zipf(s) popularity over Dests distinct ids.
+	// Dests sizes the destination catalog: Flows draws from a
+	// Zipf(throughputZipfS) popularity over Dests distinct ids.
 	Dests int
-	ZipfS float64
 	// Windows are the send-window sizes swept; LossRates the per-link
 	// loss probabilities.
 	Windows   []int
 	LossRates []float64
-	SegSize   int
-	Ramp      time.Duration // arrival window for the flow population
 	// ChurnFails nodes fail at uniformly random times inside the ramp
 	// window (THA migration keeps tunnels functional; address hints go
 	// stale and must be re-resolved).
 	ChurnFails int
 	Seed       uint64
 }
+
+// What every run of the experiment holds fixed.
+const (
+	throughputZipfS   = 1.1 // destination popularity exponent
+	throughputSegSize = 256
+	throughputRamp    = 10 * time.Second // arrival window for the flow population
+)
 
 func (p ExtThroughputParams) withDefaults() ExtThroughputParams {
 	if p.N == 0 {
@@ -71,20 +75,11 @@ func (p ExtThroughputParams) withDefaults() ExtThroughputParams {
 	if p.Dests == 0 {
 		p.Dests = 256
 	}
-	if p.ZipfS == 0 {
-		p.ZipfS = 1.1
-	}
 	if len(p.Windows) == 0 {
 		p.Windows = []int{1, 16}
 	}
 	if len(p.LossRates) == 0 {
 		p.LossRates = []float64{0, 0.01, 0.05}
-	}
-	if p.SegSize == 0 {
-		p.SegSize = 256
-	}
-	if p.Ramp == 0 {
-		p.Ramp = 10 * time.Second
 	}
 	if p.ChurnFails == 0 {
 		p.ChurnFails = p.N / 50
@@ -207,7 +202,6 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 	type src struct {
 		origin  simnet.Addr
 		tunnels []*core.Tunnel
-		caches  []*core.HintCache
 	}
 	srcs := make([]*src, 0, p.Clients)
 	protected := make(map[simnet.Addr]bool)
@@ -230,12 +224,10 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ext-throughput client %d tunnel %d: %w", ci, ti, err)
 			}
-			cache := core.NewHintCache()
-			if err := cache.Refresh(w.Svc, tun); err != nil {
+			if err := tun.RefreshHints(w.Svc); err != nil {
 				return nil, err
 			}
 			s.tunnels = append(s.tunnels, tun)
-			s.caches = append(s.caches, cache)
 		}
 		srcs = append(srcs, s)
 	}
@@ -245,14 +237,14 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 	for i := range catalog {
 		setup.Bytes(catalog[i][:])
 	}
-	zipf := newZipfSampler(p.Dests, p.ZipfS)
+	zipf := newZipfSampler(p.Dests, throughputZipfS)
 
 	// Churn: fail random non-client nodes at uniform times inside the ramp
 	// window. THA migration fails hop anchors over to replicas; stale hop
 	// hints are re-resolved by the streams' retransmission path.
 	churn := stream.Split("churn")
 	for i := 0; i < p.ChurnFails; i++ {
-		at := simnet.Time(float64(p.Ramp) * churn.Float64())
+		at := simnet.Time(float64(throughputRamp) * churn.Float64())
 		kernel.At(at, func() {
 			if w.OV.Size() <= p.N/2 {
 				return
@@ -274,7 +266,7 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 	flows := stream.Split("flows")
 	content := make([]byte, p.FlowBytes)
 	flows.Bytes(content)
-	cfg := core.StreamConfig{Window: window, SegSize: p.SegSize}
+	cfg := core.StreamConfig{Window: window, SegSize: throughputSegSize}
 	m := &throughputMetrics{}
 	var (
 		deliveredN int
@@ -286,9 +278,9 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 		s := srcs[fi%len(srcs)]
 		ti := (fi / len(srcs)) % len(s.tunnels)
 		dest := catalog[zipf.draw(flows)]
-		start := simnet.Time(float64(p.Ramp) * flows.Float64())
+		start := simnet.Time(float64(throughputRamp) * flows.Float64())
 		kernel.At(start, func() {
-			st := eng.OpenTunnelStream(s.origin, s.tunnels[ti], s.caches[ti], dest, cfg)
+			st := eng.OpenTunnelStream(s.origin, s.tunnels[ti], dest, cfg)
 			live++
 			if live > m.peakConcurrent {
 				m.peakConcurrent = live

@@ -26,10 +26,13 @@ type ExtTimingParams struct {
 	// Malicious fractions, one series per value.
 	Fracs  []float64
 	Flows  int
-	Window time.Duration
 	Trials int
 	Seed   uint64
 }
+
+// timingWindow is how long after an entry the adversary still matches an
+// exit to it.
+const timingWindow = 20 * time.Second
 
 func (p ExtTimingParams) withDefaults() ExtTimingParams {
 	if p.N == 0 {
@@ -46,9 +49,6 @@ func (p ExtTimingParams) withDefaults() ExtTimingParams {
 	}
 	if p.Flows == 0 {
 		p.Flows = 40
-	}
-	if p.Window == 0 {
-		p.Window = 20 * time.Second
 	}
 	if p.Trials == 0 {
 		p.Trials = 3
@@ -82,7 +82,7 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 	}
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: timing analysis — exits traced to initiator vs traffic density (N=%d, l=%d, %d flows, window=%v, trials=%d)",
-			p.N, p.Length, p.Flows, p.Window, p.Trials),
+			p.N, p.Length, p.Flows, timingWindow, p.Trials),
 		"flows/min", series...)
 	type job struct {
 		gIdx, fIdx, trial int
@@ -143,16 +143,12 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 				}
 				var dest id.ID
 				ts.Bytes(dest[:])
-				var env *core.Envelope
 				if j.opt {
-					cache := core.NewHintCache()
-					if err := cache.Refresh(w.Svc, tun); err != nil {
+					if err := tun.RefreshHints(w.Svc); err != nil {
 						return
 					}
-					env, err = core.BuildForwardWithCache(tun, cache, dest, make([]byte, 5000), ts)
-				} else {
-					env, err = core.BuildForward(tun, nil, dest, make([]byte, 5000), ts)
 				}
+				env, err := core.BuildForwardHinted(tun, dest, make([]byte, 5000), ts)
 				if err != nil {
 					return
 				}
@@ -163,7 +159,7 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 		if err := kernel.Run(); err != nil {
 			return err
 		}
-		score := timing.Evaluate(obs, obs.Correlate(p.Window), trueSource)
+		score := timing.Evaluate(obs, obs.Correlate(timingWindow), trueSource)
 		if score.Exits == 0 {
 			// The adversary never served a tail hop: no opportunities at
 			// all this trial.

@@ -185,11 +185,10 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 				record(seriesBasic(l), d.Seconds())
 
 				// Optimized tunneling: fresh address hints per §5.
-				cache := core.NewHintCache()
-				if err := cache.Refresh(w.Svc, tun); err != nil {
+				if err := tun.RefreshHints(w.Svc); err != nil {
 					return err
 				}
-				optEnv, err := core.BuildForwardWithCache(tun, cache, fileID, payload, tstream)
+				optEnv, err := core.BuildForwardHinted(tun, fileID, payload, tstream)
 				if err != nil {
 					return err
 				}

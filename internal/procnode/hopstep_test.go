@@ -92,22 +92,21 @@ func TestOneHopStepAcrossEngines(t *testing.T) {
 	data := []byte("reply data no hop touches")
 
 	for _, hinted := range []bool{false, true} {
-		name := "basic"
-		var cache *core.HintCache
+		name := "basic" // an unrefreshed tunnel builds the basic message
 		if hinted {
-			name, cache = "hinted", core.NewHintCache()
+			name = "hinted"
 			for _, tun := range tuns {
-				if err := cache.Refresh(svc, tun); err != nil {
+				if err := tun.RefreshHints(svc); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		t.Run(name, func(t *testing.T) {
-			env, err := core.BuildForwardWithCache(fw, cache, dest, payload, root.Split("fw-"+name))
+			env, err := core.BuildForwardHinted(fw, dest, payload, root.Split("fw-"+name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := core.BuildReplyWithCache(rp, cache, dest, root.Split("rp-"+name))
+			rt, err := core.BuildReplyHinted(rp, dest, root.Split("rp-"+name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,8 +254,8 @@ func TestOneHopStepAcrossEngines(t *testing.T) {
 			var fwIn, rpIn []hopEntry // written on the dispatch loop, read after the sink has received
 			at := make(map[transport.Addr]*Node)
 			for _, tun := range tuns {
-				for _, h := range tun.Hops {
-					addr := cache.Get(h.HopID)
+				for i, h := range tun.Hops {
+					addr := tun.Hint(i)
 					n := at[addr]
 					if n == nil {
 						n = New(tr, addr, t.Logf, nil)

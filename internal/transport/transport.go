@@ -18,8 +18,8 @@
 //   - Handlers and Schedule callbacks run serialized on a single logical
 //     event loop. An engine never observes two callbacks concurrently, so
 //     engine state needs no locking of its own. (State an *application*
-//     shares across goroutines — caches consulted outside the loop — still
-//     locks itself; see core.HintCache.)
+//     shares across goroutines — a tunnel's hints, refreshed outside the
+//     loop — still locks itself; see core.Tunnel's link.)
 //   - Send is asynchronous and unreliable: delivery may fail silently
 //     (crashed destination, severed link, refused connection). Loss
 //     recovery belongs to the layers above.
