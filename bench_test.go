@@ -329,6 +329,46 @@ func BenchmarkPastryRoute(b *testing.B) {
 	b.ReportMetric(float64(hops)/float64(b.N), "hops/route")
 }
 
+// BenchmarkLeafSetClosestTo measures the leaf-set decision alone — which
+// of a node's L neighbours (or itself) is numerically closest to a key
+// inside its leaf arc — the step every overlay hop of every simulated
+// packet ends on. 1000 nodes, as sim_stream runs.
+func BenchmarkLeafSetClosestTo(b *testing.B) {
+	root := rng.New(1)
+	ov, err := pastry.Build(pastry.DefaultConfig(), 1000, root.Split("overlay"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := root.Split("keys")
+	type probe struct {
+		node *pastry.Node
+		key  id.ID
+	}
+	probes := make([]probe, 256)
+	for i := range probes {
+		// A key just beside a random member lies within the arc unless
+		// that member is its far end; redraw those.
+		for {
+			n := ov.RandomLive(s)
+			m := n.Leaf.Members()
+			key := m[s.Intn(len(m))].ID
+			s.Bytes(key[id.Size-8:])
+			if n.Leaf.Covers(key) {
+				probes[i] = probe{n, key}
+				break
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink pastry.NodeRef
+	for i := 0; i < b.N; i++ {
+		p := &probes[i%len(probes)]
+		sink = p.node.Leaf.ClosestTo(p.key, p.node.Ref())
+	}
+	_ = sink
+}
+
 // BenchmarkOverlayBuild measures constructing a 10,000-node overlay with
 // full routing state (one per experiment trial).
 func BenchmarkOverlayBuild(b *testing.B) {

@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Size is the identifier width in bytes (160 bits, the SHA-1 digest size).
@@ -129,57 +130,94 @@ func (a ID) Less(b ID) bool {
 	return a.Cmp(b) < 0
 }
 
+// Dist is a ring distance — or any 160-bit value being subtracted or
+// compared — held as three machine words instead of twenty bytes: the top
+// 32 bits in hi, then two 64-bit limbs, most significant first. Routing
+// evaluates "numerically closest" for every leaf-set member at every
+// overlay hop, so the distance has to be computable once per candidate, in
+// registers, and comparable with == and Less. ID itself stays [Size]byte:
+// map keys, the wire codec and the goldens depend on that layout.
+type Dist struct {
+	hi      uint32
+	mid, lo uint64
+}
+
+// limbs loads a's big-endian bytes into words.
+func limbs(a *ID) Dist {
+	return Dist{
+		hi:  binary.BigEndian.Uint32(a[:4]),
+		mid: binary.BigEndian.Uint64(a[4:12]),
+		lo:  binary.BigEndian.Uint64(a[12:]),
+	}
+}
+
+// id stores d back as big-endian bytes.
+func (d Dist) id() ID {
+	var out ID
+	binary.BigEndian.PutUint32(out[:4], d.hi)
+	binary.BigEndian.PutUint64(out[4:12], d.mid)
+	binary.BigEndian.PutUint64(out[12:], d.lo)
+	return out
+}
+
+// sub returns d-e mod 2^160; the top limb wraps at 32 bits on its own.
+func (d Dist) sub(e Dist) Dist {
+	lo, borrow := bits.Sub64(d.lo, e.lo, 0)
+	mid, borrow := bits.Sub64(d.mid, e.mid, borrow)
+	return Dist{hi: d.hi - e.hi - uint32(borrow), mid: mid, lo: lo}
+}
+
+// Less reports d < e as 160-bit unsigned integers.
+func (d Dist) Less(e Dist) bool {
+	if d.hi != e.hi {
+		return d.hi < e.hi
+	}
+	if d.mid != e.mid {
+		return d.mid < e.mid
+	}
+	return d.lo < e.lo
+}
+
+// RingDist returns the circular distance between a and b: the shorter of
+// the clockwise and counterclockwise walks. This is the metric the paper
+// means by "numerically closest". One subtraction gives one way round; when
+// that is more than half the ring (top bit set) its negation is the other.
+func RingDist(a, b *ID) Dist {
+	d := limbs(a).sub(limbs(b))
+	if d.hi>>31 != 0 {
+		return Dist{}.sub(d)
+	}
+	return d
+}
+
 // Add returns a+b mod 2^160.
 func (a ID) Add(b ID) ID {
-	var out ID
-	var carry uint16
-	for i := Size - 1; i >= 0; i-- {
-		s := uint16(a[i]) + uint16(b[i]) + carry
-		out[i] = byte(s)
-		carry = s >> 8
-	}
-	return out
+	x, y := limbs(&a), limbs(&b)
+	lo, carry := bits.Add64(x.lo, y.lo, 0)
+	mid, carry := bits.Add64(x.mid, y.mid, carry)
+	return Dist{hi: x.hi + y.hi + uint32(carry), mid: mid, lo: lo}.id()
 }
 
 // Sub returns a-b mod 2^160.
 func (a ID) Sub(b ID) ID {
-	var out ID
-	var borrow int16
-	for i := Size - 1; i >= 0; i-- {
-		d := int16(a[i]) - int16(b[i]) - borrow
-		if d < 0 {
-			d += 256
-			borrow = 1
-		} else {
-			borrow = 0
-		}
-		out[i] = byte(d)
-	}
-	return out
+	return limbs(&a).sub(limbs(&b)).id()
 }
 
-// Distance returns the circular distance between a and b: the minimum of
-// walking the ring clockwise and counterclockwise. This is the metric the
-// paper means by "numerically closest".
+// Distance is RingDist as an identifier, for callers that go on to
+// compare it with one.
 func (a ID) Distance(b ID) ID {
-	d1 := a.Sub(b)
-	d2 := b.Sub(a)
-	if d1.Cmp(d2) <= 0 {
-		return d1
-	}
-	return d2
+	return RingDist(&a, &b).id()
 }
 
 // Closer reports whether a is strictly closer to target than b is, with a
 // deterministic tie-break on the smaller plain value so that "the
 // numerically closest node" is always unique.
 func Closer(target, a, b ID) bool {
-	da := a.Distance(target)
-	db := b.Distance(target)
-	if c := da.Cmp(db); c != 0 {
-		return c < 0
+	da, db := RingDist(&a, &target), RingDist(&b, &target)
+	if da != db {
+		return da.Less(db)
 	}
-	return a.Cmp(b) < 0
+	return a.Less(b)
 }
 
 // CommonPrefixBits returns the number of leading bits a and b share.

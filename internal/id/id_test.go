@@ -401,3 +401,158 @@ func TestPropXorSelfInverse(t *testing.T) {
 		}
 	}
 }
+
+// --- the frozen byte-wise reference ----------------------------------------
+//
+// refSub, refAdd, refDistance and refCloser are the arithmetic as it stood
+// before ring distance moved onto machine words: one byte at a time,
+// borrow carried by hand. They are kept as the definition the limb forms
+// must reproduce bit for bit (goldens and routing decisions hang on it).
+
+func refAdd(a, b ID) ID {
+	var out ID
+	var carry uint16
+	for i := Size - 1; i >= 0; i-- {
+		s := uint16(a[i]) + uint16(b[i]) + carry
+		out[i] = byte(s)
+		carry = s >> 8
+	}
+	return out
+}
+
+func refSub(a, b ID) ID {
+	var out ID
+	var borrow int16
+	for i := Size - 1; i >= 0; i-- {
+		d := int16(a[i]) - int16(b[i]) - borrow
+		if d < 0 {
+			d += 256
+			borrow = 1
+		} else {
+			borrow = 0
+		}
+		out[i] = byte(d)
+	}
+	return out
+}
+
+func refDistance(a, b ID) ID {
+	d1 := refSub(a, b)
+	d2 := refSub(b, a)
+	if d1.Cmp(d2) <= 0 {
+		return d1
+	}
+	return d2
+}
+
+func refCloser(target, a, b ID) bool {
+	da := refDistance(a, target)
+	db := refDistance(b, target)
+	if c := da.Cmp(db); c != 0 {
+		return c < 0
+	}
+	return a.Cmp(b) < 0
+}
+
+// agreesWithRef checks every limb-built operation on one triple, in both
+// argument orders, against the byte-wise reference.
+func agreesWithRef(t *testing.T, target, a, b ID) bool {
+	t.Helper()
+	ok := true
+	fail := func(op string, got, want any) {
+		t.Errorf("%s: got %v, want %v (target=%s a=%s b=%s)", op, got, want, target, a, b)
+		ok = false
+	}
+	for _, p := range [][2]ID{{a, b}, {b, a}, {a, target}, {target, b}} {
+		x, y := p[0], p[1]
+		if got, want := x.Add(y), refAdd(x, y); got != want {
+			fail("Add", got, want)
+		}
+		if got, want := x.Sub(y), refSub(x, y); got != want {
+			fail("Sub", got, want)
+		}
+		want := refDistance(x, y)
+		if got := x.Distance(y); got != want {
+			fail("Distance", got, want)
+		}
+		if got := RingDist(&x, &y).id(); got != want {
+			fail("RingDist", got, want)
+		}
+		// Less and == on distances must order exactly as Cmp on the ids
+		// they stand for.
+		dx, dy := RingDist(&x, &target), RingDist(&y, &target)
+		c := refDistance(x, target).Cmp(refDistance(y, target))
+		if dx.Less(dy) != (c < 0) || dy.Less(dx) != (c > 0) || (dx == dy) != (c == 0) {
+			fail("Dist order", [2]Dist{dx, dy}, c)
+		}
+	}
+	if got, want := Closer(target, a, b), refCloser(target, a, b); got != want {
+		fail("Closer(a,b)", got, want)
+	}
+	if got, want := Closer(target, b, a), refCloser(target, b, a); got != want {
+		fail("Closer(b,a)", got, want)
+	}
+	return ok
+}
+
+func TestLimbArithmeticMatchesByteReferenceRandom(t *testing.T) {
+	f := func(target, a, b ID) bool { return agreesWithRef(t, target, a, b) }
+	cfg := &quick.Config{MaxCount: 100_000, Rand: rand.New(rand.NewSource(47))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Uniform triples almost never tie or share limbs; draw a second
+	// family clustered round the target so distances collide in their
+	// upper words and differ only low down.
+	rng := rand.New(rand.NewSource(48))
+	for i := 0; i < 20_000; i++ {
+		target := randomID(rng)
+		a := target.Add(FromUint64(rng.Uint64() >> uint(rng.Intn(64))))
+		b := target.Sub(FromUint64(rng.Uint64() >> uint(rng.Intn(64))))
+		if !agreesWithRef(t, target, a, b) {
+			t.FailNow()
+		}
+	}
+}
+
+func TestLimbArithmeticMatchesByteReferenceAdversarial(t *testing.T) {
+	one := FromUint64(1)
+	half := MustParse("8000000000000000000000000000000000000000")
+	mid := MustParse("0000000100000000000000000000000000000000") // lowest bit of the top limb
+	lowOfMid := MustParse("0000000000000000000000010000000000000000")
+	h := Hash([]byte("adversarial"))
+	cases := []struct {
+		name         string
+		target, a, b ID
+	}{
+		{"equidistant either side", FromUint64(5), FromUint64(4), FromUint64(6)},
+		{"equidistant across zero", Zero, Max, one},
+		{"equidistant, far", h, h.Sub(mid), h.Add(mid)},
+		{"equidistant at half the ring", h, h.Add(half), h.Sub(half)},
+		{"a == b", h, one, one},
+		{"target == a", h, h, h.Add(one)},
+		{"target == a == b", h, h, h},
+		{"wrap through zero", one, Max, FromUint64(3)},
+		{"wrap, target high", Max, FromUint64(2), Max.Sub(FromUint64(4))},
+		{"Zero and Max", Zero, Zero, Max},
+		{"Max and Zero", Max, Zero, Max},
+		{"just under half", Zero, half.Sub(one), half.Add(one)},
+		{"exactly half vs just over", Zero, half, half.Add(one)},
+		{"differ only in the top 32 bits", Zero, mid, mid.Add(mid)},
+		{"top 32 bits, other limbs equal", h, h.Add(mid), h.Add(mid).Add(mid)},
+		{"borrow across the low limb", lowOfMid, lowOfMid.Sub(one), lowOfMid.Add(one)},
+		{"borrow across both limbs", mid, mid.Sub(one), one},
+		{"borrow out of the top", Zero, one, Max},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { agreesWithRef(t, c.target, c.a, c.b) })
+	}
+	// The tie rule itself, stated rather than compared: equidistant goes
+	// to the smaller plain id whichever way round it is asked.
+	if !Closer(Zero, one, Max) || Closer(Zero, Max, one) {
+		t.Fatal("tie across zero must go to the smaller plain id")
+	}
+	if Closer(h, one, one) {
+		t.Fatal("nothing is strictly closer than itself")
+	}
+}

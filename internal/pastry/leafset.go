@@ -99,19 +99,40 @@ func (l *LeafSet) Covers(key id.ID) bool {
 	return id.BetweenIncl(lo, hi, key)
 }
 
+// nearest carries the best candidate for key seen so far together with
+// its ring distance, so a scan computes one distance per candidate and
+// none for the incumbent. The order is id.Closer's — distance, then the
+// smaller plain id — and this is its only definition over candidates in
+// the package: the leaf-set decision, NextHop's rare case and the
+// overlay's replica merge all offer to one.
+type nearest struct {
+	key  id.ID
+	ref  *NodeRef
+	dist id.Dist
+}
+
+// nearestTo starts a scan for key with r as the incumbent.
+func nearestTo(key id.ID, r *NodeRef) nearest {
+	return nearest{key: key, ref: r, dist: id.RingDist(&r.ID, &key)}
+}
+
+// offer makes r the incumbent when it is strictly closer to the key.
+func (c *nearest) offer(r *NodeRef) {
+	d := id.RingDist(&r.ID, &c.key)
+	if d.Less(c.dist) || d == c.dist && r.ID.Less(c.ref.ID) {
+		c.ref, c.dist = r, d
+	}
+}
+
 // ClosestTo returns the leaf-set member (or the owner itself, passed as
 // self) numerically closest to key.
 func (l *LeafSet) ClosestTo(key id.ID, self NodeRef) NodeRef {
-	best := self
-	for _, r := range l.smaller {
-		if id.Closer(key, r.ID, best.ID) {
-			best = r
-		}
+	best := nearestTo(key, &self)
+	for i := range l.smaller {
+		best.offer(&l.smaller[i])
 	}
-	for _, r := range l.larger {
-		if id.Closer(key, r.ID, best.ID) {
-			best = r
-		}
+	for i := range l.larger {
+		best.offer(&l.larger[i])
 	}
-	return best
+	return *best.ref
 }

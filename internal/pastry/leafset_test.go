@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tap/internal/id"
+	"tap/internal/rng"
 	"tap/internal/simnet"
 )
 
@@ -96,6 +97,122 @@ func TestLeafSetClosestTo(t *testing.T) {
 	}
 	if got := l.ClosestTo(id.FromUint64(84), self); got.ID != id.FromUint64(80) {
 		t.Fatalf("closest to 84 = %s", got.ID.Short())
+	}
+}
+
+// closestPairwise is ClosestTo as it was before the one-pass form: every
+// member compared against the running best through id.Closer, which
+// derives both distances afresh each time. Slow, and the definition.
+func closestPairwise(key id.ID, self NodeRef, members []NodeRef) NodeRef {
+	best := self
+	for _, r := range members {
+		if id.Closer(key, r.ID, best.ID) {
+			best = r
+		}
+	}
+	return best
+}
+
+func TestLeafSetClosestToMatchesPairwiseScan(t *testing.T) {
+	o := build(t, 200, 21)
+	s := rng.New(22)
+	for _, r := range o.index {
+		n := o.nodeAt(r.Addr)
+		members := n.Leaf.Members()
+		for trial := 0; trial < 64; trial++ {
+			var key id.ID
+			s.Bytes(key[:])
+			if trial%4 == 0 {
+				// Uniform keys mostly land far outside the arc, where the
+				// answer is an end of it; put a share right among the members.
+				key = members[s.Intn(len(members))].ID
+				s.Bytes(key[id.Size-6:])
+			}
+			got, want := n.Leaf.ClosestTo(key, n.Ref()), closestPairwise(key, n.Ref(), members)
+			if got != want {
+				t.Fatalf("node %s key %s: ClosestTo %s, pairwise scan %s", n.ID().Short(), key, got.ID.Short(), want.ID.Short())
+			}
+		}
+	}
+}
+
+func TestLeafSetClosestToHandBuilt(t *testing.T) {
+	sub := func(a id.ID, v uint64) id.ID { return a.Sub(id.FromUint64(v)) }
+	wrapped := func(v uint64) NodeRef { return NodeRef{ID: sub(id.Zero, v), Addr: simnet.Addr(1000 + v)} }
+	cases := []struct {
+		name            string
+		self            NodeRef
+		smaller, larger []NodeRef
+		key             id.ID
+		want            id.ID
+	}{
+		{"wrapped round zero, key below zero", ref(10), []NodeRef{ref(2), wrapped(5)}, refs(20, 30), sub(id.Zero, 1), id.FromUint64(2)},
+		{"wrapped round zero, key at Max side", ref(10), []NodeRef{ref(2), wrapped(5)}, refs(20, 30), sub(id.Zero, 4), sub(id.Zero, 5)},
+		{"wrapped, tie across zero goes to the smaller plain id", ref(10), []NodeRef{ref(3), wrapped(3)}, refs(20, 30), id.Zero, id.FromUint64(3)},
+		{"one side short", ref(100), refs(90), refs(110, 120), id.FromUint64(93), id.FromUint64(90)},
+		{"smaller side empty", ref(100), nil, refs(110, 120), id.FromUint64(50), id.FromUint64(100)},
+		{"larger side empty", ref(100), refs(90, 80), nil, id.FromUint64(500), id.FromUint64(100)},
+		{"both sides empty", ref(100), nil, nil, id.Max, id.FromUint64(100)},
+		{"equidistant between two members", ref(100), refs(90, 80), refs(110, 120), id.FromUint64(85), id.FromUint64(80)},
+		{"equidistant between member and owner", ref(100), refs(90, 80), refs(110, 120), id.FromUint64(105), id.FromUint64(100)},
+		{"equidistant, larger side listed second still loses", ref(100), refs(90, 80), refs(110, 120), id.FromUint64(115), id.FromUint64(110)},
+		{"key == owner", ref(100), refs(90, 80), refs(110, 120), id.FromUint64(100), id.FromUint64(100)},
+		{"key == a member", ref(100), refs(90, 80), refs(110, 120), id.FromUint64(120), id.FromUint64(120)},
+	}
+	for _, c := range cases {
+		l := NewLeafSet(c.self.ID, 4)
+		l.ReplaceAll(c.smaller, c.larger)
+		got := l.ClosestTo(c.key, c.self)
+		if got.ID != c.want {
+			t.Errorf("%s: ClosestTo = %s, want %s", c.name, got.ID, c.want)
+		}
+		if ref := closestPairwise(c.key, c.self, l.Members()); got != ref {
+			t.Errorf("%s: ClosestTo = %s, pairwise scan %s", c.name, got.ID, ref.ID)
+		}
+	}
+}
+
+// NextHop's comment says the decision must not allocate — it runs at every
+// overlay hop of every message. Covers all three of its exits: leaf-set
+// delivery, a routing-table hop, and (keys nobody shares a digit with are
+// rare, so by churn) the stale-entry repair and rare-case scan.
+func TestClosestToAndNextHopDoNotAllocate(t *testing.T) {
+	o := build(t, 300, 23)
+	s := rng.New(24)
+	for i := 0; i < 30; i++ {
+		if err := o.Fail(o.RandomLive(s).Ref().Addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := make([]*Node, len(o.index))
+	for i, r := range o.index {
+		nodes[i] = o.nodeAt(r.Addr)
+	}
+	keys := make([]id.ID, 256)
+	for i := range keys {
+		s.Bytes(keys[i][:])
+	}
+	// Warm: lazy routing-table repair fills slots (from the arena's slab)
+	// the first time a stale entry is met; steady state is what is pinned.
+	for _, n := range nodes {
+		for _, k := range keys {
+			n.NextHop(k)
+		}
+	}
+	i := 0
+	if a := testing.AllocsPerRun(2000, func() {
+		n := nodes[i%len(nodes)]
+		n.Leaf.ClosestTo(keys[i%len(keys)], n.Ref())
+		i++
+	}); a != 0 {
+		t.Errorf("ClosestTo allocates %.1f per call", a)
+	}
+	i = 0
+	if a := testing.AllocsPerRun(2000, func() {
+		nodes[i%len(nodes)].NextHop(keys[(i/len(nodes))%len(keys)])
+		i++
+	}); a != 0 {
+		t.Errorf("NextHop allocates %.1f per call", a)
 	}
 }
 

@@ -80,31 +80,26 @@ func (n *Node) NextHop(key id.ID) (NodeRef, bool) {
 	// long a prefix with the key and is strictly closer to it. Leaf and
 	// table entries are scanned in place — this path must not allocate,
 	// it is inside every route.
-	best := n.ref
-	consider := func(r NodeRef) {
-		if r.ID.IsZero() || !n.ov.aliveRef(r) {
-			return
+	best := nearestTo(key, &n.ref)
+	consider := func(refs []NodeRef) {
+		for i := range refs {
+			r := &refs[i]
+			if r.ID.IsZero() || !n.ov.aliveRef(*r) {
+				continue
+			}
+			if r.ID.CommonPrefixDigits(key, n.cfg.B) < row {
+				continue
+			}
+			best.offer(r)
 		}
-		if r.ID.CommonPrefixDigits(key, n.cfg.B) < row {
-			return
-		}
-		if id.Closer(key, r.ID, best.ID) {
-			best = r
-		}
 	}
-	for _, r := range n.Leaf.smaller {
-		consider(r)
-	}
-	for _, r := range n.Leaf.larger {
-		consider(r)
-	}
-	for _, r := range n.RT.refs {
-		consider(r)
-	}
-	if best.ID == n.ref.ID {
+	consider(n.Leaf.smaller)
+	consider(n.Leaf.larger)
+	consider(n.RT.refs)
+	if best.ref.ID == n.ref.ID {
 		// Nobody closer is known: this node is the destination as far as
 		// the overlay can tell.
 		return n.ref, true
 	}
-	return best, false
+	return *best.ref, false
 }

@@ -234,12 +234,9 @@ func (o *Overlay) OwnerOf(key id.ID) *Node {
 		return nil
 	}
 	p := o.pos(key) % n
-	best := o.index[p]
-	prev := o.index[(p-1+n)%n]
-	if id.Closer(key, prev.ID, best.ID) {
-		best = prev
-	}
-	return o.nodeAt(best.Addr)
+	best := nearestTo(key, &o.index[p])
+	best.offer(&o.index[(p-1+n)%n])
+	return o.nodeAt(best.ref.Addr)
 }
 
 // ReplicaSet returns the k live nodes numerically closest to key, ordered
@@ -259,12 +256,14 @@ func (o *Overlay) ReplicaSet(key id.ID, k int) []*Node {
 	hi := p % n
 	out := make([]*Node, 0, k)
 	for len(out) < k {
-		a, b := o.index[lo], o.index[hi]
-		if lo == hi || !id.Closer(key, a.ID, b.ID) {
-			out = append(out, o.nodeAt(b.Addr))
+		// The clockwise side is the incumbent, so it also wins once the
+		// two cursors meet on the last unvisited node.
+		next := nearestTo(key, &o.index[hi])
+		next.offer(&o.index[lo])
+		out = append(out, o.nodeAt(next.ref.Addr))
+		if next.ref == &o.index[hi] {
 			hi = (hi + 1) % n
 		} else {
-			out = append(out, o.nodeAt(a.Addr))
 			lo = (lo - 1 + n) % n
 		}
 	}
