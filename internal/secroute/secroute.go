@@ -130,20 +130,10 @@ func NewRouter(ov *pastry.Overlay, adv *Adversary) *Router {
 // from the spacing within a node's own leaf set — information every node
 // has locally and malicious nodes cannot influence.
 func meanSpacing(n *pastry.Node) id.ID {
-	members := n.Leaf.Members()
-	if len(members) == 0 {
-		return id.Max
-	}
-	ids := make([]id.ID, 0, len(members)+1)
-	ids = append(ids, n.ID())
-	for _, m := range members {
-		ids = append(ids, m.ID)
-	}
-	id.Sort(ids)
-	// Average gap over the leaf-set span: span / gaps. Dividing a 160-bit
+	// Average gap over the leaf-set arc: span / gaps. Dividing a 160-bit
 	// value by a small integer via schoolbook long division.
-	span := ids[len(ids)-1].Sub(ids[0])
-	return divSmall(span, uint32(len(ids)-1))
+	arc, gaps := n.Leaf.Span()
+	return divSmall(arc, uint32(gaps))
 }
 
 // divSmall divides a 160-bit value by a small positive integer.

@@ -87,6 +87,61 @@ func TestDensityTestRejectsDistantImpostor(t *testing.T) {
 	}
 }
 
+// ringEnds returns the live nodes with the smallest, middle and largest
+// plain ids. The two ends have leaf sets that straddle zero.
+func ringEnds(ov *pastry.Overlay) (first, mid, last *pastry.Node) {
+	refs := ov.LiveRefs()
+	return ov.Node(refs[0].Addr), ov.Node(refs[len(refs)/2].Addr), ov.Node(refs[len(refs)-1].Addr)
+}
+
+func TestMeanSpacingSameEitherSideOfZero(t *testing.T) {
+	// A leaf set is an arc of the ring, not an interval of the number
+	// line: a node whose neighbours wrap past zero must estimate the same
+	// density as one in the middle of id space.
+	ov, _ := build(t, 1000, 3)
+	first, mid, last := ringEnds(ov)
+	ref := meanSpacing(mid)
+	for _, n := range []*pastry.Node{first, last} {
+		got := meanSpacing(n)
+		if got.Cmp(mulSmall(ref, 2)) > 0 || mulSmall(got, 2).Cmp(ref) < 0 {
+			t.Errorf("spacing at %s = %s, more than 2x off mid-ring %s", n.ID().Short(), got, ref)
+		}
+	}
+}
+
+func TestMeanSpacingWholeRingWhenSideShort(t *testing.T) {
+	// With no more than L nodes the leaf set is the whole ring (Covers'
+	// rule), so the estimate is the ring divided by the node count —
+	// wherever on the ring the node sits.
+	ov, _ := build(t, 10, 4)
+	want := divSmall(id.Max, 10)
+	for _, r := range ov.LiveRefs() {
+		if got := meanSpacing(ov.Node(r.Addr)); got != want {
+			t.Errorf("spacing at %s = %s, want ring/10 = %s", r.ID.Short(), got, want)
+		}
+	}
+	solo, _ := build(t, 1, 5)
+	if got := meanSpacing(solo.Node(solo.LiveRefs()[0].Addr)); got != id.Max {
+		t.Errorf("a lone node's spacing = %s, want the whole ring", got)
+	}
+}
+
+func TestDensityTestRejectsDistantImpostorFromZeroStraddlingSource(t *testing.T) {
+	ov, _ := build(t, 1000, 3)
+	r := NewRouter(ov, NewAdversary())
+	first, _, last := ringEnds(ov)
+	key := id.MustParse("4000000000000000000000000000000000000000")
+	far := ov.OwnerOf(id.MustParse("7000000000000000000000000000000000000000"))
+	for _, src := range []*pastry.Node{first, last} {
+		if r.PassesDensityTest(src, key, far.Ref()) {
+			t.Errorf("source %s accepted an impostor 3/16 of the ring from the key", src.ID().Short())
+		}
+		if owner := ov.OwnerOf(key); !r.PassesDensityTest(src, key, owner.Ref()) {
+			t.Errorf("source %s rejected the true owner", src.ID().Short())
+		}
+	}
+}
+
 func TestLookupNoAdversary(t *testing.T) {
 	ov, s := build(t, 400, 3)
 	r := NewRouter(ov, NewAdversary())
