@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math/bits"
 )
 
 // smallCTRLimit is the plaintext size up to which the Sealer uses its own
@@ -56,11 +57,18 @@ func NewSealer(k Key) *Sealer {
 
 // xorKeyStream is the allocation-free CTR used for small messages: the
 // big-endian counter starts at the nonce, exactly like cipher.NewCTR, so
-// output is bit-identical to the stdlib stream. dst and src must either
-// be the same slice or not overlap.
-func (s *Sealer) xorKeyStream(dst, src, nonce []byte) {
-	copy(s.ctr[:], nonce)
-	for off := 0; off < len(src); off += aes.BlockSize {
+// output is bit-identical to the stdlib stream. It first passes over skip
+// bytes of keystream (not necessarily whole blocks), so a caller can
+// continue a stream it applied to an earlier part of the message. dst and
+// src must either be the same slice or not overlap.
+func (s *Sealer) xorKeyStream(dst, src, nonce []byte, skip int) {
+	// Counter = nonce + skip/BlockSize: one 128-bit add.
+	lo, carry := bits.Add64(binary.BigEndian.Uint64(nonce[8:]), uint64(skip/aes.BlockSize), 0)
+	binary.BigEndian.PutUint64(s.ctr[:8], binary.BigEndian.Uint64(nonce[:8])+carry)
+	binary.BigEndian.PutUint64(s.ctr[8:], lo)
+	// off is where the current keystream block starts within src; it is
+	// negative only for the block the skipped part stopped in.
+	for off := -(skip % aes.BlockSize); off < len(src); off += aes.BlockSize {
 		s.block.Encrypt(s.ks[:], s.ctr[:])
 		// Increment the counter (big-endian, carrying leftward).
 		for i := aes.BlockSize - 1; i >= 0; i-- {
@@ -69,8 +77,7 @@ func (s *Sealer) xorKeyStream(dst, src, nonce []byte) {
 				break
 			}
 		}
-		n := len(src) - off
-		if n >= aes.BlockSize {
+		if off >= 0 && len(src)-off >= aes.BlockSize {
 			// Full block: XOR as two uint64 lanes.
 			v0 := binary.LittleEndian.Uint64(src[off:]) ^ binary.LittleEndian.Uint64(s.ks[:8])
 			v1 := binary.LittleEndian.Uint64(src[off+8:]) ^ binary.LittleEndian.Uint64(s.ks[8:])
@@ -78,8 +85,9 @@ func (s *Sealer) xorKeyStream(dst, src, nonce []byte) {
 			binary.LittleEndian.PutUint64(dst[off+8:], v1)
 			continue
 		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ s.ks[i]
+		// Ragged head or tail: the bytes of this block that fall in src.
+		for i := max(off, 0); i < off+aes.BlockSize && i < len(src); i++ {
+			dst[i] = src[i] ^ s.ks[i-off]
 		}
 	}
 }
@@ -89,7 +97,7 @@ func (s *Sealer) xorKeyStream(dst, src, nonce []byte) {
 // above smallCTRLimit.
 func (s *Sealer) stream(dst, src, nonce []byte) {
 	if len(src) <= smallCTRLimit {
-		s.xorKeyStream(dst, src, nonce)
+		s.xorKeyStream(dst, src, nonce, 0)
 		return
 	}
 	cipher.NewCTR(s.block, nonce).XORKeyStream(dst, src)
@@ -151,11 +159,11 @@ func (s *Sealer) SealInPlaceFrom(b []byte, r io.Reader, inPlaceLen int, tail []b
 	}
 	body := b[nonceSize : len(b)-tagSize]
 	if len(body) <= smallCTRLimit {
-		s.xorKeyStream(body[:inPlaceLen], body[:inPlaceLen], nonce)
+		s.xorKeyStream(body[:inPlaceLen], body[:inPlaceLen], nonce, 0)
 		if len(tail) > 0 {
 			// Continue the keystream where the in-place part stopped,
 			// even mid-block.
-			s.xorTailSmall(body[inPlaceLen:], tail, nonce, inPlaceLen)
+			s.xorKeyStream(body[inPlaceLen:], tail, nonce, inPlaceLen)
 		}
 	} else {
 		ctr := cipher.NewCTR(s.block, nonce)
@@ -166,36 +174,6 @@ func (s *Sealer) SealInPlaceFrom(b []byte, r io.Reader, inPlaceLen int, tail []b
 	}
 	s.tag(b[len(b)-tagSize:], b[:len(b)-tagSize])
 	return nil
-}
-
-// xorTailSmall continues the small-CTR keystream at byte offset skip,
-// XORing src into dst. skip need not be block-aligned.
-func (s *Sealer) xorTailSmall(dst, src, nonce []byte, skip int) {
-	copy(s.ctr[:], nonce)
-	for n := skip / aes.BlockSize; n > 0; n-- {
-		for i := aes.BlockSize - 1; i >= 0; i-- {
-			s.ctr[i]++
-			if s.ctr[i] != 0 {
-				break
-			}
-		}
-	}
-	phase := skip % aes.BlockSize
-	di := 0
-	for di < len(src) {
-		s.block.Encrypt(s.ks[:], s.ctr[:])
-		for i := aes.BlockSize - 1; i >= 0; i-- {
-			s.ctr[i]++
-			if s.ctr[i] != 0 {
-				break
-			}
-		}
-		for i := phase; i < aes.BlockSize && di < len(src); i++ {
-			dst[di] = src[di] ^ s.ks[i]
-			di++
-		}
-		phase = 0
-	}
 }
 
 // OpenTo authenticates sealed and appends its plaintext to dst,

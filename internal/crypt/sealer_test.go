@@ -140,6 +140,43 @@ func TestSealInPlaceMatchesSeal(t *testing.T) {
 			}
 		}
 	}
+
+	// The resumed small-CTR path, exhaustively: every (bytes already in
+	// place, tail length) pair across three blocks, so every split phase
+	// meets every ragged head, whole-block run and ragged tail — under
+	// nonces whose counter carries while being advanced past the in-place
+	// part: out of the last byte, out of the low word, and through all
+	// sixteen bytes back to zero. Held to the stdlib reference directly.
+	ff := bytes.Repeat([]byte{0xff}, nonceSize)
+	nonces := [][]byte{
+		make([]byte, nonceSize), // drawn below
+		append(make([]byte, nonceSize-1), 0xff),
+		append(make([]byte, nonceSize-8), ff[:8]...),
+		ff,
+		append(append([]byte{}, ff[:nonceSize-1]...), 0xfe), // wraps on the second block
+	}
+	s.Bytes(nonces[0])
+	msg := make([]byte, 2*47)
+	s.Bytes(msg)
+	for _, nonce := range nonces {
+		for split := 0; split <= 47; split++ {
+			for tail := 0; tail <= 47; tail++ {
+				plain := msg[:split+tail]
+				want, err := referenceSeal(k, bytes.NewReader(nonce), plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf := make([]byte, len(plain)+Overhead)
+				copy(buf[nonceSize:], plain[:split])
+				if err := sl.SealInPlaceFrom(buf, bytes.NewReader(nonce), split, plain[split:]); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf, want) {
+					t.Fatalf("nonce %x split %d tail %d: SealInPlaceFrom differs from the reference", nonce, split, tail)
+				}
+			}
+		}
+	}
 }
 
 func TestSealInPlaceFromLayoutMismatch(t *testing.T) {

@@ -75,11 +75,6 @@ func (a ID) Low64() uint64 {
 	return binary.BigEndian.Uint64(a[Size-8:])
 }
 
-// High64 returns the high-order 64 bits of the identifier.
-func (a ID) High64() uint64 {
-	return binary.BigEndian.Uint64(a[:8])
-}
-
 // Parse decodes a 40-digit hexadecimal string.
 func Parse(s string) (ID, error) {
 	var out ID
@@ -182,6 +177,11 @@ func (d Dist) Less(e Dist) bool {
 // the clockwise and counterclockwise walks. This is the metric the paper
 // means by "numerically closest". One subtraction gives one way round; when
 // that is more than half the ring (top bit set) its negation is the other.
+//
+// It takes pointers because it is too big to inline: an ID passed by value
+// is stored to the callee's frame in one shape and loaded back as limbs in
+// another, which stalls on store forwarding and more than doubled the cost
+// of a leaf-set scan.
 func RingDist(a, b *ID) Dist {
 	d := limbs(a).sub(limbs(b))
 	if d.hi>>31 != 0 {
@@ -296,14 +296,4 @@ func BetweenIncl(lo, hi, x ID) bool {
 	}
 	// The arc wraps around zero.
 	return lo.Cmp(x) <= 0 || x.Cmp(hi) <= 0
-}
-
-// Xor returns the bitwise exclusive-or of a and b. It is not a ring
-// operation, but a convenient mixing primitive for derived seeds.
-func (a ID) Xor(b ID) ID {
-	var out ID
-	for i := range out {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
 }

@@ -53,8 +53,8 @@ func TestFromUint64(t *testing.T) {
 	if v.Low64() != 0xdeadbeef {
 		t.Fatalf("Low64 = %#x", v.Low64())
 	}
-	if v.High64() != 0 {
-		t.Fatalf("High64 = %#x, want 0", v.High64())
+	if want := MustParse("00000000000000000000000000000000deadbeef"); v != want {
+		t.Fatalf("FromUint64 = %s, want %s", v, want)
 	}
 }
 
@@ -220,94 +220,6 @@ func TestBetweenIncl(t *testing.T) {
 	}
 }
 
-func TestSortByDistance(t *testing.T) {
-	target := FromUint64(100)
-	ids := []ID{FromUint64(300), FromUint64(90), FromUint64(101), FromUint64(100)}
-	SortByDistance(target, ids)
-	want := []ID{FromUint64(100), FromUint64(101), FromUint64(90), FromUint64(300)}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("order[%d] = %s, want %s", i, ids[i], want[i])
-		}
-	}
-}
-
-func TestKClosestMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(40)
-		k := 1 + rng.Intn(10)
-		target := FromUint64(rng.Uint64())
-		cand := make([]ID, n)
-		for i := range cand {
-			cand[i] = FromUint64(rng.Uint64())
-		}
-		got := KClosest(target, cand, k)
-
-		full := make([]ID, n)
-		copy(full, cand)
-		SortByDistance(target, full)
-		wantLen := k
-		if wantLen > n {
-			wantLen = n
-		}
-		if len(got) != wantLen {
-			t.Fatalf("trial %d: len = %d, want %d", trial, len(got), wantLen)
-		}
-		for i := 0; i < wantLen; i++ {
-			if got[i] != full[i] {
-				t.Fatalf("trial %d: got[%d] = %s, want %s", trial, i, got[i], full[i])
-			}
-		}
-	}
-}
-
-func TestKClosestEdgeCases(t *testing.T) {
-	if got := KClosest(Zero, nil, 3); got != nil {
-		t.Fatalf("empty candidates should yield nil")
-	}
-	if got := KClosest(Zero, []ID{FromUint64(1)}, 0); got != nil {
-		t.Fatalf("k=0 should yield nil")
-	}
-}
-
-func TestClosest(t *testing.T) {
-	target := FromUint64(50)
-	cand := []ID{FromUint64(10), FromUint64(49), FromUint64(200)}
-	if got := Closest(target, cand); got != FromUint64(49) {
-		t.Fatalf("Closest = %s, want 49", got)
-	}
-}
-
-func TestClosestPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	Closest(Zero, nil)
-}
-
-func TestDedup(t *testing.T) {
-	ids := []ID{FromUint64(3), FromUint64(1), FromUint64(3), FromUint64(2), FromUint64(1)}
-	out := Dedup(ids)
-	if len(out) != 3 {
-		t.Fatalf("Dedup len = %d, want 3", len(out))
-	}
-	for i, want := range []uint64{1, 2, 3} {
-		if out[i] != FromUint64(want) {
-			t.Fatalf("out[%d] = %s", i, out[i])
-		}
-	}
-}
-
-func TestContains(t *testing.T) {
-	ids := []ID{FromUint64(1), FromUint64(2)}
-	if !Contains(ids, FromUint64(2)) || Contains(ids, FromUint64(3)) {
-		t.Fatalf("Contains broken")
-	}
-}
-
 // --- property-based tests -------------------------------------------------
 
 func randomID(r *rand.Rand) ID {
@@ -388,16 +300,6 @@ func TestPropCommonPrefixConsistentWithDigits(t *testing.T) {
 					t.Fatalf("prefix undercounted")
 				}
 			}
-		}
-	}
-}
-
-func TestPropXorSelfInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	for i := 0; i < 200; i++ {
-		a, b := randomID(rng), randomID(rng)
-		if a.Xor(b).Xor(b) != a {
-			t.Fatalf("xor not self-inverse")
 		}
 	}
 }

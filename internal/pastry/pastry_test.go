@@ -2,6 +2,7 @@ package pastry
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"tap/internal/id"
@@ -121,17 +122,25 @@ func TestSingleNodeDeliversEverything(t *testing.T) {
 	}
 }
 
-func TestOwnerOfMatchesBruteForce(t *testing.T) {
-	o := build(t, 200, 11)
+// byDistance returns the live ids ordered by increasing distance to key
+// (ties to the smaller plain id): the whole-overlay sort the oracle's
+// positional answers are checked against.
+func byDistance(o *Overlay, key id.ID) []id.ID {
 	ids := make([]id.ID, 0, o.Size())
 	for _, r := range o.LiveRefs() {
 		ids = append(ids, r.ID)
 	}
+	sort.Slice(ids, func(i, j int) bool { return id.Closer(key, ids[i], ids[j]) })
+	return ids
+}
+
+func TestOwnerOfMatchesBruteForce(t *testing.T) {
+	o := build(t, 200, 11)
 	s := rng.New(12)
 	for trial := 0; trial < 300; trial++ {
 		var key id.ID
 		s.Bytes(key[:])
-		want := id.Closest(key, ids)
+		want := byDistance(o, key)[0]
 		if got := o.OwnerOf(key).ID(); got != want {
 			t.Fatalf("OwnerOf = %s, brute force %s", got.Short(), want.Short())
 		}
@@ -140,17 +149,14 @@ func TestOwnerOfMatchesBruteForce(t *testing.T) {
 
 func TestReplicaSetMatchesBruteForce(t *testing.T) {
 	o := build(t, 150, 13)
-	ids := make([]id.ID, 0, o.Size())
-	for _, r := range o.LiveRefs() {
-		ids = append(ids, r.ID)
-	}
 	s := rng.New(14)
 	for trial := 0; trial < 200; trial++ {
 		var key id.ID
 		s.Bytes(key[:])
+		sorted := byDistance(o, key)
 		for _, k := range []int{1, 3, 5, 8} {
 			got := o.ReplicaSet(key, k)
-			want := id.KClosest(key, ids, k)
+			want := sorted[:k]
 			if len(got) != len(want) {
 				t.Fatalf("k=%d: len %d vs %d", k, len(got), len(want))
 			}
