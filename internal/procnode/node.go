@@ -3,6 +3,7 @@ package procnode
 import (
 	"crypto/rand"
 	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -314,8 +315,12 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 //
 //	sid uint64, seq uint32, fin byte, chunk blob
 
+// requestOverhead bounds what a request's framing adds to its reply tunnel
+// and chunk: sid, seq, fin, the key blob and the two length prefixes.
+const requestOverhead = 8 + 4 + 1 + (1 + crypt.KeySize) + 2*binary.MaxVarintLen32
+
 func encodeRequest(sid uint64, seq uint32, fin bool, key crypt.Key, rt, chunk []byte) []byte {
-	w := wire.NewWriter(32 + len(rt) + len(chunk))
+	w := wire.NewWriter(requestOverhead + len(rt) + len(chunk))
 	w.Uint64(sid)
 	w.Uint32(seq)
 	if fin {

@@ -551,3 +551,21 @@ func BenchmarkExitEcho(b *testing.B) {
 		b.Fatalf("%d of %d requests handled", got, b.N+1)
 	}
 }
+
+// TestRequestEncodesWithoutRegrowing: a request's buffer is sized for what
+// is written into it — the fixed fields, the key blob and both length
+// prefixes at the widths a reply tunnel and a bulk chunk give them — so
+// encoding one is the buffer's allocation and no second, larger one with a
+// copy of the first.
+func TestRequestEncodesWithoutRegrowing(t *testing.T) {
+	var key crypt.Key
+	rt := make([]byte, 300)       // a two-hop reply tunnel encodes to about this; two-byte prefix
+	chunk := make([]byte, 32<<10) // tcp_bulk's chunk; three-byte prefix
+	var req []byte
+	if got := testing.AllocsPerRun(20, func() { req = encodeRequest(9, 1, false, key, rt, chunk) }); got != 1 {
+		t.Errorf("%.0f allocations to encode one request, want 1: the buffer regrew", got)
+	}
+	if want := 8 + 4 + 1 + 17 + 2 + len(rt) + 3 + len(chunk); len(req) != want {
+		t.Errorf("request of %d bytes, want %d", len(req), want)
+	}
+}
