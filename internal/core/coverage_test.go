@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
 	"tap/internal/id"
+	"tap/internal/rng"
 	"tap/internal/simnet"
 )
 
@@ -205,5 +207,44 @@ func TestBuildForwardValidation(t *testing.T) {
 	}
 	if _, err := BuildReply(tun, make([]simnet.Addr, 1), id.HashString("b"), s.root); err == nil {
 		t.Fatalf("reply hint mismatch accepted")
+	}
+}
+
+// TestBuildForwardAllocatesTheOnionAndItsEnvelope: building a message
+// allocates what the caller keeps — the one buffer and the envelope — at
+// any tunnel length whose layout tables fit on the stack, and a longer
+// tunnel, whose tables do not, builds the reference's bytes all the same.
+func TestBuildForwardAllocatesTheOnionAndItsEnvelope(t *testing.T) {
+	s := rng.New(86)
+	dest := id.HashString("d")
+	payload := make([]byte, 64) // small enough that no layer needs a cipher stream
+	for _, l := range []int{3, stackHops} {
+		tun := handTunnel(t, l, s)
+		hints := make([]simnet.Addr, l)
+		if _, err := BuildForward(tun, hints, dest, payload, s); err != nil { // derive the hop schedules
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := BuildForward(tun, hints, dest, payload, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 2 {
+			t.Errorf("l=%d: %.0f allocations per BuildForward, want 2 (buffer, envelope)", l, got)
+		}
+	}
+
+	tun := handTunnel(t, stackHops+3, s)
+	seed := s.Uint64()
+	want, err := referenceBuildForward(tun, nil, dest, payload, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BuildForward(tun, nil, dest, payload, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.HopID != want.HopID || !bytes.Equal(got.Sealed, want.Sealed) {
+		t.Fatalf("l=%d: onion differs from the nested reference", stackHops+3)
 	}
 }

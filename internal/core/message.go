@@ -73,6 +73,10 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
+// stackHops is the tunnel length up to which BuildForward keeps its layout
+// tables off the heap.
+const stackHops = 8
+
 // hintAt reads the i-th hint from a possibly-nil hint slice (nil is the
 // basic, unoptimized mode: no hints anywhere).
 func hintAt(hints []simnet.Addr, i int) simnet.Addr {
@@ -105,8 +109,14 @@ func BuildForward(t *Tunnel, hints []simnet.Addr, dest id.ID, payload []byte, st
 	}
 
 	// Layer sizes compose inside-out (the uvarint length prefix of each
-	// inner blob depends on its size).
-	sizes := make([]int, l)
+	// inner blob depends on its size). Both tables live on the stack for
+	// any tunnel the paper or the experiments build.
+	var fixed [2 * stackHops]int
+	layout := fixed[:]
+	if 2*l > len(layout) {
+		layout = make([]int, 2*l)
+	}
+	sizes, offs := layout[:l], layout[l:2*l]
 	exitHdr := 1 + id.Size + uvarintLen(uint64(len(payload)))
 	sizes[l-1] = exitHdr + len(payload) + crypt.Overhead
 	for i := l - 2; i >= 0; i-- {
@@ -116,7 +126,6 @@ func BuildForward(t *Tunnel, hints []simnet.Addr, dest id.ID, payload []byte, st
 
 	// Offsets compose outside-in: layer i+1 sits after layer i's nonce
 	// margin and relay header.
-	offs := make([]int, l)
 	for i := 1; i < l; i++ {
 		offs[i] = offs[i-1] + crypt.NonceSize + 1 + id.Size + 8 + uvarintLen(uint64(sizes[i]))
 	}

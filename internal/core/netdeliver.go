@@ -64,6 +64,10 @@ type NetEngine struct {
 	// does (stream.go).
 	pktFree  []*packet
 	segPools map[int][][]byte
+	// segScratch is where a tunnel stream frames a segment for sealing:
+	// BuildForward only reads its payload, so one buffer serves every
+	// (re)transmission of every stream.
+	segScratch []byte
 
 	// Stats across all flows.
 	NetHops   uint64

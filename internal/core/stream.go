@@ -34,10 +34,10 @@ import (
 // freelist, ACK ranges reuse per-packet arrays, and the retransmit timer
 // re-arms a single preallocated closure through the kernel's slot arena
 // (TestStreamSteadyStateZeroAlloc). A tunnel stream allocates what sealing
-// a segment does — the framed segment and a fresh onion per transmission,
-// 12 objects at three hops — and nothing per hop: the path owns that onion,
-// peels it where it lies, and the packet that left the freelist at the
-// sender returns to it at the receiver
+// a segment does — a fresh onion and its envelope per transmission, and a
+// cipher stream per layer over crypt's small-message limit — and nothing
+// per hop: the path owns that onion, peels it where it lies, and the packet
+// that left the freelist at the sender returns to it at the receiver
 // (TestStreamTunnelSteadyStateAllocBudget).
 
 // streamIDBase offsets stream ids away from reliable-flow ids so the two
@@ -389,9 +389,10 @@ func (s *Stream) sendSegment(sl *sendSlot) {
 	// (re)transmission re-reads the tunnel's hints, preserving
 	// the §6 failover semantics of the reliability layer — and is a fresh
 	// envelope, which the path owns from here on.
-	w := wire.NewWriter(wire.StreamSegmentOverhead + sl.n)
+	w := wire.NewWriterOn(e.segScratch[:0])
 	wire.AppendStreamSegment(w, s.id, sl.seq, sl.fin, int64(s.origin), sl.buf[:sl.n])
-	env, err := BuildForwardHinted(s.tun, s.dest, w.Bytes(), e.svc.Stream)
+	e.segScratch = w.Bytes()
+	env, err := BuildForwardHinted(s.tun, s.dest, e.segScratch, e.svc.Stream)
 	if err != nil {
 		s.fail(fmt.Sprintf("sealing segment %d: %v", sl.seq, err))
 		return

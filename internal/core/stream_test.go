@@ -173,6 +173,12 @@ func TestStreamTunnelTransfer(t *testing.T) {
 	if !bytes.Equal(sink.buf, data) {
 		t.Fatalf("received %d bytes over tunnel, want %d byte-identical", len(sink.buf), len(data))
 	}
+	// Every segment was framed in the engine's one scratch buffer, so each
+	// retransmission found a later segment's frame there and re-framed its
+	// own from the window slot.
+	if s.SegsRetx == 0 {
+		t.Fatal("no segment was retransmitted: the loss plan no longer exercises re-framing")
+	}
 	sink.assertOrdered(t)
 	if sink.closes != 1 {
 		t.Fatalf("OnClose fired %d times, want exactly once", sink.closes)
@@ -438,9 +444,10 @@ func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestStreamTunnelSteadyStateAllocBudget is the tunnel-mode twin. The
-// layer crypto allocates — sealing a segment (the framed segment, the
-// onion and its bookkeeping) and each hop's one cipher pass — and carrying
-// the segment must not: every hop peels the one buffer and passes the one
+// layer crypto allocates — sealing a segment (the onion, its envelope and a
+// cipher stream per layer) and each hop's one cipher pass — and framing and
+// carrying the segment must not: the frame is written into the engine's
+// scratch buffer, every hop peels the one buffer and passes the one
 // packet on, and the receiver puts the packet back on the freelist. So the
 // budget is what the crypto alone costs, measured here, plus half an
 // object per segment for per-stream setup: one packet taken from the
@@ -472,9 +479,9 @@ func TestStreamTunnelSteadyStateAllocBudget(t *testing.T) {
 		anchors[i].Sealer()
 	}
 	seg := patternData(1024)
+	w := wire.NewWriter(wire.StreamSegmentOverhead + len(seg))
+	wire.AppendStreamSegment(w, 1, 1, false, int64(origin), seg)
 	crypto := testing.AllocsPerRun(100, func() {
-		w := wire.NewWriter(wire.StreamSegmentOverhead + len(seg))
-		wire.AppendStreamSegment(w, 1, 1, false, int64(origin), seg)
 		env, err := BuildForwardHinted(tun, dest, w.Bytes(), ns.svc.Stream)
 		if err != nil {
 			t.Fatal(err)

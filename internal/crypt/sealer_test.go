@@ -35,6 +35,60 @@ func referenceSeal(k Key, r io.Reader, plaintext []byte) ([]byte, error) {
 	return out, nil
 }
 
+// refSubkeys is the derivation by the library's HMAC: the definition
+// subkeys is held to.
+func refSubkeys(k Key) (enc [16]byte, mac [32]byte) {
+	h := hmac.New(sha256.New, k[:])
+	h.Write([]byte("tap.layer.enc"))
+	copy(enc[:], h.Sum(nil))
+	h.Reset()
+	h.Write([]byte("tap.layer.mac"))
+	copy(mac[:], h.Sum(nil))
+	return
+}
+
+func TestSubkeysMatchHMAC(t *testing.T) {
+	check := func(k Key) {
+		t.Helper()
+		enc, mac := subkeys(k)
+		wantEnc, wantMac := refSubkeys(k)
+		if enc != wantEnc || mac != wantMac {
+			t.Fatalf("key %x: subkeys differ from HMAC-SHA256", k)
+		}
+	}
+	var k Key
+	check(k)
+	for i := range k {
+		k[i] = 0xff
+	}
+	check(k)
+	s := rng.New(30)
+	for i := 0; i < 10_000; i++ {
+		s.Bytes(k[:])
+		check(k)
+	}
+	if a := testing.AllocsPerRun(100, func() { subkeys(k) }); a != 0 {
+		t.Errorf("subkeys: %.0f allocs, want 0", a)
+	}
+}
+
+// TestNewSealerAllocBudget: a key schedule allocates the Sealer and its
+// keyed, primed HMAC — 8 objects, 10 under the race detector, measured
+// here — the AES round keys, and the MAC subkey that hmac.New makes escape:
+// 10 in all, and nothing for deriving the subkeys.
+func TestNewSealerAllocBudget(t *testing.T) {
+	var k Key
+	withoutCipher := testing.AllocsPerRun(100, func() {
+		s := &Sealer{mac: hmac.New(sha256.New, k[:])}
+		s.mac.Sum(s.sum[:0])
+		s.mac.Reset()
+		sealerSink = s
+	})
+	if got := testing.AllocsPerRun(100, func() { sealerSink = NewSealer(k) }); got > withoutCipher+2 {
+		t.Errorf("NewSealer: %.0f allocs, %.0f of them the Sealer and its HMAC, want two more: the cipher and the MAC subkey", got, withoutCipher)
+	}
+}
+
 // sealerSizes crosses the small-CTR limit and block boundaries.
 var sealerSizes = []int{0, 1, 15, 16, 17, 100, smallCTRLimit - 1, smallCTRLimit, smallCTRLimit + 1, 4096, 250_000}
 
@@ -298,6 +352,16 @@ func FuzzOpenTo(f *testing.F) {
 		}
 	})
 }
+
+func BenchmarkNewSealer(b *testing.B) {
+	k, _ := NewKey(rng.New(31))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sealerSink = NewSealer(k)
+	}
+}
+
+var sealerSink *Sealer
 
 func BenchmarkSealerSeal1KiB(b *testing.B) {
 	s := rng.New(28)

@@ -15,7 +15,6 @@ package crypt
 
 import (
 	"crypto/aes"
-	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -63,14 +62,32 @@ var ErrAuth = errors.New("crypt: message authentication failed")
 var ErrTruncated = errors.New("crypt: sealed blob truncated")
 
 // subkeys derives independent encryption and MAC keys from k, so the same
-// anchor key can safely drive both AES and HMAC.
+// anchor key can safely drive both AES and HMAC: enc and mac are
+// HMAC-SHA256(k, "tap.layer.enc") and HMAC-SHA256(k, "tap.layer.mac"), enc
+// truncated to its 16 bytes. Both are computed by HMAC's definition,
+// H((k ^ opad) || H((k ^ ipad) || label)), on stack arrays: a schedule is
+// derived per anchor, per stream and per crypt.Seal call, and hmac.New
+// would put two hash states and two pad buffers on the heap for each.
 func subkeys(k Key) (enc [16]byte, mac [32]byte) {
-	h := hmac.New(sha256.New, k[:])
-	h.Write([]byte("tap.layer.enc"))
-	copy(enc[:], h.Sum(nil))
-	h.Reset()
-	h.Write([]byte("tap.layer.mac"))
-	copy(mac[:], h.Sum(nil))
+	const label = len("tap.layer.enc")
+	var inner [sha256.BlockSize + label]byte
+	var outer [sha256.BlockSize + sha256.Size]byte
+	for i := 0; i < sha256.BlockSize; i++ {
+		inner[i], outer[i] = 0x36, 0x5c
+	}
+	for i, b := range k {
+		inner[i] ^= b
+		outer[i] ^= b
+	}
+	derive := func(what string) [sha256.Size]byte {
+		copy(inner[sha256.BlockSize:], what)
+		sum := sha256.Sum256(inner[:])
+		copy(outer[sha256.BlockSize:], sum[:])
+		return sha256.Sum256(outer[:])
+	}
+	full := derive("tap.layer.enc")
+	copy(enc[:], full[:])
+	mac = derive("tap.layer.mac")
 	return
 }
 

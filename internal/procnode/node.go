@@ -319,8 +319,13 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 // and chunk: sid, seq, fin, the key blob and the two length prefixes.
 const requestOverhead = 8 + 4 + 1 + (1 + crypt.KeySize) + 2*binary.MaxVarintLen32
 
-func encodeRequest(sid uint64, seq uint32, fin bool, key crypt.Key, rt, chunk []byte) []byte {
-	w := wire.NewWriter(requestOverhead + len(rt) + len(chunk))
+// echoOverhead bounds what a sealed echo adds to its chunk: sid, seq, fin,
+// the length prefix, and the seal's nonce and tag.
+const echoOverhead = 8 + 4 + 1 + binary.MaxVarintLen32 + crypt.Overhead
+
+// appendRequest appends one request's exit payload to dst.
+func appendRequest(dst []byte, sid uint64, seq uint32, fin bool, key crypt.Key, rt, chunk []byte) []byte {
+	w := wire.NewWriterOn(dst)
 	w.Uint64(sid)
 	w.Uint32(seq)
 	if fin {
@@ -372,13 +377,16 @@ func (n *Node) handleExitPayload(payload []byte) {
 		n.logf("procnode %d: %v", n.Addr, err)
 		return
 	}
-	echo := wire.NewWriter(16 + len(chunk))
+	// The echo is written where its sealed form will lie, behind the
+	// nonce's margin, and sealed there: one buffer, which the envelope keeps.
+	echo := wire.NewWriterOn(make([]byte, crypt.NonceSize, echoOverhead+len(chunk)))
 	echo.Uint64(sid)
 	echo.Uint32(seq)
 	echo.Byte(fin)
 	echo.Blob(chunk)
-	sealed, err := n.echoSealerFor(key).SealTo(nil, rand.Reader, echo.Bytes())
-	if err != nil {
+	sealed := echo.Bytes()
+	sealed = sealed[:len(sealed)+crypt.Overhead-crypt.NonceSize]
+	if err := n.echoSealerFor(key).SealInPlace(sealed, rand.Reader); err != nil {
 		n.logf("procnode %d: sealing echo: %v", n.Addr, err)
 		return
 	}

@@ -103,7 +103,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	if _, err := rand.Read(seed[:]); err != nil {
 		return nil, fmt.Errorf("procnode: seeding: %w", err)
 	}
-	stream := rng.New(binary.BigEndian.Uint64(seed[:])).Split("procnode-stream")
+	stream := rng.New(binary.BigEndian.Uint64(seed[:]))
 
 	gen, err := tha.NewGenerator(n.ID[:], rand.Reader)
 	if err != nil {
@@ -148,11 +148,15 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 		lo := seq * cfg.ChunkSize
 		return payload[lo:min(lo+cfg.ChunkSize, len(payload))]
 	}
+	// Every request is encoded into one buffer, sized for the first chunk,
+	// and no chunk is longer: BuildForward only reads its payload, sealing
+	// it into the onion's own buffer.
+	req := make([]byte, 0, requestOverhead+len(rtEnc)+len(chunkOf(0)))
 	envelope := func(seq int) (*core.Envelope, error) {
-		req := encodeRequest(sid, uint32(seq), seq == nChunks-1, key, rtEnc, chunkOf(seq))
+		req = appendRequest(req[:0], sid, uint32(seq), seq == nChunks-1, key, rtEnc, chunkOf(seq))
 		return core.BuildForward(fwTunnel, cfg.ForwardHops, destID, req, stream)
 	}
-	// No chunk is longer than the first. Build it before anything is sent:
+	// Build the first chunk's envelope before anything is sent:
 	// an envelope too large for a frame is dropped by the transport, and
 	// would otherwise surface only as a chunk lost streamRetries+1 times.
 	first, err := envelope(0)

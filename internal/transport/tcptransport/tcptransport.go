@@ -86,6 +86,11 @@ const (
 	// sendQueueDepth is the per-peer outbound queue depth; a full queue
 	// drops (unreliable-send semantics).
 	sendQueueDepth = 256
+	// freeBufDepth is how many written frames' buffers a peer keeps for its
+	// next frames: a stream's window (procnode.streamWindow), which is what
+	// travels to one peer together. With the retention bound that is at
+	// most 2 MiB a peer, and only a peer that was sent frames that large.
+	freeBufDepth = 16
 	// latencyCeiling is what MaxLatency reports — a coarse upper bound
 	// used only to seed retransmit-timeout estimates.
 	latencyCeiling = 200 * time.Millisecond
@@ -232,8 +237,9 @@ func (t *Transport) Stats() StatsSnapshot {
 	}
 }
 
-// peer is one outbound neighbor: its queue, its writer goroutine, and
-// the quit channel that tears both down.
+// peer is one outbound neighbor: its queue, its writer goroutine, the
+// quit channel that tears both down, and the frame buffers its writer is
+// done with.
 //
 // p.out is NEVER closed. Send enqueues without holding the transport
 // lock, so a close racing an enqueue would panic the process; teardown
@@ -242,8 +248,23 @@ func (t *Transport) Stats() StatsSnapshot {
 type peer struct {
 	hostport string
 	out      chan []byte
+	free     chan []byte // buffers of frames written, for frame to encode the next into
 	quit     chan struct{}
 	stop     sync.Once
+}
+
+// recycle hands a frame's buffer back once nothing will read it again: its
+// bytes are on the socket or copied into the writer's batch. A full free
+// list drops it, and an oversize frame's buffer is not kept — the rule the
+// writer's batch follows — so a peer pins a bounded amount.
+func (p *peer) recycle(buf []byte) {
+	if cap(buf) > 2*writeBatchSize {
+		return
+	}
+	select {
+	case p.free <- buf:
+	default:
+	}
 }
 
 // shutdown signals the peer's writer to exit and pending or future
@@ -257,7 +278,7 @@ type Transport struct {
 	start time.Time
 	m     *metrics
 
-	events chan func()
+	events chan event
 	quit   chan struct{}
 	wg     sync.WaitGroup
 
@@ -283,7 +304,7 @@ func New(cfg Config) *Transport {
 		cfg:      cfg,
 		start:    time.Now(),
 		m:        newMetrics(cfg.Registry),
-		events:   make(chan func(), 1024),
+		events:   make(chan event, 1024),
 		quit:     make(chan struct{}),
 		handlers: make(map[transport.Addr]transport.Handler),
 		peers:    make(map[transport.Addr]string),
@@ -301,20 +322,29 @@ func (t *Transport) logf(format string, args ...any) {
 	}
 }
 
+// event is one unit of the dispatch loop's work: a callback to run, or —
+// fn nil — a message to hand to dst's handler. A delivery travels as a
+// value so that an inbound frame costs the queue no allocation.
+type event struct {
+	fn       func()
+	src, dst transport.Addr
+	msg      transport.Message
+}
+
 // loop is the single dispatch goroutine: every handler invocation,
 // Schedule callback, and watcher notification runs here, serialized.
 func (t *Transport) loop() {
 	defer t.wg.Done()
 	for {
 		select {
-		case fn := <-t.events:
-			fn()
+		case ev := <-t.events:
+			t.run(ev)
 		case <-t.quit:
 			// Drain whatever is already queued, then stop.
 			for {
 				select {
-				case fn := <-t.events:
-					fn()
+				case ev := <-t.events:
+					t.run(ev)
 				default:
 					return
 				}
@@ -323,10 +353,27 @@ func (t *Transport) loop() {
 	}
 }
 
+// run executes one event on the dispatch loop.
+func (t *Transport) run(ev event) {
+	if ev.fn != nil {
+		ev.fn()
+		return
+	}
+	t.mu.Lock()
+	h := t.handlers[ev.dst]
+	t.mu.Unlock()
+	if h == nil {
+		t.m.dropNoHandler.Inc()
+		return
+	}
+	t.m.delivered.Inc()
+	h.Deliver(ev.src, ev.msg)
+}
+
 // enqueue files fn onto the dispatch loop; after Close it is dropped.
 func (t *Transport) enqueue(fn func()) {
 	select {
-	case t.events <- fn:
+	case t.events <- event{fn: fn}:
 	case <-t.quit:
 	}
 }
@@ -460,17 +507,10 @@ func (t *Transport) receive(conn net.Conn, kind byte, payload []byte) bool {
 // deliverLocal routes a decoded (or loopback) message to dst's handler on
 // the dispatch loop.
 func (t *Transport) deliverLocal(src, dst transport.Addr, msg transport.Message) {
-	t.enqueue(func() {
-		t.mu.Lock()
-		h := t.handlers[dst]
-		t.mu.Unlock()
-		if h == nil {
-			t.m.dropNoHandler.Inc()
-			return
-		}
-		t.m.delivered.Inc()
-		h.Deliver(src, msg)
-	})
+	select {
+	case t.events <- event{src: src, dst: dst, msg: msg}:
+	case <-t.quit:
+	}
 }
 
 // --- transport.Transport ----------------------------------------------------
@@ -518,7 +558,7 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 	default:
 	}
 	// Only a message with somewhere to go is worth encoding.
-	frame, err := t.frame(src, dst, msg)
+	frame, err := t.frame(p, src, dst, msg)
 	if err != nil {
 		t.logf("tcptransport: encode to %d: %v", dst, err)
 		t.m.dropEncode.Inc()
@@ -542,15 +582,17 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 		// Full queue: the peer is slower than we produce. Drop, as an
 		// overloaded link would.
 		t.m.dropQueueFull.Inc()
+		p.recycle(frame)
 	}
 }
 
 // frame builds msg's whole frame — header, [src][dst] prefix, codec
-// bytes — in one buffer: allocated once at the message's size, encoded
-// into directly, the header patched in last when the length is known.
-// The buffer belongs to the peer queue from here on and is dropped once
-// writeLoop has written it or copied it into its batch; nothing reuses it.
-func (t *Transport) frame(src, dst transport.Addr, msg transport.Message) ([]byte, error) {
+// bytes — in one buffer: one p's writer is done with if that is large
+// enough, else allocated at the message's size; encoded into directly, the
+// header patched in last when the length is known. The buffer belongs to
+// p's queue from here on, and goes back to p once writeLoop has written it
+// or copied it into its batch.
+func (t *Transport) frame(p *peer, src, dst transport.Addr, msg transport.Message) ([]byte, error) {
 	const prefix = wire.FrameHeaderSize + addrPrefixSize
 	size := msg.SizeBytes()
 	if size < 0 || size > wire.MaxFramePayload {
@@ -558,7 +600,15 @@ func (t *Transport) frame(src, dst transport.Addr, msg transport.Message) ([]byt
 		// it sizes an allocation.
 		return nil, fmt.Errorf("%w: message of %d bytes", wire.ErrFrameSize, size)
 	}
-	buf := make([]byte, prefix, prefix+size+codecSlack)
+	var buf []byte
+	select {
+	case buf = <-p.free:
+	default:
+	}
+	if need := prefix + size + codecSlack; cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf = buf[:prefix]
 	binary.BigEndian.PutUint64(buf[wire.FrameHeaderSize:], uint64(int64(src)))
 	binary.BigEndian.PutUint64(buf[wire.FrameHeaderSize+8:], uint64(int64(dst)))
 	kind, buf, err := t.cfg.Codec.AppendEncode(buf, msg)
@@ -587,7 +637,12 @@ func (t *Transport) peerFor(dst transport.Addr) *peer {
 	if !ok {
 		return nil
 	}
-	p := &peer{hostport: hostport, out: make(chan []byte, sendQueueDepth), quit: make(chan struct{})}
+	p := &peer{
+		hostport: hostport,
+		out:      make(chan []byte, sendQueueDepth),
+		free:     make(chan []byte, freeBufDepth),
+		quit:     make(chan struct{}),
+	}
 	t.conns[dst] = p
 	t.wg.Add(1)
 	go t.writeLoop(dst, p)
@@ -652,8 +707,10 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 				case next := <-p.out:
 					if frames == 1 {
 						batch = append(batch[:0], frame...)
+						p.recycle(frame)
 					}
 					batch = append(batch, next...)
+					p.recycle(next)
 					buf = batch
 					frames++
 				default:
@@ -665,6 +722,9 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 			// detector's release/acquire edge that tests synchronising
 			// through a socket rely on.
 			_, err := conn.Write(buf)
+			if frames == 1 {
+				p.recycle(frame)
+			}
 			if cap(batch) > 2*writeBatchSize {
 				batch = nil // an oversize frame passed through: do not pin its size per peer
 			}
