@@ -561,7 +561,6 @@ func BenchmarkPoolProbeCycle(b *testing.B) {
 	kernel := simnet.NewKernel()
 	kernel.MaxSteps = 0
 	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(root.Seed()), w.OV.NumAddrs())
-	w.Svc.Net = net
 	eng := core.NewNetEngine(w.Svc, net)
 	eng.EnableReliability(core.Reliability{MaxAttempts: 3})
 	node := w.OV.RandomLive(root.Split("pick"))
@@ -616,7 +615,6 @@ func BenchmarkStreamThroughput(b *testing.B) {
 				Seed:       1,
 			}, world.OV.NumAddrs())
 			net.InstallFaults(&simnet.FaultPlan{Seed: 7, LossRate: 0.01})
-			world.Svc.Net = net
 			eng := core.NewNetEngine(world.Svc, net)
 			src := world.OV.RandomLive(root.Split("src"))
 			dst := world.OV.RandomLive(root.Split("dst"))

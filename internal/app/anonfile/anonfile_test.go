@@ -189,7 +189,6 @@ func TestUploadUnderLossAndReorder(t *testing.T) {
 	kernel := simnet.NewKernel()
 	kernel.MaxSteps = 10_000_000
 	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(6), s.ov.NumAddrs())
-	s.svc.Net = net
 	eng := core.NewNetEngine(s.svc, net)
 	srv := ServeUploads(s.lib, eng)
 

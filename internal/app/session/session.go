@@ -127,11 +127,11 @@ func (s *FixedSession) Exchanges() int { return s.exchanges }
 // over the same fixed path (as those systems do), so it fails if any
 // relay is down in either direction.
 func (s *FixedSession) Exchange(req []byte, handle Handler) ([]byte, error) {
-	sealed, err := core.BuildFixedForward(s.fwd, s.server, req, s.stream)
+	env, err := core.BuildFixedForward(s.fwd, s.server, req, s.stream)
 	if err != nil {
 		return nil, err
 	}
-	_, payload, err := s.svc.DeliverFixed(s.fwd, sealed)
+	_, payload, err := s.svc.DeliverFixed(s.fwd, env)
 	if err != nil {
 		return nil, err
 	}

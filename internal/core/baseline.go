@@ -8,7 +8,7 @@ import (
 	"tap/internal/pastry"
 	"tap/internal/rng"
 	"tap/internal/simnet"
-	"tap/internal/wire"
+	"tap/internal/tha"
 )
 
 // FixedTunnel is the "current tunneling" baseline the paper compares
@@ -18,28 +18,16 @@ import (
 // fails if one of its mixes leaves the system".
 type FixedTunnel struct {
 	Relays []pastry.NodeRef
-	Keys   []crypt.Key
 
-	// sealers lazily caches one key schedule per relay, shared by the
-	// build and delivery paths so a round trip derives each relay's
-	// subkeys once instead of twice.
-	sealers []*crypt.Sealer
+	// tunnel carries the baseline's onion: hop i is named by Relays[i].ID,
+	// keyed with the key established with that relay, and hinted with its
+	// address. Each hop's anchor holds a key-schedule cell, so a round trip
+	// derives a relay's subkeys once, at the build.
+	tunnel Tunnel
 }
 
 // Length returns the number of relays.
 func (ft *FixedTunnel) Length() int { return len(ft.Relays) }
-
-// relaySealer returns the cached Sealer for relay i, deriving it on first
-// use.
-func (ft *FixedTunnel) relaySealer(i int) *crypt.Sealer {
-	if len(ft.sealers) != len(ft.Keys) {
-		ft.sealers = make([]*crypt.Sealer, len(ft.Keys))
-	}
-	if ft.sealers[i] == nil {
-		ft.sealers[i] = crypt.NewSealer(ft.Keys[i])
-	}
-	return ft.sealers[i]
-}
 
 // FormFixed picks l distinct live relays uniformly at random and
 // establishes a layer key with each (the key exchange itself is assumed,
@@ -53,7 +41,7 @@ func FormFixed(ov *pastry.Overlay, l int, stream *rng.Stream) (*FixedTunnel, err
 	}
 	ft := &FixedTunnel{
 		Relays: make([]pastry.NodeRef, 0, l),
-		Keys:   make([]crypt.Key, 0, l),
+		tunnel: Tunnel{Hops: make([]tha.Secret, 0, l), link: &tunnelLink{hints: make([]simnet.Addr, 0, l)}},
 	}
 	used := make(map[simnet.Addr]struct{}, l)
 	for len(ft.Relays) < l {
@@ -67,7 +55,9 @@ func FormFixed(ov *pastry.Overlay, l int, stream *rng.Stream) (*FixedTunnel, err
 			return nil, err
 		}
 		ft.Relays = append(ft.Relays, n.Ref())
-		ft.Keys = append(ft.Keys, key)
+		hop := tha.Anchor{HopID: n.ID(), Key: key}.WithSealerCache()
+		ft.tunnel.Hops = append(ft.tunnel.Hops, tha.Secret{Anchor: hop})
+		ft.tunnel.link.hints = append(ft.tunnel.link.hints, n.Ref().Addr)
 	}
 	return ft, nil
 }
@@ -84,74 +74,38 @@ func (ft *FixedTunnel) Alive(ov *pastry.Overlay) bool {
 	return true
 }
 
-// BuildFixedForward seals a payload in layers over the fixed relays,
-// addressing each layer to the next relay's address.
-func BuildFixedForward(ft *FixedTunnel, dest id.ID, payload []byte, stream *rng.Stream) ([]byte, error) {
-	l := ft.Length()
-	if l == 0 {
-		return nil, fmt.Errorf("core: empty fixed tunnel")
-	}
-	w := wire.NewWriter(1 + id.Size + len(payload) + 8)
-	w.Byte(layerExit)
-	w.ID(dest)
-	w.Blob(payload)
-	sealed, err := ft.relaySealer(l-1).SealTo(nil, stream, w.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	for i := l - 2; i >= 0; i-- {
-		w := wire.NewWriter(1 + 8 + len(sealed) + 8)
-		w.Byte(layerRelay)
-		w.Int64(int64(ft.Relays[i+1].Addr))
-		w.Blob(sealed)
-		sealed, err = ft.relaySealer(i).SealTo(nil, stream, w.Bytes())
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sealed, nil
+// BuildFixedForward seals a payload in layers over the fixed relays: the
+// Figure 1 message over the relays' tunnel, each layer naming the next
+// relay by id and address.
+func BuildFixedForward(ft *FixedTunnel, dest id.ID, payload []byte, stream *rng.Stream) (*Envelope, error) {
+	return BuildForwardHinted(&ft.tunnel, dest, payload, stream)
 }
 
 // DeliverFixed walks the baseline tunnel. It fails with ErrRelayDead the
 // moment any relay is gone — there is no recovery, which is the point of
 // the comparison. On success it returns the exit payload and destination.
-func (svc *Service) DeliverFixed(ft *FixedTunnel, sealed []byte) (id.ID, []byte, error) {
-	// Copy the onion once, then every relay peels in place with its
-	// cached key schedule (the same schedules BuildFixedForward used).
-	blob := append([]byte(nil), sealed...)
+func (svc *Service) DeliverFixed(ft *FixedTunnel, env *Envelope) (id.ID, []byte, error) {
+	// A private copy, which every relay peels where it lies; env stays the
+	// caller's, intact (DeliverForward's contract).
+	own := *env
+	own.Sealed = append([]byte(nil), env.Sealed...)
 	for i, relay := range ft.Relays {
 		n := svc.OV.Node(relay.Addr)
 		if n == nil || !n.Alive() || n.ID() != relay.ID {
 			return id.ID{}, nil, fmt.Errorf("%w: relay %d (%s)", ErrRelayDead, i, relay)
 		}
-		plain, err := ft.relaySealer(i).OpenInPlace(blob)
+		layer, err := own.Peel(ft.tunnel.Hops[i].Anchor)
 		if err != nil {
 			return id.ID{}, nil, fmt.Errorf("core: fixed relay %d: %w", i, err)
 		}
-		r := wire.NewReader(plain)
-		switch marker := r.Byte(); marker {
-		case layerRelay:
-			next := simnet.Addr(r.Int64())
-			inner := r.Blob()
-			if err := r.Done(); err != nil {
-				return id.ID{}, nil, err
-			}
-			if i+1 >= len(ft.Relays) || next != ft.Relays[i+1].Addr {
-				return id.ID{}, nil, fmt.Errorf("core: fixed tunnel layer order corrupt at relay %d", i)
-			}
-			blob = inner
-		case layerExit:
-			dest := r.ID()
-			payload := r.Blob()
-			if err := r.Done(); err != nil {
-				return id.ID{}, nil, err
-			}
-			if i != len(ft.Relays)-1 {
-				return id.ID{}, nil, fmt.Errorf("core: exit layer at non-tail relay %d", i)
-			}
-			return dest, payload, nil
-		default:
-			return id.ID{}, nil, fmt.Errorf("core: fixed tunnel: unknown marker %d", marker)
+		last := i == len(ft.Relays)-1
+		switch {
+		case layer.IsExit && last:
+			return layer.Dest, layer.Payload, nil
+		case layer.IsExit:
+			return id.ID{}, nil, fmt.Errorf("core: exit layer at non-tail relay %d", i)
+		case last || own.HopID != ft.Relays[i+1].ID || own.Hint != ft.Relays[i+1].Addr:
+			return id.ID{}, nil, fmt.Errorf("core: fixed tunnel layer order corrupt at relay %d", i)
 		}
 	}
 	return id.ID{}, nil, fmt.Errorf("core: fixed tunnel ended without exit layer")

@@ -15,6 +15,12 @@
 // node is numerically closest to — capped with a fake onion so the last
 // reply hop cannot tell it is last.
 //
+// One build step makes every onion: seal (message.go) lays a tunnel's
+// layers out in one exactly-sized buffer and seals each where it lies.
+// BuildForward, BuildReply and the fixed-relay baseline's BuildFixedForward
+// are its callers, differing only in the innermost layer and whether relay
+// layers carry a marker byte.
+//
 // Three relays carry these messages, and take one hop step. The step —
 // open the layer with the hop's anchor key where it lies, re-address the
 // message to the hopid the layer names, pad it back to the size it arrived
@@ -36,7 +42,8 @@
 //
 // The package also implements the "current tunneling" baseline
 // (baseline.go): fixed-node onion paths that die with any member node,
-// the comparison system in Figure 2.
+// the comparison system in Figure 2 — the same onion, built and peeled by
+// the same two steps, over hops that are relay nodes rather than anchors.
 package core
 
 import (
@@ -50,7 +57,6 @@ import (
 	"tap/internal/rng"
 	"tap/internal/simnet"
 	"tap/internal/tha"
-	"tap/internal/transport"
 )
 
 // Tunnel is the owner's view of an anonymous tunnel: the ordered hop
@@ -70,13 +76,14 @@ type Tunnel struct {
 	link *tunnelLink
 }
 
-// hopSealer returns the cached Sealer for hop i, deriving it on first use.
+// hopSealer returns the cached Sealer for hop i, deriving it on first use —
+// or, for a hop whose anchor carries a key-schedule cell, taking the cell's.
 func (t *Tunnel) hopSealer(i int) *crypt.Sealer {
 	if len(t.sealers) != len(t.Hops) {
 		t.sealers = make([]*crypt.Sealer, len(t.Hops))
 	}
 	if t.sealers[i] == nil {
-		t.sealers[i] = crypt.NewSealer(t.Hops[i].Key)
+		t.sealers[i] = t.Hops[i].Sealer()
 	}
 	return t.sealers[i]
 }
@@ -119,13 +126,12 @@ var (
 	ErrNotHolder = errors.New("core: node does not hold the hop anchor")
 )
 
-// Service bundles the substrate a TAP deployment runs on. Net is optional:
-// logical walks do not need it. It is typed as the transport seam, so a
-// service can ride the simulator or a real transport interchangeably.
+// Service bundles the substrate a TAP deployment runs on: the overlay and
+// the anchor directory. The networked engine holds its own transport
+// (NewNetEngine).
 type Service struct {
 	OV  *pastry.Overlay
 	Dir *tha.Directory
-	Net transport.Transport
 
 	// Stream supplies nonces and fake-onion padding.
 	Stream *rng.Stream

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"tap/internal/id"
@@ -416,11 +418,11 @@ func TestBaselineDeliverAndDie(t *testing.T) {
 		t.Fatal(err)
 	}
 	dest := id.HashString("d")
-	sealed, err := BuildFixedForward(ft, dest, []byte("baseline"), s.root.Split("b"))
+	env, err := BuildFixedForward(ft, dest, []byte("baseline"), s.root.Split("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDest, payload, err := s.svc.DeliverFixed(ft, sealed)
+	gotDest, payload, err := s.svc.DeliverFixed(ft, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +439,61 @@ func TestBaselineDeliverAndDie(t *testing.T) {
 	if ft.Alive(s.ov) {
 		t.Fatalf("Alive true with a dead relay")
 	}
-	if _, _, err := s.svc.DeliverFixed(ft, sealed); !errors.Is(err, ErrRelayDead) {
+	if _, _, err := s.svc.DeliverFixed(ft, env); !errors.Is(err, ErrRelayDead) {
 		t.Fatalf("err = %v, want ErrRelayDead", err)
+	}
+}
+
+// TestBaselineIsOneOnion: the fixed baseline is BuildForward over its
+// relays and DeliverFixed peels it with Envelope.Peel, at every length. A
+// dead relay fails with ErrRelayDead before that relay peels, and relays
+// reordered after the build fail on the layer order, not on a peel.
+func TestBaselineIsOneOnion(t *testing.T) {
+	s := newSys(t, 200, 3, 21)
+	dest := id.HashString("d")
+	for l := 1; l <= 8; l++ {
+		ft, err := FormFixed(s.ov, l, s.root.SplitN("ft", l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte(fmt.Sprintf("baseline l=%d", l))
+		env, err := BuildFixedForward(ft, dest, payload, s.root.SplitN("b", l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.HopID != ft.Relays[0].ID || env.Hint != ft.Relays[0].Addr {
+			t.Fatalf("l=%d: envelope addressed to %s@%d, want the first relay", l, env.HopID.Short(), env.Hint)
+		}
+		before := append([]byte(nil), env.Sealed...)
+		gotDest, got, err := s.svc.DeliverFixed(ft, env)
+		if err != nil || gotDest != dest || !bytes.Equal(got, payload) {
+			t.Fatalf("l=%d: DeliverFixed = %s, %q, %v", l, gotDest.Short(), got, err)
+		}
+		if !bytes.Equal(env.Sealed, before) {
+			t.Fatalf("l=%d: DeliverFixed mutated the caller's envelope", l)
+		}
+	}
+
+	ft, err := FormFixed(s.ov, 4, s.root.Split("order"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := BuildFixedForward(ft, dest, []byte("x"), s.root.Split("ob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft.Relays[1], ft.Relays[2] = ft.Relays[2], ft.Relays[1]
+	if _, _, err := s.svc.DeliverFixed(ft, env); err == nil || !strings.Contains(err.Error(), "layer order corrupt at relay 0") {
+		t.Fatalf("swapped relays: err = %v, want the layer-order error at relay 0", err)
+	}
+	ft.Relays[1], ft.Relays[2] = ft.Relays[2], ft.Relays[1]
+
+	// The first relay dead: nothing is peeled, so no layer error can mask it.
+	if err := s.ov.Fail(ft.Relays[0].Addr); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.svc.DeliverFixed(ft, env); !errors.Is(err, ErrRelayDead) || !strings.Contains(err.Error(), "relay 0") {
+		t.Fatalf("dead first relay: err = %v, want ErrRelayDead at relay 0", err)
 	}
 }
 
@@ -639,23 +694,6 @@ func TestPoolPrunesLostAnchors(t *testing.T) {
 	s.mgr.EndBatch()
 	if in.PoolSize() != 5 {
 		t.Fatalf("pool %d after losing one anchor, want 5", in.PoolSize())
-	}
-}
-
-func TestDeployPayloadRoundTrip(t *testing.T) {
-	s := rng.New(19)
-	g, _ := tha.NewGenerator([]byte("n"), s)
-	sec, _ := g.Generate(s)
-	ins := onionroute.Instruction{Anchor: sec.Anchor, Nonce: 0xfeedface}
-	got, err := decodeDeployPayload(encodeDeployPayload(ins))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Anchor != ins.Anchor || got.Nonce != ins.Nonce {
-		t.Fatalf("deploy payload round trip mismatch")
-	}
-	if _, err := decodeDeployPayload([]byte("short")); err == nil {
-		t.Fatalf("short payload accepted")
 	}
 }
 

@@ -210,31 +210,44 @@ func TestBuildForwardValidation(t *testing.T) {
 	}
 }
 
-// TestBuildForwardAllocatesTheOnionAndItsEnvelope: building a message
-// allocates what the caller keeps — the one buffer and the envelope — at
-// any tunnel length whose layout tables fit on the stack, and a longer
-// tunnel, whose tables do not, builds the reference's bytes all the same.
+// TestBuildForwardAllocatesTheOnionAndItsEnvelope: building a message or a
+// reply tunnel allocates what the caller keeps — the one buffer and the
+// envelope or ReplyTunnel — at every tunnel length: the layout needs no
+// tables. A tunnel longer than any the experiments build (11 hops) still
+// builds the reference's bytes.
 func TestBuildForwardAllocatesTheOnionAndItsEnvelope(t *testing.T) {
 	s := rng.New(86)
 	dest := id.HashString("d")
 	payload := make([]byte, 64) // small enough that no layer needs a cipher stream
-	for _, l := range []int{3, stackHops} {
-		tun := handTunnel(t, l, s)
-		hints := make([]simnet.Addr, l)
-		if _, err := BuildForward(tun, hints, dest, payload, s); err != nil { // derive the hop schedules
-			t.Fatal(err)
-		}
-		got := testing.AllocsPerRun(100, func() {
-			if _, err := BuildForward(tun, hints, dest, payload, s); err != nil {
+	builds := map[string]func(*Tunnel, []simnet.Addr) error{
+		"BuildForward (buffer, envelope)": func(tun *Tunnel, hints []simnet.Addr) error {
+			_, err := BuildForward(tun, hints, dest, payload, s)
+			return err
+		},
+		"BuildReply (buffer, ReplyTunnel)": func(tun *Tunnel, hints []simnet.Addr) error {
+			_, err := BuildReply(tun, hints, dest, s)
+			return err
+		},
+	}
+	for name, build := range builds {
+		for _, l := range []int{3, 8, 11} {
+			tun := handTunnel(t, l, s)
+			hints := make([]simnet.Addr, l)
+			if err := build(tun, hints); err != nil { // derive the hop schedules
 				t.Fatal(err)
 			}
-		})
-		if got != 2 {
-			t.Errorf("l=%d: %.0f allocations per BuildForward, want 2 (buffer, envelope)", l, got)
+			got := testing.AllocsPerRun(100, func() {
+				if err := build(tun, hints); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != 2 {
+				t.Errorf("l=%d: %.0f allocations per %s, want 2", l, got, name)
+			}
 		}
 	}
 
-	tun := handTunnel(t, stackHops+3, s)
+	tun := handTunnel(t, 11, s)
 	seed := s.Uint64()
 	want, err := referenceBuildForward(tun, nil, dest, payload, rng.New(seed))
 	if err != nil {
@@ -245,6 +258,6 @@ func TestBuildForwardAllocatesTheOnionAndItsEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.HopID != want.HopID || !bytes.Equal(got.Sealed, want.Sealed) {
-		t.Fatalf("l=%d: onion differs from the nested reference", stackHops+3)
+		t.Fatalf("l=11: onion differs from the nested reference")
 	}
 }

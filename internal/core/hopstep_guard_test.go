@@ -12,19 +12,23 @@ import (
 	"testing"
 )
 
-// TestOneHopStepOneWorldSeam statically audits two things that have one
-// home each, so a second copy of the hop step or a stray read of the world
-// fails the test run, not a code review.
+// TestOneHopStepOneWorldSeam statically audits three things that have one
+// home each, so a second copy of the hop step or the build step, or a
+// stray read of the world, fails the test run, not a code review.
 //
 // The hop step — open a layer in place, re-address, pad back — is
 // Envelope.Peel and ReplyEnvelope.Peel in message.go: no other non-test
-// file under internal/ or cmd/ may call its parts. And the relay path is
+// file under internal/ or cmd/ may call its parts. The build step — lay
+// out and seal an onion — is message.go's too: no other non-test core
+// file names a layer marker or seals in place. And the relay path is
 // node-local: netdeliver.go, stream.go and reliable.go reach the overlay
 // and the anchor directory (svc.OV, svc.Dir) only where NewNetEngine
 // attaches its handlers; everything else asks Service.routeAt, holds and
 // anchorAt.
 func TestOneHopStepOneWorldSeam(t *testing.T) {
 	stepParts := map[string]bool{"PadToMatch": true, "OpenForwardLayerInPlace": true, "OpenReplyLayerInPlace": true}
+	buildParts := map[string]bool{"SealInPlace": true, "SealInPlaceFrom": true}
+	layerMarkers := map[string]bool{"layerRelay": true, "layerExit": true}
 	nodeLocal := map[string]bool{"netdeliver.go": true, "stream.go": true, "reliable.go": true}
 	self, err := filepath.Abs(".")
 	if err != nil {
@@ -47,12 +51,21 @@ func TestOneHopStepOneWorldSeam(t *testing.T) {
 			inCore := filepath.Dir(abs) == self
 			if !(inCore && d.Name() == "message.go") {
 				ast.Inspect(f, func(n ast.Node) bool {
+					if ident, ok := n.(*ast.Ident); ok && inCore && layerMarkers[ident.Name] {
+						t.Errorf("%s: %s outside core/message.go — build onions with BuildForward / BuildReply",
+							fset.Position(ident.Pos()), ident.Name)
+					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
-					if name := lastName(call.Fun); stepParts[name] {
+					name := lastName(call.Fun)
+					if stepParts[name] {
 						t.Errorf("%s: %s called outside core/message.go — take the hop step through Envelope.Peel / ReplyEnvelope.Peel",
+							fset.Position(call.Pos()), name)
+					}
+					if inCore && buildParts[name] {
+						t.Errorf("%s: %s called outside core/message.go — seal onions with BuildForward / BuildReply",
 							fset.Position(call.Pos()), name)
 					}
 					return true

@@ -9,6 +9,7 @@ import (
 	"tap/internal/pastry"
 	"tap/internal/rng"
 	"tap/internal/tha"
+	"tap/internal/wire"
 )
 
 // Initiator is a node's client-side TAP state: its anchor generator, the
@@ -113,8 +114,10 @@ func (in *Initiator) DeployViaTunnel(t *Tunnel, n int) error {
 		return err
 	}
 	for i := range secrets {
-		payload := encodeDeployPayload(instrs[i])
-		env, err := BuildForward(t, nil, secrets[i].HopID, payload, in.stream)
+		// The payload is the bootstrap onion's instruction (onionroute).
+		w := wire.NewWriter(tha.WireSize + 2 + 8)
+		onionroute.AppendInstruction(w, instrs[i])
+		env, err := BuildForward(t, nil, secrets[i].HopID, w.Bytes(), in.stream)
 		if err != nil {
 			return err
 		}
@@ -123,9 +126,13 @@ func (in *Initiator) DeployViaTunnel(t *Tunnel, n int) error {
 			return fmt.Errorf("core: deploy via tunnel: %w", err)
 		}
 		// The destination node executes the deployment.
-		ins, err := decodeDeployPayload(res.Payload)
+		r := wire.NewReader(res.Payload)
+		ins, err := onionroute.ReadInstruction(r)
+		if err == nil {
+			err = r.Done()
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("core: deploy payload: %w", err)
 		}
 		if err := in.svc.Dir.Deploy(ins.Anchor, ins.Nonce); err != nil {
 			return fmt.Errorf("core: deploy via tunnel: %w", err)
@@ -314,36 +321,4 @@ func (in *Initiator) NewBid() id.ID {
 		}
 	}
 	return self
-}
-
-// --- deploy payload framing ----------------------------------------------
-
-// Deploy payloads are the application protocol for DeployViaTunnel.
-func encodeDeployPayload(ins onionroute.Instruction) []byte {
-	// Reuse the anchor wire layout: hopid, key, pw hash, nonce.
-	buf := make([]byte, 0, tha.WireSize+8)
-	buf = append(buf, ins.Anchor.HopID[:]...)
-	buf = append(buf, ins.Anchor.Key[:]...)
-	buf = append(buf, ins.Anchor.PWHash[:]...)
-	for i := 7; i >= 0; i-- {
-		buf = append(buf, byte(ins.Nonce>>(8*i)))
-	}
-	return buf
-}
-
-func decodeDeployPayload(b []byte) (onionroute.Instruction, error) {
-	var ins onionroute.Instruction
-	if len(b) != tha.WireSize+8 {
-		return ins, fmt.Errorf("core: deploy payload length %d", len(b))
-	}
-	copy(ins.Anchor.HopID[:], b[:id.Size])
-	b = b[id.Size:]
-	copy(ins.Anchor.Key[:], b[:len(ins.Anchor.Key)])
-	b = b[len(ins.Anchor.Key):]
-	copy(ins.Anchor.PWHash[:], b[:len(ins.Anchor.PWHash)])
-	b = b[len(ins.Anchor.PWHash):]
-	for _, by := range b {
-		ins.Nonce = ins.Nonce<<8 | uint64(by)
-	}
-	return ins, nil
 }

@@ -73,10 +73,6 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// stackHops is the tunnel length up to which BuildForward keeps its layout
-// tables off the heap.
-const stackHops = 8
-
 // hintAt reads the i-th hint from a possibly-nil hint slice (nil is the
 // basic, unoptimized mode: no hints anywhere).
 func hintAt(hints []simnet.Addr, i int) simnet.Addr {
@@ -86,72 +82,87 @@ func hintAt(hints []simnet.Addr, i int) simnet.Addr {
 	return hints[i]
 }
 
-// BuildForward produces the Figure 1 message
-// {h_2,[ip_2],{h_3,[ip_3],{D,m}_K3}_K2}_K1 for the given tunnel. hints may
-// be nil (basic mode); with hints it is the §5 optimized form. The
-// returned envelope is addressed to the first hop and owns its Sealed
-// buffer.
-//
-// The whole onion is assembled in one exactly-sized buffer: every layer's
-// sealed blob is the tail of the enclosing layer's plaintext, so each
-// layer is sealed where it already lies and the payload is encrypted
-// straight out of the caller's slice — no per-layer copies, no per-layer
-// allocations. Nonces are drawn innermost-first, the same stream order as
-// the original nested builder, which keeps output bit-identical for a
-// given stream (the experiment tables depend on that).
-func BuildForward(t *Tunnel, hints []simnet.Addr, dest id.ID, payload []byte, stream *rng.Stream) (*Envelope, error) {
+// seal is the one build step: it lays out t's onion in one exactly-sized
+// buffer and seals every layer where it lies. Layer i < l-1 is
+// [marker] ‖ hop i+1's hopid ‖ its hint ‖ layer i+1, with no marker byte
+// when marker is 0 (a reply layer); the innermost layer is head ‖ body,
+// body encrypted straight out of the caller's slice. Every layer's sealed
+// blob is the tail of the enclosing layer's plaintext, so there are no
+// per-layer copies and no per-layer allocations. Nonces are drawn
+// innermost-first, the stream order of the original nested builders, which
+// keeps output bit-identical for a given stream (the experiment tables
+// depend on that).
+func seal(t *Tunnel, hints []simnet.Addr, marker byte, head, body []byte, stream *rng.Stream) ([]byte, error) {
 	l := t.Length()
 	if l == 0 {
-		return nil, fmt.Errorf("core: cannot build a message for an empty tunnel")
+		return nil, fmt.Errorf("core: cannot build an onion for an empty tunnel")
 	}
 	if hints != nil && len(hints) != l {
 		return nil, fmt.Errorf("core: %d hints for %d hops", len(hints), l)
 	}
-
-	// Layer sizes compose inside-out (the uvarint length prefix of each
-	// inner blob depends on its size). Both tables live on the stack for
-	// any tunnel the paper or the experiments build.
-	var fixed [2 * stackHops]int
-	layout := fixed[:]
-	if 2*l > len(layout) {
-		layout = make([]int, 2*l)
+	hdr := id.Size + 8 // a relay layer's header, less the inner blob's prefix
+	if marker != 0 {
+		hdr++
 	}
-	sizes, offs := layout[:l], layout[l:2*l]
-	exitHdr := 1 + id.Size + uvarintLen(uint64(len(payload)))
-	sizes[l-1] = exitHdr + len(payload) + crypt.Overhead
+	// Sizes compose inside-out (an inner blob's length prefix depends on its
+	// size), and so does the layout, with no tables: as each plaintext ends
+	// with the next layer, layer i's sealed region ends i tags short of the
+	// buffer's end.
+	wrap := func(inner int) int { return hdr + uvarintLen(uint64(inner)) + inner + crypt.Overhead }
+	size := len(head) + len(body) + crypt.Overhead
+	total := size
 	for i := l - 2; i >= 0; i-- {
-		sizes[i] = 1 + id.Size + 8 + uvarintLen(uint64(sizes[i+1])) + sizes[i+1] + crypt.Overhead
+		total = wrap(total)
 	}
-	buf := make([]byte, sizes[0])
+	buf := make([]byte, total)
+	tag := crypt.Overhead - crypt.NonceSize
+	end := total - (l-1)*tag
 
-	// Offsets compose outside-in: layer i+1 sits after layer i's nonce
-	// margin and relay header.
-	for i := 1; i < l; i++ {
-		offs[i] = offs[i-1] + crypt.NonceSize + 1 + id.Size + 8 + uvarintLen(uint64(sizes[i]))
+	region := buf[end-size : end]
+	copy(region[crypt.NonceSize:], head)
+	if err := t.hopSealer(l-1).SealInPlaceFrom(region, stream, len(head), body); err != nil {
+		return nil, fmt.Errorf("core: sealing layer %d: %w", l-1, err)
 	}
-
-	// Innermost: the exit layer, sealed with the tail hop's key; the
-	// payload is encrypted directly from the caller's slice.
-	p := buf[offs[l-1]+crypt.NonceSize:]
-	p[0] = layerExit
-	copy(p[1:], dest[:])
-	binary.PutUvarint(p[1+id.Size:], uint64(len(payload)))
-	region := buf[offs[l-1] : offs[l-1]+sizes[l-1]]
-	if err := t.hopSealer(l-1).SealInPlaceFrom(region, stream, exitHdr, payload); err != nil {
-		return nil, fmt.Errorf("core: sealing exit layer: %w", err)
-	}
-	// Relay layers outward: layer i names hop i+1.
 	for i := l - 2; i >= 0; i-- {
-		p := buf[offs[i]+crypt.NonceSize:]
-		p[0] = layerRelay
-		copy(p[1:], t.Hops[i+1].HopID[:])
-		binary.BigEndian.PutUint64(p[1+id.Size:], uint64(int64(hintAt(hints, i+1))))
-		binary.PutUvarint(p[1+id.Size+8:], uint64(sizes[i+1]))
-		if err := t.hopSealer(i).SealInPlace(buf[offs[i]:offs[i]+sizes[i]], stream); err != nil {
-			return nil, fmt.Errorf("core: sealing relay layer %d: %w", i, err)
+		inner := size
+		size, end = wrap(inner), end+tag
+		region := buf[end-size : end]
+		p := region[crypt.NonceSize:]
+		if marker != 0 {
+			p[0], p = marker, p[1:]
+		}
+		copy(p, t.Hops[i+1].HopID[:])
+		binary.BigEndian.PutUint64(p[id.Size:], uint64(int64(hintAt(hints, i+1))))
+		binary.PutUvarint(p[id.Size+8:], uint64(inner))
+		if err := t.hopSealer(i).SealInPlace(region, stream); err != nil {
+			return nil, fmt.Errorf("core: sealing layer %d: %w", i, err)
 		}
 	}
+	return buf, nil
+}
+
+// BuildForward produces the Figure 1 message
+// {h_2,[ip_2],{h_3,[ip_3],{D,m}_K3}_K2}_K1 for the given tunnel. hints may
+// be nil (basic mode); with hints it is the §5 optimized form. The
+// returned envelope is addressed to the first hop and owns its Sealed
+// buffer, the one allocation besides the envelope.
+func BuildForward(t *Tunnel, hints []simnet.Addr, dest id.ID, payload []byte, stream *rng.Stream) (*Envelope, error) {
+	var exit [1 + id.Size + binary.MaxVarintLen64]byte
+	exit[0] = layerExit
+	copy(exit[1:], dest[:])
+	n := 1 + id.Size + binary.PutUvarint(exit[1+id.Size:], uint64(len(payload)))
+	buf, err := seal(t, hints, layerRelay, exit[:n], payload, stream)
+	if err != nil {
+		return nil, err
+	}
 	return &Envelope{HopID: t.Hops[0].HopID, Hint: hintAt(hints, 0), Sealed: buf}, nil
+}
+
+// readHop reads what every relay layer and every reply layer ends with:
+// next hopid ‖ hint ‖ inner, and nothing after.
+func readHop(r *wire.Reader) (next id.ID, hint simnet.Addr, inner []byte, err error) {
+	next, hint, inner = r.ID(), simnet.Addr(r.Int64()), r.Blob()
+	return next, hint, inner, r.Done()
 }
 
 // OpenForwardLayerInPlace is the single symmetric operation a hop
@@ -169,10 +180,7 @@ func OpenForwardLayerInPlace(a tha.Anchor, sealed []byte) (ForwardLayer, error) 
 	switch marker := r.Byte(); marker {
 	case layerRelay:
 		var l ForwardLayer
-		l.Next = r.ID()
-		l.NextHint = simnet.Addr(r.Int64())
-		l.Inner = r.Blob()
-		if err := r.Done(); err != nil {
+		if l.Next, l.NextHint, l.Inner, err = readHop(r); err != nil {
 			return ForwardLayer{}, fmt.Errorf("core: relay layer: %w", err)
 		}
 		return l, nil
@@ -276,56 +284,21 @@ const FakeOnionSize = id.Size + 8 + 2 + crypt.Overhead
 // BuildReply constructs the §4 reply tunnel
 // T_r = {hid_1', {hid_2', {hid_3', {bid, fakeonion}_K3'}_K2'}_K1'}:
 // a pre-peeled onion ending at bid, capped with fake padding. hints may be
-// nil for basic mode.
-//
-// Like BuildForward, the onion is assembled in one exactly-sized buffer
-// and sealed layer by layer where it lies. The stream draw order of the
-// nested builder is preserved — fake onion bytes first, then the tail
-// nonce, then each outward layer's nonce — so output stays bit-identical.
+// nil for basic mode. Its layers are relay layers without the marker byte,
+// the tail one naming bid, with no hint, ahead of the fake onion — whose
+// bytes are drawn before the tail nonce, the nested builder's stream order.
 func BuildReply(t *Tunnel, hints []simnet.Addr, bid id.ID, stream *rng.Stream) (*ReplyTunnel, error) {
-	l := t.Length()
-	if l == 0 {
-		return nil, fmt.Errorf("core: cannot build a reply tunnel with no hops")
+	var tail [id.Size + 8 + binary.MaxVarintLen64 + FakeOnionSize]byte
+	copy(tail[:], bid[:])
+	noHint := simnet.NoAddr
+	binary.BigEndian.PutUint64(tail[id.Size:], uint64(noHint))
+	n := id.Size + 8 + binary.PutUvarint(tail[id.Size+8:], FakeOnionSize)
+	stream.Bytes(tail[n : n+FakeOnionSize])
+	onion, err := seal(t, hints, 0, tail[:n+FakeOnionSize], nil, stream)
+	if err != nil {
+		return nil, err
 	}
-	if hints != nil && len(hints) != l {
-		return nil, fmt.Errorf("core: %d hints for %d hops", len(hints), l)
-	}
-
-	// Every reply layer has the same header; only the inner blob widths
-	// differ. Sizes inside-out, offsets outside-in.
-	hdr := func(inner int) int { return id.Size + 8 + uvarintLen(uint64(inner)) }
-	sizes := make([]int, l)
-	sizes[l-1] = hdr(FakeOnionSize) + FakeOnionSize + crypt.Overhead
-	for i := l - 2; i >= 0; i-- {
-		sizes[i] = hdr(sizes[i+1]) + sizes[i+1] + crypt.Overhead
-	}
-	buf := make([]byte, sizes[0])
-	offs := make([]int, l)
-	for i := 1; i < l; i++ {
-		offs[i] = offs[i-1] + crypt.NonceSize + hdr(sizes[i])
-	}
-
-	// Tail layer: bid, no hint, fake onion. The fake bytes are drawn
-	// before the tail nonce, matching the historical stream order.
-	p := buf[offs[l-1]+crypt.NonceSize:]
-	copy(p, bid[:])
-	noHint := int64(simnet.NoAddr)
-	binary.BigEndian.PutUint64(p[id.Size:], uint64(noHint))
-	n := id.Size + 8 + binary.PutUvarint(p[id.Size+8:], uint64(FakeOnionSize))
-	stream.Bytes(p[n : n+FakeOnionSize])
-	if err := t.hopSealer(l-1).SealInPlace(buf[offs[l-1]:offs[l-1]+sizes[l-1]], stream); err != nil {
-		return nil, fmt.Errorf("core: sealing reply tail: %w", err)
-	}
-	for i := l - 2; i >= 0; i-- {
-		p := buf[offs[i]+crypt.NonceSize:]
-		copy(p, t.Hops[i+1].HopID[:])
-		binary.BigEndian.PutUint64(p[id.Size:], uint64(int64(hintAt(hints, i+1))))
-		binary.PutUvarint(p[id.Size+8:], uint64(sizes[i+1]))
-		if err := t.hopSealer(i).SealInPlace(buf[offs[i]:offs[i]+sizes[i]], stream); err != nil {
-			return nil, fmt.Errorf("core: sealing reply layer %d: %w", i, err)
-		}
-	}
-	return &ReplyTunnel{First: t.Hops[0].HopID, FirstHint: hintAt(hints, 0), Onion: buf}, nil
+	return &ReplyTunnel{First: t.Hops[0].HopID, FirstHint: hintAt(hints, 0), Onion: onion}, nil
 }
 
 // OpenReplyLayerInPlace strips one reply-onion layer, yielding the next
@@ -338,11 +311,7 @@ func OpenReplyLayerInPlace(a tha.Anchor, onion []byte) (next id.ID, hint simnet.
 	if err != nil {
 		return id.ID{}, simnet.NoAddr, nil, fmt.Errorf("core: reply hop %s: %w", a.HopID.Short(), err)
 	}
-	r := wire.NewReader(plain)
-	next = r.ID()
-	hint = simnet.Addr(r.Int64())
-	rest = r.Blob()
-	if err := r.Done(); err != nil {
+	if next, hint, rest, err = readHop(wire.NewReader(plain)); err != nil {
 		return id.ID{}, simnet.NoAddr, nil, fmt.Errorf("core: reply layer: %w", err)
 	}
 	return next, hint, rest, nil

@@ -140,7 +140,7 @@ func TestBuildForwardMatchesReference(t *testing.T) {
 
 func TestBuildReplyMatchesReference(t *testing.T) {
 	s := rng.New(82)
-	for _, l := range []int{1, 2, 3, 5, 8} {
+	for _, l := range []int{1, 2, 3, 5, 8, 11} {
 		tun := handTunnel(t, l, s)
 		var bid id.ID
 		s.Bytes(bid[:])

@@ -24,7 +24,6 @@ func newNetSys(t testing.TB, n, k int, seed uint64) *netSys {
 	kernel := simnet.NewKernel()
 	kernel.MaxSteps = 10_000_000
 	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(seed), s.ov.NumAddrs())
-	s.svc.Net = net
 	eng := NewNetEngine(s.svc, net)
 	return &netSys{sys: s, kernel: kernel, net: net, eng: eng}
 }

@@ -344,7 +344,6 @@ func (r *runner) build() error {
 	r.kernel = simnet.NewKernel()
 	r.kernel.MaxSteps = 20_000_000
 	r.net = simnet.NewNetwork(r.kernel, simnet.DefaultLinkModel(sc.Seed), ov.NumAddrs())
-	r.svc.Net = r.net
 	r.eng = core.NewNetEngine(r.svc, r.net)
 	r.eng.EnableReliability(core.Reliability{MaxAttempts: reliabilityBudget})
 	r.eng.DisableAckDedup = r.mut.DisableAckDedup

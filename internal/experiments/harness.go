@@ -69,7 +69,6 @@ func BuildWorldIn(mem *pastry.Scratch, n, k int, stream *rng.Stream) (*World, er
 func (w *World) NewEngine(linkSeed uint64) (*simnet.Kernel, *simnet.Network, *core.NetEngine) {
 	kernel := simnet.NewKernel()
 	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(linkSeed), w.OV.NumAddrs())
-	w.Svc.Net = net
 	return kernel, net, core.NewNetEngine(w.Svc, net)
 }
 

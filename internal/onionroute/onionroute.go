@@ -69,18 +69,19 @@ type Instruction struct {
 	Nonce  uint64
 }
 
-func encodeInstruction(w *wire.Writer, ins Instruction) {
-	w.ID(ins.Anchor.HopID)
-	w.Blob(ins.Anchor.Key[:])
-	w.Blob(ins.Anchor.PWHash[:])
+// AppendInstruction writes an instruction: the anchor record's one wire
+// form (tha.AppendAnchor), then the puzzle nonce. Bootstrap onion layers
+// and DeployViaTunnel's payloads both carry it.
+func AppendInstruction(w *wire.Writer, ins Instruction) {
+	tha.AppendAnchor(w, ins.Anchor)
 	w.Uint64(ins.Nonce)
 }
 
-func decodeInstruction(r *wire.Reader) (Instruction, error) {
-	var ins Instruction
-	ins.Anchor.HopID = r.ID()
-	copy(ins.Anchor.Key[:], r.Blob())
-	copy(ins.Anchor.PWHash[:], r.Blob())
+// ReadInstruction reads what AppendInstruction writes, refusing an anchor
+// whose blobs are not exactly their fields (wire.ErrBlobLen). What follows
+// in r is the caller's.
+func ReadInstruction(r *wire.Reader) (Instruction, error) {
+	ins := Instruction{Anchor: tha.ReadAnchor(r)}
 	ins.Nonce = r.Uint64()
 	return ins, r.Err()
 }
@@ -138,7 +139,7 @@ func BuildOnion(pki *PKI, path []pastry.NodeRef, instrs []Instruction, stream *r
 	var inner []byte
 	for i := len(path) - 1; i >= 0; i-- {
 		w := wire.NewWriter(tha.WireSize + 64 + len(inner))
-		encodeInstruction(w, instrs[i])
+		AppendInstruction(w, instrs[i])
 		if i == len(path)-1 {
 			w.Int64(int64(simnet.NoAddr))
 		} else {
@@ -181,7 +182,7 @@ func Execute(onion []byte, first simnet.Addr, ov *pastry.Overlay, dir *tha.Direc
 			return done, fmt.Errorf("onionroute: relay %d cannot open layer: %w", addr, err)
 		}
 		r := wire.NewReader(plain)
-		ins, err := decodeInstruction(r)
+		ins, err := ReadInstruction(r)
 		if err != nil {
 			return done, fmt.Errorf("onionroute: relay %d: malformed instruction: %w", addr, err)
 		}

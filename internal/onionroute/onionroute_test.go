@@ -4,10 +4,13 @@ import (
 	"errors"
 	"testing"
 
+	"tap/internal/crypt"
 	"tap/internal/past"
 	"tap/internal/pastry"
 	"tap/internal/rng"
+	"tap/internal/simnet"
 	"tap/internal/tha"
+	"tap/internal/wire"
 )
 
 func setup(t testing.TB, n int, seed uint64) (*pastry.Overlay, *tha.Directory, *PKI, *rng.Stream) {
@@ -228,6 +231,58 @@ func TestDeployWithPuzzleCharge(t *testing.T) {
 	for _, sec := range secrets {
 		if !dir.Available(sec.HopID) {
 			t.Fatalf("paid anchor missing")
+		}
+	}
+}
+
+func TestInstructionRoundTrip(t *testing.T) {
+	instrs, _ := genInstrs(t, 1, 19)
+	ins := Instruction{Anchor: instrs[0].Anchor, Nonce: 0xfeedface}
+	w := wire.NewWriter(0)
+	AppendInstruction(w, ins)
+	r := wire.NewReader(w.Bytes())
+	got, err := ReadInstruction(r)
+	if err != nil || r.Done() != nil {
+		t.Fatalf("round trip: %v, %v", err, r.Done())
+	}
+	if got.Anchor != ins.Anchor || got.Nonce != ins.Nonce {
+		t.Fatalf("instruction round trip mismatch")
+	}
+	if _, err := ReadInstruction(wire.NewReader([]byte("short"))); err == nil {
+		t.Fatalf("short instruction accepted")
+	}
+}
+
+// TestExecuteRefusesInexactAnchorBlobs: a relay deploys only an anchor
+// whose key and hash blobs are exactly their fields. A key blob a byte
+// short must not install the zero-padded key, nor a long one a truncated
+// key.
+func TestExecuteRefusesInexactAnchorBlobs(t *testing.T) {
+	ov, dir, pki, s := setup(t, 100, 20)
+	instrs, secrets := genInstrs(t, 1, 21)
+	a := instrs[0].Anchor
+	relay := ov.RandomLive(s).Ref().Addr
+	for name, blobs := range map[string][2][]byte{
+		"short key":  {a.Key[1:], a.PWHash[:]},
+		"long key":   {append(a.Key[:], 0), a.PWHash[:]},
+		"short hash": {a.Key[:], a.PWHash[1:]},
+	} {
+		w := wire.NewWriter(128)
+		w.ID(a.HopID)
+		w.Blob(blobs[0])
+		w.Blob(blobs[1])
+		w.Uint64(0)
+		w.Int64(int64(simnet.NoAddr))
+		w.Blob(nil)
+		onion, err := crypt.BoxSeal(pki.PublicOf(relay), s, w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Execute(onion, relay, ov, dir, pki); !errors.Is(err, wire.ErrBlobLen) {
+			t.Errorf("%s: err = %v, want wire.ErrBlobLen", name, err)
+		}
+		if dir.Available(secrets[0].HopID) {
+			t.Fatalf("%s: anchor deployed", name)
 		}
 	}
 }

@@ -74,9 +74,7 @@ func (Codec) AppendEncode(dst []byte, msg transport.Message) (byte, []byte, erro
 	w := wire.NewWriterOn(dst)
 	switch m := msg.(type) {
 	case *AnchorMsg:
-		w.ID(m.Anchor.HopID)
-		w.Blob(m.Anchor.Key[:])
-		w.Blob(m.Anchor.PWHash[:])
+		tha.AppendAnchor(w, m.Anchor)
 		return kindAnchor, w.Bytes(), nil
 	case *AnchorAck:
 		w.ID(m.HopID)
@@ -117,37 +115,20 @@ func (c Codec) Encode(msg transport.Message) (byte, []byte, error) {
 // enters.
 var errPad = errors.New("pad exceeds the frame limit")
 
-// errBlobLen refuses a key or hash blob that is not exactly its field:
-// copying what arrived would zero-pad a short one or truncate a long one
-// into a key nobody chose.
-var errBlobLen = errors.New("key blob of the wrong length")
-
-// fixedBlob reads a blob into dst and reports whether it was dst's length
-// exactly, in its shortest encoding (a one-byte prefix: these fields are
-// under 128 bytes), so that what decodes has one encoding.
-func fixedBlob(r *wire.Reader, dst []byte) bool {
-	before := r.Remaining()
-	b := r.Blob()
-	copy(dst, b)
-	return len(b) == len(dst) && before-r.Remaining() == 1+len(dst)
-}
+// errBlobLen is the refusal of a key or hash blob that is not exactly its
+// field.
+var errBlobLen = wire.ErrBlobLen
 
 // Decode implements tcptransport.Codec.
 func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 	r := wire.NewReader(payload)
 	switch kind {
 	case kindAnchor:
-		var m AnchorMsg
-		m.Anchor.HopID = r.ID()
-		keyOK := fixedBlob(r, m.Anchor.Key[:])
-		hashOK := fixedBlob(r, m.Anchor.PWHash[:])
+		m := &AnchorMsg{Anchor: tha.ReadAnchor(r)}
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: anchor: %w", err)
 		}
-		if !keyOK || !hashOK {
-			return nil, fmt.Errorf("procnode: anchor: %w", errBlobLen)
-		}
-		return &m, nil
+		return m, nil
 	case kindAnchorAck:
 		m := &AnchorAck{HopID: r.ID()}
 		if err := r.Done(); err != nil {

@@ -67,7 +67,6 @@ func TestOneHopStepAcrossEngines(t *testing.T) {
 	svc := core.NewService(ov, dir, root.Split("svc"))
 	kernel := simnet.NewKernel()
 	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(77), ov.NumAddrs())
-	svc.Net = net
 	eng := core.NewNetEngine(svc, net)
 
 	in, err := core.NewInitiator(svc, ov.RandomLive(root.Split("pick")), root.Split("init"))

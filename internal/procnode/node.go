@@ -361,14 +361,10 @@ func (n *Node) handleExitPayload(payload []byte) {
 	seq := r.Uint32()
 	fin := r.Byte()
 	var key crypt.Key
-	keyOK := fixedBlob(r, key[:])
+	r.FixedBlob(key[:])
 	rtEnc := r.Blob() // DecodeReplyTunnel copies the onion it keeps
 	chunk := r.Blob()
-	err := r.Done()
-	if err == nil && !keyOK {
-		err = errBlobLen
-	}
-	if err != nil {
+	if err := r.Done(); err != nil {
 		n.logf("procnode %d: bad exit payload: %v", n.Addr, err)
 		return
 	}

@@ -24,6 +24,7 @@ import (
 	"tap/internal/past"
 	"tap/internal/pastry"
 	"tap/internal/simnet"
+	"tap/internal/wire"
 )
 
 // Anchor is the stored THA record <hopid, K, H(PW)>.
@@ -80,6 +81,23 @@ func (a Anchor) Sealer() *crypt.Sealer {
 // WireSize is the encoded anchor size used for network-cost accounting
 // (hopid + key + password hash).
 const WireSize = id.Size + crypt.KeySize + 32
+
+// AppendAnchor writes the record's one wire form: hopid ‖ key blob ‖ hash
+// blob. The sealer cell is node-local and never written.
+func AppendAnchor(w *wire.Writer, a Anchor) {
+	w.ID(a.HopID)
+	w.Blob(a.Key[:])
+	w.Blob(a.PWHash[:])
+}
+
+// ReadAnchor reads what AppendAnchor writes. A key or hash blob that is not
+// exactly its field fails r with wire.ErrBlobLen.
+func ReadAnchor(r *wire.Reader) (a Anchor) {
+	a.HopID = r.ID()
+	r.FixedBlob(a.Key[:])
+	r.FixedBlob(a.PWHash[:])
+	return a
+}
 
 // Secret is the owner's view of an anchor: the record plus the deletion
 // password. Secrets never leave the initiator.

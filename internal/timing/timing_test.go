@@ -36,7 +36,6 @@ func newSys(t testing.TB, n int, seed uint64) *sys {
 	kernel := simnet.NewKernel()
 	kernel.MaxSteps = 10_000_000
 	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(seed), ov.NumAddrs())
-	svc.Net = net
 	eng := core.NewNetEngine(svc, net)
 	return &sys{ov: ov, dir: dir, svc: svc, kernel: kernel, net: net, eng: eng, root: root}
 }

@@ -24,6 +24,9 @@ var ErrShort = errors.New("wire: buffer too short")
 // sign of corruption.
 var ErrOversize = errors.New("wire: length prefix exceeds buffer")
 
+// ErrBlobLen reports a fixed-length field whose blob is not that length.
+var ErrBlobLen = errors.New("wire: blob is not its field's length")
+
 // Writer accumulates an encoded message.
 type Writer struct {
 	buf []byte
@@ -179,6 +182,19 @@ func (r *Reader) Blob() []byte {
 	}
 	r.off += n
 	return r.take(int(v))
+}
+
+// FixedBlob reads a blob into dst, failing with ErrBlobLen unless it was
+// exactly dst's length in its one-byte-prefix form (fixed fields are under
+// 128 bytes): a fixed field — a key, a hash — decodes from one encoding
+// only, and is never a short one zero-padded or a long one truncated.
+func (r *Reader) FixedBlob(dst []byte) {
+	before := r.Remaining()
+	b := r.Blob()
+	if r.err == nil && (len(b) != len(dst) || before-r.Remaining() != 1+len(dst)) {
+		r.fail(ErrBlobLen)
+	}
+	copy(dst, b)
 }
 
 // String reads a Blob as a string (copying).

@@ -138,7 +138,6 @@ func New(opts Options) (*Network, error) {
 		n.kernel = simnet.NewKernel()
 		n.kernel.MaxSteps = 50_000_000
 		n.simnet = simnet.NewNetwork(n.kernel, simnet.DefaultLinkModel(opts.Seed), ov.NumAddrs())
-		svc.Net = n.simnet
 		n.eng = core.NewNetEngine(svc, n.simnet)
 	}
 	return n, nil
