@@ -22,7 +22,7 @@ type FixedTunnel struct {
 	// tunnel carries the baseline's onion: hop i is named by Relays[i].ID,
 	// keyed with the key established with that relay, and hinted with its
 	// address. Each hop's anchor holds a key-schedule cell, so a round trip
-	// derives a relay's subkeys once, at the build.
+	// derives a relay's key schedule once, at the build.
 	tunnel Tunnel
 }
 

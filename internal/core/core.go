@@ -110,7 +110,7 @@ func Form(pool []tha.Secret, l int, b int, stream *rng.Stream) (*Tunnel, error) 
 	}
 	// Hop key schedules are derived lazily by hopSealer on the first
 	// build: many formed tunnels (availability experiments) never carry a
-	// message, and must not pay AES/HMAC setup.
+	// message, and must not pay AES-GCM setup.
 	return &Tunnel{Hops: hops}, nil
 }
 

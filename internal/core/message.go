@@ -168,7 +168,7 @@ func readHop(r *wire.Reader) (next id.ID, hint simnet.Addr, inner []byte, err er
 // OpenForwardLayerInPlace is the single symmetric operation a hop
 // performs: strip one layer with the anchor key and reveal either the next
 // hop or the exit. It decrypts sealed where it lies, using the anchor's
-// cached key schedule: one MAC pass, one cipher pass, zero copies. The
+// cached key schedule: one AEAD pass, zero copies. The
 // returned layer aliases sealed — the caller must own the buffer (every
 // relay does, DESIGN §9) and must not treat it as ciphertext afterwards.
 func OpenForwardLayerInPlace(a tha.Anchor, sealed []byte) (ForwardLayer, error) {

@@ -168,6 +168,73 @@ func TestBuildReplyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLayerNoncesNeverRepeatPerHop guards the rule AES-GCM rests on
+// (DESIGN §9): no hop key seals two layers under one nonce, forward and
+// reply traffic together. One tunnel and one rng stream build forward
+// messages and reply tunnels in turn; every layer is peeled with its
+// hop's anchor, and the nonce it arrived under is recorded against the
+// hopid.
+func TestLayerNoncesNeverRepeatPerHop(t *testing.T) {
+	const builds = 10_000
+	s := rng.New(85)
+	tun := handTunnel(t, 3, s)
+	stream := s.Split("onions")
+	var dest, bid id.ID
+	s.Bytes(dest[:])
+	s.Bytes(bid[:])
+
+	type use struct {
+		hop   id.ID
+		nonce [crypt.NonceSize]byte
+	}
+	seen := make(map[use]int, 2*builds*tun.Length())
+	record := func(build int, hop id.ID, sealed []byte) {
+		t.Helper()
+		u := use{hop: hop}
+		copy(u.nonce[:], sealed)
+		if first, dup := seen[u]; dup {
+			t.Fatalf("hop %s sealed build %d under build %d's nonce %x", hop.Short(), build, first, u.nonce)
+		}
+		seen[u] = build
+	}
+	for i := 0; i < builds; i++ {
+		env, err := BuildForward(tun, nil, dest, []byte("nonce probe"), stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h, hop := range tun.Hops {
+			if env.HopID != hop.HopID {
+				t.Fatalf("build %d: forward layer %d addressed to %s", i, h, env.HopID.Short())
+			}
+			record(i, hop.HopID, env.Sealed)
+			if _, err := env.Peel(hop.Anchor); err != nil {
+				t.Fatalf("build %d: forward layer %d: %v", i, h, err)
+			}
+		}
+
+		rt, err := BuildReply(tun, nil, bid, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renv := &ReplyEnvelope{Target: rt.First, Onion: rt.Onion}
+		for h, hop := range tun.Hops {
+			if renv.Target != hop.HopID {
+				t.Fatalf("build %d: reply layer %d addressed to %s", i, h, renv.Target.Short())
+			}
+			record(i, hop.HopID, renv.Onion)
+			if err := renv.Peel(hop.Anchor); err != nil {
+				t.Fatalf("build %d: reply layer %d: %v", i, h, err)
+			}
+		}
+		if renv.Target != bid {
+			t.Fatalf("build %d: reply tunnel ends at %s, want the bid", i, renv.Target.Short())
+		}
+	}
+	if want := 2 * builds * tun.Length(); len(seen) != want {
+		t.Fatalf("%d (hopid, nonce) pairs recorded, want %d", len(seen), want)
+	}
+}
+
 // TestDeliverLeavesEnvelopeIntact pins the retransmit contract: the
 // walker peels on its own copy, so delivering the same envelope twice
 // works and the envelope bytes never change.

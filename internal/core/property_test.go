@@ -126,7 +126,7 @@ func TestPropLayerKeysNonInterchangeable(t *testing.T) {
 }
 
 // Property: corrupting any single byte of a forward envelope's sealed
-// body makes the first hop reject it (encrypt-then-MAC integrity).
+// body makes the first hop reject it (AES-GCM integrity).
 func TestPropTamperAlwaysDetected(t *testing.T) {
 	stream := rng.New(7)
 	tun := &Tunnel{Hops: makeHops(stream, 3)}

@@ -4,13 +4,20 @@
 // bootstrap assumes, password hashing for THA ownership proofs, and
 // CPU-payment puzzles for THA-flood defense.
 //
-// Everything is built from the Go standard library: AES-CTR with an
-// HMAC-SHA256 tag for sealed layers (encrypt-then-MAC), X25519 for boxes,
-// SHA-256 for passwords, and a hashcash-style partial-preimage puzzle.
-// The paper's results do not depend on cipher choice ("the overhead
-// introduced by symmetric encryption/decryption in tunneling is
-// negligible"); what matters is that each hop performs exactly one
-// symmetric operation per message, which the layer format preserves.
+// Everything is built from the Go standard library: AES-128-GCM with a
+// 16-byte random nonce for sealed layers (one AEAD pass encrypts and
+// authenticates), X25519 for boxes, SHA-256 for passwords, and a
+// hashcash-style partial-preimage puzzle. The paper's results do not
+// depend on cipher choice ("the overhead introduced by symmetric
+// encryption/decryption in tunneling is negligible"); what matters is
+// that each hop performs exactly one symmetric operation per message,
+// which the layer format preserves.
+//
+// GCM's security rests on never sealing two messages under one key with
+// one nonce. Every nonce is drawn fresh — from crypto/rand in deployment,
+// from the initiator's own rng stream in simulation — and every key is
+// one tunnel hop's or one stream's, so a key seals far fewer than the
+// 2³² messages NIST SP 800-38D allows under random nonces.
 package crypt
 
 import (
@@ -24,10 +31,12 @@ import (
 // KeySize is the symmetric key length in bytes (AES-128).
 const KeySize = 16
 
-// nonceSize is the CTR IV length.
+// nonceSize is the GCM nonce length: a full block rather than GCM's
+// standard 12 bytes, because the simulator goldens fix every layer's
+// wire size and nonce draw at 16 bytes.
 const nonceSize = aes.BlockSize
 
-// tagSize is the truncated HMAC-SHA256 tag length.
+// tagSize is the GCM authentication tag length, untruncated.
 const tagSize = 16
 
 // Overhead is the ciphertext expansion of one Seal: nonce plus tag. Layer
@@ -61,16 +70,15 @@ var ErrAuth = errors.New("crypt: message authentication failed")
 // nonce and tag.
 var ErrTruncated = errors.New("crypt: sealed blob truncated")
 
-// subkeys derives independent encryption and MAC keys from k, so the same
-// anchor key can safely drive both AES and HMAC: enc and mac are
-// HMAC-SHA256(k, "tap.layer.enc") and HMAC-SHA256(k, "tap.layer.mac"), enc
-// truncated to its 16 bytes. Both are computed by HMAC's definition,
+// layerKey derives the AES-128-GCM key from k: HMAC-SHA256(k,
+// "tap.layer.enc") truncated to 16 bytes, so the layer cipher never runs
+// under the anchor key itself. It is computed by HMAC's definition,
 // H((k ^ opad) || H((k ^ ipad) || label)), on stack arrays: a schedule is
 // derived per anchor, per stream and per crypt.Seal call, and hmac.New
 // would put two hash states and two pad buffers on the heap for each.
-func subkeys(k Key) (enc [16]byte, mac [32]byte) {
-	const label = len("tap.layer.enc")
-	var inner [sha256.BlockSize + label]byte
+func layerKey(k Key) [16]byte {
+	const label = "tap.layer.enc"
+	var inner [sha256.BlockSize + len(label)]byte
 	var outer [sha256.BlockSize + sha256.Size]byte
 	for i := 0; i < sha256.BlockSize; i++ {
 		inner[i], outer[i] = 0x36, 0x5c
@@ -79,20 +87,15 @@ func subkeys(k Key) (enc [16]byte, mac [32]byte) {
 		inner[i] ^= b
 		outer[i] ^= b
 	}
-	derive := func(what string) [sha256.Size]byte {
-		copy(inner[sha256.BlockSize:], what)
-		sum := sha256.Sum256(inner[:])
-		copy(outer[sha256.BlockSize:], sum[:])
-		return sha256.Sum256(outer[:])
-	}
-	full := derive("tap.layer.enc")
-	copy(enc[:], full[:])
-	mac = derive("tap.layer.mac")
-	return
+	copy(inner[sha256.BlockSize:], label)
+	sum := sha256.Sum256(inner[:])
+	copy(outer[sha256.BlockSize:], sum[:])
+	full := sha256.Sum256(outer[:])
+	return [16]byte(full[:16])
 }
 
-// Seal encrypts plaintext under k with a nonce drawn from r and appends an
-// authentication tag: output is nonce || AES-CTR(ciphertext) || tag.
+// Seal encrypts and authenticates plaintext under k with a nonce drawn
+// from r: output is nonce || AES-GCM ciphertext || tag.
 //
 // Seal derives k's schedule on every call; hot paths that reuse a key
 // should hold a Sealer and call SealTo, which emits bit-identical output.

@@ -5,7 +5,7 @@
 //
 // Two facts shape what detection can and cannot do:
 //
-//   - Layers are authenticated (encrypt-then-MAC), so a misbehaving hop
+//   - Layers are authenticated (AES-GCM), so a misbehaving hop
 //     cannot modify traffic undetectably — it can only *drop* it. Drops
 //     are observable end-to-end: the initiator probes its own tunnel by
 //     sending itself a nonce through it and waiting for the echo.

@@ -35,7 +35,7 @@ type Mutations struct {
 	CorruptLeaf bool
 	// DropOnionLayer builds each forward message with one onion layer
 	// missing (the envelope is addressed to hop 0 but sealed for hop 1):
-	// the MAC fails at the first hop, every retransmission dies the same
+	// the tag fails at the first hop, every retransmission dies the same
 	// way, and the tunnel-liveness invariant must notice a functional
 	// tunnel that stopped delivering.
 	DropOnionLayer bool

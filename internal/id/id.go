@@ -289,11 +289,10 @@ func (a ID) CommonPrefixDigits(b2 ID, b int) int {
 
 // BetweenIncl reports whether x lies on the clockwise arc from lo to hi,
 // inclusive of both endpoints. When lo == hi the arc is the single point.
-func BetweenIncl(lo, hi, x ID) bool {
-	cl := lo.Cmp(hi)
-	if cl <= 0 {
-		return lo.Cmp(x) <= 0 && x.Cmp(hi) <= 0
-	}
-	// The arc wraps around zero.
-	return lo.Cmp(x) <= 0 || x.Cmp(hi) <= 0
+// Measured clockwise from lo, x is on the arc when it is no farther than
+// hi, which holds whether or not the arc wraps around zero. It takes
+// pointers for RingDist's reason: Pastry asks it at every overlay hop.
+func BetweenIncl(lo, hi, x *ID) bool {
+	l := limbs(lo)
+	return !limbs(hi).sub(l).Less(limbs(x).sub(l))
 }

@@ -197,26 +197,85 @@ func TestCheckBasePanics(t *testing.T) {
 	NumDigits(3)
 }
 
+// between is BetweenIncl on values, for readable cases.
+func between(lo, hi, x ID) bool { return BetweenIncl(&lo, &hi, &x) }
+
 func TestBetweenIncl(t *testing.T) {
 	lo, hi := FromUint64(10), FromUint64(20)
-	if !BetweenIncl(lo, hi, FromUint64(10)) || !BetweenIncl(lo, hi, FromUint64(20)) {
+	if !between(lo, hi, FromUint64(10)) || !between(lo, hi, FromUint64(20)) {
 		t.Fatalf("endpoints must be included")
 	}
-	if !BetweenIncl(lo, hi, FromUint64(15)) {
+	if !between(lo, hi, FromUint64(15)) {
 		t.Fatalf("interior point excluded")
 	}
-	if BetweenIncl(lo, hi, FromUint64(25)) {
+	if between(lo, hi, FromUint64(25)) {
 		t.Fatalf("exterior point included")
 	}
 	// Wrapped arc.
-	if !BetweenIncl(hi, lo, FromUint64(25)) {
+	if !between(hi, lo, FromUint64(25)) {
 		t.Fatalf("wrapped arc should include 25")
 	}
-	if !BetweenIncl(hi, lo, FromUint64(5)) {
+	if !between(hi, lo, FromUint64(5)) {
 		t.Fatalf("wrapped arc should include 5")
 	}
-	if BetweenIncl(hi, lo, FromUint64(15)) {
+	if between(hi, lo, FromUint64(15)) {
 		t.Fatalf("wrapped arc should exclude 15")
+	}
+}
+
+// refBetweenIncl is BetweenIncl as it stood before it moved onto limbs:
+// byte-wise Cmp, with the wrapped arc as its own case.
+func refBetweenIncl(lo, hi, x ID) bool {
+	if lo.Cmp(hi) <= 0 {
+		return lo.Cmp(x) <= 0 && x.Cmp(hi) <= 0
+	}
+	return lo.Cmp(x) <= 0 || x.Cmp(hi) <= 0
+}
+
+func TestBetweenInclMatchesByteReference(t *testing.T) {
+	agrees := func(lo, hi, x ID) bool {
+		for _, p := range [][3]ID{{lo, hi, x}, {hi, lo, x}} {
+			if got, want := between(p[0], p[1], p[2]), refBetweenIncl(p[0], p[1], p[2]); got != want {
+				t.Errorf("BetweenIncl(%s, %s, %s) = %v, want %v", p[0], p[1], p[2], got, want)
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 100_000, Rand: rand.New(rand.NewSource(49))}
+	if err := quick.Check(agrees, cfg); err != nil {
+		t.Fatal(err)
+	}
+	one := FromUint64(1)
+	h := Hash([]byte("between"))
+	mid := MustParse("0000000100000000000000000000000000000000") // lowest bit of the top limb
+	cases := []struct {
+		name      string
+		lo, hi, x ID
+	}{
+		{"x at lo", one, h, one},
+		{"x at hi", one, h, h},
+		{"just below lo", h, h.Add(mid), h.Sub(one)},
+		{"just above hi", h, h.Add(mid), h.Add(mid).Add(one)},
+		{"lo == hi == x", h, h, h},
+		{"lo == hi, x beside", h, h, h.Add(one)},
+		{"wrap, x past zero", Max.Sub(mid), mid, one},
+		{"wrap, x before zero", Max.Sub(mid), mid, Max},
+		{"wrap, x outside", Max.Sub(mid), mid, h},
+		{"wrap, x at Zero", Max, one, Zero},
+		{"Zero to Max, x anywhere", Zero, Max, h},
+		{"Max to Zero, x between", Max, Zero, h},
+		{"Max to Zero, x at Max", Max, Zero, Max},
+		{"Zero alone", Zero, Zero, Zero},
+		{"Max alone, x Zero", Max, Max, Zero},
+		{"differ only in the top limb", Zero, mid, mid.Sub(one)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			agrees(c.lo, c.hi, c.x)
+			agrees(c.lo, c.x, c.hi)
+			agrees(c.x, c.hi, c.lo)
+		})
 	}
 }
 

@@ -78,7 +78,7 @@ func TestDigitRangeMembership(t *testing.T) {
 			m[j] = byte(rng.Intn(256))
 		}
 		m = m.PrefixFloor((row + 1) * 4).Add(m.Sub(m.PrefixFloor((row + 1) * 4)))
-		if !BetweenIncl(lo, hi, m) {
+		if !BetweenIncl(&lo, &hi, &m) {
 			continue // construction above may overflow; skip rare cases
 		}
 		if m.CommonPrefixDigits(a, 4) < row {

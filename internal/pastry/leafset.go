@@ -94,9 +94,7 @@ func (l *LeafSet) Covers(key id.ID) bool {
 		// The overlay has at most L nodes: the leaf set is the whole ring.
 		return true
 	}
-	lo := l.smaller[len(l.smaller)-1].ID
-	hi := l.larger[len(l.larger)-1].ID
-	return id.BetweenIncl(lo, hi, key)
+	return id.BetweenIncl(&l.smaller[len(l.smaller)-1].ID, &l.larger[len(l.larger)-1].ID, &key)
 }
 
 // Span returns the length of the arc the leaf set spans — from the

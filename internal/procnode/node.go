@@ -146,8 +146,8 @@ func (n *Node) installAnchor(a tha.Anchor) bool {
 // peelAnchor returns the anchor to open one layer addressed to hopID
 // with. The first layer an anchor peels uses a throwaway key schedule and
 // the held copy starts caching one at the second: a tunnel that carries
-// one message (tunnel formation, a probe) then never pins the ~1.2 KiB of
-// AES/HMAC state behind its ~80-byte record — nothing here evicts
+// one message (tunnel formation, a probe) then never pins the ~1.3 KiB of
+// AES-GCM state behind its ~80-byte record — nothing here evicts
 // anchors, so retaining at install would make the anchor flood the
 // paper's puzzle prices a 15-fold memory amplifier — while a stream pays
 // the derivation twice and never again.

@@ -35,14 +35,14 @@ type Anchor struct {
 
 	// sealer, when non-nil, caches the layer-crypto key schedule for Key:
 	// every copy of the record made from this one — anchors are passed by
-	// value — shares the cell, so a hop node pays the subkey derivation
+	// value — shares the cell, so a hop node pays the key derivation
 	// once per anchor, not once per message. Only WithSealerCache installs
 	// a cell. The simulator's Deploy does so for every stored record; an
 	// anchor decoded off a socket or built by Generate has none until its
 	// holder asks for one. The schedule itself is derived lazily on first
 	// use: most deployed anchors never seal a message (availability and
 	// corruption experiments deploy hundreds of thousands), so installing
-	// a cell must not pay AES/HMAC setup. It is node-local state, never
+	// a cell must not pay AES-GCM setup. It is node-local state, never
 	// serialized: WireSize excludes it. Like the rest of the relay state
 	// it assumes single-goroutine use.
 	sealer *sealerCell
@@ -55,7 +55,7 @@ type sealerCell struct{ s *crypt.Sealer }
 // key-schedule cell: the first Sealer call on it, or on any copy of it,
 // derives the schedule and every later call reuses it. A holder that
 // expects an anchor to process many messages stores this copy; one that
-// does not keeps the bare record and its ~1.2 KiB of AES/HMAC state
+// does not keeps the bare record and its ~1.3 KiB of AES-GCM state
 // unallocated.
 func (a Anchor) WithSealerCache() Anchor {
 	a.sealer = &sealerCell{}
@@ -65,8 +65,8 @@ func (a Anchor) WithSealerCache() Anchor {
 // Sealer returns the anchor's key schedule. On a record from
 // WithSealerCache it is derived on first use and cached; on a bare
 // record — everything Generate mints and everything a node decodes off
-// the wire — every call derives a fresh throwaway schedule (HKDF
-// subkeys, AES expansion, HMAC keying), which is the right price for one
+// the wire — every call derives a fresh throwaway schedule (the layer
+// key, AES expansion, GHASH tables), which is the right price for one
 // message and the wrong one for a stream.
 func (a Anchor) Sealer() *crypt.Sealer {
 	if a.sealer != nil {
