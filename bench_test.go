@@ -548,10 +548,11 @@ func BenchmarkLayeredPeel(b *testing.B) {
 
 // BenchmarkPoolProbeCycle measures one full TunnelPool probe round on a
 // healthy 3-tunnel pool, driven to quiescence on the simulated clock:
-// three echo envelopes built and walked end to end, ACK bookkeeping, and
-// the health accounting on their return. This is the pool's steady-state
-// background cost per probe interval; the alloc-regression gate watches it
-// so probing stays cheap enough to run continuously.
+// three echo messages sealed and walked end to end, each a one-segment
+// stream with its ACK and timer, and the health accounting on their
+// return. This is the pool's steady-state background cost per probe
+// interval; the alloc-regression gate watches it so probing stays cheap
+// enough to run continuously.
 func BenchmarkPoolProbeCycle(b *testing.B) {
 	root := rng.New(1)
 	w, err := experiments.BuildWorld(200, 3, root.Split("world"))
@@ -562,7 +563,6 @@ func BenchmarkPoolProbeCycle(b *testing.B) {
 	kernel.MaxSteps = 0
 	net := simnet.NewNetwork(kernel, simnet.DefaultLinkModel(root.Seed()), w.OV.NumAddrs())
 	eng := core.NewNetEngine(w.Svc, net)
-	eng.EnableReliability(core.Reliability{MaxAttempts: 3})
 	node := w.OV.RandomLive(root.Split("pick"))
 	in, err := core.NewInitiator(w.Svc, node, root.Split("init"))
 	if err != nil {

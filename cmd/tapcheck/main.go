@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -55,9 +56,7 @@ func main() {
 		shrinkN  = flag.Int("shrink-budget", dst.DefaultShrinkRuns, "max replays the shrinker may spend per violation")
 		traceDir = flag.String("trace-dir", "", "write one <profile>-seed<N>.json trace per violation into this directory")
 		verbose  = flag.Bool("v", false, "log every seed, not just violations")
-		mutate   = flag.String("mutate", "", "plant a known bug to exercise the violation path: "+
-			"skip-migration|corrupt-leaf|drop-onion-layer|leak-payload|disable-ack-dedup|"+
-			"stall-rebuild|uncapped-rebuild|stream-reorder-bypass|stream-window-bypass")
+		mutate   = flag.String("mutate", "", "plant a known bug to exercise the violation path: "+plantNames())
 	)
 	flag.Parse()
 
@@ -193,32 +192,25 @@ func check(j job, mut dst.Mutations, shrinkBudget int) finding {
 	return f
 }
 
-func parseMutation(s string) (dst.Mutations, error) {
-	var m dst.Mutations
-	switch s {
-	case "":
-	case "skip-migration":
-		m.SkipMigration = true
-	case "corrupt-leaf":
-		m.CorruptLeaf = true
-	case "drop-onion-layer":
-		m.DropOnionLayer = true
-	case "leak-payload":
-		m.LeakPayload = true
-	case "disable-ack-dedup":
-		m.DisableAckDedup = true
-	case "stall-rebuild":
-		m.StallRebuild = true
-	case "uncapped-rebuild":
-		m.UncappedRebuild = true
-	case "stream-reorder-bypass":
-		m.StreamReorderBypass = true
-	case "stream-window-bypass":
-		m.StreamWindowBypass = true
-	default:
-		return m, fmt.Errorf("unknown mutation %q", s)
+// plantNames lists every -mutate value, from dst's one plant table.
+func plantNames() string {
+	names := make([]string, len(dst.Plants))
+	for i, p := range dst.Plants {
+		names[i] = p.Name
 	}
-	return m, nil
+	return strings.Join(names, "|")
+}
+
+func parseMutation(s string) (dst.Mutations, error) {
+	if s == "" {
+		return dst.Mutations{}, nil
+	}
+	for _, p := range dst.Plants {
+		if p.Name == s {
+			return p.Mutations, nil
+		}
+	}
+	return dst.Mutations{}, fmt.Errorf("unknown mutation %q (%s)", s, plantNames())
 }
 
 func parseProfiles(s string) ([]dst.Profile, error) {

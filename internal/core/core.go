@@ -190,7 +190,7 @@ func NewService(ov *pastry.Overlay, dir *tha.Directory, stream *rng.Stream) *Ser
 // address hints ("The initiator can maintain a cache of the mappings
 // between a tunnel hop hopid and the IP address of its tunnel hop node, and
 // it can periodically refresh the cache") and the retransmit backoff the
-// tunnel has earned (reliable.go). Over a real transport a background
+// tunnel has earned (stream.go). Over a real transport a background
 // refresher, application goroutines opening streams and the engine's event
 // loop touch it from different goroutines, so it carries the lock. (On the
 // simulator everything runs on one loop and the lock is uncontended.)
@@ -210,6 +210,26 @@ func (t *Tunnel) linked() *tunnelLink {
 		t.link = &tunnelLink{}
 	}
 	return t.link
+}
+
+// loadRTO returns the tunnel's remembered backed-off timeout (zero: none).
+// Every stream over a tunnel — a reliable message included — starts from
+// it and feeds it, so a send over a tunnel that just proved lossy inherits
+// the backoff instead of resetting it.
+func (t *Tunnel) loadRTO() simnet.Time {
+	l := t.linked()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.rto
+}
+
+// storeRTO records a backed-off timeout observed on the tunnel; zero
+// forgets it.
+func (t *Tunnel) storeRTO(rto simnet.Time) {
+	l := t.linked()
+	l.mu.Lock()
+	l.rto = rto
+	l.mu.Unlock()
 }
 
 // RefreshHints resolves the current hop node of every hop in the tunnel and

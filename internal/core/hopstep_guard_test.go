@@ -21,7 +21,7 @@ import (
 // file under internal/ or cmd/ may call its parts. The build step — lay
 // out and seal an onion — is message.go's too: no other non-test core
 // file names a layer marker or seals in place. And the relay path is
-// node-local: netdeliver.go, stream.go and reliable.go reach the overlay
+// node-local: netdeliver.go and stream.go reach the overlay
 // and the anchor directory (svc.OV, svc.Dir) only where NewNetEngine
 // attaches its handlers; everything else asks Service.routeAt, holds and
 // anchorAt.
@@ -29,7 +29,7 @@ func TestOneHopStepOneWorldSeam(t *testing.T) {
 	stepParts := map[string]bool{"PadToMatch": true, "OpenForwardLayerInPlace": true, "OpenReplyLayerInPlace": true}
 	buildParts := map[string]bool{"SealInPlace": true, "SealInPlaceFrom": true}
 	layerMarkers := map[string]bool{"layerRelay": true, "layerExit": true}
-	nodeLocal := map[string]bool{"netdeliver.go": true, "stream.go": true, "reliable.go": true}
+	nodeLocal := map[string]bool{"netdeliver.go": true, "stream.go": true}
 	self, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
@@ -98,36 +98,67 @@ func TestOneHopStepOneWorldSeam(t *testing.T) {
 	}
 }
 
-// TestTunnelStateStaysOnTheTunnel statically audits that what an initiator
-// learns about one tunnel — hints, backoff — lives on that Tunnel's link
-// and nowhere else: NetEngine declares no lock and no table keyed by an id
-// (a hopid-keyed map is tunnel state by convention), SendOpts binds a flow
-// to its tunnel through exactly one field, and the cache type and builders
-// the link replaced are named by no non-test file in the module.
-func TestTunnelStateStaysOnTheTunnel(t *testing.T) {
+// TestOneRetransmitTimer statically audits that the engine has one
+// retransmission protocol and one kind of deadline: no non-test core file
+// schedules a timer except stream.go (the stream's retransmit timer, which
+// every reliable message rides — a pool probe's deadline included) and
+// pool.go's scheduleTick (the probe cadence). A second timer-driven resend
+// path would be a second RTO policy.
+func TestOneRetransmitTimer(t *testing.T) {
+	allowed := map[string]string{"stream.go": "", "pool.go": "scheduleTick"}
 	fset := token.NewFileSet()
-	structs := map[string]*ast.StructType{}
-	for _, name := range []string{"netdeliver.go", "reliable.go"} {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		fn, ok := allowed[name]
+		if strings.HasSuffix(name, "_test.go") || (ok && fn == "") {
+			continue
+		}
 		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if ts, ok := n.(*ast.TypeSpec); ok {
-				if st, ok := ts.Type.(*ast.StructType); ok {
-					structs[ts.Name.Name] = st
-				}
+		for _, decl := range f.Decls {
+			if d, isFn := decl.(*ast.FuncDecl); isFn && ok && d.Name.Name == fn {
+				continue
 			}
-			return true
-		})
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && lastName(call.Fun) == "Schedule" {
+					t.Errorf("%s: Schedule called outside stream.go and pool.go's scheduleTick — retransmit and time out through a Stream (SendMessage)",
+						fset.Position(call.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}
+
+// TestTunnelStateStaysOnTheTunnel statically audits that what an initiator
+// learns about one tunnel — hints, backoff — lives on that Tunnel's link
+// and nowhere else: NetEngine declares no lock and no table keyed by an id
+// (a hopid-keyed map is tunnel state by convention), and the cache type and
+// builders the link replaced are named by no non-test file in the module.
+func TestTunnelStateStaysOnTheTunnel(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "netdeliver.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eng *ast.StructType
+	ast.Inspect(f, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "NetEngine" {
+			eng, _ = ts.Type.(*ast.StructType)
+		}
+		return eng == nil
+	})
+	if eng == nil {
+		t.Fatal("NetEngine not found in netdeliver.go")
 	}
 	isSel := func(e ast.Expr, pkg, name string) bool {
 		sel, ok := e.(*ast.SelectorExpr)
 		return ok && lastName(sel.X) == pkg && (name == "" || sel.Sel.Name == name)
-	}
-	eng, opts := structs["NetEngine"], structs["SendOpts"]
-	if eng == nil || opts == nil {
-		t.Fatal("NetEngine or SendOpts not found in netdeliver.go, reliable.go")
 	}
 	for _, f := range eng.Fields.List {
 		if m, ok := f.Type.(*ast.MapType); isSel(f.Type, "sync", "") || (ok && isSel(m.Key, "id", "ID")) {
@@ -135,17 +166,8 @@ func TestTunnelStateStaysOnTheTunnel(t *testing.T) {
 				fset.Position(f.Pos()), f.Names[0].Name)
 		}
 	}
-	var names []string
-	for _, f := range opts.Fields.List {
-		for _, n := range f.Names {
-			names = append(names, n.Name)
-		}
-	}
-	if got := strings.Join(names, ","); got != "MaxAttempts,Tunnel" {
-		t.Errorf("SendOpts fields = %s, want MaxAttempts,Tunnel", got)
-	}
 
-	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}

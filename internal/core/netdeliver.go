@@ -5,7 +5,6 @@ import (
 
 	"tap/internal/id"
 	"tap/internal/pastry"
-	"tap/internal/rng"
 	"tap/internal/simnet"
 	"tap/internal/transport"
 	"tap/internal/wire"
@@ -25,31 +24,26 @@ import (
 //
 // Buffer ownership (DESIGN §9): a packet in flight, its envelope and the
 // envelope's onion have exactly one owner — whichever node holds the
-// packet. The send entries make one private copy of the caller's onion per
-// attempt; every hop then peels that copy where it lies and passes the
-// same packet on.
+// packet. The fire-and-forget send entries make one private copy of the
+// caller's onion, and a stream seals a fresh one per transmission; every hop
+// then peels that copy where it lies and passes the same packet on.
 type NetEngine struct {
 	svc *Service
 	net transport.Transport
 
-	// flows holds every flow whose outcome has not fired yet — reliable or
-	// fire-and-forget — so a duplicate or late packet of a finished flow
+	// flows holds the outcome callback of every fire-and-forget flow that
+	// has not concluded, so a duplicate or late packet of a finished flow
 	// can never re-count it.
 	nextFlow uint64
-	flows    map[uint64]*flowState
+	flows    map[uint64]func(Outcome)
 
-	// Reliability state (reliable.go). rel == nil means the protocol is
-	// off and flows behave as fire-and-forget.
-	rel    *Reliability
-	acked  map[uint64]ackRecord
-	jitter *rng.Stream
 	// staleHints records (hop target, address) pairs observed to be dead
 	// ends — a direct send that missed, or a hinted address a sender
 	// could not reach — so later dispatches fall back to DHT routing
 	// instead of repeating the same miss.
 	staleHints map[hintKey]struct{}
 
-	// Windowed-stream state (stream.go).
+	// Windowed-stream state (stream.go), reliable messages included.
 	nextStream    uint64
 	sendStreams   map[uint64]*Stream
 	recvStreams   map[uint64]*RecvStream
@@ -70,17 +64,11 @@ type NetEngine struct {
 	segScratch []byte
 
 	// Stats across all flows.
-	NetHops   uint64
-	HintHits  uint64
-	HintMiss  uint64
-	FailFlows uint64
-	// Reliability stats.
-	Retransmits   uint64 // extra attempts beyond each flow's first
-	AcksSent      uint64 // end-to-end ACKs transmitted by terminals
-	AcksRecv      uint64 // ACKs consumed by initiators (first per flow)
-	DupDeliveries uint64 // duplicate data arrivals at terminals
-	PacketsLost   uint64 // reliable-flow packets that died mid-flight
-	StaleHints    uint64 // distinct hints invalidated
+	NetHops    uint64
+	HintHits   uint64
+	HintMiss   uint64
+	FailFlows  uint64 // fire-and-forget flows that died
+	StaleHints uint64 // distinct hints invalidated
 	// Windowed-stream stats (stream.go).
 	StreamSegsSent  uint64 // original segment transmissions
 	StreamSegsRetx  uint64 // segment retransmissions (timeout or fast)
@@ -91,17 +79,12 @@ type NetEngine struct {
 	StreamSegsLost  uint64 // segments that died mid-route (node death)
 	StreamBytesRecv uint64 // in-order payload bytes delivered to applications
 
-	// OnDeliver, when non-nil, observes every data arrival at a flow's
-	// terminal: dup=false is the first delivery handed to the application,
-	// dup=true a suppressed duplicate. The simulation checker counts these
-	// to verify exactly-once delivery under retransmission.
-	OnDeliver func(flow uint64, dup bool)
-
 	// DisableAckDedup is a fault-injection seam in the spirit of
-	// Service.HopFilter: when set, the terminal forgets it already
-	// delivered a reliable flow and hands every duplicate arrival to the
-	// application as if it were fresh. The simulation checker plants it to
-	// prove the exactly-once invariant fires. Never set it otherwise.
+	// Service.HopFilter: when set, a receiver forgets the streams it
+	// finished, so a late duplicate segment of one — a retransmitted
+	// message that raced its ACK — opens a new stream and is handed to the
+	// application again. The simulation checker plants it to prove the
+	// exactly-once invariant fires. Never set it otherwise.
 	DisableAckDedup bool
 
 	// StreamReorderBypass is a fault-injection seam: when set, stream
@@ -141,18 +124,16 @@ type NetTap interface {
 	ExitObserved(at simnet.Addr, now simnet.Time, flow uint64, dest id.ID)
 }
 
-// Outcome reports one completed (or failed) flow.
+// Outcome reports one completed (or failed) flow or message.
 type Outcome struct {
 	Flow      uint64
 	Delivered bool
 	At        simnet.Time
-	NetHops   int
+	NetHops   int    // fire-and-forget flows only
 	FailedAt  string // empty on success
-	// Attempts is the number of end-to-end send attempts (1 without the
-	// reliability protocol); Backoff is the time spent waiting in
-	// retransmit timers — the gap between the first and last attempt.
+	// Attempts is the number of end-to-end transmissions: 1 for a
+	// fire-and-forget flow, 1 + retransmits for a message (SendMessage).
 	Attempts int
-	Backoff  simnet.Time
 }
 
 // packet kinds.
@@ -160,7 +141,6 @@ const (
 	kindPayload   byte = iota + 1 // plain payload riding to Target's owner
 	kindForward                   // forward-tunnel envelope
 	kindReply                     // reply-tunnel envelope
-	kindAck                       // end-to-end delivery ACK (reliability protocol)
 	kindStream                    // windowed-stream data segment (stream.go)
 	kindStreamAck                 // cumulative+SACK stream acknowledgment (stream.go)
 )
@@ -181,22 +161,15 @@ type packet struct {
 	env         *Envelope      // kindForward
 	renv        *ReplyEnvelope // kindReply
 
-	// Reliability fields, stamped on every attempt and kept by the exit's
-	// payload leg. reliable says the flow can re-send: its terminal ACKs a
-	// delivery, to ackTo — the initiator-side address — and a death is the
-	// retransmit timer's to recover. dataHops is, on a kindAck, the hop
-	// count of the data packet being acknowledged.
-	reliable bool
-	ackTo    simnet.Addr
-	dataHops int
-
-	// Windowed-stream fields (stream.go). On kindStream: seq, fin, and the
+	// Windowed-stream fields (stream.go). On kindStream: seq, fin, ackTo
+	// — the sender's address, where the receiver's ACKs go — and the
 	// segment payload (data aliases the sender's window slot — safe because
 	// the slot is rewritten only after the receiver has acknowledged this
 	// seq, and any later copy is deduplicated by seq before data is read).
 	// On kindStreamAck: cum plus the selective ranges, wire.AckVerSACK.
 	seq    uint64
 	fin    bool
+	ackTo  simnet.Addr
 	data   []byte
 	cum    uint64
 	ranges []wire.AckRange
@@ -210,8 +183,6 @@ func (p *packet) SizeBytes() int {
 		return header + p.env.SizeBytes()
 	case kindReply:
 		return header + p.renv.SizeBytes()
-	case kindAck:
-		return header + 8
 	case kindStream:
 		return header + 8 + 1 + 8 + 2 + len(p.data) // seq, fin, ackTo, len prefix
 	case kindStreamAck:
@@ -228,14 +199,12 @@ func (p *packet) SizeBytes() int {
 func NewNetEngine(svc *Service, net transport.Transport) *NetEngine {
 	e := &NetEngine{
 		svc: svc, net: net,
-		flows:         make(map[uint64]*flowState),
-		acked:         make(map[uint64]ackRecord),
+		flows:         make(map[uint64]func(Outcome)),
 		staleHints:    make(map[hintKey]struct{}),
 		sendStreams:   make(map[uint64]*Stream),
 		recvStreams:   make(map[uint64]*RecvStream),
 		closedStreams: make(map[uint64]closedStreamRec),
 		segPools:      make(map[int][][]byte),
-		jitter:        svc.Stream.Split("netengine-jitter"),
 	}
 	for _, r := range svc.OV.LiveRefs() {
 		e.attach(r.Addr)
@@ -268,61 +237,34 @@ func (e *NetEngine) attach(addr simnet.Addr) {
 }
 
 // finish concludes p at this node: the terminal was reached (delivered) or
-// the packet died here. The packet says what kind of flow it serves, so the
-// node needs nothing of the initiator's to decide: a reliable flow's
-// delivery is ACKed end to end and its death left to the retransmit timer;
-// a fire-and-forget flow's outcome fires once — duplicate or late packets
-// of an already-finished flow are ignored rather than re-counted.
+// the packet died here. Stream traffic — a segment, sealed in its tunnel
+// envelope or out of it, a reliable message included — has its own
+// retransmit machinery: one dying mid-route is recovered by the sender's
+// RTO, not by a flow outcome, and returns to the freelist it came from.
+// Stream ids live in their own space, so the flow table never sees them.
+//
+// A fire-and-forget flow's outcome fires here, once — duplicate or late
+// packets of an already-finished flow are ignored rather than re-counted.
+// That read of the origin's table from the node where the packet ended is
+// the simulator's oracle, not protocol (DESIGN §8): Figure 6's transfer
+// times are measured with it.
 func (e *NetEngine) finish(self simnet.Addr, p *packet, delivered bool, why string) {
 	if p.flow >= streamIDBase {
-		// Stream traffic — a segment, sealed in its tunnel envelope or out
-		// of it — has its own retransmit machinery: one dying mid-route is
-		// recovered by the sender's RTO, not by a flow outcome, and returns
-		// to the freelist it came from. Stream ids live in their own space,
-		// so the flow table below must never see them.
 		e.StreamSegsLost++
 		e.putPacket(p)
 		return
 	}
-	if p.reliable {
-		if delivered {
-			e.ackDelivery(self, p)
-			return
-		}
-		// Sim-only oracle, not protocol: the node where a packet died tells
-		// the origin's still-open flow why, so an exhausted flow's Outcome
-		// names the cause. A deployed initiator sees only a missing ACK.
-		if st, open := e.flows[p.flow]; open {
-			st.lastErr = why
-			e.PacketsLost++
-		}
-		return
-	}
-	// Fire-and-forget: the terminal fires the initiator's outcome — the
-	// same oracle, which Figure 6's transfer times are measured with.
-	st, open := e.flows[p.flow]
+	done, open := e.flows[p.flow]
 	if !open {
 		return // duplicate or late packet of a finished flow
 	}
-	if delivered {
-		e.observeDeliver(p.flow, false)
-	} else {
+	delete(e.flows, p.flow)
+	if !delivered {
 		e.FailFlows++
 	}
-	e.conclude(p.flow, st, Outcome{Delivered: delivered, NetHops: p.hops, FailedAt: why})
-}
-
-// conclude is the one place a flow's outcome fires: the flow leaves the
-// table, so nothing can conclude it twice, and the callback gets o with
-// the flow's identity, the time and its attempt history filled in.
-func (e *NetEngine) conclude(flow uint64, st *flowState, o Outcome) {
-	delete(e.flows, flow)
-	if st.done == nil {
-		return
+	if done != nil {
+		done(Outcome{Flow: p.flow, Delivered: delivered, At: e.net.Now(), NetHops: p.hops, FailedAt: why, Attempts: 1})
 	}
-	o.Flow, o.At = flow, e.net.Now()
-	o.Attempts, o.Backoff = st.attempts, st.lastAt-st.firstAt
-	st.done(o)
 }
 
 // send transmits p one network hop.
@@ -370,10 +312,6 @@ func (e *NetEngine) serves(self simnet.Addr, p *packet) bool {
 
 // deliver is the per-node network handler.
 func (e *NetEngine) deliver(self simnet.Addr, p *packet) {
-	if p.kind == kindAck {
-		e.handleAck(p)
-		return
-	}
 	if p.kind == kindStreamAck {
 		e.handleStreamAck(p)
 		return
@@ -506,24 +444,41 @@ func (e *NetEngine) dispatch(self simnet.Addr, p *packet, hint simnet.Addr) {
 	e.forwardToward(self, p)
 }
 
-// launch opens a flow and makes its first attempt. build returns one
-// attempt's packet — which the path will own and rewrite, so it must share
-// no writable bytes with the caller or with another attempt — and the
-// first-hop address hint to try. Under the reliability protocol build is
-// kept to make the retransmissions (size seeds the timeout); otherwise the
-// flow is fire-and-forget and opts is ignored.
-func (e *NetEngine) launch(from simnet.Addr, size int, opts SendOpts, done func(Outcome), build func() (*packet, simnet.Addr)) uint64 {
-	// The first attempt can conclude, and its callback launch again, before
-	// this returns: the id is this frame's, not nextFlow's.
+// hintKey identifies one (hop target, hinted address) pair in the stale
+// set.
+type hintKey struct {
+	target id.ID
+	addr   simnet.Addr
+}
+
+// markStaleHint records a dead-end hint; hintStale queries it. Entries
+// never expire: a hop anchor that migrates back to a previously-stale
+// address is still reached via DHT routing, just without the shortcut.
+func (e *NetEngine) markStaleHint(target id.ID, addr simnet.Addr) {
+	k := hintKey{target, addr}
+	if _, ok := e.staleHints[k]; ok {
+		return
+	}
+	e.staleHints[k] = struct{}{}
+	e.StaleHints++
+}
+
+func (e *NetEngine) hintStale(target id.ID, addr simnet.Addr) bool {
+	_, ok := e.staleHints[hintKey{target, addr}]
+	return ok
+}
+
+// launch opens a fire-and-forget flow and transmits p, its one packet — which
+// the path will own and rewrite, so it must share no writable bytes with the
+// caller — trying the first-hop address hint first.
+func (e *NetEngine) launch(from simnet.Addr, p *packet, hint simnet.Addr, done func(Outcome)) uint64 {
+	// The packet can conclude, and its callback launch again, before this
+	// returns: the id is this frame's, not nextFlow's.
 	e.nextFlow++
 	flow := e.nextFlow
-	st := &flowState{origin: from, done: done, opts: opts, firstAt: e.net.Now()}
-	e.flows[flow] = st
-	if e.rel != nil {
-		st.resend = build
-		st.rto = e.initialRTO(size, opts)
-	}
-	e.attempt(flow, st, build)
+	e.flows[flow] = done
+	p.flow = flow
+	e.dispatch(from, p, hint)
 	return flow
 }
 
@@ -531,36 +486,26 @@ func (e *NetEngine) launch(from simnet.Addr, size int, opts SendOpts, done func(
 // P2P infrastructure from `from` to the owner of dest. The baseline curve
 // of Figure 6.
 func (e *NetEngine) SendOvert(from simnet.Addr, dest id.ID, size int, done func(Outcome)) uint64 {
-	return e.launch(from, size, SendOpts{}, done, func() (*packet, simnet.Addr) {
-		return &packet{kind: kindPayload, target: dest, payloadSize: size}, simnet.NoAddr
-	})
+	return e.launch(from, &packet{kind: kindPayload, target: dest, payloadSize: size}, simnet.NoAddr, done)
 }
 
-// SendForward starts a forward-tunnel transfer from the initiator's
-// address. With hints inside env (BuildForwardHinted) this is TAP_opt;
-// without, TAP_basic. env stays the caller's, intact: each attempt travels
-// as a private copy.
+// SendForward starts a fire-and-forget forward-tunnel transfer from the
+// initiator's address. With hints inside env (BuildForwardHinted) this is
+// TAP_opt; without, TAP_basic. env stays the caller's, intact: the flow
+// travels as a private copy. SendMessage is the reliable twin.
 func (e *NetEngine) SendForward(from simnet.Addr, env *Envelope, done func(Outcome)) uint64 {
-	return e.SendForwardOpt(from, env, SendOpts{}, done)
-}
-
-// SendForwardOpt is SendForward with per-flow options: a custom attempt
-// budget (health probes) and the tunnel binding that lets exhaustion drop
-// a dead tunnel's hints. The options only apply under the
-// reliability protocol; a fire-and-forget flow ignores them.
-func (e *NetEngine) SendForwardOpt(from simnet.Addr, env *Envelope, opts SendOpts, done func(Outcome)) uint64 {
-	return e.launch(from, env.SizeBytes(), opts, done, func() (*packet, simnet.Addr) {
-		own := *env
-		own.Sealed = append([]byte(nil), env.Sealed...)
-		return &packet{kind: kindForward, target: env.HopID, env: &own}, env.Hint
-	})
+	own := *env
+	own.Sealed = append([]byte(nil), env.Sealed...)
+	return e.launch(from, &packet{kind: kindForward, target: env.HopID, env: &own}, env.Hint, done)
 }
 
 // WireBytes returns the byte slices a tunnel-protocol message actually
 // exposes on the wire, for taps that scan frames for plaintext leaks (the
-// no-plaintext-on-wire invariant). Payload packets carry only a size,
-// ACKs only a hop count; neither exposes bytes. Non-protocol messages
-// return nil.
+// no-plaintext-on-wire invariant). Sealed layers are exposed; the legs
+// that are plaintext by design are not — a payload packet carries only a
+// size, and a stream segment travels from the tunnel exit (or a direct
+// sender) to the destination owner in the clear, like any overt transfer.
+// Non-protocol messages return nil.
 func WireBytes(msg simnet.Message) [][]byte {
 	p, ok := msg.(*packet)
 	if !ok {
@@ -571,21 +516,15 @@ func WireBytes(msg simnet.Message) [][]byte {
 		return [][]byte{p.env.Sealed}
 	case kindReply:
 		return [][]byte{p.renv.Onion, p.renv.Data}
-	case kindStream:
-		// Stream segments between tunnel exit (or direct sender) and the
-		// destination owner expose their payload, like any overt transfer.
-		return [][]byte{p.data}
 	}
 	return nil
 }
 
 // SendReply starts a reply-tunnel transfer from the responder's address.
-// Hops rewrite the onion and never the data, so an attempt's private copy
-// is of the onion alone.
+// Hops rewrite the onion and never the data, so the flow's private copy is
+// of the onion alone.
 func (e *NetEngine) SendReply(from simnet.Addr, renv *ReplyEnvelope, done func(Outcome)) uint64 {
-	return e.launch(from, renv.SizeBytes(), SendOpts{}, done, func() (*packet, simnet.Addr) {
-		own := *renv
-		own.Onion = append([]byte(nil), renv.Onion...)
-		return &packet{kind: kindReply, target: renv.Target, renv: &own}, renv.Hint
-	})
+	own := *renv
+	own.Onion = append([]byte(nil), renv.Onion...)
+	return e.launch(from, &packet{kind: kindReply, target: renv.Target, renv: &own}, renv.Hint, done)
 }

@@ -28,17 +28,12 @@ func newNetSys(t testing.TB, n, k int, seed uint64) *netSys {
 	return &netSys{sys: s, kernel: kernel, net: net, eng: eng}
 }
 
-// openFlow puts a flow in the engine's table without sending anything, for
-// tests that drive finish/handleAck/exhaust by hand. A reliable flow is one
-// that can re-send.
-func (ns *netSys) openFlow(done func(Outcome), reliable bool) uint64 {
+// openFlow puts a fire-and-forget flow in the engine's table without
+// sending anything, for tests that drive finish and dispatch by hand.
+func (ns *netSys) openFlow(done func(Outcome)) uint64 {
 	e := ns.eng
 	e.nextFlow++
-	st := &flowState{done: done, attempts: 1}
-	if reliable {
-		st.resend = func() (*packet, simnet.Addr) { return &packet{}, simnet.NoAddr }
-	}
-	e.flows[e.nextFlow] = st
+	e.flows[e.nextFlow] = done
 	return e.nextFlow
 }
 
@@ -374,10 +369,9 @@ func TestNetDeterministicTiming(t *testing.T) {
 
 // TestNetSendLeavesEnvelopeIntact is the NetEngine twin of
 // TestDeliverLeavesEnvelopeIntact. The hops peel the bytes they are handed
-// where they lie, so the send entries hand them a private copy per attempt:
-// the same envelope sent twice is delivered twice, a retransmission of it —
-// after the first attempt was peeled three hops deep and then dropped — is
-// delivered too, and the caller's envelope never changes.
+// where they lie, so the send entries hand them a private copy: the same
+// envelope sent twice is delivered twice, and the caller's envelope never
+// changes.
 func TestNetSendLeavesEnvelopeIntact(t *testing.T) {
 	ns := newNetSys(t, 150, 3, 85)
 	in := ns.readyInitiator(t, "borrow", 30)
@@ -385,7 +379,7 @@ func TestNetSendLeavesEnvelopeIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := BuildForward(tun, nil, id.HashString("borrow-dest"), []byte("retransmit me"), ns.root.Split("msg"))
+	env, err := BuildForward(tun, nil, id.HashString("borrow-dest"), []byte("send me twice"), ns.root.Split("msg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,19 +391,9 @@ func TestNetSendLeavesEnvelopeIntact(t *testing.T) {
 	wantEnv, wantSealed := *env, bytes.Clone(env.Sealed)
 	wantRenv, wantOnion, wantData := *renv, bytes.Clone(renv.Onion), bytes.Clone(renv.Data)
 
-	// The first copy to reach the tunnel's last hop while lose is set dies
-	// there, dropped by a misbehaving hop — a loss placed exactly.
-	lose := false
-	ns.svc.HopFilter = func(_ simnet.Addr, hop id.ID) bool {
-		if hop == tun.Hops[3].HopID && lose {
-			lose = false
-			return false
-		}
-		return true
-	}
 	origin := in.Node().Ref().Addr
 	responder := ns.ov.RandomLive(ns.root.Split("responder")).Ref().Addr
-	sendBoth := func(round string, attempts int) {
+	sendBoth := func(round string) {
 		t.Helper()
 		for _, dir := range []struct {
 			name string
@@ -418,14 +402,13 @@ func TestNetSendLeavesEnvelopeIntact(t *testing.T) {
 			{"forward", func(done func(Outcome)) { ns.eng.SendForward(origin, env, done) }},
 			{"reply", func(done func(Outcome)) { ns.eng.SendReply(responder, renv, done) }},
 		} {
-			lose = attempts > 1
 			var out Outcome
 			dir.send(func(o Outcome) { out = o })
 			if err := ns.kernel.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if !out.Delivered || out.Attempts != attempts {
-				t.Fatalf("%s, %s: outcome %+v, want delivery on attempt %d", round, dir.name, out, attempts)
+			if !out.Delivered || out.Attempts != 1 {
+				t.Fatalf("%s, %s: outcome %+v, want one delivered attempt", round, dir.name, out)
 			}
 			if env.HopID != wantEnv.HopID || env.Hint != wantEnv.Hint || env.Pad != wantEnv.Pad || !bytes.Equal(env.Sealed, wantSealed) {
 				t.Fatalf("%s, %s: the engine changed the caller's envelope", round, dir.name)
@@ -436,8 +419,102 @@ func TestNetSendLeavesEnvelopeIntact(t *testing.T) {
 			}
 		}
 	}
-	sendBoth("fire-and-forget", 1)
-	sendBoth("fire-and-forget again", 1)
-	ns.eng.EnableReliability(Reliability{})
-	sendBoth("reliable, first attempt dropped at the last hop", 2)
+	sendBoth("first send")
+	sendBoth("same envelope again")
+}
+
+func TestNetFinishIgnoresDuplicateLatePackets(t *testing.T) {
+	// Regression: a flow whose callback already fired could keep bumping
+	// FailFlows on duplicate/late packet deaths.
+	ns := newNetSys(t, 100, 3, 21)
+	fired := 0
+	p := &packet{flow: ns.openFlow(func(Outcome) { fired++ })}
+	ns.eng.finish(0, p, false, "first death")
+	ns.eng.finish(0, p, false, "late duplicate")
+	ns.eng.finish(0, p, true, "")
+	if fired != 1 {
+		t.Fatalf("callback fired %d times", fired)
+	}
+	if ns.eng.FailFlows != 1 {
+		t.Fatalf("FailFlows = %d, want 1", ns.eng.FailFlows)
+	}
+}
+
+// TestDropHintDropsOnlyTarget: dropHint forgets exactly the missed hop's
+// address; the rest of the tunnel keeps serving hints, and a tunnel never
+// refreshed is safe to drop from.
+func TestDropHintDropsOnlyTarget(t *testing.T) {
+	ns := newNetSys(t, 150, 3, 31)
+	in := ns.readyInitiator(t, "a", 12)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tun.dropHint(1) // nothing remembered yet: a no-op
+	if err := tun.RefreshHints(ns.svc); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range tun.Hops {
+		if tun.Hint(i) == simnet.NoAddr {
+			t.Fatalf("hop %s not hinted after RefreshHints", h.HopID.Short())
+		}
+	}
+	tun.dropHint(1)
+	tun.dropHint(1) // repeated: a no-op
+	if got := tun.Hint(1); got != simnet.NoAddr {
+		t.Fatalf("dropped hop still hinted at %d", got)
+	}
+	for _, i := range []int{0, 2} {
+		if tun.Hint(i) == simnet.NoAddr {
+			t.Fatalf("dropHint(1) also dropped hop %d", i)
+		}
+	}
+}
+
+// TestDirectSendMissMarksStaleHint: a hinted packet landing on a node
+// that no longer holds the hop anchor must count a miss, record the
+// (target, address) pair as stale, and make later dispatches skip the
+// dead-end hint without a connection attempt.
+func TestDirectSendMissMarksStaleHint(t *testing.T) {
+	ns := newNetSys(t, 150, 3, 32)
+	in := ns.readyInitiator(t, "a", 12)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop := tun.Hops[0].HopID
+	// A live node that does not hold hop's anchor: the stale hint target.
+	wrong := ns.ov.RandomLive(ns.root.Split("wrong"))
+	for ns.mgr.HolderHas(wrong.Ref().Addr, hop) {
+		wrong = ns.ov.RandomLive(ns.root.Split("wrong"))
+	}
+	env, err := BuildForward(tun, nil, id.HashString("dest"), []byte("payload"), ns.root.Split("build"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &packet{kind: kindForward, flow: ns.openFlow(nil), target: hop, env: env, direct: true}
+	ns.eng.deliver(wrong.Ref().Addr, p)
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ns.eng.HintMiss == 0 {
+		t.Fatalf("direct-send miss not counted (HintMiss=0)")
+	}
+	if ns.eng.StaleHints != 1 {
+		t.Fatalf("StaleHints = %d, want 1", ns.eng.StaleHints)
+	}
+	if !ns.eng.hintStale(hop, wrong.Ref().Addr) {
+		t.Fatal("missed (target, addr) pair not in the stale set")
+	}
+	// A later dispatch with the same hint skips the direct attempt: no
+	// p.direct packet is sent at the stale address again.
+	misses := ns.eng.HintMiss
+	p2 := &packet{kind: kindForward, flow: ns.openFlow(nil), target: hop, env: env}
+	ns.eng.dispatch(wrong.Ref().Addr, p2, wrong.Ref().Addr)
+	if p2.direct {
+		t.Fatal("dispatch retried a hint already known stale")
+	}
+	if ns.eng.HintMiss != misses+1 {
+		t.Fatalf("skipped stale hint not counted as a miss: %d -> %d", misses, ns.eng.HintMiss)
+	}
 }

@@ -100,10 +100,12 @@ const (
 	// probeInterval is the per-slot echo cadence, jittered by
 	// probeJitterFrac so pools across a network do not synchronize.
 	// probeTimeout declares an unanswered probe failed; probeAttempts is
-	// the probe flow's retransmit budget — probes are cheap and frequent,
-	// so they detect rather than persist. sendAttempts is the budget for
-	// pool data sends: enough to ride out one transient loss, small enough
-	// that failover to another tunnel is fast.
+	// the probe message's transmission budget — probes are cheap and
+	// frequent, so they detect rather than persist. The one copy's timeout
+	// is probeTimeout, not the stream's 1 s initial RTO, so a slow but
+	// healthy echo is not taken for a dead tunnel. sendAttempts is the
+	// budget for pool data sends: enough to ride out one transient loss,
+	// small enough that failover to another tunnel is fast.
 	probeInterval   = 2 * time.Second
 	probeJitterFrac = 0.1
 	probeTimeout    = 5 * time.Second
@@ -247,9 +249,9 @@ func (p *TunnelPool) Start() {
 	p.scheduleTick()
 }
 
-// Stop halts the probe loop. In-flight probes resolve as no-ops; pending
-// tick and timeout timers drain without rescheduling, so a simulation
-// kernel reaches quiescence.
+// Stop halts the probe loop. In-flight probes resolve as no-ops; a pending
+// tick timer drains without rescheduling, so a simulation kernel reaches
+// quiescence.
 func (p *TunnelPool) Stop() { p.stopped = true }
 
 // now reads the simulated clock.
@@ -304,36 +306,21 @@ func (p *TunnelPool) probeSlot(s *poolSlot) {
 	})
 }
 
-// probeTunnel builds and sends an echo probe over t, invoking cb exactly
-// once with the verdict: either the flow's outcome or, if nothing came
-// home within probeTimeout, failure. The probe destination is a bid owned
-// by the initiator's own node, so delivery loops the full tunnel and
+// probeTunnel sends an echo probe over t, invoking cb once with the verdict:
+// the probe message's outcome. The message is sent once with probeTimeout
+// as its timeout, so an echo not home by then fails the probe — the
+// message's own timer is the probe deadline. The probe destination is a bid
+// owned by the initiator's own node, so delivery loops the full tunnel and
 // comes home — the same §4 mechanism reply tunnels use.
 func (p *TunnelPool) probeTunnel(t *Tunnel, cb func(ok bool)) {
 	var nonce [16]byte
 	p.stream.Bytes(nonce[:])
-	env, err := BuildForwardHinted(t, p.in.NewBid(), nonce[:], p.stream)
-	if err != nil {
-		cb(false)
-		return
-	}
-	fired := false
-	once := func(ok bool) {
-		if fired {
-			return
-		}
-		fired = true
-		cb(ok)
-	}
-	opts := SendOpts{MaxAttempts: probeAttempts, Tunnel: t}
-	p.eng.SendForwardOpt(p.in.node.Ref().Addr, env, opts, func(o Outcome) {
-		once(o.Delivered)
-	})
-	p.eng.net.Schedule(probeTimeout, func() {
-		if !fired {
+	sent := p.now()
+	p.eng.sendMessage(p.in.node.Ref().Addr, t, p.in.NewBid(), nonce[:], probeAttempts, probeTimeout, func(o Outcome) {
+		if !o.Delivered && o.At-sent >= probeTimeout {
 			p.Stats.ProbeTimeouts++
 		}
-		once(false)
+		cb(o.Delivered)
 	})
 }
 
@@ -608,10 +595,11 @@ func (p *TunnelPool) updateState() {
 }
 
 // Send delivers payload to the owner of dest over the healthiest tunnel,
-// failing over to the next-best on failure. It returns ErrPoolDegraded
-// immediately when no tunnel is usable — the graceful-degradation
-// contract: a partitioned initiator learns in O(1), not after
-// MaxAttempts of backoff. done (optional) receives the final outcome.
+// failing over to the next-best on failure; each try is one SendMessage
+// with sendAttempts transmissions. It returns ErrPoolDegraded immediately
+// when no tunnel is usable — the graceful-degradation contract: a
+// partitioned initiator learns in O(1), not after a retransmit schedule.
+// done (optional) receives the final outcome.
 func (p *TunnelPool) Send(dest id.ID, payload []byte, done func(Outcome)) error {
 	if p.stopped {
 		return ErrPoolStopped
@@ -639,13 +627,7 @@ func (p *TunnelPool) Send(dest id.ID, payload []byte, done func(Outcome)) error 
 			try(i+1, prev) // the slot died since ranking
 			return
 		}
-		env, err := BuildForwardHinted(s.tunnel, dest, payload, p.stream)
-		if err != nil {
-			try(i+1, prev)
-			return
-		}
-		opts := SendOpts{MaxAttempts: sendAttempts, Tunnel: s.tunnel}
-		p.eng.SendForwardOpt(p.in.node.Ref().Addr, env, opts, func(o Outcome) {
+		p.eng.SendMessage(p.in.node.Ref().Addr, s.tunnel, dest, payload, sendAttempts, func(o Outcome) {
 			if o.Delivered {
 				if done != nil {
 					done(o)

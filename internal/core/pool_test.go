@@ -9,11 +9,10 @@ import (
 	"tap/internal/simnet"
 )
 
-// newPoolSys wires a netSys with reliability on and a started pool.
+// newPoolSys wires a netSys and a pool, not yet started.
 func newPoolSys(t *testing.T, n int, seed uint64, cfg PoolConfig) (*netSys, *Initiator, *TunnelPool) {
 	t.Helper()
 	ns := newNetSys(t, n, 3, seed)
-	ns.eng.EnableReliability(Reliability{MaxAttempts: 8})
 	in := ns.readyInitiator(t, "pool-owner", 0)
 	p, err := NewTunnelPool(in, ns.eng, cfg)
 	if err != nil {
@@ -117,8 +116,8 @@ func TestPoolDetectsDeathAttributesAndRebuilds(t *testing.T) {
 // TestPrefixSharesParentLink: an attribution probe rides a prefix of the
 // dead tunnel, and what the initiator knows — and learns — about that
 // prefix is the parent's: the probe is hinted with the parent's hints, its
-// delivery relaxes the parent's backoff memory, and a flow exhausted over a
-// prefix drops the parent's hints for the hops it rode and leaves its
+// clean delivery clears the parent's backoff memory, and a message exhausted
+// over a prefix drops the parent's hints for the hops it rode and leaves its
 // backed-off timeout for the parent's next send.
 func TestPrefixSharesParentLink(t *testing.T) {
 	ns, in, p := newPoolSys(t, 300, 45, PoolConfig{Size: 1, Length: 3})
@@ -146,19 +145,9 @@ func TestPrefixSharesParentLink(t *testing.T) {
 	}
 
 	killAnchor(t, ns, tun.Hops[1].HopID, simnet.NoAddr)
-	sub := tun.prefix(2)
-	env, err := BuildForwardHinted(sub, in.NewBid(), []byte("probe"), ns.root.Split("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Outcome
-	ns.eng.SendForwardOpt(in.Node().Ref().Addr, env, SendOpts{MaxAttempts: 2, Tunnel: sub},
-		func(o Outcome) { out = o })
-	if err := ns.kernel.Run(); err != nil {
-		t.Fatal(err)
-	}
+	out := sendOne(t, ns, in.Node().Ref().Addr, tun.prefix(2), in.NewBid(), 16, 2)
 	if out.Delivered || out.Attempts != 2 {
-		t.Fatalf("flow over the dead prefix should have exhausted: %+v", out)
+		t.Fatalf("message over the dead prefix should have exhausted: %+v", out)
 	}
 	if tun.Hint(0) != simnet.NoAddr || tun.Hint(1) != simnet.NoAddr {
 		t.Fatalf("prefix exhaustion left the parent hinting %d, %d", tun.Hint(0), tun.Hint(1))
@@ -168,6 +157,54 @@ func TestPrefixSharesParentLink(t *testing.T) {
 	}
 	if tun.loadRTO() == 0 {
 		t.Fatal("prefix backoff not remembered on the parent")
+	}
+}
+
+// TestProbeDeadlineIsProbeTimeout: a probe is one copy whose timeout is
+// probeTimeout, not the stream's initial RTO. An echo slower than a second
+// but inside probeTimeout passes and leaves the tunnel's hints alone; an
+// echo slower than probeTimeout fails the probe at probeTimeout, counted as
+// a probe timeout.
+func TestProbeDeadlineIsProbeTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		delay simnet.Time
+		ok    bool
+	}{
+		{"slow-echo", simnet.Time(3 * time.Second), true},
+		{"late-echo", 2 * probeTimeout, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ns, _, p := newPoolSys(t, 300, 46, PoolConfig{Size: 1, Length: 3})
+			tun := p.slots[0].tunnel
+			holdFirstBy(ns, kindForward, tc.delay)
+			start := p.now()
+			var fired int
+			var ok bool
+			var at simnet.Time
+			p.probeTunnel(tun, func(o bool) { fired, ok, at = fired+1, o, p.now() })
+			if err := ns.kernel.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if fired != 1 || ok != tc.ok {
+				t.Fatalf("probe verdict fired %d times, ok=%v; want once, ok=%v", fired, ok, tc.ok)
+			}
+			if !tc.ok {
+				if at-start != probeTimeout || p.Stats.ProbeTimeouts != 1 {
+					t.Fatalf("late echo failed the probe after %v (ProbeTimeouts %d), want %v and 1",
+						at-start, p.Stats.ProbeTimeouts, probeTimeout)
+				}
+				return
+			}
+			if p.Stats.ProbeTimeouts != 0 || ns.eng.StaleHints != 0 {
+				t.Fatalf("slow echo: ProbeTimeouts %d, StaleHints %d; want 0 and 0", p.Stats.ProbeTimeouts, ns.eng.StaleHints)
+			}
+			for i := range tun.Hops {
+				if tun.Hint(i) == simnet.NoAddr {
+					t.Fatalf("slow echo dropped hop %d's hint", i)
+				}
+			}
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // TestTunnelLinkConcurrentAccess hammers one tunnel's link — hints and
 // backoff memory — from five goroutines at once: the deployment shape where
 // a background refresher races the engine's timeout path (drop, store), ack
-// path (relax), and an application sealing messages and opening streams
+// path (clear), and an application sealing messages and opening streams
 // (build, load). Run under -race this pins the link's locking.
 func TestTunnelLinkConcurrentAccess(t *testing.T) {
 	s := newSys(t, 100, 3, 7)
@@ -64,18 +64,19 @@ func TestTunnelLinkConcurrentAccess(t *testing.T) {
 			tun.storeRTO(simnet.Time(i + 1))
 		}
 	}()
-	go func() { // ack path decays it; a new stream reads it
+	go func() { // ack path clears it; a new stream reads it
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			tun.relaxRTO(i%3 == 0)
+			if i%3 == 0 {
+				tun.storeRTO(0)
+			}
 			_ = tun.loadRTO()
 		}
 	}()
 	wg.Wait()
 
 	// After the dust settles a refresh must re-hint every hop, and the
-	// memory must still behave: a store is readable, a clean delivery clears,
-	// a retransmitted one decays.
+	// memory must still behave: a store is readable, and a clean run clears.
 	if err := tun.RefreshHints(s.svc); err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +89,8 @@ func TestTunnelLinkConcurrentAccess(t *testing.T) {
 	if got := tun.loadRTO(); got != 42 {
 		t.Fatalf("loadRTO = %v after store", got)
 	}
-	tun.relaxRTO(true)
+	tun.storeRTO(0)
 	if got := tun.loadRTO(); got != 0 {
-		t.Fatalf("loadRTO = %v after a first-attempt delivery", got)
-	}
-	// A delivery that needed retransmits halves it, down to the floor.
-	tun.storeRTO(4 * minFlowRTO)
-	tun.relaxRTO(false)
-	if got := tun.loadRTO(); got != 2*minFlowRTO {
-		t.Fatalf("loadRTO = %v after one decay of %v", got, 4*minFlowRTO)
-	}
-	tun.relaxRTO(false)
-	if got := tun.loadRTO(); got != 0 {
-		t.Fatalf("loadRTO = %v, want forgotten at the floor", got)
+		t.Fatalf("loadRTO = %v after a clean run cleared it", got)
 	}
 }

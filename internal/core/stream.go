@@ -9,16 +9,15 @@ import (
 	"tap/internal/wire"
 )
 
-// This file implements windowed streaming over tunnels: a pipelined
-// sliding-window protocol replacing stop-and-wait for bulk transfers.
-// PR 1's reliability layer keeps one message in flight per flow, capping
-// per-flow throughput at ~1 payload per tunnel round trip. A Stream keeps
-// a configurable window of segments in flight, acknowledges them with
+// This file implements the engine's one reliability protocol: a pipelined
+// sliding-window stream over a tunnel or the overt path. A Stream keeps a
+// configurable window of segments in flight, acknowledges them with
 // cumulative + selective (SACK) frames — wire-versioned in internal/wire —
 // estimates its retransmit timeout from measured RTTs (SRTT/RTTVAR,
 // RFC 6298 coefficients, Karn's rule on retransmitted segments), and
 // recovers single losses by fast retransmit on duplicate ACKs instead of
-// waiting out a full RTO.
+// waiting out a full RTO. A reliable single message (SendMessage) is a
+// window-1 tunnel stream whose one segment carries the FIN.
 //
 // Segments travel in one of two modes. A direct stream rides kindStream
 // packets routed (or hint-shortcut) to the destination id's owner — the
@@ -27,21 +26,20 @@ import (
 // tunnel; the tunnel exit unwraps the segment framing and routes it
 // onward, so the initiator stays anonymous while the window keeps the
 // pipe full. Acknowledgments return over the overt path to the sender's
-// address, exactly like PR 1's end-to-end ACKs.
+// address.
 //
 // A direct stream's hot path is zero-allocation in steady state: window
 // slots are ring buffers with pooled payload storage, packets come from a
 // freelist, ACK ranges reuse per-packet arrays, and the retransmit timer
 // re-arms a single preallocated closure through the kernel's slot arena
 // (TestStreamSteadyStateZeroAlloc). A tunnel stream allocates what sealing
-// a segment does — a fresh onion and its envelope per transmission, and a
-// cipher stream per layer over crypt's small-message limit — and nothing
-// per hop: the path owns that onion, peels it where it lies, and the packet
-// that left the freelist at the sender returns to it at the receiver
+// a segment does — a fresh onion and its envelope per transmission — and
+// nothing per hop: the path owns that onion, peels it where it lies, and the
+// packet that left the freelist at the sender returns to it at the receiver
 // (TestStreamTunnelSteadyStateAllocBudget).
 
-// streamIDBase offsets stream ids away from reliable-flow ids so the two
-// id spaces can never collide in the engine's shared packet field.
+// streamIDBase offsets stream ids away from fire-and-forget flow ids so the
+// two id spaces can never collide in the engine's shared packet field.
 const streamIDBase uint64 = 1 << 62
 
 // recvWindowCap bounds the receive-side reorder buffer: segments more
@@ -82,9 +80,16 @@ const (
 	// exponential backoff.
 	streamMinRTO = 20 * time.Millisecond
 	streamMaxRTO = 30 * time.Second
-	// streamMaxRetries bounds per-segment retransmissions before the
-	// stream fails.
+	// streamMaxRetries bounds per-segment retransmissions before a bulk
+	// stream fails; a message sets its own budget (SendMessage).
 	streamMaxRetries = 12
+	// hintInvalidateAfter is the number of consecutive RTO expirations
+	// after which a tunnel stream stops trusting the tunnel's remembered hop
+	// addresses and drops them all — the failure-time cleanup, run early. A
+	// dispatch-time miss marks only the hint it tried, so without this a
+	// stream whose segments die beyond the first hop keeps dispatching into
+	// the same poisoned hints until its budget runs out.
+	hintInvalidateAfter = 3
 )
 
 // rttEstimator is the RFC 6298 smoothed round-trip estimator: SRTT and
@@ -170,6 +175,7 @@ type Stream struct {
 	rto          simnet.Time
 	backoffCount int // consecutive RTO expirations (reset on progress)
 	dupAcks      int
+	maxRetries   int // per-segment retransmissions before the stream fails
 
 	// Retransmit timer: one preallocated closure, re-armed through the
 	// kernel. rtxDeadline is when the head segment times out (0 = no
@@ -217,18 +223,58 @@ func (e *NetEngine) OpenTunnelStream(origin simnet.Addr, tun *Tunnel, dest id.ID
 	return e.openStream(origin, dest, simnet.NoAddr, tun, cfg)
 }
 
+// SendMessage delivers payload reliably to the owner of dest over tun (nil:
+// the overt path, as a direct stream) and returns the message's stream id.
+// A message is a window-1 tunnel stream
+// whose one segment carries the FIN: the receiver delivers it once and
+// re-ACKs any duplicate, and each timeout retransmits it into the recovered
+// tunnel — re-sealed, re-resolving every hop — up to attempts transmissions
+// in all. done (optional) fires once: Delivered when the ACK came home,
+// Attempts = 1 + retransmits, FailedAt the stream's failure reason.
+func (e *NetEngine) SendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, payload []byte, attempts int, done func(Outcome)) uint64 {
+	return e.sendMessage(origin, tun, dest, payload, attempts, 0, done)
+}
+
+// sendMessage is SendMessage with an optional fixed first timeout: rto > 0
+// replaces both the initial and the tunnel's inherited timeout, so a
+// one-transmission message fails exactly rto after it was sent — the pool's
+// probe deadline.
+func (e *NetEngine) sendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, payload []byte, attempts int, rto simnet.Time, done func(Outcome)) uint64 {
+	// The segment buffer comes from a size class — the default segment size,
+	// doubled until the payload fits — so messages of many distinct sizes
+	// cannot grow the engine's buffer pools without bound.
+	cfg := StreamConfig{Window: 1}.withDefaults()
+	for cfg.SegSize < len(payload) {
+		cfg.SegSize *= 2
+	}
+	s := e.openStream(origin, dest, simnet.NoAddr, tun, cfg)
+	s.maxRetries = attempts - 1
+	if rto > 0 {
+		s.rto = rto
+	}
+	s.OnComplete = func(ok bool) {
+		if done != nil {
+			done(Outcome{Flow: s.id, Delivered: ok, At: e.net.Now(), Attempts: 1 + int(s.SegsRetx), FailedAt: s.failWhy})
+		}
+	}
+	s.closed = true
+	s.push(payload, true)
+	return s.id
+}
+
 func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr, tun *Tunnel, cfg StreamConfig) *Stream {
 	cfg = cfg.withDefaults()
 	e.nextStream++
 	s := &Stream{
-		eng:      e,
-		id:       streamIDBase + e.nextStream,
-		origin:   origin,
-		dest:     dest,
-		destHint: hint,
-		tun:      tun,
-		cfg:      cfg,
-		rto:      streamInitRTO,
+		eng:        e,
+		id:         streamIDBase + e.nextStream,
+		origin:     origin,
+		dest:       dest,
+		destHint:   hint,
+		tun:        tun,
+		cfg:        cfg,
+		rto:        streamInitRTO,
+		maxRetries: streamMaxRetries,
 	}
 	ringSize := cfg.Window
 	if e.StreamWindowBypass {
@@ -287,17 +333,10 @@ func (s *Stream) canAccept() bool {
 func (s *Stream) Write(p []byte) int {
 	accepted := 0
 	for len(p) > 0 && s.canAccept() {
-		n := len(p)
-		if n > s.cfg.SegSize {
-			n = s.cfg.SegSize
-		}
-		sl := s.claim()
-		sl.buf = s.eng.getSegBuf(s.cfg.SegSize)
-		sl.n = copy(sl.buf[:n], p[:n])
+		n := min(len(p), s.cfg.SegSize)
+		s.push(p[:n], false)
 		p = p[n:]
 		accepted += n
-		s.wrote += uint64(n)
-		s.transmit(sl)
 	}
 	return accepted
 }
@@ -342,10 +381,22 @@ func (s *Stream) tryFin() {
 	if !s.closed || s.finSet || s.failed || s.inflight() >= len(s.ring) {
 		return
 	}
+	s.push(nil, true)
+}
+
+// push assigns the next sequence number to a segment carrying data (nil for
+// the bare FIN), marks it the stream's last when fin is set, and transmits
+// it.
+func (s *Stream) push(data []byte, fin bool) {
 	sl := s.claim()
-	sl.fin = true
-	s.finSet = true
-	s.finSeq = sl.seq
+	if data != nil {
+		sl.buf = s.eng.getSegBuf(s.cfg.SegSize)
+		sl.n = copy(sl.buf, data)
+		s.wrote += uint64(sl.n)
+	}
+	if fin {
+		sl.fin, s.finSet, s.finSeq = true, true, sl.seq
+	}
 	s.transmit(sl)
 }
 
@@ -438,7 +489,7 @@ func (s *Stream) onTimeout(now simnet.Time) {
 	if !head.used {
 		return
 	}
-	if head.rtx >= streamMaxRetries {
+	if head.rtx >= s.maxRetries {
 		s.fail(fmt.Sprintf("segment %d: retransmit budget exhausted after %d tries", head.seq, head.rtx+1))
 		return
 	}
@@ -450,7 +501,7 @@ func (s *Stream) onTimeout(now simnet.Time) {
 	}
 	if s.tun != nil {
 		// Remember the backed-off timeout for this tunnel so new streams
-		// and flows over it start from reality, not from scratch.
+		// over it start from reality, not from scratch.
 		s.tun.storeRTO(s.rto)
 		if s.backoffCount == hintInvalidateAfter {
 			// Repeated expiry: stop trusting the remembered hop addresses.
@@ -544,7 +595,7 @@ func (s *Stream) complete() {
 	delete(s.eng.sendStreams, s.id)
 	if s.tun != nil && s.SegsRetx == 0 {
 		// A clean run over this tunnel: drop the backoff memory.
-		s.tun.relaxRTO(true)
+		s.tun.storeRTO(0)
 	}
 	if s.OnComplete != nil {
 		s.OnComplete(true)
@@ -564,11 +615,27 @@ func (s *Stream) fail(why string) {
 		}
 	}
 	delete(s.eng.sendStreams, s.id)
-	// The tunnel is presumed dead, exactly like reliable-flow exhaustion:
-	// drop every hop's remembered address.
+	// The tunnel is presumed dead: drop every hop's remembered address.
 	s.eng.invalidateTunnelHints(s.tun)
 	if s.OnComplete != nil {
 		s.OnComplete(false)
+	}
+}
+
+// invalidateTunnelHints drops the remembered address of every hop t rides
+// and records the dead ends, so stale hints cannot keep poisoning later
+// dispatches — the cleanup a failing stream runs, and a stream on repeated
+// RTO expiry runs early. A prefix sub-tunnel drops only its own hops' hints
+// from the parent's link. A direct stream has no tunnel.
+func (e *NetEngine) invalidateTunnelHints(t *Tunnel) {
+	if t == nil {
+		return
+	}
+	for i, h := range t.Hops {
+		if a := t.Hint(i); a != simnet.NoAddr {
+			e.markStaleHint(h.HopID, a)
+			t.dropHint(i)
+		}
 	}
 }
 
@@ -617,7 +684,7 @@ func (e *NetEngine) handleStreamData(self simnet.Addr, p *packet) {
 	sid := p.flow
 	rs := e.recvStreams[sid]
 	if rs == nil {
-		if rec, ok := e.closedStreams[sid]; ok {
+		if rec, ok := e.closedStreams[sid]; ok && !e.DisableAckDedup {
 			// Late duplicate of a finished stream: the final ACK may have
 			// been lost, so re-ACK — but never re-deliver.
 			e.StreamDupSegs++

@@ -45,8 +45,8 @@ func Checkers() []Checker {
 		},
 		{
 			Name: "tunnel-liveness",
-			Doc: "every reliable flow resolves, and — in loss-free runs — a " +
-				"flow through a tunnel whose anchors all survived is delivered (§6 hop takeover)",
+			Doc: "every send resolves, and — in loss-free runs — a message " +
+				"through a tunnel whose anchors all survived is delivered (§6 hop takeover)",
 			AtQuiescence: checkTunnelLiveness,
 		},
 		{
@@ -139,9 +139,9 @@ func checkLeafSet(r *runner) (string, bool) {
 	return "", false
 }
 
-// checkTunnelLiveness verifies at quiescence that (a) every reliable
-// flow resolved — delivered or exhausted — and (b) in loss-free runs,
-// every flow whose tunnel remained functional (each hop anchor kept a
+// checkTunnelLiveness verifies at quiescence that (a) every send
+// resolved — delivered or exhausted — and (b) in loss-free runs, every
+// flow whose tunnel remained functional (each hop anchor kept a
 // live replica; anchors never resurrect, so functional-at-end implies
 // functional throughout) was delivered. Under packet loss (b) is
 // undecidable — an honest retransmit budget can exhaust — so it is
@@ -182,10 +182,10 @@ func checkTunnelLiveness(r *runner) (string, bool) {
 	return "", false
 }
 
-// checkExactlyOnce verifies the delivery-count discipline per flow. The
-// OnDeliver hook also fires this check synchronously at the offending
-// arrival; this quiescence pass is the backstop that additionally ties
-// delivery counts to outcomes.
+// checkExactlyOnce verifies the delivery-count discipline per flow. A
+// message's OnData hook (installed from OnStream) also fires this check
+// synchronously at the offending delivery; this quiescence pass is the
+// backstop that additionally ties delivery counts to outcomes.
 func checkExactlyOnce(r *runner) (string, bool) {
 	for _, flow := range r.flowOrder() {
 		rec := r.flows[flow]

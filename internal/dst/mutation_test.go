@@ -5,59 +5,40 @@ import (
 	"testing"
 )
 
-// mutationCase pairs a planted bug with the checker that must catch it.
-// maxShrunk bounds the shrunk counterexample size: the pool plants need
-// only a pool and one partition to fire, so their traces must shrink to
-// a handful of events.
-type mutationCase struct {
-	name      string
-	mut       Mutations
-	profile   Profile
-	checker   string
-	maxShrunk int
-}
-
-func mutationCases() []mutationCase {
-	return []mutationCase{
-		{"skip-migration", Mutations{SkipMigration: true}, ProfileStorage, "tha-replication", 25},
-		{"corrupt-leaf", Mutations{CorruptLeaf: true}, ProfileMembership, "leafset", 25},
-		{"drop-onion-layer", Mutations{DropOnionLayer: true}, ProfileFull, "tunnel-liveness", 25},
-		{"leak-payload", Mutations{LeakPayload: true}, ProfileFull, "no-plaintext", 25},
-		{"disable-ack-dedup", Mutations{DisableAckDedup: true}, ProfileFull, "exactly-once", 25},
-		{"stall-rebuild", Mutations{StallRebuild: true}, ProfilePool, "pool-reconverge", 5},
-		{"uncapped-rebuild", Mutations{UncappedRebuild: true}, ProfilePool, "rebuild-rate", 5},
-		{"stream-reorder-bypass", Mutations{StreamReorderBypass: true}, ProfileStream, "stream-in-order-delivery", 25},
-		{"stream-window-bypass", Mutations{StreamWindowBypass: true}, ProfileStream, "window-conservation", 25},
-	}
-}
+// maxShrunk bounds a plant's shrunk counterexample size, by plant name;
+// a plant not named here gets 25 events. The pool plants need only a pool
+// and one partition to fire, so their traces must shrink to a handful.
+var maxShrunk = map[string]int{"stall-rebuild": 5, "uncapped-rebuild": 5}
 
 // mutationSeedBudget bounds how many generated seeds a planted bug may
 // take to trip its checker. The weakest plant (disable-ack-dedup, which
-// needs a lossy seed whose retransmit duplicates actually land) fires
-// within the first 5 seeds; 20 leaves headroom against generator drift.
+// needs a seed where a message's retransmitted copy lands after the
+// original) fires within the first 5 seeds; 20 leaves headroom against
+// generator drift.
 const mutationSeedBudget = 20
 
-// firstFiringSeed scans the seed budget for the first seed on which the
-// plant trips its designated checker, failing the test if any seed trips
-// a *different* checker first (a cross-firing plant means the checker
-// attribution is wrong).
-func firstFiringSeed(t *testing.T, c mutationCase) uint64 {
+// firstFiringSeed scans the seed budget for the first seed on which
+// Plants[i] trips its designated checker, failing the test if any seed
+// trips a *different* checker first (a cross-firing plant means the
+// checker attribution is wrong).
+func firstFiringSeed(t *testing.T, i int) uint64 {
 	t.Helper()
+	c := Plants[i]
 	for seed := uint64(1); seed <= mutationSeedBudget; seed++ {
-		res := Run(Gen(seed, c.profile), c.mut)
+		res := Run(Gen(seed, c.Profile), c.Mutations)
 		if res.Err != nil {
 			t.Fatalf("seed %d: infrastructure error: %v", seed, res.Err)
 		}
 		if res.Violation == nil {
 			continue
 		}
-		if res.Violation.Checker != c.checker {
+		if res.Violation.Checker != c.Checker {
 			t.Fatalf("seed %d: plant %s tripped checker %s, want %s: %s",
-				seed, c.name, res.Violation.Checker, c.checker, res.Violation.Msg)
+				seed, c.Name, res.Violation.Checker, c.Checker, res.Violation.Msg)
 		}
 		return seed
 	}
-	t.Fatalf("plant %s never tripped %s within %d seeds", c.name, c.checker, mutationSeedBudget)
+	t.Fatalf("plant %s never tripped %s within %d seeds", c.Name, c.Checker, mutationSeedBudget)
 	return 0
 }
 
@@ -66,11 +47,10 @@ func firstFiringSeed(t *testing.T, c mutationCase) uint64 {
 // (unmutated) replay of the same scenario must stay clean — proving the
 // checker reacts to the bug, not to the scenario.
 func TestMutationsCaught(t *testing.T) {
-	for _, c := range mutationCases() {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			seed := firstFiringSeed(t, c)
-			sc := Gen(seed, c.profile)
+	for i, c := range Plants {
+		t.Run(c.Name, func(t *testing.T) {
+			seed := firstFiringSeed(t, i)
+			sc := Gen(seed, c.Profile)
 			honest := Run(sc, Mutations{})
 			if honest.Violation != nil {
 				t.Fatalf("seed %d: honest run of the firing scenario violated %s: %s",
@@ -85,26 +65,29 @@ func TestMutationsCaught(t *testing.T) {
 // counterexample size bound, still trip the same checker, and replay
 // deterministically.
 func TestMutationShrinks(t *testing.T) {
-	for _, c := range mutationCases() {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			seed := firstFiringSeed(t, c)
-			sr := Shrink(Gen(seed, c.profile), c.mut, 0)
+	for i, c := range Plants {
+		t.Run(c.Name, func(t *testing.T) {
+			seed := firstFiringSeed(t, i)
+			sr := Shrink(Gen(seed, c.Profile), c.Mutations, 0)
 			if sr.Violation == nil {
 				t.Fatalf("shrink lost the violation")
 			}
-			if sr.Violation.Checker != c.checker {
-				t.Fatalf("shrunk violation moved to checker %s, want %s", sr.Violation.Checker, c.checker)
+			if sr.Violation.Checker != c.Checker {
+				t.Fatalf("shrunk violation moved to checker %s, want %s", sr.Violation.Checker, c.Checker)
 			}
-			if got := len(sr.Scenario.Events); got > c.maxShrunk {
+			bound, ok := maxShrunk[c.Name]
+			if !ok {
+				bound = 25
+			}
+			if got := len(sr.Scenario.Events); got > bound {
 				t.Fatalf("shrunk schedule has %d events, want <= %d (from %d)",
-					got, c.maxShrunk, sr.Original)
+					got, bound, sr.Original)
 			}
 			if len(sr.Scenario.Events) >= sr.Original && sr.Original > 1 {
 				t.Fatalf("shrinker removed nothing (%d events)", sr.Original)
 			}
 			// The shrunk scenario replays to the identical violation.
-			again := Run(sr.Scenario, c.mut)
+			again := Run(sr.Scenario, c.Mutations)
 			if !reflect.DeepEqual(again.Violation, sr.Violation) {
 				t.Fatalf("shrunk replay diverged:\n%+v\n%+v", again.Violation, sr.Violation)
 			}
@@ -116,9 +99,9 @@ func TestMutationShrinks(t *testing.T) {
 // JSON, reloads it, and replays the reloaded scenario — the full
 // tapcheck artifact cycle.
 func TestMutationTraceRoundTrip(t *testing.T) {
-	c := mutationCases()[0]
-	seed := firstFiringSeed(t, c)
-	sr := Shrink(Gen(seed, c.profile), c.mut, 0)
+	c := Plants[0]
+	seed := firstFiringSeed(t, 0)
+	sr := Shrink(Gen(seed, c.Profile), c.Mutations, 0)
 	tr := NewTrace(sr)
 	blob, err := tr.JSON()
 	if err != nil {
@@ -128,7 +111,7 @@ func TestMutationTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(back.Scenario, c.mut)
+	res := Run(back.Scenario, c.Mutations)
 	if !reflect.DeepEqual(res.Violation, sr.Violation) {
 		t.Fatalf("trace replay diverged:\n%+v\n%+v", res.Violation, sr.Violation)
 	}

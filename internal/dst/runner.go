@@ -33,18 +33,21 @@ type Mutations struct {
 	// CorruptLeaf empties one live node's leaf set after the first
 	// membership event: the leafset invariant must notice.
 	CorruptLeaf bool
-	// DropOnionLayer builds each forward message with one onion layer
-	// missing (the envelope is addressed to hop 0 but sealed for hop 1):
-	// the tag fails at the first hop, every retransmission dies the same
-	// way, and the tunnel-liveness invariant must notice a functional
-	// tunnel that stopped delivering.
+	// DropOnionLayer builds each send's envelope with one onion layer
+	// missing (the envelope is addressed to hop 0 but sealed for hop 1)
+	// and sends it fire-and-forget: the tag fails at the first hop, and
+	// the tunnel-liveness invariant must notice a functional tunnel that
+	// stopped delivering.
 	DropOnionLayer bool
-	// LeakPayload transmits the raw payload in place of the sealed
-	// onion: the no-plaintext invariant must see the canary on the wire.
+	// LeakPayload sends the raw payload in place of the sealed onion,
+	// fire-and-forget: the no-plaintext invariant must see the canary on
+	// the wire.
 	LeakPayload bool
-	// DisableAckDedup makes terminals re-deliver duplicate arrivals as
-	// fresh: the exactly-once invariant must count more than one fresh
-	// delivery on some flow.
+	// DisableAckDedup plants core.NetEngine.DisableAckDedup: a message's
+	// receiver forgets it finished the message's stream, so a late
+	// duplicate opens a new stream and is delivered again, and the
+	// exactly-once invariant must count more than one fresh delivery on
+	// some message.
 	DisableAckDedup bool
 	// StallRebuild plants core.PoolConfig.DisableRebuild on every tunnel
 	// pool: dead slots never refill, and the pool-reconverge invariant
@@ -67,6 +70,26 @@ type Mutations struct {
 	// notice more unacknowledged segments in flight than the window
 	// allows.
 	StreamWindowBypass bool
+}
+
+// Plants is the one table of planted bugs: the name cmd/tapcheck's -mutate
+// takes, what Run plants, the profile whose scenarios exercise it, and the
+// checker that must catch it (the mutation self-tests hold each row to that).
+var Plants = []struct {
+	Name      string
+	Mutations Mutations
+	Profile   Profile
+	Checker   string
+}{
+	{"skip-migration", Mutations{SkipMigration: true}, ProfileStorage, "tha-replication"},
+	{"corrupt-leaf", Mutations{CorruptLeaf: true}, ProfileMembership, "leafset"},
+	{"drop-onion-layer", Mutations{DropOnionLayer: true}, ProfileFull, "tunnel-liveness"},
+	{"leak-payload", Mutations{LeakPayload: true}, ProfileFull, "no-plaintext"},
+	{"disable-ack-dedup", Mutations{DisableAckDedup: true}, ProfileFull, "exactly-once"},
+	{"stall-rebuild", Mutations{StallRebuild: true}, ProfilePool, "pool-reconverge"},
+	{"uncapped-rebuild", Mutations{UncappedRebuild: true}, ProfilePool, "rebuild-rate"},
+	{"stream-reorder-bypass", Mutations{StreamReorderBypass: true}, ProfileStream, "stream-in-order-delivery"},
+	{"stream-window-bypass", Mutations{StreamWindowBypass: true}, ProfileStream, "window-conservation"},
 }
 
 // Violation is one invariant failure, attributed to the schedule event
@@ -99,8 +122,9 @@ type Result struct {
 	Steps     uint64 // kernel events executed
 }
 
-// reliabilityBudget is generous so every reliable flow resolves before
-// quiescence even under the worst generated loss rate.
+// reliabilityBudget is each message's transmission budget: generous, so
+// every message resolves before quiescence even under the worst generated
+// loss rate.
 const reliabilityBudget = 12
 
 // poolRepairBudget is how long after the last schedule event (or the
@@ -125,12 +149,14 @@ const (
 // refuse-to-kill-the-last-node edge.
 const minLiveFloor = 8
 
+// flowRec tracks one EvSend: a reliable message, or under a traffic plant
+// a fire-and-forget flow.
 type flowRec struct {
 	tunnel  *core.Tunnel
 	outcome core.Outcome
 	// outcomes counts completion callbacks (must be exactly 1); fresh
-	// and dup count terminal data arrivals by kind.
-	outcomes, fresh, dup int
+	// counts a message's deliveries to the application.
+	outcomes, fresh int
 }
 
 // poolSendRec tracks one pool send's resolution. Pool flows are built
@@ -345,11 +371,21 @@ func (r *runner) build() error {
 	r.kernel.MaxSteps = 20_000_000
 	r.net = simnet.NewNetwork(r.kernel, simnet.DefaultLinkModel(sc.Seed), ov.NumAddrs())
 	r.eng = core.NewNetEngine(r.svc, r.net)
-	r.eng.EnableReliability(core.Reliability{MaxAttempts: reliabilityBudget})
 	r.eng.DisableAckDedup = r.mut.DisableAckDedup
 	r.eng.StreamReorderBypass = r.mut.StreamReorderBypass
 	r.eng.StreamWindowBypass = r.mut.StreamWindowBypass
 	r.eng.OnStream = func(rs *core.RecvStream) {
+		if msg := r.flows[rs.ID()]; msg != nil {
+			// A message: its one payload must reach the application once.
+			rs.OnData = func(uint64, []byte) {
+				if msg.fresh >= 1 {
+					r.violate("exactly-once", fmt.Sprintf(
+						"flow %d delivered fresh to the terminal %d times", rs.ID(), msg.fresh+1))
+				}
+				msg.fresh++
+			}
+			return
+		}
 		rec := r.streams[rs.ID()]
 		if rec == nil {
 			return
@@ -374,21 +410,6 @@ func (r *runner) build() error {
 			rec.recvOff += len(data)
 		}
 		rs.OnClose = func(rs *core.RecvStream) { rec.closes++ }
-	}
-	r.eng.OnDeliver = func(flow uint64, dup bool) {
-		rec, ok := r.flows[flow]
-		if !ok {
-			return
-		}
-		if dup {
-			rec.dup++
-			return
-		}
-		if rec.fresh >= 1 {
-			r.violate("exactly-once", fmt.Sprintf(
-				"flow %d delivered fresh to the terminal %d times", flow, rec.fresh+1))
-		}
-		rec.fresh++
 	}
 
 	if sc.Loss > 0 || sc.Spike > 0 {
@@ -645,30 +666,44 @@ func (r *runner) pickVictimExcluding(raw uint64, pending int, taken map[simnet.A
 	return simnet.NoAddr
 }
 
-// send starts one reliable forward flow, applying any traffic plants.
+// send starts one reliable message over tun — or, under a traffic plant,
+// the plant's broken envelope, fire-and-forget.
 func (r *runner) send(c *client, tun *core.Tunnel, ev Event) {
 	payload := r.payload(ev.Size)
 	var dest id.ID
 	r.traffic.Bytes(dest[:])
-
-	var env *core.Envelope
-	var err error
-	switch {
-	case r.mut.DropOnionLayer && tun.Length() >= 2:
-		// One layer short: sealed for the sub-tunnel starting at hop 1,
-		// but addressed to hop 0, which cannot authenticate it.
-		sub := &core.Tunnel{Hops: tun.Hops[1:]}
-		env, err = core.BuildForward(sub, nil, dest, payload, r.traffic)
-		if err == nil {
-			env.HopID = tun.Hops[0].HopID
-		}
-	case ev.Hints:
+	origin := c.in.Node().Ref().Addr
+	rec := &flowRec{tunnel: tun}
+	done := func(o core.Outcome) {
+		rec.outcome = o
+		rec.outcomes++
+	}
+	via := tun
+	if ev.Hints {
 		// Partially refreshed hints (some hop lost) are still usable: a
 		// missing one falls back to DHT routing.
 		_ = tun.RefreshHints(r.svc)
-		env, err = core.BuildForwardHinted(tun, dest, payload, r.traffic)
-	default:
-		env, err = core.BuildForward(tun, nil, dest, payload, r.traffic)
+	} else {
+		// A view of the same hops with no hints and no memory of its own:
+		// every hop, the first included, is resolved by DHT routing, so the
+		// unhinted TAP_basic path stays under test.
+		via = &core.Tunnel{Hops: tun.Hops}
+	}
+	if !r.mut.DropOnionLayer && !r.mut.LeakPayload {
+		r.flows[r.eng.SendMessage(origin, via, dest, payload, reliabilityBudget, done)] = rec
+		return
+	}
+	var env *core.Envelope
+	var err error
+	if r.mut.DropOnionLayer {
+		// One layer short: sealed for the sub-tunnel starting at hop 1,
+		// but addressed to hop 0, which cannot authenticate it.
+		sub := &core.Tunnel{Hops: tun.Hops[1:]}
+		if env, err = core.BuildForward(sub, nil, dest, payload, r.traffic); err == nil {
+			env.HopID = tun.Hops[0].HopID
+		}
+	} else {
+		env, err = core.BuildForwardHinted(via, dest, payload, r.traffic)
 	}
 	if err != nil {
 		r.skipped++
@@ -677,20 +712,12 @@ func (r *runner) send(c *client, tun *core.Tunnel, ev Event) {
 	if r.mut.LeakPayload {
 		env.Sealed = append([]byte(nil), payload...)
 	}
-
-	rec := &flowRec{tunnel: tun}
-	flow := r.eng.SendForward(c.in.Node().Ref().Addr, env, func(o core.Outcome) {
-		rec.outcome = o
-		rec.outcomes++
-	})
-	r.flows[flow] = rec
+	r.flows[r.eng.SendForward(origin, env, done)] = rec
 }
 
 // stream opens one windowed stream — over a tunnel when the client has
 // any, else the direct overt path — and pumps the event's content through
-// the send window. No canary prefix here: stream segments legitimately
-// expose their bytes on the overt exit leg (they are bulk transfers, not
-// sealed payloads), so the no-plaintext tap must not see a marker.
+// the send window.
 func (r *runner) stream(c *client, ev Event) {
 	size := ev.Size
 	if size < 64 {

@@ -78,7 +78,7 @@ type Event struct {
 	L      int  `json:"l,omitempty"`      // form/pool: tunnel length
 	T      int  `json:"t,omitempty"`      // send: tunnel selector (mod formed tunnels)
 	Size   int  `json:"size,omitempty"`   // send/pool-send/stream: payload bytes
-	Hints  bool `json:"hints,omitempty"`  // send: use a freshly refreshed hint cache
+	Hints  bool `json:"hints,omitempty"`  // send: refresh the tunnel's hints and ride them (else DHT-route every hop)
 	W      int  `json:"w,omitempty"`      // stream: send window (segments)
 
 	Asym bool        `json:"asym,omitempty"` // partition: inbound-only cut

@@ -14,8 +14,8 @@ import (
 
 // ExtReliabilityParams configures the churn-reliability experiment: tunnel
 // transfers over a faulty network — per-link message loss plus scheduled
-// crashes of current hop nodes mid-flow — with and without the end-to-end
-// ACK/retransmit protocol. The paper argues TAP tunnels *survive* node
+// crashes of current hop nodes mid-flow — sent as reliable messages
+// (core.NetEngine.SendMessage) and as fire-and-forget flows. The paper argues TAP tunnels *survive* node
 // failure because hop anchors fail over to THA replicas (§6); this
 // experiment measures what that survival is worth to in-flight traffic
 // once someone actually retransmits into the recovered tunnel.
@@ -37,7 +37,7 @@ type ExtReliabilityParams struct {
 const (
 	relLength      = 3    // tunnel length l
 	relFileBytes   = 2000 // payload per flow
-	relMaxAttempts = 10   // the reliable mode's end-to-end attempt budget
+	relMaxAttempts = 10   // the reliable mode's per-message transmission budget
 )
 
 func (p ExtReliabilityParams) withDefaults() ExtReliabilityParams {
@@ -74,8 +74,8 @@ const (
 // ExtReliability reports delivery rate, successful-transfer latency, and
 // (for the reliable mode) mean end-to-end attempts per loss rate. Both
 // modes replay the identical scenario — same world, tunnels, hints,
-// destinations, and fault plan — differing only in whether the engine
-// retransmits.
+// destinations, and fault plan — differing only in whether the flow is a
+// reliable message or a fire-and-forget envelope.
 func ExtReliability(p ExtReliabilityParams) (*trace.Table, error) {
 	p = p.withDefaults()
 	tbl := trace.NewTable(
@@ -139,9 +139,6 @@ func runReliabilityTrial(p ExtReliabilityParams, loss float64, retx bool, stream
 	}
 	kernel, net, eng := w.NewEngine(stream.Seed())
 	kernel.MaxSteps = 0
-	if retx {
-		eng.EnableReliability(core.Reliability{MaxAttempts: relMaxAttempts})
-	}
 
 	// Flows are formed up front (hints resolve the t=0 hop nodes)
 	// and spaced out so each crash lands 300 ms into its own flow.
@@ -149,6 +146,8 @@ func runReliabilityTrial(p ExtReliabilityParams, loss float64, retx bool, stream
 	ts := stream.Split("flows")
 	type flowPlan struct {
 		origin simnet.Addr
+		tun    *core.Tunnel
+		dest   id.ID
 		env    *core.Envelope
 		start  simnet.Time
 	}
@@ -178,12 +177,14 @@ func runReliabilityTrial(p ExtReliabilityParams, loss float64, retx bool, stream
 		}
 		var dest id.ID
 		ts.Bytes(dest[:])
+		// Built in both modes, so both draw the identical scenario from ts;
+		// only the fire-and-forget mode sends it (a message seals its own).
 		env, err := core.BuildForwardHinted(tun, dest, make([]byte, relFileBytes), ts)
 		if err != nil {
 			return 0, lat, att, err
 		}
 		start := simnet.Time(fi) * simnet.Time(spacing)
-		flows = append(flows, flowPlan{origin: node.Ref().Addr, env: env, start: start})
+		flows = append(flows, flowPlan{origin: node.Ref().Addr, tun: tun, dest: dest, env: env, start: start})
 		if ts.Float64() < p.CrashFrac {
 			mid := tun.Hops[len(tun.Hops)/2].HopID
 			if hn, ok := w.Dir.HopNode(mid); ok {
@@ -229,10 +230,13 @@ func runReliabilityTrial(p ExtReliabilityParams, loss float64, retx bool, stream
 	for fi := range flows {
 		fi := fi
 		f := flows[fi]
+		done := func(o core.Outcome) { results[fi] = flowResult{got: true, out: o} }
 		kernel.At(f.start, func() {
-			eng.SendForward(f.origin, f.env, func(o core.Outcome) {
-				results[fi] = flowResult{got: true, out: o}
-			})
+			if retx {
+				eng.SendMessage(f.origin, f.tun, f.dest, make([]byte, relFileBytes), relMaxAttempts, done)
+			} else {
+				eng.SendForward(f.origin, f.env, done)
+			}
 		})
 	}
 	if err := kernel.Run(); err != nil {

@@ -49,8 +49,8 @@ const (
 	// each send's size.
 	selfHealSendEvery    = 2 * time.Second
 	selfHealPayloadBytes = 512
-	// selfHealMaxAttempts is the baseline's end-to-end retransmit budget
-	// (the pool uses its own per-flow budgets).
+	// selfHealMaxAttempts is the baseline's per-message transmission
+	// budget (the pool uses its own per-message budgets).
 	selfHealMaxAttempts = 4
 )
 
@@ -141,7 +141,6 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 	}
 	kernel, net, eng := w.NewEngine(stream.Seed())
 	kernel.MaxSteps = 0
-	eng.EnableReliability(core.Reliability{MaxAttempts: selfHealMaxAttempts})
 
 	// Clients are exempt from churn: a dead initiator measures nothing.
 	protected := make(map[simnet.Addr]bool)
@@ -240,11 +239,7 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 			var d id.ID
 			traffic.Bytes(d[:])
 			singleSent++
-			env, err := core.BuildForwardHinted(s.tun, d, make([]byte, selfHealPayloadBytes), traffic)
-			if err != nil {
-				continue
-			}
-			eng.SendForward(s.origin, env, func(o core.Outcome) {
+			eng.SendMessage(s.origin, s.tun, d, make([]byte, selfHealPayloadBytes), selfHealMaxAttempts, func(o core.Outcome) {
 				if o.Delivered {
 					singleOK++
 				}

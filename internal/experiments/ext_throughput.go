@@ -20,8 +20,9 @@ import (
 // destination popularity drawn from a Zipf distribution (a few hot
 // responders soak most of the traffic, the classic content-distribution
 // shape). The sweep crosses per-link loss with send-window size; window 1
-// degenerates to PR 1's stop-and-wait and is the built-in baseline every
-// other window is read against.
+// degenerates to stop-and-wait — the window a reliable message
+// (NetEngine.SendMessage) rides — and is the built-in baseline every other
+// window is read against.
 type ExtThroughputParams struct {
 	N          int // overlay size
 	Clients    int // stream sources (each owns TunnelsPer tunnels)

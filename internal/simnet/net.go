@@ -271,12 +271,6 @@ func (n *Network) Now() Time { return n.Kernel.Now() }
 // transport.Clock without handing callers the whole kernel.
 func (n *Network) Schedule(delay Time, fn func()) { n.Kernel.Schedule(delay, fn) }
 
-// Serialization estimates the time to clock size bytes onto a link.
-func (n *Network) Serialization(size int) Time { return n.Link.Serialization(size) }
-
-// MaxLatency bounds the one-way propagation delay of any link.
-func (n *Network) MaxLatency() Time { return n.Link.MaxLatency }
-
 // The simulated network is the deterministic Transport implementation;
 // this assertion is the contract that it keeps satisfying the seam.
 var _ transport.Transport = (*Network)(nil)

@@ -91,9 +91,6 @@ const (
 	// travels to one peer together. With the retention bound that is at
 	// most 2 MiB a peer, and only a peer that was sent frames that large.
 	freeBufDepth = 16
-	// latencyCeiling is what MaxLatency reports — a coarse upper bound
-	// used only to seed retransmit-timeout estimates.
-	latencyCeiling = 200 * time.Millisecond
 )
 
 // Dialer is the connection-establishment seam. The zero Config uses a
@@ -852,13 +849,6 @@ func (t *Transport) WatchAddrs(fn func(addr transport.Addr, up bool)) {
 	t.watchers = append(t.watchers, fn)
 	t.mu.Unlock()
 }
-
-// Serialization reports no clocking time: the transport models no link
-// rate, TCP's own pacing governs.
-func (t *Transport) Serialization(int) transport.Time { return 0 }
-
-// MaxLatency reports latencyCeiling.
-func (t *Transport) MaxLatency() transport.Time { return latencyCeiling }
 
 // --- peer table -------------------------------------------------------------
 

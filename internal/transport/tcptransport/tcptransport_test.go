@@ -368,17 +368,6 @@ func TestNowMonotonic(t *testing.T) {
 	}
 }
 
-func TestSerializationAndLatency(t *testing.T) {
-	a := New(Config{Codec: textCodec{}})
-	t.Cleanup(a.Close)
-	if got := a.Serialization(1000); got != 0 {
-		t.Fatalf("Serialization(1000) = %v, want 0: the transport models no link rate", got)
-	}
-	if got := a.MaxLatency(); got != latencyCeiling {
-		t.Fatalf("MaxLatency = %v, want %v", got, time.Duration(latencyCeiling))
-	}
-}
-
 // TestSendDuringPeerTeardown hammers Send from several goroutines while
 // the control path repeatedly tears the peer down (endpoint change,
 // removal, re-add). Before p.out teardown moved to a quit channel this

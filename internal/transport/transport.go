@@ -1,8 +1,8 @@
 // Package transport defines the seam between TAP's protocol engines and
 // the medium that carries their messages.
 //
-// Everything above this package — the tunnel engine, the reliability
-// layer, the tunnel pools, windowed streams — is written against the
+// Everything above this package — the tunnel engine, the tunnel pools,
+// windowed streams — is written against the
 // Transport and Clock interfaces here, never against a concrete network.
 // Two implementations exist:
 //
@@ -109,12 +109,4 @@ type Transport interface {
 	// transitions: fn(addr, false) when an address goes down and
 	// fn(addr, true) when it comes back. Watchers run on the event loop.
 	WatchAddrs(fn func(addr Addr, up bool))
-
-	// Serialization estimates the time to clock size bytes onto a link,
-	// and MaxLatency bounds the one-way propagation delay. Engines use
-	// them only to seed retransmit-timeout estimates, so a coarse figure
-	// is fine for transports that cannot know (the estimator converges on
-	// measured RTTs).
-	Serialization(size int) Time
-	MaxLatency() Time
 }
