@@ -62,10 +62,11 @@ type DataMsg struct {
 // SizeBytes implements transport.Message.
 func (m *DataMsg) SizeBytes() int { return id.Size + len(m.Payload) }
 
-// Codec frames the procnode message set for tcptransport. All decoded
-// messages own their buffers: the payload handed to Decode is a window
-// into the connection's read buffer, and the bytes behind it are the next
-// frame.
+// Codec frames the procnode message set for tcptransport. A decoded
+// forward, reply or data message lends its payload's bytes: its blobs lie
+// in the window of the connection's read buffer Decode was handed, so they
+// are the handler's until Deliver returns (tcptransport.Codec). An anchor
+// or an ack is fixed-width fields, copied in.
 type Codec struct{}
 
 // AppendEncode implements tcptransport.Codec: it appends msg's encoding
@@ -139,7 +140,7 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 		var m core.Envelope
 		m.HopID = r.ID()
 		m.Hint = transport.Addr(r.Int64())
-		m.Sealed = append([]byte(nil), r.Blob()...)
+		m.Sealed = r.Blob()
 		m.Pad = int(r.Uint32())
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: forward envelope: %w", err)
@@ -152,8 +153,8 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 		var m core.ReplyEnvelope
 		m.Target = r.ID()
 		m.Hint = transport.Addr(r.Int64())
-		m.Onion = append([]byte(nil), r.Blob()...)
-		m.Data = append([]byte(nil), r.Blob()...)
+		m.Onion = r.Blob()
+		m.Data = r.Blob()
 		m.Pad = int(r.Uint32())
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: reply envelope: %w", err)
@@ -163,8 +164,7 @@ func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
 		}
 		return &m, nil
 	case kindData:
-		m := &DataMsg{Dest: r.ID()}
-		m.Payload = append([]byte(nil), r.Blob()...)
+		m := &DataMsg{Dest: r.ID(), Payload: r.Blob()}
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: data: %w", err)
 		}

@@ -30,10 +30,13 @@ func codecMessages() []transport.Message {
 // checkCodecContracts holds one decoded message to the codec's
 // contracts: it re-encodes — an anchor or an ack to the very bytes it came
 // from —, AppendEncode leaves the bytes ahead of it alone and appends
-// exactly what Encode returns, the encoding decodes back to an equal
-// message, and nothing decoded aliases the decoder's
-// input — the transport hands Decode a window of its read buffer, and the
-// bytes behind the window are the next frame. input is scribbled over.
+// exactly what Encode returns, and the encoding decodes back to an equal
+// message. And the decode lends, both ways: a forward, reply or data
+// message's blobs lie inside the decoder's input — the transport hands
+// Decode a window of its read buffer, and the handler borrows it — so its
+// decode allocates the message alone; an anchor or an ack is fixed-width
+// fields, copied, and survives a scribble over the input. input is
+// scribbled over.
 func checkCodecContracts(t *testing.T, kind byte, msg transport.Message, input []byte) {
 	t.Helper()
 	var c Codec
@@ -66,11 +69,41 @@ func checkCodecContracts(t *testing.T, kind byte, msg transport.Message, input [
 		t.Fatalf("%T: round trip changed the message:\n got %+v\nwant %+v", msg, again, msg)
 	}
 
-	for i := range input {
-		input[i] ^= 0xff
+	var blobs [][]byte
+	switch m := msg.(type) {
+	case *core.Envelope:
+		blobs = [][]byte{m.Sealed}
+	case *core.ReplyEnvelope:
+		blobs = [][]byte{m.Onion, m.Data}
+	case *DataMsg:
+		blobs = [][]byte{m.Payload}
 	}
-	if _, after, _ := c.Encode(msg); !bytes.Equal(after, enc) {
-		t.Fatalf("%T: the decoded message aliases the decoder's input", msg)
+	scribble := func() {
+		for i := range input {
+			input[i] ^= 0xff
+		}
+	}
+	if blobs == nil {
+		scribble()
+		if _, after, _ := c.Encode(msg); !bytes.Equal(after, enc) {
+			t.Fatalf("%T: the decoded message aliases the decoder's input", msg)
+		}
+		return
+	}
+	if got := testing.AllocsPerRun(10, func() { c.Decode(kind, input) }); got != 1 {
+		t.Fatalf("%T: %.1f allocations per decode, want 1: the message alone", msg, got)
+	}
+	var before [][]byte
+	for _, b := range blobs {
+		before = append(before, bytes.Clone(b))
+	}
+	scribble()
+	for i, b := range blobs {
+		for j := range b {
+			if b[j] != before[i][j]^0xff {
+				t.Fatalf("%T: blob %d was copied out of the decoder's input, not lent", msg, i)
+			}
+		}
 	}
 }
 

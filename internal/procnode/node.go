@@ -1,6 +1,7 @@
 package procnode
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/binary"
@@ -29,9 +30,10 @@ func NodeID(addr transport.Addr) id.ID {
 // Node is one overlay member: an anchor store plus the relay logic for
 // forward envelopes, reply envelopes, and exit payloads. Relay state
 // (the anchor store, the responder's echo key schedule) is touched only
-// from the transport's dispatch loop — the seam's serialization contract,
-// the same discipline the simulated engines rely on — so it needs no
-// lock; only the membership index, which SetPeers writes from the joining
+// by deliveries and Schedule callbacks, which the transport runs under its
+// one dispatch lock — the seam's serialization contract, the same
+// discipline the simulated engines rely on — so it needs no lock of its
+// own; only the membership index, which SetPeers writes from the joining
 // goroutine, carries one.
 type Node struct {
 	Addr transport.Addr
@@ -164,11 +166,13 @@ func (n *Node) peelAnchor(hopID id.ID) (tha.Anchor, bool) {
 }
 
 // AnchorCount reports how many anchors this node currently holds. Only
-// meaningful from the dispatch loop or after traffic has quiesced.
+// meaningful from a delivery or callback, or after traffic has quiesced.
 func (n *Node) AnchorCount() int { return len(n.anchors) }
 
 // Deliver implements transport.Handler: the single entry point for all
-// overlay traffic.
+// overlay traffic. msg is lent for the call — off a socket its bytes lie in
+// the connection's read buffer — so the two things that outlive the call
+// are copies: an echo handed to RoundTripStream, and a parked message.
 func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 	switch m := msg.(type) {
 	case *AnchorMsg:
@@ -206,7 +210,7 @@ func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 
 // Membership lag tolerance: a node whose view of the membership is behind
 // — the target joined after this node's last peer-table refresh — parks
-// the message and retries on the dispatch loop instead of dropping it.
+// the message and retries on a Schedule callback instead of dropping it.
 // This is what lets a freshly joined initiator receive its anchor acks and
 // its first reply without eating a full initiator-side retransmit timeout.
 const (
@@ -219,7 +223,9 @@ const (
 // index; with an address in hand target goes unread. While the ID is
 // unknown or the address has no dialable endpoint the message is parked
 // and re-tried from the top, with the hint it came with: a failed lookup's
-// Addr is the zero value, and 0 is somebody's address. After resolveRetries
+// Addr is the zero value, and 0 is somebody's address. A parked message
+// outlives the frame it was decoded from, so the first park keeps a copy
+// and every retry re-parks that. After resolveRetries
 // a still-unknown ID is dropped and counted; a known address is sent to
 // anyway, so the transport's drop accounting sees it.
 func (n *Node) send(dst transport.Addr, target id.ID, msg transport.Message, attempt int) {
@@ -235,6 +241,16 @@ func (n *Node) send(dst transport.Addr, target id.ID, msg transport.Message, att
 		n.logf("procnode %d: cannot resolve node %s after %d attempts, dropping",
 			n.Addr, target.Short(), attempt)
 	default:
+		if attempt == 0 { // the copy: msg decoded from an encoding of its own
+			kind, enc, err := Codec{}.Encode(msg)
+			if err == nil {
+				msg, err = Codec{}.Decode(kind, enc)
+			}
+			if err != nil {
+				n.logf("procnode %d: parking: %v", n.Addr, err)
+				return
+			}
+		}
 		n.m.parkRetries.Inc()
 		n.tr.Schedule(resolveDelay, func() { n.send(dst, target, msg, attempt+1) })
 	}
@@ -248,8 +264,9 @@ func (n *Node) handleForward(env *core.Envelope) {
 		n.logf("procnode %d: no anchor for hop %s", n.Addr, env.HopID.Short())
 		return
 	}
-	// The codec gave us an owned envelope, so the hop step may rewrite it:
-	// past a relay layer it is the inner message, addressed and padded.
+	// The envelope is ours for this call, so the hop step may rewrite it
+	// where it lies: past a relay layer it is the inner message, addressed
+	// and padded, and send copies it out before the call returns.
 	t0 := n.tr.Now()
 	layer, err := env.Peel(a)
 	if err != nil {
@@ -263,8 +280,8 @@ func (n *Node) handleForward(env *core.Envelope) {
 			n.handleExitPayload(layer.Payload)
 			return
 		}
-		// The payload lies in the envelope's buffer, which is ours and has
-		// no other reader: send encodes, parks or drops the message.
+		// The payload lies in the envelope's bytes, lent for this call: send
+		// encodes it into a frame, parks a copy, or drops it.
 		n.send(transport.NoAddr, layer.Dest, &DataMsg{Dest: layer.Dest, Payload: layer.Payload}, 0)
 		return
 	}
@@ -281,7 +298,7 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 			// The tail hop resolved our bid: the reply is home.
 			n.m.repliesHome.Inc()
 			select {
-			case n.replies <- env.Data:
+			case n.replies <- bytes.Clone(env.Data): // read past this call, by RoundTripStream
 			default:
 				n.m.notifyDrops.Inc()
 				n.logf("procnode %d: reply channel full", n.Addr)

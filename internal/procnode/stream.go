@@ -184,19 +184,6 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			base++
 		}
 	}
-	// A co-hosted first hop is handed the very message, not a decode of it
-	// (tcptransport's local short-circuit), and peels what it is handed in
-	// place; the window keeps its envelope for re-sending, so that hop gets
-	// a copy. Cloning here rather than decoding every local delivery keeps
-	// the relay hot path, and the benchmarks that co-host its sink, as is.
-	transmit := func(dst transport.Addr, msg transport.Message) {
-		if env, ok := msg.(*core.Envelope); ok && n.tr.Attached(dst) {
-			own := *env
-			own.Sealed = bytes.Clone(env.Sealed)
-			msg = &own
-		}
-		n.tr.Send(n.Addr, dst, msg)
-	}
 	timer := time.NewTimer(cfg.Timeout)
 	defer timer.Stop()
 	for base < total {
@@ -216,7 +203,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 				c.dst, c.msg = cfg.ForwardHops[0], env
 			}
 			window[next%streamWindow] = c
-			transmit(c.dst, c.msg)
+			n.tr.Send(n.Addr, c.dst, c.msg)
 		}
 		select {
 		case hop := <-n.acks:
@@ -263,7 +250,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 					c.attempts++
 					c.deadline = now.Add(cfg.Timeout)
 					n.m.streamRetransmits.Inc()
-					transmit(c.dst, c.msg)
+					n.tr.Send(n.Addr, c.dst, c.msg)
 				}
 				if c.deadline.Before(wake) {
 					wake = c.deadline
@@ -285,7 +272,7 @@ type inflight struct {
 }
 
 // openEcho authenticates a delivered reply under the stream's key, in
-// place — the codec made the bytes ours — and returns the chunk number it
+// place — handleReply sent a copy — and returns the chunk number it
 // answers and the echoed bytes, a window into sealed.
 func openEcho(s *crypt.Sealer, sid uint64, sealed []byte) (seq int, chunk []byte, ok bool) {
 	plain, err := s.OpenInPlace(sealed)

@@ -127,7 +127,9 @@ func TestStreamResendsOnlyTheLostChunk(t *testing.T) {
 				fault.lose = func(nth int, frame []byte) bool {
 					switch nth {
 					case lost:
-						held, _ = fault.Codec.Decode(kindReply, frame)
+						// Decoded from a copy: it is delivered after the read
+						// buffer under frame has been overwritten.
+						held, _ = fault.Codec.Decode(kindReply, bytes.Clone(frame))
 						return true
 					case lost + streamWindow:
 						msg := held

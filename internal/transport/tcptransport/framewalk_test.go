@@ -101,7 +101,7 @@ func referenceWalk(stream []byte) walkResult {
 // walker runs readLoop over in-memory connections on one transport.
 type walker struct {
 	tr   *Transport
-	msgs []delivered // appended on the dispatch loop, read after sync
+	msgs []delivered // appended under the dispatch lock, read after sync
 }
 
 func newWalker(t testing.TB) *walker {
@@ -149,7 +149,8 @@ func (w *walker) walk(t testing.TB, stream []byte, writes ...int) walkResult {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	// Deliveries are queued in order; an event queued now runs after them.
+	// The reader delivered every frame under the dispatch lock before it
+	// exited; an event run now takes the lock after it.
 	done := make(chan struct{})
 	w.tr.enqueue(func() { close(done) })
 	<-done

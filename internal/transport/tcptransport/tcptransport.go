@@ -10,11 +10,15 @@
 // (internal/board) in a deployment.
 //
 // Concurrency model. The transport preserves the seam's contract that
-// engine callbacks never run concurrently: message deliveries, Schedule
-// callbacks, and watcher notifications are all funneled through a single
-// dispatch goroutine (the "loop"). Socket I/O lives on its own
-// goroutines — one reader per accepted connection, one writer per dialed
-// peer — so a slow peer never stalls the loop; a full outbound queue
+// engine callbacks never run concurrently: every message delivery,
+// Schedule callback and watcher notification runs holding one
+// transport-wide dispatch lock. A frame read off a socket is decoded and
+// handed to its handler right there, on the goroutine that read it — one
+// reader per accepted connection — so an inbound message crosses no queue
+// and no goroutine. The dispatch goroutine (the "loop") runs only what has
+// no goroutine of its own: timers, watcher notifications and deliveries to
+// co-hosted addresses. One writer per dialed peer keeps a slow peer from
+// stalling a handler; a full outbound queue, or a full dispatch queue,
 // drops messages instead, which is exactly the unreliable-send semantics
 // the seam promises and the layers above already recover from.
 //
@@ -54,10 +58,12 @@ import (
 // and address prefix already laid out — so an implementation appends and
 // never touches dst[:len(dst)].
 //
-// Decode reverses it. The payload slice is a window into the connection's
-// read buffer, valid only for the duration of the call: the bytes behind
-// it are the next frame and the buffer is overwritten by the next read,
-// so implementations copy what they keep.
+// Decode reverses it, and may alias payload: the codec lends, it does not
+// copy. payload is a window into the connection's read buffer — the bytes
+// behind it are the next frame, and the next read overwrites it — and the
+// reader hands the decoded message to its handler before it reads on. So a
+// delivered message's bytes belong to the handler until Deliver returns;
+// what the handler keeps past that, it copies.
 type Codec interface {
 	AppendEncode(dst []byte, msg transport.Message) (kind byte, out []byte, err error)
 	Decode(kind byte, payload []byte) (transport.Message, error)
@@ -127,7 +133,7 @@ type metrics struct {
 
 	// Drops by cause; the Stats() accessor reports their sum.
 	dropUnknownPeer *obs.Counter // destination not in the peer table (or transport closed)
-	dropQueueFull   *obs.Counter // per-peer outbound queue overflow
+	dropQueueFull   *obs.Counter // a full queue: a peer's outbound one, or the loop's for co-hosted sends
 	dropConnDown    *obs.Counter // peer torn down: late sends and drained queues
 	dropNoHandler   *obs.Counter // delivery with no attached handler
 	dropEncode      *obs.Counter // codec refused the message
@@ -275,9 +281,10 @@ type Transport struct {
 	start time.Time
 	m     *metrics
 
-	events chan event
-	quit   chan struct{}
-	wg     sync.WaitGroup
+	events   chan event
+	dispatch sync.Mutex // held by every delivery, Schedule callback and watcher notification
+	quit     chan struct{}
+	wg       sync.WaitGroup
 
 	mu       sync.Mutex
 	handlers map[transport.Addr]transport.Handler
@@ -301,7 +308,7 @@ func New(cfg Config) *Transport {
 		cfg:      cfg,
 		start:    time.Now(),
 		m:        newMetrics(cfg.Registry),
-		events:   make(chan event, 1024),
+		events:   make(chan event, 1024), // a handler's burst of co-hosted sends, before they drop
 		quit:     make(chan struct{}),
 		handlers: make(map[transport.Addr]transport.Handler),
 		peers:    make(map[transport.Addr]string),
@@ -320,16 +327,16 @@ func (t *Transport) logf(format string, args ...any) {
 }
 
 // event is one unit of the dispatch loop's work: a callback to run, or —
-// fn nil — a message to hand to dst's handler. A delivery travels as a
-// value so that an inbound frame costs the queue no allocation.
+// fn nil — a co-hosted message to hand to dst's handler. A delivery
+// travels as a value so that it costs the queue no allocation.
 type event struct {
 	fn       func()
 	src, dst transport.Addr
 	msg      transport.Message
 }
 
-// loop is the single dispatch goroutine: every handler invocation,
-// Schedule callback, and watcher notification runs here, serialized.
+// loop is the dispatch goroutine for what has no goroutine of its own:
+// Schedule callbacks, watcher notifications and co-hosted deliveries.
 func (t *Transport) loop() {
 	defer t.wg.Done()
 	for {
@@ -350,8 +357,11 @@ func (t *Transport) loop() {
 	}
 }
 
-// run executes one event on the dispatch loop.
+// run executes one event — on the loop, or a socket delivery on its
+// reader — under the dispatch lock.
 func (t *Transport) run(ev event) {
+	t.dispatch.Lock()
+	defer t.dispatch.Unlock()
 	if ev.fn != nil {
 		ev.fn()
 		return
@@ -367,7 +377,8 @@ func (t *Transport) run(ev event) {
 	h.Deliver(ev.src, ev.msg)
 }
 
-// enqueue files fn onto the dispatch loop; after Close it is dropped.
+// enqueue files fn onto the dispatch loop; after Close it is dropped. It
+// blocks while the queue is full, so it is for callers holding no lock.
 func (t *Transport) enqueue(fn func()) {
 	select {
 	case t.events <- event{fn: fn}:
@@ -407,10 +418,10 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 	}
 }
 
-// readLoop decodes frames from one inbound connection and dispatches
-// them. The frame payload is [src:8][dst:8][codec payload]. Each Read
-// takes whatever the socket holds — usually several frames under load,
-// one syscall for all of them.
+// readLoop decodes frames from one inbound connection and delivers each
+// where it lies in the read buffer. The frame payload is [src:8][dst:8]
+// [codec payload]. Each Read takes whatever the socket holds — usually
+// several frames under load, one syscall for all of them.
 //
 // The src address is taken from the frame as-is: the transport trusts
 // the network segment it runs on and does no per-connection
@@ -478,9 +489,9 @@ func (t *Transport) readLoop(conn net.Conn) {
 	}
 }
 
-// receive accounts for one inbound frame and dispatches its message;
-// false means the connection is not worth reading further. payload is
-// only valid until receive returns.
+// receive accounts for one inbound frame and delivers its message on the
+// calling reader; false means the connection is not worth reading further.
+// payload is only valid until receive returns.
 func (t *Transport) receive(conn net.Conn, kind byte, payload []byte) bool {
 	t.m.framesIn.Inc()
 	t.m.bytesIn.Add(uint64(wire.FrameHeaderSize + len(payload)))
@@ -497,17 +508,8 @@ func (t *Transport) receive(conn net.Conn, kind byte, payload []byte) bool {
 		t.logf("tcptransport: decode kind %d from %s: %v", kind, conn.RemoteAddr(), err)
 		return true
 	}
-	t.deliverLocal(src, dst, msg)
+	t.run(event{src: src, dst: dst, msg: msg})
 	return true
-}
-
-// deliverLocal routes a decoded (or loopback) message to dst's handler on
-// the dispatch loop.
-func (t *Transport) deliverLocal(src, dst transport.Addr, msg transport.Message) {
-	select {
-	case t.events <- event{src: src, dst: dst, msg: msg}:
-	case <-t.quit:
-	}
 }
 
 // --- transport.Transport ----------------------------------------------------
@@ -517,8 +519,8 @@ func (t *Transport) deliverLocal(src, dst transport.Addr, msg transport.Message)
 // "duration since start" convention.
 func (t *Transport) Now() transport.Time { return time.Since(t.start) }
 
-// Schedule runs fn after delay on the dispatch loop, serialized with
-// message deliveries.
+// Schedule runs fn after delay on the dispatch loop, under the dispatch
+// lock: serialized with message deliveries.
 func (t *Transport) Schedule(delay transport.Time, fn func()) {
 	if delay < 0 {
 		delay = 0
@@ -530,15 +532,34 @@ func (t *Transport) Schedule(delay transport.Time, fn func()) {
 // handler in this process) short-circuit through the dispatch loop
 // without touching a socket, so one process can host several addresses —
 // the integration tests and single-binary demos rely on that. A local
-// handler is handed msg itself, not a decode of it, and owns it from then
-// on: a sender that keeps msg to send again sends a copy (DESIGN §14).
+// handler is handed a decode of msg from a fresh buffer, as a remote one
+// is a decode from its read buffer: the same lending rule, and no byte the
+// sender still holds (DESIGN §14).
 func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 	t.m.sent.Inc()
 	t.mu.Lock()
 	_, local := t.handlers[dst]
 	t.mu.Unlock()
 	if local {
-		t.deliverLocal(src, dst, msg)
+		// A decode of the frame a socket would carry, in a buffer of its
+		// own; frame validated the header ParseFrame reads back.
+		frame, err := t.frame(nil, src, dst, msg)
+		if err == nil {
+			kind, payload, _, _ := wire.ParseFrame(frame)
+			msg, err = t.cfg.Codec.Decode(kind, payload[addrPrefixSize:])
+		}
+		if err != nil {
+			t.logf("tcptransport: encode to local %d: %v", dst, err)
+			t.m.dropEncode.Inc()
+			return
+		}
+		select {
+		case t.events <- event{src: src, dst: dst, msg: msg}:
+		default:
+			// The sender may be a handler, holding the dispatch lock the loop
+			// needs to drain this queue: a full queue drops, as a peer's does.
+			t.m.dropQueueFull.Inc()
+		}
 		return
 	}
 	p := t.peerFor(dst)
@@ -555,7 +576,7 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 	default:
 	}
 	// Only a message with somewhere to go is worth encoding.
-	frame, err := t.frame(p, src, dst, msg)
+	frame, err := t.frame(p.free, src, dst, msg)
 	if err != nil {
 		t.logf("tcptransport: encode to %d: %v", dst, err)
 		t.m.dropEncode.Inc()
@@ -584,12 +605,13 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 }
 
 // frame builds msg's whole frame — header, [src][dst] prefix, codec
-// bytes — in one buffer: one p's writer is done with if that is large
-// enough, else allocated at the message's size; encoded into directly, the
-// header patched in last when the length is known. The buffer belongs to
-// p's queue from here on, and goes back to p once writeLoop has written it
-// or copied it into its batch.
-func (t *Transport) frame(p *peer, src, dst transport.Addr, msg transport.Message) ([]byte, error) {
+// bytes — in one buffer: one from free, a peer's writer is done with, if
+// that is large enough, else allocated at the message's size (a nil free
+// always allocates); encoded into directly, the header patched in last
+// when the length is known. A peer's frame belongs to its queue from here
+// on, and goes back to free once writeLoop has written it or copied it
+// into its batch.
+func (t *Transport) frame(free chan []byte, src, dst transport.Addr, msg transport.Message) ([]byte, error) {
 	const prefix = wire.FrameHeaderSize + addrPrefixSize
 	size := msg.SizeBytes()
 	if size < 0 || size > wire.MaxFramePayload {
@@ -599,7 +621,7 @@ func (t *Transport) frame(p *peer, src, dst transport.Addr, msg transport.Messag
 	}
 	var buf []byte
 	select {
-	case buf = <-p.free:
+	case buf = <-free:
 	default:
 	}
 	if need := prefix + size + codecSlack; cap(buf) < need {
@@ -843,7 +865,8 @@ func (t *Transport) Grow(n int) {}
 
 // WatchAddrs registers fn for up/down transitions observed through
 // dialing: a failed dial or dead connection reports down, a successful
-// re-dial reports up. Watchers run on the dispatch loop.
+// re-dial reports up. Watchers run on the dispatch loop, under the
+// dispatch lock.
 func (t *Transport) WatchAddrs(fn func(addr transport.Addr, up bool)) {
 	t.mu.Lock()
 	t.watchers = append(t.watchers, fn)
@@ -888,8 +911,8 @@ func (t *Transport) RemovePeer(addr transport.Addr) {
 	}
 }
 
-// Close stops the listener, the dispatch loop, and every peer writer,
-// and waits for them to exit.
+// Close stops the listener, every reader, the dispatch loop and every
+// peer writer, and waits for them to exit.
 func (t *Transport) Close() {
 	t.mu.Lock()
 	if t.closed {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,9 +52,9 @@ func (c *collector) Deliver(from transport.Addr, msg transport.Message) {
 	c.got = append(c.got, string(msg.(textMsg).body))
 	c.from = append(c.from, from)
 	c.mu.Unlock()
-	// Never block the dispatch loop: a test that floods a collector it
-	// does not wait on (TestSendDuringPeerTeardown) would otherwise fill
-	// the channel, wedge the loop in this handler and hang Close.
+	// Never block a delivery: a test that floods a collector it does not
+	// wait on (TestSendDuringPeerTeardown) would otherwise fill the
+	// channel, wedge this handler holding the dispatch lock and hang Close.
 	select {
 	case c.ch <- struct{}{}:
 	default:
@@ -354,6 +355,107 @@ func TestScheduleSerializedWithDeliveries(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("timed out")
+	}
+}
+
+// TestHandlersNeverOverlap: eight inbound connections deliver to one
+// handler, each frame on its own connection's reader, interleaved with
+// Schedule(0) callbacks on the loop. Every callback mutates state nothing
+// but the dispatch lock guards and asserts it is alone in there: a
+// delivery made outside the lock is a data race under -race, and a
+// tripped flag without it.
+func TestHandlersNeverOverlap(t *testing.T) {
+	const senders, rounds = 8, 100
+	rx := New(Config{Codec: textCodec{}})
+	t.Cleanup(rx.Close)
+	host, err := rx.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		inside bool // unsynchronised on purpose
+		count  int
+		done   = make(chan struct{})
+	)
+	enter := func() {
+		if inside {
+			t.Error("two callbacks ran at once")
+		}
+		inside = true
+		count++
+		if count == (senders+1)*rounds {
+			close(done)
+		}
+		runtime.Gosched()
+		inside = false
+	}
+	rx.Attach(1, transport.HandlerFunc(func(transport.Addr, transport.Message) { enter() }))
+	txs := make([]*Transport, senders)
+	for i := range txs {
+		txs[i] = New(Config{Codec: textCodec{}})
+		t.Cleanup(txs[i].Close)
+		txs[i].SetPeer(1, host)
+	}
+	for r := 0; r < rounds; r++ {
+		for i, tx := range txs {
+			tx.Send(transport.Addr(10+i), 1, textMsg{body: []byte("x")})
+		}
+		rx.Schedule(0, enter)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %d deliveries and callbacks", (senders+1)*rounds)
+	}
+	if got := rx.m.connOpensIn.Load(); got != senders {
+		t.Errorf("%d inbound connections, want %d", got, senders)
+	}
+}
+
+// TestLocalFloodDoesNotWedge: a handler sends more co-hosted messages in
+// one Deliver than the dispatch queue holds — run by the loop, or by a
+// reader holding the dispatch lock; either way nothing drains the queue
+// until it returns. It returns: the excess is dropped on queue_full, every
+// message is delivered or counted, and Close returns.
+func TestLocalFloodDoesNotWedge(t *testing.T) {
+	const flood = 2000
+	for _, via := range []string{"loop", "reader"} {
+		t.Run(via, func(t *testing.T) {
+			a, b := newPair(t)
+			var sunk atomic.Int64
+			b.Attach(2, transport.HandlerFunc(func(transport.Addr, transport.Message) { sunk.Add(1) }))
+			returned := make(chan struct{})
+			b.Attach(1, transport.HandlerFunc(func(transport.Addr, transport.Message) {
+				for i := 0; i < flood; i++ {
+					b.Send(1, 2, textMsg{body: []byte("flood")})
+				}
+				close(returned)
+			}))
+			trigger := textMsg{body: []byte("go")}
+			if via == "loop" {
+				b.Send(0, 1, trigger)
+			} else {
+				a.Send(0, 1, trigger)
+			}
+			select {
+			case <-returned:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the flooding handler never returned")
+			}
+			waitFor(t, "every message delivered or dropped", func() bool {
+				return sunk.Load()+int64(b.m.dropQueueFull.Load()) == flood
+			})
+			if b.m.dropQueueFull.Load() == 0 {
+				t.Error("nothing dropped: the flood never filled the queue")
+			}
+			closed := make(chan struct{})
+			go func() { b.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close did not return")
+			}
+		})
 	}
 }
 

@@ -55,6 +55,11 @@ type Message interface {
 // Handler receives messages addressed to an attachment point. from is the
 // immediate network-level sender (the previous hop, not the originator).
 // Deliver runs on the transport's event loop and must schedule, not block.
+//
+// Who owns msg differs by medium. On simnet the handler owns it. On
+// tcptransport msg is lent for the call — its bytes may lie in the
+// connection's read buffer, which the next frame overwrites — so what a
+// handler keeps past Deliver it copies.
 type Handler interface {
 	Deliver(from Addr, msg Message)
 }
