@@ -261,3 +261,48 @@ func TestBuildForwardAllocatesTheOnionAndItsEnvelope(t *testing.T) {
 		t.Fatalf("l=11: onion differs from the nested reference")
 	}
 }
+
+// TestBuildForwardIntoWritesEveryByte: an envelope rebuilt in storage that
+// held other bytes — 0xAA throughout, with room to spare — is the envelope
+// BuildForward makes from a clone of the stream, byte for byte, laid out in
+// that storage: seal writes every byte it reuses. Rebuilding allocates
+// nothing.
+func TestBuildForwardIntoWritesEveryByte(t *testing.T) {
+	s := rng.New(87)
+	dest := id.HashString("d")
+	for _, l := range []int{1, 3, 8} {
+		tun := handTunnel(t, l, s)
+		hints := make([]simnet.Addr, l)
+		for i := range hints {
+			hints[i] = simnet.Addr(i + 1)
+		}
+		for _, size := range []int{0, 1, 64, 300, 32 << 10} {
+			payload := make([]byte, size)
+			s.Bytes(payload)
+			seed := s.Uint64()
+			want, err := BuildForward(tun, hints, dest, payload, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirty := bytes.Repeat([]byte{0xAA}, len(want.Sealed)+17)
+			got := Envelope{HopID: id.HashString("stale"), Hint: 99, Sealed: dirty[:3], Pad: 5}
+			if err := BuildForwardInto(&got, tun, hints, dest, payload, rng.New(seed)); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, *want) {
+				t.Fatalf("l=%d, %d-byte payload: the envelope rebuilt in used storage differs from a fresh build", l, size)
+			}
+			if &got.Sealed[0] != &dirty[0] {
+				t.Fatalf("l=%d, %d-byte payload: storage of sufficient capacity was not reused", l, size)
+			}
+			stream := rng.New(seed)
+			if n := testing.AllocsPerRun(20, func() {
+				if err := BuildForwardInto(&got, tun, hints, dest, payload, stream); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("l=%d, %d-byte payload: %.0f allocations to rebuild an envelope, want 0", l, size, n)
+			}
+		}
+	}
+}

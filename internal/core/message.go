@@ -83,7 +83,8 @@ func hintAt(hints []simnet.Addr, i int) simnet.Addr {
 }
 
 // seal is the one build step: it lays out t's onion in one exactly-sized
-// buffer and seals every layer where it lies. Layer i < l-1 is
+// buffer — dst's storage when its capacity suffices, else a new one — and
+// seals every layer where it lies, writing every byte. Layer i < l-1 is
 // [marker] ‖ hop i+1's hopid ‖ its hint ‖ layer i+1, with no marker byte
 // when marker is 0 (a reply layer); the innermost layer is head ‖ body,
 // body encrypted straight out of the caller's slice. Every layer's sealed
@@ -92,7 +93,7 @@ func hintAt(hints []simnet.Addr, i int) simnet.Addr {
 // innermost-first, the stream order of the original nested builders, which
 // keeps output bit-identical for a given stream (the experiment tables
 // depend on that).
-func seal(t *Tunnel, hints []simnet.Addr, marker byte, head, body []byte, stream *rng.Stream) ([]byte, error) {
+func seal(dst []byte, t *Tunnel, hints []simnet.Addr, marker byte, head, body []byte, stream *rng.Stream) ([]byte, error) {
 	l := t.Length()
 	if l == 0 {
 		return nil, fmt.Errorf("core: cannot build an onion for an empty tunnel")
@@ -114,7 +115,10 @@ func seal(t *Tunnel, hints []simnet.Addr, marker byte, head, body []byte, stream
 	for i := l - 2; i >= 0; i-- {
 		total = wrap(total)
 	}
-	buf := make([]byte, total)
+	if cap(dst) < total {
+		dst = make([]byte, total)
+	}
+	buf := dst[:total]
 	tag := crypt.Overhead - crypt.NonceSize
 	end := total - (l-1)*tag
 
@@ -147,15 +151,28 @@ func seal(t *Tunnel, hints []simnet.Addr, marker byte, head, body []byte, stream
 // returned envelope is addressed to the first hop and owns its Sealed
 // buffer, the one allocation besides the envelope.
 func BuildForward(t *Tunnel, hints []simnet.Addr, dest id.ID, payload []byte, stream *rng.Stream) (*Envelope, error) {
+	e := new(Envelope)
+	if err := BuildForwardInto(e, t, hints, dest, payload, stream); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// BuildForwardInto is BuildForward into an envelope the caller keeps: the
+// onion is laid out in e.Sealed's storage when its capacity suffices, so a
+// sender that rebuilds one envelope allocates nothing. payload must not
+// overlap e.Sealed.
+func BuildForwardInto(e *Envelope, t *Tunnel, hints []simnet.Addr, dest id.ID, payload []byte, stream *rng.Stream) error {
 	var exit [1 + id.Size + binary.MaxVarintLen64]byte
 	exit[0] = layerExit
 	copy(exit[1:], dest[:])
 	n := 1 + id.Size + binary.PutUvarint(exit[1+id.Size:], uint64(len(payload)))
-	buf, err := seal(t, hints, layerRelay, exit[:n], payload, stream)
+	buf, err := seal(e.Sealed, t, hints, layerRelay, exit[:n], payload, stream)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Envelope{HopID: t.Hops[0].HopID, Hint: hintAt(hints, 0), Sealed: buf}, nil
+	*e = Envelope{HopID: t.Hops[0].HopID, Hint: hintAt(hints, 0), Sealed: buf}
+	return nil
 }
 
 // readHop reads what every relay layer and every reply layer ends with:
@@ -264,15 +281,24 @@ func (rt *ReplyTunnel) Encode() []byte {
 	return w.Bytes()
 }
 
-// DecodeReplyTunnel parses an encoded reply tunnel.
+// DecodeReplyTunnel parses an encoded reply tunnel into one that owns its
+// onion.
 func DecodeReplyTunnel(b []byte) (*ReplyTunnel, error) {
+	rt, err := ParseReplyTunnel(b)
+	if err != nil {
+		return nil, err
+	}
+	rt.Onion = append([]byte(nil), rt.Onion...)
+	return &rt, nil
+}
+
+// ParseReplyTunnel is the one reply-tunnel parser. It copies nothing: the
+// onion it returns aliases b.
+func ParseReplyTunnel(b []byte) (ReplyTunnel, error) {
 	r := wire.NewReader(b)
-	rt := &ReplyTunnel{}
-	rt.First = r.ID()
-	rt.FirstHint = simnet.Addr(r.Int64())
-	rt.Onion = append([]byte(nil), r.Blob()...)
+	rt := ReplyTunnel{First: r.ID(), FirstHint: simnet.Addr(r.Int64()), Onion: r.Blob()}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("core: decoding reply tunnel: %w", err)
+		return ReplyTunnel{}, fmt.Errorf("core: decoding reply tunnel: %w", err)
 	}
 	return rt, nil
 }
@@ -294,7 +320,7 @@ func BuildReply(t *Tunnel, hints []simnet.Addr, bid id.ID, stream *rng.Stream) (
 	binary.BigEndian.PutUint64(tail[id.Size:], uint64(noHint))
 	n := id.Size + 8 + binary.PutUvarint(tail[id.Size+8:], FakeOnionSize)
 	stream.Bytes(tail[n : n+FakeOnionSize])
-	onion, err := seal(t, hints, 0, tail[:n+FakeOnionSize], nil, stream)
+	onion, err := seal(nil, t, hints, 0, tail[:n+FakeOnionSize], nil, stream)
 	if err != nil {
 		return nil, err
 	}

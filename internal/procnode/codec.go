@@ -20,6 +20,7 @@ import (
 	"tap/internal/id"
 	"tap/internal/tha"
 	"tap/internal/transport"
+	"tap/internal/transport/tcptransport"
 	"tap/internal/wire"
 )
 
@@ -62,11 +63,12 @@ type DataMsg struct {
 // SizeBytes implements transport.Message.
 func (m *DataMsg) SizeBytes() int { return id.Size + len(m.Payload) }
 
-// Codec frames the procnode message set for tcptransport. A decoded
-// forward, reply or data message lends its payload's bytes: its blobs lie
-// in the window of the connection's read buffer Decode was handed, so they
-// are the handler's until Deliver returns (tcptransport.Codec). An anchor
-// or an ack is fixed-width fields, copied in.
+// Codec frames the procnode message set for tcptransport. Its decoders
+// lend twice over (tcptransport.Decoder): each keeps one message struct per
+// kind and decodes into it, so a message is valid until that decoder's next
+// call; and a forward, reply or data message's blobs lie in the window of
+// the connection's read buffer Decode was handed. An anchor or an ack is
+// fixed-width fields, copied in.
 type Codec struct{}
 
 // AppendEncode implements tcptransport.Codec: it appends msg's encoding
@@ -120,55 +122,65 @@ var errPad = errors.New("pad exceeds the frame limit")
 // field.
 var errBlobLen = wire.ErrBlobLen
 
-// Decode implements tcptransport.Codec.
+// NewDecoder implements tcptransport.Codec.
+func (Codec) NewDecoder() tcptransport.Decoder { return new(decoder) }
+
+// Decode decodes one message with a decoder of its own, so the struct is
+// the caller's to keep; its blobs still alias payload.
 func (Codec) Decode(kind byte, payload []byte) (transport.Message, error) {
+	return new(decoder).Decode(kind, payload)
+}
+
+// decoder is the one decode implementation: a struct per kind, each
+// decode overwriting every field of the one it returns.
+type decoder struct {
+	anchor AnchorMsg
+	ack    AnchorAck
+	fwd    core.Envelope
+	reply  core.ReplyEnvelope
+	data   DataMsg
+}
+
+// Decode implements tcptransport.Decoder.
+func (d *decoder) Decode(kind byte, payload []byte) (transport.Message, error) {
 	r := wire.NewReader(payload)
 	switch kind {
 	case kindAnchor:
-		m := &AnchorMsg{Anchor: tha.ReadAnchor(r)}
+		d.anchor = AnchorMsg{Anchor: tha.ReadAnchor(r)}
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: anchor: %w", err)
 		}
-		return m, nil
+		return &d.anchor, nil
 	case kindAnchorAck:
-		m := &AnchorAck{HopID: r.ID()}
+		d.ack = AnchorAck{HopID: r.ID()}
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: anchor ack: %w", err)
 		}
-		return m, nil
+		return &d.ack, nil
 	case kindForward:
-		var m core.Envelope
-		m.HopID = r.ID()
-		m.Hint = transport.Addr(r.Int64())
-		m.Sealed = r.Blob()
-		m.Pad = int(r.Uint32())
+		d.fwd = core.Envelope{HopID: r.ID(), Hint: transport.Addr(r.Int64()), Sealed: r.Blob(), Pad: int(r.Uint32())}
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: forward envelope: %w", err)
 		}
-		if m.Pad > wire.MaxFramePayload {
+		if d.fwd.Pad > wire.MaxFramePayload {
 			return nil, fmt.Errorf("procnode: forward envelope: %w", errPad)
 		}
-		return &m, nil
+		return &d.fwd, nil
 	case kindReply:
-		var m core.ReplyEnvelope
-		m.Target = r.ID()
-		m.Hint = transport.Addr(r.Int64())
-		m.Onion = r.Blob()
-		m.Data = r.Blob()
-		m.Pad = int(r.Uint32())
+		d.reply = core.ReplyEnvelope{Target: r.ID(), Hint: transport.Addr(r.Int64()), Onion: r.Blob(), Data: r.Blob(), Pad: int(r.Uint32())}
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: reply envelope: %w", err)
 		}
-		if m.Pad > wire.MaxFramePayload {
+		if d.reply.Pad > wire.MaxFramePayload {
 			return nil, fmt.Errorf("procnode: reply envelope: %w", errPad)
 		}
-		return &m, nil
+		return &d.reply, nil
 	case kindData:
-		m := &DataMsg{Dest: r.ID(), Payload: r.Blob()}
+		d.data = DataMsg{Dest: r.ID(), Payload: r.Blob()}
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("procnode: data: %w", err)
 		}
-		return m, nil
+		return &d.data, nil
 	default:
 		return nil, fmt.Errorf("procnode: unknown frame kind %d", kind)
 	}

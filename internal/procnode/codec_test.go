@@ -31,12 +31,14 @@ func codecMessages() []transport.Message {
 // contracts: it re-encodes — an anchor or an ack to the very bytes it came
 // from —, AppendEncode leaves the bytes ahead of it alone and appends
 // exactly what Encode returns, and the encoding decodes back to an equal
-// message. And the decode lends, both ways: a forward, reply or data
-// message's blobs lie inside the decoder's input — the transport hands
-// Decode a window of its read buffer, and the handler borrows it — so its
-// decode allocates the message alone; an anchor or an ack is fixed-width
-// fields, copied, and survives a scribble over the input. input is
-// scribbled over.
+// message. A connection's decoder lends its structs: decoding input
+// allocates nothing, and decoded after a message of any kind it is what a
+// fresh decoder makes of input, no field of the earlier message left. And
+// the decode lends bytes, both ways: a forward, reply or data message's
+// blobs lie inside the decoder's input — the transport hands Decode a
+// window of its read buffer, and the handler borrows it; an anchor or an
+// ack is fixed-width fields, copied, and survives a scribble over the
+// input. input is scribbled over.
 func checkCodecContracts(t *testing.T, kind byte, msg transport.Message, input []byte) {
 	t.Helper()
 	var c Codec
@@ -69,6 +71,28 @@ func checkCodecContracts(t *testing.T, kind byte, msg transport.Message, input [
 		t.Fatalf("%T: round trip changed the message:\n got %+v\nwant %+v", msg, again, msg)
 	}
 
+	dec := c.NewDecoder()
+	if got := testing.AllocsPerRun(10, func() { dec.Decode(kind, input) }); got != 0 {
+		t.Fatalf("%T: %.1f allocations per decode by a connection's decoder, want 0", msg, got)
+	}
+	fresh, err := c.NewDecoder().Decode(kind, input)
+	if err != nil {
+		t.Fatalf("%T: a fresh decoder refuses what decoded: %v", msg, err)
+	}
+	for _, earlier := range codecMessages() {
+		ek, enc, err := c.Encode(earlier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := c.NewDecoder()
+		if _, err := dec.Decode(ek, enc); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := dec.Decode(kind, input); err != nil || !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("%T decoded after a %T: %+v (err %v), a fresh decoder makes %+v", msg, earlier, got, err, fresh)
+		}
+	}
+
 	var blobs [][]byte
 	switch m := msg.(type) {
 	case *core.Envelope:
@@ -89,9 +113,6 @@ func checkCodecContracts(t *testing.T, kind byte, msg transport.Message, input [
 			t.Fatalf("%T: the decoded message aliases the decoder's input", msg)
 		}
 		return
-	}
-	if got := testing.AllocsPerRun(10, func() { c.Decode(kind, input) }); got != 1 {
-		t.Fatalf("%T: %.1f allocations per decode, want 1: the message alone", msg, got)
 	}
 	var before [][]byte
 	for _, b := range blobs {

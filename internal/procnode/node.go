@@ -1,7 +1,6 @@
 package procnode
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/binary"
@@ -28,13 +27,17 @@ func NodeID(addr transport.Addr) id.ID {
 }
 
 // Node is one overlay member: an anchor store plus the relay logic for
-// forward envelopes, reply envelopes, and exit payloads. Relay state
-// (the anchor store, the responder's echo key schedule) is touched only
-// by deliveries and Schedule callbacks, which the transport runs under its
-// one dispatch lock — the seam's serialization contract, the same
-// discipline the simulated engines rely on — so it needs no lock of its
-// own; only the membership index, which SetPeers writes from the joining
-// goroutine, carries one.
+// forward envelopes, reply envelopes, and exit payloads. Handler state —
+// the anchor store, the responder's echo key schedule and scratch, the
+// exit's DataMsg — is touched only by deliveries and Schedule callbacks,
+// which the transport runs under its one dispatch lock (the seam's
+// serialization contract, the same discipline the simulated engines rely
+// on), so it needs no lock of its own; what a handler sends from it, send
+// encodes before returning or parks a copy of. Stream state — the window's
+// slots and the request buffer — belongs to the one RoundTripStream call
+// streamMu admits. The membership index, which SetPeers writes from the
+// joining goroutine, carries its own lock; handlers and the stream meet
+// only on channels.
 type Node struct {
 	Addr transport.Addr
 	ID   id.ID
@@ -49,6 +52,9 @@ type Node struct {
 	// cache: the last request's K_I and its schedule (echoSealerFor).
 	echoKey    crypt.Key
 	echoSealer *crypt.Sealer
+	echoBuf    []byte             // where the responder seals each echo
+	echo       core.ReplyEnvelope // the envelope that carries it
+	exit       DataMsg            // the message an exit payload leaves in
 
 	// byID is the full-membership node-ID index. Unlike anchors it is
 	// written off-loop (SetPeers runs on the joining goroutine), so it
@@ -56,11 +62,14 @@ type Node struct {
 	idMu sync.RWMutex
 	byID map[id.ID]transport.Addr // nodeID → transport address
 
-	// Initiator-side notification channels, consumed by RoundTripStream,
-	// which streamMu admits one call at a time.
 	streamMu sync.Mutex
-	acks     chan id.ID
-	replies  chan []byte
+	window   [streamWindow]inflight // the requests in flight, slot i%streamWindow each
+	req      []byte                 // where every request's exit payload is encoded
+	// Initiator-side notification channels, consumed by RoundTripStream,
+	// and the reply buffers it is done with (tcptransport's peer.free idiom).
+	acks      chan id.ID
+	replies   chan []byte
+	replyFree chan []byte
 }
 
 // notifyDepth is the depth of the initiator's notification channels: the
@@ -78,15 +87,16 @@ func New(tr *tcptransport.Transport, addr transport.Addr, logf func(format strin
 		logf = func(string, ...any) {}
 	}
 	n := &Node{
-		Addr:    addr,
-		ID:      NodeID(addr),
-		tr:      tr,
-		logf:    logf,
-		m:       newNodeMetrics(reg),
-		anchors: make(map[id.ID]heldAnchor),
-		byID:    map[id.ID]transport.Addr{NodeID(addr): addr},
-		acks:    make(chan id.ID, notifyDepth),
-		replies: make(chan []byte, notifyDepth),
+		Addr:      addr,
+		ID:        NodeID(addr),
+		tr:        tr,
+		logf:      logf,
+		m:         newNodeMetrics(reg),
+		anchors:   make(map[id.ID]heldAnchor),
+		byID:      map[id.ID]transport.Addr{NodeID(addr): addr},
+		acks:      make(chan id.ID, notifyDepth),
+		replies:   make(chan []byte, notifyDepth),
+		replyFree: make(chan []byte, streamWindow), // a window's echoes: what is in flight at once
 	}
 	tr.Attach(addr, n)
 	return n
@@ -170,9 +180,10 @@ func (n *Node) peelAnchor(hopID id.ID) (tha.Anchor, bool) {
 func (n *Node) AnchorCount() int { return len(n.anchors) }
 
 // Deliver implements transport.Handler: the single entry point for all
-// overlay traffic. msg is lent for the call — off a socket its bytes lie in
-// the connection's read buffer — so the two things that outlive the call
-// are copies: an echo handed to RoundTripStream, and a parked message.
+// overlay traffic. msg is lent for the call — off a socket the struct is
+// the connection decoder's and its bytes lie in the read buffer — so the
+// two things that outlive the call are copies: an echo handed to
+// RoundTripStream, and a parked message.
 func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 	switch m := msg.(type) {
 	case *AnchorMsg:
@@ -224,8 +235,9 @@ const (
 // unknown or the address has no dialable endpoint the message is parked
 // and re-tried from the top, with the hint it came with: a failed lookup's
 // Addr is the zero value, and 0 is somebody's address. A parked message
-// outlives the frame it was decoded from, so the first park keeps a copy
-// and every retry re-parks that. After resolveRetries
+// outlives the frame it was decoded from and the struct that holds it — a
+// decoder's or the handler's — so the first park keeps a copy and every
+// retry re-parks that. After resolveRetries
 // a still-unknown ID is dropped and counted; a known address is sent to
 // anyway, so the transport's drop accounting sees it.
 func (n *Node) send(dst transport.Addr, target id.ID, msg transport.Message, attempt int) {
@@ -256,6 +268,16 @@ func (n *Node) send(dst transport.Addr, target id.ID, msg transport.Message, att
 	}
 }
 
+// peelClock reads the clock for the peel histogram, and only for a node
+// that has one: without a registry a node takes no timestamps, as it counts
+// nothing (DESIGN §15), and Observe on the nil histogram is a no-op.
+func (n *Node) peelClock() transport.Time {
+	if n.m.peelSeconds == nil {
+		return 0
+	}
+	return n.tr.Now()
+}
+
 // handleForward peels one forward layer and relays, or — at the exit —
 // routes the payload to its destination node.
 func (n *Node) handleForward(env *core.Envelope) {
@@ -267,22 +289,25 @@ func (n *Node) handleForward(env *core.Envelope) {
 	// The envelope is ours for this call, so the hop step may rewrite it
 	// where it lies: past a relay layer it is the inner message, addressed
 	// and padded, and send copies it out before the call returns.
-	t0 := n.tr.Now()
+	t0 := n.peelClock()
 	layer, err := env.Peel(a)
 	if err != nil {
 		n.logf("procnode %d: %v", n.Addr, err)
 		return
 	}
 	n.m.peelsForward.Inc()
-	n.m.peelSeconds.Observe((n.tr.Now() - t0).Seconds())
+	n.m.peelSeconds.Observe((n.peelClock() - t0).Seconds())
 	if layer.IsExit {
 		if layer.Dest == n.ID {
 			n.handleExitPayload(layer.Payload)
 			return
 		}
-		// The payload lies in the envelope's bytes, lent for this call: send
-		// encodes it into a frame, parks a copy, or drops it.
-		n.send(transport.NoAddr, layer.Dest, &DataMsg{Dest: layer.Dest, Payload: layer.Payload}, 0)
+		// The payload lies in the envelope's bytes, lent for this call, and
+		// the DataMsg is handler state: send encodes both into a frame, parks
+		// a copy, or drops them. Then the DataMsg lets go of the frame.
+		n.exit = DataMsg{Dest: layer.Dest, Payload: layer.Payload}
+		n.send(transport.NoAddr, layer.Dest, &n.exit, 0)
+		n.exit = DataMsg{}
 		return
 	}
 	n.m.relaysForwarded.Inc()
@@ -297,8 +322,15 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 		if env.Target == n.ID {
 			// The tail hop resolved our bid: the reply is home.
 			n.m.repliesHome.Inc()
+			// Read past this call, by RoundTripStream: copied, into a buffer
+			// the stream is done with when there is one.
+			var buf []byte
 			select {
-			case n.replies <- bytes.Clone(env.Data): // read past this call, by RoundTripStream
+			case buf = <-n.replyFree:
+			default:
+			}
+			select {
+			case n.replies <- append(buf[:0], env.Data...):
 			default:
 				n.m.notifyDrops.Inc()
 				n.logf("procnode %d: reply channel full", n.Addr)
@@ -308,13 +340,13 @@ func (n *Node) handleReply(env *core.ReplyEnvelope) {
 		n.logf("procnode %d: no anchor for reply hop %s", n.Addr, env.Target.Short())
 		return
 	}
-	t0 := n.tr.Now()
+	t0 := n.peelClock()
 	if err := env.Peel(a); err != nil {
 		n.logf("procnode %d: %v", n.Addr, err)
 		return
 	}
 	n.m.peelsReply.Inc()
-	n.m.peelSeconds.Observe((n.tr.Now() - t0).Seconds())
+	n.m.peelSeconds.Observe((n.peelClock() - t0).Seconds())
 	// The tail layer names the initiator's bid with no hint: send resolves
 	// it through the membership index.
 	n.send(env.Hint, env.Target, env, 0)
@@ -379,20 +411,24 @@ func (n *Node) handleExitPayload(payload []byte) {
 	fin := r.Byte()
 	var key crypt.Key
 	r.FixedBlob(key[:])
-	rtEnc := r.Blob() // DecodeReplyTunnel copies the onion it keeps
+	rtEnc := r.Blob()
 	chunk := r.Blob()
 	if err := r.Done(); err != nil {
 		n.logf("procnode %d: bad exit payload: %v", n.Addr, err)
 		return
 	}
-	rt, err := core.DecodeReplyTunnel(rtEnc)
+	rt, err := core.ParseReplyTunnel(rtEnc) // its onion lies in the request, lent for this call
 	if err != nil {
 		n.logf("procnode %d: %v", n.Addr, err)
 		return
 	}
 	// The echo is written where its sealed form will lie, behind the
-	// nonce's margin, and sealed there: one buffer, which the envelope keeps.
-	echo := wire.NewWriterOn(make([]byte, crypt.NonceSize, echoOverhead+len(chunk)))
+	// nonce's margin, and sealed there: in the responder's one echo buffer,
+	// which the envelope carries to send.
+	if need := echoOverhead + len(chunk); cap(n.echoBuf) < need {
+		n.echoBuf = make([]byte, 0, need)
+	}
+	echo := wire.NewWriterOn(n.echoBuf[:crypt.NonceSize])
 	echo.Uint64(sid)
 	echo.Uint32(seq)
 	echo.Byte(fin)
@@ -403,7 +439,17 @@ func (n *Node) handleExitPayload(payload []byte) {
 		n.logf("procnode %d: sealing echo: %v", n.Addr, err)
 		return
 	}
-	n.send(rt.FirstHint, rt.First, &core.ReplyEnvelope{
-		Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: sealed,
-	}, 0)
+	n.echo = core.ReplyEnvelope{Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: sealed}
+	n.send(rt.FirstHint, rt.First, &n.echo, 0)
+	// Sent or parked as a copy: let go of the frame.
+	n.echo, n.echoBuf = core.ReplyEnvelope{}, kept(n.echoBuf)
+}
+
+// kept is buf if it is within the retention bound a node keeps scratch
+// to, tcptransport.MaxKeptBuffer, and nil if it grew past it.
+func kept(buf []byte) []byte {
+	if cap(buf) > tcptransport.MaxKeptBuffer {
+		return nil
+	}
+	return buf
 }

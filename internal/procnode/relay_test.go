@@ -144,7 +144,7 @@ func (r *relayRig) replies(t testing.TB, n int) []*core.ReplyEnvelope {
 func TestRelayKeyScheduleOncePerAnchor(t *testing.T) {
 	// Relay bookkeeping per message: none — the envelope is peeled where it
 	// lies. The rig's co-hosted sink adds its round trip: the buffer the
-	// envelope is encoded into and the envelope decoded from it. Measured 2.
+	// envelope is encoded into and the decoder it is decoded by. Measured 2.
 	const maxPeelAllocs = 2
 
 	const runs = 50
@@ -207,6 +207,9 @@ func TestRelayKeyScheduleOncePerAnchor(t *testing.T) {
 	if got := r.relay.m.peelsForward.Load() + r.relay.m.peelsReply.Load(); got != 2*(runs+3) {
 		t.Errorf("%d layers peeled, want %d: some envelope failed to open", got, 2*(runs+3))
 	}
+	if got := r.relay.m.peelSeconds.Count(); got != 2*(runs+3) {
+		t.Errorf("%d peel times observed, want %d: a node with a registry times every peel", got, 2*(runs+3))
+	}
 }
 
 // exitRequest returns a stream request addressed to the rig's relay as
@@ -248,11 +251,12 @@ func (r *relayRig) echoAtSink(t testing.TB, s *crypt.Sealer) int {
 // with the same *crypt.Sealer; another key takes the entry over, and
 // either way the echo opens under the key its request carried.
 func TestExitEchoKeyScheduleOncePerStream(t *testing.T) {
-	// Responder bookkeeping per chunk: the decoded reply tunnel and its
-	// onion, the echo's one buffer, the envelope. The rig's co-hosted sink
-	// adds its round trip: the buffer the envelope is encoded into and the
-	// envelope decoded from it. Measured 6.
-	const maxEchoAllocs = 6
+	// Responder bookkeeping per chunk: none — the reply tunnel is parsed
+	// where it lies, and the echo buffer and its envelope are the
+	// responder's own. The rig's co-hosted sink adds its round trip: the
+	// buffer the envelope is encoded into and the decoder it is decoded by.
+	// Measured 2.
+	const maxEchoAllocs = 2
 
 	const runs = 50
 	r := newRelayRig(t)

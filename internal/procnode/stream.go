@@ -95,6 +95,12 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	}
 	n.streamMu.Lock()
 	defer n.streamMu.Unlock()
+	defer func() { // a stream of huge chunks does not pin their size
+		n.req = kept(n.req)
+		for i := range n.window {
+			n.window[i].env.Sealed = kept(n.window[i].env.Sealed)
+		}
+	}()
 
 	// The onion builders draw nonces and padding from a deterministic
 	// stream; seed it from the OS entropy pool since nothing here needs
@@ -148,26 +154,17 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 		lo := seq * cfg.ChunkSize
 		return payload[lo:min(lo+cfg.ChunkSize, len(payload))]
 	}
-	// Every request is encoded into one buffer, sized for the first chunk,
-	// and no chunk is longer: BuildForward only reads its payload, sealing
-	// it into the onion's own buffer.
-	req := make([]byte, 0, requestOverhead+len(rtEnc)+len(chunkOf(0)))
-	envelope := func(seq int) (*core.Envelope, error) {
-		req = appendRequest(req[:0], sid, uint32(seq), seq == nChunks-1, key, rtEnc, chunkOf(seq))
-		return core.BuildForward(fwTunnel, cfg.ForwardHops, destID, req, stream)
+	// Every request is encoded into the node's one request buffer, sized
+	// for the first chunk, and no chunk is longer; BuildForwardInto only
+	// reads it, sealing it into the envelope of the request's window slot.
+	// Both are kept from call to call.
+	if need := requestOverhead + len(rtEnc) + len(chunkOf(0)); cap(n.req) < need {
+		n.req = make([]byte, 0, need)
 	}
-	// Build the first chunk's envelope before anything is sent:
-	// an envelope too large for a frame is dropped by the transport, and
-	// would otherwise surface only as a chunk lost streamRetries+1 times.
-	first, err := envelope(0)
-	if err != nil {
-		return nil, err
+	build := func(env *core.Envelope, seq int) error {
+		n.req = appendRequest(n.req[:0], sid, uint32(seq), seq == nChunks-1, key, rtEnc, chunkOf(seq))
+		return core.BuildForwardInto(env, fwTunnel, cfg.ForwardHops, destID, n.req, stream)
 	}
-	if size := first.SizeBytes() + frameSlack; size > wire.MaxFramePayload {
-		return nil, fmt.Errorf("procnode: a %d-byte chunk makes a %d-byte frame, over the %d-byte frame limit (wire.MaxFramePayload)",
-			len(chunkOf(0)), size, wire.MaxFramePayload)
-	}
-
 	// Requests [0, installs) are the anchor installs, [installs, total) the
 	// chunks. Requests [base, next) are in flight, slot i%streamWindow each;
 	// every request below base is answered. The timer is armed for the
@@ -175,12 +172,23 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	// deadlines only move later, so it can be early, never late.
 	installs := len(secrets)
 	total := installs + nChunks
-	var window [streamWindow]inflight
+	// Build the first chunk's envelope, in its slot, before anything is
+	// sent: an envelope too large for a frame is dropped by the transport,
+	// and would otherwise surface only as a chunk lost streamRetries+1 times.
+	first := &n.window[installs%streamWindow].env
+	if err := build(first, 0); err != nil {
+		return nil, err
+	}
+	if size := first.SizeBytes() + frameSlack; size > wire.MaxFramePayload {
+		return nil, fmt.Errorf("procnode: a %d-byte chunk makes a %d-byte frame, over the %d-byte frame limit (wire.MaxFramePayload)",
+			len(chunkOf(0)), size, wire.MaxFramePayload)
+	}
+
 	echoed := make([]byte, len(payload))
 	base, next := 0, 0
 	answered := func(i int) {
-		window[i%streamWindow].done = true
-		for base < next && window[base%streamWindow].done {
+		n.window[i%streamWindow].done = true
+		for base < next && n.window[base%streamWindow].done {
 			base++
 		}
 	}
@@ -189,20 +197,22 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	for base < total {
 		// The barrier: chunks wait until every install is answered.
 		for ; next < total && next-base < streamWindow && (next < installs || base >= installs); next++ {
-			c := inflight{deadline: time.Now().Add(cfg.Timeout)}
-			switch {
-			case next < installs:
-				c.dst, c.msg = hops[next], &AnchorMsg{Anchor: secrets[next].Anchor}
-			case next == installs:
-				c.dst, c.msg = cfg.ForwardHops[0], first
-			default:
-				env, err := envelope(next - installs)
-				if err != nil {
-					return nil, err
+			// The slot's last request is below base, answered, and Send
+			// encoded it before returning: nothing reads the slot's
+			// messages any more, so they are rebuilt in place.
+			c := &n.window[next%streamWindow]
+			c.deadline, c.attempts, c.done = time.Now().Add(cfg.Timeout), 0, false
+			if next < installs {
+				c.dst, c.anchor = hops[next], AnchorMsg{Anchor: secrets[next].Anchor}
+				c.msg = &c.anchor
+			} else {
+				if next > installs { // the first chunk's is built
+					if err := build(&c.env, next-installs); err != nil {
+						return nil, err
+					}
 				}
-				c.dst, c.msg = cfg.ForwardHops[0], env
+				c.dst, c.msg = cfg.ForwardHops[0], &c.env
 			}
-			window[next%streamWindow] = c
 			n.tr.Send(n.Addr, c.dst, c.msg)
 		}
 		select {
@@ -210,7 +220,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			// An ack this window does not wait for — an earlier call's, or a
 			// re-sent install's second — matches nothing and is ignored.
 			for i := base; i < min(next, installs); i++ {
-				if secrets[i].HopID == hop && !window[i%streamWindow].done {
+				if secrets[i].HopID == hop && !n.window[i%streamWindow].done {
 					answered(i)
 					break
 				}
@@ -218,24 +228,27 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 		case sealed := <-n.replies:
 			// Not ours (a previous stream's straggler fails the key), or an
 			// answer this window no longer waits for (the echo of a chunk
-			// that was also re-sent): ignored.
+			// that was also re-sent): ignored. Either way the buffer goes
+			// back for handleReply to copy a later reply into.
 			seq, echo, ok := openEcho(sealer, sid, sealed)
-			i := installs + seq
-			if !ok || i < base || i >= next || window[i%streamWindow].done {
-				continue
+			if i := installs + seq; ok && i >= base && i < next && !n.window[i%streamWindow].done {
+				chunk := chunkOf(seq)
+				if !bytes.Equal(echo, chunk) {
+					return nil, fmt.Errorf("procnode: chunk %d echo mismatch (%d vs %d bytes)", seq, len(echo), len(chunk))
+				}
+				copy(echoed[seq*cfg.ChunkSize:], echo)
+				n.m.streamChunks.Inc()
+				answered(i)
 			}
-			chunk := chunkOf(seq)
-			if !bytes.Equal(echo, chunk) {
-				return nil, fmt.Errorf("procnode: chunk %d echo mismatch (%d vs %d bytes)", seq, len(echo), len(chunk))
+			select {
+			case n.replyFree <- kept(sealed):
+			default:
 			}
-			copy(echoed[seq*cfg.ChunkSize:], echo)
-			n.m.streamChunks.Inc()
-			answered(i)
 		case <-timer.C:
 			now := time.Now()
 			wake := now.Add(cfg.Timeout)
 			for i := base; i < next; i++ {
-				c := &window[i%streamWindow]
+				c := &n.window[i%streamWindow]
 				if c.done {
 					continue
 				}
@@ -262,13 +275,17 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	return echoed, nil
 }
 
-// inflight is one request of the window: an anchor install or a chunk.
+// inflight is one slot of the window: its request — an anchor install or
+// a chunk — and the messages the slot owns, rebuilt in place for each
+// request it holds.
 type inflight struct {
 	dst      transport.Addr
-	msg      transport.Message // built once; a re-send is the same message
-	deadline time.Time         // when this request, and only it, is re-sent
-	attempts int               // re-sends so far
-	done     bool              // answered: the ack received, or the echo received and verified
+	msg      transport.Message // &anchor or &env, built once; a re-send is the same message
+	anchor   AnchorMsg
+	env      core.Envelope // a chunk's onion, sealed into the storage the slot's last chunk left
+	deadline time.Time     // when this request, and only it, is re-sent
+	attempts int           // re-sends so far
+	done     bool          // answered: the ack received, or the echo received and verified
 }
 
 // openEcho authenticates a delivered reply under the stream's key, in

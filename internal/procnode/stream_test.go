@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -40,11 +41,12 @@ func lossStreamConfig(timeout time.Duration) StreamConfig {
 }
 
 // frameTap is a test's hold on one node's inbound frames of one kind: the
-// node's codec with a Decode that can refuse a frame. The transport counts
-// a refused frame as a decode error and delivers nothing, so refusing is
-// losing — the frame the test chose, no timing involved.
+// node's codec, with every connection's decoder wrapped in one that can
+// refuse a frame. The transport counts a refused frame as a decode error
+// and delivers nothing, so refusing is losing — the frame the test chose,
+// no timing involved. It does not embed Codec: the transport decodes with
+// what NewDecoder returns, and a promoted NewDecoder would bypass the tap.
 type frameTap struct {
-	Codec
 	kind byte
 
 	mu   sync.Mutex
@@ -52,8 +54,20 @@ type frameTap struct {
 	lose func(nth int, frame []byte) bool // called with mu held; nil loses nothing
 }
 
-func (f *frameTap) Decode(kind byte, payload []byte) (transport.Message, error) {
-	if kind == f.kind {
+func (f *frameTap) AppendEncode(dst []byte, msg transport.Message) (byte, []byte, error) {
+	return Codec{}.AppendEncode(dst, msg)
+}
+
+func (f *frameTap) NewDecoder() tcptransport.Decoder { return tapDecoder{f, Codec{}.NewDecoder()} }
+
+// tapDecoder is one connection's decoder behind the tap.
+type tapDecoder struct {
+	tap   *frameTap
+	inner tcptransport.Decoder
+}
+
+func (d tapDecoder) Decode(kind byte, payload []byte) (transport.Message, error) {
+	if f := d.tap; kind == f.kind {
 		f.mu.Lock()
 		nth := len(f.seen)
 		f.seen = append(f.seen, bytes.Clone(payload))
@@ -63,7 +77,7 @@ func (f *frameTap) Decode(kind byte, payload []byte) (transport.Message, error) 
 			return nil, errors.New("frame lost by the test")
 		}
 	}
-	return f.Codec.Decode(kind, payload)
+	return d.inner.Decode(kind, payload)
 }
 
 // arrivals returns the positions, in arrival order, of the frames equal to
@@ -127,9 +141,10 @@ func TestStreamResendsOnlyTheLostChunk(t *testing.T) {
 				fault.lose = func(nth int, frame []byte) bool {
 					switch nth {
 					case lost:
-						// Decoded from a copy: it is delivered after the read
-						// buffer under frame has been overwritten.
-						held, _ = fault.Codec.Decode(kindReply, bytes.Clone(frame))
+						// Decoded from a copy, by a decoder of its own: it is
+						// delivered after the read buffer under frame, and the
+						// connection's decoder, have moved on.
+						held, _ = Codec{}.Decode(kindReply, bytes.Clone(frame))
 						return true
 					case lost + streamWindow:
 						msg := held
@@ -221,7 +236,7 @@ func TestInstallsShareTheWindow(t *testing.T) {
 		if nth >= 5 {
 			return false
 		}
-		msg, _ := acks.Codec.Decode(kindAnchorAck, frame)
+		msg, _ := Codec{}.Decode(kindAnchorAck, frame) // a decoder of its own: the message is held
 		held = append(held, msg)
 		if nth == 4 {
 			chunksBeforeRelease = nodes[lossHop0].m.peelsForward.Load()
@@ -246,6 +261,12 @@ func TestInstallsShareTheWindow(t *testing.T) {
 	}
 	if installed, held := anchorCounts(nodes); installed != 5 || held != 5 {
 		t.Errorf("%d installs for %d anchors held, want 5 and 5", installed, held)
+	}
+	acks.mu.Lock()
+	tapped := len(held)
+	acks.mu.Unlock()
+	if tapped != 5 {
+		t.Fatalf("the client's tap held %d acks, want 5", tapped)
 	}
 	if chunksBeforeRelease != 0 {
 		t.Errorf("hop 0 had peeled %d chunks while every ack was still held", chunksBeforeRelease)
@@ -426,6 +447,95 @@ func TestStreamPayloadSizes(t *testing.T) {
 	}
 	if got := client.m.streamRetransmits.Load(); got != 0 {
 		t.Errorf("%d retransmits on a lossless overlay", got)
+	}
+}
+
+// TestStreamAllocsIndependentOfChunks: a stream's steady state allocates
+// nothing on the heap — not at the initiator, a relay, the responder or a
+// transport — so on a warm overlay a stream of 64 chunks allocates what one
+// of 8 chunks does, to within half an allocation per extra chunk. Every
+// node is in this process, so MemStats.Mallocs counts them all.
+func TestStreamAllocsIndependentOfChunks(t *testing.T) {
+	const chunk, short, long = 512, 8, 64
+	nodes := startOverlay(t, lossNodes)
+	client := nodes[lossClient]
+	cfg := lossStreamConfig(0)
+	cfg.ChunkSize = chunk
+	mallocs := func(chunks int) uint64 {
+		payload := streamPayload(t, chunks*chunk)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		echo, err := client.RoundTripStream(cfg, payload)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(echo, payload) {
+			t.Fatal("echo differs from payload")
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for i := 0; i < 3; i++ {
+		mallocs(long) // warm: connections, window slots, free lists, write batches
+	}
+	// The least of three, each way: a stray allocation elsewhere in the
+	// process can only add.
+	least := func(chunks int) uint64 {
+		m := mallocs(chunks)
+		for i := 0; i < 2; i++ {
+			m = min(m, mallocs(chunks))
+		}
+		return m
+	}
+	few, many := least(short), least(long)
+	t.Logf("%d allocations for a stream of %d chunks, %d for %d", few, short, many, long)
+	if perChunk := (float64(many) - float64(few)) / (long - short); perChunk >= 0.5 {
+		t.Errorf("%d allocations for %d chunks, %d for %d: %.1f per extra chunk, want < 0.5", many, long, few, short, perChunk)
+	}
+}
+
+// TestStreamScratchStaysBounded: the scratch a node keeps from message to
+// message — the initiator's request buffer, window envelopes and reply free
+// list, the responder's echo buffer and envelope, the exit's DataMsg — is
+// let go of once a stream's chunks grow it past tcptransport.MaxKeptBuffer,
+// on every node, so one stream of huge chunks does not pin their size.
+func TestStreamScratchStaysBounded(t *testing.T) {
+	nodes := startOverlay(t, lossNodes)
+	client := nodes[lossClient]
+	cfg := lossStreamConfig(0)
+	cfg.ChunkSize = tcptransport.MaxKeptBuffer + 1000
+	payload := streamPayload(t, 3*cfg.ChunkSize)
+	echo, err := client.RoundTripStream(cfg, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(echo, payload) {
+		t.Fatal("echo differs from payload")
+	}
+	for _, n := range nodes {
+		kept := map[string][]byte{}
+		n.streamMu.Lock()
+		kept["request buffer"] = n.req
+		for i := range n.window {
+			kept[fmt.Sprintf("window slot %d's envelope", i)] = n.window[i].env.Sealed
+		}
+		n.streamMu.Unlock()
+		for i := len(n.replyFree); i > 0; i-- {
+			kept[fmt.Sprintf("reply free list entry %d", i)] = <-n.replyFree
+		}
+		done := make(chan struct{})
+		n.tr.Schedule(0, func() { // handler state: read under the dispatch lock
+			kept["echo buffer"] = n.echoBuf
+			kept["echo envelope's onion"], kept["echo envelope's data"] = n.echo.Onion, n.echo.Data
+			kept["exit DataMsg's payload"] = n.exit.Payload
+			close(done)
+		})
+		<-done
+		for what, b := range kept {
+			if cap(b) > tcptransport.MaxKeptBuffer {
+				t.Errorf("node %d keeps its %s at %d bytes, over the %d-byte bound", n.Addr, what, cap(b), tcptransport.MaxKeptBuffer)
+			}
+		}
 	}
 }
 

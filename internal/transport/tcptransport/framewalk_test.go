@@ -37,6 +37,8 @@ func (rawCodec) AppendEncode(dst []byte, msg transport.Message) (byte, []byte, e
 	return m.kind, append(dst, m.body...), nil
 }
 
+func (c rawCodec) NewDecoder() Decoder { return c }
+
 func (rawCodec) Decode(kind byte, payload []byte) (transport.Message, error) {
 	if kind == undecodableKind {
 		return nil, fmt.Errorf("undecodable kind")

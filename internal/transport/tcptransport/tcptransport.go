@@ -14,13 +14,14 @@
 // Schedule callback and watcher notification runs holding one
 // transport-wide dispatch lock. A frame read off a socket is decoded and
 // handed to its handler right there, on the goroutine that read it — one
-// reader per accepted connection — so an inbound message crosses no queue
-// and no goroutine. The dispatch goroutine (the "loop") runs only what has
-// no goroutine of its own: timers, watcher notifications and deliveries to
-// co-hosted addresses. One writer per dialed peer keeps a slow peer from
-// stalling a handler; a full outbound queue, or a full dispatch queue,
-// drops messages instead, which is exactly the unreliable-send semantics
-// the seam promises and the layers above already recover from.
+// reader per accepted connection, each with a Decoder of its own — so an
+// inbound message crosses no queue and no goroutine. The dispatch goroutine
+// (the "loop") runs only what has no goroutine of its own: timers, watcher
+// notifications and deliveries to co-hosted addresses. One writer per
+// dialed peer keeps a slow peer from stalling a handler; a full outbound
+// queue, or a full dispatch queue, drops messages instead, which is exactly
+// the unreliable-send semantics the seam promises and the layers above
+// already recover from.
 //
 // Dialing goes through the Dialer seam: the default is a net.Dialer,
 // every attempt is bounded by dialTimeout, and tests (or an onion-routed
@@ -58,14 +59,24 @@ import (
 // and address prefix already laid out — so an implementation appends and
 // never touches dst[:len(dst)].
 //
-// Decode reverses it, and may alias payload: the codec lends, it does not
-// copy. payload is a window into the connection's read buffer — the bytes
-// behind it are the next frame, and the next read overwrites it — and the
-// reader hands the decoded message to its handler before it reads on. So a
-// delivered message's bytes belong to the handler until Deliver returns;
-// what the handler keeps past that, it copies.
+// NewDecoder returns a Decoder for one stream of frames: each inbound
+// connection's reader makes one, and a co-hosted Send makes a fresh one for
+// its one message.
 type Codec interface {
 	AppendEncode(dst []byte, msg transport.Message) (kind byte, out []byte, err error)
+	NewDecoder() Decoder
+}
+
+// Decoder reverses AppendEncode, and lends rather than copies — the
+// message as well as its bytes. Decode may alias payload, and what it
+// returns is valid until the same decoder's next call, so a decoder may
+// reuse one message struct per kind. payload is a window into the
+// connection's read buffer — the bytes behind it are the next frame, and
+// the next read overwrites it — and the reader hands the decoded message to
+// its handler before it reads or decodes on. So a delivered message, struct
+// and bytes, belongs to the handler until Deliver returns; what the handler
+// keeps past that, it copies.
+type Decoder interface {
 	Decode(kind byte, payload []byte) (transport.Message, error)
 }
 
@@ -87,6 +98,10 @@ const (
 	// one Write: what the peer's single Read can take. It also bounds how
 	// much of a queue of large frames is copied before the socket sees any.
 	writeBatchSize = readBufSize
+	// MaxKeptBuffer bounds a buffer kept for reuse past the message it
+	// carried (a peer's frame buffers and batch, a node's scratch): one that
+	// grew past it is dropped, so an oversize message cannot pin its size.
+	MaxKeptBuffer = 2 * writeBatchSize
 	// dialTimeout bounds each connection attempt, whatever the Dialer.
 	dialTimeout = 3 * time.Second
 	// sendQueueDepth is the per-peer outbound queue depth; a full queue
@@ -261,7 +276,7 @@ type peer struct {
 // list drops it, and an oversize frame's buffer is not kept — the rule the
 // writer's batch follows — so a peer pins a bounded amount.
 func (p *peer) recycle(buf []byte) {
-	if cap(buf) > 2*writeBatchSize {
+	if cap(buf) > MaxKeptBuffer {
 		return
 	}
 	select {
@@ -448,6 +463,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 		case <-done:
 		}
 	}()
+	dec := t.cfg.Codec.NewDecoder()
 	buf := make([]byte, readBufSize)
 	have := 0 // buf[:have] is received and not yet consumed
 	for {
@@ -462,7 +478,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			if err == wire.ErrShort {
 				break
 			}
-			if err != nil || !t.receive(conn, kind, payload) {
+			if err != nil || !t.receive(conn, dec, kind, payload) {
 				return
 			}
 			rest = tail
@@ -480,7 +496,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 				return
 			}
 			kind, payload, _, err := wire.ParseFrame(big)
-			if err != nil || !t.receive(conn, kind, payload) {
+			if err != nil || !t.receive(conn, dec, kind, payload) {
 				return
 			}
 			rest = nil
@@ -489,10 +505,10 @@ func (t *Transport) readLoop(conn net.Conn) {
 	}
 }
 
-// receive accounts for one inbound frame and delivers its message on the
-// calling reader; false means the connection is not worth reading further.
-// payload is only valid until receive returns.
-func (t *Transport) receive(conn net.Conn, kind byte, payload []byte) bool {
+// receive accounts for one inbound frame and delivers its message, decoded
+// by dec, on the calling reader; false means the connection is not worth
+// reading further. payload is only valid until receive returns.
+func (t *Transport) receive(conn net.Conn, dec Decoder, kind byte, payload []byte) bool {
 	t.m.framesIn.Inc()
 	t.m.bytesIn.Add(uint64(wire.FrameHeaderSize + len(payload)))
 	if len(payload) < addrPrefixSize {
@@ -502,7 +518,7 @@ func (t *Transport) receive(conn net.Conn, kind byte, payload []byte) bool {
 	}
 	src := transport.Addr(int64(binary.BigEndian.Uint64(payload[0:8])))
 	dst := transport.Addr(int64(binary.BigEndian.Uint64(payload[8:16])))
-	msg, err := t.cfg.Codec.Decode(kind, payload[addrPrefixSize:])
+	msg, err := dec.Decode(kind, payload[addrPrefixSize:])
 	if err != nil {
 		t.m.decodeErrs.Inc()
 		t.logf("tcptransport: decode kind %d from %s: %v", kind, conn.RemoteAddr(), err)
@@ -541,12 +557,13 @@ func (t *Transport) Send(src, dst transport.Addr, msg transport.Message) {
 	_, local := t.handlers[dst]
 	t.mu.Unlock()
 	if local {
-		// A decode of the frame a socket would carry, in a buffer of its
-		// own; frame validated the header ParseFrame reads back.
+		// A decode of the frame a socket would carry, in a buffer and by a
+		// decoder of its own: it waits in the events queue past other
+		// decodes. frame validated the header ParseFrame reads back.
 		frame, err := t.frame(nil, src, dst, msg)
 		if err == nil {
 			kind, payload, _, _ := wire.ParseFrame(frame)
-			msg, err = t.cfg.Codec.Decode(kind, payload[addrPrefixSize:])
+			msg, err = t.cfg.Codec.NewDecoder().Decode(kind, payload[addrPrefixSize:])
 		}
 		if err != nil {
 			t.logf("tcptransport: encode to local %d: %v", dst, err)
@@ -744,7 +761,7 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 			if frames == 1 {
 				p.recycle(frame)
 			}
-			if cap(batch) > 2*writeBatchSize {
+			if cap(batch) > MaxKeptBuffer {
 				batch = nil // an oversize frame passed through: do not pin its size per peer
 			}
 			if err != nil {

@@ -30,6 +30,10 @@ func (textCodec) AppendEncode(dst []byte, msg transport.Message) (byte, []byte, 
 	return 1, append(dst, tm.body...), nil
 }
 
+// NewDecoder: a textCodec decodes into fresh messages, so it keeps no state
+// to lend.
+func (c textCodec) NewDecoder() Decoder { return c }
+
 func (textCodec) Decode(kind byte, payload []byte) (transport.Message, error) {
 	if kind != 1 {
 		return nil, fmt.Errorf("unexpected kind %d", kind)
