@@ -279,10 +279,20 @@ func (t *Tunnel) dropHint(i int) {
 // address hint the tunnel's own. Before the first RefreshHints that is
 // BuildForward(t, nil, …), byte for byte.
 func BuildForwardHinted(t *Tunnel, dest id.ID, payload []byte, stream *rng.Stream) (*Envelope, error) {
+	e := new(Envelope)
+	if err := buildForwardHintedInto(e, t, dest, payload, stream); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// buildForwardHintedInto is BuildForwardHinted into an envelope the caller
+// keeps, its onion laid out in e.Sealed's storage (BuildForwardInto).
+func buildForwardHintedInto(e *Envelope, t *Tunnel, dest id.ID, payload []byte, stream *rng.Stream) error {
 	l := t.linked()
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return BuildForward(t, l.hintsOf(t), dest, payload, stream)
+	return BuildForwardInto(e, t, l.hintsOf(t), dest, payload, stream)
 }
 
 // BuildReplyHinted builds the optimized reply tunnel with the tunnel's hints.

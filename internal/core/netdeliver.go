@@ -24,9 +24,12 @@ import (
 //
 // Buffer ownership (DESIGN §9): a packet in flight, its envelope and the
 // envelope's onion have exactly one owner — whichever node holds the
-// packet. The fire-and-forget send entries make one private copy of the
-// caller's onion, and a stream seals a fresh one per transmission; every hop
-// then peels that copy where it lies and passes the same packet on.
+// packet, or the receiver's reorder ring that holds it. The fire-and-forget
+// send entries make one private copy of the caller's onion per flow; a
+// stream seals each transmission into the onion storage of the packet it
+// takes from the freelist. Every hop then peels the onion where it lies and
+// passes the same packet on, and the packet — storage included — returns to
+// the freelist only once nothing reads its bytes.
 type NetEngine struct {
 	svc *Service
 	net transport.Transport
@@ -53,9 +56,8 @@ type NetEngine struct {
 	OnStream func(rs *RecvStream)
 
 	// Packet and segment-buffer freelists. The event loop is single-
-	// threaded, so plain slices suffice; in steady state a direct stream
-	// allocates nothing and a tunnel stream only what sealing a segment
-	// does (stream.go).
+	// threaded, so plain slices suffice; in steady state a stream, direct or
+	// tunnel, allocates nothing (stream.go).
 	pktFree  []*packet
 	segPools map[int][][]byte
 	// segScratch is where a tunnel stream frames a segment for sealing:
@@ -158,21 +160,27 @@ type packet struct {
 	lastFrom simnet.Addr
 
 	payloadSize int            // kindPayload
-	env         *Envelope      // kindForward
+	env         Envelope       // kindForward
 	renv        *ReplyEnvelope // kindReply
+	// onion is the full-capacity storage a stream seals env's onion into;
+	// it stays with the packet through the freelist. A peel leaves
+	// env.Sealed a sub-slice of it, so it is kept apart.
+	onion []byte
 
 	// Windowed-stream fields (stream.go). On kindStream: seq, fin, ackTo
 	// — the sender's address, where the receiver's ACKs go — and the
-	// segment payload (data aliases the sender's window slot — safe because
-	// the slot is rewritten only after the receiver has acknowledged this
-	// seq, and any later copy is deduplicated by seq before data is read).
-	// On kindStreamAck: cum plus the selective ranges, wire.AckVerSACK.
-	seq    uint64
-	fin    bool
-	ackTo  simnet.Addr
-	data   []byte
-	cum    uint64
-	ranges []wire.AckRange
+	// segment payload. A direct segment's data aliases the sender's window
+	// slot — safe because the slot is rewritten only after the receiver has
+	// acknowledged this seq, and any later copy is deduplicated by seq
+	// before data is read; a tunnel segment's aliases this packet's onion.
+	// On kindStreamAck: cum plus nranges selective ranges, wire.AckVerSACK.
+	seq     uint64
+	fin     bool
+	ackTo   simnet.Addr
+	data    []byte
+	cum     uint64
+	nranges int
+	ranges  [wire.MaxAckRanges]wire.AckRange
 }
 
 // SizeBytes implements simnet.Message.
@@ -186,7 +194,7 @@ func (p *packet) SizeBytes() int {
 	case kindStream:
 		return header + 8 + 1 + 8 + 2 + len(p.data) // seq, fin, ackTo, len prefix
 	case kindStreamAck:
-		return header + wire.AckSizeSACK(len(p.ranges))
+		return header + wire.AckSizeSACK(p.nranges)
 	default:
 		return header + p.payloadSize
 	}
@@ -206,8 +214,13 @@ func NewNetEngine(svc *Service, net transport.Transport) *NetEngine {
 		closedStreams: make(map[uint64]closedStreamRec),
 		segPools:      make(map[int][][]byte),
 	}
-	for _, r := range svc.OV.LiveRefs() {
-		e.attach(r.Addr)
+	// One handler array for every live node: a world's worth of handlers is
+	// one allocation.
+	refs := svc.OV.LiveRefs()
+	hs := make([]nodeHandler, len(refs))
+	for i, r := range refs {
+		hs[i] = nodeHandler{e: e, addr: r.Addr}
+		net.Attach(r.Addr, &hs[i])
 	}
 	// Joiners get handlers too; departures are handled by simnet drops
 	// (the experiment harness detaches failed nodes from the network).
@@ -216,24 +229,29 @@ func NewNetEngine(svc *Service, net transport.Transport) *NetEngine {
 		if prevJoin != nil {
 			prevJoin(n)
 		}
-		e.net.Grow(int(n.Ref().Addr) + 1)
-		e.attach(n.Ref().Addr)
+		addr := n.Ref().Addr
+		e.net.Grow(int(addr) + 1)
+		e.net.Attach(addr, &nodeHandler{e: e, addr: addr})
 	}
 	return e
 }
 
-// attach binds the engine's handler to one address.
-func (e *NetEngine) attach(addr simnet.Addr) {
-	e.net.Attach(addr, simnet.HandlerFunc(func(from simnet.Addr, msg simnet.Message) {
-		pkt, ok := msg.(*packet)
-		if !ok {
-			// Traffic that is not tunnel protocol — e.g. cover dummies —
-			// is consumed and discarded.
-			return
-		}
-		pkt.lastFrom = from
-		e.deliver(addr, pkt)
-	}))
+// nodeHandler is the engine's network handler at one address.
+type nodeHandler struct {
+	e    *NetEngine
+	addr simnet.Addr
+}
+
+// Deliver implements transport.Handler.
+func (h *nodeHandler) Deliver(from simnet.Addr, msg simnet.Message) {
+	pkt, ok := msg.(*packet)
+	if !ok {
+		// Traffic that is not tunnel protocol — e.g. cover dummies —
+		// is consumed and discarded.
+		return
+	}
+	pkt.lastFrom = from
+	h.e.deliver(h.addr, pkt)
 }
 
 // finish concludes p at this node: the terminal was reached (delivered) or
@@ -346,7 +364,7 @@ func (e *NetEngine) process(self simnet.Addr, p *packet) {
 		e.handleStreamData(self, p)
 
 	case kindForward:
-		env := p.env
+		env := &p.env
 		if e.Tap != nil && e.svc.holds(self, env.HopID) {
 			e.Tap.EnvelopeReceived(self, e.net.Now(), p.lastFrom, p.flow)
 		}
@@ -369,12 +387,12 @@ func (e *NetEngine) process(self simnet.Addr, p *packet) {
 			e.dispatch(self, p, layer.NextHint)
 			return
 		}
-		// Tail hop: the same packet, stripped of its envelope, carries the
+		// Tail hop: the same packet, its envelope spent, carries the
 		// payload to the destination owner.
 		if e.Tap != nil {
 			e.Tap.ExitObserved(self, e.net.Now(), p.flow, layer.Dest)
 		}
-		p.env, p.target = nil, layer.Dest
+		p.target = layer.Dest
 		if wire.IsStreamSegment(layer.Payload) {
 			// A windowed-stream segment rode the tunnel: unwrap the
 			// framing. The data slice aliases the peeled onion, which is
@@ -494,9 +512,9 @@ func (e *NetEngine) SendOvert(from simnet.Addr, dest id.ID, size int, done func(
 // TAP_opt; without, TAP_basic. env stays the caller's, intact: the flow
 // travels as a private copy. SendMessage is the reliable twin.
 func (e *NetEngine) SendForward(from simnet.Addr, env *Envelope, done func(Outcome)) uint64 {
-	own := *env
-	own.Sealed = append([]byte(nil), env.Sealed...)
-	return e.launch(from, &packet{kind: kindForward, target: env.HopID, env: &own}, env.Hint, done)
+	p := &packet{kind: kindForward, target: env.HopID, env: *env}
+	p.env.Sealed = append([]byte(nil), env.Sealed...)
+	return e.launch(from, p, env.Hint, done)
 }
 
 // WireBytes returns the byte slices a tunnel-protocol message actually

@@ -492,7 +492,7 @@ func TestDirectSendMissMarksStaleHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &packet{kind: kindForward, flow: ns.openFlow(nil), target: hop, env: env, direct: true}
+	p := &packet{kind: kindForward, flow: ns.openFlow(nil), target: hop, env: *env, direct: true}
 	ns.eng.deliver(wrong.Ref().Addr, p)
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -509,12 +509,44 @@ func TestDirectSendMissMarksStaleHint(t *testing.T) {
 	// A later dispatch with the same hint skips the direct attempt: no
 	// p.direct packet is sent at the stale address again.
 	misses := ns.eng.HintMiss
-	p2 := &packet{kind: kindForward, flow: ns.openFlow(nil), target: hop, env: env}
+	p2 := &packet{kind: kindForward, flow: ns.openFlow(nil), target: hop, env: *env}
 	ns.eng.dispatch(wrong.Ref().Addr, p2, wrong.Ref().Addr)
 	if p2.direct {
 		t.Fatal("dispatch retried a hint already known stale")
 	}
 	if ns.eng.HintMiss != misses+1 {
 		t.Fatalf("skipped stale hint not counted as a miss: %d -> %d", misses, ns.eng.HintMiss)
+	}
+}
+
+// attachCounter is a network that counts attachments and keeps none, so
+// NewNetEngine can attach one world again and again.
+type attachCounter struct {
+	*simnet.Network
+	attached int
+}
+
+func (a *attachCounter) Attach(simnet.Addr, simnet.Handler) { a.attached++ }
+
+// TestNewNetEngineAllocsIndependentOfN: attaching every node of a world
+// takes one handler array, not an allocation per node, so the engine's
+// set-up allocates as much over 1 000 nodes as over a handful.
+func TestNewNetEngineAllocsIndependentOfN(t *testing.T) {
+	s := newSys(t, 1000, 3, 43)
+	live := len(s.ov.LiveRefs())
+	net := &attachCounter{Network: simnet.NewNetwork(simnet.NewKernel(), simnet.DefaultLinkModel(43), s.ov.NumAddrs())}
+	prevJoin := s.ov.OnJoin
+	NewNetEngine(s.svc, net)
+	s.ov.OnJoin = prevJoin
+	if net.attached != live {
+		t.Fatalf("NewNetEngine attached %d handlers for %d live nodes", net.attached, live)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		NewNetEngine(s.svc, net)
+		s.ov.OnJoin = prevJoin
+	})
+	t.Logf("NewNetEngine over %d live nodes: %.0f allocations", live, allocs)
+	if allocs > 32 {
+		t.Fatalf("NewNetEngine over %d live nodes makes %.0f allocations, want a count independent of the world's size (≤ 32)", live, allocs)
 	}
 }

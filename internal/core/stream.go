@@ -28,15 +28,17 @@ import (
 // pipe full. Acknowledgments return over the overt path to the sender's
 // address.
 //
-// A direct stream's hot path is zero-allocation in steady state: window
-// slots are ring buffers with pooled payload storage, packets come from a
-// freelist, ACK ranges reuse per-packet arrays, and the retransmit timer
+// A stream's hot path is zero-allocation in steady state, in either mode:
+// window slots are ring buffers with pooled payload storage, packets come
+// from a freelist with their ACK ranges inline, and the retransmit timer
 // re-arms a single preallocated closure through the kernel's slot arena
-// (TestStreamSteadyStateZeroAlloc). A tunnel stream allocates what sealing
-// a segment does — a fresh onion and its envelope per transmission — and
-// nothing per hop: the path owns that onion, peels it where it lies, and the
-// packet that left the freelist at the sender returns to it at the receiver
-// (TestStreamTunnelSteadyStateAllocBudget).
+// (TestStreamSteadyStateZeroAlloc). A tunnel stream seals each transmission
+// into the onion storage of the packet that carries it; every hop peels
+// that onion where it lies, and the packet, storage and all, returns to the
+// freelist at the receiver (TestStreamTunnelSteadyStateAllocBudget). The
+// one rule is that whoever holds the packet owns its bytes: the receiver's
+// reorder ring holds the packets of early segments, not slices into them,
+// and a packet goes back only once its data has been handed over.
 
 // streamIDBase offsets stream ids away from fire-and-forget flow ids so the
 // two id spaces can never collide in the engine's shared packet field.
@@ -436,25 +438,27 @@ func (s *Stream) sendSegment(sl *sendSlot) {
 		e.dispatch(s.origin, p, s.destHint)
 		return
 	}
-	// Tunnel mode: seal the framed segment as a forward envelope. Each
-	// (re)transmission re-reads the tunnel's hints, preserving
-	// the §6 failover semantics of the reliability layer — and is a fresh
-	// envelope, which the path owns from here on.
+	// Tunnel mode: seal the framed segment as a forward envelope, into the
+	// onion storage of the packet that carries it. Each (re)transmission
+	// re-reads the tunnel's hints, preserving the §6 failover semantics of
+	// the reliability layer — and is a fresh onion, which the path owns
+	// from here on.
 	w := wire.NewWriterOn(e.segScratch[:0])
 	wire.AppendStreamSegment(w, s.id, sl.seq, sl.fin, int64(s.origin), sl.buf[:sl.n])
 	e.segScratch = w.Bytes()
-	env, err := BuildForwardHinted(s.tun, s.dest, e.segScratch, e.svc.Stream)
-	if err != nil {
+	p := e.getPacket()
+	p.env.Sealed = p.onion
+	if err := buildForwardHintedInto(&p.env, s.tun, s.dest, e.segScratch, e.svc.Stream); err != nil {
+		e.putPacket(p)
 		s.fail(fmt.Sprintf("sealing segment %d: %v", sl.seq, err))
 		return
 	}
-	p := e.getPacket()
+	p.onion = p.env.Sealed
 	p.kind = kindForward
 	p.flow = s.id
-	p.target = env.HopID
-	p.env = env
+	p.target = p.env.HopID
 	p.ackTo = s.origin
-	e.dispatch(s.origin, p, env.Hint)
+	e.dispatch(s.origin, p, p.env.Hint)
 }
 
 // schedTimer ensures a timer event exists at or before `at`.
@@ -641,15 +645,6 @@ func (e *NetEngine) invalidateTunnelHints(t *Tunnel) {
 
 // --- receive side -----------------------------------------------------------
 
-// recvSlot buffers one out-of-order segment. data aliases the arriving
-// packet's payload; see the packet.data lifetime note.
-type recvSlot struct {
-	seq  uint64
-	data []byte
-	fin  bool
-	used bool
-}
-
 // RecvStream is the receiver side of one windowed stream, created by the
 // engine when the first segment arrives and announced through
 // NetEngine.OnStream. OnData receives the payload strictly in order,
@@ -660,7 +655,9 @@ type RecvStream struct {
 	dest  id.ID
 	ackTo simnet.Addr
 
-	ring   []recvSlot
+	// ring is the reorder buffer: the packet of each out-of-order segment,
+	// held with the bytes its data aliases until drain delivers it.
+	ring   []*packet
 	rcvNxt uint64 // next in-order sequence number expected
 	maxSeq uint64 // highest seq+1 received (SACK scan bound)
 
@@ -698,18 +695,20 @@ func (e *NetEngine) handleStreamData(self simnet.Addr, p *packet) {
 			e.OnStream(rs)
 		}
 	}
-	rs.accept(self, p.seq, p.fin, p.data)
-	e.putPacket(p)
+	rs.accept(self, p)
 }
 
-// accept runs the receive-side protocol for one arriving segment.
-func (rs *RecvStream) accept(self simnet.Addr, seq uint64, fin bool, data []byte) {
+// accept runs the receive-side protocol for one arriving segment. It takes
+// p over: the packet is delivered and recycled, recycled as a duplicate or
+// a drop, or kept in the reorder ring.
+func (rs *RecvStream) accept(self simnet.Addr, p *packet) {
 	e := rs.eng
+	seq := p.seq
 	if e.StreamReorderBypass {
 		// Sabotaged receiver: hand segments over in arrival order with no
 		// reorder buffer and no dedup. Exists only so the simulation
 		// checker can prove the in-order invariant catches it.
-		rs.deliverSeg(seq, fin, data)
+		rs.deliverSeg(p)
 		if seq+1 > rs.rcvNxt {
 			rs.rcvNxt = seq + 1
 		}
@@ -723,17 +722,16 @@ func (rs *RecvStream) accept(self simnet.Addr, seq uint64, fin bool, data []byte
 	switch {
 	case seq < rs.rcvNxt:
 		e.StreamDupSegs++
+		e.putPacket(p)
 	case seq == rs.rcvNxt:
-		rs.deliverSeg(seq, fin, data)
+		rs.deliverSeg(p)
 		rs.rcvNxt++
 		if seq+1 > rs.maxSeq {
 			rs.maxSeq = seq + 1
 		}
 		rs.drain()
 	default:
-		if rs.buffer(seq, fin, data) && seq+1 > rs.maxSeq {
-			rs.maxSeq = seq + 1
-		}
+		rs.buffer(p)
 	}
 	if rs.finSet && rs.rcvNxt > rs.finSeq {
 		rs.close(self)
@@ -742,54 +740,61 @@ func (rs *RecvStream) accept(self simnet.Addr, seq uint64, fin bool, data []byte
 	rs.sendAck(self)
 }
 
-// deliverSeg hands one segment to the application.
-func (rs *RecvStream) deliverSeg(seq uint64, fin bool, data []byte) {
+// deliverSeg hands one segment to the application, then recycles its
+// packet: the data is valid only during OnData.
+func (rs *RecvStream) deliverSeg(p *packet) {
 	rs.segs++
-	rs.eng.StreamBytesRecv += uint64(len(data))
-	if fin {
+	rs.eng.StreamBytesRecv += uint64(len(p.data))
+	if p.fin {
 		rs.finSet = true
-		rs.finSeq = seq
+		rs.finSeq = p.seq
 	}
-	if rs.OnData != nil && len(data) > 0 {
-		rs.OnData(seq, data)
+	if rs.OnData != nil && len(p.data) > 0 {
+		rs.OnData(p.seq, p.data)
 	}
+	rs.eng.putPacket(p)
 }
 
 // drain delivers buffered segments that became in-order.
 func (rs *RecvStream) drain() {
 	for len(rs.ring) > 0 {
 		sl := &rs.ring[rs.rcvNxt%uint64(len(rs.ring))]
-		if !sl.used || sl.seq != rs.rcvNxt {
+		p := *sl
+		if p == nil || p.seq != rs.rcvNxt {
 			return
 		}
-		data, fin := sl.data, sl.fin
-		*sl = recvSlot{}
-		rs.deliverSeg(rs.rcvNxt, fin, data)
+		*sl = nil
+		rs.deliverSeg(p)
 		rs.rcvNxt++
 	}
 }
 
-// buffer stores an out-of-order segment in the reorder ring, growing it
-// up to recvWindowCap. Reports whether the segment was kept.
-func (rs *RecvStream) buffer(seq uint64, fin bool, data []byte) bool {
-	span := seq - rs.rcvNxt + 1
+// buffer keeps an out-of-order segment's packet in the reorder ring,
+// growing it up to recvWindowCap, or recycles the packet when the segment
+// is dropped.
+func (rs *RecvStream) buffer(p *packet) {
+	span := p.seq - rs.rcvNxt + 1
 	if span > recvWindowCap {
 		// Too far ahead: drop, the sender's window will bring it back.
 		rs.eng.StreamSegsLost++
-		return false
+		rs.eng.putPacket(p)
+		return
 	}
 	if uint64(len(rs.ring)) < span {
 		rs.growRing(span)
 	}
-	sl := &rs.ring[seq%uint64(len(rs.ring))]
-	if sl.used {
+	sl := &rs.ring[p.seq%uint64(len(rs.ring))]
+	if *sl != nil {
 		// Same seq twice out of order; distinct seqs cannot collide
 		// because the ring always spans the full receive window.
 		rs.eng.StreamDupSegs++
-		return false
+		rs.eng.putPacket(p)
+		return
 	}
-	*sl = recvSlot{seq: seq, data: data, fin: fin, used: true}
-	return true
+	*sl = p
+	if p.seq+1 > rs.maxSeq {
+		rs.maxSeq = p.seq + 1
+	}
 }
 
 // growRing doubles the reorder ring until it spans at least minSpan,
@@ -800,10 +805,10 @@ func (rs *RecvStream) growRing(minSpan uint64) {
 	for size < minSpan {
 		size *= 2
 	}
-	next := make([]recvSlot, size)
-	for i := range rs.ring {
-		if sl := &rs.ring[i]; sl.used {
-			next[sl.seq%size] = *sl
+	next := make([]*packet, size)
+	for _, p := range rs.ring {
+		if p != nil {
+			next[p.seq%size] = p
 		}
 	}
 	rs.ring = next
@@ -823,24 +828,25 @@ func (rs *RecvStream) sendAck(self simnet.Addr) {
 		open := false
 		var cur wire.AckRange
 		for seq := rs.rcvNxt; seq < rs.maxSeq; seq++ {
-			sl := &rs.ring[seq%n]
-			if sl.used && sl.seq == seq {
+			if q := rs.ring[seq%n]; q != nil && q.seq == seq {
 				if open && cur.End == seq {
 					cur.End++
 					continue
 				}
 				if open {
-					if len(p.ranges) == wire.MaxAckRanges {
+					if p.nranges == wire.MaxAckRanges {
 						break
 					}
-					p.ranges = append(p.ranges, cur)
+					p.ranges[p.nranges] = cur
+					p.nranges++
 				}
 				cur = wire.AckRange{Start: seq, End: seq + 1}
 				open = true
 			}
 		}
-		if open && len(p.ranges) < wire.MaxAckRanges {
-			p.ranges = append(p.ranges, cur)
+		if open && p.nranges < wire.MaxAckRanges {
+			p.ranges[p.nranges] = cur
+			p.nranges++
 		}
 	}
 	e.StreamAcksSent++
@@ -871,7 +877,7 @@ func (rs *RecvStream) close(self simnet.Addr) {
 // handleStreamAck applies an arriving acknowledgment at the sender.
 func (e *NetEngine) handleStreamAck(p *packet) {
 	if s, ok := e.sendStreams[p.flow]; ok {
-		s.handleAck(p.cum, p.ranges)
+		s.handleAck(p.cum, p.ranges[:p.nranges])
 	}
 	e.putPacket(p)
 }
@@ -887,14 +893,13 @@ func (e *NetEngine) getPacket() *packet {
 		e.pktFree = e.pktFree[:n-1]
 		return p
 	}
-	return &packet{ranges: make([]wire.AckRange, 0, wire.MaxAckRanges)}
+	return new(packet)
 }
 
-// putPacket recycles a consumed packet, keeping its range storage.
+// putPacket recycles a packet nothing reads any more, keeping its onion
+// storage.
 func (e *NetEngine) putPacket(p *packet) {
-	r := p.ranges[:0]
-	*p = packet{}
-	p.ranges = r
+	*p = packet{onion: p.onion}
 	e.pktFree = append(e.pktFree, p)
 }
 

@@ -8,8 +8,6 @@ import (
 
 	"tap/internal/id"
 	"tap/internal/simnet"
-	"tap/internal/tha"
-	"tap/internal/wire"
 )
 
 // fixedLink gives every distinct pair of nodes the same one-way latency
@@ -231,10 +229,10 @@ func TestStreamTunnelSegmentDiesAtHopNode(t *testing.T) {
 
 	// The dying packet returns to the freelist its sender took it from.
 	p := ns.eng.getPacket()
-	p.kind, p.flow, p.env = kindForward, s.ID(), &Envelope{}
+	p.kind, p.flow, p.env = kindForward, s.ID(), Envelope{Sealed: []byte("onion")}
 	free := len(ns.eng.pktFree)
 	ns.eng.finish(mid.Ref().Addr, p, false, "hop lost")
-	if len(ns.eng.pktFree) != free+1 || ns.eng.pktFree[free] != p || p.env != nil {
+	if len(ns.eng.pktFree) != free+1 || ns.eng.pktFree[free] != p || p.env.Sealed != nil {
 		t.Fatal("a segment that died at a hop was not recycled")
 	}
 }
@@ -443,17 +441,15 @@ func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStreamTunnelSteadyStateAllocBudget is the tunnel-mode twin. The
-// layer crypto allocates — sealing a segment (the onion, its envelope and a
-// cipher stream per layer) and each hop's one cipher pass — and framing and
-// carrying the segment must not: the frame is written into the engine's
-// scratch buffer, every hop peels the one buffer and passes the one
-// packet on, and the receiver puts the packet back on the freelist. So the
-// budget is what the crypto alone costs, measured here, plus half an
-// object per segment for per-stream setup: one packet taken from the
-// freelist and never returned is two (measured: it and its range storage),
-// a copy per hop of this three-hop tunnel three (per-hop copy, envelope
-// and packet measured nine).
+// TestStreamTunnelSteadyStateAllocBudget is the tunnel-mode twin, held to
+// the same budget: sealing, carrying and peeling a segment allocates
+// nothing. The frame is written into the engine's scratch buffer and sealed
+// into the onion storage of the packet that carries it, every hop peels
+// that onion where it lies with its anchor's cached key schedule and passes
+// the one packet on, and the receiver puts the packet — storage and inline
+// ACK ranges with it — back on the freelist once the segment is delivered.
+// An envelope or onion allocated per transmission is two objects per
+// segment; one packet taken from the freelist and never returned is one.
 func TestStreamTunnelSteadyStateAllocBudget(t *testing.T) {
 	ns := newNetSys(t, 100, 3, 41)
 	ns.net.Link = fixedLink(5 * time.Millisecond)
@@ -470,34 +466,8 @@ func TestStreamTunnelSteadyStateAllocBudget(t *testing.T) {
 	perSeg := steadyStateMallocsPerSeg(t, ns, 512, func() *Stream {
 		return ns.eng.OpenTunnelStream(origin, tun, dest, StreamConfig{})
 	})
-
-	// What sendSegment does before the packet leaves and what each hop does
-	// to the onion, key schedules cached as the holders' are — nothing else.
-	anchors := make([]tha.Anchor, len(tun.Hops))
-	for i, h := range tun.Hops {
-		anchors[i] = h.Anchor.WithSealerCache()
-		anchors[i].Sealer()
-	}
-	seg := patternData(1024)
-	w := wire.NewWriter(wire.StreamSegmentOverhead + len(seg))
-	wire.AppendStreamSegment(w, 1, 1, false, int64(origin), seg)
-	crypto := testing.AllocsPerRun(100, func() {
-		env, err := BuildForwardHinted(tun, dest, w.Bytes(), ns.svc.Stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sealed := env.Sealed
-		for _, a := range anchors {
-			layer, err := OpenForwardLayerInPlace(a, sealed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sealed = layer.Inner
-		}
-	})
-	t.Logf("layer crypto alone: %.0f mallocs/segment", crypto)
-	if perSeg > crypto+0.5 {
-		t.Fatalf("steady-state tunnel send path allocates %.2f objects/segment, its crypto %.0f: something is copied per hop or leaks from the packet freelist", perSeg, crypto)
+	if perSeg > 0.05 {
+		t.Fatalf("steady-state tunnel send path allocates %.3f objects/segment, want ~0: something is sealed into fresh storage, copied per hop or leaks from the packet freelist", perSeg)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"tap/internal/crypt"
 	"tap/internal/id"
 	"tap/internal/obs"
+	"tap/internal/rng"
 	"tap/internal/tha"
 	"tap/internal/transport"
 	"tap/internal/transport/tcptransport"
@@ -34,10 +35,14 @@ func NodeID(addr transport.Addr) id.ID {
 // serialization contract, the same discipline the simulated engines rely
 // on), so it needs no lock of its own; what a handler sends from it, send
 // encodes before returning or parks a copy of. Stream state — the window's
-// slots and the request buffer — belongs to the one RoundTripStream call
-// streamMu admits. The membership index, which SetPeers writes from the
-// joining goroutine, carries its own lock; handlers and the stream meet
-// only on channels.
+// slots, the request buffer, the nonce stream and the anchor generator —
+// belongs to the one RoundTripStream call streamMu admits. The nonce stream
+// serves every call the node makes, and the hops and the responder see its
+// draws in the clear, so it must be unpredictable as well as non-repeating:
+// one who could predict it would link the node's calls over different
+// tunnels (newNonces). The membership
+// index, which SetPeers writes from the joining goroutine, carries its own
+// lock; handlers and the stream meet only on channels.
 type Node struct {
 	Addr transport.Addr
 	ID   id.ID
@@ -65,6 +70,8 @@ type Node struct {
 	streamMu sync.Mutex
 	window   [streamWindow]inflight // the requests in flight, slot i%streamWindow each
 	req      []byte                 // where every request's exit payload is encoded
+	nonces   *rng.Stream            // the onion builders' nonces and padding; made by the first call
+	gen      *tha.Generator         // the node's anchor generator; made by the first call
 	// Initiator-side notification channels, consumed by RoundTripStream,
 	// and the reply buffers it is done with (tcptransport's peer.free idiom).
 	acks      chan id.ID

@@ -5,6 +5,8 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
+	mrand "math/rand"
+	randv2 "math/rand/v2"
 	"time"
 
 	"tap/internal/core"
@@ -102,24 +104,28 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 		}
 	}()
 
-	// The onion builders draw nonces and padding from a deterministic
-	// stream; seed it from the OS entropy pool since nothing here needs
-	// replay.
-	var seed [8]byte
-	if _, err := rand.Read(seed[:]); err != nil {
-		return nil, fmt.Errorf("procnode: seeding: %w", err)
+	// The onion builders draw nonces and padding from the node's one nonce
+	// stream, seeded from the OS entropy pool on the first call; anchors come
+	// from the node's one §3.3 generator, whose counter t advances from call
+	// to call.
+	if n.gen == nil {
+		var seed [32]byte
+		if _, err := rand.Read(seed[:]); err != nil {
+			return nil, fmt.Errorf("procnode: seeding: %w", err)
+		}
+		gen, err := tha.NewGenerator(n.ID[:], rand.Reader)
+		if err != nil {
+			return nil, err
+		}
+		n.nonces, n.gen = newNonces(seed), gen
 	}
-	stream := rng.New(binary.BigEndian.Uint64(seed[:]))
-
-	gen, err := tha.NewGenerator(n.ID[:], rand.Reader)
-	if err != nil {
-		return nil, err
-	}
+	stream := n.nonces
 	// One anchor per hop, the forward tunnel's then the reply tunnel's.
 	hops := append(append([]transport.Addr(nil), cfg.ForwardHops...), cfg.ReplyHops...)
 	secrets := make([]tha.Secret, len(hops))
 	for i := range secrets {
-		if secrets[i], err = gen.Generate(rand.Reader); err != nil {
+		var err error
+		if secrets[i], err = n.gen.Generate(rand.Reader); err != nil {
 			return nil, err
 		}
 	}
@@ -287,6 +293,24 @@ type inflight struct {
 	attempts int           // re-sends so far
 	done     bool          // answered: the ack received, or the echo received and verified
 }
+
+// newNonces returns a node's nonce stream: an rng.Stream whose source is
+// math/rand/v2's ChaCha8, a cryptographically strong generator, keyed by
+// seed. rng.New's source has about 2^31 states, so one seed recovered from
+// the nonces a hop sees would predict every later draw of the node; ChaCha8's
+// 256-bit key leaves no seed to search. The stream's own seed stays unset:
+// it is never split.
+func newNonces(seed [32]byte) *rng.Stream {
+	return &rng.Stream{Rand: mrand.New(chachaSource{randv2.NewChaCha8(seed)})}
+}
+
+// chachaSource is ChaCha8 as the math/rand Source an rng.Stream wraps.
+type chachaSource struct{ *randv2.ChaCha8 }
+
+func (s chachaSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed is never called: math/rand.New takes the source as it is.
+func (chachaSource) Seed(int64) { panic("procnode: a nonce stream is not reseeded") }
 
 // openEcho authenticates a delivered reply under the stream's key, in
 // place — handleReply sent a copy — and returns the chunk number it

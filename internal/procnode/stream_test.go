@@ -5,12 +5,14 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	randv2 "math/rand/v2"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tap/internal/core"
 	"tap/internal/crypt"
 	"tap/internal/transport"
 	"tap/internal/transport/tcptransport"
@@ -615,5 +617,114 @@ func TestConcurrentStreamsDoNotStealEchoes(t *testing.T) {
 	wg.Wait()
 	if got := client.m.streamRetransmits.Load(); got != 0 {
 		t.Errorf("tap_node_stream_retransmits_total = %d, want 0: a stream lost an ack or an echo to the other", got)
+	}
+}
+
+// TestConsecutiveStreamsRepeatNoNonceOrHopID: a node draws its layer nonces
+// from one stream and its anchors from one generator, both kept from call
+// to call, so a second RoundTripStream on the node repeats no layer nonce
+// and no hopid of the first, and the generator's counter t has advanced
+// past both calls' anchors. Each hop sees its own layer's nonce and hopid
+// on the envelope it receives, so tapping every hop sees all of them.
+func TestConsecutiveStreamsRepeatNoNonceOrHopID(t *testing.T) {
+	cfg := lossStreamConfig(0)
+	codecs := map[transport.Addr]tcptransport.Codec{}
+	taps := map[transport.Addr]*frameTap{}
+	for kind, hops := range map[byte][]transport.Addr{kindForward: cfg.ForwardHops, kindReply: cfg.ReplyHops} {
+		for _, a := range hops {
+			taps[a] = &frameTap{kind: kind}
+			codecs[a] = taps[a]
+		}
+	}
+	nodes := startOverlayOn(t, lossNodes, codecs)
+	client := nodes[lossClient]
+
+	// draws returns the layer nonces and hopids in the frames each hop has
+	// received since the last call.
+	seen := map[transport.Addr]int{}
+	draws := func() (nonces, hopIDs map[string]bool) {
+		nonces, hopIDs = map[string]bool{}, map[string]bool{}
+		for a, tap := range taps {
+			tap.mu.Lock()
+			frames := tap.seen[seen[a]:]
+			seen[a] = len(tap.seen)
+			tap.mu.Unlock()
+			for _, frame := range frames {
+				msg, err := Codec{}.Decode(tap.kind, frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch m := msg.(type) {
+				case *core.Envelope:
+					nonces[string(m.Sealed[:crypt.NonceSize])] = true
+					hopIDs[string(m.HopID[:])] = true
+				case *core.ReplyEnvelope:
+					nonces[string(m.Onion[:crypt.NonceSize])] = true
+					hopIDs[string(m.Target[:])] = true
+				}
+			}
+		}
+		return nonces, hopIDs
+	}
+
+	hops := len(cfg.ForwardHops) + len(cfg.ReplyHops)
+	var firstNonces, firstHopIDs map[string]bool
+	for call := 1; call <= 2; call++ {
+		payload := streamPayload(t, 3*cfg.ChunkSize)
+		echo, err := client.RoundTripStream(cfg, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(echo, payload) {
+			t.Fatalf("call %d: echo differs from payload", call)
+		}
+		nonces, hopIDs := draws()
+		if len(hopIDs) != hops {
+			t.Fatalf("call %d: the hops saw %d hopids, want %d", call, len(hopIDs), hops)
+		}
+		if call == 1 {
+			firstNonces, firstHopIDs = nonces, hopIDs
+			continue
+		}
+		for nonce := range nonces {
+			if firstNonces[nonce] {
+				t.Errorf("the second call repeated the first's layer nonce %x", nonce)
+			}
+		}
+		for hopID := range hopIDs {
+			if firstHopIDs[hopID] {
+				t.Errorf("the second call repeated the first's hopid %x", hopID)
+			}
+		}
+	}
+	client.streamMu.Lock()
+	minted := client.gen.Counter()
+	client.streamMu.Unlock()
+	if minted != uint64(2*hops) {
+		t.Errorf("the node's generator is at t = %d after two calls of %d anchors, want %d", minted, hops, 2*hops)
+	}
+}
+
+// TestNonceStreamDrawsChaCha8: a node's nonce stream is ChaCha8's output
+// under the node's 256-bit seed, not a math/rand source, whose 2^31 states
+// a hop that sees the nonces could search to predict the node's later
+// calls. math/rand's Read takes seven bytes from each 63-bit draw, low
+// byte first.
+func TestNonceStreamDrawsChaCha8(t *testing.T) {
+	seed := [32]byte{0: 7, 31: 9}
+	got := make([]byte, 4*crypt.NonceSize)
+	newNonces(seed).Bytes(got)
+
+	ref := randv2.NewChaCha8(seed)
+	var want []byte
+	for len(want) < len(got) {
+		v := ref.Uint64() >> 1
+		for range 7 {
+			want = append(want, byte(v))
+			v >>= 8
+		}
+	}
+	if !bytes.Equal(got, want[:len(got)]) {
+		t.Fatalf("the nonce stream drew %x, want ChaCha8's %x", got, want[:len(got)])
 	}
 }
