@@ -100,12 +100,12 @@ func TestOneHopStepOneWorldSeam(t *testing.T) {
 
 // TestOneRetransmitTimer statically audits that the engine has one
 // retransmission protocol and one kind of deadline: no non-test core file
-// schedules a timer except stream.go (the stream's retransmit timer, which
-// every reliable message rides — a pool probe's deadline included) and
-// pool.go's scheduleTick (the probe cadence). A second timer-driven resend
-// path would be a second RTO policy.
+// schedules a timer except window.go (the send window's retransmit timer,
+// which every stream and reliable message rides — a pool probe's deadline
+// included) and pool.go's scheduleTick (the probe cadence). A second
+// timer-driven resend path would be a second RTO policy.
 func TestOneRetransmitTimer(t *testing.T) {
-	allowed := map[string]string{"stream.go": "", "pool.go": "scheduleTick"}
+	allowed := map[string]string{"window.go": "", "pool.go": "scheduleTick"}
 	fset := token.NewFileSet()
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -126,7 +126,7 @@ func TestOneRetransmitTimer(t *testing.T) {
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok && lastName(call.Fun) == "Schedule" {
-					t.Errorf("%s: Schedule called outside stream.go and pool.go's scheduleTick — retransmit and time out through a Stream (SendMessage)",
+					t.Errorf("%s: Schedule called outside window.go and pool.go's scheduleTick — retransmit and time out through a Stream (SendMessage)",
 						fset.Position(call.Pos()))
 				}
 				return true

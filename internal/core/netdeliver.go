@@ -74,8 +74,6 @@ type NetEngine struct {
 	// Windowed-stream stats (stream.go).
 	StreamSegsSent  uint64 // original segment transmissions
 	StreamSegsRetx  uint64 // segment retransmissions (timeout or fast)
-	StreamFastRetx  uint64 // fast retransmits triggered by duplicate ACKs
-	StreamTimeouts  uint64 // RTO expirations
 	StreamAcksSent  uint64 // stream ACK frames transmitted by receivers
 	StreamDupSegs   uint64 // duplicate segment arrivals suppressed
 	StreamSegsLost  uint64 // segments that died mid-route (node death)

@@ -11,7 +11,8 @@ import (
 
 // This file implements the engine's one reliability protocol: a pipelined
 // sliding-window stream over a tunnel or the overt path. A Stream keeps a
-// configurable window of segments in flight, acknowledges them with
+// configurable window of segments in flight (its SendWindow, window.go,
+// which the deployment's initiator drives too), acknowledges them with
 // cumulative + selective (SACK) frames — wire-versioned in internal/wire —
 // estimates its retransmit timeout from measured RTTs (SRTT/RTTVAR,
 // RFC 6298 coefficients, Karn's rule on retransmitted segments), and
@@ -69,19 +70,14 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	return c
 }
 
-// The stream's loss-recovery policy.
+// The stream's loss-recovery policy, beside the window's own (window.go).
 const (
-	// dupAckThreshold is the number of duplicate cumulative ACKs that
-	// triggers a fast retransmit of the oldest unacknowledged segment.
-	dupAckThreshold = 3
 	// streamInitRTO is the retransmit timeout before the first RTT sample
 	// — generous, because a tunnel round trip spans many store-and-forward
 	// hops; the estimator converges after one ACK.
 	streamInitRTO = time.Second
-	// streamMinRTO floors the estimated timeout; streamMaxRTO caps
-	// exponential backoff.
+	// streamMinRTO floors the estimated timeout.
 	streamMinRTO = 20 * time.Millisecond
-	streamMaxRTO = 30 * time.Second
 	// streamMaxRetries bounds per-segment retransmissions before a bulk
 	// stream fails; a message sets its own budget (SendMessage).
 	streamMaxRetries = 12
@@ -94,62 +90,16 @@ const (
 	hintInvalidateAfter = 3
 )
 
-// rttEstimator is the RFC 6298 smoothed round-trip estimator: SRTT and
-// RTTVAR with gains 1/8 and 1/4, RTO = SRTT + 4·RTTVAR. Callers apply
-// Karn's rule by never feeding samples from retransmitted segments.
-type rttEstimator struct {
-	srtt   simnet.Time
-	rttvar simnet.Time
-	valid  bool
-}
-
-func (r *rttEstimator) observe(sample simnet.Time) {
-	if !r.valid {
-		r.srtt = sample
-		r.rttvar = sample / 2
-		r.valid = true
-		return
-	}
-	d := r.srtt - sample
-	if d < 0 {
-		d = -d
-	}
-	r.rttvar += (d - r.rttvar) / 4
-	r.srtt += (sample - r.srtt) / 8
-}
-
-func (r *rttEstimator) rto() simnet.Time {
-	if !r.valid {
-		return streamInitRTO
-	}
-	rto := r.srtt + 4*r.rttvar
-	if rto < streamMinRTO {
-		rto = streamMinRTO
-	}
-	if rto > streamMaxRTO {
-		rto = streamMaxRTO
-	}
-	return rto
-}
-
-// sendSlot is one ring-buffer entry of the send window.
-type sendSlot struct {
-	seq    uint64
-	buf    []byte // pooled payload storage; nil for the bare FIN segment
-	n      int
-	fin    bool
-	sentAt simnet.Time
-	rtx    int  // retransmissions so far; >0 disables RTT sampling (Karn)
-	sacked bool // selectively acknowledged, never retransmitted
-	used   bool
-}
-
 // Stream is the sender side of one windowed stream. Open with
 // NetEngine.OpenStream (direct mode) or OpenTunnelStream (segments sealed
 // over a forward tunnel); then Write until accepted bytes fall short (the
 // window is full — install OnWritable to resume), and Close to flush the
-// FIN. A Stream belongs to the simulation's event loop goroutine.
+// FIN. A Stream belongs to the simulation's event loop goroutine. Its
+// window's slots hold each segment's payload, in pooled storage (nil for
+// the bare FIN).
 type Stream struct {
+	SendWindow[[]byte]
+
 	eng    *NetEngine
 	id     uint64
 	origin simnet.Addr
@@ -162,34 +112,12 @@ type Stream struct {
 	// stream starts from and feeds its backoff memory.
 	tun *Tunnel
 
-	ring   []sendSlot
-	sndUna uint64 // oldest unacknowledged sequence number
-	sndNxt uint64 // next sequence number to assign
-
 	finSeq  uint64
 	finSet  bool
 	closed  bool
-	done    bool
-	failed  bool
 	failWhy string
 
-	rtt          rttEstimator
-	rto          simnet.Time
-	backoffCount int // consecutive RTO expirations (reset on progress)
-	dupAcks      int
-	maxRetries   int // per-segment retransmissions before the stream fails
-
-	// Retransmit timer: one preallocated closure, re-armed through the
-	// kernel. rtxDeadline is when the head segment times out (0 = no
-	// segment outstanding); timerAt is when the scheduled event fires
-	// (0 = none scheduled). A stale event re-arms itself for the
-	// remainder instead of acting.
-	rtxDeadline simnet.Time
-	timerAt     simnet.Time
-	timerFn     func()
-
-	wrote       uint64
-	maxInflight int
+	wrote uint64
 
 	// OnWritable fires when window space frees after a Write returned
 	// short. OnComplete fires once: true when every segment including the
@@ -197,9 +125,7 @@ type Stream struct {
 	OnWritable func()
 	OnComplete func(ok bool)
 
-	// Per-stream counters.
-	SegsSent uint64
-	SegsRetx uint64
+	SegsRetx uint64 // retransmissions so far
 }
 
 // closedStreamRec remembers a finished incoming stream so late duplicate
@@ -268,21 +194,19 @@ func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 	cfg = cfg.withDefaults()
 	e.nextStream++
 	s := &Stream{
-		eng:        e,
-		id:         streamIDBase + e.nextStream,
-		origin:     origin,
-		dest:       dest,
-		destHint:   hint,
-		tun:        tun,
-		cfg:        cfg,
-		rto:        streamInitRTO,
-		maxRetries: streamMaxRetries,
+		eng:      e,
+		id:       streamIDBase + e.nextStream,
+		origin:   origin,
+		dest:     dest,
+		destHint: hint,
+		tun:      tun,
+		cfg:      cfg,
 	}
 	ringSize := cfg.Window
 	if e.StreamWindowBypass {
 		ringSize *= 4
 	}
-	s.ring = make([]sendSlot, ringSize)
+	s.Reset(e.net, s, ringSize, streamInitRTO, streamMinRTO, streamMaxRetries)
 	if tun != nil {
 		// Per-tunnel backoff memory: a stream over a tunnel that recently
 		// proved lossy inherits the backed-off timeout instead of
@@ -291,7 +215,6 @@ func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 			s.rto = stored
 		}
 	}
-	s.timerFn = s.onTimerEvent
 	e.sendStreams[s.id] = s
 	return s
 }
@@ -315,18 +238,9 @@ func (s *Stream) ConfiguredWindow() int { return s.cfg.Window }
 // unacknowledged segments — the window-conservation observable.
 func (s *Stream) MaxInflightSegs() int { return s.maxInflight }
 
-func (s *Stream) slot(seq uint64) *sendSlot {
-	return &s.ring[seq%uint64(len(s.ring))]
-}
-
-func (s *Stream) inflight() int { return int(s.sndNxt - s.sndUna) }
-
 // canAccept reports whether the window has room for another segment.
 func (s *Stream) canAccept() bool {
-	if s.closed || s.done || s.failed {
-		return false
-	}
-	return s.inflight() < len(s.ring)
+	return !s.closed && !s.done && !s.failed && s.HasRoom()
 }
 
 // Write queues as much of p as the window allows, slicing it into
@@ -367,20 +281,9 @@ func (s *Stream) Close() {
 	s.tryFin()
 }
 
-// claim assigns the next sequence number to a ring slot.
-func (s *Stream) claim() *sendSlot {
-	sl := s.slot(s.sndNxt)
-	*sl = sendSlot{seq: s.sndNxt, used: true}
-	s.sndNxt++
-	if fl := s.inflight(); fl > s.maxInflight {
-		s.maxInflight = fl
-	}
-	return sl
-}
-
 // tryFin emits the FIN segment once window space allows.
 func (s *Stream) tryFin() {
-	if !s.closed || s.finSet || s.failed || s.inflight() >= len(s.ring) {
+	if !s.closed || s.finSet || s.failed || !s.HasRoom() {
 		return
 	}
 	s.push(nil, true)
@@ -390,50 +293,37 @@ func (s *Stream) tryFin() {
 // the bare FIN), marks it the stream's last when fin is set, and transmits
 // it.
 func (s *Stream) push(data []byte, fin bool) {
-	sl := s.claim()
+	seq, buf := s.Claim()
 	if data != nil {
-		sl.buf = s.eng.getSegBuf(s.cfg.SegSize)
-		sl.n = copy(sl.buf, data)
-		s.wrote += uint64(sl.n)
+		*buf = s.eng.getSegBuf(s.cfg.SegSize)
+		*buf = (*buf)[:copy(*buf, data)]
+		s.wrote += uint64(len(*buf))
 	}
 	if fin {
-		sl.fin, s.finSet, s.finSeq = true, true, sl.seq
+		s.finSet, s.finSeq = true, seq
 	}
-	s.transmit(sl)
+	s.Transmit(seq)
 }
 
-// transmit sends a freshly claimed segment.
-func (s *Stream) transmit(sl *sendSlot) {
-	s.SegsSent++
-	s.eng.StreamSegsSent++
-	s.sendSegment(sl)
-	if s.rtxDeadline == 0 {
-		s.rtxDeadline = s.eng.net.Now() + s.rto
-		s.schedTimer(s.rtxDeadline)
-	}
-}
-
-// retransmit re-sends a segment (timeout or fast retransmit).
-func (s *Stream) retransmit(sl *sendSlot) {
-	sl.rtx++
-	s.SegsRetx++
-	s.eng.StreamSegsRetx++
-	s.sendSegment(sl)
-}
-
-// sendSegment puts one copy of the segment on the wire in the stream's
-// transport mode.
-func (s *Stream) sendSegment(sl *sendSlot) {
+// Send puts one copy of segment seq on the wire in the stream's transport
+// mode (WindowOwner).
+func (s *Stream) Send(seq uint64, data *[]byte, rtx int) {
 	e := s.eng
-	sl.sentAt = e.net.Now()
+	fin := s.finSet && seq == s.finSeq
+	if rtx == 0 {
+		e.StreamSegsSent++
+	} else {
+		s.SegsRetx++
+		e.StreamSegsRetx++
+	}
 	if s.tun == nil {
 		p := e.getPacket()
 		p.kind = kindStream
 		p.flow = s.id
 		p.target = s.dest
-		p.seq = sl.seq
-		p.fin = sl.fin
-		p.data = sl.buf[:sl.n]
+		p.seq = seq
+		p.fin = fin
+		p.data = *data
 		p.ackTo = s.origin
 		e.dispatch(s.origin, p, s.destHint)
 		return
@@ -444,13 +334,13 @@ func (s *Stream) sendSegment(sl *sendSlot) {
 	// the reliability layer — and is a fresh onion, which the path owns
 	// from here on.
 	w := wire.NewWriterOn(e.segScratch[:0])
-	wire.AppendStreamSegment(w, s.id, sl.seq, sl.fin, int64(s.origin), sl.buf[:sl.n])
+	wire.AppendStreamSegment(w, s.id, seq, fin, int64(s.origin), *data)
 	e.segScratch = w.Bytes()
 	p := e.getPacket()
 	p.env.Sealed = p.onion
 	if err := buildForwardHintedInto(&p.env, s.tun, s.dest, e.segScratch, e.svc.Stream); err != nil {
 		e.putPacket(p)
-		s.fail(fmt.Sprintf("sealing segment %d: %v", sl.seq, err))
+		s.fail(fmt.Sprintf("sealing segment %d: %v", seq, err))
 		return
 	}
 	p.onion = p.env.Sealed
@@ -461,119 +351,33 @@ func (s *Stream) sendSegment(sl *sendSlot) {
 	e.dispatch(s.origin, p, p.env.Hint)
 }
 
-// schedTimer ensures a timer event exists at or before `at`.
-func (s *Stream) schedTimer(at simnet.Time) {
-	if s.timerAt != 0 && s.timerAt <= at {
-		return // the pending event fires early enough; it will re-arm
-	}
-	s.timerAt = at
-	s.eng.net.Schedule(at-s.eng.net.Now(), s.timerFn)
-}
-
-// onTimerEvent is the single retransmit-timer callback.
-func (s *Stream) onTimerEvent() {
-	s.timerAt = 0
-	if s.done || s.failed || s.inflight() == 0 || s.rtxDeadline == 0 {
-		return
-	}
-	now := s.eng.net.Now()
-	if now < s.rtxDeadline {
-		// ACK progress pushed the deadline out; re-arm for the remainder.
-		s.schedTimer(s.rtxDeadline)
-		return
-	}
-	s.onTimeout(now)
-}
-
-// onTimeout handles one RTO expiration: exponential backoff, per-tunnel
-// backoff memory, repeated-expiry hint invalidation, and retransmission
-// of the oldest unacknowledged segment.
-func (s *Stream) onTimeout(now simnet.Time) {
-	head := s.slot(s.sndUna)
-	if !head.used {
-		return
-	}
-	if head.rtx >= s.maxRetries {
-		s.fail(fmt.Sprintf("segment %d: retransmit budget exhausted after %d tries", head.seq, head.rtx+1))
-		return
-	}
-	s.eng.StreamTimeouts++
-	s.backoffCount++
-	s.rto *= 2
-	if s.rto > streamMaxRTO {
-		s.rto = streamMaxRTO
-	}
+// Backoff is the stream's side of an RTO expiry (WindowOwner): the tunnel
+// remembers the backed-off timeout so new streams over it start from
+// reality, not from scratch, and repeated expiry stops trusting its
+// remembered hop addresses.
+func (s *Stream) Backoff(rto simnet.Time, expiries int) {
 	if s.tun != nil {
-		// Remember the backed-off timeout for this tunnel so new streams
-		// over it start from reality, not from scratch.
-		s.tun.storeRTO(s.rto)
-		if s.backoffCount == hintInvalidateAfter {
-			// Repeated expiry: stop trusting the remembered hop addresses.
+		s.tun.storeRTO(rto)
+		if expiries == hintInvalidateAfter {
 			s.eng.invalidateTunnelHints(s.tun)
 		}
 	}
-	s.retransmit(head)
-	s.rtxDeadline = now + s.rto
-	s.schedTimer(s.rtxDeadline)
 }
+
+// GiveUp fails the stream when a segment exhausts its retransmit budget
+// (WindowOwner).
+func (s *Stream) GiveUp(seq uint64, _ *[]byte, tries int) {
+	s.fail(fmt.Sprintf("segment %d: retransmit budget exhausted after %d tries", seq, tries))
+}
+
+// Release returns an acknowledged segment's buffer to the pool
+// (WindowOwner).
+func (s *Stream) Release(data *[]byte) { s.eng.putSegBuf(*data) }
 
 // handleAck applies one cumulative+SACK acknowledgment.
 func (s *Stream) handleAck(cum uint64, ranges []wire.AckRange) {
-	if s.done || s.failed || cum > s.sndNxt {
+	if !s.ack(cum, ranges) {
 		return
-	}
-	now := s.eng.net.Now()
-	if cum > s.sndUna {
-		for seq := s.sndUna; seq < cum; seq++ {
-			sl := s.slot(seq)
-			if !sl.used {
-				continue
-			}
-			if sl.rtx == 0 && !sl.sacked {
-				s.rtt.observe(now - sl.sentAt)
-			}
-			s.release(sl)
-		}
-		s.sndUna = cum
-		s.dupAcks = 0
-		s.backoffCount = 0
-		s.rto = s.rtt.rto()
-		if s.inflight() > 0 {
-			s.rtxDeadline = now + s.rto
-			s.schedTimer(s.rtxDeadline)
-		} else {
-			s.rtxDeadline = 0
-		}
-	} else if cum == s.sndUna && s.inflight() > 0 {
-		s.dupAcks++
-		if s.dupAcks >= dupAckThreshold {
-			s.dupAcks = 0
-			head := s.slot(s.sndUna)
-			if head.used && !head.sacked {
-				s.eng.StreamFastRetx++
-				s.retransmit(head)
-				s.rtxDeadline = now + s.rto
-				s.schedTimer(s.rtxDeadline)
-			}
-		}
-	}
-	for _, r := range ranges {
-		lo, hi := r.Start, r.End
-		if lo < s.sndUna {
-			lo = s.sndUna
-		}
-		if hi > s.sndNxt {
-			hi = s.sndNxt
-		}
-		for seq := lo; seq < hi; seq++ {
-			sl := s.slot(seq)
-			if sl.used && !sl.sacked {
-				sl.sacked = true
-				if sl.rtx == 0 {
-					s.rtt.observe(now - sl.sentAt)
-				}
-			}
-		}
 	}
 	if s.finSet && s.sndUna > s.finSeq {
 		s.complete()
@@ -583,14 +387,6 @@ func (s *Stream) handleAck(cum uint64, ranges []wire.AckRange) {
 	if !s.closed && s.OnWritable != nil && s.canAccept() {
 		s.OnWritable()
 	}
-}
-
-// release returns a slot's payload buffer to the pool.
-func (s *Stream) release(sl *sendSlot) {
-	if sl.buf != nil {
-		s.eng.putSegBuf(sl.buf)
-	}
-	*sl = sendSlot{}
 }
 
 // complete finishes a fully acknowledged stream.

@@ -311,7 +311,7 @@ func TestStreamWindowBypassSeam(t *testing.T) {
 
 func TestStreamRTTEstimator(t *testing.T) {
 	var est rttEstimator
-	if est.rto() != streamInitRTO {
+	if est.rto(streamInitRTO, streamMinRTO) != streamInitRTO {
 		t.Fatal("estimator without samples must return streamInitRTO")
 	}
 	sample := simnet.Time(50 * time.Millisecond)
@@ -323,18 +323,18 @@ func TestStreamRTTEstimator(t *testing.T) {
 	}
 	// Constant samples decay RTTVAR toward zero, so RTO approaches SRTT
 	// (floored well above streamMinRTO here).
-	if got := est.rto(); got < sample || got > 2*sample {
+	if got := est.rto(streamInitRTO, streamMinRTO); got < sample || got > 2*sample {
 		t.Fatalf("rto = %v, want within [%v, %v]", got, sample, 2*sample)
 	}
 	// A spike inflates RTTVAR and thus RTO.
 	est.observe(simnet.Time(250 * time.Millisecond))
-	if got := est.rto(); got <= sample {
+	if got := est.rto(streamInitRTO, streamMinRTO); got <= sample {
 		t.Fatalf("rto = %v after a spike, want above the base sample", got)
 	}
 	// And the floor holds for tiny samples.
 	var tiny rttEstimator
 	tiny.observe(simnet.Time(time.Microsecond))
-	if got := tiny.rto(); got != streamMinRTO {
+	if got := tiny.rto(streamInitRTO, streamMinRTO); got != streamMinRTO {
 		t.Fatalf("rto = %v for microsecond RTT, want streamMinRTO %v", got, simnet.Time(streamMinRTO))
 	}
 }

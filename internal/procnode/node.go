@@ -34,9 +34,10 @@ func NodeID(addr transport.Addr) id.ID {
 // which the transport runs under its one dispatch lock (the seam's
 // serialization contract, the same discipline the simulated engines rely
 // on), so it needs no lock of its own; what a handler sends from it, send
-// encodes before returning or parks a copy of. Stream state — the window's
-// slots, the request buffer, the nonce stream and the anchor generator —
-// belongs to the one RoundTripStream call streamMu admits. The nonce stream
+// encodes before returning or parks a copy of. Stream state — the send
+// window, its slots and timer, the request buffer, the nonce stream and the
+// anchor generator — belongs to the one RoundTripStream call streamMu
+// admits, and only its goroutine drives the window. The nonce stream
 // serves every call the node makes, and the hops and the responder see its
 // draws in the clear, so it must be unpredictable as well as non-repeating:
 // one who could predict it would link the node's calls over different
@@ -67,11 +68,11 @@ type Node struct {
 	idMu sync.RWMutex
 	byID map[id.ID]transport.Addr // nodeID → transport address
 
-	streamMu sync.Mutex
-	window   [streamWindow]inflight // the requests in flight, slot i%streamWindow each
-	req      []byte                 // where every request's exit payload is encoded
-	nonces   *rng.Stream            // the onion builders' nonces and padding; made by the first call
-	gen      *tha.Generator         // the node's anchor generator; made by the first call
+	streamMu  sync.Mutex
+	initiator initiator      // the window, its slots and timer
+	req       []byte         // where every request's exit payload is encoded
+	nonces    *rng.Stream    // the onion builders' nonces and padding; made by the first call
+	gen       *tha.Generator // the node's anchor generator; made by the first call
 	// Initiator-side notification channels, consumed by RoundTripStream,
 	// and the reply buffers it is done with (tcptransport's peer.free idiom).
 	acks      chan id.ID

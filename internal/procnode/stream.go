@@ -27,8 +27,9 @@ type StreamConfig struct {
 	Dest transport.Addr
 	// ChunkSize splits the payload into stream chunks. Default 512.
 	ChunkSize int
-	// Timeout bounds each network wait (anchor ack, chunk echo).
-	// Default 5s.
+	// Timeout is the initial and minimum retransmit timeout of the
+	// stream's window, which RTT samples and backoff lengthen up to the
+	// window's 30 s cap (core's streamMaxRTO). Default 5s.
 	Timeout time.Duration
 }
 
@@ -75,18 +76,19 @@ const frameSlack = 64
 // reply tunnel; the echoes, each verified against its chunk, are returned
 // reassembled in order.
 //
-// The call is one sequence of requests over one window. The first are the
-// anchor installs, each addressed to its own hop node and answered by that
-// node's AnchorAck — nothing orders one hop's anchor after another's, so
-// they are all in flight together; the rest are the chunks, each answered
-// by its echo, and held back until every install is acked, so no layer
-// reaches a hop ahead of its anchor. Up to streamWindow requests are in
-// flight at once. Every request has its own deadline, cfg.Timeout after it
-// was last sent; transport losses (a full send queue, a dropped connection)
-// surface as a request outliving its deadline, and then that request alone
-// is re-sent, up to streamRetries times, while the rest of the window keeps
-// moving — selective repeat, mirroring the simulator's reliability layer in
-// miniature.
+// The call is one sequence of requests over one core.SendWindow, the
+// window the simulator's streams run. Requests 0..k−1 are the anchor
+// installs, each addressed to its own hop node and answered by that node's
+// AnchorAck — nothing orders one hop's anchor after another's, so they are
+// all in flight together; the rest are the chunks, each answered by its
+// echo, and held back until every install is acked, so no layer reaches a
+// hop ahead of its anchor. Up to streamWindow requests are in flight at
+// once, and each answer acknowledges its own request alone. Transport
+// losses (a full send queue, a dropped connection) surface as the window's
+// head going unanswered for an RTO — cfg.Timeout at least, adapted to the
+// answers' round trips — and then the head alone is re-sent, the RTO
+// doubling on each expiry, up to streamRetries times; two losses in one
+// window recover one RTO apart.
 //
 // A node runs one stream at a time: acks and echoes arrive on per-node
 // channels, where two streams would take each other's, so concurrent
@@ -97,17 +99,18 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	}
 	n.streamMu.Lock()
 	defer n.streamMu.Unlock()
+	in := &n.initiator
 	defer func() { // a stream of huge chunks does not pin their size
 		n.req = kept(n.req)
-		for i := range n.window {
-			n.window[i].env.Sealed = kept(n.window[i].env.Sealed)
+		for i := range in.slots {
+			in.slots[i].env.Sealed = kept(in.slots[i].env.Sealed)
 		}
 	}()
 
 	// The onion builders draw nonces and padding from the node's one nonce
 	// stream, seeded from the OS entropy pool on the first call; anchors come
 	// from the node's one §3.3 generator, whose counter t advances from call
-	// to call.
+	// to call. The first call makes the window's timer too, stopped.
 	if n.gen == nil {
 		var seed [32]byte
 		if _, err := rand.Read(seed[:]); err != nil {
@@ -118,7 +121,10 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			return nil, err
 		}
 		n.nonces, n.gen = newNonces(seed), gen
+		in.n, in.timer = n, time.NewTimer(time.Hour)
+		in.timer.Stop()
 	}
+	defer in.timer.Stop()
 	stream := n.nonces
 	// One anchor per hop, the forward tunnel's then the reply tunnel's.
 	hops := append(append([]transport.Addr(nil), cfg.ForwardHops...), cfg.ReplyHops...)
@@ -171,17 +177,12 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 		n.req = appendRequest(n.req[:0], sid, uint32(seq), seq == nChunks-1, key, rtEnc, chunkOf(seq))
 		return core.BuildForwardInto(env, fwTunnel, cfg.ForwardHops, destID, n.req, stream)
 	}
-	// Requests [0, installs) are the anchor installs, [installs, total) the
-	// chunks. Requests [base, next) are in flight, slot i%streamWindow each;
-	// every request below base is answered. The timer is armed for the
-	// earliest deadline in the window and re-armed only when it fires:
-	// deadlines only move later, so it can be early, never late.
 	installs := len(secrets)
 	total := installs + nChunks
 	// Build the first chunk's envelope, in its slot, before anything is
 	// sent: an envelope too large for a frame is dropped by the transport,
 	// and would otherwise surface only as a chunk lost streamRetries+1 times.
-	first := &n.window[installs%streamWindow].env
+	first := &in.slots[installs%streamWindow].env
 	if err := build(first, 0); err != nil {
 		return nil, err
 	}
@@ -191,23 +192,18 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	}
 
 	echoed := make([]byte, len(payload))
-	base, next := 0, 0
-	answered := func(i int) {
-		n.window[i%streamWindow].done = true
-		for base < next && n.window[base%streamWindow].done {
-			base++
-		}
-	}
-	timer := time.NewTimer(cfg.Timeout)
-	defer timer.Stop()
-	for base < total {
+	in.tries = 0
+	w := &in.win
+	w.Reset(in, in, streamWindow, cfg.Timeout, cfg.Timeout, streamRetries)
+	for next := 0; w.Acked() < uint64(total); {
 		// The barrier: chunks wait until every install is answered.
-		for ; next < total && next-base < streamWindow && (next < installs || base >= installs); next++ {
-			// The slot's last request is below base, answered, and Send
-			// encoded it before returning: nothing reads the slot's
-			// messages any more, so they are rebuilt in place.
-			c := &n.window[next%streamWindow]
-			c.deadline, c.attempts, c.done = time.Now().Add(cfg.Timeout), 0, false
+		for ; next < total && w.HasRoom() && (next < installs || w.Acked() >= uint64(installs)); next++ {
+			// The window numbers requests as next does. The slot's last
+			// request is answered, and Send encoded it before returning:
+			// nothing reads the slot's messages any more, so they are
+			// rebuilt in place.
+			seq, _ := w.Claim()
+			c := &in.slots[seq%streamWindow]
 			if next < installs {
 				c.dst, c.anchor = hops[next], AnchorMsg{Anchor: secrets[next].Anchor}
 				c.msg = &c.anchor
@@ -219,15 +215,15 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 				}
 				c.dst, c.msg = cfg.ForwardHops[0], &c.env
 			}
-			n.tr.Send(n.Addr, c.dst, c.msg)
+			w.Transmit(seq)
 		}
 		select {
 		case hop := <-n.acks:
 			// An ack this window does not wait for — an earlier call's, or a
-			// re-sent install's second — matches nothing and is ignored.
-			for i := base; i < min(next, installs); i++ {
-				if secrets[i].HopID == hop && !n.window[i%streamWindow].done {
-					answered(i)
+			// re-sent install's second — answers nothing.
+			for i := range secrets {
+				if secrets[i].HopID == hop {
+					w.Answer(uint64(i))
 					break
 				}
 			}
@@ -236,63 +232,82 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			// answer this window no longer waits for (the echo of a chunk
 			// that was also re-sent): ignored. Either way the buffer goes
 			// back for handleReply to copy a later reply into.
-			seq, echo, ok := openEcho(sealer, sid, sealed)
-			if i := installs + seq; ok && i >= base && i < next && !n.window[i%streamWindow].done {
+			if seq, echo, ok := openEcho(sealer, sid, sealed); ok && w.Answer(uint64(installs+seq)) {
 				chunk := chunkOf(seq)
 				if !bytes.Equal(echo, chunk) {
 					return nil, fmt.Errorf("procnode: chunk %d echo mismatch (%d vs %d bytes)", seq, len(echo), len(chunk))
 				}
 				copy(echoed[seq*cfg.ChunkSize:], echo)
 				n.m.streamChunks.Inc()
-				answered(i)
 			}
 			select {
 			case n.replyFree <- kept(sealed):
 			default:
 			}
-		case <-timer.C:
-			now := time.Now()
-			wake := now.Add(cfg.Timeout)
-			for i := base; i < next; i++ {
-				c := &n.window[i%streamWindow]
-				if c.done {
-					continue
+		case <-in.timer.C:
+			// Under go.mod's go 1.22 the channel may keep a stale tick past
+			// a Reset: it runs the window's callback early, and the window
+			// re-arms for its deadline.
+			if in.fire(); in.tries > 0 {
+				if i := int(in.lost); i < installs {
+					return nil, fmt.Errorf("procnode: deploying anchor %s to node %d: no ack after %d attempts",
+						secrets[i].HopID.Short(), hops[i], in.tries)
 				}
-				if !c.deadline.After(now) {
-					if c.attempts >= streamRetries {
-						if i < installs {
-							return nil, fmt.Errorf("procnode: deploying anchor %s to node %d: no ack after %d attempts",
-								secrets[i].HopID.Short(), c.dst, c.attempts+1)
-						}
-						return nil, fmt.Errorf("procnode: chunk %d/%d lost after %d attempts", i-installs+1, nChunks, c.attempts+1)
-					}
-					c.attempts++
-					c.deadline = now.Add(cfg.Timeout)
-					n.m.streamRetransmits.Inc()
-					n.tr.Send(n.Addr, c.dst, c.msg)
-				}
-				if c.deadline.Before(wake) {
-					wake = c.deadline
-				}
+				return nil, fmt.Errorf("procnode: chunk %d/%d lost after %d attempts", int(in.lost)-installs+1, nChunks, in.tries)
 			}
-			timer.Reset(wake.Sub(now))
 		}
 	}
 	return echoed, nil
+}
+
+// initiator is the owner and the clock of the send window a node's
+// RoundTripStream calls drive: the transport's time, and one timer the
+// calling goroutine waits on. It is kept from call to call.
+type initiator struct {
+	n     *Node
+	win   core.SendWindow[struct{}]
+	slots [streamWindow]inflight // request seq's messages in slot seq%streamWindow, as in the window's ring
+	timer *time.Timer
+	fire  func() // what the window last scheduled
+	lost  uint64 // the request that exhausted the retry budget after tries sends
+	tries int    // 0 while none has
 }
 
 // inflight is one slot of the window: its request — an anchor install or
 // a chunk — and the messages the slot owns, rebuilt in place for each
 // request it holds.
 type inflight struct {
-	dst      transport.Addr
-	msg      transport.Message // &anchor or &env, built once; a re-send is the same message
-	anchor   AnchorMsg
-	env      core.Envelope // a chunk's onion, sealed into the storage the slot's last chunk left
-	deadline time.Time     // when this request, and only it, is re-sent
-	attempts int           // re-sends so far
-	done     bool          // answered: the ack received, or the echo received and verified
+	dst    transport.Addr
+	msg    transport.Message // &anchor or &env, built once; a re-send is the same message
+	anchor AnchorMsg
+	env    core.Envelope // a chunk's onion, sealed into the storage the slot's last chunk left
 }
+
+func (in *initiator) Now() transport.Time { return in.n.tr.Now() }
+
+// Schedule re-arms the one timer. The window keeps one deadline and
+// re-arms an event that fires early, so a pending event it replaces is
+// not missed.
+func (in *initiator) Schedule(delay transport.Time, fn func()) {
+	in.fire = fn
+	in.timer.Reset(delay)
+}
+
+// Send puts request seq on the wire, the same message each time.
+func (in *initiator) Send(seq uint64, _ *struct{}, rtx int) {
+	if rtx > 0 {
+		in.n.m.streamRetransmits.Inc()
+	}
+	c := &in.slots[seq%streamWindow]
+	in.n.tr.Send(in.n.Addr, c.dst, c.msg)
+}
+
+func (in *initiator) GiveUp(seq uint64, _ *struct{}, tries int) { in.lost, in.tries = seq, tries }
+
+// Backoff and Release have nothing to do: a stream keeps no backoff past
+// its call, and a slot's messages stay for the next request to rebuild.
+func (*initiator) Backoff(transport.Time, int) {}
+func (*initiator) Release(*struct{})           {}
 
 // newNonces returns a node's nonce stream: an rng.Stream whose source is
 // math/rand/v2's ChaCha8, a cryptographically strong generator, keyed by

@@ -106,8 +106,8 @@ func streamPayload(t *testing.T, n int) []byte {
 }
 
 // TestStreamResendsOnlyTheLostChunk loses one chunk of 40 — on the forward
-// path, on the reply path, or not at all but held back past its deadline —
-// and requires selective repeat: the stream completes, that chunk alone is
+// path, on the reply path, or not at all but held back past the RTO — and
+// requires that it alone be re-sent: the stream completes, that chunk is
 // sent twice, and meanwhile the window slid on to its full width, so hop 0
 // sees the re-send exactly streamWindow frames after the original.
 func TestStreamResendsOnlyTheLostChunk(t *testing.T) {
@@ -182,6 +182,46 @@ func TestStreamResendsOnlyTheLostChunk(t *testing.T) {
 					lost, at, lost, lost+streamWindow)
 			}
 		})
+	}
+}
+
+// TestStreamRTOFollowsSlowEchoes holds every echo at the client and hands
+// it in 1.5 × Timeout later, so every chunk outlives Timeout. A fixed
+// per-request deadline re-sends all of them. The window re-sends only its
+// first head: that RTO expires before any echo could come home. The
+// backoff then outlasts the echo, Karn's rule keeps the re-sent chunk's
+// round trip out of the estimate, and the other echoes' samples lift the
+// RTO above their round trip. The bound leaves room for timer jitter on a
+// loaded box to cost one re-send per round of the window.
+func TestStreamRTOFollowsSlowEchoes(t *testing.T) {
+	const (
+		nChunks = 40
+		timeout = lossTimeout
+		rounds  = (nChunks + streamWindow - 1) / streamWindow
+	)
+	slow := &frameTap{kind: kindReply}
+	nodes := startOverlayOn(t, lossNodes, map[transport.Addr]tcptransport.Codec{lossClient: slow})
+	client := nodes[lossClient]
+	slow.mu.Lock()
+	slow.lose = func(_ int, frame []byte) bool {
+		// Decoded from a copy, by a decoder of its own: it is delivered
+		// after the read buffer and the connection's decoder have moved on.
+		msg, _ := Codec{}.Decode(kindReply, bytes.Clone(frame))
+		client.tr.Schedule(timeout*3/2, func() { client.Deliver(5, msg) })
+		return true
+	}
+	slow.mu.Unlock()
+
+	payload := streamPayload(t, nChunks*64)
+	echo, err := client.RoundTripStream(lossStreamConfig(timeout), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(echo, payload) {
+		t.Fatal("echo differs from payload")
+	}
+	if got := client.m.streamRetransmits.Load(); got > rounds {
+		t.Errorf("%d retransmits, want at most %d: the first head, and at most one a round after the RTO learned the echoes' round trip", got, rounds)
 	}
 }
 
@@ -316,6 +356,14 @@ func TestStreamResendsOnlyTheLostInstall(t *testing.T) {
 	}
 }
 
+// giveUpAfter is how long the window waits out a request that is never
+// answered: streamRetries+1 timeouts, the first timeout long and each
+// twice the last (Timeout is the window's initial and minimum RTO, and
+// nothing answered in between resets the backoff).
+func giveUpAfter(timeout time.Duration) time.Duration {
+	return timeout * (1<<(streamRetries+1) - 1)
+}
+
 // TestStreamGivesUpOnAnInstall loses one hop's AnchorMsg every time: after
 // streamRetries re-sends the call fails, promptly, naming the anchor and
 // the node, and not one chunk was sent into the half-built tunnel.
@@ -344,8 +392,8 @@ func TestStreamGivesUpOnAnInstall(t *testing.T) {
 	if got := nodes[lossHop0].m.peelsForward.Load(); got != 0 {
 		t.Errorf("hop 0 peeled %d chunks of a stream whose tunnel never deployed", got)
 	}
-	if elapsed < (streamRetries+1)*timeout || elapsed > 2*time.Second {
-		t.Errorf("gave up after %v; %d deadlines of %v were due", elapsed, streamRetries+1, timeout)
+	if elapsed < (streamRetries+1)*timeout || elapsed > giveUpAfter(timeout)+time.Second {
+		t.Errorf("gave up after %v; %d timeouts from %v, doubling, were due", elapsed, streamRetries+1, timeout)
 	}
 }
 
@@ -415,8 +463,8 @@ func TestStreamGivesUpOnAChunk(t *testing.T) {
 	if sent := fault.arrivals(lost); len(sent) != streamRetries+1 {
 		t.Errorf("the chunk was sent %d times, want %d", len(sent), streamRetries+1)
 	}
-	if elapsed > 2*time.Second {
-		t.Errorf("gave up after %v; %d deadlines of %v were due", elapsed, streamRetries+1, timeout)
+	if elapsed > giveUpAfter(timeout)+time.Second {
+		t.Errorf("gave up after %v; %d timeouts from %v, doubling, were due", elapsed, streamRetries+1, timeout)
 	}
 }
 
@@ -518,8 +566,8 @@ func TestStreamScratchStaysBounded(t *testing.T) {
 		kept := map[string][]byte{}
 		n.streamMu.Lock()
 		kept["request buffer"] = n.req
-		for i := range n.window {
-			kept[fmt.Sprintf("window slot %d's envelope", i)] = n.window[i].env.Sealed
+		for i := range n.initiator.slots {
+			kept[fmt.Sprintf("window slot %d's envelope", i)] = n.initiator.slots[i].env.Sealed
 		}
 		n.streamMu.Unlock()
 		for i := len(n.replyFree); i > 0; i-- {
