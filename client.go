@@ -25,9 +25,9 @@ type Client struct {
 // label keeps distinct clients on distinct deterministic random streams.
 func (n *Network) NewClient(label string) (*Client, error) {
 	n.clients++
-	stream := n.root.SplitN("client-"+label, n.clients)
-	node := n.ov.RandomLive(stream.Split("pick"))
-	in, err := core.NewInitiator(n.svc, node, stream.Split("state"))
+	stream := n.w.Root.SplitN("client-"+label, n.clients)
+	node := n.w.OV.RandomLive(stream.Split("pick"))
+	in, err := core.NewInitiator(n.w.Svc, node, stream.Split("state"))
 	if err != nil {
 		return nil, fmt.Errorf("tap: %w", err)
 	}
@@ -57,19 +57,13 @@ func (c *Client) DeployAnchorsViaTunnel(t *Tunnel, count int) error {
 // NewTunnel forms a tunnel of length l (0 selects the network default)
 // from the client's anchor pool, scattering hopids per §3.5.
 func (c *Client) NewTunnel(l int) (*Tunnel, error) {
-	if l == 0 {
-		l = c.net.opts.TunnelLength
-	}
-	return c.in.FormTunnel(l)
+	return c.in.FormTunnel(c.net.length(l))
 }
 
 // NewTunnelPair forms a disjoint (forward, reply) tunnel pair, as the §4
 // exchange requires.
 func (c *Client) NewTunnelPair(l int) (fwd, rep *Tunnel, err error) {
-	if l == 0 {
-		l = c.net.opts.TunnelLength
-	}
-	tunnels, err := c.in.FormDisjointTunnels(2, l)
+	tunnels, err := c.in.FormDisjointTunnels(2, c.net.length(l))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -100,7 +94,7 @@ func (c *Client) Send(t *Tunnel, dest ID, payload []byte) (*SendResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.net.svc.DeliverForward(c.in.Node().Ref().Addr, env)
+	res, err := c.net.w.Svc.DeliverForward(c.in.Node().Ref().Addr, env)
 	if err != nil {
 		return nil, err
 	}
@@ -119,11 +113,7 @@ func (c *Client) RetrieveFile(fid ID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := anonfile.Retrieve(c.net.lib, c.in, fwd, rep, fid, c.stream.Split("retrieve"))
-	if err != nil {
-		return nil, err
-	}
-	return res.Content, nil
+	return c.RetrieveFileVia(fwd, rep, fid)
 }
 
 // RetrieveFileVia is RetrieveFile over caller-supplied tunnels, letting
@@ -146,10 +136,7 @@ type SessionHandler = session.Handler
 // the paper's remote-login use case. The session survives hop-node
 // failures.
 func (c *Client) OpenSession(server ID, l int) (*Session, error) {
-	if l == 0 {
-		l = c.net.opts.TunnelLength
-	}
-	return session.Open(c.in, server, l, c.stream.Split("session"))
+	return session.Open(c.in, server, c.net.length(l), c.stream.Split("session"))
 }
 
 // FixedSession is a session over the "current tunneling" baseline: a
@@ -159,10 +146,7 @@ type FixedSession = session.FixedSession
 // OpenBaselineSession opens a fixed-node baseline session against the
 // owner of server, for comparing against TAP sessions.
 func OpenBaselineSession(n *Network, server ID, l int) (*FixedSession, error) {
-	if l == 0 {
-		l = n.opts.TunnelLength
-	}
-	return session.OpenFixed(n.svc, server, l, n.root.Split("baseline-session"))
+	return session.OpenFixed(n.w.Svc, server, n.length(l), n.w.Root.Split("baseline-session"))
 }
 
 // --- anonymous mail -----------------------------------------------------------
@@ -222,15 +206,9 @@ const (
 
 // TimedTransfer sends size bytes to the owner of dest over the simulated
 // network and returns the transfer's simulated duration — the Figure 6
-// measurement. Requires the network (DisableNetwork unset). Tunnel modes
-// form a fresh tunnel of length l from the client's pool.
+// measurement. Tunnel modes form a fresh tunnel of length l from the
+// client's pool.
 func (c *Client) TimedTransfer(mode TransferMode, dest ID, size int, l int) (time.Duration, error) {
-	if c.net.eng == nil {
-		return 0, fmt.Errorf("tap: network emulation disabled")
-	}
-	if l == 0 {
-		l = c.net.opts.TunnelLength
-	}
 	start := c.net.kernel.Now()
 	var out core.Outcome
 	got := false
@@ -239,12 +217,12 @@ func (c *Client) TimedTransfer(mode TransferMode, dest ID, size int, l int) (tim
 	case Overt:
 		c.net.eng.SendOvert(c.in.Node().Ref().Addr, dest, size, done)
 	case TAPBasic, TAPOpt:
-		tun, err := c.in.FormTunnel(l)
+		tun, err := c.in.FormTunnel(c.net.length(l))
 		if err != nil {
 			return 0, err
 		}
 		if mode == TAPOpt {
-			if err := tun.RefreshHints(c.net.svc); err != nil {
+			if err := tun.RefreshHints(c.net.w.Svc); err != nil {
 				return 0, err
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // The canonical TAP flow: bootstrap, form a tunnel, send anonymously,
 // survive a hop-node failure.
 func Example() {
-	net, err := tap.New(tap.Options{Nodes: 400, Seed: 7, DisableNetwork: true})
+	net, err := tap.New(tap.Options{Nodes: 400, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func Example() {
 
 // Anonymous file retrieval, the paper's §4 application.
 func ExampleClient_RetrieveFile() {
-	net, err := tap.New(tap.Options{Nodes: 300, Seed: 8, DisableNetwork: true})
+	net, err := tap.New(tap.Options{Nodes: 300, Seed: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func ExampleClient_RetrieveFile() {
 // Anonymous mail with a reply tunnel: mutual anonymity from TAP
 // primitives.
 func ExampleClient_SendMail() {
-	net, err := tap.New(tap.Options{Nodes: 300, Seed: 9, DisableNetwork: true})
+	net, err := tap.New(tap.Options{Nodes: 300, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}

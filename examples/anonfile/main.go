@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	net, err := tap.New(tap.Options{Nodes: 800, Seed: 7, DisableNetwork: true})
+	net, err := tap.New(tap.Options{Nodes: 800, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

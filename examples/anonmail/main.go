@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	net, err := tap.New(tap.Options{Nodes: 700, Seed: 21, DisableNetwork: true})
+	net, err := tap.New(tap.Options{Nodes: 700, Seed: 21})
 	if err != nil {
 		log.Fatal(err)
 	}

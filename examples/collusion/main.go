@@ -26,7 +26,7 @@ const (
 )
 
 func main() {
-	net, err := tap.New(tap.Options{Nodes: 600, Seed: 13, DisableNetwork: true})
+	net, err := tap.New(tap.Options{Nodes: 600, Seed: 13})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	net, err := tap.New(tap.Options{Nodes: 600, Seed: 11, DisableNetwork: true})
+	net, err := tap.New(tap.Options{Nodes: 600, Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,15 +20,15 @@ import (
 // replaces the dropper set.
 func (n *Network) InjectDroppers(p float64) int {
 	droppers := make(map[simnet.Addr]struct{})
-	refs := n.ov.LiveRefs()
-	stream := n.root.Split("droppers")
+	refs := n.w.OV.LiveRefs()
+	stream := n.w.Root.Split("droppers")
 	for _, idx := range stream.PermFirstK(len(refs), int(p*float64(len(refs)))) {
 		droppers[refs[idx].Addr] = struct{}{}
 	}
 	if len(droppers) == 0 {
-		n.svc.HopFilter = nil
+		n.w.Svc.HopFilter = nil
 	} else {
-		n.svc.HopFilter = func(addr simnet.Addr, _ ID) bool {
+		n.w.Svc.HopFilter = func(addr simnet.Addr, _ ID) bool {
 			_, drop := droppers[addr]
 			return !drop
 		}
@@ -55,7 +55,7 @@ func (c *Client) ProbeTunnel(t *Tunnel) error {
 // prober lazily builds the client's prober.
 func (c *Client) prober() *detect.Prober {
 	if c.prb == nil {
-		c.prb = detect.NewProber(c.net.svc, c.stream.Split("prober"))
+		c.prb = detect.NewProber(c.net.w.Svc, c.stream.Split("prober"))
 	}
 	return c.prb
 }
@@ -64,10 +64,7 @@ func (c *Client) prober() *detect.Prober {
 // (0 selects the network default) for this client. Call Tick once per
 // application time unit.
 func (c *Client) NewTunnelMonitor(l int) (*TunnelMonitor, error) {
-	if l == 0 {
-		l = c.net.opts.TunnelLength
-	}
-	return detect.NewMonitor(c.in, c.prober(), l)
+	return detect.NewMonitor(c.in, c.prober(), c.net.length(l))
 }
 
 // --- secure routing -------------------------------------------------------------
@@ -80,7 +77,7 @@ func (n *Network) CorruptRouters(p float64) int {
 	if n.routeAdv == nil {
 		n.routeAdv = secroute.NewAdversary()
 	}
-	return n.routeAdv.MarkFraction(n.ov, p, n.root.Split("routers"))
+	return n.routeAdv.MarkFraction(n.w.OV, p, n.w.Root.Split("routers"))
 }
 
 // LookupResult reports a secure lookup.
@@ -98,7 +95,7 @@ type LookupResult struct {
 // paranoid mode, cross-verification of every candidate — recommended for
 // anchor lookups, where a hijack costs anonymity).
 func (c *Client) SecureLookup(key ID, paranoid bool) (*LookupResult, error) {
-	r := secroute.NewRouter(c.net.ov, c.net.routeAdv)
+	r := secroute.NewRouter(c.net.w.OV, c.net.routeAdv)
 	r.AlwaysVerify = paranoid
 	res, err := r.Lookup(c.in.Node().Ref().Addr, key)
 	if err != nil {

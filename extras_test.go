@@ -5,7 +5,7 @@ import (
 )
 
 func TestInjectDroppersAndProbe(t *testing.T) {
-	n, err := New(Options{Nodes: 300, Seed: 31, DisableNetwork: true})
+	n, err := New(Options{Nodes: 300, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestInjectDroppersAndProbe(t *testing.T) {
 }
 
 func TestTunnelMonitorPublicAPI(t *testing.T) {
-	n, err := New(Options{Nodes: 300, Seed: 32, DisableNetwork: true})
+	n, err := New(Options{Nodes: 300, Seed: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestTunnelMonitorPublicAPI(t *testing.T) {
 }
 
 func TestBaselineSessionPublicAPI(t *testing.T) {
-	n, err := New(Options{Nodes: 300, Seed: 35, DisableNetwork: true})
+	n, err := New(Options{Nodes: 300, Seed: 35})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFailFractionWithNetwork(t *testing.T) {
 }
 
 func TestSecureLookupCleanNetwork(t *testing.T) {
-	n, err := New(Options{Nodes: 400, Seed: 33, DisableNetwork: true})
+	n, err := New(Options{Nodes: 400, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSecureLookupCleanNetwork(t *testing.T) {
 }
 
 func TestSecureLookupWithCorruptRouters(t *testing.T) {
-	n, err := New(Options{Nodes: 500, Seed: 34, DisableNetwork: true})
+	n, err := New(Options{Nodes: 500, Seed: 34})
 	if err != nil {
 		t.Fatal(err)
 	}

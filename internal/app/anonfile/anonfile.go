@@ -168,7 +168,7 @@ func Retrieve(lib *Library, in *core.Initiator, fwd, rep *core.Tunnel, fid id.ID
 	if err != nil {
 		return nil, err
 	}
-	sealedFile, err := crypt.Seal(kF, stream, content)
+	sealedFile, err := crypt.NewSealer(kF).SealTo(nil, stream, content)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func Retrieve(lib *Library, in *core.Initiator, fwd, rep *core.Tunnel, fid id.ID
 	}
 	var kf crypt.Key
 	copy(kf[:], kfBytes)
-	plain, err := crypt.Open(kf, resp.SealedFile)
+	plain, err := crypt.NewSealer(kf).OpenTo(nil, resp.SealedFile)
 	if err != nil {
 		return nil, fmt.Errorf("anonfile: decrypting file: %w", err)
 	}

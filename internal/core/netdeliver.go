@@ -72,12 +72,11 @@ type NetEngine struct {
 	FailFlows  uint64 // fire-and-forget flows that died
 	StaleHints uint64 // distinct hints invalidated
 	// Windowed-stream stats (stream.go).
-	StreamSegsSent  uint64 // original segment transmissions
-	StreamSegsRetx  uint64 // segment retransmissions (timeout or fast)
-	StreamAcksSent  uint64 // stream ACK frames transmitted by receivers
-	StreamDupSegs   uint64 // duplicate segment arrivals suppressed
-	StreamSegsLost  uint64 // segments that died mid-route (node death)
-	StreamBytesRecv uint64 // in-order payload bytes delivered to applications
+	StreamSegsSent uint64 // original segment transmissions
+	StreamSegsRetx uint64 // segment retransmissions (timeout or fast)
+	StreamAcksSent uint64 // stream ACK frames transmitted by receivers
+	StreamDupSegs  uint64 // duplicate segment arrivals suppressed
+	StreamSegsLost uint64 // segments that died mid-route (node death)
 
 	// DisableAckDedup is a fault-injection seam in the spirit of
 	// Service.HopFilter: when set, a receiver forgets the streams it
@@ -220,8 +219,9 @@ func NewNetEngine(svc *Service, net transport.Transport) *NetEngine {
 		hs[i] = nodeHandler{e: e, addr: r.Addr}
 		net.Attach(r.Addr, &hs[i])
 	}
-	// Joiners get handlers too; departures are handled by simnet drops
-	// (the experiment harness detaches failed nodes from the network).
+	// Joiners get handlers too; departures are handled by simnet drops.
+	// Whoever fails a node decides whether it leaves the network: the tap
+	// facade detaches every departure, and each experiment chooses its own.
 	prevJoin := svc.OV.OnJoin
 	svc.OV.OnJoin = func(n *pastry.Node) {
 		if prevJoin != nil {

@@ -540,7 +540,6 @@ func (rs *RecvStream) accept(self simnet.Addr, p *packet) {
 // packet: the data is valid only during OnData.
 func (rs *RecvStream) deliverSeg(p *packet) {
 	rs.segs++
-	rs.eng.StreamBytesRecv += uint64(len(p.data))
 	if p.fin {
 		rs.finSet = true
 		rs.finSeq = p.seq

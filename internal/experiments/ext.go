@@ -355,14 +355,7 @@ func ExtCover(p ExtCoverParams) (*trace.Table, error) {
 				tr := tr
 				kernel.At(simnet.Time(tr)*simnet.Time(time.Second), func() {
 					node := w.OV.RandomLive(ts)
-					in, err := core.NewInitiator(w.Svc, node, ts.SplitN("init", tr))
-					if err != nil {
-						return
-					}
-					if err := in.DeployDirect(p.Length); err != nil {
-						return
-					}
-					tun, err := in.FormTunnel(p.Length)
+					_, tun, err := ownTunnel(w, node, p.Length, ts.SplitN("init", tr))
 					if err != nil {
 						return
 					}

@@ -113,14 +113,7 @@ func ExtInflight(p ExtInflightParams) (*trace.Table, error) {
 			at := simnet.Time(tr) * simnet.Time(spacing)
 			kernel.At(at, func() {
 				node := w.OV.RandomLive(ts)
-				in, err := core.NewInitiator(w.Svc, node, ts.SplitN("init", tr))
-				if err != nil {
-					return
-				}
-				if err := in.DeployDirect(p.Length); err != nil {
-					return
-				}
-				tun, err := in.FormTunnel(p.Length)
+				_, tun, err := ownTunnel(w, node, p.Length, ts.SplitN("init", tr))
 				if err != nil {
 					return
 				}

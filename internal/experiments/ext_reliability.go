@@ -160,14 +160,7 @@ func runReliabilityTrial(p ExtReliabilityParams, loss float64, retx bool, stream
 	origins := make(map[simnet.Addr]struct{})
 	for fi := 0; fi < p.Flows; fi++ {
 		node := w.OV.RandomLive(ts)
-		in, err := core.NewInitiator(w.Svc, node, ts.SplitN("init", fi))
-		if err != nil {
-			return 0, lat, att, err
-		}
-		if err := in.DeployDirect(relLength); err != nil {
-			return 0, lat, att, err
-		}
-		tun, err := in.FormTunnel(relLength)
+		_, tun, err := ownTunnel(w, node, relLength, ts.SplitN("init", fi))
 		if err != nil {
 			return 0, lat, att, err
 		}

@@ -172,14 +172,7 @@ func runSelfHealTrial(p ExtSelfHealParams, frac float64, stream *rng.Stream, mem
 			node = w.OV.RandomLive(cs)
 		}
 		protected[node.Ref().Addr] = true
-		in, err := core.NewInitiator(w.Svc, node, cs.SplitN("single-init", i))
-		if err != nil {
-			return res, err
-		}
-		if err := in.DeployDirect(selfHealLength); err != nil {
-			return res, err
-		}
-		tun, err := in.FormTunnel(selfHealLength)
+		_, tun, err := ownTunnel(w, node, selfHealLength, cs.SplitN("single-init", i))
 		if err != nil {
 			return res, err
 		}

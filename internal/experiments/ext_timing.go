@@ -130,14 +130,7 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 				if _, bad := mal[node.Ref().Addr]; bad {
 					return // malicious initiators are not attack targets
 				}
-				in, err := core.NewInitiator(w.Svc, node, ts.SplitN("init", fl))
-				if err != nil {
-					return
-				}
-				if err := in.DeployDirect(p.Length); err != nil {
-					return
-				}
-				tun, err := in.FormTunnel(p.Length)
+				_, tun, err := ownTunnel(w, node, p.Length, ts.SplitN("init", fl))
 				if err != nil {
 					return
 				}

@@ -88,21 +88,32 @@ func DeployTunnels(w *World, count, length int, stream *rng.Stream) (*TunnelSet,
 	}
 	for i := 0; i < count; i++ {
 		node := w.OV.RandomLive(stream)
-		in, err := core.NewInitiator(w.Svc, node, stream.SplitN("initiator", i))
+		in, tun, err := ownTunnel(w, node, length, stream.SplitN("initiator", i))
 		if err != nil {
-			return nil, err
-		}
-		if err := in.DeployDirect(length); err != nil {
-			return nil, fmt.Errorf("experiments: deploying tunnel %d: %w", i, err)
-		}
-		tun, err := in.FormTunnel(length)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: forming tunnel %d: %w", i, err)
+			return nil, fmt.Errorf("experiments: tunnel %d: %w", i, err)
 		}
 		ts.Initiators = append(ts.Initiators, in)
 		ts.Tunnels = append(ts.Tunnels, tun)
 	}
 	return ts, nil
+}
+
+// ownTunnel gives node one tunnel of length l: a fresh initiator, its
+// state drawn from stream, deploys exactly the l anchors it needs and
+// forms the tunnel from them.
+func ownTunnel(w *World, node *pastry.Node, l int, stream *rng.Stream) (*core.Initiator, *core.Tunnel, error) {
+	in, err := core.NewInitiator(w.Svc, node, stream)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := in.DeployDirect(l); err != nil {
+		return nil, nil, fmt.Errorf("deploying: %w", err)
+	}
+	tun, err := in.FormTunnel(l)
+	if err != nil {
+		return nil, nil, fmt.Errorf("forming: %w", err)
+	}
+	return in, tun, nil
 }
 
 // TunnelFunctional reports whether a TAP tunnel can still carry traffic:

@@ -3,6 +3,8 @@ package tap
 import (
 	"bytes"
 	"testing"
+
+	"tap/internal/simnet"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -14,7 +16,7 @@ func TestNewDefaults(t *testing.T) {
 		t.Fatalf("size %d", n.Size())
 	}
 	o := n.Options()
-	if o.ReplicationFactor != 3 || o.TunnelLength != 5 || o.DigitBits != 4 {
+	if o.ReplicationFactor != 3 || o.TunnelLength != 5 {
 		t.Fatalf("defaults not applied: %+v", o)
 	}
 }
@@ -76,7 +78,7 @@ func TestClientLifecycle(t *testing.T) {
 }
 
 func TestFileRetrievalSurvivesTargetedFailures(t *testing.T) {
-	n, err := New(Options{Nodes: 400, Seed: 3, DisableNetwork: true})
+	n, err := New(Options{Nodes: 400, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestFileRetrievalSurvivesTargetedFailures(t *testing.T) {
 }
 
 func TestRetrieveFileConvenience(t *testing.T) {
-	n, err := New(Options{Nodes: 300, Seed: 4, DisableNetwork: true})
+	n, err := New(Options{Nodes: 300, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestRetrieveFileConvenience(t *testing.T) {
 }
 
 func TestSessionAPI(t *testing.T) {
-	n, err := New(Options{Nodes: 300, Seed: 5, DisableNetwork: true})
+	n, err := New(Options{Nodes: 300, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestSessionAPI(t *testing.T) {
 }
 
 func TestAdversaryAPI(t *testing.T) {
-	n, err := New(Options{Nodes: 300, Seed: 6, DisableNetwork: true})
+	n, err := New(Options{Nodes: 300, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestAdversaryAPI(t *testing.T) {
 }
 
 func TestFailFractionLosesAnchors(t *testing.T) {
-	n, err := New(Options{Nodes: 300, Seed: 7, DisableNetwork: true})
+	n, err := New(Options{Nodes: 300, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +218,7 @@ func TestFailFractionLosesAnchors(t *testing.T) {
 }
 
 func TestChurnWaveAndJoin(t *testing.T) {
-	n, err := New(Options{Nodes: 200, Seed: 8, DisableNetwork: true})
+	n, err := New(Options{Nodes: 200, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +233,48 @@ func TestChurnWaveAndJoin(t *testing.T) {
 	if n.Size() != 201 {
 		t.Fatalf("size %d after join", n.Size())
 	}
+}
+
+// TestFailedNodesLeaveTheNetwork pins that every way a node leaves the
+// overlay takes it off the simulated network too, and that a joiner goes
+// on it: after each step an address is attached exactly when the overlay
+// node there is alive.
+func TestFailedNodesLeaveTheNetwork(t *testing.T) {
+	n, err := New(Options{Nodes: 200, Seed: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, wantSize int) {
+		t.Helper()
+		if n.Size() != wantSize {
+			t.Fatalf("after %s: size %d, want %d", step, n.Size(), wantSize)
+		}
+		for a := 0; a < n.w.OV.NumAddrs(); a++ {
+			addr := simnet.Addr(a)
+			node := n.w.OV.Node(addr)
+			alive := node != nil && node.Alive()
+			if got := n.simnet.Attached(addr); got != alive {
+				t.Fatalf("after %s: address %d attached = %v, alive = %v", step, a, got, alive)
+			}
+		}
+	}
+	check("New", 200)
+	if err := n.FailNodeOwning(KeyOf("victim")); err != nil {
+		t.Fatal(err)
+	}
+	check("FailNodeOwning", 199)
+	if _, err := n.FailRandom(); err != nil {
+		t.Fatal(err)
+	}
+	check("FailRandom", 198)
+	if got := n.FailFraction(0.1); got != 19 {
+		t.Fatalf("FailFraction failed %d nodes, want 19", got)
+	}
+	check("FailFraction", 179)
+	n.ChurnWave(10, 10)
+	check("ChurnWave", 179)
+	n.Join()
+	check("Join", 180)
 }
 
 func TestTimedTransferModes(t *testing.T) {
@@ -295,19 +339,8 @@ func TestTimedTransferPoolTooSmall(t *testing.T) {
 	}
 }
 
-func TestTimedTransferDisabled(t *testing.T) {
-	n, err := New(Options{Nodes: 100, Seed: 10, DisableNetwork: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := n.NewClient("h")
-	if _, err := c.TimedTransfer(Overt, KeyOf("x"), 100, 0); err == nil {
-		t.Fatalf("timed transfer worked without a network")
-	}
-}
-
 func TestPuzzleOption(t *testing.T) {
-	n, err := New(Options{Nodes: 100, Seed: 11, PuzzleDifficulty: 6, DisableNetwork: true})
+	n, err := New(Options{Nodes: 100, Seed: 11, PuzzleDifficulty: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +356,7 @@ func TestPuzzleOption(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() ID {
-		n, err := New(Options{Nodes: 150, Seed: 99, DisableNetwork: true})
+		n, err := New(Options{Nodes: 150, Seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,19 +376,13 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestNewRejectsBadOptions(t *testing.T) {
-	if _, err := New(Options{Nodes: 100, DigitBits: 3}); err == nil {
-		t.Fatalf("DigitBits=3 accepted")
-	}
-	if _, err := New(Options{Nodes: 100, LeafSize: 7}); err == nil {
-		t.Fatalf("odd LeafSize accepted")
-	}
 	if _, err := New(Options{Nodes: -5}); err == nil {
 		t.Fatalf("negative Nodes accepted")
 	}
 }
 
 func TestMailPublicAPIRoundTrip(t *testing.T) {
-	n, err := New(Options{Nodes: 300, Seed: 61, DisableNetwork: true})
+	n, err := New(Options{Nodes: 300, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
