@@ -101,20 +101,12 @@ func seal(dst []byte, t *Tunnel, hints []simnet.Addr, marker byte, head, body []
 	if hints != nil && len(hints) != l {
 		return nil, fmt.Errorf("core: %d hints for %d hops", len(hints), l)
 	}
-	hdr := id.Size + 8 // a relay layer's header, less the inner blob's prefix
-	if marker != 0 {
-		hdr++
-	}
 	// Sizes compose inside-out (an inner blob's length prefix depends on its
 	// size), and so does the layout, with no tables: as each plaintext ends
 	// with the next layer, layer i's sealed region ends i tags short of the
 	// buffer's end.
-	wrap := func(inner int) int { return hdr + uvarintLen(uint64(inner)) + inner + crypt.Overhead }
 	size := len(head) + len(body) + crypt.Overhead
-	total := size
-	for i := l - 2; i >= 0; i-- {
-		total = wrap(total)
-	}
+	total := onionSize(l, marker, len(head), len(body))
 	if cap(dst) < total {
 		dst = make([]byte, total)
 	}
@@ -129,7 +121,7 @@ func seal(dst []byte, t *Tunnel, hints []simnet.Addr, marker byte, head, body []
 	}
 	for i := l - 2; i >= 0; i-- {
 		inner := size
-		size, end = wrap(inner), end+tag
+		size, end = wrapSize(marker, inner), end+tag
 		region := buf[end-size : end]
 		p := region[crypt.NonceSize:]
 		if marker != 0 {
@@ -143,6 +135,33 @@ func seal(dst []byte, t *Tunnel, hints []simnet.Addr, marker byte, head, body []
 		}
 	}
 	return buf, nil
+}
+
+// wrapSize is the sealed size of a layer around an inner blob of inner
+// bytes: [marker] ‖ next hopid ‖ hint ‖ the blob, with no marker byte when
+// marker is 0 (a reply layer).
+func wrapSize(marker byte, inner int) int {
+	n := id.Size + 8 + uvarintLen(uint64(inner)) + inner + crypt.Overhead
+	if marker != 0 {
+		n++
+	}
+	return n
+}
+
+// onionSize is the length of the onion seal lays out over l hops for a
+// head and body of the given sizes.
+func onionSize(l int, marker byte, head, body int) int {
+	n := head + body + crypt.Overhead
+	for i := l - 2; i >= 0; i-- {
+		n = wrapSize(marker, n)
+	}
+	return n
+}
+
+// forwardSize is the length of the onion BuildForwardInto lays out for a
+// payload of the given size over l hops.
+func forwardSize(l, payload int) int {
+	return onionSize(l, layerRelay, 1+id.Size+uvarintLen(uint64(payload)), payload)
 }
 
 // BuildForward produces the Figure 1 message

@@ -57,9 +57,12 @@ type NetEngine struct {
 
 	// Packet and segment-buffer freelists. The event loop is single-
 	// threaded, so plain slices suffice; in steady state a stream, direct or
-	// tunnel, allocates nothing (stream.go).
+	// tunnel, allocates nothing (stream.go). Packets are made in chunks, and
+	// onion and segment storage is carved from arena, the engine's for its
+	// lifetime like the freelists themselves.
 	pktFree  []*packet
 	segPools map[int][][]byte
+	arena    []byte
 	// segScratch is where a tunnel stream frames a segment for sealing:
 	// BuildForward only reads its payload, so one buffer serves every
 	// (re)transmission of every stream.

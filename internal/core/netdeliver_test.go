@@ -550,3 +550,37 @@ func TestNewNetEngineAllocsIndependentOfN(t *testing.T) {
 		t.Fatalf("NewNetEngine over %d live nodes makes %.0f allocations, want a count independent of the world's size (≤ 32)", live, allocs)
 	}
 }
+
+// TestEngineStorageGrowsInChunks: a tunnel stream putting N segments in
+// flight at once takes N packets, N onions and N segment buffers the
+// engine has never held, and the engine makes them a chunk at a time —
+// packets in arrays, onion and segment storage carved from its arena — so
+// the burst costs about N/chunk allocations, not 3N.
+func TestEngineStorageGrowsInChunks(t *testing.T) {
+	const n = 512
+	ns := newNetSys(t, 100, 3, 44)
+	in := ns.readyInitiator(t, "a", 12)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tun.RefreshHints(ns.svc); err != nil {
+		t.Fatal(err)
+	}
+	origin := in.Node().Ref().Addr
+	dest := id.HashString("burst")
+	cfg := StreamConfig{Window: n}.withDefaults()
+	data := patternData(n * cfg.SegSize)
+	// Nothing runs the kernel, so no segment ever comes back: every run
+	// draws all of its storage fresh.
+	allocs := testing.AllocsPerRun(2, func() {
+		s := ns.eng.OpenTunnelStream(origin, tun, dest, cfg)
+		if got := s.Write(data); got != len(data) {
+			t.Fatalf("window took %d of %d bytes", got, len(data))
+		}
+	})
+	t.Logf("%d segments put in flight: %.0f allocations", n, allocs)
+	if allocs > n/8 {
+		t.Fatalf("%d segments put in flight make %.0f allocations, want ≤ %d: packet, onion or segment storage grows one object at a time", n, allocs, n/8)
+	}
+}

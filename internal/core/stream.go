@@ -118,6 +118,8 @@ type Stream struct {
 	failWhy string
 
 	wrote uint64
+	// unwritten is what WriteAll has yet to get into the window.
+	unwritten []byte
 
 	// OnWritable fires when window space frees after a Write returned
 	// short. OnComplete fires once: true when every segment including the
@@ -258,16 +260,14 @@ func (s *Stream) Write(p []byte) int {
 }
 
 // WriteAll writes content through the window — what fits now, the rest as
-// acknowledgments free space — then closes the stream. It installs
-// OnWritable; content must stay unchanged until it has all been accepted.
+// acknowledgments free space — then closes the stream. OnWritable does not
+// fire while the rest is pending; content must stay unchanged until it has
+// all been accepted.
 func (s *Stream) WriteAll(content []byte) {
-	s.OnWritable = func() {
-		content = content[s.Write(content):]
-		if len(content) == 0 {
-			s.Close()
-		}
+	s.unwritten = content[s.Write(content):]
+	if len(s.unwritten) == 0 {
+		s.Close()
 	}
-	s.OnWritable()
 }
 
 // Close marks the stream finished: a FIN segment is sent as soon as the
@@ -337,6 +337,9 @@ func (s *Stream) Send(seq uint64, data *[]byte, rtx int) {
 	wire.AppendStreamSegment(w, s.id, seq, fin, int64(s.origin), *data)
 	e.segScratch = w.Bytes()
 	p := e.getPacket()
+	if need := forwardSize(s.tun.Length(), len(e.segScratch)); cap(p.onion) < need {
+		p.onion = e.carve(need)
+	}
 	p.env.Sealed = p.onion
 	if err := buildForwardHintedInto(&p.env, s.tun, s.dest, e.segScratch, e.svc.Stream); err != nil {
 		e.putPacket(p)
@@ -384,7 +387,13 @@ func (s *Stream) handleAck(cum uint64, ranges []wire.AckRange) {
 		return
 	}
 	s.tryFin()
-	if !s.closed && s.OnWritable != nil && s.canAccept() {
+	if s.closed || !s.canAccept() {
+		return
+	}
+	switch {
+	case len(s.unwritten) > 0:
+		s.WriteAll(s.unwritten)
+	case s.OnWritable != nil:
 		s.OnWritable()
 	}
 }
@@ -679,16 +688,43 @@ func (e *NetEngine) handleStreamAck(p *packet) {
 
 // --- freelists --------------------------------------------------------------
 
-// getPacket takes a packet from the freelist. The event loop is
-// single-threaded, so a plain slice suffices; steady-state stream traffic
-// allocates no packets.
+// pktChunk is how many packets the freelist grows by when it runs dry.
+const pktChunk = 64
+
+// arenaBlock is the size of the blocks carve cuts storage from.
+const arenaBlock = 64 << 10
+
+// getPacket takes a packet from the freelist, which grows pktChunk packets
+// at a time. The event loop is single-threaded, so a plain slice suffices;
+// steady-state stream traffic allocates no packets.
 func (e *NetEngine) getPacket() *packet {
-	if n := len(e.pktFree); n > 0 {
-		p := e.pktFree[n-1]
-		e.pktFree = e.pktFree[:n-1]
-		return p
+	if len(e.pktFree) == 0 {
+		chunk := make([]packet, pktChunk)
+		for i := range chunk {
+			e.pktFree = append(e.pktFree, &chunk[i])
+		}
 	}
-	return new(packet)
+	n := len(e.pktFree) - 1
+	p := e.pktFree[n]
+	e.pktFree = e.pktFree[:n]
+	return p
+}
+
+// carve returns n bytes of fresh storage cut from the engine's arena, with
+// its capacity limited to n so no append can reach a neighbour. Carves are
+// never handed back: they serve a packet's onion or a segment buffer, which
+// the freelists keep for the engine's lifetime. A request too big to share
+// a block gets storage of its own.
+func (e *NetEngine) carve(n int) []byte {
+	if n > arenaBlock/4 {
+		return make([]byte, n)
+	}
+	if len(e.arena) < n {
+		e.arena = make([]byte, arenaBlock)
+	}
+	b := e.arena[:n:n]
+	e.arena = e.arena[n:]
+	return b
 }
 
 // putPacket recycles a packet nothing reads any more, keeping its onion
@@ -707,7 +743,7 @@ func (e *NetEngine) getSegBuf(size int) []byte {
 		e.segPools[size] = pool[:n-1]
 		return b
 	}
-	return make([]byte, size)
+	return e.carve(size)
 }
 
 // putSegBuf returns a buffer to its size pool.

@@ -22,6 +22,7 @@ package past
 
 import (
 	"fmt"
+	"slices"
 
 	"tap/internal/id"
 	"tap/internal/pastry"
@@ -29,36 +30,35 @@ import (
 )
 
 // Store is one node's local storage: the fragment of the DHT it is
-// responsible for.
-type Store struct {
-	items map[id.ID]any
-}
-
-func newStore() *Store {
-	return &Store{items: make(map[id.ID]any)}
-}
+// responsible for, keyed by item key. A node that never stored anything
+// has a nil Store.
+type Store map[id.ID]any
 
 // Get returns the locally stored value for key.
-func (s *Store) Get(key id.ID) (any, bool) {
-	v, ok := s.items[key]
+func (s Store) Get(key id.ID) (any, bool) {
+	v, ok := s[key]
 	return v, ok
 }
 
 // Len returns the number of locally stored items.
-func (s *Store) Len() int { return len(s.items) }
+func (s Store) Len() int { return len(s) }
 
 // Keys returns the stored keys in unspecified order.
-func (s *Store) Keys() []id.ID {
-	out := make([]id.ID, 0, len(s.items))
-	for k := range s.items {
+func (s Store) Keys() []id.ID {
+	out := make([]id.ID, 0, len(s))
+	for k := range s {
 		out = append(out, k)
 	}
 	return out
 }
 
+// entry is one item's record: its value and the addresses holding it.
 type entry struct {
 	value    any
 	replicas []simnet.Addr
+	// inline backs replicas for k ≤ 4, the default k = 3 among them, so
+	// an item's record is one allocation.
+	inline [4]simnet.Addr
 }
 
 // Manager keeps every item on the k live nodes closest to its key.
@@ -66,7 +66,12 @@ type Manager struct {
 	ov      *pastry.Overlay
 	k       int
 	entries map[id.ID]*entry
-	stores  map[simnet.Addr]*Store
+	stores  map[simnet.Addr]Store
+
+	// set and addrs are scratch for one Insert or resync: the oracle
+	// replica set, and its addresses. Nothing reads them across calls.
+	set   []*pastry.Node
+	addrs []simnet.Addr
 
 	batch     bool
 	batchDead []pastry.NodeRef
@@ -100,7 +105,7 @@ func NewManager(ov *pastry.Overlay, k int) *Manager {
 		ov:      ov,
 		k:       k,
 		entries: make(map[id.ID]*entry),
-		stores:  make(map[simnet.Addr]*Store),
+		stores:  make(map[simnet.Addr]Store),
 	}
 	prevJoin, prevLeave := ov.OnJoin, ov.OnLeave
 	ov.OnJoin = func(n *pastry.Node) {
@@ -129,10 +134,10 @@ func (m *Manager) LostCount() int { return m.lost }
 func (m *Manager) CopyCount() uint64 { return m.copies }
 
 // storeOf returns (creating if needed) the local store for addr.
-func (m *Manager) storeOf(addr simnet.Addr) *Store {
+func (m *Manager) storeOf(addr simnet.Addr) Store {
 	s, ok := m.stores[addr]
 	if !ok {
-		s = newStore()
+		s = make(Store)
 		m.stores[addr] = s
 	}
 	return s
@@ -140,7 +145,13 @@ func (m *Manager) storeOf(addr simnet.Addr) *Store {
 
 // StoreAt exposes a node's local store; nil if the node never stored
 // anything.
-func (m *Manager) StoreAt(addr simnet.Addr) *Store { return m.stores[addr] }
+func (m *Manager) StoreAt(addr simnet.Addr) Store { return m.stores[addr] }
+
+// replicaSet computes key's oracle replica set into the manager's scratch.
+func (m *Manager) replicaSet(key id.ID) []*pastry.Node {
+	m.set = m.ov.AppendReplicaSet(m.set[:0], key, m.k)
+	return m.set
+}
 
 // Insert stores value under key on the k closest live nodes. Inserting an
 // existing key is an error: DHT keys here are hashes chosen to be unique.
@@ -148,14 +159,15 @@ func (m *Manager) Insert(key id.ID, value any) error {
 	if _, dup := m.entries[key]; dup {
 		return fmt.Errorf("past: key %s already stored", key.Short())
 	}
-	set := m.ov.ReplicaSet(key, m.k)
+	set := m.replicaSet(key)
 	if len(set) == 0 {
 		return fmt.Errorf("past: no live nodes to store %s", key.Short())
 	}
-	e := &entry{value: value, replicas: make([]simnet.Addr, 0, len(set))}
+	e := &entry{value: value}
+	e.replicas = e.inline[:0]
 	for _, n := range set {
 		addr := simnet.Addr(n.Addr())
-		m.storeOf(addr).items[key] = value
+		m.storeOf(addr)[key] = value
 		e.replicas = append(e.replicas, addr)
 		if m.OnReplicate != nil {
 			m.OnReplicate(key, addr)
@@ -172,9 +184,7 @@ func (m *Manager) Delete(key id.ID) bool {
 		return false
 	}
 	for _, addr := range e.replicas {
-		if s := m.stores[addr]; s != nil {
-			delete(s.items, key)
-		}
+		delete(m.stores[addr], key)
 	}
 	delete(m.entries, key)
 	return true
@@ -209,11 +219,7 @@ func (m *Manager) Replicas(key id.ID) []simnet.Addr {
 // HolderHas reports whether the node at addr locally stores key — the
 // check a tunnel hop node performs before it can decrypt a layer.
 func (m *Manager) HolderHas(addr simnet.Addr, key id.ID) bool {
-	s := m.stores[addr]
-	if s == nil {
-		return false
-	}
-	_, ok := s.items[key]
+	_, ok := m.stores[addr][key]
 	return ok
 }
 
@@ -243,7 +249,7 @@ func (m *Manager) onJoin(n *pastry.Node) {
 		if s == nil {
 			continue
 		}
-		for key := range s.items {
+		for key := range s {
 			if _, dup := seen[key]; dup {
 				continue
 			}
@@ -292,42 +298,36 @@ func (m *Manager) resync(key id.ID) {
 	}
 	if !alive {
 		for _, addr := range e.replicas {
-			if s := m.stores[addr]; s != nil {
-				delete(s.items, key)
-			}
+			delete(m.stores[addr], key)
 		}
 		delete(m.entries, key)
 		m.lost++
 		return
 	}
-	want := m.ov.ReplicaSet(key, m.k)
-	wantSet := make(map[simnet.Addr]struct{}, len(want))
-	newReplicas := make([]simnet.Addr, 0, len(want))
-	for _, n := range want {
+	want := m.addrs[:0]
+	for _, n := range m.replicaSet(key) {
 		addr := simnet.Addr(n.Addr())
-		wantSet[addr] = struct{}{}
-		newReplicas = append(newReplicas, addr)
+		want = append(want, addr)
 		st := m.storeOf(addr)
-		if _, has := st.items[key]; !has {
-			st.items[key] = e.value
+		if _, has := st[key]; !has {
+			st[key] = e.value
 			m.copies++
 			if m.OnReplicate != nil {
 				m.OnReplicate(key, addr)
 			}
 		}
 	}
+	m.addrs = want
 	for _, addr := range e.replicas {
-		if _, keep := wantSet[addr]; keep {
+		if slices.Contains(want, addr) {
 			continue
 		}
-		if s := m.stores[addr]; s != nil {
-			if _, had := s.items[key]; had {
-				delete(s.items, key)
-				m.evicted++
-			}
+		if _, had := m.stores[addr][key]; had {
+			delete(m.stores[addr], key)
+			m.evicted++
 		}
 	}
-	e.replicas = newReplicas
+	e.replicas = append(e.replicas[:0], want...)
 }
 
 // BeginBatch suspends migration so a set of failures lands
@@ -389,14 +389,14 @@ func (m *Manager) CheckInvariants() error {
 			if s == nil {
 				return fmt.Errorf("past: key %s replica store missing at %d", key.Short(), addr)
 			}
-			if _, ok := s.items[key]; !ok {
+			if _, ok := s[key]; !ok {
 				return fmt.Errorf("past: key %s missing from store at %d", key.Short(), addr)
 			}
 		}
 	}
 	// No store may hold a key the entry table doesn't know about.
 	for addr, s := range m.stores {
-		for key := range s.items {
+		for key := range s {
 			e, ok := m.entries[key]
 			if !ok {
 				return fmt.Errorf("past: orphan key %s in store at %d", key.Short(), addr)

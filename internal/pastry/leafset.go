@@ -66,6 +66,15 @@ func (l *LeafSet) Members() []NodeRef {
 	return out
 }
 
+// At returns entry i of Members' order — the smaller side nearest first,
+// then the larger — without copying the set; 0 <= i < Size().
+func (l *LeafSet) At(i int) NodeRef {
+	if i < len(l.smaller) {
+		return l.smaller[i]
+	}
+	return l.larger[i-len(l.smaller)]
+}
+
 // Size returns the number of entries currently held.
 func (l *LeafSet) Size() int { return len(l.smaller) + len(l.larger) }
 

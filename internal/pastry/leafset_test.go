@@ -38,6 +38,11 @@ func TestLeafSetMembersFreshCopy(t *testing.T) {
 	l := NewLeafSet(id.FromUint64(100), 4)
 	l.ReplaceAll(refs(90), refs(110))
 	m := l.Members()
+	for i := range m {
+		if l.At(i) != m[i] {
+			t.Fatalf("At(%d) = %v, Members()[%d] = %v", i, l.At(i), i, m[i])
+		}
+	}
 	m[0] = ref(1)
 	if l.Contains(id.FromUint64(1)) {
 		t.Fatalf("Members aliases internal storage")

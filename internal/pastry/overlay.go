@@ -242,20 +242,26 @@ func (o *Overlay) OwnerOf(key id.ID) *Node {
 // ReplicaSet returns the k live nodes numerically closest to key, ordered
 // by increasing distance — PAST's replica set for the key.
 func (o *Overlay) ReplicaSet(key id.ID, k int) []*Node {
+	return o.AppendReplicaSet(nil, key, k)
+}
+
+// AppendReplicaSet is ReplicaSet appending to dst, so a caller that keeps
+// one buffer computes replica sets without allocating.
+func (o *Overlay) AppendReplicaSet(dst []*Node, key id.ID, k int) []*Node {
 	n := len(o.index)
 	if k > n {
 		k = n
 	}
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	// The k closest ids on a sorted ring are a contiguous window around
 	// the insertion point; merge outward from both sides.
 	p := o.pos(key)
 	lo := (p - 1 + n) % n
 	hi := p % n
-	out := make([]*Node, 0, k)
-	for len(out) < k {
+	out := slices.Grow(dst, k)
+	for len(out) < len(dst)+k {
 		// The clockwise side is the incumbent, so it also wins once the
 		// two cursors meet on the last unvisited node.
 		next := nearestTo(key, &o.index[hi])

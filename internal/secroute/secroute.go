@@ -236,12 +236,10 @@ func (r *Router) Lookup(src simnet.Addr, key id.ID) (*Result, error) {
 		best, haveBest = claimed, true
 	}
 
-	// Redundant diverse routes: one per distinct leaf-set neighbor.
-	for i, nb := range srcNode.Leaf.Members() {
-		if i >= r.MaxRedundant {
-			break
-		}
-		start := r.OV.ByID(nb.ID)
+	// Redundant diverse routes: one per distinct leaf-set neighbor, walked
+	// in place.
+	for i := 0; i < r.MaxRedundant && i < srcNode.Leaf.Size(); i++ {
+		start := r.OV.ByID(srcNode.Leaf.At(i).ID)
 		if start == nil {
 			continue
 		}

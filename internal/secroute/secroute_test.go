@@ -299,3 +299,27 @@ func TestAdversaryMarkFraction(t *testing.T) {
 		t.Fatalf("count %d", adv.Count())
 	}
 }
+
+// TestLookupAllocs: a verified lookup walks its redundant routes over the
+// source's leaf set in place, so the result record is its one allocation.
+func TestLookupAllocs(t *testing.T) {
+	ov, s := build(t, 400, 9)
+	adv := NewAdversary()
+	adv.MarkFraction(ov, 0.1, s.Split("mark"))
+	r := NewRouter(ov, adv)
+	r.AlwaysVerify = true
+	src := ov.RandomLive(s)
+	for adv.IsMalicious(src.Ref().Addr) {
+		src = ov.RandomLive(s)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		var key id.ID
+		s.Bytes(key[:])
+		if _, err := r.Lookup(src.Ref().Addr, key); err != nil && !errors.Is(err, ErrCensored) {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a verified lookup makes %.0f allocations, want ≤ 1", allocs)
+	}
+}

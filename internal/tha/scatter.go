@@ -26,23 +26,35 @@ func ChooseScattered(pool []Secret, l int, b int, stream *rng.Stream) ([]Secret,
 	// random order, taking one anchor per bucket per round. This maximizes
 	// prefix diversity: duplicates of a digit are used only once all other
 	// available digits are exhausted.
-	buckets := make(map[int][]Secret)
+	//
+	// The buckets are a stable counting sort of a copy of the pool: bucket
+	// d is sorted[start[d]:start[d+1]], its anchors in pool order, and the
+	// digits (at most 2^8) and offsets live on the stack. Everything is
+	// visited in ascending digit order before any stream draw, so replay
+	// determinism does not depend on how the buckets are stored.
+	var start [1<<8 + 1]int
+	for _, s := range pool {
+		start[s.HopID.Digit(0, b)+1]++
+	}
+	var digitBuf [1 << 8]int
+	digits := digitBuf[:0]
+	for d := 0; d < 1<<b; d++ {
+		if start[d+1] > 0 {
+			digits = append(digits, d)
+		}
+		start[d+1] += start[d]
+	}
+	next := start
+	sorted := make([]Secret, len(pool))
 	for _, s := range pool {
 		d := s.HopID.Digit(0, b)
-		buckets[d] = append(buckets[d], s)
+		sorted[next[d]] = s
+		next[d]++
 	}
-	digits := make([]int, 0, len(buckets))
-	for d := range buckets {
-		digits = append(digits, d)
-	}
-	// Deterministic bucket order before any stream draw: shuffling inside
-	// the map iteration above would consume the stream in map order and
-	// break replay determinism.
-	sortInts(digits)
 	for _, d := range digits {
 		// Shuffle within each bucket so repeated tunnel formation does not
 		// always reuse the same anchor.
-		bk := buckets[d]
+		bk := sorted[start[d]:start[d+1]]
 		stream.Shuffle(len(bk), func(i, j int) { bk[i], bk[j] = bk[j], bk[i] })
 	}
 	stream.Shuffle(len(digits), func(i, j int) { digits[i], digits[j] = digits[j], digits[i] })
@@ -51,11 +63,10 @@ func ChooseScattered(pool []Secret, l int, b int, stream *rng.Stream) ([]Secret,
 	for round := 0; len(out) < l; round++ {
 		took := false
 		for _, d := range digits {
-			bk := buckets[d]
-			if round >= len(bk) {
+			if round >= start[d+1]-start[d] {
 				continue
 			}
-			out = append(out, bk[round])
+			out = append(out, sorted[start[d]+round])
 			took = true
 			if len(out) == l {
 				break
@@ -68,15 +79,6 @@ func ChooseScattered(pool []Secret, l int, b int, stream *rng.Stream) ([]Secret,
 		}
 	}
 	return out, nil
-}
-
-// sortInts is a tiny insertion sort; digit sets have at most 2^b members.
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // PrefixDiversity reports how many distinct leading base-2^b digits a

@@ -111,6 +111,11 @@ type Generator struct {
 	nodeID []byte
 	hkey   [16]byte
 	next   uint64
+
+	// draw is what Generate draws the key and password through: a draw
+	// into a local would escape through the io.Reader, one allocation
+	// each. It is cleared after every draw.
+	draw [max(crypt.KeySize, crypt.PasswordSize)]byte
 }
 
 // NewGenerator creates a generator for the node identified by nodeID
@@ -137,18 +142,27 @@ func (g *Generator) Generate(r io.Reader) (Secret, error) {
 		tbuf[i] = byte(t >> (8 * (7 - i)))
 	}
 	hopID := id.Hash(g.nodeID, g.hkey[:], tbuf[:])
-	key, err := crypt.NewKey(r)
-	if err != nil {
+	var sec Secret
+	if err := g.drawInto(sec.Key[:], r, "key"); err != nil {
 		return Secret{}, err
 	}
-	pw, err := crypt.NewPassword(r)
-	if err != nil {
+	if err := g.drawInto(sec.PW[:], r, "password"); err != nil {
 		return Secret{}, err
 	}
-	return Secret{
-		Anchor: Anchor{HopID: hopID, Key: key, PWHash: pw.Hash()},
-		PW:     pw,
-	}, nil
+	sec.HopID, sec.PWHash = hopID, sec.PW.Hash()
+	return sec, nil
+}
+
+// drawInto fills dst from r through the generator's draw scratch, which it
+// clears before returning.
+func (g *Generator) drawInto(dst []byte, r io.Reader, what string) error {
+	buf := g.draw[:len(dst)]
+	defer clear(buf)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return fmt.Errorf("tha: drawing %s: %w", what, err)
+	}
+	copy(dst, buf)
+	return nil
 }
 
 // Counter returns the next t value (how many anchors were generated).

@@ -352,3 +352,46 @@ func TestChooseScatteredBeatsRandomOnAverage(t *testing.T) {
 		t.Fatalf("scattered diversity %d below random %d", scatterTotal, randomTotal)
 	}
 }
+
+// TestGenerateAllocs: the key and password are drawn through the
+// generator's own scratch, so minting an anchor allocates nothing.
+func TestGenerateAllocs(t *testing.T) {
+	s := rng.New(31)
+	g, err := NewGenerator([]byte("init"), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := g.Generate(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Generate makes %.0f allocations per anchor, want 0", allocs)
+	}
+}
+
+// TestDeployAllocsPerAnchor: with every store in place, deploying an
+// anchor at k = 3 costs its boxed record, its key-schedule cell and its
+// entry, whose replica list is inline; the replica set is computed into
+// the manager's buffer.
+func TestDeployAllocsPerAnchor(t *testing.T) {
+	_, d := setup(t, 100, 3, 32)
+	pool := genPool(t, 3000, 33)
+	for _, sec := range pool[:2000] {
+		if err := d.Deploy(sec.Anchor, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 2000
+	allocs := testing.AllocsPerRun(900, func() {
+		if err := d.Deploy(pool[next].Anchor, 0); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("Deploy at k = 3: %.0f allocations per anchor", allocs)
+	if allocs > 3 {
+		t.Fatalf("Deploy at k = 3 makes %.0f allocations per anchor, want ≤ 3", allocs)
+	}
+}
