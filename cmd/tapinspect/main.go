@@ -123,11 +123,7 @@ func main() {
 	// Storage distribution: how evenly anchors spread over nodes.
 	var stored trace.Sample
 	for _, r := range ov.LiveRefs() {
-		if st := mgr.StoreAt(r.Addr); st != nil {
-			stored.Add(float64(st.Len()))
-		} else {
-			stored.Add(0)
-		}
+		stored.Add(float64(mgr.StoreAt(r.Addr).Len()))
 	}
 	fmt.Printf("anchor storage per node: mean %.2f, median %.0f, p95 %.0f, max %.0f\n",
 		stored.Mean(), stored.Median(), stored.P95(), stored.Max())

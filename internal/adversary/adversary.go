@@ -99,10 +99,8 @@ func (c *Collusion) markAddr(addr simnet.Addr) {
 	}
 	c.malicious[addr] = struct{}{}
 	// Everything this node already stores is disclosed to the collusion.
-	if st := c.mgr.StoreAt(addr); st != nil {
-		for _, key := range st.Keys() {
-			c.leaked[key] = struct{}{}
-		}
+	for _, key := range c.mgr.StoreAt(addr).Keys() {
+		c.leaked[key] = struct{}{}
 	}
 }
 

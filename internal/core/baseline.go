@@ -55,7 +55,7 @@ func FormFixed(ov *pastry.Overlay, l int, stream *rng.Stream) (*FixedTunnel, err
 			return nil, err
 		}
 		ft.Relays = append(ft.Relays, n.Ref())
-		hop := tha.Anchor{HopID: n.ID(), Key: key}.WithSealerCache()
+		hop := tha.Anchor{HopID: n.ID(), Key: key}
 		ft.tunnel.Hops = append(ft.tunnel.Hops, tha.Secret{Anchor: hop})
 		ft.tunnel.link.hints = append(ft.tunnel.link.hints, n.Ref().Addr)
 	}

@@ -65,27 +65,21 @@ import (
 type Tunnel struct {
 	Hops []tha.Secret
 
-	// sealers caches one layer-crypto key schedule per hop, index-aligned
-	// with Hops. Form fills it; tunnels assembled by hand get theirs
-	// lazily on first build. Like the rest of a Tunnel it belongs to one
-	// goroutine — the owner.
-	sealers []*crypt.Sealer
-
 	// link holds what the owner has learned about the tunnel — address
 	// hints and backoff memory — behind its own lock.
 	link *tunnelLink
 }
 
-// hopSealer returns the cached Sealer for hop i, deriving it on first use —
-// or, for a hop whose anchor carries a key-schedule cell, taking the cell's.
+// hopSealer returns hop i's key schedule from its anchor's cell, deriving
+// it on first use. Generate mints every secret with a cell; a hop built by
+// hand without one gets one here, so no hop derives its schedule twice.
+// Like the rest of a Tunnel it belongs to one goroutine — the owner.
 func (t *Tunnel) hopSealer(i int) *crypt.Sealer {
-	if len(t.sealers) != len(t.Hops) {
-		t.sealers = make([]*crypt.Sealer, len(t.Hops))
+	h := &t.Hops[i].Anchor
+	if !h.HasSealerCache() {
+		*h = h.WithSealerCache()
 	}
-	if t.sealers[i] == nil {
-		t.sealers[i] = t.Hops[i].Sealer()
-	}
-	return t.sealers[i]
+	return h.Sealer()
 }
 
 // Length returns the number of hops (the paper's tunnel length l).
@@ -108,9 +102,9 @@ func Form(pool []tha.Secret, l int, b int, stream *rng.Stream) (*Tunnel, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: forming tunnel: %w", err)
 	}
-	// Hop key schedules are derived lazily by hopSealer on the first
-	// build: many formed tunnels (availability experiments) never carry a
-	// message, and must not pay AES-GCM setup.
+	// Hop key schedules are derived lazily, in the anchors' cells, on the
+	// first build: many formed tunnels (availability experiments) never
+	// carry a message, and must not pay AES-GCM setup.
 	return &Tunnel{Hops: hops}, nil
 }
 

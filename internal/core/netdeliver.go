@@ -51,6 +51,12 @@ type NetEngine struct {
 	sendStreams   map[uint64]*Stream
 	recvStreams   map[uint64]*RecvStream
 	closedStreams map[uint64]closedStreamRec
+	// Stream structs are carved from chunks; rings are lent from one
+	// finished stream to the next (stream.go).
+	streamChunk []Stream
+	recvChunk   []RecvStream
+	sendRings   ringPool[windowSlot[[]byte]]
+	recvRings   ringPool[*packet]
 	// OnStream, when non-nil, observes each incoming stream when its first
 	// segment arrives, so the application can install OnData/OnClose.
 	OnStream func(rs *RecvStream)
@@ -213,6 +219,8 @@ func NewNetEngine(svc *Service, net transport.Transport) *NetEngine {
 		recvStreams:   make(map[uint64]*RecvStream),
 		closedStreams: make(map[uint64]closedStreamRec),
 		segPools:      make(map[int][][]byte),
+		sendRings:     make(ringPool[windowSlot[[]byte]]),
+		recvRings:     make(ringPool[*packet]),
 	}
 	// One handler array for every live node: a world's worth of handlers is
 	// one allocation.

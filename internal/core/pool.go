@@ -435,14 +435,9 @@ func (p *TunnelPool) attribute(t *Tunnel, done func(culprit id.ID, found bool)) 
 
 // prefix returns the sub-tunnel of t's first m hops, sharing the parent's
 // link — attribution probes ride its hints, and what they learn is the
-// parent's — and its key schedules where already derived (the probes pay no
-// extra AES setup after the first full-tunnel message).
+// parent's — and, through the hops' anchor cells, its key schedules.
 func (t *Tunnel) prefix(m int) *Tunnel {
-	sub := &Tunnel{Hops: t.Hops[:m], link: t.linked()}
-	if len(t.sealers) == len(t.Hops) {
-		sub.sealers = t.sealers[:m]
-	}
-	return sub
+	return &Tunnel{Hops: t.Hops[:m], link: t.linked()}
 }
 
 // teardown releases a dead slot's tunnel. Anchors are released back to

@@ -117,7 +117,6 @@ type Stream struct {
 	closed  bool
 	failWhy string
 
-	wrote uint64
 	// unwritten is what WriteAll has yet to get into the window.
 	unwritten []byte
 
@@ -195,7 +194,8 @@ func (e *NetEngine) sendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, pay
 func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr, tun *Tunnel, cfg StreamConfig) *Stream {
 	cfg = cfg.withDefaults()
 	e.nextStream++
-	s := &Stream{
+	s := carveOne(&e.streamChunk)
+	*s = Stream{
 		eng:      e,
 		id:       streamIDBase + e.nextStream,
 		origin:   origin,
@@ -208,6 +208,9 @@ func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 	if e.StreamWindowBypass {
 		ringSize *= 4
 	}
+	// A ring of the right size, lent by a finished stream, is kept by
+	// Reset; the timer closure is the stream's own.
+	s.ring = e.sendRings.take(ringSize)
 	s.Reset(e.net, s, ringSize, streamInitRTO, streamMinRTO, streamMaxRetries)
 	if tun != nil {
 		// Per-tunnel backoff memory: a stream over a tunnel that recently
@@ -229,9 +232,6 @@ func (s *Stream) Done() bool { return s.done }
 
 // Failed reports stream failure and its reason.
 func (s *Stream) Failed() (bool, string) { return s.failed, s.failWhy }
-
-// BytesWritten returns the payload bytes accepted so far.
-func (s *Stream) BytesWritten() uint64 { return s.wrote }
 
 // ConfiguredWindow returns the window limit the stream was opened with.
 func (s *Stream) ConfiguredWindow() int { return s.cfg.Window }
@@ -297,7 +297,6 @@ func (s *Stream) push(data []byte, fin bool) {
 	if data != nil {
 		*buf = s.eng.getSegBuf(s.cfg.SegSize)
 		*buf = (*buf)[:copy(*buf, data)]
-		s.wrote += uint64(len(*buf))
 	}
 	if fin {
 		s.finSet, s.finSeq = true, seq
@@ -401,6 +400,7 @@ func (s *Stream) handleAck(cum uint64, ranges []wire.AckRange) {
 // complete finishes a fully acknowledged stream.
 func (s *Stream) complete() {
 	s.done = true
+	s.lendRing()
 	delete(s.eng.sendStreams, s.id)
 	if s.tun != nil && s.SegsRetx == 0 {
 		// A clean run over this tunnel: drop the backoff memory.
@@ -423,12 +423,22 @@ func (s *Stream) fail(why string) {
 			s.release(sl)
 		}
 	}
+	s.lendRing()
 	delete(s.eng.sendStreams, s.id)
 	// The tunnel is presumed dead: drop every hop's remembered address.
 	s.eng.invalidateTunnelHints(s.tun)
 	if s.OnComplete != nil {
 		s.OnComplete(false)
 	}
+}
+
+// lendRing gives a finished stream's send ring back to the engine for the
+// next stream to open. The window keeps no reference: its pending timer
+// and ack stop at done or failed before they would read a slot, and
+// HasRoom reads the missing ring as full.
+func (s *Stream) lendRing() {
+	s.eng.sendRings.put(s.ring)
+	s.ring = nil
 }
 
 // invalidateTunnelHints drops the remembered address of every hop t rides
@@ -494,7 +504,8 @@ func (e *NetEngine) handleStreamData(self simnet.Addr, p *packet) {
 			e.putPacket(p)
 			return
 		}
-		rs = &RecvStream{eng: e, id: sid, dest: p.target, ackTo: p.ackTo}
+		rs = carveOne(&e.recvChunk)
+		*rs = RecvStream{eng: e, id: sid, dest: p.target, ackTo: p.ackTo}
 		e.recvStreams[sid] = rs
 		if e.OnStream != nil {
 			e.OnStream(rs)
@@ -602,18 +613,22 @@ func (rs *RecvStream) buffer(p *packet) {
 }
 
 // growRing doubles the reorder ring until it spans at least minSpan,
-// re-placing buffered segments at their new positions. Rings start small
-// and grow on demand so a million mostly-in-order streams pay nothing.
+// re-placing buffered segments at their new positions, and lends the old
+// ring back to the engine. Rings start small and grow on demand so a
+// million mostly-in-order streams pay nothing.
 func (rs *RecvStream) growRing(minSpan uint64) {
 	size := uint64(8)
 	for size < minSpan {
 		size *= 2
 	}
-	next := make([]*packet, size)
+	next := rs.eng.recvRings.take(int(size))
 	for _, p := range rs.ring {
 		if p != nil {
 			next[p.seq%size] = p
 		}
+	}
+	if rs.ring != nil {
+		rs.eng.recvRings.put(rs.ring)
 	}
 	rs.ring = next
 }
@@ -669,7 +684,10 @@ func (e *NetEngine) sendStreamAck(self simnet.Addr, sid uint64, to simnet.Addr, 
 
 // close finishes the incoming stream: the FIN arrived in order.
 func (rs *RecvStream) close(self simnet.Addr) {
-	rs.ring = nil
+	if rs.ring != nil {
+		rs.eng.recvRings.put(rs.ring)
+		rs.ring = nil
+	}
 	delete(rs.eng.recvStreams, rs.id)
 	rs.eng.closedStreams[rs.id] = closedStreamRec{ackTo: rs.ackTo, cum: rs.rcvNxt}
 	rs.sendAck(self)
@@ -687,6 +705,43 @@ func (e *NetEngine) handleStreamAck(p *packet) {
 }
 
 // --- freelists --------------------------------------------------------------
+
+// streamChunk is how many Stream or RecvStream structs the engine
+// allocates at once.
+const streamChunk = 32
+
+// carveOne cuts the first element off *chunk, refilling it streamChunk
+// elements at a time. What it returns is never handed back: a finished
+// stream's struct stays its opener's to read.
+func carveOne[T any](chunk *[]T) *T {
+	if len(*chunk) == 0 {
+		*chunk = make([]T, streamChunk)
+	}
+	x := &(*chunk)[0]
+	*chunk = (*chunk)[1:]
+	return x
+}
+
+// ringPool lends rings, keyed by length: a finished stream puts its ring
+// back cleared and the next stream of that size takes it, so the pool
+// never holds more rings than streams were ever open at once.
+type ringPool[T any] map[int][][]T
+
+// take returns a zeroed ring of length n.
+func (p ringPool[T]) take(n int) []T {
+	free := p[n]
+	if k := len(free); k > 0 {
+		p[n] = free[:k-1]
+		return free[k-1]
+	}
+	return make([]T, n)
+}
+
+// put clears r and keeps it for the next take of its length.
+func (p ringPool[T]) put(r []T) {
+	clear(r)
+	p[len(r)] = append(p[len(r)], r)
+}
 
 // pktChunk is how many packets the freelist grows by when it runs dry.
 const pktChunk = 64

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tap/internal/crypt"
 	"tap/internal/id"
 	"tap/internal/simnet"
 )
@@ -89,9 +90,6 @@ func TestStreamDirectTransfer(t *testing.T) {
 	}
 	if ns.eng.StreamSegsRetx != 0 {
 		t.Fatalf("lossless transfer retransmitted %d segments", ns.eng.StreamSegsRetx)
-	}
-	if s.BytesWritten() != uint64(len(data)) {
-		t.Fatalf("BytesWritten = %d, want %d", s.BytesWritten(), len(data))
 	}
 }
 
@@ -539,5 +537,145 @@ func TestStreamTunnelBackoffMemory(t *testing.T) {
 	s3 := ns.eng.OpenTunnelStream(origin, tun, dest, StreamConfig{})
 	if s3.rto <= simnet.Time(time.Second) {
 		t.Fatalf("new stream started with rto %v, want inherited backed-off value", s3.rto)
+	}
+}
+
+// TestOneKeySchedulePerAnchor: in the simulator an anchor's owner and its
+// k holders share the key-schedule cell Generate minted with it, so
+// carrying a segment through every hop of a tunnel derives one schedule
+// per anchor. Every copy of a hop's anchor — the tunnel's, and the one each
+// replica holder is handed — answers with the same schedule, already
+// derived, so asking again allocates nothing; two hops never share one;
+// and the owner's next build derives nothing.
+func TestOneKeySchedulePerAnchor(t *testing.T) {
+	ns := newNetSys(t, 100, 3, 44)
+	in := ns.readyInitiator(t, "a", 12)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tun.RefreshHints(ns.svc); err != nil {
+		t.Fatal(err)
+	}
+	s := ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, id.HashString("one-segment"), StreamConfig{})
+	s.WriteAll(patternData(100))
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Done() {
+		_, why := s.Failed()
+		t.Fatalf("segment not delivered: %s", why)
+	}
+	schedules := make(map[*crypt.Sealer]bool)
+	for i, h := range tun.Hops {
+		own := h.Sealer()
+		schedules[own] = true
+		holders := ns.dir.ReplicaAddrs(h.HopID)
+		if len(holders) != 3 {
+			t.Fatalf("hop %d has %d holders, want 3", i, len(holders))
+		}
+		for _, addr := range holders {
+			held, err := ns.dir.FetchAsHolder(addr, h.HopID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held.Sealer() != own {
+				t.Fatalf("hop %d: holder %d derived its own key schedule", i, addr)
+			}
+			if n := testing.AllocsPerRun(10, func() { held.Sealer() }); n != 0 {
+				t.Fatalf("hop %d: holder %d's schedule costs %.0f allocations per call after the segment: not cached", i, addr, n)
+			}
+		}
+	}
+	if len(schedules) != len(tun.Hops) {
+		t.Fatalf("%d key schedules for %d anchors, want one per anchor", len(schedules), len(tun.Hops))
+	}
+	// The owner builds with those schedules too: a build allocates its
+	// onion and envelope, and derives nothing.
+	build, payload := ns.root.Split("build"), patternData(64)
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := BuildForward(tun, nil, s.dest, payload, build); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Fatalf("a build over the tunnel allocates %.0f objects, want 2: the owner derives schedules of its own", n)
+	}
+}
+
+// TestWarmEngineStreamAllocs: once an engine has run streams, opening and
+// finishing another costs at most one object — its retransmit timer's
+// closure. The Stream and RecvStream structs are carved from chunks, and
+// the send and reorder rings are lent from the streams that finished
+// before it.
+func TestWarmEngineStreamAllocs(t *testing.T) {
+	ns := newNetSys(t, 100, 3, 45)
+	ns.net.Link = fixedLink(5 * time.Millisecond)
+	src := ns.ov.RandomLive(ns.root.Split("src"))
+	dst := ns.ov.RandomLive(ns.root.Split("dst"))
+	if src.Ref().Addr == dst.Ref().Addr {
+		t.Fatal("src and dst collided; pick another seed")
+	}
+	data := patternData(8 * 1024)
+	finish := func() {
+		s := ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, StreamConfig{Window: 4})
+		s.WriteAll(data)
+		if err := ns.kernel.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Done() {
+			_, why := s.Failed()
+			t.Fatalf("stream did not finish: %s", why)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		finish() // warm the packet, buffer and ring pools and the maps
+	}
+	if n := testing.AllocsPerRun(256, finish); n > 1 {
+		t.Fatalf("opening and finishing a stream on a warm engine allocates %.2f objects, want at most 1 (its timer closure)", n)
+	}
+}
+
+// TestFinishedWindowTimerSparesLentRing: a stream that fails with its
+// retransmit timer pending lends its send ring to the next stream opened,
+// and when the stale timer fires it must not read or re-send anything in
+// that ring, which is now another stream's.
+func TestFinishedWindowTimerSparesLentRing(t *testing.T) {
+	ns := newNetSys(t, 100, 3, 46)
+	ns.net.Link = fixedLink(5 * time.Millisecond)
+	src := ns.ov.RandomLive(ns.root.Split("src"))
+	dst := ns.ov.RandomLive(ns.root.Split("dst"))
+	if src.Ref().Addr == dst.Ref().Addr {
+		t.Fatal("src and dst collided; pick another seed")
+	}
+	sink := &streamSink{}
+	sink.install(ns.eng)
+	open := func() *Stream {
+		return ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, StreamConfig{Window: 4})
+	}
+	a := open()
+	a.Write(patternData(4 * 1024)) // fills the window and arms the timer
+	ring := &a.ring[0]
+	a.fail("abandoned by the test")
+	if a.ring != nil || a.timerAt == 0 {
+		t.Fatalf("failed stream kept its ring (%v) or has no pending timer (at %v)", a.ring != nil, a.timerAt)
+	}
+	b := open()
+	if &b.ring[0] != ring {
+		t.Fatal("the next stream of the same window did not take the lent ring")
+	}
+	data := patternData(400 * 1024) // still in flight when a's timer fires
+	b.WriteAll(data)
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !b.Done() {
+		_, why := b.Failed()
+		t.Fatalf("stream on the lent ring did not finish: %s", why)
+	}
+	if a.SegsRetx != 0 || b.SegsRetx != 0 {
+		t.Fatalf("retransmissions: failed stream %d, live stream %d; want none on a lossless link", a.SegsRetx, b.SegsRetx)
+	}
+	if got := sink.buf[len(sink.buf)-len(data):]; !bytes.Equal(got, data) {
+		t.Fatal("the live stream's bytes arrived corrupted")
 	}
 }

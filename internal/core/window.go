@@ -52,7 +52,8 @@ func (r *rttEstimator) rto(init, floor transport.Time) transport.Time {
 // from its own methods and its timer callback. An owner is a pointer, so
 // reaching it allocates nothing; the window's one closure is timerFn, made
 // by its first Reset. A simulator workload opens streams by the thousand,
-// so a window must cost no object beyond its ring and that closure.
+// so a window must cost no object beyond that closure and its ring, which
+// the simulator's engine lends from one finished stream to the next.
 type WindowOwner[P any] interface {
 	// Send puts one copy of request seq, with its slot's payload p, on the
 	// wire; rtx counts the copies sent before it.
@@ -241,6 +242,9 @@ func (w *SendWindow[P]) ack(cum uint64, ranges []wire.AckRange) bool {
 		}
 	}
 	for _, r := range ranges {
+		if w.done || w.failed {
+			break // the re-send above ended the window; its ring is gone
+		}
 		for seq := max(r.Start, w.sndUna); seq < min(r.End, w.sndNxt); seq++ {
 			w.sack(now, w.slot(seq))
 		}

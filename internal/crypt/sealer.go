@@ -9,9 +9,8 @@ import (
 
 // Sealer is the cached key schedule for one layer key: the AES-128-GCM
 // key is derived once, and the AES round keys and GHASH tables are
-// expanded once. Tunnels hold one Sealer per hop (owner side) and anchors
-// carry one from deployment (hop side), so per-message work drops to one
-// AEAD pass.
+// expanded once. An anchor record carries one in a shared cell
+// (internal/tha), so per-message work drops to one AEAD pass.
 //
 // A Sealer is safe for concurrent use: it holds only the expanded key,
 // which no call writes.
@@ -22,6 +21,13 @@ type Sealer struct {
 // NewSealer derives the key schedule for k. The returned Sealer makes
 // Seal/Open-equivalent operations reuse that work for the key's lifetime.
 func NewSealer(k Key) *Sealer {
+	s := MakeSealer(k)
+	return &s
+}
+
+// MakeSealer is NewSealer by value, for a holder that keeps the schedule
+// inside a larger record: it costs only the AES cipher and the GCM.
+func MakeSealer(k Key) Sealer {
 	enc := layerKey(k)
 	block, err := aes.NewCipher(enc[:])
 	if err != nil {
@@ -35,7 +41,7 @@ func NewSealer(k Key) *Sealer {
 		// panics on the SHA-1 that every node and hop ID is hashed with.
 		panic("crypt: " + err.Error())
 	}
-	return &Sealer{aead: aead}
+	return Sealer{aead: aead}
 }
 
 // SealTo appends one sealed layer — nonce || AES-GCM(plaintext) || tag,

@@ -30,48 +30,71 @@ import (
 )
 
 // Store is one node's local storage: the fragment of the DHT it is
-// responsible for, keyed by item key. A node that never stored anything
-// has a nil Store.
-type Store map[id.ID]any
+// responsible for. It is a view into the manager, so it reads the node's
+// holdings as they are when a method is called.
+type Store struct {
+	m    *Manager
+	addr simnet.Addr
+}
 
 // Get returns the locally stored value for key.
 func (s Store) Get(key id.ID) (any, bool) {
-	v, ok := s[key]
-	return v, ok
+	if e := s.m.heldEntry(s.addr, key); e != nil {
+		return e.value, true
+	}
+	return nil, false
 }
 
 // Len returns the number of locally stored items.
-func (s Store) Len() int { return len(s) }
+func (s Store) Len() int { return len(s.m.keysAt(s.addr)) }
 
 // Keys returns the stored keys in unspecified order.
-func (s Store) Keys() []id.ID {
-	out := make([]id.ID, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-	}
-	return out
-}
+func (s Store) Keys() []id.ID { return slices.Clone(s.m.keysAt(s.addr)) }
 
 // entry is one item's record: its value and the addresses holding it.
 type entry struct {
 	value    any
 	replicas []simnet.Addr
 	// inline backs replicas for k ≤ 4, the default k = 3 among them, so
-	// an item's record is one allocation.
+	// an item's record needs no storage of its own.
 	inline [4]simnet.Addr
 }
 
+// Allocation sizes: entries come entryChunk at a time, and a node's first
+// holdings list is cut holdCap keys long from a slab of holdSlab keys.
+const (
+	entryChunk = 64
+	holdCap    = 4
+	holdSlab   = 256 * holdCap
+)
+
 // Manager keeps every item on the k live nodes closest to its key.
+//
+// Each item's entry lists the addresses holding it, and each node's
+// holdings list the keys it holds: a node holds a key exactly when the
+// key's entry lists the node, so the holder check reads the entry's short
+// replica list, and the holdings serve only what walks a node's keys.
 type Manager struct {
 	ov      *pastry.Overlay
 	k       int
 	entries map[id.ID]*entry
-	stores  map[simnet.Addr]Store
+
+	// holdings is indexed by node address: the keys each node holds, nil
+	// for a node that never stored anything.
+	holdings [][]id.ID
+	slab     []id.ID
+	// chunk is the unused rest of the block entries are carved from, and
+	// free holds the entries of removed items for reuse.
+	chunk []entry
+	free  []*entry
 
 	// set and addrs are scratch for one Insert or resync: the oracle
-	// replica set, and its addresses. Nothing reads them across calls.
+	// replica set, and its addresses. keys is scratch for a snapshot of
+	// one node's holdings, which resync edits while its caller walks
+	// them. Nothing reads them across calls.
 	set   []*pastry.Node
 	addrs []simnet.Addr
+	keys  []id.ID
 
 	batch     bool
 	batchDead []pastry.NodeRef
@@ -102,10 +125,10 @@ func NewManager(ov *pastry.Overlay, k int) *Manager {
 		panic(fmt.Sprintf("past: replication factor %d < 1", k))
 	}
 	m := &Manager{
-		ov:      ov,
-		k:       k,
-		entries: make(map[id.ID]*entry),
-		stores:  make(map[simnet.Addr]Store),
+		ov:       ov,
+		k:        k,
+		entries:  make(map[id.ID]*entry),
+		holdings: make([][]id.ID, ov.NumAddrs()),
 	}
 	prevJoin, prevLeave := ov.OnJoin, ov.OnLeave
 	ov.OnJoin = func(n *pastry.Node) {
@@ -133,19 +156,83 @@ func (m *Manager) LostCount() int { return m.lost }
 // CopyCount returns the number of replica copies migration has made.
 func (m *Manager) CopyCount() uint64 { return m.copies }
 
-// storeOf returns (creating if needed) the local store for addr.
-func (m *Manager) storeOf(addr simnet.Addr) Store {
-	s, ok := m.stores[addr]
-	if !ok {
-		s = make(Store)
-		m.stores[addr] = s
+// newEntry returns an empty entry for value, reusing a removed item's.
+func (m *Manager) newEntry(value any) *entry {
+	var e *entry
+	if n := len(m.free); n > 0 {
+		e, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		if len(m.chunk) == 0 {
+			m.chunk = make([]entry, entryChunk)
+		}
+		e, m.chunk = &m.chunk[0], m.chunk[1:]
 	}
-	return s
+	e.value = value
+	e.replicas = e.inline[:0]
+	return e
 }
 
-// StoreAt exposes a node's local store; nil if the node never stored
-// anything.
-func (m *Manager) StoreAt(addr simnet.Addr) Store { return m.stores[addr] }
+// remove forgets key, whose replicas have already been dropped.
+func (m *Manager) remove(key id.ID, e *entry) {
+	delete(m.entries, key)
+	*e = entry{}
+	m.free = append(m.free, e)
+}
+
+// hold adds key to the holdings of the node at addr.
+func (m *Manager) hold(addr simnet.Addr, key id.ID) {
+	for int(addr) >= len(m.holdings) {
+		m.holdings = append(m.holdings, nil)
+	}
+	keys := m.holdings[addr]
+	if keys == nil {
+		if len(m.slab) < holdCap {
+			m.slab = make([]id.ID, holdSlab)
+		}
+		keys, m.slab = m.slab[:0:holdCap], m.slab[holdCap:]
+	}
+	m.holdings[addr] = append(keys, key)
+}
+
+// keysAt returns the keys the node at addr holds.
+func (m *Manager) keysAt(addr simnet.Addr) []id.ID {
+	if int(addr) < 0 || int(addr) >= len(m.holdings) {
+		return nil
+	}
+	return m.holdings[addr]
+}
+
+// drop removes key from the holdings of the node at addr and reports
+// whether it was there.
+func (m *Manager) drop(addr simnet.Addr, key id.ID) bool {
+	keys := m.keysAt(addr)
+	i := slices.Index(keys, key)
+	if i < 0 {
+		return false
+	}
+	last := len(keys) - 1
+	keys[i] = keys[last]
+	m.holdings[addr] = keys[:last]
+	return true
+}
+
+// heldEntry returns key's entry when the node at addr holds it.
+func (m *Manager) heldEntry(addr simnet.Addr, key id.ID) *entry {
+	if e := m.entries[key]; e != nil && slices.Contains(e.replicas, addr) {
+		return e
+	}
+	return nil
+}
+
+// snapshot copies the keys the node at addr holds into the manager's
+// scratch, for a caller that resyncs them one by one.
+func (m *Manager) snapshot(addr simnet.Addr) []id.ID {
+	m.keys = append(m.keys[:0], m.keysAt(addr)...)
+	return m.keys
+}
+
+// StoreAt exposes a node's local store.
+func (m *Manager) StoreAt(addr simnet.Addr) Store { return Store{m: m, addr: addr} }
 
 // replicaSet computes key's oracle replica set into the manager's scratch.
 func (m *Manager) replicaSet(key id.ID) []*pastry.Node {
@@ -163,11 +250,10 @@ func (m *Manager) Insert(key id.ID, value any) error {
 	if len(set) == 0 {
 		return fmt.Errorf("past: no live nodes to store %s", key.Short())
 	}
-	e := &entry{value: value}
-	e.replicas = e.inline[:0]
+	e := m.newEntry(value)
 	for _, n := range set {
 		addr := simnet.Addr(n.Addr())
-		m.storeOf(addr)[key] = value
+		m.hold(addr, key)
 		e.replicas = append(e.replicas, addr)
 		if m.OnReplicate != nil {
 			m.OnReplicate(key, addr)
@@ -184,9 +270,9 @@ func (m *Manager) Delete(key id.ID) bool {
 		return false
 	}
 	for _, addr := range e.replicas {
-		delete(m.stores[addr], key)
+		m.drop(addr, key)
 	}
-	delete(m.entries, key)
+	m.remove(key, e)
 	return true
 }
 
@@ -219,8 +305,7 @@ func (m *Manager) Replicas(key id.ID) []simnet.Addr {
 // HolderHas reports whether the node at addr locally stores key — the
 // check a tunnel hop node performs before it can decrypt a layer.
 func (m *Manager) HolderHas(addr simnet.Addr, key id.ID) bool {
-	_, ok := m.stores[addr][key]
-	return ok
+	return m.heldEntry(addr, key) != nil
 }
 
 // --- migration ---------------------------------------------------------------
@@ -245,11 +330,7 @@ func (m *Manager) onJoin(n *pastry.Node) {
 	neighbors := m.ov.RingNeighbors(n.ID(), 2*m.k+2)
 	seen := make(map[id.ID]struct{})
 	for _, nb := range neighbors {
-		s := m.stores[simnet.Addr(nb.Addr())]
-		if s == nil {
-			continue
-		}
-		for key := range s {
+		for _, key := range m.snapshot(simnet.Addr(nb.Addr())) {
 			if _, dup := seen[key]; dup {
 				continue
 			}
@@ -269,11 +350,7 @@ func (m *Manager) onLeave(r pastry.NodeRef) {
 		m.batchDead = append(m.batchDead, r)
 		return
 	}
-	s := m.stores[r.Addr]
-	if s == nil {
-		return
-	}
-	for _, key := range s.Keys() {
+	for _, key := range m.snapshot(r.Addr) {
 		m.resync(key)
 	}
 }
@@ -298,9 +375,9 @@ func (m *Manager) resync(key id.ID) {
 	}
 	if !alive {
 		for _, addr := range e.replicas {
-			delete(m.stores[addr], key)
+			m.drop(addr, key)
 		}
-		delete(m.entries, key)
+		m.remove(key, e)
 		m.lost++
 		return
 	}
@@ -308,9 +385,8 @@ func (m *Manager) resync(key id.ID) {
 	for _, n := range m.replicaSet(key) {
 		addr := simnet.Addr(n.Addr())
 		want = append(want, addr)
-		st := m.storeOf(addr)
-		if _, has := st[key]; !has {
-			st[key] = e.value
+		if !slices.Contains(e.replicas, addr) {
+			m.hold(addr, key)
 			m.copies++
 			if m.OnReplicate != nil {
 				m.OnReplicate(key, addr)
@@ -322,8 +398,7 @@ func (m *Manager) resync(key id.ID) {
 		if slices.Contains(want, addr) {
 			continue
 		}
-		if _, had := m.stores[addr][key]; had {
-			delete(m.stores[addr], key)
+		if m.drop(addr, key) {
 			m.evicted++
 		}
 	}
@@ -349,11 +424,7 @@ func (m *Manager) EndBatch() {
 	m.batch = false
 	seen := make(map[id.ID]struct{})
 	for _, r := range m.batchDead {
-		s := m.stores[r.Addr]
-		if s == nil {
-			continue
-		}
-		for _, key := range s.Keys() {
+		for _, key := range m.snapshot(r.Addr) {
 			if _, dup := seen[key]; dup {
 				continue
 			}
@@ -385,30 +456,23 @@ func (m *Manager) CheckInvariants() error {
 			if _, ok := wantSet[addr]; !ok {
 				return fmt.Errorf("past: key %s replica at %d not in oracle set", key.Short(), addr)
 			}
-			s := m.stores[addr]
-			if s == nil {
+			keys := m.keysAt(addr)
+			if keys == nil {
 				return fmt.Errorf("past: key %s replica store missing at %d", key.Short(), addr)
 			}
-			if _, ok := s[key]; !ok {
+			if !slices.Contains(keys, key) {
 				return fmt.Errorf("past: key %s missing from store at %d", key.Short(), addr)
 			}
 		}
 	}
 	// No store may hold a key the entry table doesn't know about.
-	for addr, s := range m.stores {
-		for key := range s {
+	for addr, keys := range m.holdings {
+		for _, key := range keys {
 			e, ok := m.entries[key]
 			if !ok {
 				return fmt.Errorf("past: orphan key %s in store at %d", key.Short(), addr)
 			}
-			found := false
-			for _, a := range e.replicas {
-				if a == addr {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(e.replicas, simnet.Addr(addr)) {
 				return fmt.Errorf("past: store at %d holds %s but is not a replica", addr, key.Short())
 			}
 		}

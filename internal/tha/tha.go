@@ -35,21 +35,26 @@ type Anchor struct {
 
 	// sealer, when non-nil, caches the layer-crypto key schedule for Key:
 	// every copy of the record made from this one — anchors are passed by
-	// value — shares the cell, so a hop node pays the key derivation
-	// once per anchor, not once per message. Only WithSealerCache installs
-	// a cell. The simulator's Deploy does so for every stored record; an
-	// anchor decoded off a socket or built by Generate has none until its
-	// holder asks for one. The schedule itself is derived lazily on first
-	// use: most deployed anchors never seal a message (availability and
-	// corruption experiments deploy hundreds of thousands), so installing
-	// a cell must not pay AES-GCM setup. It is node-local state, never
-	// serialized: WireSize excludes it. Like the rest of the relay state
-	// it assumes single-goroutine use.
+	// value — shares the cell, so the key is derived once per cell, not
+	// once per message. Generate mints every secret with a cell, and
+	// Directory.Deploy keeps the cell it is given, so in the simulator an
+	// anchor's owner and its k holders share one schedule. An anchor
+	// decoded off a socket has none until its holder installs one with
+	// WithSealerCache, so a deployed relay never shares the owner's. The
+	// schedule itself is derived lazily on first use: most deployed anchors
+	// never seal a message (availability and corruption experiments deploy
+	// hundreds of thousands), so a cell must not pay AES-GCM setup. It is
+	// node-local state, never serialized: WireSize excludes it. Like the
+	// rest of the relay state it assumes single-goroutine use.
 	sealer *sealerCell
 }
 
-// sealerCell is the shared, lazily-filled key-schedule slot.
-type sealerCell struct{ s *crypt.Sealer }
+// sealerCell is the shared, lazily-filled key-schedule slot. It holds the
+// schedule by value, so deriving it costs only the AES cipher and the GCM.
+type sealerCell struct {
+	s     crypt.Sealer
+	ready bool
+}
 
 // WithSealerCache returns a copy of the record carrying an empty
 // key-schedule cell: the first Sealer call on it, or on any copy of it,
@@ -62,18 +67,21 @@ func (a Anchor) WithSealerCache() Anchor {
 	return a
 }
 
-// Sealer returns the anchor's key schedule. On a record from
-// WithSealerCache it is derived on first use and cached; on a bare
-// record — everything Generate mints and everything a node decodes off
-// the wire — every call derives a fresh throwaway schedule (the layer
-// key, AES expansion, GHASH tables), which is the right price for one
-// message and the wrong one for a stream.
+// HasSealerCache reports whether the record carries a key-schedule cell.
+func (a Anchor) HasSealerCache() bool { return a.sealer != nil }
+
+// Sealer returns the anchor's key schedule. On a record with a cell it is
+// derived on first use and cached; on a bare record — everything a node
+// decodes off the wire — every call derives a fresh throwaway schedule
+// (the layer key, AES expansion, GHASH tables), which is the right price
+// for one message and the wrong one for a stream.
 func (a Anchor) Sealer() *crypt.Sealer {
 	if a.sealer != nil {
-		if a.sealer.s == nil {
-			a.sealer.s = crypt.NewSealer(a.Key)
+		if !a.sealer.ready {
+			a.sealer.s = crypt.MakeSealer(a.Key)
+			a.sealer.ready = true
 		}
-		return a.sealer.s
+		return &a.sealer.s
 	}
 	return crypt.NewSealer(a.Key)
 }
@@ -116,7 +124,15 @@ type Generator struct {
 	// into a local would escape through the io.Reader, one allocation
 	// each. It is cleared after every draw.
 	draw [max(crypt.KeySize, crypt.PasswordSize)]byte
+
+	// cells is the unused rest of the chunk Generate carves each secret's
+	// key-schedule cell from.
+	cells []sealerCell
 }
+
+// chunk is how many key-schedule cells a generator, or stored records a
+// directory, allocates at once.
+const chunk = 64
 
 // NewGenerator creates a generator for the node identified by nodeID
 // (e.g. the encoding of its public key), with a fresh secret hkey drawn
@@ -133,7 +149,8 @@ func NewGenerator(nodeID []byte, r io.Reader) (*Generator, error) {
 // random key, and a fresh password. The counter t advances every call, so
 // repeated generation never collides with the node's own earlier anchors;
 // the hash makes cross-node collisions negligible and the hkey makes the
-// hopid unlinkable to the node.
+// hopid unlinkable to the node. The secret carries an empty key-schedule
+// cell, cut from the generator's chunk.
 func (g *Generator) Generate(r io.Reader) (Secret, error) {
 	t := g.next
 	g.next++
@@ -150,6 +167,11 @@ func (g *Generator) Generate(r io.Reader) (Secret, error) {
 		return Secret{}, err
 	}
 	sec.HopID, sec.PWHash = hopID, sec.PW.Hash()
+	if len(g.cells) == 0 {
+		g.cells = make([]sealerCell, chunk)
+	}
+	sec.sealer = &g.cells[0]
+	g.cells = g.cells[1:]
 	return sec, nil
 }
 
@@ -185,6 +207,11 @@ type Directory struct {
 
 	deployed uint64
 	rejected uint64
+
+	// recs is the unused rest of the chunk Deploy carves stored records
+	// from: the replication manager holds a pointer to each, not a boxed
+	// copy.
+	recs []Anchor
 }
 
 // NewDirectory layers anchor semantics on an existing replication
@@ -219,9 +246,19 @@ func (d *Directory) Deploy(a Anchor, nonce uint64) error {
 			return fmt.Errorf("%w: %v", ErrPuzzleRequired, err)
 		}
 	}
-	// All replica copies share one key-schedule cell; the schedule is
-	// derived on the first message this anchor processes.
-	if err := d.mgr.Insert(a.HopID, a.WithSealerCache()); err != nil {
+	// All replica copies share one key-schedule cell — the one the record
+	// came with, which Generate gave its owner, or a new one; the schedule
+	// is derived on the first message this anchor processes.
+	if a.sealer == nil {
+		a = a.WithSealerCache()
+	}
+	if len(d.recs) == 0 {
+		d.recs = make([]Anchor, chunk)
+	}
+	rec := &d.recs[0]
+	d.recs = d.recs[1:]
+	*rec = a
+	if err := d.mgr.Insert(a.HopID, rec); err != nil {
 		return fmt.Errorf("tha: deploy: %w", err)
 	}
 	d.deployed++
@@ -258,17 +295,13 @@ func (d *Directory) HopNode(hopID id.ID) (*pastry.Node, bool) {
 // must actually store the anchor, which the replication manager only does
 // for nodes in the hopid's replica set.
 func (d *Directory) FetchAsHolder(holder simnet.Addr, hopID id.ID) (Anchor, error) {
-	st := d.mgr.StoreAt(holder)
-	if st == nil {
-		return Anchor{}, ErrAccessDenied
-	}
-	v, ok := st.Get(hopID)
+	v, ok := d.mgr.StoreAt(holder).Get(hopID)
 	if !ok {
 		// Either the anchor doesn't exist or this node is not a replica —
 		// indistinguishable to the node itself, denied either way.
 		return Anchor{}, ErrAccessDenied
 	}
-	return v.(Anchor), nil
+	return *v.(*Anchor), nil
 }
 
 // FetchAsOwner returns the anchor to a requester proving ownership with
@@ -278,11 +311,11 @@ func (d *Directory) FetchAsOwner(hopID id.ID, pw crypt.Password) (Anchor, error)
 	if !ok {
 		return Anchor{}, ErrNotFound
 	}
-	a := v.(Anchor)
+	a := v.(*Anchor)
 	if !a.PWHash.Verify(pw) {
 		return Anchor{}, ErrBadPassword
 	}
-	return a, nil
+	return *a, nil
 }
 
 // Delete removes the anchor after verifying the password proof (§3.4):
@@ -293,7 +326,7 @@ func (d *Directory) Delete(hopID id.ID, pw crypt.Password) error {
 	if !ok {
 		return ErrNotFound
 	}
-	a := v.(Anchor)
+	a := v.(*Anchor)
 	if !a.PWHash.Verify(pw) {
 		return ErrBadPassword
 	}
