@@ -21,11 +21,9 @@ import (
 	"os"
 
 	"tap/internal/core"
+	"tap/internal/experiments"
 	"tap/internal/id"
-	"tap/internal/past"
-	"tap/internal/pastry"
 	"tap/internal/rng"
-	"tap/internal/tha"
 	"tap/internal/trace"
 )
 
@@ -44,13 +42,11 @@ func main() {
 	flag.Parse()
 
 	root := rng.New(*seed)
-	ov, err := pastry.Build(pastry.DefaultConfig(), *n, root.Split("overlay"))
+	w, err := experiments.BuildWorld(*n, *k, root)
 	if err != nil {
 		fail(err)
 	}
-	mgr := past.NewManager(ov, *k)
-	dir := tha.NewDirectory(ov, mgr)
-	svc := core.NewService(ov, dir, root.Split("svc"))
+	ov, mgr, dir := w.OV, w.Mgr, w.Dir
 
 	fmt.Printf("overlay: %d nodes, b=%d, leaf=%d, k=%d, seed=%d\n\n",
 		ov.Size(), ov.Config().B, ov.Config().LeafSize, *k, *seed)
@@ -98,7 +94,7 @@ func main() {
 
 	// A tunnel and its anchors.
 	node := ov.RandomLive(root.Split("pick"))
-	in, err := core.NewInitiator(svc, node, root.Split("init"))
+	in, err := core.NewInitiator(w.Svc, node, root.Split("init"))
 	if err != nil {
 		fail(err)
 	}

@@ -158,21 +158,6 @@ func (c *Collusion) FirstTailCompromised(t *core.Tunnel, dir *tha.Directory) boo
 	return c.IsMalicious(first.Ref().Addr) && c.IsMalicious(tail.Ref().Addr)
 }
 
-// BaselineCorrupted applies the analogous case-1 condition to a
-// fixed-node tunnel: every relay is malicious (the adversary holds every
-// layer key, since each relay negotiated its key with the initiator).
-func (c *Collusion) BaselineCorrupted(ft *core.FixedTunnel) bool {
-	if ft.Length() == 0 {
-		return false
-	}
-	for _, r := range ft.Relays {
-		if !c.IsMalicious(r.Addr) {
-			return false
-		}
-	}
-	return true
-}
-
 // CorruptionRate counts the corrupted fraction of a tunnel population.
 func (c *Collusion) CorruptionRate(tunnels []*core.Tunnel) float64 {
 	if len(tunnels) == 0 {

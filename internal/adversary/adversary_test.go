@@ -203,24 +203,6 @@ func TestFirstTailCompromised(t *testing.T) {
 	}
 }
 
-func TestBaselineCorrupted(t *testing.T) {
-	s := newSys(t, 150, 3, 10)
-	ft, err := core.FormFixed(s.ov, 3, s.root.Split("ft"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range ft.Relays[:2] {
-		s.col.MarkAddr(r.Addr)
-	}
-	if s.col.BaselineCorrupted(ft) {
-		t.Fatalf("baseline corrupted with a clean relay")
-	}
-	s.col.MarkAddr(ft.Relays[2].Addr)
-	if !s.col.BaselineCorrupted(ft) {
-		t.Fatalf("all-malicious baseline not corrupted")
-	}
-}
-
 func TestMarkCountMonotoneTopUp(t *testing.T) {
 	s := newSys(t, 200, 3, 12)
 	stream := s.root.Split("mark")

@@ -102,12 +102,6 @@ type NetEngine struct {
 	// Never set it otherwise.
 	StreamReorderBypass bool
 
-	// StreamWindowBypass is a fault-injection seam: when set, stream
-	// senders ignore their configured window and keep up to four windows
-	// of segments in flight. The simulation checker plants it to prove
-	// the window-conservation invariant fires. Never set it otherwise.
-	StreamWindowBypass bool
-
 	// Tap, when non-nil, observes the protocol events a node operator
 	// can see at its own node: tunnel envelopes received, and exits
 	// performed (a tail hop knows it is the tail — it decrypts {D, m}).

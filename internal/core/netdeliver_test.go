@@ -575,8 +575,9 @@ func TestEngineStorageGrowsInChunks(t *testing.T) {
 	// draws all of its storage fresh.
 	allocs := testing.AllocsPerRun(2, func() {
 		s := ns.eng.OpenTunnelStream(origin, tun, dest, cfg)
-		if got := s.Write(data); got != len(data) {
-			t.Fatalf("window took %d of %d bytes", got, len(data))
+		s.WriteAll(data)
+		if len(s.unwritten) != 0 {
+			t.Fatalf("window took %d of %d bytes", len(data)-len(s.unwritten), len(data))
 		}
 	})
 	t.Logf("%d segments put in flight: %.0f allocations", n, allocs)

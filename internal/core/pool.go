@@ -55,9 +55,6 @@ type TunnelPool struct {
 	// the last promotion. Crossing degradedAfter flips the pool degraded.
 	consecRebuildFails int
 
-	// OnStateChange, when non-nil, observes degraded-state transitions.
-	OnStateChange func(degraded bool)
-
 	Stats PoolStats
 }
 
@@ -584,9 +581,6 @@ func (p *TunnelPool) updateState() {
 	} else {
 		p.Stats.DegradedExits++
 	}
-	if p.OnStateChange != nil {
-		p.OnStateChange(deg)
-	}
 }
 
 // Send delivers payload to the owner of dest over the healthiest tunnel,
@@ -699,12 +693,6 @@ func (p *TunnelPool) HealthyCount() int {
 	}
 	return n
 }
-
-// Degraded reports the pool's degraded flag.
-func (p *TunnelPool) Degraded() bool { return p.degraded }
-
-// Limiter returns the rebuild admission limiter (shared or private).
-func (p *TunnelPool) Limiter() *RateLimiter { return p.limiter }
 
 // MeanRepairTime returns the average dead-to-healthy repair time, or 0
 // when no repair has completed.

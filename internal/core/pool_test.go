@@ -222,7 +222,7 @@ func TestPoolPartitionedInitiatorFailsFast(t *testing.T) {
 	if err := ns.kernel.RunUntil(65 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Degraded() {
+	if !p.degraded {
 		t.Fatalf("pool not degraded under partition: healthy=%d stats=%+v", p.HealthyCount(), p.Stats)
 	}
 	// The send must fail synchronously: error now, no callback, no flow.
@@ -247,9 +247,9 @@ func TestPoolPartitionedInitiatorFailsFast(t *testing.T) {
 	if err := ns.kernel.RunUntil(155 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if p.Degraded() || p.HealthyCount() != 3 {
+	if p.degraded || p.HealthyCount() != 3 {
 		t.Fatalf("pool did not recover after heal: degraded=%v healthy=%d stats=%+v",
-			p.Degraded(), p.HealthyCount(), p.Stats)
+			p.degraded, p.HealthyCount(), p.Stats)
 	}
 	delivered := false
 	if err := p.Send(id.HashString("dest"), []byte("x"), func(o Outcome) { delivered = o.Delivered }); err != nil {
@@ -315,8 +315,8 @@ func TestPoolRebuildRateLimited(t *testing.T) {
 	if p.Stats.RebuildsDenied == 0 {
 		t.Fatal("no rebuilds denied despite empty bucket")
 	}
-	if p.Limiter().Admitted != p.Stats.Rebuilds {
-		t.Fatalf("admissions %d != rebuilds %d", p.Limiter().Admitted, p.Stats.Rebuilds)
+	if p.limiter.Admitted != p.Stats.Rebuilds {
+		t.Fatalf("admissions %d != rebuilds %d", p.limiter.Admitted, p.Stats.Rebuilds)
 	}
 	p.Stop()
 	if err := ns.kernel.Run(); err != nil {

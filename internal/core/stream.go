@@ -92,11 +92,9 @@ const (
 
 // Stream is the sender side of one windowed stream. Open with
 // NetEngine.OpenStream (direct mode) or OpenTunnelStream (segments sealed
-// over a forward tunnel); then Write until accepted bytes fall short (the
-// window is full — install OnWritable to resume), and Close to flush the
-// FIN. A Stream belongs to the simulation's event loop goroutine. Its
-// window's slots hold each segment's payload, in pooled storage (nil for
-// the bare FIN).
+// over a forward tunnel), then hand it its content with WriteAll. A Stream
+// belongs to the simulation's event loop goroutine. Its window's slots hold
+// each segment's payload, in pooled storage (nil for the bare FIN).
 type Stream struct {
 	SendWindow[[]byte]
 
@@ -114,16 +112,13 @@ type Stream struct {
 
 	finSeq  uint64
 	finSet  bool
-	closed  bool
 	failWhy string
 
 	// unwritten is what WriteAll has yet to get into the window.
 	unwritten []byte
 
-	// OnWritable fires when window space frees after a Write returned
-	// short. OnComplete fires once: true when every segment including the
-	// FIN is acknowledged, false when the stream failed.
-	OnWritable func()
+	// OnComplete fires once: true when every segment including the FIN is
+	// acknowledged, false when the stream failed.
 	OnComplete func(ok bool)
 
 	SegsRetx uint64 // retransmissions so far
@@ -186,7 +181,6 @@ func (e *NetEngine) sendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, pay
 			done(Outcome{Flow: s.id, Delivered: ok, At: e.net.Now(), Attempts: 1 + int(s.SegsRetx), FailedAt: s.failWhy})
 		}
 	}
-	s.closed = true
 	s.push(payload, true)
 	return s.id
 }
@@ -204,14 +198,10 @@ func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 		tun:      tun,
 		cfg:      cfg,
 	}
-	ringSize := cfg.Window
-	if e.StreamWindowBypass {
-		ringSize *= 4
-	}
 	// A ring of the right size, lent by a finished stream, is kept by
 	// Reset; the timer closure is the stream's own.
-	s.ring = e.sendRings.take(ringSize)
-	s.Reset(e.net, s, ringSize, streamInitRTO, streamMinRTO, streamMaxRetries)
+	s.ring = e.sendRings.take(cfg.Window)
+	s.Reset(e.net, s, cfg.Window, streamInitRTO, streamMinRTO, streamMaxRetries)
 	if tun != nil {
 		// Per-tunnel backoff memory: a stream over a tunnel that recently
 		// proved lossy inherits the backed-off timeout instead of
@@ -233,60 +223,30 @@ func (s *Stream) Done() bool { return s.done }
 // Failed reports stream failure and its reason.
 func (s *Stream) Failed() (bool, string) { return s.failed, s.failWhy }
 
-// ConfiguredWindow returns the window limit the stream was opened with.
-func (s *Stream) ConfiguredWindow() int { return s.cfg.Window }
-
 // MaxInflightSegs returns the peak number of simultaneously
 // unacknowledged segments — the window-conservation observable.
 func (s *Stream) MaxInflightSegs() int { return s.maxInflight }
 
-// canAccept reports whether the window has room for another segment.
-func (s *Stream) canAccept() bool {
-	return !s.closed && !s.done && !s.failed && s.HasRoom()
-}
-
-// Write queues as much of p as the window allows, slicing it into
-// segments, and returns the number of bytes accepted. A short return
-// means the window is full: install OnWritable and resume there.
-func (s *Stream) Write(p []byte) int {
-	accepted := 0
-	for len(p) > 0 && s.canAccept() {
-		n := min(len(p), s.cfg.SegSize)
-		s.push(p[:n], false)
-		p = p[n:]
-		accepted += n
-	}
-	return accepted
-}
-
-// WriteAll writes content through the window — what fits now, the rest as
-// acknowledgments free space — then closes the stream. OnWritable does not
-// fire while the rest is pending; content must stay unchanged until it has
-// all been accepted.
+// WriteAll sends content through the window — what fits now, the rest as
+// acknowledgments free space — and the FIN right after its last byte.
+// content must stay unchanged until it is all in the window.
 func (s *Stream) WriteAll(content []byte) {
-	s.unwritten = content[s.Write(content):]
-	if len(s.unwritten) == 0 {
-		s.Close()
-	}
+	s.unwritten = content
+	s.fill()
 }
 
-// Close marks the stream finished: a FIN segment is sent as soon as the
-// window allows, and OnComplete fires once it (and everything before it)
-// is acknowledged.
-func (s *Stream) Close() {
-	if s.closed || s.done || s.failed {
-		return
+// fill cuts unwritten content into segments while the window has room, then
+// sends the FIN. A finished or failed stream has lent its ring away, so
+// HasRoom stops it.
+func (s *Stream) fill() {
+	for len(s.unwritten) > 0 && s.HasRoom() {
+		n := min(len(s.unwritten), s.cfg.SegSize)
+		s.push(s.unwritten[:n], false)
+		s.unwritten = s.unwritten[n:]
 	}
-	s.closed = true
-	s.tryFin()
-}
-
-// tryFin emits the FIN segment once window space allows.
-func (s *Stream) tryFin() {
-	if !s.closed || s.finSet || s.failed || !s.HasRoom() {
-		return
+	if len(s.unwritten) == 0 && !s.finSet && s.HasRoom() {
+		s.push(nil, true)
 	}
-	s.push(nil, true)
 }
 
 // push assigns the next sequence number to a segment carrying data (nil for
@@ -385,16 +345,7 @@ func (s *Stream) handleAck(cum uint64, ranges []wire.AckRange) {
 		s.complete()
 		return
 	}
-	s.tryFin()
-	if s.closed || !s.canAccept() {
-		return
-	}
-	switch {
-	case len(s.unwritten) > 0:
-		s.WriteAll(s.unwritten)
-	case s.OnWritable != nil:
-		s.OnWritable()
-	}
+	s.fill()
 }
 
 // complete finishes a fully acknowledged stream.

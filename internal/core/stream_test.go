@@ -85,7 +85,7 @@ func TestStreamDirectTransfer(t *testing.T) {
 	if sink.closes != 1 {
 		t.Fatalf("OnClose fired %d times, want exactly once", sink.closes)
 	}
-	if got, want := s.MaxInflightSegs(), s.ConfiguredWindow(); got > want {
+	if got, want := s.MaxInflightSegs(), s.cfg.Window; got > want {
 		t.Fatalf("window violated: %d segments in flight, configured %d", got, want)
 	}
 	if ns.eng.StreamSegsRetx != 0 {
@@ -134,7 +134,7 @@ func TestStreamLossAndReorderExactlyOnce(t *testing.T) {
 	if ns.eng.StreamSegsRetx == 0 {
 		t.Fatal("10% loss produced zero retransmissions; faults not applied?")
 	}
-	if got, want := s.MaxInflightSegs(), s.ConfiguredWindow(); got > want {
+	if got, want := s.MaxInflightSegs(), s.cfg.Window; got > want {
 		t.Fatalf("window violated under loss: %d in flight, configured %d", got, want)
 	}
 }
@@ -248,28 +248,14 @@ func TestStreamBackpressure(t *testing.T) {
 	cfg := StreamConfig{Window: 4, SegSize: 1024}
 	data := patternData(64 * 1024)
 	s := ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, cfg)
-	// A single huge write must stop at exactly one window of segments.
-	if n := s.Write(data); n != cfg.Window*cfg.SegSize {
-		t.Fatalf("first write accepted %d bytes, want %d (window*segsize)", n, cfg.Window*cfg.SegSize)
-	}
-	if n := s.Write(data); n != 0 {
-		t.Fatalf("write into a full window accepted %d bytes", n)
-	}
-	// Resume through OnWritable until everything is through.
-	off := cfg.Window * cfg.SegSize
-	s.OnWritable = func() {
-		for off < len(data) {
-			want := len(data) - off
-			n := s.Write(data[off:])
-			off += n
-			if n < want {
-				return
-			}
-		}
-		s.Close()
-	}
 	var okDone bool
 	s.OnComplete = func(o bool) { okDone = o }
+	// A single huge write must stop at exactly one window of segments; the
+	// acknowledgments push the rest.
+	s.WriteAll(data)
+	if sent, want := len(data)-len(s.unwritten), cfg.Window*cfg.SegSize; sent != want {
+		t.Fatalf("first fill took %d bytes, want %d (window*segsize)", sent, want)
+	}
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -284,26 +270,59 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 }
 
-func TestStreamWindowBypassSeam(t *testing.T) {
-	// The checker-only sabotage seam must produce an observable window
-	// violation, or the window-conservation invariant can never fire.
-	ns := newNetSys(t, 100, 3, 35)
+// TestWriteAllFinFollowsLastByte: whatever the content's length — empty,
+// one byte, a segment, a window, a window and a byte — WriteAll sends one
+// FIN, numbered right after the last data segment, and the stream
+// completes once.
+func TestWriteAllFinFollowsLastByte(t *testing.T) {
+	cfg := StreamConfig{Window: 4, SegSize: 512}
+	cases := []struct {
+		name string
+		size int
+	}{
+		{"empty", 0},
+		{"one_byte", 1},
+		{"one_segment", cfg.SegSize},
+		{"one_window", cfg.Window * cfg.SegSize},
+		{"window_and_a_byte", cfg.Window*cfg.SegSize + 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { writeAllFinCase(t, cfg, c.size) })
+	}
+}
+
+func writeAllFinCase(t *testing.T, cfg StreamConfig, size int) {
+	ns := newNetSys(t, 100, 3, 37)
 	src := ns.ov.RandomLive(ns.root.Split("src"))
 	dst := ns.ov.RandomLive(ns.root.Split("dst"))
-	ns.eng.StreamWindowBypass = true
+	if src.Ref().Addr == dst.Ref().Addr {
+		t.Fatal("src and dst collided; pick another seed")
+	}
 	sink := &streamSink{}
 	sink.install(ns.eng)
-
-	cfg := StreamConfig{Window: 4, SegSize: 512}
-	data := patternData(32 * 1024)
+	var fins []uint64
+	ns.net.SendHook = func(from, _ simnet.Addr, msg simnet.Message) {
+		if p, ok := msg.(*packet); ok && from == src.Ref().Addr && p.kind == kindStream && p.fin {
+			fins = append(fins, p.seq)
+		}
+	}
+	data := patternData(size)
 	s := ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, cfg)
+	var completions []bool
+	s.OnComplete = func(ok bool) { completions = append(completions, ok) }
 	s.WriteAll(data)
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.MaxInflightSegs() <= s.ConfiguredWindow() {
-		t.Fatalf("bypass seam kept %d in flight within configured window %d; seam is invisible",
-			s.MaxInflightSegs(), s.ConfiguredWindow())
+	dataSegs := uint64((size + cfg.SegSize - 1) / cfg.SegSize)
+	if len(fins) != 1 || fins[0] != dataSegs {
+		t.Fatalf("%d bytes: FIN sent as seqs %v, want once as seq %d", size, fins, dataSegs)
+	}
+	if len(completions) != 1 || !completions[0] {
+		t.Fatalf("%d bytes: OnComplete fired %v, want [true]", size, completions)
+	}
+	if !bytes.Equal(sink.buf, data) || sink.closes != 1 {
+		t.Fatalf("%d bytes: received %d bytes and %d closes", size, len(sink.buf), sink.closes)
 	}
 }
 
@@ -653,7 +672,7 @@ func TestFinishedWindowTimerSparesLentRing(t *testing.T) {
 		return ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, StreamConfig{Window: 4})
 	}
 	a := open()
-	a.Write(patternData(4 * 1024)) // fills the window and arms the timer
+	a.WriteAll(patternData(4 * 1024)) // fills the window and arms the timer
 	ring := &a.ring[0]
 	a.fail("abandoned by the test")
 	if a.ring != nil || a.timerAt == 0 {

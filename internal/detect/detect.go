@@ -80,18 +80,6 @@ func (p *Prober) Probe(in *core.Initiator, t *core.Tunnel) error {
 	return nil
 }
 
-// ProbeN runs n probes and returns the number that succeeded. Useful
-// against probabilistic droppers, which single probes miss.
-func (p *Prober) ProbeN(in *core.Initiator, t *core.Tunnel, n int) int {
-	ok := 0
-	for i := 0; i < n; i++ {
-		if p.Probe(in, t) == nil {
-			ok++
-		}
-	}
-	return ok
-}
-
 // Monitor manages one logical tunnel slot for an initiator: it probes
 // before use, replaces broken tunnels immediately, and refreshes healthy
 // ones on a schedule (the paper's Figure 5 policy) so a quietly

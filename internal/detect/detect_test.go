@@ -121,36 +121,6 @@ func TestProbeDetectsLostAnchor(t *testing.T) {
 	}
 }
 
-func TestProbeNCatchesProbabilisticDropper(t *testing.T) {
-	s := newSys(t, 300, 4)
-	in := s.initiator(t, 10)
-	tun, err := in.FormTunnel(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hop 1's node drops half the messages.
-	evil, ok := s.dir.HopNode(tun.Hops[1].HopID)
-	if !ok {
-		t.Fatal("no hop node")
-	}
-	evilAddr := evil.Ref().Addr
-	drop := s.root.Split("drop")
-	s.svc.HopFilter = func(addr simnet.Addr, _ id.ID) bool {
-		if addr != evilAddr {
-			return true
-		}
-		return !drop.Bool(0.5)
-	}
-	p := NewProber(s.svc, s.root.Split("probe"))
-	ok20 := p.ProbeN(in, tun, 20)
-	if ok20 == 20 {
-		t.Fatalf("20 probes all passed through a 50%% dropper (p = 2^-20)")
-	}
-	if ok20 == 0 {
-		t.Fatalf("no probe passed a 50%% dropper (p = 2^-20)")
-	}
-}
-
 func TestMonitorReplacesBrokenTunnel(t *testing.T) {
 	s := newSys(t, 400, 5)
 	in := s.initiator(t, 12)

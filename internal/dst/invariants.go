@@ -239,14 +239,14 @@ func checkStreamDelivery(r *runner) (string, bool) {
 }
 
 // checkWindowConservation audits every stream sender's peak-inflight
-// observable against the window it was opened with. A sender that
+// observable against the window the scenario asked for. A sender that
 // overfills its window (the congestion-collapse bug this checker exists
 // for) is caught on the first event after the burst, regardless of
 // whether the extra segments ever arrive.
 func checkWindowConservation(r *runner) (string, bool) {
 	for _, sid := range r.streamIDs {
 		rec := r.streams[sid]
-		if got, w := rec.s.MaxInflightSegs(), rec.s.ConfiguredWindow(); got > w {
+		if got, w := rec.s.MaxInflightSegs(), rec.window; got > w {
 			return fmt.Sprintf("stream %d put %d segments in flight, window %d", sid, got, w), true
 		}
 	}

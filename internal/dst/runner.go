@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tap/internal/core"
+	"tap/internal/experiments"
 	"tap/internal/id"
 	"tap/internal/past"
 	"tap/internal/pastry"
@@ -64,11 +65,10 @@ type Mutations struct {
 	// stream-in-order-delivery invariant must notice the first
 	// out-of-order or duplicate delivery.
 	StreamReorderBypass bool
-	// StreamWindowBypass plants core.NetEngine.StreamWindowBypass: stream
-	// senders get a ring far larger than their configured window and
-	// happily overfill it, and the window-conservation invariant must
-	// notice more unacknowledged segments in flight than the window
-	// allows.
+	// StreamWindowBypass opens every stream with four times the window
+	// its streamRec records, so senders overfill the window the scenario
+	// asked for, and the window-conservation invariant must notice more
+	// unacknowledged segments in flight than that window allows.
 	StreamWindowBypass bool
 }
 
@@ -177,6 +177,7 @@ type poolSendRec struct {
 type streamRec struct {
 	s       *core.Stream
 	content []byte
+	window  int // the window the scenario asked for
 
 	nextSeq     uint64 // next data sequence number the receiver must deliver
 	recvOff     int    // content bytes matched so far
@@ -350,12 +351,14 @@ func (r *runner) schedulePoolStop() {
 // engine, fault plan, reorder hook, wire tap, and clients.
 func (r *runner) build() error {
 	sc := r.sc
-	ov, err := pastry.Build(pastry.DefaultConfig(), sc.Nodes, r.root.Split("overlay"))
+	w, err := experiments.BuildWorld(sc.Nodes, sc.K, r.root)
 	if err != nil {
 		return fmt.Errorf("dst: building overlay: %w", err)
 	}
-	r.ov = ov
-	r.mgr = past.NewManager(ov, sc.K)
+	ov := w.OV
+	r.ov, r.mgr, r.dir, r.svc = ov, w.Mgr, w.Dir, w.Svc
+	// Nothing is stored yet, so the hooks see every replication. The hook
+	// replaces the world's collusion tracker, which dst does not use.
 	r.mgr.DisableMigration = r.mut.SkipMigration
 	r.mgr.OnReplicate = func(key id.ID, addr simnet.Addr) {
 		if _, ok := r.anchorSeen[key]; !ok {
@@ -363,17 +366,12 @@ func (r *runner) build() error {
 			r.anchors = append(r.anchors, key)
 		}
 	}
-	r.dir = tha.NewDirectory(ov, r.mgr)
-	r.svc = core.NewService(ov, r.dir, r.root.Split("svc"))
 
 	r.limiter = core.NewRateLimiter(poolRebuildRate, poolRebuildBurst)
-	r.kernel = simnet.NewKernel()
+	r.kernel, r.net, r.eng = w.NewEngine(sc.Seed)
 	r.kernel.MaxSteps = 20_000_000
-	r.net = simnet.NewNetwork(r.kernel, simnet.DefaultLinkModel(sc.Seed), ov.NumAddrs())
-	r.eng = core.NewNetEngine(r.svc, r.net)
 	r.eng.DisableAckDedup = r.mut.DisableAckDedup
 	r.eng.StreamReorderBypass = r.mut.StreamReorderBypass
-	r.eng.StreamWindowBypass = r.mut.StreamWindowBypass
 	r.eng.OnStream = func(rs *core.RecvStream) {
 		if msg := r.flows[rs.ID()]; msg != nil {
 			// A message: its one payload must reach the application once.
@@ -732,6 +730,10 @@ func (r *runner) stream(c *client, ev Event) {
 	if cfg.Window < 1 {
 		cfg.Window = 2
 	}
+	rec := &streamRec{content: content, window: cfg.Window}
+	if r.mut.StreamWindowBypass {
+		cfg.Window *= 4
+	}
 	origin := c.in.Node().Ref().Addr
 	var s *core.Stream
 	if len(c.tunnels) > 0 {
@@ -741,7 +743,7 @@ func (r *runner) stream(c *client, ev Event) {
 	} else {
 		s = r.eng.OpenStream(origin, dest, simnet.NoAddr, cfg)
 	}
-	rec := &streamRec{s: s, content: content}
+	rec.s = s
 	r.streams[s.ID()] = rec
 	r.streamIDs = append(r.streamIDs, s.ID())
 	s.OnComplete = func(bool) { rec.completions++ }
