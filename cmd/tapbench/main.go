@@ -10,8 +10,9 @@
 //   - hot:     the steady-state hot paths (LayeredSeal/LayeredPeel, the
 //     TunnelPool probe cycle, the kernel schedule/run cycle, the
 //     windowed stream transfer, the obs counter/histogram increment
-//     paths that instrument all of them, and the deployed relay's
-//     peel-and-forward and responder's echo) — many timed samples,
+//     paths that instrument all of them, the deployed relay's
+//     peel-and-forward and responder's echo, and the deployed round trip
+//     they are part of) — many timed samples,
 //     minimum taken, so shared-VM scheduler noise does not masquerade
 //     as a regression (or an improvement);
 //   - micro:   the remaining micro-benchmarks — a few short samples;
@@ -80,7 +81,7 @@ type group struct {
 }
 
 var defaultGroups = []group{
-	{name: "hot", pattern: "^(BenchmarkLayeredSeal|BenchmarkLayeredPeel|BenchmarkPoolProbeCycle|BenchmarkKernelScheduleRun|BenchmarkStreamThroughput|BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkRelayForward|BenchmarkExitEcho)$", benchtime: "500ms", count: 10},
+	{name: "hot", pattern: "^(BenchmarkLayeredSeal|BenchmarkLayeredPeel|BenchmarkPoolProbeCycle|BenchmarkKernelScheduleRun|BenchmarkStreamThroughput|BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkRelayForward|BenchmarkExitEcho|BenchmarkRoundTripStream)$", benchtime: "500ms", count: 10},
 	{name: "micro", pattern: "^(BenchmarkSeal|BenchmarkOpen|BenchmarkSealer|BenchmarkNewSealer|BenchmarkTransportSendBulk|BenchmarkPastryRoute|BenchmarkLeafSetClosestTo|BenchmarkOverlayBuild|BenchmarkTunnelWalk|BenchmarkPastryJoinProtocol|BenchmarkReplicaMigration|BenchmarkSecureLookup)", benchtime: "200ms", count: 3},
 	{name: "figures", pattern: "^(BenchmarkFig|BenchmarkExt|BenchmarkAblation)", benchtime: "1x", count: 1},
 }

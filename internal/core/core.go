@@ -77,7 +77,7 @@ type Tunnel struct {
 func (t *Tunnel) hopSealer(i int) *crypt.Sealer {
 	h := &t.Hops[i].Anchor
 	if !h.HasSealerCache() {
-		*h = h.WithSealerCache()
+		*h = h.Rekeyed(tha.Anchor{})
 	}
 	return h.Sealer()
 }

@@ -306,3 +306,49 @@ func TestBuildForwardIntoWritesEveryByte(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildReplyIntoWritesEveryByte is TestBuildForwardIntoWritesEveryByte
+// for the reply tunnel: one rebuilt over used storage is BuildReply's from
+// a clone of the stream, byte for byte, laid out in that storage, and its
+// encoding appended to a used buffer is Encode's. Rebuilding and
+// re-encoding allocate nothing.
+func TestBuildReplyIntoWritesEveryByte(t *testing.T) {
+	s := rng.New(88)
+	bid := id.HashString("bid")
+	for _, l := range []int{1, 3, 8} {
+		tun := handTunnel(t, l, s)
+		hints := make([]simnet.Addr, l)
+		for i := range hints {
+			hints[i] = simnet.Addr(i + 1)
+		}
+		seed := s.Uint64()
+		want, err := BuildReply(tun, hints, bid, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := bytes.Repeat([]byte{0xAA}, len(want.Onion)+17)
+		got := ReplyTunnel{First: id.HashString("stale"), FirstHint: 99, Onion: dirty[:3]}
+		if err := BuildReplyInto(&got, dirty, tun, hints, bid, rng.New(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, *want) {
+			t.Fatalf("l=%d: the reply tunnel rebuilt in used storage differs from a fresh build", l)
+		}
+		if &got.Onion[0] != &dirty[0] {
+			t.Fatalf("l=%d: storage of sufficient capacity was not reused", l)
+		}
+		enc := bytes.Repeat([]byte{0xAA}, 5)
+		if appended := got.AppendEncode(enc); !bytes.Equal(appended[:5], enc[:5]) || !bytes.Equal(appended[5:], want.Encode()) {
+			t.Fatalf("l=%d: AppendEncode differs from Encode", l)
+		}
+		stream := rng.New(seed)
+		if n := testing.AllocsPerRun(20, func() {
+			if err := BuildReplyInto(&got, got.Onion, tun, hints, bid, stream); err != nil {
+				t.Fatal(err)
+			}
+			enc = got.AppendEncode(enc[:0])
+		}); n != 0 {
+			t.Errorf("l=%d: %.0f allocations to rebuild and re-encode a reply tunnel, want 0", l, n)
+		}
+	}
+}

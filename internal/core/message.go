@@ -293,7 +293,13 @@ type ReplyTunnel struct {
 
 // Encode serializes the reply tunnel for embedding in a forward payload.
 func (rt *ReplyTunnel) Encode() []byte {
-	w := wire.NewWriter(id.Size + 8 + len(rt.Onion) + 8)
+	return rt.AppendEncode(make([]byte, 0, id.Size+8+len(rt.Onion)+8))
+}
+
+// AppendEncode appends Encode's bytes to dst and returns the extended
+// slice, so a sender that re-encodes one reply tunnel keeps its storage.
+func (rt *ReplyTunnel) AppendEncode(dst []byte) []byte {
+	w := wire.NewWriterOn(dst)
 	w.ID(rt.First)
 	w.Int64(int64(rt.FirstHint))
 	w.Blob(rt.Onion)
@@ -333,17 +339,30 @@ const FakeOnionSize = id.Size + 8 + 2 + crypt.Overhead
 // the tail one naming bid, with no hint, ahead of the fake onion — whose
 // bytes are drawn before the tail nonce, the nested builder's stream order.
 func BuildReply(t *Tunnel, hints []simnet.Addr, bid id.ID, stream *rng.Stream) (*ReplyTunnel, error) {
+	rt := new(ReplyTunnel)
+	if err := BuildReplyInto(rt, nil, t, hints, bid, stream); err != nil {
+		return nil, err
+	}
+	return rt, nil
+}
+
+// BuildReplyInto is BuildReply into a reply tunnel the caller keeps: the
+// onion is laid out in dst's storage when its capacity suffices, so a
+// sender that rebuilds its reply tunnel over the last one's onion
+// allocates nothing. rt is written only on success.
+func BuildReplyInto(rt *ReplyTunnel, dst []byte, t *Tunnel, hints []simnet.Addr, bid id.ID, stream *rng.Stream) error {
 	var tail [id.Size + 8 + binary.MaxVarintLen64 + FakeOnionSize]byte
 	copy(tail[:], bid[:])
 	noHint := simnet.NoAddr
 	binary.BigEndian.PutUint64(tail[id.Size:], uint64(noHint))
 	n := id.Size + 8 + binary.PutUvarint(tail[id.Size+8:], FakeOnionSize)
 	stream.Bytes(tail[n : n+FakeOnionSize])
-	onion, err := seal(nil, t, hints, 0, tail[:n+FakeOnionSize], nil, stream)
+	onion, err := seal(dst, t, hints, 0, tail[:n+FakeOnionSize], nil, stream)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &ReplyTunnel{First: t.Hops[0].HopID, FirstHint: hintAt(hints, 0), Onion: onion}, nil
+	*rt = ReplyTunnel{First: t.Hops[0].HopID, FirstHint: hintAt(hints, 0), Onion: onion}
+	return nil
 }
 
 // OpenReplyLayerInPlace strips one reply-onion layer, yielding the next

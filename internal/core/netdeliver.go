@@ -159,12 +159,13 @@ type packet struct {
 	// packet it peeled on as the payload leg, so the field rides along.
 	lastFrom simnet.Addr
 
-	payloadSize int            // kindPayload
-	env         Envelope       // kindForward
-	renv        *ReplyEnvelope // kindReply
-	// onion is the full-capacity storage a stream seals env's onion into;
-	// it stays with the packet through the freelist. A peel leaves
-	// env.Sealed a sub-slice of it, so it is kept apart.
+	payloadSize int           // kindPayload
+	env         Envelope      // kindForward
+	renv        ReplyEnvelope // kindReply
+	// onion is the full-capacity storage a stream seals env's onion into,
+	// or SendReply copies renv's into; it stays with the packet through the
+	// freelist. A peel leaves the envelope's onion a sub-slice of it, so it
+	// is kept apart.
 	onion []byte
 
 	// Windowed-stream fields (stream.go). On kindStream: seq, fin, ackTo
@@ -268,7 +269,8 @@ func (h *nodeHandler) Deliver(from simnet.Addr, msg simnet.Message) {
 // packets of an already-finished flow are ignored rather than re-counted.
 // That read of the origin's table from the node where the packet ended is
 // the simulator's oracle, not protocol (DESIGN §8): Figure 6's transfer
-// times are measured with it.
+// times are measured with it. A reply flow's one packet then goes back to
+// the freelist SendReply took it from.
 func (e *NetEngine) finish(self simnet.Addr, p *packet, delivered bool, why string) {
 	if p.flow >= streamIDBase {
 		e.StreamSegsLost++
@@ -285,6 +287,9 @@ func (e *NetEngine) finish(self simnet.Addr, p *packet, delivered bool, why stri
 	}
 	if done != nil {
 		done(Outcome{Flow: p.flow, Delivered: delivered, At: e.net.Now(), NetHops: p.hops, FailedAt: why, Attempts: 1})
+	}
+	if p.kind == kindReply {
+		e.putPacket(p)
 	}
 }
 
@@ -415,7 +420,7 @@ func (e *NetEngine) process(self simnet.Addr, p *packet) {
 		e.forwardToward(self, p)
 
 	case kindReply:
-		renv := p.renv
+		renv := &p.renv
 		anchor, err := e.svc.anchorAt(self, renv.Target)
 		if err != nil {
 			// No anchor here: final delivery point (the initiator, when
@@ -543,9 +548,14 @@ func WireBytes(msg simnet.Message) [][]byte {
 
 // SendReply starts a reply-tunnel transfer from the responder's address.
 // Hops rewrite the onion and never the data, so the flow's private copy is
-// of the onion alone.
+// of the onion alone, made in the onion storage of a packet from the
+// freelist, to which finish returns it.
 func (e *NetEngine) SendReply(from simnet.Addr, renv *ReplyEnvelope, done func(Outcome)) uint64 {
-	own := *renv
-	own.Onion = append([]byte(nil), renv.Onion...)
-	return e.launch(from, &packet{kind: kindReply, target: renv.Target, renv: &own}, renv.Hint, done)
+	p := e.getPacket()
+	if cap(p.onion) < len(renv.Onion) {
+		p.onion = e.carve(len(renv.Onion))
+	}
+	p.kind, p.target, p.renv = kindReply, renv.Target, *renv
+	p.renv.Onion = append(p.onion[:0], renv.Onion...)
+	return e.launch(from, p, renv.Hint, done)
 }

@@ -307,6 +307,45 @@ func TestNetReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNetSendReplyWarmAllocatesNothing: a reply flow's packet, and the
+// private copy of its onion, come from the engine's freelist and arena and
+// go back when the flow ends, so on a warm engine a reply sent and run home
+// allocates nothing.
+func TestNetSendReplyWarmAllocatesNothing(t *testing.T) {
+	ns := newNetSys(t, 300, 3, 6)
+	in := ns.readyInitiator(t, "a", 20)
+	rep, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := BuildReply(rep, nil, in.NewBid(), ns.root.Split("r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	responder := ns.ov.RandomLive(ns.root.Split("resp")).Ref().Addr
+	renv := &ReplyEnvelope{Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: make([]byte, 64)}
+	delivered := 0
+	done := func(o Outcome) {
+		if o.Delivered {
+			delivered++
+		}
+	}
+	send := func() {
+		ns.eng.SendReply(responder, renv, done)
+		if err := ns.kernel.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // warm: the packet chunk, the arena block, the hops' key schedules
+	const runs = 100
+	if got := testing.AllocsPerRun(runs, send); got != 0 {
+		t.Errorf("%.1f allocations per reply on a warm engine, want 0", got)
+	}
+	if delivered != runs+2 {
+		t.Errorf("%d of %d replies delivered", delivered, runs+2)
+	}
+}
+
 func TestNetFlowFailsWhenAnchorLost(t *testing.T) {
 	ns := newNetSys(t, 300, 3, 7)
 	in := ns.readyInitiator(t, "a", 12)

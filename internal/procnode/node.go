@@ -4,7 +4,7 @@ import (
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/binary"
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -24,26 +24,28 @@ import (
 // full-membership index resolve exit destinations and reply tails
 // without a directory service.
 func NodeID(addr transport.Addr) id.ID {
-	return id.HashString(fmt.Sprintf("tapnode/%d", addr))
+	var b [len("tapnode/") + 20]byte // the prefix and any int64 in decimal
+	return id.Hash(strconv.AppendInt(append(b[:0], "tapnode/"...), int64(addr), 10))
 }
 
 // Node is one overlay member: an anchor store plus the relay logic for
 // forward envelopes, reply envelopes, and exit payloads. Handler state —
-// the anchor store, the responder's echo key schedule and scratch, the
-// exit's DataMsg — is touched only by deliveries and Schedule callbacks,
-// which the transport runs under its one dispatch lock (the seam's
-// serialization contract, the same discipline the simulated engines rely
-// on), so it needs no lock of its own; what a handler sends from it, send
-// encodes before returning or parks a copy of. Stream state — the send
-// window, its slots and timer, the request buffer, the nonce stream and the
+// the anchor store and its spare key schedule, the responder's echo key
+// schedule and scratch, the exit's DataMsg, the AnchorAck — is touched only
+// by deliveries and Schedule callbacks, which the transport runs under its
+// one dispatch lock (the seam's serialization contract, the same
+// discipline the simulated engines rely on), so it needs no lock of its
+// own; what a handler sends from it, send encodes before returning or parks
+// a copy of. Stream state — the send window, its slots and timer, the
+// tunnels a call builds, the request buffer, the nonce stream and the
 // anchor generator — belongs to the one RoundTripStream call streamMu
 // admits, and only its goroutine drives the window. The nonce stream
 // serves every call the node makes, and the hops and the responder see its
 // draws in the clear, so it must be unpredictable as well as non-repeating:
 // one who could predict it would link the node's calls over different
-// tunnels (newNonces). The membership
-// index, which SetPeers writes from the joining goroutine, carries its own
-// lock; handlers and the stream meet only on channels.
+// tunnels (newNonces). The membership index, which SetPeers writes from
+// the joining goroutine, carries its own lock; handlers and the stream meet
+// only on channels.
 type Node struct {
 	Addr transport.Addr
 	ID   id.ID
@@ -53,14 +55,16 @@ type Node struct {
 	m    *nodeMetrics
 
 	anchors map[id.ID]heldAnchor
+	spare   tha.Anchor // the last first-peeled record, its schedule in the one cell no held record has (peelAnchor)
 
 	// echoKey and echoSealer are the responder's one-entry key-schedule
 	// cache: the last request's K_I and its schedule (echoSealerFor).
 	echoKey    crypt.Key
-	echoSealer *crypt.Sealer
+	echoSealer crypt.Sealer
 	echoBuf    []byte             // where the responder seals each echo
 	echo       core.ReplyEnvelope // the envelope that carries it
 	exit       DataMsg            // the message an exit payload leaves in
+	ack        AnchorAck          // the message an install is acknowledged in
 
 	// byID is the full-membership node-ID index. Unlike anchors it is
 	// written off-loop (SetPeers runs on the joining goroutine), so it
@@ -143,7 +147,7 @@ func (n *Node) lookupID(target id.ID) (transport.Addr, bool) {
 // counted only as far as the retention rule needs.
 type heldAnchor struct {
 	tha.Anchor
-	peels uint8 // saturates at 2, the peel that starts caching the key schedule
+	peels uint8 // saturates at 2, the peel from which the record has a key schedule
 }
 
 // installAnchor stores a, first writer wins — the rule the simulator's
@@ -164,23 +168,34 @@ func (n *Node) installAnchor(a tha.Anchor) bool {
 }
 
 // peelAnchor returns the anchor to open one layer addressed to hopID
-// with. The first layer an anchor peels uses a throwaway key schedule and
-// the held copy starts caching one at the second: a tunnel that carries
-// one message (tunnel formation, a probe) then never pins the ~1.3 KiB of
-// AES-GCM state behind its ~80-byte record — nothing here evicts
-// anchors, so retaining at install would make the anchor flood the
-// paper's puzzle prices a 15-fold memory amplifier — while a stream pays
-// the derivation twice and never again.
+// with. A held record gets a key schedule only at its second peel: a
+// tunnel that carries one message (tunnel formation, a probe) then never
+// pins the ~1.3 KiB of AES-GCM state behind its ~80-byte record — nothing
+// here evicts anchors, so retaining at install would make the anchor flood
+// the paper's puzzle prices a 15-fold memory amplifier. The first peel
+// derives into the node's spare cell, re-keying it in place when it holds
+// another record's schedule, and the second adopts the spare, so a stream
+// derives each key once; only when another first peel re-keyed the spare
+// in between does the second derive again, into a cell of its own. A
+// relay thus retains one schedule beyond those of its held records.
 func (n *Node) peelAnchor(hopID id.ID) (tha.Anchor, bool) {
 	h, ok := n.anchors[hopID]
-	if ok && h.peels < 2 {
-		h.peels++
-		if h.peels == 2 {
-			h.Anchor = h.Anchor.WithSealerCache()
-		}
-		n.anchors[hopID] = h
+	if !ok || h.peels == 2 {
+		return h.Anchor, ok
 	}
-	return h.Anchor, ok
+	h.peels++
+	switch {
+	case h.peels == 1:
+		n.spare = h.Anchor.Rekeyed(n.spare)
+		n.anchors[hopID] = h
+		return n.spare, true
+	case n.spare.HasSealerCache() && n.spare.HopID == hopID:
+		h.Anchor, n.spare = n.spare, tha.Anchor{}
+	default:
+		h.Anchor = h.Anchor.Rekeyed(tha.Anchor{})
+	}
+	n.anchors[hopID] = h
+	return h.Anchor, true
 }
 
 // AnchorCount reports how many anchors this node currently holds. Only
@@ -201,7 +216,8 @@ func (n *Node) Deliver(from transport.Addr, msg transport.Message) {
 			return
 		}
 		n.m.anchorInstalls.Inc() // every acked install, so installs >= acks holds under retransmission
-		n.send(from, id.ID{}, &AnchorAck{HopID: m.Anchor.HopID}, 0)
+		n.ack = AnchorAck{HopID: m.Anchor.HopID}
+		n.send(from, id.ID{}, &n.ack, 0) // sent or parked as a copy
 	case *AnchorAck:
 		n.m.anchorAcks.Inc()
 		select {
@@ -397,16 +413,16 @@ func appendRequest(dst []byte, sid uint64, seq uint32, fin bool, key crypt.Key, 
 }
 
 // echoSealerFor returns key's schedule from the responder's cache, which
-// holds exactly one: a stream's requests all carry one key, so from a
-// stream's second chunk on nothing is derived. Any other key derives and
-// replaces the entry — two interleaved streams thrash it and stay correct
-// — so what a responder retains for all the initiators it ever serves is
-// bounded at one schedule.
+// holds exactly one, by value: a stream's requests all carry one key, so
+// from a stream's second chunk on nothing is derived. Any other key derives
+// and replaces the entry — two interleaved streams thrash it and stay
+// correct — so what a responder retains for all the initiators it ever
+// serves is bounded at one schedule. The zero Sealer is the empty cache.
 func (n *Node) echoSealerFor(key crypt.Key) *crypt.Sealer {
-	if n.echoSealer == nil || subtle.ConstantTimeCompare(n.echoKey[:], key[:]) != 1 {
-		n.echoKey, n.echoSealer = key, crypt.NewSealer(key)
+	if n.echoSealer == (crypt.Sealer{}) || subtle.ConstantTimeCompare(n.echoKey[:], key[:]) != 1 {
+		n.echoKey, n.echoSealer = key, crypt.MakeSealer(key)
 	}
-	return n.echoSealer
+	return &n.echoSealer
 }
 
 // handleExitPayload is the responder role: decode a stream request, seal

@@ -3,10 +3,13 @@ package procnode
 import (
 	"bytes"
 	"crypto/rand"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"tap/internal/core"
+	"tap/internal/id"
 	"tap/internal/obs"
 	"tap/internal/tha"
 	"tap/internal/transport"
@@ -17,14 +20,14 @@ import (
 // localhost TCP, all fully meshed through a shared peer table — the same
 // wiring the bulletin board performs for real processes. Every node has a
 // registry, so tests read its counters.
-func startOverlay(t *testing.T, n int) []*Node {
+func startOverlay(t testing.TB, n int) []*Node {
 	t.Helper()
 	return startOverlayOn(t, n, nil)
 }
 
 // startOverlayOn is startOverlay with the codec of chosen nodes replaced:
 // the seam the loss tests reach a node's inbound frames through.
-func startOverlayOn(t *testing.T, n int, codecs map[transport.Addr]tcptransport.Codec) []*Node {
+func startOverlayOn(t testing.TB, n int, codecs map[transport.Addr]tcptransport.Codec) []*Node {
 	t.Helper()
 	trs := make([]*tcptransport.Transport, n)
 	peers := make(map[transport.Addr]string, n)
@@ -56,6 +59,20 @@ func TestNodeIDDeterministic(t *testing.T) {
 	}
 	if NodeID(3) == NodeID(4) {
 		t.Fatal("NodeID collision across addresses")
+	}
+}
+
+// TestNodeIDMatchesItsFormattedForm: NodeID hashes the bytes it always
+// has — "tapnode/" and the address in decimal — without formatting them,
+// so every member computes the IDs it did, at any address.
+func TestNodeIDMatchesItsFormattedForm(t *testing.T) {
+	for _, a := range []transport.Addr{0, 1, 6, 255, 1 << 20, math.MaxInt, -7, math.MinInt, transport.NoAddr} {
+		if got, want := NodeID(a), id.HashString(fmt.Sprintf("tapnode/%d", a)); got != want {
+			t.Errorf("NodeID(%d) = %s, want %s", a, got.Short(), want.Short())
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { NodeID(1 << 40) }); got != 0 {
+		t.Errorf("%.0f allocations per NodeID, want 0", got)
 	}
 }
 

@@ -212,12 +212,149 @@ func TestRelayKeyScheduleOncePerAnchor(t *testing.T) {
 	}
 }
 
+// echoKey is a stream's K_I and the schedule that opens its echoes.
+type echoKey struct {
+	key    crypt.Key
+	sealer *crypt.Sealer
+}
+
+// oneHopAnchors mints k anchors as a relay installs them off the wire —
+// bare, with no key-schedule cell — and for each, n envelopes that open at
+// the anchor's one layer, an exit layer.
+func (r *relayRig) oneHopAnchors(t testing.TB, k, n int) ([]tha.Anchor, [][]*core.Envelope) {
+	t.Helper()
+	gen, err := tha.NewGenerator([]byte("one-hop owner"), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchors, envs := make([]tha.Anchor, k), make([][]*core.Envelope, k)
+	for i := range anchors {
+		sec, err := gen.Generate(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		anchors[i] = tha.Anchor{HopID: sec.HopID, Key: sec.Key, PWHash: sec.PWHash}
+		for j := 0; j < n; j++ {
+			env, err := core.BuildForward(&core.Tunnel{Hops: []tha.Secret{sec}}, nil, NodeID(sinkAddr), []byte("one layer"), r.strm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			envs[i] = append(envs[i], env)
+		}
+	}
+	return anchors, envs
+}
+
+// peel is the relay's hop step short of the send: find the anchor, open the
+// envelope's layer with it.
+func (r *relayRig) peel(t testing.TB, env *core.Envelope) {
+	a, ok := r.relay.peelAnchor(env.HopID)
+	if !ok {
+		t.Fatalf("no anchor for hop %s", env.HopID.Short())
+	}
+	if _, err := env.Peel(a); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRelayDerivesEachKeyOnce: an anchor's first peel derives its schedule
+// into the relay's spare cell and the second adopts that cell, so an anchor
+// peeled three times derives one schedule — the held record's from the
+// second peel on is the first peel's, neither moved nor re-derived.
+func TestRelayDerivesEachKeyOnce(t *testing.T) {
+	// One derivation, the AES cipher and the GCM, and the new spare cell
+	// the anchor's first peel takes, the last anchor's having been adopted.
+	// Deriving again, as a throwaway schedule at the first peel did, adds 2.
+	const maxAllocs = 3
+
+	const runs = 100
+	r := newRelayRig(t)
+	anchors, envs := r.oneHopAnchors(t, runs+2, 3)
+	for _, a := range anchors {
+		r.relay.installAnchor(a)
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		for _, env := range envs[next] {
+			r.peel(t, env)
+		}
+		next++
+	})
+	if got > maxAllocs {
+		t.Errorf("%.1f allocations for an anchor's three peels, want <= %d", got, maxAllocs)
+	}
+
+	hop := anchors[next].HopID
+	r.peel(t, envs[next][0])
+	if h := r.relay.anchors[hop]; h.HasSealerCache() || r.relay.spare.HopID != hop {
+		t.Fatal("the first peel did not derive into the spare alone")
+	}
+	cell := r.relay.spare.Sealer()
+	schedule := *cell
+	for peel := 2; peel <= 3; peel++ {
+		r.peel(t, envs[next][peel-1])
+		h := r.relay.anchors[hop]
+		if !h.HasSealerCache() || h.Sealer() != cell || *h.Sealer() != schedule {
+			t.Fatalf("peel %d: the held record does not peel with the schedule its first peel derived", peel)
+		}
+		if r.relay.spare.HasSealerCache() {
+			t.Fatalf("peel %d: the spare still holds a schedule its held record adopted", peel)
+		}
+	}
+
+	// Two anchors interleaved: the second's first peel re-keys the spare,
+	// so the first's second peel derives into a cell of its own and the
+	// second's adopts the spare. Every layer opens under its own key.
+	pair, pairEnvs := r.oneHopAnchors(t, 2, 3)
+	for _, a := range pair {
+		r.relay.installAnchor(a)
+	}
+	for i := 0; i < 3; i++ {
+		r.peel(t, pairEnvs[0][i])
+		r.peel(t, pairEnvs[1][i])
+	}
+	h0, h1 := r.relay.anchors[pair[0].HopID], r.relay.anchors[pair[1].HopID]
+	if !h0.HasSealerCache() || !h1.HasSealerCache() || h0.Sealer() == h1.Sealer() || r.relay.spare.HasSealerCache() {
+		t.Error("interleaved anchors do not each hold a schedule of their own, with the spare adopted")
+	}
+}
+
+// TestRelayRekeysItsSpare: anchors that each peel one message — tunnel
+// formation — leave every held record without a schedule, and the relay
+// with one beyond them: the spare, re-keyed in place at each first peel,
+// so a peel costs the derivation and nothing else.
+func TestRelayRekeysItsSpare(t *testing.T) {
+	// The AES cipher and the GCM, derived into the spare cell.
+	const maxAllocs = 2
+
+	const runs = 100
+	r := newRelayRig(t)
+	anchors, envs := r.oneHopAnchors(t, runs+2, 1)
+	for _, a := range anchors {
+		r.relay.installAnchor(a)
+	}
+	r.peel(t, envs[0][0]) // makes the spare cell
+	cell := r.relay.spare.Sealer()
+	next := 1
+	if got := testing.AllocsPerRun(runs, func() { r.peel(t, envs[next][0]); next++ }); got > maxAllocs {
+		t.Errorf("%.1f allocations per one-message anchor's peel, want <= %d", got, maxAllocs)
+	}
+	for i, a := range anchors {
+		if h := r.relay.anchors[a.HopID]; h.peels != 1 || h.HasSealerCache() {
+			t.Fatalf("anchor %d of %d, peeled once, holds a key schedule (peels %d)", i, len(anchors), h.peels)
+		}
+	}
+	if r.relay.spare.HopID != anchors[runs+1].HopID || r.relay.spare.Sealer() != cell {
+		t.Error("the spare is not the first cell, keyed to the last anchor peeled")
+	}
+}
+
 // exitRequest returns a stream request addressed to the rig's relay as
-// responder — the exit payload as the exit hop hands it over — and the
-// sealer that opens its echoes. The responder only reads a request, so one
-// can be delivered any number of times. The reply tunnel starts at the
-// sink, so each echo surfaces there as a ReplyEnvelope.
-func (r *relayRig) exitRequest(t testing.TB, seq uint32) (*DataMsg, *crypt.Sealer) {
+// responder — the exit payload as the exit hop hands it over — and the key
+// that opens its echoes. The responder only reads a request, so one can be
+// delivered any number of times. The reply tunnel starts at the sink, so
+// each echo surfaces there as a ReplyEnvelope.
+func (r *relayRig) exitRequest(t testing.TB, seq uint32) (*DataMsg, echoKey) {
 	t.Helper()
 	key, err := crypt.NewKey(rand.Reader)
 	if err != nil {
@@ -228,18 +365,18 @@ func (r *relayRig) exitRequest(t testing.TB, seq uint32) (*DataMsg, *crypt.Seale
 		t.Fatal(err)
 	}
 	req := appendRequest(nil, 9, seq, false, key, rt.Encode(), []byte("sixty-four bytes or so of stream chunk, give or take a few more"))
-	return &DataMsg{Dest: r.relay.ID, Payload: req}, crypt.NewSealer(key)
+	return &DataMsg{Dest: r.relay.ID, Payload: req}, echoKey{key, crypt.NewSealer(key)}
 }
 
 // echoAtSink returns the chunk number of the next echo at the sink, opened
-// with s.
-func (r *relayRig) echoAtSink(t testing.TB, s *crypt.Sealer) int {
+// under k.
+func (r *relayRig) echoAtSink(t testing.TB, k echoKey) int {
 	t.Helper()
 	env, ok := r.await(t).(*core.ReplyEnvelope)
 	if !ok {
 		t.Fatal("the responder sent something other than a reply envelope")
 	}
-	seq, _, ok := openEcho(s, 9, env.Data)
+	seq, _, ok := openEcho(k.sealer, 9, env.Data)
 	if !ok {
 		t.Fatal("the echo does not open under its request's key")
 	}
@@ -247,9 +384,11 @@ func (r *relayRig) echoAtSink(t testing.TB, s *crypt.Sealer) int {
 }
 
 // TestExitEchoKeyScheduleOncePerStream pins the responder's one-entry
-// cache: a stream's chunks all carry one key, and every chunk is answered
-// with the same *crypt.Sealer; another key takes the entry over, and
-// either way the echo opens under the key its request carried.
+// cache, which holds its schedule by value — two Sealers are equal exactly
+// when they share one derived AES-GCM state. A stream's chunks all carry
+// one key, and from the second on nothing is derived; a request under
+// another key derives and takes the entry over, and its echo opens under
+// that key alone; the first key again derives again.
 func TestExitEchoKeyScheduleOncePerStream(t *testing.T) {
 	// Responder bookkeeping per chunk: none — the reply tunnel is parsed
 	// where it lies, and the echo buffer and its envelope are the
@@ -257,6 +396,8 @@ func TestExitEchoKeyScheduleOncePerStream(t *testing.T) {
 	// buffer the envelope is encoded into and the decoder it is decoded by.
 	// Measured 2.
 	const maxEchoAllocs = 2
+	// What deriving a schedule by value costs: the AES cipher and the GCM.
+	const deriveAllocs = 2
 
 	const runs = 50
 	r := newRelayRig(t)
@@ -269,30 +410,57 @@ func TestExitEchoKeyScheduleOncePerStream(t *testing.T) {
 	}
 	cached := r.relay.echoSealer
 	delivered := 1
-	got := testing.AllocsPerRun(runs, func() { r.relay.Deliver(sinkAddr, first); delivered++ })
+	same := testing.AllocsPerRun(runs, func() { r.relay.Deliver(sinkAddr, first); delivered++ })
 	for i := 1; i < delivered; i++ {
 		r.echoAtSink(t, firstKey)
 	}
-	if got > maxEchoAllocs {
-		t.Errorf("%.1f allocations per echo from a stream's second chunk on, want <= %d", got, maxEchoAllocs)
+	if same > maxEchoAllocs {
+		t.Errorf("%.1f allocations per echo from a stream's second chunk on, want <= %d", same, maxEchoAllocs)
+	}
+	if got := testing.AllocsPerRun(runs, func() { r.relay.echoSealerFor(firstKey.key) }); got != 0 {
+		t.Errorf("%.0f allocations to look a stream's key up again, want 0: its schedule was derived anew", got)
 	}
 	if r.relay.echoSealer != cached {
 		t.Errorf("the cached schedule was replaced within one stream of %d chunks", delivered)
 	}
 
 	r.relay.Deliver(sinkAddr, other)
-	if got := r.echoAtSink(t, otherKey); got != 2 {
-		t.Fatalf("echo for chunk %d, want 2", got)
+	env, ok := r.await(t).(*core.ReplyEnvelope)
+	if !ok {
+		t.Fatal("the responder sent something other than a reply envelope")
 	}
-	if r.relay.echoSealer == cached {
+	if _, _, ok := openEcho(firstKey.sealer, 9, bytes.Clone(env.Data)); ok {
+		t.Error("the echo of a request under another key opens under the first key")
+	}
+	if seq, _, ok := openEcho(otherKey.sealer, 9, env.Data); !ok || seq != 2 {
+		t.Fatalf("the echo does not open under its request's key as chunk 2 (chunk %d, opened %v)", seq, ok)
+	}
+	if r.relay.echoSealer == cached || r.relay.echoKey != otherKey.key {
 		t.Error("a request under another key was answered from the first key's entry")
 	}
+	otherCached := r.relay.echoSealer
 	r.relay.Deliver(sinkAddr, first) // the first stream again, its entry gone
 	if got := r.echoAtSink(t, firstKey); got != 1 {
 		t.Fatalf("echo for chunk %d, want 1", got)
 	}
-	if got := r.relay.m.exitPayloads.Load(); got != uint64(delivered+2) {
-		t.Errorf("%d exit payloads handled, want %d", got, delivered+2)
+	if r.relay.echoSealer == cached || r.relay.echoSealer == otherCached {
+		t.Error("the first key's schedule was not derived again after another key took the entry")
+	}
+
+	// Counted: requests that alternate keys derive on every one.
+	reqs, keys := []*DataMsg{other, first}, []echoKey{otherKey, firstKey}
+	alternated := 0
+	alternating := testing.AllocsPerRun(runs, func() { r.relay.Deliver(sinkAddr, reqs[alternated%2]); alternated++ })
+	for i := 0; i < alternated; i++ {
+		if got, want := r.echoAtSink(t, keys[i%2]), 2-i%2; got != want {
+			t.Fatalf("echo for chunk %d, want %d", got, want)
+		}
+	}
+	if alternating < same+deriveAllocs {
+		t.Errorf("%.1f allocations per echo when the key alternates, %.1f when it stays: a new key is answered without deriving its schedule", alternating, same)
+	}
+	if got := r.relay.m.exitPayloads.Load(); got != uint64(delivered+2+alternated) {
+		t.Errorf("%d exit payloads handled, want %d", got, delivered+2+alternated)
 	}
 }
 
@@ -366,7 +534,7 @@ func TestExitRefusesWrongLengthEchoKey(t *testing.T) {
 		w.Blob(chunk)
 		r.relay.Deliver(sinkAddr, &DataMsg{Dest: r.relay.ID, Payload: w.Bytes()})
 		r.quiet(t)
-		if r.relay.echoSealer != nil {
+		if r.relay.echoSealer != (crypt.Sealer{}) {
 			t.Fatalf("a request with a %s key blob had a key schedule derived for it", name)
 		}
 	}

@@ -126,22 +126,24 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	}
 	defer in.timer.Stop()
 	stream := n.nonces
-	// One anchor per hop, the forward tunnel's then the reply tunnel's.
-	hops := append(append([]transport.Addr(nil), cfg.ForwardHops...), cfg.ReplyHops...)
-	secrets := make([]tha.Secret, len(hops))
-	for i := range secrets {
-		var err error
-		if secrets[i], err = n.gen.Generate(rand.Reader); err != nil {
+	// One anchor per hop, the forward tunnel's then the reply tunnel's, in
+	// the storage the last call's left, like the reply tunnel and its
+	// encoding.
+	in.hops = append(append(in.hops[:0], cfg.ForwardHops...), cfg.ReplyHops...)
+	in.secrets = in.secrets[:0]
+	for range in.hops {
+		sec, err := n.gen.Generate(rand.Reader)
+		if err != nil {
 			return nil, err
 		}
+		in.secrets = append(in.secrets, sec)
 	}
-	fwTunnel := &core.Tunnel{Hops: secrets[:len(cfg.ForwardHops)]}
-	rpTunnel := &core.Tunnel{Hops: secrets[len(cfg.ForwardHops):]}
-	rt, err := core.BuildReply(rpTunnel, cfg.ReplyHops, n.ID, stream)
-	if err != nil {
+	fwTunnel := &core.Tunnel{Hops: in.secrets[:len(cfg.ForwardHops)]}
+	rpTunnel := &core.Tunnel{Hops: in.secrets[len(cfg.ForwardHops):]}
+	if err := core.BuildReplyInto(&in.rt, in.rt.Onion, rpTunnel, cfg.ReplyHops, n.ID, stream); err != nil {
 		return nil, err
 	}
-	rtEnc := rt.Encode()
+	in.rtEnc = in.rt.AppendEncode(in.rtEnc[:0])
 	destID := NodeID(cfg.Dest)
 
 	var sidBuf [8]byte
@@ -152,11 +154,11 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 
 	// One echo key for the stream, its schedule derived here once; the
 	// responder derives it once more (handleExitPayload).
-	key, err := crypt.NewKey(rand.Reader)
-	if err != nil {
-		return nil, err
+	var key crypt.Key
+	if _, err := rand.Read(key[:]); err != nil {
+		return nil, fmt.Errorf("procnode: drawing the echo key: %w", err)
 	}
-	sealer := crypt.NewSealer(key)
+	sealer := crypt.MakeSealer(key)
 
 	nChunks := (len(payload) + cfg.ChunkSize - 1) / cfg.ChunkSize
 	if nChunks == 0 {
@@ -170,14 +172,14 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 	// for the first chunk, and no chunk is longer; BuildForwardInto only
 	// reads it, sealing it into the envelope of the request's window slot.
 	// Both are kept from call to call.
-	if need := requestOverhead + len(rtEnc) + len(chunkOf(0)); cap(n.req) < need {
+	if need := requestOverhead + len(in.rtEnc) + len(chunkOf(0)); cap(n.req) < need {
 		n.req = make([]byte, 0, need)
 	}
 	build := func(env *core.Envelope, seq int) error {
-		n.req = appendRequest(n.req[:0], sid, uint32(seq), seq == nChunks-1, key, rtEnc, chunkOf(seq))
+		n.req = appendRequest(n.req[:0], sid, uint32(seq), seq == nChunks-1, key, in.rtEnc, chunkOf(seq))
 		return core.BuildForwardInto(env, fwTunnel, cfg.ForwardHops, destID, n.req, stream)
 	}
-	installs := len(secrets)
+	installs := len(in.secrets)
 	total := installs + nChunks
 	// Build the first chunk's envelope, in its slot, before anything is
 	// sent: an envelope too large for a frame is dropped by the transport,
@@ -205,7 +207,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			seq, _ := w.Claim()
 			c := &in.slots[seq%streamWindow]
 			if next < installs {
-				c.dst, c.anchor = hops[next], AnchorMsg{Anchor: secrets[next].Anchor}
+				c.dst, c.anchor = in.hops[next], AnchorMsg{Anchor: in.secrets[next].Anchor}
 				c.msg = &c.anchor
 			} else {
 				if next > installs { // the first chunk's is built
@@ -221,8 +223,8 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 		case hop := <-n.acks:
 			// An ack this window does not wait for — an earlier call's, or a
 			// re-sent install's second — answers nothing.
-			for i := range secrets {
-				if secrets[i].HopID == hop {
+			for i := range in.secrets {
+				if in.secrets[i].HopID == hop {
 					w.Answer(uint64(i))
 					break
 				}
@@ -232,7 +234,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			// answer this window no longer waits for (the echo of a chunk
 			// that was also re-sent): ignored. Either way the buffer goes
 			// back for handleReply to copy a later reply into.
-			if seq, echo, ok := openEcho(sealer, sid, sealed); ok && w.Answer(uint64(installs+seq)) {
+			if seq, echo, ok := openEcho(&sealer, sid, sealed); ok && w.Answer(uint64(installs+seq)) {
 				chunk := chunkOf(seq)
 				if !bytes.Equal(echo, chunk) {
 					return nil, fmt.Errorf("procnode: chunk %d echo mismatch (%d vs %d bytes)", seq, len(echo), len(chunk))
@@ -251,7 +253,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			if in.fire(); in.tries > 0 {
 				if i := int(in.lost); i < installs {
 					return nil, fmt.Errorf("procnode: deploying anchor %s to node %d: no ack after %d attempts",
-						secrets[i].HopID.Short(), hops[i], in.tries)
+						in.secrets[i].HopID.Short(), in.hops[i], in.tries)
 				}
 				return nil, fmt.Errorf("procnode: chunk %d/%d lost after %d attempts", int(in.lost)-installs+1, nChunks, in.tries)
 			}
@@ -262,7 +264,8 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 
 // initiator is the owner and the clock of the send window a node's
 // RoundTripStream calls drive: the transport's time, and one timer the
-// calling goroutine waits on. It is kept from call to call.
+// calling goroutine waits on. It is kept from call to call, and so is
+// what each call builds its tunnels in.
 type initiator struct {
 	n     *Node
 	win   core.SendWindow[struct{}]
@@ -271,6 +274,11 @@ type initiator struct {
 	fire  func() // what the window last scheduled
 	lost  uint64 // the request that exhausted the retry budget after tries sends
 	tries int    // 0 while none has
+
+	hops    []transport.Addr // the call's hop nodes, the forward tunnel's then the reply tunnel's
+	secrets []tha.Secret     // their anchors, minted by the call
+	rt      core.ReplyTunnel // the reply tunnel, its onion sealed over the last call's
+	rtEnc   []byte           // its encoding, which every request carries
 }
 
 // inflight is one slot of the window: its request — an anchor install or

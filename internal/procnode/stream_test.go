@@ -96,7 +96,7 @@ func (f *frameTap) arrivals(nth int) []int {
 	return at
 }
 
-func streamPayload(t *testing.T, n int) []byte {
+func streamPayload(t testing.TB, n int) []byte {
 	t.Helper()
 	p := make([]byte, n)
 	if _, err := rand.Read(p); err != nil {
@@ -512,32 +512,10 @@ func TestStreamAllocsIndependentOfChunks(t *testing.T) {
 	cfg := lossStreamConfig(0)
 	cfg.ChunkSize = chunk
 	mallocs := func(chunks int) uint64 {
-		payload := streamPayload(t, chunks*chunk)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		echo, err := client.RoundTripStream(cfg, payload)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(echo, payload) {
-			t.Fatal("echo differs from payload")
-		}
-		return after.Mallocs - before.Mallocs
+		return roundTripMallocs(t, client, cfg, streamPayload(t, chunks*chunk))
 	}
-	for i := 0; i < 3; i++ {
-		mallocs(long) // warm: connections, window slots, free lists, write batches
-	}
-	// The least of three, each way: a stray allocation elsewhere in the
-	// process can only add.
-	least := func(chunks int) uint64 {
-		m := mallocs(chunks)
-		for i := 0; i < 2; i++ {
-			m = min(m, mallocs(chunks))
-		}
-		return m
-	}
-	few, many := least(short), least(long)
+	mallocs(long) // warm: connections, window slots, free lists, write batches
+	few, many := mallocs(short), mallocs(long)
 	t.Logf("%d allocations for a stream of %d chunks, %d for %d", few, short, many, long)
 	if perChunk := (float64(many) - float64(few)) / (long - short); perChunk >= 0.5 {
 		t.Errorf("%d allocations for %d chunks, %d for %d: %.1f per extra chunk, want < 0.5", many, long, few, short, perChunk)
@@ -774,5 +752,71 @@ func TestNonceStreamDrawsChaCha8(t *testing.T) {
 	}
 	if !bytes.Equal(got, want[:len(got)]) {
 		t.Fatalf("the nonce stream drew %x, want ChaCha8's %x", got, want[:len(got)])
+	}
+}
+
+// roundTripMallocs is what one RoundTripStream of payload costs the whole
+// overlay on the heap — every node is in this process, so MemStats.Mallocs
+// counts them all — the least of three calls, since a stray allocation
+// elsewhere in the process can only add.
+func roundTripMallocs(t testing.TB, client *Node, cfg StreamConfig, payload []byte) uint64 {
+	t.Helper()
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		echo, err := client.RoundTripStream(cfg, payload)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(echo, payload) {
+			t.Fatal("echo differs from payload")
+		}
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}
+
+// TestRoundTripAllocsPerCall pins what a warm overlay allocates for one
+// tcp_small-shaped call, 64 chunks of 64 B, over all seven nodes: twelve
+// key schedules — the five hops' and the echo key's at the initiator, each
+// relay's one for its anchor, the responder's for the echo key — at two
+// objects each, the five cells the relays' anchors adopt, and the echo
+// returned. Measured 30.
+func TestRoundTripAllocsPerCall(t *testing.T) {
+	const maxAllocs = 32
+
+	nodes := startOverlay(t, lossNodes)
+	client := nodes[lossClient]
+	cfg := lossStreamConfig(0)
+	payload := streamPayload(t, 64*cfg.ChunkSize)
+	roundTripMallocs(t, client, cfg, payload) // warm: connections, window slots, free lists, write batches
+	if got := roundTripMallocs(t, client, cfg, payload); got > maxAllocs {
+		t.Errorf("%d allocations per call, want <= %d", got, maxAllocs)
+	}
+}
+
+// BenchmarkRoundTripStream is the deployed round trip tapload's tcp_small
+// times — 64 chunks of 64 B through three forward and two reply hops to a
+// responder — on a warm in-process overlay over loopback TCP.
+func BenchmarkRoundTripStream(b *testing.B) {
+	nodes := startOverlay(b, lossNodes)
+	client := nodes[lossClient]
+	cfg := lossStreamConfig(0)
+	payload := streamPayload(b, 64*cfg.ChunkSize)
+	if _, err := client.RoundTripStream(cfg, payload); err != nil { // warm
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		echo, err := client.RoundTripStream(cfg, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(echo, payload) {
+			b.Fatal("echo differs from payload")
+		}
 	}
 }

@@ -39,8 +39,8 @@ type Anchor struct {
 	// once per message. Generate mints every secret with a cell, and
 	// Directory.Deploy keeps the cell it is given, so in the simulator an
 	// anchor's owner and its k holders share one schedule. An anchor
-	// decoded off a socket has none until its holder installs one with
-	// WithSealerCache, so a deployed relay never shares the owner's. The
+	// decoded off a socket has none until its holder gives it one
+	// (Rekeyed), so a deployed relay never shares the owner's. The
 	// schedule itself is derived lazily on first use: most deployed anchors
 	// never seal a message (availability and corruption experiments deploy
 	// hundreds of thousands), so a cell must not pay AES-GCM setup. It is
@@ -56,19 +56,24 @@ type sealerCell struct {
 	ready bool
 }
 
-// WithSealerCache returns a copy of the record carrying an empty
-// key-schedule cell: the first Sealer call on it, or on any copy of it,
-// derives the schedule and every later call reuses it. A holder that
-// expects an anchor to process many messages stores this copy; one that
-// does not keeps the bare record and its ~1.3 KiB of AES-GCM state
-// unallocated.
-func (a Anchor) WithSealerCache() Anchor {
-	a.sealer = &sealerCell{}
-	return a
-}
-
 // HasSealerCache reports whether the record carries a key-schedule cell.
 func (a Anchor) HasSealerCache() bool { return a.sealer != nil }
+
+// Rekeyed returns a copy of the record whose key schedule lives in spare's
+// cell, derived there now for this record's key; a spare without a cell —
+// the zero Anchor — gets a new one. A holder that expects an anchor to
+// process many messages stores such a copy; one that does not keeps the
+// bare record and its ~1.3 KiB of AES-GCM state unallocated. The cell is
+// rewritten in place, so whatever else refers to it peels under this key
+// from now on: the caller must be the cell's only holder, as a deployed
+// relay is of its one spare.
+func (a Anchor) Rekeyed(spare Anchor) Anchor {
+	if a.sealer = spare.sealer; a.sealer == nil {
+		a.sealer = new(sealerCell)
+	}
+	a.sealer.s, a.sealer.ready = crypt.MakeSealer(a.Key), true
+	return a
+}
 
 // Sealer returns the anchor's key schedule. On a record with a cell it is
 // derived on first use and cached; on a bare record — everything a node
@@ -250,7 +255,7 @@ func (d *Directory) Deploy(a Anchor, nonce uint64) error {
 	// came with, which Generate gave its owner, or a new one; the schedule
 	// is derived on the first message this anchor processes.
 	if a.sealer == nil {
-		a = a.WithSealerCache()
+		a.sealer = new(sealerCell)
 	}
 	if len(d.recs) == 0 {
 		d.recs = make([]Anchor, chunk)
