@@ -381,6 +381,24 @@ func BenchmarkOverlayBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldSetup is sim_stream's set-up sample: a 1000-node world
+// (overlay, PAST, simnet) and 64 deployed length-3 tunnels, each
+// initiator on a stream of its own. Every Monte-Carlo trial of the
+// figures pays this shape of cost before its first message.
+func BenchmarkWorldSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		root := rng.New(uint64(i) + 1)
+		w, err := experiments.BuildWorld(1000, 3, root.Split("world"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.DeployTunnels(w, 64, 3, root.Split("tunnels")); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkKernelScheduleRun measures the event kernel's steady-state
 // schedule+dispatch cycle: 256 events across a millisecond-to-seconds
 // delay spread (near ring and far heap both exercised), drained to

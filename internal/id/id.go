@@ -14,7 +14,7 @@
 package id
 
 import (
-	"bytes"
+	"cmp"
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
@@ -114,10 +114,17 @@ func (a ID) IsZero() bool {
 }
 
 // Cmp compares a and b as 160-bit unsigned integers, returning -1, 0, or 1.
+// It backs the overlay's index sort and every probe of its binary
+// searches, so it compares three words rather than calling bytes.Compare.
 func (a ID) Cmp(b ID) int {
-	// bytes.Compare lowers to an optimized memcmp; this backs every probe
-	// of the overlay's binary searches.
-	return bytes.Compare(a[:], b[:])
+	x, y := limbs(&a), limbs(&b)
+	if x.hi != y.hi {
+		return cmp.Compare(x.hi, y.hi)
+	}
+	if x.mid != y.mid {
+		return cmp.Compare(x.mid, y.mid)
+	}
+	return cmp.Compare(x.lo, y.lo)
 }
 
 // Less reports a < b in plain (non-ring) unsigned order.

@@ -1,6 +1,7 @@
 package id
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -70,6 +71,62 @@ func TestCmp(t *testing.T) {
 	if Zero.Cmp(Max) != -1 {
 		t.Fatalf("Zero should compare below Max")
 	}
+}
+
+// TestCmpMatchesBytesCompare holds the word-wise Cmp to the byte order
+// the overlay's index was sorted by before: random pairs, pairs that
+// differ in one byte (each position, both directions, including the bytes
+// that straddle a word boundary), equal ids and the extremes.
+func TestCmpMatchesBytesCompare(t *testing.T) {
+	check := func(a, b ID) {
+		t.Helper()
+		want := bytes.Compare(a[:], b[:])
+		if got := a.Cmp(b); got != want {
+			t.Fatalf("%s.Cmp(%s) = %d, bytes.Compare gives %d", a, b, got, want)
+		}
+		if got := a.Less(b); got != (want < 0) {
+			t.Fatalf("%s.Less(%s) = %v, Cmp gives %d", a, b, got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(40))
+	var ids []ID
+	for i := 0; i < 2000; i++ {
+		var a, b ID
+		r.Read(a[:])
+		r.Read(b[:])
+		check(a, b)
+		check(a, a)
+		ids = append(ids, a)
+	}
+	for _, base := range append(ids[:50], Zero, Max) {
+		for i := 0; i < Size; i++ {
+			for _, v := range []byte{0x00, 0x01, 0x7f, 0x80, 0xfe, 0xff} {
+				other := base
+				other[i] = v
+				check(base, other)
+				check(other, base)
+			}
+		}
+	}
+	for _, a := range []ID{Zero, Max} {
+		for _, b := range []ID{Zero, Max} {
+			check(a, b)
+		}
+	}
+}
+
+func BenchmarkCmp(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	ids := make([]ID, 1024)
+	for i := range ids {
+		r.Read(ids[i][:])
+	}
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += ids[i&1023].Cmp(ids[(i+1)&1023])
+	}
+	_ = n
 }
 
 func TestAddSubIdentities(t *testing.T) {

@@ -14,9 +14,10 @@ const (
 	nodeChunkMask  = nodeChunkSize - 1
 )
 
-// refSlabChunk is the number of NodeRefs carved per slab chunk (~1.8 MB).
-// Leaf sets and routing-table rows for a whole chunk's worth of nodes come
-// out of a handful of these instead of several slices per node.
+// refSlabChunk is the number of NodeRefs in a full slab chunk: 2 MiB, a
+// NodeRef being 32 bytes. Leaf sets and routing-table rows for a whole
+// chunk's worth of nodes come out of a handful of these instead of
+// several slices per node. A build's last chunk holds exactly the rest.
 const refSlabChunk = 1 << 16
 
 // nodeArena is the chunked node store.
@@ -75,24 +76,51 @@ type refSlab struct {
 	dirtyCur, dirtyOff int
 }
 
+// advance returns the position after carving an n-ref block at (cur,
+// off): a block that does not fit in the rest of chunk cur starts the
+// next chunk it fits in, and a chunk not made yet counts as a full one.
+// Oversize blocks (enormous LeafSize configs) get dedicated allocations
+// and are not recycled; they cannot occur at the parameters any
+// experiment runs.
+func (s *refSlab) advance(cur, off, n int) (int, int) {
+	if n > refSlabChunk {
+		return cur, off
+	}
+	for {
+		size := refSlabChunk
+		if cur < len(s.chunks) {
+			size = len(s.chunks[cur])
+		}
+		if off+n <= size {
+			return cur, off + n
+		}
+		cur, off = cur+1, 0
+	}
+}
+
+// reserve makes the chunks that carving up to position (cur, off) runs
+// into, found by advancing through every block a build will carve: full
+// chunks, then one of exactly off refs. The carves then allocate nothing,
+// and the build leaves no zeroed tail it never uses.
+func (s *refSlab) reserve(cur, off int) {
+	for len(s.chunks) < cur {
+		s.chunks = append(s.chunks, make([]NodeRef, refSlabChunk))
+	}
+	if len(s.chunks) == cur && off > 0 {
+		s.chunks = append(s.chunks, make([]NodeRef, off))
+	}
+}
+
 // grab returns a zeroed block of n NodeRefs with capacity exactly n.
 func (s *refSlab) grab(n int) []NodeRef {
 	if n > refSlabChunk {
-		// Oversize blocks (enormous LeafSize configs) get dedicated
-		// allocations and are not recycled; they cannot occur at the
-		// parameters any experiment runs.
 		return make([]NodeRef, n)
 	}
-	if s.cur < len(s.chunks) && s.off+n > refSlabChunk {
-		s.cur++
-		s.off = 0
-	}
+	s.cur, s.off = s.advance(s.cur, s.off, n)
 	if s.cur == len(s.chunks) {
 		s.chunks = append(s.chunks, make([]NodeRef, refSlabChunk))
-		s.off = 0
 	}
-	c := s.chunks[s.cur][s.off : s.off+n : s.off+n]
-	s.off += n
+	c := s.chunks[s.cur][s.off-n : s.off : s.off]
 	if s.cur < s.dirtyCur || (s.cur == s.dirtyCur && s.off-n < s.dirtyOff) {
 		clear(c)
 	}
@@ -124,6 +152,7 @@ type Scratch struct {
 	slab  refSlab
 	index []NodeRef
 	alive []uint64
+	rows  []uint8 // routing-table depth per index position, during a build
 }
 
 // NewScratch returns an empty scratch arena.

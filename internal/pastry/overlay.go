@@ -81,16 +81,37 @@ func BuildInto(mem *Scratch, cfg Config, n int, stream *rng.Stream) (*Overlay, e
 		index:    mem.index[:0],
 		buildDup: make(map[id.ID]struct{}, n),
 	}
+	// Draw every id first, in address order, so that the sorted index can
+	// size every node's storage before the slab carves any of it.
 	for i := 0; i < n; i++ {
 		nid := o.freshID()
 		o.buildDup[nid] = struct{}{}
-		node := o.newNode(nid)
-		o.index = append(o.index, node.ref)
+		o.index = append(o.index, NodeRef{ID: nid, Addr: simnet.Addr(i)})
 	}
 	o.buildDup = nil
 	slices.SortFunc(o.index, func(a, b NodeRef) int { return a.ID.Cmp(b.ID) })
+	mem.rows = o.tableRows(mem.rows[:0])
+
+	// Each node carves its two leaf-set sides and then its table, in
+	// index order; walk those blocks once to make exactly the chunks
+	// they need.
+	half, cols := cfg.LeafSize/2, 1<<cfg.B
+	cur, off := mem.slab.cur, mem.slab.off
+	for _, rows := range mem.rows {
+		cur, off = mem.slab.advance(cur, off, half)
+		cur, off = mem.slab.advance(cur, off, half)
+		cur, off = mem.slab.advance(cur, off, int(rows)*cols)
+	}
+	mem.slab.reserve(cur, off)
+
+	for i := 0; i < n; i++ {
+		mem.arena.next()
+	}
 	for p, r := range o.index {
-		o.recomputeLeafAt(o.nodeAt(r.Addr), p)
+		node := o.nodeAt(r.Addr)
+		o.initNode(node, r)
+		node.RT.Reserve(int(mem.rows[p]))
+		o.recomputeLeafAt(node, p)
 	}
 	o.fillAllTables()
 	mem.index = o.index
@@ -98,17 +119,22 @@ func BuildInto(mem *Scratch, cfg Config, n int, stream *rng.Stream) (*Overlay, e
 }
 
 // newNode appends a node to the arena with the next unused address and
-// marks it live. Leaf and routing-table storage come from the slab.
+// marks it live.
 func (o *Overlay) newNode(nid id.ID) *Node {
-	nd := o.mem.arena.next()
-	addr := simnet.Addr(o.mem.arena.n - 1)
-	nd.ref = NodeRef{ID: nid, Addr: addr}
-	nd.cfg = o.cfg
-	nd.ov = o
-	nd.Leaf.init(nid, o.cfg.LeafSize, &o.mem.slab)
-	nd.RT.init(nid, o.cfg.B, &o.mem.slab)
-	o.setAlive(addr)
-	return nd
+	node := o.mem.arena.next()
+	o.initNode(node, NodeRef{ID: nid, Addr: simnet.Addr(o.mem.arena.n - 1)})
+	return node
+}
+
+// initNode sets up the arena slot for ref and marks it live. Leaf and
+// routing-table storage come from the slab.
+func (o *Overlay) initNode(node *Node, ref NodeRef) {
+	node.ref = ref
+	node.cfg = o.cfg
+	node.ov = o
+	node.Leaf.init(ref.ID, o.cfg.LeafSize, &o.mem.slab)
+	node.RT.init(ref.ID, o.cfg.B, &o.mem.slab)
+	o.setAlive(ref.Addr)
 }
 
 // freshID draws a random identifier not already in use.
@@ -477,30 +503,21 @@ func (o *Overlay) pickBySlot(node *Node, members []NodeRef) NodeRef {
 	return best
 }
 
-// fillAllTables populates every live node's routing table in one
-// recursive sweep over the sorted index. The per-node fill
-// (fillRoutingTable) binary-searches the index for each row's prefix
-// block and each digit's sub-block — dozens of wide searches per node —
-// but those blocks are shared: every node whose id starts with the same
-// digits sees the same sub-block boundaries. Descending the implicit
-// digit trie of the sorted index computes each boundary exactly once,
-// turning bulk construction from O(N · rows · 2^b · log N) id
-// comparisons into O(trie nodes · 2^b) narrow searches. Results are
-// identical: each (node, row, digit) slot gets pickBySlot over the same
-// member window either way.
-func (o *Overlay) fillAllTables() {
+// tableRows appends, for each position of the sorted index, how many
+// rows that node's routing table needs. A table is as deep as the deepest
+// multi-member prefix block containing its node, and any such block also
+// contains one of the node's immediate ring neighbors — blocks are
+// contiguous runs of the sorted index. So depth is 1 + the longer of the
+// two adjacent common prefixes, and one linear pass sizes every table
+// exactly (a single slab carve per node, no grow-and-copy). A lone node
+// has no table.
+func (o *Overlay) tableRows(dst []uint8) []uint8 {
 	n := len(o.index)
 	if n < 2 {
-		return
+		return append(dst, make([]uint8, n)...)
 	}
 	digits := id.NumDigits(o.cfg.B)
-
-	// Sizing: a node's table is as deep as the deepest multi-member
-	// prefix block containing it, and any such block also contains one of
-	// the node's immediate ring neighbors — blocks are contiguous runs of
-	// the sorted index. So depth is 1 + the longer of the two adjacent
-	// common prefixes, and one linear pass reserves every table exactly
-	// (a single slab carve per node, no grow-and-copy).
+	dst = slices.Grow(dst, n)
 	lcpPrev := 0
 	for i := 0; i < n; i++ {
 		lcpNext := 0
@@ -511,14 +528,27 @@ func (o *Overlay) fillAllTables() {
 		if lcpNext >= lcpPrev {
 			rows = lcpNext + 1
 		}
-		if rows > digits {
-			rows = digits
-		}
-		o.nodeAt(o.index[i].Addr).RT.Reserve(rows)
+		dst = append(dst, uint8(min(rows, digits)))
 		lcpPrev = lcpNext
 	}
+	return dst
+}
 
-	o.fillBlock(0, 0, n, digits)
+// fillAllTables populates every live node's routing table in one
+// recursive sweep over the sorted index, into the rows tableRows sized.
+// The per-node fill (fillRoutingTable) binary-searches the index for each
+// row's prefix block and each digit's sub-block — dozens of wide searches
+// per node — but those blocks are shared: every node whose id starts with
+// the same digits sees the same sub-block boundaries. Descending the
+// implicit digit trie of the sorted index computes each boundary exactly
+// once, turning bulk construction from O(N · rows · 2^b · log N) id
+// comparisons into O(trie nodes · 2^b) narrow searches. Results are
+// identical: each (node, row, digit) slot gets pickBySlot over the same
+// member window either way.
+func (o *Overlay) fillAllTables() {
+	if n := len(o.index); n >= 2 {
+		o.fillBlock(0, 0, n, id.NumDigits(o.cfg.B))
+	}
 }
 
 // subBounds writes the boundaries of the 2^b digit sub-blocks of the

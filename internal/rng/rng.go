@@ -3,11 +3,11 @@
 //
 // Every experiment trial in this repository must be a pure function of
 // (seed, parameters): the paper's figures are Monte-Carlo estimates, and we
-// want each point to be re-runnable bit-for-bit. This package therefore
-// wraps math/rand behind named, splittable streams — a parent stream can
-// derive an independent child stream from a label, so concurrent trial
-// workers never share state and adding a new consumer of randomness does
-// not perturb existing ones.
+// want each point to be re-runnable bit-for-bit. A stream is math/rand's
+// Rand over math/rand's generator, seeded here (see source), and streams
+// are named and splittable: a parent stream can derive an independent
+// child stream from a label, so concurrent trial workers never share state
+// and adding a new consumer of randomness does not perturb existing ones.
 //
 // Nothing in the library may call the global math/rand functions or read
 // wall-clock time; all randomness flows from a *Stream.
@@ -25,14 +25,16 @@ import (
 type Stream struct {
 	*rand.Rand
 	seed uint64
+	src  source
 }
 
-// New returns a Stream rooted at seed.
+// New returns a Stream rooted at seed. Its draws are those of
+// rand.New(rand.NewSource(int64(seed))).
 func New(seed uint64) *Stream {
-	return &Stream{
-		Rand: rand.New(rand.NewSource(int64(seed))),
-		seed: seed,
-	}
+	s := &Stream{seed: seed}
+	s.src.Seed(int64(seed))
+	s.Rand = rand.New(&s.src)
+	return s
 }
 
 // Seed returns the seed this stream was rooted at.

@@ -1,6 +1,9 @@
 package rng
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -156,5 +159,101 @@ func TestBoolProbability(t *testing.T) {
 	p := float64(hits) / trials
 	if p < 0.28 || p > 0.32 {
 		t.Fatalf("Bool(0.3) hit rate %.3f", p)
+	}
+}
+
+// matchSeeds returns the seeds TestStreamsMatchMathRand checks: the edges
+// of math/rand's seed reduction (0, ±1, multiples of 2³¹−1 and their
+// neighbours, the int64 extremes, the value 0 is replaced by), small
+// seeds, and a spread of full-width ones.
+func matchSeeds() []int64 {
+	const m = 1<<31 - 1
+	seeds := []int64{0, 1, -1, 89482311, -89482311, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+	for k := int64(1); k <= 8; k++ {
+		for _, d := range []int64{-1, 0, 1} {
+			seeds = append(seeds, k*m+d, -k*m+d)
+		}
+	}
+	for _, k := range []int64{math.MaxInt64 / m, math.MinInt64 / m} {
+		seeds = append(seeds, k*m, k*m-1, k*m+1)
+	}
+	for s := int64(2); s < 1000; s++ {
+		seeds = append(seeds, s)
+	}
+	// splitmix64 spreads the rest over the whole int64 range.
+	x := uint64(0x9e3779b97f4a7c15)
+	for len(seeds) < 3013 {
+		x += 0x9e3779b97f4a7c15
+		z := x
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		seeds = append(seeds, int64(z^z>>31))
+	}
+	return seeds
+}
+
+// TestStreamsMatchMathRand pins the generator to math/rand's: every
+// figure and golden in the repository was drawn from rand.NewSource, so a
+// stream must give its draws exactly, from every seed.
+func TestStreamsMatchMathRand(t *testing.T) {
+	const draws = 2000
+	for _, seed := range matchSeeds() {
+		got, want := New(uint64(seed)), rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < draws; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d: draw %d is %#x, math/rand gives %#x", seed, i, g, w)
+			}
+		}
+	}
+
+	// Every *rand.Rand method the repository calls, interleaved, so the
+	// Rand's own buffered state (Read) is exercised against the source.
+	for _, seed := range matchSeeds()[:200] {
+		got, want := New(uint64(seed)), rand.New(rand.NewSource(seed))
+		for round := 0; round < 20; round++ {
+			check := func(what string, g, w any) {
+				t.Helper()
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("seed %d round %d: %s gives %v, math/rand %v", seed, round, what, g, w)
+				}
+			}
+			check("Intn", got.Intn(230), want.Intn(230))
+			check("Intn(big)", got.Intn(1<<40+7), want.Intn(1<<40+7))
+			check("Int63n", got.Int63n(1e12+3), want.Int63n(1e12+3))
+			check("Int63", got.Int63(), want.Int63())
+			check("Int", got.Int(), want.Int())
+			check("Uint32", got.Uint32(), want.Uint32())
+			check("Float64", got.Float64(), want.Float64())
+			check("ExpFloat64", got.ExpFloat64(), want.ExpFloat64())
+			check("NormFloat64", got.NormFloat64(), want.NormFloat64())
+			check("Perm", got.Perm(13), want.Perm(13))
+			gs, ws := []int{0, 1, 2, 3, 4, 5, 6}, []int{0, 1, 2, 3, 4, 5, 6}
+			got.Shuffle(len(gs), func(i, j int) { gs[i], gs[j] = gs[j], gs[i] })
+			want.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+			check("Shuffle", gs, ws)
+			for _, n := range []int{1, 3, 7, 20, 33} {
+				gb, wb := make([]byte, n), make([]byte, n)
+				if round%2 == 0 {
+					got.Bytes(gb)
+				} else {
+					got.Read(gb)
+				}
+				want.Read(wb)
+				check("Read", gb, wb)
+			}
+		}
+	}
+
+	// A Stream, its Rand and nothing else: the source lives inside the
+	// Stream, where rand.NewSource would be a third object.
+	if a := testing.AllocsPerRun(100, func() { New(7) }); a > 2 {
+		t.Fatalf("New allocates %.0f objects, want at most 2", a)
+	}
+}
+
+func BenchmarkNewStream(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(uint64(i))
 	}
 }
