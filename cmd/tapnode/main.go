@@ -50,6 +50,10 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "host:port for /metrics and /debug/pprof (empty disables)")
 	linger := flag.Bool("linger", false, "client mode: after printing the result, wait for stdin EOF before exiting")
 	flag.Parse()
+	if err := checkSizes(*nbytes, *chunk, *fwHops, *rpHops); err != nil {
+		fmt.Fprintf(os.Stderr, "tapnode: %v\n", err)
+		os.Exit(2)
+	}
 
 	logf := func(string, ...any) {}
 	if *verbose {
@@ -126,6 +130,19 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+}
+
+// checkSizes refuses a negative payload size, chunk size or tunnel length
+// before the node registers: each would otherwise surface only in client
+// mode, as a runtime panic or as an error after the node had joined.
+func checkSizes(nbytes, chunk, fw, rp int) error {
+	names := []string{"bytes", "chunk", "fwhops", "rphops"}
+	for i, v := range []int{nbytes, chunk, fw, rp} {
+		if v < 0 {
+			return fmt.Errorf("-%s %d: must not be negative", names[i], v)
+		}
+	}
+	return nil
 }
 
 // runClient carves the membership into tunnel roles and round-trips an

@@ -55,20 +55,19 @@ type NetEngine struct {
 	// finished stream to the next (stream.go).
 	streamChunk []Stream
 	recvChunk   []RecvStream
-	sendRings   ringPool[windowSlot[[]byte]]
+	sendRings   ringPool[windowSlot]
 	recvRings   ringPool[*packet]
 	// OnStream, when non-nil, observes each incoming stream when its first
 	// segment arrives, so the application can install OnData/OnClose.
 	OnStream func(rs *RecvStream)
 
-	// Packet and segment-buffer freelists. The event loop is single-
-	// threaded, so plain slices suffice; in steady state a stream, direct or
-	// tunnel, allocates nothing (stream.go). Packets are made in chunks, and
-	// onion and segment storage is carved from arena, the engine's for its
-	// lifetime like the freelists themselves.
-	pktFree  []*packet
-	segPools map[int][][]byte
-	arena    []byte
+	// The packet freelist. The event loop is single-threaded, so a plain
+	// slice suffices; in steady state a stream, direct or tunnel, allocates
+	// nothing (stream.go). Packets are made in chunks, and onion storage is
+	// carved from arena, the engine's for its lifetime like the freelist
+	// itself.
+	pktFree []*packet
+	arena   []byte
 	// segScratch is where a tunnel stream frames a segment for sealing:
 	// BuildForward only reads its payload, so one buffer serves every
 	// (re)transmission of every stream.
@@ -213,8 +212,7 @@ func NewNetEngine(svc *Service, net transport.Transport) *NetEngine {
 		sendStreams:   make(map[uint64]*Stream),
 		recvStreams:   make(map[uint64]*RecvStream),
 		closedStreams: make(map[uint64]closedStreamRec),
-		segPools:      make(map[int][][]byte),
-		sendRings:     make(ringPool[windowSlot[[]byte]]),
+		sendRings:     make(ringPool[windowSlot]),
 		recvRings:     make(ringPool[*packet]),
 	}
 	// One handler array for every live node: a world's worth of handlers is

@@ -591,10 +591,10 @@ func TestNewNetEngineAllocsIndependentOfN(t *testing.T) {
 }
 
 // TestEngineStorageGrowsInChunks: a tunnel stream putting N segments in
-// flight at once takes N packets, N onions and N segment buffers the
-// engine has never held, and the engine makes them a chunk at a time —
-// packets in arrays, onion and segment storage carved from its arena — so
-// the burst costs about N/chunk allocations, not 3N.
+// flight at once takes N packets and N onions the engine has never held,
+// and the engine makes them a chunk at a time — packets in arrays, onion
+// storage carved from its arena — so the burst costs about N/chunk
+// allocations, not 2N.
 func TestEngineStorageGrowsInChunks(t *testing.T) {
 	const n = 512
 	ns := newNetSys(t, 100, 3, 44)
@@ -615,12 +615,12 @@ func TestEngineStorageGrowsInChunks(t *testing.T) {
 	allocs := testing.AllocsPerRun(2, func() {
 		s := ns.eng.OpenTunnelStream(origin, tun, dest, cfg)
 		s.WriteAll(data)
-		if len(s.unwritten) != 0 {
-			t.Fatalf("window took %d of %d bytes", len(data)-len(s.unwritten), len(data))
+		if s.sndNxt != n {
+			t.Fatalf("window took %d of %d segments", s.sndNxt, n)
 		}
 	})
 	t.Logf("%d segments put in flight: %.0f allocations", n, allocs)
 	if allocs > n/8 {
-		t.Fatalf("%d segments put in flight make %.0f allocations, want ≤ %d: packet, onion or segment storage grows one object at a time", n, allocs, n/8)
+		t.Fatalf("%d segments put in flight make %.0f allocations, want ≤ %d: packet or onion storage grows one object at a time", n, allocs, n/8)
 	}
 }

@@ -46,6 +46,9 @@ type TunnelPool struct {
 	limiter *RateLimiter
 	stream  *rng.Stream
 	slots   []*poolSlot
+	// nonce is every probe's payload, drawn afresh for each: a probe is
+	// sent once and sealed as it is sent, so nothing reads it after.
+	nonce [16]byte
 
 	started  bool
 	stopped  bool
@@ -73,14 +76,6 @@ type PoolConfig struct {
 	// pools to cap the aggregate rebuild rate. Nil gets a private
 	// limiter (0.2/s sustained, burst Size).
 	Limiter *RateLimiter
-
-	// DisableRebuild and BypassAdmission are fault-injection seams in
-	// the spirit of Service.HopFilter, planted by the simulation checker
-	// to prove the pool invariants fire: the first stalls every rebuild
-	// (dead slots stay empty), the second skips the backoff and the rate
-	// limiter (rebuild storms). Never set them otherwise.
-	DisableRebuild  bool
-	BypassAdmission bool
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -310,10 +305,9 @@ func (p *TunnelPool) probeSlot(s *poolSlot) {
 // owned by the initiator's own node, so delivery loops the full tunnel and
 // comes home — the same §4 mechanism reply tunnels use.
 func (p *TunnelPool) probeTunnel(t *Tunnel, cb func(ok bool)) {
-	var nonce [16]byte
-	p.stream.Bytes(nonce[:])
+	p.stream.Bytes(p.nonce[:])
 	sent := p.now()
-	p.eng.sendMessage(p.in.node.Ref().Addr, t, p.in.NewBid(), nonce[:], probeAttempts, probeTimeout, func(o Outcome) {
+	p.eng.sendMessage(p.in.node.Ref().Addr, t, p.in.NewBid(), p.nonce[:], probeAttempts, probeTimeout, func(o Outcome) {
 		if !o.Delivered && o.At-sent >= probeTimeout {
 			p.Stats.ProbeTimeouts++
 		}
@@ -467,34 +461,22 @@ func (p *TunnelPool) noteRebuildFailure(s *poolSlot) {
 }
 
 // tryRebuild fills empty slots: at most one admitted rebuild per tick,
-// gated by the slot's backoff and the global rate limiter. The
-// BypassAdmission seam skips all three gates — the planted bug the
-// rebuild-rate invariant exists to catch.
+// gated by the slot's backoff and the global rate limiter.
 func (p *TunnelPool) tryRebuild() {
-	if p.cfg.DisableRebuild {
-		return
-	}
 	now := p.now()
 	for _, s := range p.slots {
-		if s.health != slotEmpty {
+		if s.health != slotEmpty || now < s.nextRebuildAt {
 			continue
 		}
-		if !p.cfg.BypassAdmission {
-			if now < s.nextRebuildAt {
-				continue
-			}
-			if !p.limiter.Allow(now) {
-				p.Stats.RebuildsDenied++
-				// Bucket empty: retry when tokens have refilled; no other
-				// slot can be admitted this tick either.
-				s.nextRebuildAt = now + probeInterval
-				return
-			}
-		}
-		p.rebuild(s)
-		if !p.cfg.BypassAdmission {
+		if !p.limiter.Allow(now) {
+			p.Stats.RebuildsDenied++
+			// Bucket empty: retry when tokens have refilled; no other
+			// slot can be admitted this tick either.
+			s.nextRebuildAt = now + probeInterval
 			return
 		}
+		p.rebuild(s)
+		return
 	}
 }
 
@@ -588,7 +570,8 @@ func (p *TunnelPool) updateState() {
 // with sendAttempts transmissions. It returns ErrPoolDegraded immediately
 // when no tunnel is usable — the graceful-degradation contract: a
 // partitioned initiator learns in O(1), not after a retransmit schedule.
-// done (optional) receives the final outcome.
+// done (optional) receives the final outcome. Every try reads payload, so
+// it must not change until done fires.
 func (p *TunnelPool) Send(dest id.ID, payload []byte, done func(Outcome)) error {
 	if p.stopped {
 		return ErrPoolStopped

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -471,5 +472,19 @@ func TestRateLimiterBucket(t *testing.T) {
 	}
 	if b := rl.Bound(10 * time.Second); b != 2+5 {
 		t.Fatalf("Bound = %v, want 7", b)
+	}
+}
+
+// TestRateLimiterExtremes: an unbounded limiter admits every call, however
+// many come at one instant, and a (0, 0) limiter admits none.
+func TestRateLimiterExtremes(t *testing.T) {
+	open, closed := NewRateLimiter(math.Inf(1), math.Inf(1)), NewRateLimiter(0, 0)
+	for _, at := range []simnet.Time{0, 0, 0, time.Second, time.Second, time.Hour} {
+		if !open.Allow(at) {
+			t.Fatalf("an unbounded limiter denied a call at %v after %d admissions", at, open.Admitted)
+		}
+		if closed.Allow(at) {
+			t.Fatalf("a (0, 0) limiter admitted a call at %v", at)
+		}
 	}
 }

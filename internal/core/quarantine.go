@@ -150,18 +150,19 @@ func NewRateLimiter(rate, burst float64) *RateLimiter {
 }
 
 // Allow consumes one token if available. now must be monotone across
-// calls (the simulated clock is).
+// calls (the simulated clock is). The bucket refills only when time has
+// advanced: an unbounded Rate times no time at all would be NaN, and a
+// bucket of NaN tokens admits nothing ever after.
 func (rl *RateLimiter) Allow(now simnet.Time) bool {
 	if !rl.primed {
 		rl.tokens = rl.Burst
 		rl.last = now
 		rl.primed = true
 	}
-	rl.tokens += rl.Rate * (now - rl.last).Seconds()
-	if rl.tokens > rl.Burst {
-		rl.tokens = rl.Burst
+	if now > rl.last {
+		rl.tokens = min(rl.tokens+rl.Rate*(now-rl.last).Seconds(), rl.Burst)
+		rl.last = now
 	}
-	rl.last = now
 	if rl.tokens >= 1 {
 		rl.tokens--
 		rl.Admitted++

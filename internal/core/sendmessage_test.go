@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -118,27 +119,52 @@ func TestMessageOutcomeFiresOnce(t *testing.T) {
 	}
 }
 
-// TestMessageBuffersAreSizeClassed: a message's segment buffer comes from a
-// size class — the default segment size, doubled until the payload fits — so
-// messages of many distinct sizes leave a bounded set of buffer pools behind.
-func TestMessageBuffersAreSizeClassed(t *testing.T) {
-	ns := newNetSys(t, 150, 3, 35)
-	from := ns.ov.RandomLive(ns.root.Split("src"))
-	for size := 1; size <= 4000; size += 37 {
-		var dest id.ID
-		ns.root.Bytes(dest[:])
-		ns.eng.SendMessage(from.Ref().Addr, nil, dest, make([]byte, size), 3, nil)
-	}
-	if err := ns.kernel.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for size := range ns.eng.segPools {
-		if size != 1024 && size != 2048 && size != 4096 {
-			t.Fatalf("a %d-byte buffer pool: message buffers are not size-classed", size)
-		}
-	}
-	if len(ns.eng.segPools) == 0 {
-		t.Fatal("no message buffer came back to a pool")
+// TestMessageArrivesWholeAtAnySize: a message is one segment however long
+// its payload — from a byte to about four default segment sizes — and
+// arrives once, in one OnData call, with its bytes, over the overt path and
+// over a tunnel alike.
+func TestMessageArrivesWholeAtAnySize(t *testing.T) {
+	for _, mode := range []string{"overt", "tunnel"} {
+		t.Run(mode, func(t *testing.T) {
+			ns := newNetSys(t, 150, 3, 35)
+			in := ns.readyInitiator(t, "a", 12)
+			var tun *Tunnel
+			if mode == "tunnel" {
+				var err error
+				if tun, err = in.FormTunnel(3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := make(map[uint64][][]byte)
+			ns.eng.OnStream = func(rs *RecvStream) {
+				rs.OnData = func(_ uint64, b []byte) { got[rs.ID()] = append(got[rs.ID()], bytes.Clone(b)) }
+			}
+			sent := make(map[uint64][]byte)
+			delivered := 0
+			for size := 1; size <= 4000; size += 37 {
+				var dest id.ID
+				ns.root.Bytes(dest[:])
+				payload := make([]byte, size)
+				ns.root.Bytes(payload)
+				sid := ns.eng.SendMessage(in.Node().Ref().Addr, tun, dest, payload, 3, func(o Outcome) {
+					if o.Delivered {
+						delivered++
+					}
+				})
+				sent[sid] = payload
+			}
+			if err := ns.kernel.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if delivered != len(sent) {
+				t.Fatalf("%d of %d messages delivered", delivered, len(sent))
+			}
+			for sid, payload := range sent {
+				if calls := got[sid]; len(calls) != 1 || !bytes.Equal(calls[0], payload) {
+					t.Fatalf("a %d-byte message arrived in %d OnData calls, or with other bytes", len(payload), len(calls))
+				}
+			}
+		})
 	}
 }
 

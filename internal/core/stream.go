@@ -30,10 +30,10 @@ import (
 // address.
 //
 // A stream's hot path is zero-allocation in steady state, in either mode:
-// window slots are ring buffers with pooled payload storage, packets come
-// from a freelist with their ACK ranges inline, and the retransmit timer
-// re-arms a single preallocated closure through the kernel's slot arena
-// (TestStreamSteadyStateZeroAlloc). A tunnel stream seals each transmission
+// a segment is a window into the content the stream was handed, window
+// slots are a ring, packets come from a freelist with their ACK ranges
+// inline, and the retransmit timer re-arms a single preallocated closure
+// through the kernel's slot arena (TestStreamSteadyStateZeroAlloc). A tunnel stream seals each transmission
 // into the onion storage of the packet that carries it; every hop peels
 // that onion where it lies, and the packet, storage and all, returns to the
 // freelist at the receiver (TestStreamTunnelSteadyStateAllocBudget). The
@@ -93,10 +93,11 @@ const (
 // Stream is the sender side of one windowed stream. Open with
 // NetEngine.OpenStream (direct mode) or OpenTunnelStream (segments sealed
 // over a forward tunnel), then hand it its content with WriteAll. A Stream
-// belongs to the simulation's event loop goroutine. Its window's slots hold
-// each segment's payload, in pooled storage (nil for the bare FIN).
+// belongs to the simulation's event loop goroutine. It keeps the content it
+// was handed, and every copy of segment seq it sends is read from there
+// (segment).
 type Stream struct {
-	SendWindow[[]byte]
+	SendWindow
 
 	eng    *NetEngine
 	id     uint64
@@ -110,12 +111,11 @@ type Stream struct {
 	// stream starts from and feeds its backoff memory.
 	tun *Tunnel
 
+	// content is what the stream sends; finSeq, the number of its last
+	// segment, is fixed with it.
+	content []byte
 	finSeq  uint64
-	finSet  bool
 	failWhy string
-
-	// unwritten is what WriteAll has yet to get into the window.
-	unwritten []byte
 
 	// OnComplete fires once: true when every segment including the FIN is
 	// acknowledged, false when the stream failed.
@@ -154,7 +154,8 @@ func (e *NetEngine) OpenTunnelStream(origin simnet.Addr, tun *Tunnel, dest id.ID
 // re-ACKs any duplicate, and each timeout retransmits it into the recovered
 // tunnel — re-sealed, re-resolving every hop — up to attempts transmissions
 // in all. done (optional) fires once: Delivered when the ACK came home,
-// Attempts = 1 + retransmits, FailedAt the stream's failure reason.
+// Attempts = 1 + retransmits, FailedAt the stream's failure reason. Every
+// transmission reads payload, so it must not change until done fires.
 func (e *NetEngine) SendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, payload []byte, attempts int, done func(Outcome)) uint64 {
 	return e.sendMessage(origin, tun, dest, payload, attempts, 0, done)
 }
@@ -164,14 +165,8 @@ func (e *NetEngine) SendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, pay
 // one-transmission message fails exactly rto after it was sent — the pool's
 // probe deadline.
 func (e *NetEngine) sendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, payload []byte, attempts int, rto simnet.Time, done func(Outcome)) uint64 {
-	// The segment buffer comes from a size class — the default segment size,
-	// doubled until the payload fits — so messages of many distinct sizes
-	// cannot grow the engine's buffer pools without bound.
-	cfg := StreamConfig{Window: 1}.withDefaults()
-	for cfg.SegSize < len(payload) {
-		cfg.SegSize *= 2
-	}
-	s := e.openStream(origin, dest, simnet.NoAddr, tun, cfg)
+	// One segment, the FIN, numbered 0, carries the whole payload.
+	s := e.openStream(origin, dest, simnet.NoAddr, tun, StreamConfig{Window: 1, SegSize: len(payload)})
 	s.maxRetries = attempts - 1
 	if rto > 0 {
 		s.rto = rto
@@ -181,7 +176,8 @@ func (e *NetEngine) sendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, pay
 			done(Outcome{Flow: s.id, Delivered: ok, At: e.net.Now(), Attempts: 1 + int(s.SegsRetx), FailedAt: s.failWhy})
 		}
 	}
-	s.push(payload, true)
+	s.content = payload
+	s.fill()
 	return s.id
 }
 
@@ -228,47 +224,37 @@ func (s *Stream) Failed() (bool, string) { return s.failed, s.failWhy }
 func (s *Stream) MaxInflightSegs() int { return s.maxInflight }
 
 // WriteAll sends content through the window — what fits now, the rest as
-// acknowledgments free space — and the FIN right after its last byte.
-// content must stay unchanged until it is all in the window.
+// acknowledgments free space — and an empty FIN right after its last byte.
+// Every transmission reads content, so it must not change until the stream
+// completes or fails.
 func (s *Stream) WriteAll(content []byte) {
-	s.unwritten = content
+	s.content = content
+	s.finSeq = uint64((len(content) + s.cfg.SegSize - 1) / s.cfg.SegSize)
 	s.fill()
 }
 
-// fill cuts unwritten content into segments while the window has room, then
-// sends the FIN. A finished or failed stream has lent its ring away, so
-// HasRoom stops it.
+// fill claims and transmits segments up to the FIN while the window has
+// room. A finished or failed stream has lent its ring away, so HasRoom
+// stops it.
 func (s *Stream) fill() {
-	for len(s.unwritten) > 0 && s.HasRoom() {
-		n := min(len(s.unwritten), s.cfg.SegSize)
-		s.push(s.unwritten[:n], false)
-		s.unwritten = s.unwritten[n:]
-	}
-	if len(s.unwritten) == 0 && !s.finSet && s.HasRoom() {
-		s.push(nil, true)
+	for s.sndNxt <= s.finSeq && s.HasRoom() {
+		s.Transmit(s.Claim())
 	}
 }
 
-// push assigns the next sequence number to a segment carrying data (nil for
-// the bare FIN), marks it the stream's last when fin is set, and transmits
-// it.
-func (s *Stream) push(data []byte, fin bool) {
-	seq, buf := s.Claim()
-	if data != nil {
-		*buf = s.eng.getSegBuf(s.cfg.SegSize)
-		*buf = (*buf)[:copy(*buf, data)]
-	}
-	if fin {
-		s.finSet, s.finSeq = true, seq
-	}
-	s.Transmit(seq)
+// segment returns the payload of segment seq: the content's SegSize bytes
+// from seq·SegSize on, fewer at its end, none past it.
+func (s *Stream) segment(seq uint64) []byte {
+	lo := min(int(seq)*s.cfg.SegSize, len(s.content))
+	return s.content[lo:min(lo+s.cfg.SegSize, len(s.content))]
 }
 
 // Send puts one copy of segment seq on the wire in the stream's transport
 // mode (WindowOwner).
-func (s *Stream) Send(seq uint64, data *[]byte, rtx int) {
+func (s *Stream) Send(seq uint64, rtx int) {
 	e := s.eng
-	fin := s.finSet && seq == s.finSeq
+	fin := seq == s.finSeq
+	data := s.segment(seq)
 	if rtx == 0 {
 		e.StreamSegsSent++
 	} else {
@@ -282,7 +268,7 @@ func (s *Stream) Send(seq uint64, data *[]byte, rtx int) {
 		p.target = s.dest
 		p.seq = seq
 		p.fin = fin
-		p.data = *data
+		p.data = data
 		p.ackTo = s.origin
 		e.dispatch(s.origin, p, s.destHint)
 		return
@@ -293,7 +279,7 @@ func (s *Stream) Send(seq uint64, data *[]byte, rtx int) {
 	// the reliability layer — and is a fresh onion, which the path owns
 	// from here on.
 	w := wire.NewWriterOn(e.segScratch[:0])
-	wire.AppendStreamSegment(w, s.id, seq, fin, int64(s.origin), *data)
+	wire.AppendStreamSegment(w, s.id, seq, fin, int64(s.origin), data)
 	e.segScratch = w.Bytes()
 	p := e.getPacket()
 	if need := forwardSize(s.tun.Length(), len(e.segScratch)); cap(p.onion) < need {
@@ -328,20 +314,16 @@ func (s *Stream) Backoff(rto simnet.Time, expiries int) {
 
 // GiveUp fails the stream when a segment exhausts its retransmit budget
 // (WindowOwner).
-func (s *Stream) GiveUp(seq uint64, _ *[]byte, tries int) {
+func (s *Stream) GiveUp(seq uint64, tries int) {
 	s.fail(fmt.Sprintf("segment %d: retransmit budget exhausted after %d tries", seq, tries))
 }
-
-// Release returns an acknowledged segment's buffer to the pool
-// (WindowOwner).
-func (s *Stream) Release(data *[]byte) { s.eng.putSegBuf(*data) }
 
 // handleAck applies one cumulative+SACK acknowledgment.
 func (s *Stream) handleAck(cum uint64, ranges []wire.AckRange) {
 	if !s.ack(cum, ranges) {
 		return
 	}
-	if s.finSet && s.sndUna > s.finSeq {
+	if s.sndUna > s.finSeq {
 		s.complete()
 		return
 	}
@@ -369,11 +351,6 @@ func (s *Stream) fail(why string) {
 	}
 	s.failed = true
 	s.failWhy = why
-	for seq := s.sndUna; seq < s.sndNxt; seq++ {
-		if sl := s.slot(seq); sl.used {
-			s.release(sl)
-		}
-	}
 	s.lendRing()
 	delete(s.eng.sendStreams, s.id)
 	// The tunnel is presumed dead: drop every hop's remembered address.
@@ -718,9 +695,9 @@ func (e *NetEngine) getPacket() *packet {
 
 // carve returns n bytes of fresh storage cut from the engine's arena, with
 // its capacity limited to n so no append can reach a neighbour. Carves are
-// never handed back: they serve a packet's onion or a segment buffer, which
-// the freelists keep for the engine's lifetime. A request too big to share
-// a block gets storage of its own.
+// never handed back: they serve a packet's onion, which the packet freelist
+// keeps for the engine's lifetime. A request too big to share a block gets
+// storage of its own.
 func (e *NetEngine) carve(n int) []byte {
 	if n > arenaBlock/4 {
 		return make([]byte, n)
@@ -738,25 +715,4 @@ func (e *NetEngine) carve(n int) []byte {
 func (e *NetEngine) putPacket(p *packet) {
 	*p = packet{onion: p.onion}
 	e.pktFree = append(e.pktFree, p)
-}
-
-// getSegBuf takes a payload buffer of exactly the given size from the
-// per-size pool.
-func (e *NetEngine) getSegBuf(size int) []byte {
-	pool := e.segPools[size]
-	if n := len(pool); n > 0 {
-		b := pool[n-1]
-		e.segPools[size] = pool[:n-1]
-		return b
-	}
-	return e.carve(size)
-}
-
-// putSegBuf returns a buffer to its size pool.
-func (e *NetEngine) putSegBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:cap(b)]
-	e.segPools[cap(b)] = append(e.segPools[cap(b)], b)
 }

@@ -253,8 +253,8 @@ func TestStreamBackpressure(t *testing.T) {
 	// A single huge write must stop at exactly one window of segments; the
 	// acknowledgments push the rest.
 	s.WriteAll(data)
-	if sent, want := len(data)-len(s.unwritten), cfg.Window*cfg.SegSize; sent != want {
-		t.Fatalf("first fill took %d bytes, want %d (window*segsize)", sent, want)
+	if sent, want := s.sndNxt, uint64(cfg.Window); sent != want {
+		t.Fatalf("first fill sent %d segments, want %d (the window)", sent, want)
 	}
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -271,9 +271,11 @@ func TestStreamBackpressure(t *testing.T) {
 }
 
 // TestWriteAllFinFollowsLastByte: whatever the content's length — empty,
-// one byte, a segment, a window, a window and a byte — WriteAll sends one
-// FIN, numbered right after the last data segment, and the stream
-// completes once.
+// one byte, a segment, a window, a window and a byte — and over the overt
+// path or a tunnel, WriteAll sends one FIN, empty and numbered right after
+// the last data segment; every copy of segment seq on the wire carries the
+// content's SegSize bytes from seq·SegSize on; and the stream completes
+// once.
 func TestWriteAllFinFollowsLastByte(t *testing.T) {
 	cfg := StreamConfig{Window: 4, SegSize: 512}
 	cases := []struct {
@@ -286,37 +288,76 @@ func TestWriteAllFinFollowsLastByte(t *testing.T) {
 		{"one_window", cfg.Window * cfg.SegSize},
 		{"window_and_a_byte", cfg.Window*cfg.SegSize + 1},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { writeAllFinCase(t, cfg, c.size) })
+	for _, tunnel := range []bool{false, true} {
+		for _, c := range cases {
+			name := c.name
+			if tunnel {
+				name = "tunnel/" + name
+			}
+			t.Run(name, func(t *testing.T) { writeAllFinCase(t, cfg, c.size, tunnel) })
+		}
 	}
 }
 
-func writeAllFinCase(t *testing.T, cfg StreamConfig, size int) {
+func writeAllFinCase(t *testing.T, cfg StreamConfig, size int, tunnel bool) {
 	ns := newNetSys(t, 100, 3, 37)
-	src := ns.ov.RandomLive(ns.root.Split("src"))
 	dst := ns.ov.RandomLive(ns.root.Split("dst"))
-	if src.Ref().Addr == dst.Ref().Addr {
-		t.Fatal("src and dst collided; pick another seed")
-	}
 	sink := &streamSink{}
 	sink.install(ns.eng)
-	var fins []uint64
-	ns.net.SendHook = func(from, _ simnet.Addr, msg simnet.Message) {
-		if p, ok := msg.(*packet); ok && from == src.Ref().Addr && p.kind == kindStream && p.fin {
-			fins = append(fins, p.seq)
+	var s *Stream
+	if tunnel {
+		in := ns.readyInitiator(t, "a", 12)
+		tun, err := in.FormTunnel(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s = ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, dst.ID(), cfg)
+	} else {
+		src := ns.ov.RandomLive(ns.root.Split("src"))
+		if src.Ref().Addr == dst.Ref().Addr {
+			t.Fatal("src and dst collided; pick another seed")
+		}
+		s = ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, cfg)
+	}
+	// Every copy of a segment in the clear on the wire: from the sender
+	// in direct mode, from the tunnel's exit on in tunnel mode.
+	type segCopy struct {
+		seq  uint64
+		fin  bool
+		data []byte
+	}
+	var copies []segCopy
+	ns.net.SendHook = func(_, _ simnet.Addr, msg simnet.Message) {
+		if p, ok := msg.(*packet); ok && p.kind == kindStream && p.flow == s.ID() {
+			copies = append(copies, segCopy{p.seq, p.fin, bytes.Clone(p.data)})
 		}
 	}
 	data := patternData(size)
-	s := ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, cfg)
 	var completions []bool
 	s.OnComplete = func(ok bool) { completions = append(completions, ok) }
 	s.WriteAll(data)
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
 	}
-	dataSegs := uint64((size + cfg.SegSize - 1) / cfg.SegSize)
-	if len(fins) != 1 || fins[0] != dataSegs {
-		t.Fatalf("%d bytes: FIN sent as seqs %v, want once as seq %d", size, fins, dataSegs)
+	finSeq := uint64((size + cfg.SegSize - 1) / cfg.SegSize)
+	seen := make([]bool, finSeq+1)
+	for _, c := range copies {
+		if c.seq > finSeq || c.fin != (c.seq == finSeq) {
+			t.Fatalf("%d bytes: segment %d sent with fin=%v, want the FIN as seq %d", size, c.seq, c.fin, finSeq)
+		}
+		lo := min(int(c.seq)*cfg.SegSize, size)
+		if want := data[lo:min(lo+cfg.SegSize, size)]; !bytes.Equal(c.data, want) {
+			t.Fatalf("%d bytes: segment %d carried %d bytes, want the %d from offset %d", size, c.seq, len(c.data), len(want), lo)
+		}
+		seen[c.seq] = true
+	}
+	for seq, ok := range seen {
+		if !ok {
+			t.Fatalf("%d bytes: segment %d never seen on the wire", size, seq)
+		}
+	}
+	if ns.eng.StreamSegsSent != finSeq+1 || s.SegsRetx != 0 {
+		t.Fatalf("%d bytes: %d segments sent and %d re-sent, want %d and none", size, ns.eng.StreamSegsSent, s.SegsRetx, finSeq+1)
 	}
 	if len(completions) != 1 || !completions[0] {
 		t.Fatalf("%d bytes: OnComplete fired %v, want [true]", size, completions)

@@ -54,24 +54,21 @@ func (r *rttEstimator) rto(init, floor transport.Time) transport.Time {
 // by its first Reset. A simulator workload opens streams by the thousand,
 // so a window must cost no object beyond that closure and its ring, which
 // the simulator's engine lends from one finished stream to the next.
-type WindowOwner[P any] interface {
-	// Send puts one copy of request seq, with its slot's payload p, on the
-	// wire; rtx counts the copies sent before it.
-	Send(seq uint64, p *P, rtx int)
+type WindowOwner interface {
+	// Send puts one copy of request seq on the wire; rtx counts the copies
+	// sent before it.
+	Send(seq uint64, rtx int)
 	// Backoff reports an RTO expiry, the expiries-th in a row, before the
 	// head is re-sent: the timeout has doubled to rto.
 	Backoff(rto transport.Time, expiries int)
 	// GiveUp reports that request seq went unanswered through tries
 	// transmissions, the retry budget; it is not re-sent again.
-	GiveUp(seq uint64, p *P, tries int)
-	// Release lets go of an answered request's payload.
-	Release(p *P)
+	GiveUp(seq uint64, tries int)
 }
 
-// windowSlot is one ring entry: a request's payload, which the owner
-// fills, and the window's record of it.
-type windowSlot[P any] struct {
-	p      P
+// windowSlot is one ring entry: the window's record of one request, whose
+// content the owner keeps.
+type windowSlot struct {
 	seq    uint64
 	sentAt transport.Time
 	rtx    int  // retransmissions so far; >0 disables RTT sampling (Karn)
@@ -96,11 +93,11 @@ type windowSlot[P any] struct {
 //
 // A window is ready after Reset. Its methods, the clock's callback and the
 // owner run on one goroutine at a time.
-type SendWindow[P any] struct {
+type SendWindow struct {
 	clock transport.Clock
-	owner WindowOwner[P]
+	owner WindowOwner
 
-	ring   []windowSlot[P]
+	ring   []windowSlot
 	sndUna uint64 // oldest unacknowledged sequence number
 	sndNxt uint64 // next sequence number to assign
 
@@ -130,42 +127,42 @@ type SendWindow[P any] struct {
 // at least minRTO after, and retries re-sends of a request before
 // owner.GiveUp. A window reset at its size keeps its ring and its timer
 // callback, so only the first Reset allocates.
-func (w *SendWindow[P]) Reset(clock transport.Clock, owner WindowOwner[P], slots int, initRTO, minRTO transport.Time, retries int) {
+func (w *SendWindow) Reset(clock transport.Clock, owner WindowOwner, slots int, initRTO, minRTO transport.Time, retries int) {
 	ring, timerFn := w.ring, w.timerFn
 	if len(ring) != slots {
-		ring = make([]windowSlot[P], slots)
+		ring = make([]windowSlot, slots)
 	}
 	clear(ring)
 	if timerFn == nil {
 		timerFn = w.onTimerEvent
 	}
-	*w = SendWindow[P]{clock: clock, owner: owner, ring: ring, timerFn: timerFn,
+	*w = SendWindow{clock: clock, owner: owner, ring: ring, timerFn: timerFn,
 		rto: min(initRTO, streamMaxRTO), initRTO: initRTO, minRTO: minRTO, maxRetries: retries}
 }
 
 // Acked returns the sequence number below which every request is answered.
-func (w *SendWindow[P]) Acked() uint64 { return w.sndUna }
+func (w *SendWindow) Acked() uint64 { return w.sndUna }
 
 // HasRoom reports whether a slot is free for Claim.
-func (w *SendWindow[P]) HasRoom() bool { return w.inflight() < len(w.ring) }
+func (w *SendWindow) HasRoom() bool { return w.inflight() < len(w.ring) }
 
-func (w *SendWindow[P]) slot(seq uint64) *windowSlot[P] { return &w.ring[seq%uint64(len(w.ring))] }
+func (w *SendWindow) slot(seq uint64) *windowSlot { return &w.ring[seq%uint64(len(w.ring))] }
 
-func (w *SendWindow[P]) inflight() int { return int(w.sndNxt - w.sndUna) }
+func (w *SendWindow) inflight() int { return int(w.sndNxt - w.sndUna) }
 
-// Claim numbers a request into a free slot and returns its zeroed payload
-// for the owner to fill before Transmit.
-func (w *SendWindow[P]) Claim() (uint64, *P) {
+// Claim numbers the next request into a free slot and returns its seq; the
+// owner readies what seq carries before Transmit.
+func (w *SendWindow) Claim() uint64 {
 	sl := w.slot(w.sndNxt)
-	*sl = windowSlot[P]{seq: w.sndNxt, used: true}
+	*sl = windowSlot{seq: w.sndNxt, used: true}
 	w.sndNxt++
 	w.maxInflight = max(w.maxInflight, w.inflight())
-	return sl.seq, &sl.p
+	return sl.seq
 }
 
 // Transmit sends claimed request seq for the first time, arming the timer
 // when nothing else is outstanding.
-func (w *SendWindow[P]) Transmit(seq uint64) {
+func (w *SendWindow) Transmit(seq uint64) {
 	w.send(w.slot(seq))
 	if w.rtxDeadline == 0 {
 		w.rtxDeadline = w.clock.Now() + w.rto
@@ -174,13 +171,13 @@ func (w *SendWindow[P]) Transmit(seq uint64) {
 }
 
 // send puts a copy of sl on the wire.
-func (w *SendWindow[P]) send(sl *windowSlot[P]) {
+func (w *SendWindow) send(sl *windowSlot) {
 	sl.sentAt = w.clock.Now()
-	w.owner.Send(sl.seq, &sl.p, sl.rtx)
+	w.owner.Send(sl.seq, sl.rtx)
 }
 
 // schedTimer ensures a timer event exists at or before `at`.
-func (w *SendWindow[P]) schedTimer(at transport.Time) {
+func (w *SendWindow) schedTimer(at transport.Time) {
 	if w.timerAt != 0 && w.timerAt <= at {
 		return // the pending event fires early enough; it will re-arm
 	}
@@ -189,7 +186,7 @@ func (w *SendWindow[P]) schedTimer(at transport.Time) {
 }
 
 // onTimerEvent is the single retransmit-timer callback.
-func (w *SendWindow[P]) onTimerEvent() {
+func (w *SendWindow) onTimerEvent() {
 	w.timerAt = 0
 	if w.done || w.failed || w.inflight() == 0 || w.rtxDeadline == 0 {
 		return
@@ -205,7 +202,7 @@ func (w *SendWindow[P]) onTimerEvent() {
 		return
 	}
 	if head.rtx >= w.maxRetries {
-		w.owner.GiveUp(head.seq, &head.p, head.rtx+1)
+		w.owner.GiveUp(head.seq, head.rtx+1)
 		return
 	}
 	w.backoffCount++
@@ -216,7 +213,7 @@ func (w *SendWindow[P]) onTimerEvent() {
 
 // rearmAfter re-sends the head (timeout or fast retransmit) and restarts
 // its timer from now.
-func (w *SendWindow[P]) rearmAfter(now transport.Time, head *windowSlot[P]) {
+func (w *SendWindow) rearmAfter(now transport.Time, head *windowSlot) {
 	head.rtx++
 	w.send(head)
 	w.rtxDeadline = now + w.rto
@@ -225,7 +222,7 @@ func (w *SendWindow[P]) rearmAfter(now transport.Time, head *windowSlot[P]) {
 
 // ack applies one cumulative+SACK acknowledgment and reports whether the
 // window took it: not once it is over, nor for a seq never sent.
-func (w *SendWindow[P]) ack(cum uint64, ranges []wire.AckRange) bool {
+func (w *SendWindow) ack(cum uint64, ranges []wire.AckRange) bool {
 	if w.done || w.failed || cum > w.sndNxt {
 		return false
 	}
@@ -255,7 +252,7 @@ func (w *SendWindow[P]) ack(cum uint64, ranges []wire.AckRange) bool {
 // Answer acknowledges request seq alone, one answer of a per-request
 // protocol, and slides the window over the answered requests at its head.
 // It reports whether seq was awaiting its answer.
-func (w *SendWindow[P]) Answer(seq uint64) bool {
+func (w *SendWindow) Answer(seq uint64) bool {
 	if seq < w.sndUna || seq >= w.sndNxt || !w.slot(seq).used || w.slot(seq).sacked {
 		return false
 	}
@@ -272,7 +269,7 @@ func (w *SendWindow[P]) Answer(seq uint64) bool {
 }
 
 // sack marks a request answered out of order, sampling its RTT (Karn).
-func (w *SendWindow[P]) sack(now transport.Time, sl *windowSlot[P]) {
+func (w *SendWindow) sack(now transport.Time, sl *windowSlot) {
 	if sl.used && !sl.sacked {
 		sl.sacked = true
 		if sl.rtx == 0 {
@@ -283,13 +280,13 @@ func (w *SendWindow[P]) sack(now transport.Time, sl *windowSlot[P]) {
 
 // advance slides the window to cum. Progress resets the backoff and
 // restarts the head's timer from now.
-func (w *SendWindow[P]) advance(now transport.Time, cum uint64) {
+func (w *SendWindow) advance(now transport.Time, cum uint64) {
 	for seq := w.sndUna; seq < cum; seq++ {
 		if sl := w.slot(seq); sl.used {
 			if sl.rtx == 0 && !sl.sacked {
 				w.rtt.observe(now - sl.sentAt)
 			}
-			w.release(sl)
+			*sl = windowSlot{}
 		}
 	}
 	w.sndUna = cum
@@ -301,10 +298,4 @@ func (w *SendWindow[P]) advance(now transport.Time, cum uint64) {
 		w.rtxDeadline = now + w.rto
 		w.schedTimer(w.rtxDeadline)
 	}
-}
-
-// release hands a slot's payload back to the owner and empties the slot.
-func (w *SendWindow[P]) release(sl *windowSlot[P]) {
-	w.owner.Release(&sl.p)
-	*sl = windowSlot[P]{}
 }

@@ -54,16 +54,14 @@ func (r *windowRig) runUntil(t transport.Time) {
 	r.now = t
 }
 
-func (r *windowRig) Send(seq uint64, _ *struct{}, rtx int) {
+func (r *windowRig) Send(seq uint64, rtx int) {
 	r.sends = append(r.sends, rigSend{seq, rtx, r.now})
 }
-func (r *windowRig) Backoff(transport.Time, int)   {}
-func (r *windowRig) GiveUp(uint64, *struct{}, int) {}
-func (r *windowRig) Release(*struct{})             {}
-func (r *windowRig) push(w *SendWindow[struct{}], n int) {
+func (r *windowRig) Backoff(transport.Time, int) {}
+func (r *windowRig) GiveUp(uint64, int)          {}
+func (r *windowRig) push(w *SendWindow, n int) {
 	for range n {
-		seq, _ := w.Claim()
-		w.Transmit(seq)
+		w.Transmit(w.Claim())
 	}
 }
 
@@ -72,7 +70,7 @@ func (r *windowRig) push(w *SendWindow[struct{}], n int) {
 // long before its RTO would.
 func TestSendWindowFastRetransmit(t *testing.T) {
 	r := &windowRig{}
-	var w SendWindow[struct{}]
+	var w SendWindow
 	w.Reset(r, r, 8, streamInitRTO, streamMinRTO, streamMaxRetries)
 	r.push(&w, 4)
 	r.runUntil(10 * time.Millisecond)
@@ -101,7 +99,7 @@ func TestSendWindowFastRetransmit(t *testing.T) {
 // nothing. An answer given twice, or for a seq not yet claimed, is refused.
 func TestSendWindowAnswersInAnyOrder(t *testing.T) {
 	r := &windowRig{}
-	var w SendWindow[struct{}]
+	var w SendWindow
 	w.Reset(r, r, 8, time.Second, time.Second, 3)
 	r.push(&w, 6)
 	r.runUntil(10 * time.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -50,14 +51,15 @@ type Mutations struct {
 	// exactly-once invariant must count more than one fresh delivery on
 	// some message.
 	DisableAckDedup bool
-	// StallRebuild plants core.PoolConfig.DisableRebuild on every tunnel
-	// pool: dead slots never refill, and the pool-reconverge invariant
-	// must notice a pool below target size after the repair horizon.
+	// StallRebuild hands every tunnel pool a rebuild limiter of its own
+	// that admits nothing: dead slots never refill, and the
+	// pool-reconverge invariant must notice a pool below target size
+	// after the repair horizon.
 	StallRebuild bool
-	// UncappedRebuild plants core.PoolConfig.BypassAdmission on every
-	// tunnel pool: rebuilds skip the backoff and the shared rate limiter,
-	// and the rebuild-rate invariant must notice rebuilds the limiter
-	// never admitted.
+	// UncappedRebuild hands every tunnel pool an unbounded rebuild
+	// limiter of its own in place of the shared one: rebuilds skip the
+	// rate limit, and the rebuild-rate invariant, which audits the shared
+	// limiter, must notice rebuilds it never admitted.
 	UncappedRebuild bool
 	// StreamReorderBypass plants core.NetEngine.StreamReorderBypass:
 	// stream receivers hand segments to the application in raw arrival
@@ -562,13 +564,14 @@ func (r *runner) apply(ev Event) {
 		if l < 2 {
 			l = 2
 		}
-		pool, err := core.NewTunnelPool(c.in, r.eng, core.PoolConfig{
-			Size:            n,
-			Length:          l,
-			Limiter:         r.limiter,
-			DisableRebuild:  r.mut.StallRebuild,
-			BypassAdmission: r.mut.UncappedRebuild,
-		})
+		limiter := r.limiter
+		switch {
+		case r.mut.StallRebuild:
+			limiter = core.NewRateLimiter(0, 0)
+		case r.mut.UncappedRebuild:
+			limiter = core.NewRateLimiter(math.Inf(1), math.Inf(1))
+		}
+		pool, err := core.NewTunnelPool(c.in, r.eng, core.PoolConfig{Size: n, Length: l, Limiter: limiter})
 		if err != nil {
 			// Not enough disjoint anchors under heavy churn is an honest
 			// formation failure, not an invariant breach.

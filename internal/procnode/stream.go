@@ -204,7 +204,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			// request is answered, and Send encoded it before returning:
 			// nothing reads the slot's messages any more, so they are
 			// rebuilt in place.
-			seq, _ := w.Claim()
+			seq := w.Claim()
 			c := &in.slots[seq%streamWindow]
 			if next < installs {
 				c.dst, c.anchor = in.hops[next], AnchorMsg{Anchor: in.secrets[next].Anchor}
@@ -268,7 +268,7 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 // what each call builds its tunnels in.
 type initiator struct {
 	n     *Node
-	win   core.SendWindow[struct{}]
+	win   core.SendWindow
 	slots [streamWindow]inflight // request seq's messages in slot seq%streamWindow, as in the window's ring
 	timer *time.Timer
 	fire  func() // what the window last scheduled
@@ -302,7 +302,7 @@ func (in *initiator) Schedule(delay transport.Time, fn func()) {
 }
 
 // Send puts request seq on the wire, the same message each time.
-func (in *initiator) Send(seq uint64, _ *struct{}, rtx int) {
+func (in *initiator) Send(seq uint64, rtx int) {
 	if rtx > 0 {
 		in.n.m.streamRetransmits.Inc()
 	}
@@ -310,12 +310,10 @@ func (in *initiator) Send(seq uint64, _ *struct{}, rtx int) {
 	in.n.tr.Send(in.n.Addr, c.dst, c.msg)
 }
 
-func (in *initiator) GiveUp(seq uint64, _ *struct{}, tries int) { in.lost, in.tries = seq, tries }
+func (in *initiator) GiveUp(seq uint64, tries int) { in.lost, in.tries = seq, tries }
 
-// Backoff and Release have nothing to do: a stream keeps no backoff past
-// its call, and a slot's messages stay for the next request to rebuild.
+// Backoff has nothing to do: a stream keeps no backoff past its call.
 func (*initiator) Backoff(transport.Time, int) {}
-func (*initiator) Release(*struct{})           {}
 
 // newNonces returns a node's nonce stream: an rng.Stream whose source is
 // math/rand/v2's ChaCha8, a cryptographically strong generator, keyed by
