@@ -49,6 +49,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tap/internal/crypt"
@@ -96,16 +97,22 @@ func (t *Tunnel) HopIDs() []id.ID {
 
 // Form assembles a tunnel of length l from the owner's deployed anchor
 // pool, applying the §3.5 scatter rule (distinct hopid prefixes where the
-// pool allows).
-func Form(pool []tha.Secret, l int, b int, stream *rng.Stream) (*Tunnel, error) {
-	hops, err := tha.ChooseScattered(pool, l, b, stream)
+// pool allows). The hops are appended to dst; the tunnel and its link are
+// one allocation, and so are the hints of up to eight hops.
+func Form(dst, pool []tha.Secret, l int, b int, stream *rng.Stream) (*Tunnel, error) {
+	hops, err := tha.ChooseScattered(dst, pool, l, b, stream)
 	if err != nil {
 		return nil, fmt.Errorf("core: forming tunnel: %w", err)
 	}
 	// Hop key schedules are derived lazily, in the anchors' cells, on the
 	// first build: many formed tunnels (availability experiments) never
 	// carry a message, and must not pay AES-GCM setup.
-	return &Tunnel{Hops: hops}, nil
+	f := new(struct {
+		t    Tunnel
+		link tunnelLink
+	})
+	f.t = Tunnel{Hops: hops, link: &f.link}
+	return &f.t, nil
 }
 
 // Errors shared across delivery engines.
@@ -191,8 +198,10 @@ func NewService(ov *pastry.Overlay, dir *tha.Directory, stream *rng.Stream) *Ser
 type tunnelLink struct {
 	mu sync.RWMutex
 	// hints is index-aligned with the whole tunnel's Hops; nil until the
-	// first RefreshHints, which is the basic, unhinted mode.
-	hints []simnet.Addr
+	// first RefreshHints, which is the basic, unhinted mode. A tunnel of up
+	// to eight hops keeps them in inline.
+	hints  []simnet.Addr
+	inline [8]simnet.Addr
 	// rto is the remembered backed-off retransmit timeout; 0 is none.
 	rto simnet.Time
 }
@@ -238,7 +247,7 @@ func (t *Tunnel) RefreshHints(svc *Service) error {
 		}
 		l.mu.Lock()
 		if l.hints == nil {
-			l.hints = make([]simnet.Addr, len(t.Hops))
+			l.hints = slices.Grow(l.inline[:0], len(t.Hops))[:len(t.Hops)]
 			for j := range l.hints {
 				l.hints[j] = simnet.NoAddr
 			}

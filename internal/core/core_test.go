@@ -87,6 +87,98 @@ func TestFormFailsOnTinyPool(t *testing.T) {
 	}
 }
 
+// TestFormAllocsPerTunnel: a warm initiator forms a 3-hop tunnel and
+// resolves its hints in one allocation — the tunnel, its link and its
+// hints share one object — plus a share of the hop storage it carves a
+// pool's length at a time (here one block per four tunnels, which
+// AllocsPerRun's whole-number average leaves out). A carved tunnel's hops
+// are its own: forming the next one leaves them as they were.
+func TestFormAllocsPerTunnel(t *testing.T) {
+	s := newSys(t, 200, 3, 1)
+	in := s.readyInitiator(t, "a", 12)
+	var prev *Tunnel
+	var prevIDs [3]id.ID
+	form := func() {
+		tun, err := in.FormTunnel(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tun.RefreshHints(s.svc); err != nil {
+			t.Fatal(err)
+		}
+		in.Release(tun)
+		if cap(tun.Hops) != 3 {
+			t.Fatalf("carved hops have capacity %d, want 3", cap(tun.Hops))
+		}
+		for i := range prevIDs {
+			if prev != nil && prev.Hops[i].HopID != prevIDs[i] {
+				t.Fatal("forming a tunnel rewrote the previous tunnel's hops")
+			}
+			prevIDs[i] = tun.Hops[i].HopID
+		}
+		prev = tun
+	}
+	form()
+	if allocs := testing.AllocsPerRun(100, form); allocs > 1 {
+		t.Fatalf("FormTunnel(3) + RefreshHints: %.0f allocations per tunnel, want ≤ 1", allocs)
+	}
+}
+
+// TestDeployDirectGrowsPoolOnce: DeployDirect mints straight into the
+// pool's spare room, so it grows the pool once for any n, to fit n, and
+// not at all when there is room; one append at a time would grow an empty
+// pool four times for eight anchors. The directory's stores are warm, and
+// each round deletes the anchors the round before deployed, so they do not
+// grow; its records and Generate's key-schedule cells come 64 to a chunk.
+func TestDeployDirectGrowsPoolOnce(t *testing.T) {
+	s := newSys(t, 100, 3, 1)
+	in := s.readyInitiator(t, "a", 2000)
+	for _, n := range []int{5, 12} {
+		in.pool = nil
+		if err := in.DeployDirect(n); err != nil {
+			t.Fatal(err)
+		}
+		if len(in.pool) != n || cap(in.pool) != n {
+			t.Fatalf("DeployDirect(%d) into an empty pool: len %d cap %d, want %d and %d", n, len(in.pool), cap(in.pool), n, n)
+		}
+	}
+	in.pool = make([]tha.Secret, 0, 12)
+	room := &in.pool[:1][0]
+	if err := in.DeployDirect(12); err != nil || &in.pool[0] != room {
+		t.Fatalf("DeployDirect(12) into a pool with room for 12 moved it (err %v)", err)
+	}
+	allocs := testing.AllocsPerRun(64, func() {
+		for _, sec := range in.pool {
+			if err := s.dir.Delete(sec.HopID, sec.PW); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in.pool = nil
+		if err := in.DeployDirect(8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("DeployDirect(8): %.0f allocations, want ≤ 1 (one pool growth)", allocs)
+	}
+}
+
+// TestDeployRefusesNegativeCounts: a negative anchor count is an error, not
+// a makeslice panic, and deploys nothing.
+func TestDeployRefusesNegativeCounts(t *testing.T) {
+	s := newSys(t, 50, 3, 2)
+	in := s.readyInitiator(t, "a", 3)
+	if err := in.DeployDirect(-2); err == nil || !strings.Contains(err.Error(), "-2") {
+		t.Fatalf("DeployDirect(-2) = %v, want an error naming -2", err)
+	}
+	if err := in.Bootstrap(-1, nil, 0); err == nil {
+		t.Fatal("Bootstrap(-1) accepted")
+	}
+	if in.PoolSize() != 3 || s.dir.DeployedCount() != 3 {
+		t.Fatalf("pool %d, deployed %d after refused deployments, want 3 and 3", in.PoolSize(), s.dir.DeployedCount())
+	}
+}
+
 func TestBuildForwardManualPeel(t *testing.T) {
 	// Verify the exact Figure 1 structure by peeling layers by hand.
 	s := newSys(t, 100, 3, 3)

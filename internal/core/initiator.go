@@ -20,6 +20,9 @@ type Initiator struct {
 	gen    *tha.Generator
 	pool   []tha.Secret
 	stream *rng.Stream
+	// hops is the unused rest of the storage formed tunnels' hops are
+	// carved from, cut as long as the pool they are formed from.
+	hops []tha.Secret
 	// active tracks formed tunnels so DeleteAnchors never destroys an
 	// anchor another live tunnel still rides on (tunnels formed from one
 	// pool may share anchors).
@@ -71,6 +74,9 @@ func (in *Initiator) PoolSize() int { return len(in.Pool()) }
 // generate mints n fresh secrets, paying CPU puzzles if the directory
 // demands them, and returns matching deployment instructions.
 func (in *Initiator) generate(n int) ([]tha.Secret, []onionroute.Instruction, error) {
+	if n < 0 {
+		return nil, nil, fmt.Errorf("core: cannot deploy %d anchors", n)
+	}
 	secrets := make([]tha.Secret, n)
 	instrs := make([]onionroute.Instruction, n)
 	for i := 0; i < n; i++ {
@@ -147,15 +153,30 @@ func (in *Initiator) DeployViaTunnel(t *Tunnel, n int) error {
 // anonymity, which are independent of how anchors got deployed, and
 // skipping the onion cryptography keeps 10^4-node trials fast.
 func (in *Initiator) DeployDirect(n int) error {
-	secrets, instrs, err := in.generate(n)
-	if err != nil {
-		return err
+	if n < 0 {
+		return fmt.Errorf("core: cannot deploy %d anchors", n)
 	}
-	for i := range secrets {
-		if err := in.svc.Dir.Deploy(secrets[i].Anchor, instrs[i].Nonce); err != nil {
+	// Mint every secret first, as generate does, into the pool's spare
+	// room, grown at most once; each joins the pool once it is deployed.
+	if cap(in.pool)-len(in.pool) < n {
+		in.pool = append(make([]tha.Secret, 0, max(2*len(in.pool), len(in.pool)+n)), in.pool...)
+	}
+	fresh := in.pool[len(in.pool) : len(in.pool)+n]
+	for i := range fresh {
+		var err error
+		if fresh[i], err = in.gen.Generate(in.stream); err != nil {
 			return err
 		}
-		in.pool = append(in.pool, secrets[i])
+	}
+	for _, sec := range fresh {
+		var nonce uint64
+		if in.svc.Dir.PuzzleDifficulty > 0 {
+			nonce = in.svc.Dir.Puzzle(sec.HopID).Mint()
+		}
+		if err := in.svc.Dir.Deploy(sec.Anchor, nonce); err != nil {
+			return err
+		}
+		in.pool = in.pool[:len(in.pool)+1]
 	}
 	return nil
 }
@@ -183,12 +204,24 @@ func (in *Initiator) formPool(need int) []tha.Secret {
 // FormTunnel assembles a tunnel of length l from the live pool,
 // excluding quarantined anchors when a Quarantine is installed.
 func (in *Initiator) FormTunnel(l int) (*Tunnel, error) {
-	t, err := Form(in.formPool(l), l, in.svc.OV.Config().B, in.stream)
+	t, err := in.form(in.formPool(l), l)
 	if err != nil {
 		return nil, err
 	}
 	in.active = append(in.active, t)
 	return t, nil
+}
+
+// form is Form with the hops carved from the initiator's storage.
+func (in *Initiator) form(pool []tha.Secret, l int) (*Tunnel, error) {
+	var dst []tha.Secret
+	if l > 0 && l <= len(pool) {
+		if len(in.hops) < l {
+			in.hops = make([]tha.Secret, len(pool))
+		}
+		dst, in.hops = in.hops[:0:l], in.hops[l:]
+	}
+	return Form(dst, pool, l, in.svc.OV.Config().B, in.stream)
 }
 
 // FormDisjointTunnels assembles count tunnels of length l whose anchor
@@ -204,7 +237,7 @@ func (in *Initiator) FormDisjointTunnels(count, l int) ([]*Tunnel, error) {
 	remaining := append([]tha.Secret(nil), pool...)
 	out := make([]*Tunnel, 0, count)
 	for i := 0; i < count; i++ {
-		t, err := Form(remaining, l, in.svc.OV.Config().B, in.stream)
+		t, err := in.form(remaining, l)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tap/internal/id"
@@ -652,17 +653,22 @@ func carveOne[T any](chunk *[]T) *T {
 
 // ringPool lends rings, keyed by length: a finished stream puts its ring
 // back cleared and the next stream of that size takes it, so the pool
-// never holds more rings than streams were ever open at once.
+// never holds more rings than streams were ever open at once, rounded up
+// to the 16 rings a take cuts from one block when it finds none.
 type ringPool[T any] map[int][][]T
 
 // take returns a zeroed ring of length n.
 func (p ringPool[T]) take(n int) []T {
 	free := p[n]
-	if k := len(free); k > 0 {
-		p[n] = free[:k-1]
-		return free[k-1]
+	if len(free) == 0 {
+		block := make([]T, 16*n)
+		free = slices.Grow(free, 16)
+		for i := range 16 {
+			free = append(free, block[i*n:(i+1)*n:(i+1)*n])
+		}
 	}
-	return make([]T, n)
+	p[n] = free[:len(free)-1]
+	return free[len(free)-1]
 }
 
 // put clears r and keeps it for the next take of its length.

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,6 +55,31 @@ const (
 	throughputSegSize = 256
 	throughputRamp    = 10 * time.Second // arrival window for the flow population
 )
+
+// validate refuses a negative size, window or loss rate: zero picks the
+// default, and a negative one means nothing.
+func (p ExtThroughputParams) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"N", p.N}, {"Clients", p.Clients}, {"TunnelsPer", p.TunnelsPer}, {"Length", p.Length},
+		{"Flows", p.Flows}, {"FlowBytes", p.FlowBytes}, {"Dests", p.Dests}, {"ChurnFails", p.ChurnFails}} {
+		if f.v < 0 {
+			return fmt.Errorf("experiments: ext-throughput: %s is %d, must not be negative", f.name, f.v)
+		}
+	}
+	for _, w := range p.Windows {
+		if w < 0 {
+			return fmt.Errorf("experiments: ext-throughput: window %d must not be negative", w)
+		}
+	}
+	for _, r := range p.LossRates {
+		if r < 0 {
+			return fmt.Errorf("experiments: ext-throughput: loss rate %v must not be negative", r)
+		}
+	}
+	return nil
+}
 
 func (p ExtThroughputParams) withDefaults() ExtThroughputParams {
 	if p.N == 0 {
@@ -130,6 +157,9 @@ func (z *zipfSampler) draw(stream *rng.Stream) int {
 // series is deterministic in Seed — goodput is computed from simulated
 // time, not wall clock.
 func ExtThroughput(p ExtThroughputParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	series := make([]string, 0, 6*len(p.Windows))
 	for _, w := range p.Windows {
@@ -184,6 +214,26 @@ type throughputMetrics struct {
 	peakConcurrent int
 }
 
+// scheduleByStart schedules open(i) at starts[i] for every i through one
+// shared callback. The kernel runs equal-time events in the order they were
+// scheduled, so popping flows in (start, index) order opens each at the
+// event where a callback of its own would have opened it.
+func scheduleByStart(k *simnet.Kernel, starts []simnet.Time, open func(i int)) {
+	order := make([]int, len(starts))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(starts[a], starts[b]), cmp.Compare(a, b)) })
+	next := 0
+	fire := func() {
+		next++
+		open(order[next-1])
+	}
+	for _, t := range starts {
+		k.At(t, fire)
+	}
+}
+
 // runThroughputTrial runs one full flow population through one faulty
 // world and measures it.
 func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream *rng.Stream, mem *pastry.Scratch) (*throughputMetrics, error) {
@@ -219,7 +269,7 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 		if err := in.DeployDirect(p.Length * p.TunnelsPer); err != nil {
 			return nil, err
 		}
-		s := &src{origin: node.Ref().Addr}
+		s := &src{origin: node.Ref().Addr, tunnels: make([]*core.Tunnel, 0, p.TunnelsPer)}
 		for ti := 0; ti < p.TunnelsPer; ti++ {
 			tun, err := in.FormTunnel(p.Length)
 			if err != nil {
@@ -274,29 +324,30 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 		live       int
 		doneAt     trace.Sample
 	)
-	for fi := 0; fi < p.Flows; fi++ {
-		fi := fi
-		s := srcs[fi%len(srcs)]
-		ti := (fi / len(srcs)) % len(s.tunnels)
-		dest := catalog[zipf.draw(flows)]
-		start := simnet.Time(float64(throughputRamp) * flows.Float64())
-		kernel.At(start, func() {
-			st := eng.OpenTunnelStream(s.origin, s.tunnels[ti], dest, cfg)
-			live++
-			if live > m.peakConcurrent {
-				m.peakConcurrent = live
-			}
-			st.OnComplete = func(ok bool) {
-				live--
-				if ok {
-					deliveredN++
-					m.fct.Add((kernel.Now() - start).Seconds())
-					doneAt.Add(kernel.Now().Seconds())
-				}
-			}
-			st.WriteAll(content)
-		})
+	dests := make([]id.ID, p.Flows)
+	starts := make([]simnet.Time, p.Flows)
+	for fi := range starts {
+		dests[fi] = catalog[zipf.draw(flows)]
+		starts[fi] = simnet.Time(float64(throughputRamp) * flows.Float64())
 	}
+	scheduleByStart(kernel, starts, func(fi int) {
+		s := srcs[fi%len(srcs)]
+		start := starts[fi]
+		st := eng.OpenTunnelStream(s.origin, s.tunnels[(fi/len(srcs))%len(s.tunnels)], dests[fi], cfg)
+		live++
+		if live > m.peakConcurrent {
+			m.peakConcurrent = live
+		}
+		st.OnComplete = func(ok bool) {
+			live--
+			if ok {
+				deliveredN++
+				m.fct.Add((kernel.Now() - start).Seconds())
+				doneAt.Add(kernel.Now().Seconds())
+			}
+		}
+		st.WriteAll(content)
+	})
 
 	if err := kernel.Run(); err != nil {
 		return nil, err

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"tap/internal/rng"
+	"tap/internal/simnet"
 )
 
 // smallThroughput is a laptop-scale parameterization: enough flows to
@@ -106,5 +109,61 @@ func TestZipfSampler(t *testing.T) {
 	}
 	if float64(head)/20000 < 0.3 {
 		t.Fatalf("top-10 ranks hold only %.2f of draws — not Zipf-shaped", float64(head)/20000)
+	}
+}
+
+// TestScheduleByStartOpensInStartThenIndexOrder: flows that share a start
+// time open in index order, each at its own start, and an event scheduled
+// earlier for the same instant still runs first — the order one callback
+// per flow would give.
+func TestScheduleByStartOpensInStartThenIndexOrder(t *testing.T) {
+	k := simnet.NewKernel()
+	ms := simnet.Time(time.Millisecond)
+	starts := []simnet.Time{5 * ms, 2 * ms, 5 * ms, 2 * ms, 0, 5 * ms}
+	var opened []int
+	k.At(5*ms, func() { opened = append(opened, -1) })
+	scheduleByStart(k, starts, func(i int) {
+		if k.Now() != starts[i] {
+			t.Fatalf("flow %d opened at %v, want %v", i, k.Now(), starts[i])
+		}
+		opened = append(opened, i)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 1, 3, -1, 0, 2, 5}; !slices.Equal(opened, want) {
+		t.Fatalf("opened %v, want %v", opened, want)
+	}
+}
+
+// TestExtThroughputRefusesNegativeSizes: a negative size, window or loss
+// rate is an error naming it — not a makeslice panic or a table of NaNs —
+// and nothing runs.
+func TestExtThroughputRefusesNegativeSizes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*ExtThroughputParams)
+	}{
+		{"FlowBytes", func(p *ExtThroughputParams) { p.FlowBytes = -1 }},
+		{"Clients", func(p *ExtThroughputParams) { p.Clients = -2 }},
+		{"Flows", func(p *ExtThroughputParams) { p.Flows = -3 }},
+		{"Length", func(p *ExtThroughputParams) { p.Length = -2 }},
+		{"window", func(p *ExtThroughputParams) { p.Windows = []int{8, -1} }},
+		{"loss rate", func(p *ExtThroughputParams) { p.LossRates = []float64{-0.5} }},
+	} {
+		p := smallThroughput()
+		c.set(&p)
+		if tbl, err := ExtThroughput(p); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s: ExtThroughput = (%v, %v), want an error naming %s", c.name, tbl, err, c.name)
+		}
+	}
+}
+
+// TestFig3RefusesNegativeLength: a negative tunnel length reaches
+// DeployDirect, which refuses it with an error instead of panicking.
+func TestFig3RefusesNegativeLength(t *testing.T) {
+	_, err := Fig3(Fig3Params{N: 100, Tunnels: 4, Length: -2, K: 3, Fracs: []float64{0.1}, Trials: 1, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "cannot deploy -2 anchors") {
+		t.Fatalf("Fig3 with Length -2 = %v, want DeployDirect's error", err)
 	}
 }

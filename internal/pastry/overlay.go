@@ -46,6 +46,10 @@ type Overlay struct {
 
 	// RepairCount counts lazy routing-table repairs, for ablation benches.
 	RepairCount uint64
+
+	// around is neighborsAround's result, reused by every membership
+	// change.
+	around []*Node
 }
 
 // Build constructs an overlay of n nodes with fully materialized, exact
@@ -390,11 +394,12 @@ func (o *Overlay) recomputeLeafAt(node *Node, p int) {
 // neighborsAround returns the live nodes within half ring positions on
 // each side of position p — exactly the nodes whose leaf sets can
 // reference the node at p. Dedup is the same positional arithmetic as
-// RingNeighbors (this runs on every membership change).
+// RingNeighbors (this runs on every membership change). The result is
+// valid until the next call.
 func (o *Overlay) neighborsAround(p int) []*Node {
 	n := len(o.index)
 	half := o.cfg.LeafSize / 2
-	var out []*Node
+	out := o.around[:0]
 	for i := 1; i <= half && i < n; i++ {
 		if 2*i-1 < n {
 			out = append(out, o.nodeAt(o.index[(p+i)%n].Addr))
@@ -403,6 +408,7 @@ func (o *Overlay) neighborsAround(p int) []*Node {
 			out = append(out, o.nodeAt(o.index[(p-i+n)%n].Addr))
 		}
 	}
+	o.around = out
 	return out
 }
 

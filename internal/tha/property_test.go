@@ -84,7 +84,7 @@ func TestPropChooseScatteredSound(t *testing.T) {
 	f := func(seed uint64, lRaw uint8) bool {
 		l := int(lRaw%8) + 1
 		stream := rng.New(seed)
-		chosen, err := ChooseScattered(pool, l, 4, stream)
+		chosen, err := ChooseScattered(nil, pool, l, 4, stream)
 		if err != nil {
 			return false
 		}

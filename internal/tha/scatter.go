@@ -13,9 +13,10 @@ import (
 //
 // ChooseScattered picks l anchors from the owner's pool such that, as far
 // as the pool allows, no two share their leading base-2^b digit; within
-// that constraint the choice is random. It returns an error when the pool
-// is smaller than l.
-func ChooseScattered(pool []Secret, l int, b int, stream *rng.Stream) ([]Secret, error) {
+// that constraint the choice is random. It appends them to dst and returns
+// the result, so a caller with room in dst allocates nothing for a pool of
+// up to 16 anchors. It returns an error when the pool is smaller than l.
+func ChooseScattered(dst, pool []Secret, l int, b int, stream *rng.Stream) ([]Secret, error) {
 	if l <= 0 {
 		return nil, fmt.Errorf("tha: tunnel length %d must be positive", l)
 	}
@@ -29,9 +30,10 @@ func ChooseScattered(pool []Secret, l int, b int, stream *rng.Stream) ([]Secret,
 	//
 	// The buckets are a stable counting sort of a copy of the pool: bucket
 	// d is sorted[start[d]:start[d+1]], its anchors in pool order, and the
-	// digits (at most 2^8) and offsets live on the stack. Everything is
-	// visited in ascending digit order before any stream draw, so replay
-	// determinism does not depend on how the buckets are stored.
+	// digits (at most 2^8) and offsets live on the stack, as does the copy
+	// of a pool of up to 16 anchors. Everything is visited in ascending
+	// digit order before any stream draw, so replay determinism does not
+	// depend on how the buckets are stored.
 	var start [1<<8 + 1]int
 	for _, s := range pool {
 		start[s.HopID.Digit(0, b)+1]++
@@ -45,7 +47,11 @@ func ChooseScattered(pool []Secret, l int, b int, stream *rng.Stream) ([]Secret,
 		start[d+1] += start[d]
 	}
 	next := start
-	sorted := make([]Secret, len(pool))
+	var sortedBuf [16]Secret
+	sorted := sortedBuf[:min(len(pool), len(sortedBuf))]
+	if len(pool) > len(sortedBuf) {
+		sorted = make([]Secret, len(pool))
+	}
 	for _, s := range pool {
 		d := s.HopID.Digit(0, b)
 		sorted[next[d]] = s
@@ -59,8 +65,8 @@ func ChooseScattered(pool []Secret, l int, b int, stream *rng.Stream) ([]Secret,
 	}
 	stream.Shuffle(len(digits), func(i, j int) { digits[i], digits[j] = digits[j], digits[i] })
 
-	out := make([]Secret, 0, l)
-	for round := 0; len(out) < l; round++ {
+	out, want := dst, len(dst)+l
+	for round := 0; len(out) < want; round++ {
 		took := false
 		for _, d := range digits {
 			if round >= start[d+1]-start[d] {
@@ -68,7 +74,7 @@ func ChooseScattered(pool []Secret, l int, b int, stream *rng.Stream) ([]Secret,
 			}
 			out = append(out, sorted[start[d]+round])
 			took = true
-			if len(out) == l {
+			if len(out) == want {
 				break
 			}
 		}

@@ -106,7 +106,7 @@ func TestChooseScatteredMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: reference: %v", c, err)
 		}
-		chosen, err := ChooseScattered(pool, l, b, got)
+		chosen, err := ChooseScattered(nil, pool, l, b, got)
 		if err != nil {
 			t.Fatalf("case %d (n=%d l=%d b=%d): %v", c, n, l, b, err)
 		}
@@ -122,20 +122,115 @@ func TestChooseScatteredMatchesReference(t *testing.T) {
 	}
 }
 
+// countingSortChooseScattered is the counting-sort scatter rule as it was
+// before it appended to a caller's slice and kept small pools' copy on the
+// stack, kept verbatim: the frozen definition TestChooseScatteredMatchesHeapCopy
+// holds the in-place version to, across the 16-anchor stack boundary.
+func countingSortChooseScattered(pool []Secret, l int, b int, stream *rng.Stream) ([]Secret, error) {
+	if l <= 0 {
+		return nil, fmt.Errorf("tha: tunnel length %d must be positive", l)
+	}
+	if len(pool) < l {
+		return nil, fmt.Errorf("tha: pool of %d anchors cannot form a %d-hop tunnel", len(pool), l)
+	}
+	var start [1<<8 + 1]int
+	for _, s := range pool {
+		start[s.HopID.Digit(0, b)+1]++
+	}
+	var digitBuf [1 << 8]int
+	digits := digitBuf[:0]
+	for d := 0; d < 1<<b; d++ {
+		if start[d+1] > 0 {
+			digits = append(digits, d)
+		}
+		start[d+1] += start[d]
+	}
+	next := start
+	sorted := make([]Secret, len(pool))
+	for _, s := range pool {
+		d := s.HopID.Digit(0, b)
+		sorted[next[d]] = s
+		next[d]++
+	}
+	for _, d := range digits {
+		bk := sorted[start[d]:start[d+1]]
+		stream.Shuffle(len(bk), func(i, j int) { bk[i], bk[j] = bk[j], bk[i] })
+	}
+	stream.Shuffle(len(digits), func(i, j int) { digits[i], digits[j] = digits[j], digits[i] })
+
+	out := make([]Secret, 0, l)
+	for round := 0; len(out) < l; round++ {
+		took := false
+		for _, d := range digits {
+			if round >= start[d+1]-start[d] {
+				continue
+			}
+			out = append(out, sorted[start[d]+round])
+			took = true
+			if len(out) == l {
+				break
+			}
+		}
+		if !took {
+			return nil, fmt.Errorf("tha: internal scatter exhaustion")
+		}
+	}
+	return out, nil
+}
+
+// TestChooseScatteredMatchesHeapCopy: for pools of 1 to 40 anchors, tunnel
+// lengths 1 to 8, every base and five seeds, ChooseScattered appends the
+// frozen heap-copy version's picks, in its order, after whatever dst held,
+// and leaves the stream where that version leaves it.
+func TestChooseScatteredMatchesHeapCopy(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for l := 1; l <= min(n, 8); l++ {
+			for _, b := range []int{1, 2, 4, 8} {
+				for seed := uint64(0); seed < 5; seed++ {
+					pool := randomPool(n, rng.New(seed<<16|uint64(n)))
+					ref, got := rng.New(seed+1e6), rng.New(seed+1e6)
+					want, err := countingSortChooseScattered(pool, l, b, ref)
+					if err != nil {
+						t.Fatalf("n=%d l=%d b=%d seed %d: frozen version: %v", n, l, b, seed, err)
+					}
+					prefix := randomPool(int(seed), rng.New(seed))
+					dst := append(make([]Secret, 0, len(prefix)+l), prefix...)
+					chosen, err := ChooseScattered(dst, pool, l, b, got)
+					if err != nil {
+						t.Fatalf("n=%d l=%d b=%d seed %d: %v", n, l, b, seed, err)
+					}
+					if !reflect.DeepEqual(chosen[:len(prefix)], prefix) || !reflect.DeepEqual(chosen[len(prefix):], want) {
+						t.Fatalf("n=%d l=%d b=%d seed %d: picks differ from the frozen version", n, l, b, seed)
+					}
+					if g, w := got.Int63(), ref.Int63(); g != w {
+						t.Fatalf("n=%d l=%d b=%d seed %d: stream left at draw %d, frozen version at %d", n, l, b, seed, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestChooseScatteredAllocs: the buckets are a counting sort with its
-// offsets on the stack, so a call allocates the sorted copy and the result
-// and nothing per anchor or per bucket, at any pool size.
+// offsets on the stack, so a call with room in dst allocates nothing for a
+// pool of up to 16 anchors, whose copy is on the stack too, and only the
+// copy above that, nothing per anchor or per bucket, at any pool size.
 func TestChooseScatteredAllocs(t *testing.T) {
-	for _, n := range []int{1, 16, 64, 256} {
+	for _, n := range []int{1, 16, 17, 64, 256} {
 		pool := randomPool(n, rng.New(uint64(n)))
 		s := rng.New(7)
+		dst := make([]Secret, 0, 5)
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := ChooseScattered(pool, min(n, 5), 4, s); err != nil {
+			if _, err := ChooseScattered(dst, pool, min(n, 5), 4, s); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 2 {
-			t.Fatalf("ChooseScattered over %d anchors: %.1f allocations per call, want ≤ 2", n, allocs)
+		want := 0.0
+		if n > 16 {
+			want = 1
+		}
+		if allocs > want {
+			t.Fatalf("ChooseScattered over %d anchors: %.1f allocations per call, want ≤ %.0f", n, allocs, want)
 		}
 	}
 }

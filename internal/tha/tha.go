@@ -121,7 +121,9 @@ type Secret struct {
 
 // Generator produces node-specific, unlinkable anchors.
 type Generator struct {
+	// nodeID is the node's identity, kept in idBuf when it fits one id.
 	nodeID []byte
+	idBuf  [id.Size]byte
 	hkey   [16]byte
 	next   uint64
 
@@ -143,7 +145,8 @@ const chunk = 64
 // (e.g. the encoding of its public key), with a fresh secret hkey drawn
 // from r.
 func NewGenerator(nodeID []byte, r io.Reader) (*Generator, error) {
-	g := &Generator{nodeID: append([]byte(nil), nodeID...)}
+	g := new(Generator)
+	g.nodeID = append(g.idBuf[:0], nodeID...)
 	if _, err := io.ReadFull(r, g.hkey[:]); err != nil {
 		return nil, fmt.Errorf("tha: drawing hkey: %w", err)
 	}

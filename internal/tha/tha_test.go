@@ -271,7 +271,7 @@ func genPool(t *testing.T, n int, seed uint64) []Secret {
 func TestChooseScatteredDiversity(t *testing.T) {
 	pool := genPool(t, 64, 16)
 	s := rng.New(17)
-	chosen, err := ChooseScattered(pool, 5, 4, s)
+	chosen, err := ChooseScattered(nil, pool, 5, 4, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestChooseScatteredSmallPoolFallsBack(t *testing.T) {
 	if len(same) < 3 {
 		t.Skip("pool did not concentrate; statistically near-impossible")
 	}
-	chosen, err := ChooseScattered(same[:3], 3, 4, s)
+	chosen, err := ChooseScattered(nil, same[:3], 3, 4, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +320,10 @@ func TestChooseScatteredSmallPoolFallsBack(t *testing.T) {
 func TestChooseScatteredErrors(t *testing.T) {
 	pool := genPool(t, 3, 20)
 	s := rng.New(21)
-	if _, err := ChooseScattered(pool, 5, 4, s); err == nil {
+	if _, err := ChooseScattered(nil, pool, 5, 4, s); err == nil {
 		t.Fatalf("undersized pool accepted")
 	}
-	if _, err := ChooseScattered(pool, 0, 4, s); err == nil {
+	if _, err := ChooseScattered(nil, pool, 0, 4, s); err == nil {
 		t.Fatalf("zero length accepted")
 	}
 }
@@ -336,7 +336,7 @@ func TestChooseScatteredBeatsRandomOnAverage(t *testing.T) {
 	const trials = 200
 	scatterTotal, randomTotal := 0, 0
 	for i := 0; i < trials; i++ {
-		chosen, err := ChooseScattered(pool, 5, 4, s)
+		chosen, err := ChooseScattered(nil, pool, 5, 4, s)
 		if err != nil {
 			t.Fatal(err)
 		}
