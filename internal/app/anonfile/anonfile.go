@@ -266,7 +266,9 @@ func Upload(eng *core.NetEngine, in *core.Initiator, tun *core.Tunnel,
 
 	fid := id.HashString(name)
 	s := eng.OpenTunnelStream(in.Node().Ref().Addr, tun, fid, cfg)
-	s.OnComplete = done
+	if done != nil {
+		s.OnComplete = func(o core.Outcome) { done(o.Delivered) }
+	}
 	s.WriteAll(content)
 	return fid, s
 }

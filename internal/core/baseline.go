@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
+	"io"
+	"slices"
 
-	"tap/internal/crypt"
 	"tap/internal/id"
 	"tap/internal/pastry"
 	"tap/internal/rng"
@@ -24,6 +25,11 @@ type FixedTunnel struct {
 	// address. Each hop's anchor holds a key-schedule cell, so a round trip
 	// derives a relay's key schedule once, at the build.
 	tunnel Tunnel
+
+	// The tunnel's link and, for up to eight relays, Relays and the hints
+	// are the FixedTunnel's own: a build costs it and a block of hops.
+	link   tunnelLink
+	relays [8]pastry.NodeRef
 }
 
 // Length returns the number of relays.
@@ -39,27 +45,35 @@ func FormFixed(ov *pastry.Overlay, l int, stream *rng.Stream) (*FixedTunnel, err
 	if ov.Size() < l {
 		return nil, fmt.Errorf("core: overlay of %d nodes cannot host %d distinct relays", ov.Size(), l)
 	}
-	ft := &FixedTunnel{
-		Relays: make([]pastry.NodeRef, 0, l),
-		tunnel: Tunnel{Hops: make([]tha.Secret, 0, l), link: &tunnelLink{hints: make([]simnet.Addr, 0, l)}},
-	}
-	used := make(map[simnet.Addr]struct{}, l)
+	ft := new(FixedTunnel)
+	ft.Relays = slices.Grow(ft.relays[:0], l)
+	ft.link.hints = slices.Grow(ft.link.inline[:0], l)
+	ft.tunnel = Tunnel{Hops: make([]tha.Secret, l), link: &ft.link}
 	for len(ft.Relays) < l {
-		n := ov.RandomLive(stream)
-		if _, dup := used[n.Ref().Addr]; dup {
+		ref := ov.RandomLive(stream).Ref()
+		if ft.picked(ref.Addr) {
 			continue
 		}
-		used[n.Ref().Addr] = struct{}{}
-		key, err := crypt.NewKey(stream)
-		if err != nil {
-			return nil, err
+		hop := &ft.tunnel.Hops[len(ft.Relays)]
+		hop.HopID = ref.ID
+		// The key is drawn as crypt.NewKey draws one, into the hop.
+		if _, err := io.ReadFull(stream, hop.Key[:]); err != nil {
+			return nil, fmt.Errorf("core: drawing relay %d's key: %w", len(ft.Relays), err)
 		}
-		ft.Relays = append(ft.Relays, n.Ref())
-		hop := tha.Anchor{HopID: n.ID(), Key: key}
-		ft.tunnel.Hops = append(ft.tunnel.Hops, tha.Secret{Anchor: hop})
-		ft.tunnel.link.hints = append(ft.tunnel.link.hints, n.Ref().Addr)
+		ft.Relays = append(ft.Relays, ref)
+		ft.link.hints = append(ft.link.hints, ref.Addr)
 	}
 	return ft, nil
+}
+
+// picked reports whether addr is among the relays picked so far.
+func (ft *FixedTunnel) picked(addr simnet.Addr) bool {
+	for _, r := range ft.Relays {
+		if r.Addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // Alive reports whether every relay is still a live overlay member — the

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"tap/internal/crypt"
 	"tap/internal/id"
 	"tap/internal/onionroute"
 	"tap/internal/past"
@@ -586,6 +588,37 @@ func TestBaselineIsOneOnion(t *testing.T) {
 	}
 	if _, _, err := s.svc.DeliverFixed(ft, env); !errors.Is(err, ErrRelayDead) || !strings.Contains(err.Error(), "relay 0") {
 		t.Fatalf("dead first relay: err = %v, want ErrRelayDead at relay 0", err)
+	}
+}
+
+// TestFormFixedAllocsPerTunnel: a fixed tunnel of up to eight relays costs
+// its struct, which holds its relays, link and hints, and its block of
+// hops, whose keys are drawn in place. A tunnel of more relays still forms.
+func TestFormFixedAllocsPerTunnel(t *testing.T) {
+	s := newSys(t, 200, 3, 13)
+	stream := s.root.Split("ft")
+	for _, l := range []int{1, 5, 8, 12} {
+		var ft *FixedTunnel
+		allocs := testing.AllocsPerRun(50, func() {
+			var err error
+			if ft, err = FormFixed(s.ov, l, stream); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if l <= 8 && allocs > 2 {
+			t.Errorf("FormFixed(%d): %.0f allocations per tunnel, want ≤ 2", l, allocs)
+		}
+		if ft.Length() != l || len(ft.tunnel.Hops) != l {
+			t.Fatalf("FormFixed(%d): %d relays, %d hops", l, ft.Length(), len(ft.tunnel.Hops))
+		}
+		for i, r := range ft.Relays {
+			if ft.tunnel.Hops[i].HopID != r.ID || ft.tunnel.Hint(i) != r.Addr || ft.tunnel.Hops[i].Key == (crypt.Key{}) {
+				t.Fatalf("FormFixed(%d): hop %d is not relay %s with a key", l, i, r)
+			}
+			if slices.IndexFunc(ft.Relays, func(o pastry.NodeRef) bool { return o.Addr == r.Addr }) != i {
+				t.Fatalf("FormFixed(%d): relay %s picked twice", l, r)
+			}
+		}
 	}
 }
 

@@ -125,15 +125,17 @@ type NetTap interface {
 	ExitObserved(at simnet.Addr, now simnet.Time, flow uint64, dest id.ID)
 }
 
-// Outcome reports one completed (or failed) flow or message.
+// Outcome reports one completed (or failed) flow, stream or message.
 type Outcome struct {
 	Flow      uint64
 	Delivered bool
+	Opened    simnet.Time // streams and messages only: when it opened
 	At        simnet.Time
 	NetHops   int    // fire-and-forget flows only
 	FailedAt  string // empty on success
 	// Attempts is the number of end-to-end transmissions: 1 for a
-	// fire-and-forget flow, 1 + retransmits for a message (SendMessage).
+	// fire-and-forget flow, 1 + retransmits for a stream or a message
+	// (SendMessage).
 	Attempts int
 }
 

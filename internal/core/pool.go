@@ -7,6 +7,7 @@ import (
 	"tap/internal/id"
 	"tap/internal/rng"
 	"tap/internal/simnet"
+	"tap/internal/transport"
 )
 
 // TunnelPool keeps N disjoint tunnels per initiator alive under churn.
@@ -258,13 +259,13 @@ func (p *TunnelPool) jittered(d simnet.Time, frac float64) simnet.Time {
 }
 
 func (p *TunnelPool) scheduleTick() {
-	p.eng.net.Schedule(p.jittered(probeInterval, probeJitterFrac), func() {
+	p.eng.net.Schedule(p.jittered(probeInterval, probeJitterFrac), transport.Func(func() {
 		if p.stopped {
 			return
 		}
 		p.tick()
 		p.scheduleTick()
-	})
+	}))
 }
 
 // tick is one lifecycle round: probe every live slot, fill empty ones.

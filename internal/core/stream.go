@@ -33,8 +33,8 @@ import (
 // A stream's hot path is zero-allocation in steady state, in either mode:
 // a segment is a window into the content the stream was handed, window
 // slots are a ring, packets come from a freelist with their ACK ranges
-// inline, and the retransmit timer re-arms a single preallocated closure
-// through the kernel's slot arena (TestStreamSteadyStateZeroAlloc). A tunnel stream seals each transmission
+// inline, and the retransmit timer re-arms the window itself, an event
+// that fits the kernel's slot arena (TestStreamSteadyStateZeroAlloc). A tunnel stream seals each transmission
 // into the onion storage of the packet that carries it; every hop peels
 // that onion where it lies, and the packet, storage and all, returns to the
 // freelist at the receiver (TestStreamTunnelSteadyStateAllocBudget). The
@@ -117,10 +117,12 @@ type Stream struct {
 	content []byte
 	finSeq  uint64
 	failWhy string
+	opened  simnet.Time
 
-	// OnComplete fires once: true when every segment including the FIN is
-	// acknowledged, false when the stream failed.
-	OnComplete func(ok bool)
+	// OnComplete fires once with the stream's Outcome: Delivered when
+	// every segment including the FIN is acknowledged, false when the
+	// stream failed.
+	OnComplete func(Outcome)
 
 	SegsRetx uint64 // retransmissions so far
 }
@@ -154,9 +156,10 @@ func (e *NetEngine) OpenTunnelStream(origin simnet.Addr, tun *Tunnel, dest id.ID
 // whose one segment carries the FIN: the receiver delivers it once and
 // re-ACKs any duplicate, and each timeout retransmits it into the recovered
 // tunnel — re-sealed, re-resolving every hop — up to attempts transmissions
-// in all. done (optional) fires once: Delivered when the ACK came home,
-// Attempts = 1 + retransmits, FailedAt the stream's failure reason. Every
-// transmission reads payload, so it must not change until done fires.
+// in all. done (optional) fires once with the message's stream Outcome:
+// Delivered when the ACK came home, Attempts = 1 + retransmits, FailedAt
+// the failure reason. Every transmission reads payload, so it must not
+// change until done fires.
 func (e *NetEngine) SendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, payload []byte, attempts int, done func(Outcome)) uint64 {
 	return e.sendMessage(origin, tun, dest, payload, attempts, 0, done)
 }
@@ -172,11 +175,7 @@ func (e *NetEngine) sendMessage(origin simnet.Addr, tun *Tunnel, dest id.ID, pay
 	if rto > 0 {
 		s.rto = rto
 	}
-	s.OnComplete = func(ok bool) {
-		if done != nil {
-			done(Outcome{Flow: s.id, Delivered: ok, At: e.net.Now(), Attempts: 1 + int(s.SegsRetx), FailedAt: s.failWhy})
-		}
-	}
+	s.OnComplete = done
 	s.content = payload
 	s.fill()
 	return s.id
@@ -194,9 +193,10 @@ func (e *NetEngine) openStream(origin simnet.Addr, dest id.ID, hint simnet.Addr,
 		destHint: hint,
 		tun:      tun,
 		cfg:      cfg,
+		opened:   e.net.Now(),
 	}
 	// A ring of the right size, lent by a finished stream, is kept by
-	// Reset; the timer closure is the stream's own.
+	// Reset.
 	s.ring = e.sendRings.take(cfg.Window)
 	s.Reset(e.net, s, cfg.Window, streamInitRTO, streamMinRTO, streamMaxRetries)
 	if tun != nil {
@@ -340,9 +340,7 @@ func (s *Stream) complete() {
 		// A clean run over this tunnel: drop the backoff memory.
 		s.tun.storeRTO(0)
 	}
-	if s.OnComplete != nil {
-		s.OnComplete(true)
-	}
+	s.report()
 }
 
 // fail abandons the stream.
@@ -356,8 +354,14 @@ func (s *Stream) fail(why string) {
 	delete(s.eng.sendStreams, s.id)
 	// The tunnel is presumed dead: drop every hop's remembered address.
 	s.eng.invalidateTunnelHints(s.tun)
+	s.report()
+}
+
+// report hands OnComplete the finished stream's Outcome.
+func (s *Stream) report() {
 	if s.OnComplete != nil {
-		s.OnComplete(false)
+		s.OnComplete(Outcome{Flow: s.id, Delivered: s.done, Opened: s.opened, At: s.eng.net.Now(),
+			Attempts: 1 + int(s.SegsRetx), FailedAt: s.failWhy})
 	}
 }
 

@@ -66,7 +66,7 @@ func TestStreamDirectTransfer(t *testing.T) {
 	data := patternData(100_000)
 	s := ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, StreamConfig{})
 	completed, ok := false, false
-	s.OnComplete = func(o bool) { completed, ok = true, o }
+	s.OnComplete = func(o Outcome) { completed, ok = true, o.Delivered }
 	s.WriteAll(data)
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestStreamLossAndReorderExactlyOnce(t *testing.T) {
 	data := patternData(64_000)
 	s := ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, StreamConfig{Window: 16})
 	var okDone bool
-	s.OnComplete = func(o bool) { okDone = o }
+	s.OnComplete = func(o Outcome) { okDone = o.Delivered }
 	s.WriteAll(data)
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestStreamTunnelTransfer(t *testing.T) {
 	dest := id.HashString("streamed-file")
 	s := ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, dest, StreamConfig{Window: 8})
 	var okDone bool
-	s.OnComplete = func(o bool) { okDone = o }
+	s.OnComplete = func(o Outcome) { okDone = o.Delivered }
 	s.WriteAll(data)
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestStreamBackpressure(t *testing.T) {
 	data := patternData(64 * 1024)
 	s := ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, cfg)
 	var okDone bool
-	s.OnComplete = func(o bool) { okDone = o }
+	s.OnComplete = func(o Outcome) { okDone = o.Delivered }
 	// A single huge write must stop at exactly one window of segments; the
 	// acknowledgments push the rest.
 	s.WriteAll(data)
@@ -334,7 +334,7 @@ func writeAllFinCase(t *testing.T, cfg StreamConfig, size int, tunnel bool) {
 	}
 	data := patternData(size)
 	var completions []bool
-	s.OnComplete = func(ok bool) { completions = append(completions, ok) }
+	s.OnComplete = func(o Outcome) { completions = append(completions, o.Delivered) }
 	s.WriteAll(data)
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -416,7 +416,7 @@ func TestStreamGoodputVsStopAndWait(t *testing.T) {
 		s := ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, StreamConfig{Window: window})
 		var doneAt simnet.Time
 		var okDone bool
-		s.OnComplete = func(o bool) { okDone, doneAt = o, ns.kernel.Now() }
+		s.OnComplete = func(o Outcome) { okDone, doneAt = o.Delivered, ns.kernel.Now() }
 		s.WriteAll(data)
 		if err := ns.kernel.Run(); err != nil {
 			t.Fatal(err)
@@ -663,10 +663,10 @@ func TestOneKeySchedulePerAnchor(t *testing.T) {
 }
 
 // TestWarmEngineStreamAllocs: once an engine has run streams, opening and
-// finishing another costs at most one object — its retransmit timer's
-// closure. The Stream and RecvStream structs are carved from chunks, and
-// the send and reorder rings are lent from the streams that finished
-// before it.
+// finishing another, direct or over a tunnel, allocates nothing. The
+// Stream and RecvStream structs are carved from chunks, the send and
+// reorder rings are lent from the streams that finished before it, the
+// window is its own timer event, and one OnComplete serves every stream.
 func TestWarmEngineStreamAllocs(t *testing.T) {
 	ns := newNetSys(t, 100, 3, 45)
 	ns.net.Link = fixedLink(5 * time.Millisecond)
@@ -675,23 +675,122 @@ func TestWarmEngineStreamAllocs(t *testing.T) {
 	if src.Ref().Addr == dst.Ref().Addr {
 		t.Fatal("src and dst collided; pick another seed")
 	}
+	in := ns.readyInitiator(t, "a", 12)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tun.RefreshHints(ns.svc); err != nil {
+		t.Fatal(err)
+	}
 	data := patternData(8 * 1024)
-	finish := func() {
-		s := ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, StreamConfig{Window: 4})
-		s.WriteAll(data)
-		if err := ns.kernel.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if !s.Done() {
-			_, why := s.Failed()
-			t.Fatalf("stream did not finish: %s", why)
+	delivered := 0
+	onComplete := func(o Outcome) {
+		if o.Delivered {
+			delivered++
 		}
 	}
-	for i := 0; i < 64; i++ {
-		finish() // warm the packet, buffer and ring pools and the maps
+	for _, c := range []struct {
+		name string
+		open func() *Stream
+	}{
+		{"direct", func() *Stream {
+			return ns.eng.OpenStream(src.Ref().Addr, dst.ID(), dst.Ref().Addr, StreamConfig{Window: 4})
+		}},
+		{"tunnel", func() *Stream {
+			return ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, dst.ID(), StreamConfig{Window: 4})
+		}},
+	} {
+		finish := func() {
+			s := c.open()
+			s.OnComplete = onComplete
+			s.WriteAll(data)
+			if err := ns.kernel.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !s.Done() {
+				_, why := s.Failed()
+				t.Fatalf("%s stream did not finish: %s", c.name, why)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			finish() // warm the packet, buffer and ring pools and the maps
+		}
+		before := delivered
+		if n := testing.AllocsPerRun(256, finish); n > 0 {
+			t.Errorf("opening and finishing a %s stream on a warm engine allocates %.2f objects, want 0", c.name, n)
+		}
+		if delivered-before != 257 {
+			t.Errorf("%s: OnComplete reported %d deliveries for 257 streams", c.name, delivered-before)
+		}
 	}
-	if n := testing.AllocsPerRun(256, finish); n > 1 {
-		t.Fatalf("opening and finishing a stream on a warm engine allocates %.2f objects, want at most 1 (its timer closure)", n)
+}
+
+// TestStreamOutcomeTimes: a stream and a message report through one
+// Outcome, stamped on the kernel's clock: Opened when the stream opened —
+// not when it first sent, which a stream handed its content later does
+// after — At when it finished, Attempts 1 + its retransmissions and
+// FailedAt its failure's reason.
+func TestStreamOutcomeTimes(t *testing.T) {
+	ns := newNetSys(t, 100, 3, 47)
+	ns.net.Link = fixedLink(5 * time.Millisecond)
+	in := ns.readyInitiator(t, "a", 12)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tun.RefreshHints(ns.svc); err != nil {
+		t.Fatal(err)
+	}
+	origin, dest := in.Node().Ref().Addr, id.HashString("outcome")
+	const (
+		openAt  = 40 * time.Millisecond
+		writeAt = 60 * time.Millisecond
+		lossAt  = 10 * time.Second
+	)
+	// want is what each finished stream should report; At is the kernel's
+	// clock when OnComplete fires.
+	want := map[string]Outcome{}
+	got := map[string]Outcome{}
+	report := func(name string) func(Outcome) {
+		return func(o Outcome) {
+			w := want[name]
+			w.At = ns.kernel.Now()
+			want[name], got[name] = w, o
+		}
+	}
+	var stream *Stream
+	ns.kernel.At(openAt, func() {
+		stream = ns.eng.OpenTunnelStream(origin, tun, dest, StreamConfig{Window: 4})
+		stream.OnComplete = report("stream")
+		ns.kernel.At(writeAt, func() { stream.WriteAll(patternData(6000)) })
+		want["stream"] = Outcome{Flow: stream.ID(), Delivered: true, Opened: openAt}
+		mid := ns.eng.SendMessage(origin, tun, dest, []byte("hello"), 3, report("message"))
+		want["message"] = Outcome{Flow: mid, Delivered: true, Opened: openAt, Attempts: 1}
+	})
+	ns.kernel.At(lossAt, func() {
+		// Every transmission is lost from here on: the message's two tries
+		// run out.
+		ns.net.InstallFaults(&simnet.FaultPlan{Seed: 1, LossRate: 1})
+		mid := ns.eng.SendMessage(origin, tun, dest, []byte("lost"), 2, report("lost"))
+		want["lost"] = Outcome{Flow: mid, Opened: lossAt, Attempts: 2,
+			FailedAt: "segment 0: retransmit budget exhausted after 2 tries"}
+	})
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	w := want["stream"]
+	w.Attempts = 1 + int(stream.SegsRetx)
+	want["stream"] = w
+	for _, name := range []string{"stream", "message", "lost"} {
+		o, ok := got[name]
+		if !ok {
+			t.Errorf("%s: no outcome", name)
+			continue
+		}
+		if o != want[name] || o.At <= o.Opened {
+			t.Errorf("%s: outcome %+v, want %+v", name, o, want[name])
+		}
 	}
 }
 

@@ -49,11 +49,11 @@ func (r *rttEstimator) rto(init, floor transport.Time) transport.Time {
 }
 
 // WindowOwner holds the requests a SendWindow numbers: the window calls it
-// from its own methods and its timer callback. An owner is a pointer, so
-// reaching it allocates nothing; the window's one closure is timerFn, made
-// by its first Reset. A simulator workload opens streams by the thousand,
-// so a window must cost no object beyond that closure and its ring, which
-// the simulator's engine lends from one finished stream to the next.
+// from its own methods and its timer event. An owner is a pointer, so
+// reaching it allocates nothing, and the window is its own timer event
+// (Fire). A simulator workload opens streams by the thousand, so a window
+// must cost no object beyond its ring, which the simulator's engine lends
+// from one finished stream to the next.
 type WindowOwner interface {
 	// Send puts one copy of request seq on the wire; rtx counts the copies
 	// sent before it.
@@ -91,7 +91,7 @@ type windowSlot struct {
 //     (procnode): their order says nothing about loss, so only the timer
 //     re-sends.
 //
-// A window is ready after Reset. Its methods, the clock's callback and the
+// A window is ready after Reset. Its methods, its timer event and the
 // owner run on one goroutine at a time.
 type SendWindow struct {
 	clock transport.Clock
@@ -110,14 +110,13 @@ type SendWindow struct {
 	dupAcks         int
 	maxRetries      int // per-request retransmissions before GiveUp
 
-	// Retransmit timer: one preallocated closure, re-armed through the
-	// clock. rtxDeadline is when the head times out (0 = nothing
-	// outstanding); timerAt is when the scheduled event fires (0 = none).
-	// An event that fires early — stale, or before a deadline that moved —
-	// re-arms itself for the remainder instead of acting.
+	// Retransmit timer: the window itself, re-armed through the clock.
+	// rtxDeadline is when the head times out (0 = nothing outstanding);
+	// timerAt is when the scheduled event fires (0 = none). An event that
+	// fires early — stale, or before a deadline that moved — re-arms itself
+	// for the remainder instead of acting.
 	rtxDeadline transport.Time
 	timerAt     transport.Time
-	timerFn     func()
 
 	maxInflight int
 }
@@ -125,18 +124,15 @@ type SendWindow struct {
 // Reset starts w on a new sequence, from 0: at most slots requests in
 // flight, an RTO of initRTO (capped at 30 s) until the first sample and of
 // at least minRTO after, and retries re-sends of a request before
-// owner.GiveUp. A window reset at its size keeps its ring and its timer
-// callback, so only the first Reset allocates.
+// owner.GiveUp. A window reset at its size keeps its ring, so only the
+// first Reset allocates.
 func (w *SendWindow) Reset(clock transport.Clock, owner WindowOwner, slots int, initRTO, minRTO transport.Time, retries int) {
-	ring, timerFn := w.ring, w.timerFn
+	ring := w.ring
 	if len(ring) != slots {
 		ring = make([]windowSlot, slots)
 	}
 	clear(ring)
-	if timerFn == nil {
-		timerFn = w.onTimerEvent
-	}
-	*w = SendWindow{clock: clock, owner: owner, ring: ring, timerFn: timerFn,
+	*w = SendWindow{clock: clock, owner: owner, ring: ring,
 		rto: min(initRTO, streamMaxRTO), initRTO: initRTO, minRTO: minRTO, maxRetries: retries}
 }
 
@@ -182,11 +178,12 @@ func (w *SendWindow) schedTimer(at transport.Time) {
 		return // the pending event fires early enough; it will re-arm
 	}
 	w.timerAt = at
-	w.clock.Schedule(at-w.clock.Now(), w.timerFn)
+	w.clock.Schedule(at-w.clock.Now(), w)
 }
 
-// onTimerEvent is the single retransmit-timer callback.
-func (w *SendWindow) onTimerEvent() {
+// Fire is the retransmit timer's event (transport.Event): the clock calls
+// it when a timer the window scheduled expires.
+func (w *SendWindow) Fire() {
 	w.timerAt = 0
 	if w.done || w.failed || w.inflight() == 0 || w.rtxDeadline == 0 {
 		return

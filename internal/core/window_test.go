@@ -18,7 +18,7 @@ type windowRig struct {
 
 type rigEvent struct {
 	at transport.Time
-	fn func()
+	ev transport.Event
 }
 
 type rigSend struct {
@@ -29,8 +29,8 @@ type rigSend struct {
 
 func (r *windowRig) Now() transport.Time { return r.now }
 
-func (r *windowRig) Schedule(delay transport.Time, fn func()) {
-	r.events = append(r.events, rigEvent{r.now + delay, fn})
+func (r *windowRig) Schedule(delay transport.Time, ev transport.Event) {
+	r.events = append(r.events, rigEvent{r.now + delay, ev})
 }
 
 // runUntil fires every event due by t, earliest first, then sets the clock
@@ -49,7 +49,7 @@ func (r *windowRig) runUntil(t transport.Time) {
 		ev := r.events[next]
 		r.events = append(r.events[:next], r.events[next+1:]...)
 		r.now = ev.at
-		ev.fn()
+		ev.ev.Fire()
 	}
 	r.now = t
 }

@@ -749,7 +749,7 @@ func (r *runner) stream(c *client, ev Event) {
 	rec.s = s
 	r.streams[s.ID()] = rec
 	r.streamIDs = append(r.streamIDs, s.ID())
-	s.OnComplete = func(bool) { rec.completions++ }
+	s.OnComplete = func(core.Outcome) { rec.completions++ }
 	s.WriteAll(content)
 }
 

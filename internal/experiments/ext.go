@@ -63,6 +63,9 @@ const (
 // ExtSecRoute measures honest-owner resolution rates for the three
 // routing policies.
 func ExtSecRoute(p ExtSecRouteParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: secure routing — honest owner resolution vs malicious routers (N=%d, %d lookups, trials=%d)",
@@ -177,6 +180,9 @@ const (
 // ExtDetect measures end-to-end send success through a fixed tunnel vs a
 // monitor-managed tunnel under silent droppers.
 func ExtDetect(p ExtDetectParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: tunnel detection — send success vs dropper fraction (N=%d, l=%d, %d sends, trials=%d)",
@@ -331,6 +337,9 @@ const (
 // ExtCover runs a fixed tunnel workload with cover traffic at each rate
 // and reports total network bytes as a multiple of the no-cover run.
 func ExtCover(p ExtCoverParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: cover traffic cost — network bytes multiplier vs cover rate (N=%d, %d transfers of %d bytes, trials=%d)",

@@ -58,6 +58,9 @@ const (
 // whose initiator is fully identified (degree zero — the complement view
 // of Figure 3's corruption rate).
 func ExtAnon(p ExtAnonParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	fr := ascending(p.Fracs)
 	tbl := trace.NewTable(

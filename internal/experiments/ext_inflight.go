@@ -65,6 +65,9 @@ const (
 // ExtInflight reports delivery rate and successful-transfer latency per
 // churn intensity. The x axis is churn events per minute (0 = none).
 func ExtInflight(p ExtInflightParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: in-flight churn — 2Mb tunnel transfers racing churn (N=%d, l=%d, %d transfers, trials=%d)",

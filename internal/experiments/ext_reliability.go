@@ -77,6 +77,9 @@ const (
 // destinations, and fault plan — differing only in whether the flow is a
 // reliable message or a fire-and-forget envelope.
 func ExtReliability(p ExtReliabilityParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: churn reliability — ACK/retransmit vs fire-and-forget under link loss + hop crashes (N=%d, l=%d, %d flows, crash frac %.2f, trials=%d)",

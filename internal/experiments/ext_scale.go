@@ -51,6 +51,9 @@ const (
 // clock. Exceeding Budget (when set) aborts the sweep with an error
 // naming the offending size, which is what lets CI pin a scale floor.
 func ExtScale(p ExtScaleParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: scaling — build and route cost vs network size (routes=%d)", p.Routes),

@@ -86,6 +86,9 @@ const (
 // baseline clients share one world, one kernel and the identical churn
 // schedule, so the comparison is paired, not sampled.
 func ExtSelfHeal(p ExtSelfHealParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: self-healing pools — availability and time-to-repair under batch churn (N=%d, k=%d, l=%d, pool=%d, %v session, trials=%d)",

@@ -66,6 +66,9 @@ const (
 // ExtSession measures the fraction of sessions that complete all
 // exchanges, per churn rate, for both tunnel designs.
 func ExtSession(p ExtSessionParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Ext: session survival vs churn rate (N=%d, l=%d, %d exchanges, %d sessions, trials=%d)",

@@ -59,14 +59,10 @@ const (
 // validate refuses a negative size, window or loss rate: zero picks the
 // default, and a negative one means nothing.
 func (p ExtThroughputParams) validate() error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"N", p.N}, {"Clients", p.Clients}, {"TunnelsPer", p.TunnelsPer}, {"Length", p.Length},
-		{"Flows", p.Flows}, {"FlowBytes", p.FlowBytes}, {"Dests", p.Dests}, {"ChurnFails", p.ChurnFails}} {
-		if f.v < 0 {
-			return fmt.Errorf("experiments: ext-throughput: %s is %d, must not be negative", f.name, f.v)
-		}
+	if err := refuseNegative("ext-throughput", count{"N", p.N}, count{"Clients", p.Clients}, count{"TunnelsPer", p.TunnelsPer},
+		count{"Length", p.Length}, count{"Flows", p.Flows}, count{"FlowBytes", p.FlowBytes}, count{"Dests", p.Dests},
+		count{"ChurnFails", p.ChurnFails}); err != nil {
+		return err
 	}
 	for _, w := range p.Windows {
 		if w < 0 {
@@ -330,22 +326,23 @@ func runThroughputTrial(p ExtThroughputParams, loss float64, window int, stream 
 		dests[fi] = catalog[zipf.draw(flows)]
 		starts[fi] = simnet.Time(float64(throughputRamp) * flows.Float64())
 	}
+	// A flow opens at exactly its start, so its FCT is At − Opened.
+	complete := func(o core.Outcome) {
+		live--
+		if o.Delivered {
+			deliveredN++
+			m.fct.Add((o.At - o.Opened).Seconds())
+			doneAt.Add(o.At.Seconds())
+		}
+	}
 	scheduleByStart(kernel, starts, func(fi int) {
 		s := srcs[fi%len(srcs)]
-		start := starts[fi]
 		st := eng.OpenTunnelStream(s.origin, s.tunnels[(fi/len(srcs))%len(s.tunnels)], dests[fi], cfg)
 		live++
 		if live > m.peakConcurrent {
 			m.peakConcurrent = live
 		}
-		st.OnComplete = func(ok bool) {
-			live--
-			if ok {
-				deliveredN++
-				m.fct.Add((kernel.Now() - start).Seconds())
-				doneAt.Add(kernel.Now().Seconds())
-			}
-		}
+		st.OnComplete = complete
 		st.WriteAll(content)
 	})
 

@@ -72,6 +72,9 @@ func seriesTraced(p float64, opt bool) string {
 // adversary-observed exits that were confidently and correctly traced to
 // their initiator.
 func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	series := make([]string, 0, 2*len(p.Fracs))
 	for _, f := range p.Fracs {

@@ -66,6 +66,9 @@ func seriesTAP(k int) string { return fmt.Sprintf("TAP(k=%d)", k) }
 // failure fraction for each series. Baseline tunnels are measured in the
 // first k's world (their behaviour does not depend on k).
 func Fig2(p Fig2Params) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	series := []string{SeriesCurrent}
 	for _, k := range p.Ks {

@@ -60,6 +60,9 @@ const SeriesFirstTail = "first+tail"
 // the same adversary — equivalent to independent draws for the mean, and
 // 10× cheaper at the paper's network size.
 func Fig3(p Fig3Params) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	fr := ascending(p.Fracs)
 	tbl := trace.NewTable(

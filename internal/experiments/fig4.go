@@ -50,6 +50,9 @@ func (p Fig4aParams) withDefaults() Fig4aParams {
 // Fig4a runs the replication-factor sweep. Each k needs its own world
 // (replication is a storage-layer parameter).
 func Fig4a(p Fig4aParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 4a: corrupted tunnels vs replication factor (N=%d, tunnels=%d, l=%d, p=%.2f, trials=%d)",
@@ -127,6 +130,9 @@ func (p Fig4bParams) withDefaults() Fig4bParams {
 // tunnel length is owner-side, so each length deploys its own tunnel
 // population into the same network, before the adversary is marked.
 func Fig4b(p Fig4bParams) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 4b: corrupted tunnels vs tunnel length (N=%d, tunnels=%d, k=%d, p=%.2f, trials=%d)",

@@ -72,6 +72,9 @@ const (
 // Fig5 runs the churn experiment and reports the corrupted fraction after
 // each time unit for both policies.
 func Fig5(p Fig5Params) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	tbl := trace.NewTable(
 		fmt.Sprintf("Fig 5: corrupted tunnels over time under churn (N=%d, tunnels=%d, l=%d, k=%d, p=%.2f, %d+%d per unit, trials=%d)",

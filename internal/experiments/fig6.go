@@ -65,6 +65,9 @@ func seriesOpt(l int) string   { return fmt.Sprintf("TAP_opt(l=%d)", l) }
 // Fig6 runs the latency experiment and reports mean transfer time in
 // seconds per network size and mode.
 func Fig6(p Fig6Params) (*trace.Table, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	series := []string{SeriesOvert}
 	for _, l := range p.Lengths {

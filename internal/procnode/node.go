@@ -288,7 +288,7 @@ func (n *Node) send(dst transport.Addr, target id.ID, msg transport.Message, att
 			}
 		}
 		n.m.parkRetries.Inc()
-		n.tr.Schedule(resolveDelay, func() { n.send(dst, target, msg, attempt+1) })
+		n.tr.Schedule(resolveDelay, transport.Func(func() { n.send(dst, target, msg, attempt+1) }))
 	}
 }
 

@@ -88,7 +88,7 @@ func (r *relayRig) await(t testing.TB) transport.Message {
 func (r *relayRig) quiet(t testing.TB) {
 	t.Helper()
 	done := make(chan struct{})
-	r.relay.tr.Schedule(0, func() { close(done) })
+	r.relay.tr.Schedule(0, transport.Func(func() { close(done) }))
 	<-done
 	select {
 	case m := <-r.sunk:
@@ -560,7 +560,7 @@ func (r *relayRig) tailReply(t testing.TB) *core.ReplyEnvelope {
 // afterRetry returns once a retry parked before the call has run.
 func (r *relayRig) afterRetry() {
 	done := make(chan struct{})
-	r.relay.tr.Schedule(resolveDelay+resolveDelay/2, func() { close(done) })
+	r.relay.tr.Schedule(resolveDelay+resolveDelay/2, transport.Func(func() { close(done) }))
 	<-done
 }
 

@@ -248,9 +248,9 @@ func (n *Node) RoundTripStream(cfg StreamConfig, payload []byte) ([]byte, error)
 			}
 		case <-in.timer.C:
 			// Under go.mod's go 1.22 the channel may keep a stale tick past
-			// a Reset: it runs the window's callback early, and the window
+			// a Reset: it fires the window's event early, and the window
 			// re-arms for its deadline.
-			if in.fire(); in.tries > 0 {
+			if in.fire.Fire(); in.tries > 0 {
 				if i := int(in.lost); i < installs {
 					return nil, fmt.Errorf("procnode: deploying anchor %s to node %d: no ack after %d attempts",
 						in.secrets[i].HopID.Short(), in.hops[i], in.tries)
@@ -271,9 +271,9 @@ type initiator struct {
 	win   core.SendWindow
 	slots [streamWindow]inflight // request seq's messages in slot seq%streamWindow, as in the window's ring
 	timer *time.Timer
-	fire  func() // what the window last scheduled
-	lost  uint64 // the request that exhausted the retry budget after tries sends
-	tries int    // 0 while none has
+	fire  transport.Event // what the window last scheduled
+	lost  uint64          // the request that exhausted the retry budget after tries sends
+	tries int             // 0 while none has
 
 	hops    []transport.Addr // the call's hop nodes, the forward tunnel's then the reply tunnel's
 	secrets []tha.Secret     // their anchors, minted by the call
@@ -296,8 +296,8 @@ func (in *initiator) Now() transport.Time { return in.n.tr.Now() }
 // Schedule re-arms the one timer. The window keeps one deadline and
 // re-arms an event that fires early, so a pending event it replaces is
 // not missed.
-func (in *initiator) Schedule(delay transport.Time, fn func()) {
-	in.fire = fn
+func (in *initiator) Schedule(delay transport.Time, ev transport.Event) {
+	in.fire = ev
 	in.timer.Reset(delay)
 }
 

@@ -150,7 +150,7 @@ func TestStreamResendsOnlyTheLostChunk(t *testing.T) {
 						return true
 					case lost + streamWindow:
 						msg := held
-						client.tr.Schedule(0, func() { client.Deliver(5, msg) })
+						client.tr.Schedule(0, transport.Func(func() { client.Deliver(5, msg) }))
 					}
 					return false
 				}
@@ -207,7 +207,7 @@ func TestStreamRTOFollowsSlowEchoes(t *testing.T) {
 		// Decoded from a copy, by a decoder of its own: it is delivered
 		// after the read buffer and the connection's decoder have moved on.
 		msg, _ := Codec{}.Decode(kindReply, bytes.Clone(frame))
-		client.tr.Schedule(timeout*3/2, func() { client.Deliver(5, msg) })
+		client.tr.Schedule(timeout*3/2, transport.Func(func() { client.Deliver(5, msg) }))
 		return true
 	}
 	slow.mu.Unlock()
@@ -285,7 +285,7 @@ func TestInstallsShareTheWindow(t *testing.T) {
 			client := nodes[lossClient]
 			for _, msg := range held {
 				msg := msg
-				client.tr.Schedule(0, func() { client.Deliver(lossHop0, msg) })
+				client.tr.Schedule(0, transport.Func(func() { client.Deliver(lossHop0, msg) }))
 			}
 		}
 		return true
@@ -552,12 +552,12 @@ func TestStreamScratchStaysBounded(t *testing.T) {
 			kept[fmt.Sprintf("reply free list entry %d", i)] = <-n.replyFree
 		}
 		done := make(chan struct{})
-		n.tr.Schedule(0, func() { // handler state: read under the dispatch lock
+		n.tr.Schedule(0, transport.Func(func() { // handler state: read under the dispatch lock
 			kept["echo buffer"] = n.echoBuf
 			kept["echo envelope's onion"], kept["echo envelope's data"] = n.echo.Onion, n.echo.Data
 			kept["exit DataMsg's payload"] = n.exit.Payload
 			close(done)
-		})
+		}))
 		<-done
 		for what, b := range kept {
 			if cap(b) > tcptransport.MaxKeptBuffer {

@@ -19,25 +19,27 @@ import (
 	"fmt"
 	"math/bits"
 	"time"
+
+	"tap/internal/transport"
 )
 
 // Time is an instant on the simulated clock, expressed as the duration
 // since the start of the simulation.
 type Time = time.Duration
 
-// event is a scheduled callback. Events live in the kernel's slot arena
-// and are referenced by index; the queues shuffle 4-byte slot numbers, not
-// pointers, and freed slots are recycled through a freelist so Schedule
-// allocates nothing in steady state.
+// event is a scheduled timer or delivery. Events live in the kernel's slot
+// arena and are referenced by index; the queues shuffle 4-byte slot
+// numbers, not pointers, and freed slots are recycled through a freelist so
+// Schedule allocates nothing in steady state.
 //
-// An event is either a plain callback (fn != nil) or a message delivery
-// (msg != nil): message events carry their operands in the slot itself and
-// run through the kernel's OnMessage hook, so scheduling one allocates no
+// An event is either a timer (fire != nil) or a message delivery (msg !=
+// nil): message events carry their operands in the slot itself and run
+// through the kernel's OnMessage hook, so scheduling one allocates no
 // closure. The two forms share the (at, seq) total order.
 type event struct {
-	at  Time
-	seq uint64 // tie-break so equal-time events run in schedule order
-	fn  func()
+	at   Time
+	seq  uint64 // tie-break so equal-time events run in schedule order
+	fire transport.Event
 
 	// Message-delivery operands (message events only).
 	msg      Message
@@ -120,22 +122,28 @@ func (k *Kernel) Pending() int { return k.count }
 // current event", preserving causal order. Steady-state Schedule performs
 // no heap allocations: the event slot comes from the freelist and queue
 // backing arrays retain their capacity.
-func (k *Kernel) Schedule(delay Time, fn func()) {
+func (k *Kernel) Schedule(delay Time, fn func()) { k.schedule(delay, transport.Func(fn)) }
+
+// schedule fires ev after delay: Schedule for an Event.
+func (k *Kernel) schedule(delay Time, ev transport.Event) {
 	if delay < 0 {
 		panic(fmt.Sprintf("simnet: negative delay %v", delay))
 	}
-	k.At(k.now+delay, fn)
+	k.at(k.now+delay, ev)
 }
 
 // At runs fn at the absolute simulated instant t, which must not be in the
 // past.
-func (k *Kernel) At(t Time, fn func()) {
+func (k *Kernel) At(t Time, fn func()) { k.at(t, transport.Func(fn)) }
+
+// at fires ev at t: At for an Event.
+func (k *Kernel) at(t Time, ev transport.Event) {
 	if t < k.now {
 		panic(fmt.Sprintf("simnet: scheduling into the past (%v < %v)", t, k.now))
 	}
 	k.seq++
 	s := k.allocSlot()
-	k.ev[s] = event{at: t, seq: k.seq, fn: fn}
+	k.ev[s] = event{at: t, seq: k.seq, fire: ev}
 	k.enqueue(t, s)
 }
 
@@ -209,9 +217,9 @@ func (k *Kernel) RunUntil(deadline Time) error {
 func (k *Kernel) step() error {
 	s := k.popMin()
 	e := &k.ev[s]
-	at, fn := e.at, e.fn
+	at, fire := e.at, e.fire
 	msg, src, dst := e.msg, e.src, e.dst
-	e.fn = nil // release the closure before recycling the slot
+	e.fire = nil // release the event before recycling the slot
 	e.msg = nil
 	k.free = append(k.free, s)
 	k.now = at
@@ -223,7 +231,7 @@ func (k *Kernel) step() error {
 		k.OnMessage(src, dst, msg)
 		return nil
 	}
-	fn()
+	fire.Fire()
 	return nil
 }
 

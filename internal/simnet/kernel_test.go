@@ -96,12 +96,20 @@ func TestKernelInterleavedRunUntil(t *testing.T) {
 	}
 }
 
-// TestKernelScheduleSteadyStateZeroAlloc is the satellite acceptance
-// check: once the slot arena and bucket heaps are warm, a schedule+run
-// cycle performs no heap allocations.
+// firings is an event with state of its own, as a send window is.
+type firings int
+
+func (f *firings) Fire() { *f++ }
+
+// TestKernelScheduleSteadyStateZeroAlloc: once the slot arena and bucket
+// heaps are warm, a schedule+run cycle performs no heap allocations, for a
+// func() and for an Event alike: the slot holds either in its interface
+// word.
 func TestKernelScheduleSteadyStateZeroAlloc(t *testing.T) {
 	k := NewKernel()
+	net := NewNetwork(k, DefaultLinkModel(1), 1)
 	fn := func() {}
+	ev := new(firings)
 	delays := make([]Time, 256)
 	s := rng.New(9)
 	for i := range delays {
@@ -111,6 +119,7 @@ func TestKernelScheduleSteadyStateZeroAlloc(t *testing.T) {
 	cycle := func() {
 		for _, d := range delays {
 			k.Schedule(d, fn)
+			net.Schedule(d, ev)
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -124,6 +133,9 @@ func TestKernelScheduleSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
 		t.Fatalf("steady-state schedule+run cycle allocates %.1f times per cycle, want 0", allocs)
+	}
+	if want := firings(115 * len(delays)); *ev != want {
+		t.Fatalf("the event fired %d times, want %d", *ev, want)
 	}
 }
 

@@ -267,9 +267,9 @@ func (n *Network) arrive(src, dst Addr, msg Message) {
 // Now exposes the kernel clock, saving callers a dereference.
 func (n *Network) Now() Time { return n.Kernel.Now() }
 
-// Schedule files fn onto the kernel's event queue after delay, satisfying
+// Schedule files ev onto the kernel's event queue after delay, satisfying
 // transport.Clock without handing callers the whole kernel.
-func (n *Network) Schedule(delay Time, fn func()) { n.Kernel.Schedule(delay, fn) }
+func (n *Network) Schedule(delay Time, ev transport.Event) { n.Kernel.schedule(delay, ev) }
 
 // The simulated network is the deterministic Transport implementation;
 // this assertion is the contract that it keeps satisfying the seam.

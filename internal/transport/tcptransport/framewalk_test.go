@@ -154,7 +154,7 @@ func (w *walker) walk(t testing.TB, stream []byte, writes ...int) walkResult {
 	// The reader delivered every frame under the dispatch lock before it
 	// exited; an event run now takes the lock after it.
 	done := make(chan struct{})
-	w.tr.enqueue(func() { close(done) })
+	w.tr.enqueue(transport.Func(func() { close(done) }))
 	<-done
 	return walkResult{
 		msgs:     w.msgs,

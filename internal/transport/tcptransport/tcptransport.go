@@ -341,11 +341,11 @@ func (t *Transport) logf(format string, args ...any) {
 	}
 }
 
-// event is one unit of the dispatch loop's work: a callback to run, or —
-// fn nil — a co-hosted message to hand to dst's handler. A delivery
+// event is one unit of the dispatch loop's work: a timer's event to fire,
+// or — fire nil — a co-hosted message to hand to dst's handler. A delivery
 // travels as a value so that it costs the queue no allocation.
 type event struct {
-	fn       func()
+	fire     transport.Event
 	src, dst transport.Addr
 	msg      transport.Message
 }
@@ -377,8 +377,8 @@ func (t *Transport) loop() {
 func (t *Transport) run(ev event) {
 	t.dispatch.Lock()
 	defer t.dispatch.Unlock()
-	if ev.fn != nil {
-		ev.fn()
+	if ev.fire != nil {
+		ev.fire.Fire()
 		return
 	}
 	t.mu.Lock()
@@ -392,11 +392,11 @@ func (t *Transport) run(ev event) {
 	h.Deliver(ev.src, ev.msg)
 }
 
-// enqueue files fn onto the dispatch loop; after Close it is dropped. It
+// enqueue files ev onto the dispatch loop; after Close it is dropped. It
 // blocks while the queue is full, so it is for callers holding no lock.
-func (t *Transport) enqueue(fn func()) {
+func (t *Transport) enqueue(ev transport.Event) {
 	select {
-	case t.events <- event{fn: fn}:
+	case t.events <- event{fire: ev}:
 	case <-t.quit:
 	}
 }
@@ -535,13 +535,13 @@ func (t *Transport) receive(conn net.Conn, dec Decoder, kind byte, payload []byt
 // "duration since start" convention.
 func (t *Transport) Now() transport.Time { return time.Since(t.start) }
 
-// Schedule runs fn after delay on the dispatch loop, under the dispatch
+// Schedule fires ev after delay on the dispatch loop, under the dispatch
 // lock: serialized with message deliveries.
-func (t *Transport) Schedule(delay transport.Time, fn func()) {
+func (t *Transport) Schedule(delay transport.Time, ev transport.Event) {
 	if delay < 0 {
 		delay = 0
 	}
-	time.AfterFunc(delay, func() { t.enqueue(fn) })
+	time.AfterFunc(delay, func() { t.enqueue(ev) })
 }
 
 // Send encodes and transmits msg. Local destinations (an attached
@@ -797,7 +797,7 @@ func (t *Transport) dropPeer(dst transport.Addr, p *peer) {
 	if current && !wasDown {
 		for _, fn := range watchers {
 			fn := fn
-			t.enqueue(func() { fn(dst, false) })
+			t.enqueue(transport.Func(func() { fn(dst, false) }))
 		}
 	}
 }
@@ -834,7 +834,7 @@ func (t *Transport) markUp(dst transport.Addr) {
 	if wasDown {
 		for _, fn := range watchers {
 			fn := fn
-			t.enqueue(func() { fn(dst, true) })
+			t.enqueue(transport.Func(func() { fn(dst, true) }))
 		}
 	}
 }

@@ -348,7 +348,7 @@ func TestScheduleSerializedWithDeliveries(t *testing.T) {
 	var remaining sync.WaitGroup
 	remaining.Add(2 * n)
 	for i := 0; i < n; i++ {
-		a.Schedule(time.Duration(i)*time.Millisecond/10, func() { check(); remaining.Done() })
+		a.Schedule(time.Duration(i)*time.Millisecond/10, transport.Func(func() { check(); remaining.Done() }))
 		go func() {
 			a.Send(0, 1, textMsg{body: []byte("x")})
 			remaining.Done()
@@ -404,7 +404,7 @@ func TestHandlersNeverOverlap(t *testing.T) {
 		for i, tx := range txs {
 			tx.Send(transport.Addr(10+i), 1, textMsg{body: []byte("x")})
 		}
-		rx.Schedule(0, enter)
+		rx.Schedule(0, transport.Func(enter))
 	}
 	select {
 	case <-done:

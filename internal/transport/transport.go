@@ -15,7 +15,7 @@
 //
 // The contract both implementations honor, and engines rely on:
 //
-//   - Handlers and Schedule callbacks run serialized on a single logical
+//   - Handlers and scheduled events run serialized on a single logical
 //     event loop. An engine never observes two callbacks concurrently, so
 //     engine state needs no locking of its own. (State an *application*
 //     shares across goroutines — a tunnel's hints, refreshed outside the
@@ -70,15 +70,29 @@ type HandlerFunc func(from Addr, msg Message)
 // Deliver calls f.
 func (f HandlerFunc) Deliver(from Addr, msg Message) { f(from, msg) }
 
+// Event is what a Clock runs when a timer expires. A value with state of
+// its own — a send window, say — is its own event, so arming its timer
+// builds no closure; a plain callback is scheduled as a Func.
+type Event interface {
+	Fire()
+}
+
+// Func adapts a function to the Event interface. A func value fits in an
+// interface word, so the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Clock is the only source of time and timers available to protocol
 // engines.
 type Clock interface {
 	// Now returns the current instant on this transport's clock.
 	Now() Time
-	// Schedule runs fn after delay, serialized with message deliveries on
+	// Schedule fires ev after delay, serialized with message deliveries on
 	// the transport's event loop. A delay of zero means "as soon as
 	// possible, after the current callback returns".
-	Schedule(delay Time, fn func())
+	Schedule(delay Time, ev Event)
 }
 
 // Transport carries messages between addresses and owns the clock they
