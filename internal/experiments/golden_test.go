@@ -17,14 +17,13 @@ import (
 // fixed-seed scale. Together with the pastry route-trace goldens they prove
 // substrate refactors (arena overlay, calendar-queue kernel) are
 // behaviour-preserving end to end: same seeds, same tables, byte for byte.
-// ext-reliability, ext-selfheal and ext-throughput have golden files too:
-// they are the only tables that move when a retransmission, pool or stream
-// policy constant in internal/core does.
+// Every ext experiment that sweeps through runTrials has one too, so a
+// change to a trial loop, a stream name or a policy constant in
+// internal/core moves a golden, not only a published number in results/.
 //
-// Every case — those with a golden file and, without one, each other ext
-// experiment that sweeps through runTrials — is also run at GOMAXPROCS 1
-// and 4 and every cell compared by its float bits: a table must not depend
-// on how many workers computed it. The %.6f CSV would hide last-ulp drift.
+// Every case is also run at GOMAXPROCS 1 and 4 and every cell compared by
+// its float bits: a table must not depend on how many workers computed it.
+// The %.6f CSV would hide last-ulp drift.
 //
 // Regenerate (only when results are *supposed* to change, with review):
 //
@@ -71,9 +70,6 @@ func TestGoldenFigures(t *testing.T) {
 			return ExtThroughput(ExtThroughputParams{N: 200, Clients: 2, TunnelsPer: 2, Length: 3, Flows: 40,
 				FlowBytes: 2048, Dests: 16, Windows: []int{1, 8}, LossRates: []float64{0.01}, ChurnFails: 2, Seed: 60})
 		}},
-	}
-	// No golden file: pinned across worker counts only.
-	sweeps := []tableCase{
 		{"fig6-tails", func() (*trace.Table, error) {
 			return Fig6(Fig6Params{Sizes: []int{100}, Lengths: []int{3}, K: 3, FileBytes: 50_000,
 				Transfers: 3, Sims: 4, Seed: 46, WithTails: true, UplinkContention: true})
@@ -132,9 +128,6 @@ func TestGoldenFigures(t *testing.T) {
 					path, got, want, buf.Bytes())
 			}
 		})
-	}
-	for _, c := range sweeps {
-		t.Run(c.name, func(t *testing.T) { runAtOneAndFourWorkers(t, c.run) })
 	}
 }
 
