@@ -1,11 +1,18 @@
 // Command tapsim regenerates the figures of "TAP: A Novel Tunneling
 // Approach for Anonymity in Structured P2P Systems" (Zhu & Hu, ICPP
-// 2004).
+// 2004), and the extension tables of EXPERIMENTS.md.
 //
 // Usage:
 //
-//	tapsim -experiment fig2 [flags]      one figure
+//	tapsim -experiment fig2 [flags]      one figure or ext-* table
 //	tapsim -experiment all  [flags]      every figure
+//	tapsim -experiment ext  [flags]      the ext-* sweeps, at their defaults
+//
+// Every experiment is one row of a table (its name, its group and how it
+// builds its parameters from the flags); the dispatch, the groups and the
+// list of names -experiment accepts all come from it. The ext group runs
+// each member with only -trials and -seed set, so every other count is
+// the experiment's own default.
 //
 // By default tapsim runs at a laptop-friendly scale (1/10 of the paper's
 // network). Pass -paper for the full 10,000-node, 5,000-tunnel setting —
@@ -19,6 +26,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,42 +34,214 @@ import (
 	"tap/internal/trace"
 )
 
-// experimentNames is every value -experiment accepts; the flag's usage
-// and the unknown-experiment error both print it.
-var experimentNames = strings.Join([]string{
-	"fig2", "fig3", "fig4a", "fig4b", "fig5", "fig6", "all",
-	"ext", "ext-secroute", "ext-detect", "ext-cover", "ext-anon", "ext-session", "ext-inflight",
-	"ext-timing", "ext-reliability", "ext-selfheal", "ext-scale", "ext-throughput",
-}, "|")
+// options are the flag values an experiment builds its parameters from.
+type options struct {
+	n, tunnels, length, k, trials int
+	seed                          uint64
+	paper, walk, tails, contend   bool
+	sims, xfers, units            int
+	sizes, windows                string
+	routes                        int
+	budget                        time.Duration
+	flows, clients, fbytes        int
+}
+
+// experiment is one value -experiment accepts. group names the group that
+// also runs it ("all", "ext" or none).
+type experiment struct {
+	name, group string
+	run         func(o options) (*trace.Table, error)
+}
+
+// table is every experiment in the order a group runs them. Extension
+// experiments (beyond the paper; see EXPERIMENTS.md) are not part of
+// "all": they answer different questions.
+var table = []experiment{
+	{"fig2", "all", func(o options) (*trace.Table, error) {
+		return experiments.Fig2(experiments.Fig2Params{
+			N: o.n, Tunnels: o.tunnels, Length: o.length,
+			Trials: o.trials, Seed: o.seed, FullWalk: o.walk,
+		})
+	}},
+	{"fig3", "all", func(o options) (*trace.Table, error) {
+		return experiments.Fig3(experiments.Fig3Params{
+			N: o.n, Tunnels: o.tunnels, Length: o.length, K: o.k,
+			Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"fig4a", "all", func(o options) (*trace.Table, error) {
+		return experiments.Fig4a(experiments.Fig4aParams{
+			N: o.n, Tunnels: o.tunnels, Length: o.length,
+			Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"fig4b", "all", func(o options) (*trace.Table, error) {
+		return experiments.Fig4b(experiments.Fig4bParams{
+			N: o.n, Tunnels: o.tunnels, K: o.k,
+			Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"fig5", "all", func(o options) (*trace.Table, error) {
+		return experiments.Fig5(experiments.Fig5Params{
+			N: o.n, Tunnels: o.tunnels, Length: o.length, K: o.k,
+			Units: o.units, Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"fig6", "all", func(o options) (*trace.Table, error) {
+		p := experiments.Fig6Params{
+			K: o.k, Sims: o.sims, Transfers: o.xfers, Seed: o.seed,
+			WithTails: o.tails, UplinkContention: o.contend,
+		}
+		if !o.paper {
+			// Scale the size sweep with -n as its ceiling.
+			p.Sizes = sizesUpTo(o.n)
+		}
+		return experiments.Fig6(p)
+	}},
+	{"ext-secroute", "ext", func(o options) (*trace.Table, error) {
+		return experiments.ExtSecRoute(experiments.ExtSecRouteParams{
+			N: o.n, Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"ext-detect", "ext", func(o options) (*trace.Table, error) {
+		return experiments.ExtDetect(experiments.ExtDetectParams{
+			N: o.n, Length: o.length, Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"ext-cover", "ext", func(o options) (*trace.Table, error) {
+		return experiments.ExtCover(experiments.ExtCoverParams{
+			N: o.n, Length: o.length, Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"ext-anon", "ext", func(o options) (*trace.Table, error) {
+		return experiments.ExtAnon(experiments.ExtAnonParams{
+			N: o.n, Tunnels: o.tunnels, Length: o.length, K: o.k,
+			Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"ext-session", "ext", func(o options) (*trace.Table, error) {
+		return experiments.ExtSession(experiments.ExtSessionParams{
+			N: o.n, Length: o.length, Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"ext-inflight", "ext", func(o options) (*trace.Table, error) {
+		return experiments.ExtInflight(experiments.ExtInflightParams{
+			N: o.n, Length: o.length, Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"ext-timing", "ext", func(o options) (*trace.Table, error) {
+		return experiments.ExtTiming(experiments.ExtTimingParams{
+			N: o.n, Length: o.length, Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"ext-reliability", "ext", func(o options) (*trace.Table, error) {
+		return experiments.ExtReliability(experiments.ExtReliabilityParams{
+			N: o.n, Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"ext-selfheal", "ext", func(o options) (*trace.Table, error) {
+		// k=2, l=3 are the experiment's constants: thin replication
+		// is the point — at the usual k=3, batch churn
+		// almost never kills an anchor and both modes tie at ~1.0.
+		return experiments.ExtSelfHeal(experiments.ExtSelfHealParams{
+			N: o.n, Trials: o.trials, Seed: o.seed,
+		})
+	}},
+	{"ext-scale", "", func(o options) (*trace.Table, error) {
+		return experiments.ExtScale(experiments.ExtScaleParams{
+			Sizes: intList("sizes", "size", o.sizes), Routes: o.routes, Seed: o.seed, Budget: o.budget,
+		})
+	}},
+	{"ext-throughput", "", func(o options) (*trace.Table, error) {
+		return experiments.ExtThroughput(experiments.ExtThroughputParams{
+			N: o.n, Length: o.length, Flows: o.flows, Windows: intList("windows", "window", o.windows),
+			Clients: o.clients, FlowBytes: o.fbytes, Seed: o.seed,
+		})
+	}},
+}
+
+// names is every value -experiment accepts, groups first; the flag's
+// usage and the unknown-experiment error both print it.
+func names() string {
+	var groups, rows []string
+	for _, e := range table {
+		if e.group != "" && !slices.Contains(groups, e.group) {
+			groups = append(groups, e.group)
+		}
+		rows = append(rows, e.name)
+	}
+	return strings.Join(append(groups, rows...), "|")
+}
+
+// selected is one experiment to run and the options it runs with.
+type selected struct {
+	experiment
+	opts options
+}
+
+// selectRuns returns what -experiment exp names, case-insensitively: one
+// experiment, or every member of a group in table order. The ext group
+// runs each member with only -trials and -seed set.
+func selectRuns(exp string, o options) []selected {
+	var out []selected
+	for _, e := range table {
+		switch {
+		case strings.EqualFold(exp, e.name):
+			out = append(out, selected{e, o})
+		case e.group == "ext" && strings.EqualFold(exp, e.group):
+			out = append(out, selected{e, options{trials: o.trials, seed: o.seed}})
+		case e.group != "" && strings.EqualFold(exp, e.group):
+			out = append(out, selected{e, o})
+		}
+	}
+	return out
+}
+
+// intList parses the comma-separated positive ints given to -name; a bad
+// element ends tapsim with exit status 2.
+func intList(name, what, s string) []int {
+	if s == "" {
+		return nil
+	}
+	var out []int
+	for _, f := range strings.Split(s, ",") {
+		var v int
+		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &v); err != nil || v < 1 {
+			fmt.Fprintf(os.Stderr, "tapsim: -%s: bad %s %q\n", name, what, f)
+			os.Exit(2)
+		}
+		out = append(out, v)
+	}
+	return out
+}
 
 func main() {
-	var (
-		exp     = flag.String("experiment", "all", experimentNames+" (all: the paper's figures; ext: the ext-* sweeps that take no flags of their own)")
-		n       = flag.Int("n", 1000, "network size (nodes)")
-		tunnels = flag.Int("tunnels", 500, "number of tunnels")
-		length  = flag.Int("length", 5, "tunnel length l")
-		k       = flag.Int("k", 3, "replication factor")
-		trials  = flag.Int("trials", 3, "Monte-Carlo trials per point")
-		seed    = flag.Uint64("seed", 2004, "root random seed")
-		paper   = flag.Bool("paper", false, "use the paper's full scale (N=10000, 5000 tunnels)")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		walk    = flag.Bool("fullwalk", false, "fig2: verify tunnels by end-to-end delivery, not just anchor availability")
-		sims    = flag.Int("sims", 3, "fig6: simulations per network size")
-		xfers   = flag.Int("transfers", 20, "fig6: transfers per simulation")
-		units   = flag.Int("units", 20, "fig5: churn time units")
-		tails   = flag.Bool("tails", false, "fig6: also report p95 per mode")
-		contend = flag.Bool("contention", false, "fig6: per-node uplink queuing in the link model")
-		sizes   = flag.String("sizes", "", "ext-scale: comma-separated network sizes (default 1000,10000,100000,1000000)")
-		routes  = flag.Int("routes", 0, "ext-scale: measured routes per size (default 10000)")
-		budget  = flag.Duration("budget", 0, "ext-scale: fail if the sweep exceeds this wall-clock budget (0 = none)")
-		flows   = flag.Int("flows", 0, "ext-throughput: concurrent stream flows per combo (default 2000)")
-		windows = flag.String("windows", "", "ext-throughput: comma-separated send-window sizes (default 1,16)")
-		clients = flag.Int("clients", 0, "ext-throughput: stream sources (default 16)")
-		fbytes  = flag.Int("flowbytes", 0, "ext-throughput: payload bytes per stream (default 2048)")
-		outDir  = flag.String("out", "", "also write each table as CSV into this directory")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
+	var o options
+	exp := flag.String("experiment", "all", names()+" (all: the paper's figures; ext: the ext-* sweeps that take no flags of their own)")
+	flag.IntVar(&o.n, "n", 1000, "network size (nodes)")
+	flag.IntVar(&o.tunnels, "tunnels", 500, "number of tunnels")
+	flag.IntVar(&o.length, "length", 5, "tunnel length l")
+	flag.IntVar(&o.k, "k", 3, "replication factor")
+	flag.IntVar(&o.trials, "trials", 3, "Monte-Carlo trials per point")
+	flag.Uint64Var(&o.seed, "seed", 2004, "root random seed")
+	flag.BoolVar(&o.paper, "paper", false, "use the paper's full scale (N=10000, 5000 tunnels)")
+	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
+	flag.BoolVar(&o.walk, "fullwalk", false, "fig2: verify tunnels by end-to-end delivery, not just anchor availability")
+	flag.IntVar(&o.sims, "sims", 3, "fig6: simulations per network size")
+	flag.IntVar(&o.xfers, "transfers", 20, "fig6: transfers per simulation")
+	flag.IntVar(&o.units, "units", 20, "fig5: churn time units")
+	flag.BoolVar(&o.tails, "tails", false, "fig6: also report p95 per mode")
+	flag.BoolVar(&o.contend, "contention", false, "fig6: per-node uplink queuing in the link model")
+	flag.StringVar(&o.sizes, "sizes", "", "ext-scale: comma-separated network sizes (default 1000,10000,100000,1000000)")
+	flag.IntVar(&o.routes, "routes", 0, "ext-scale: measured routes per size (default 10000)")
+	flag.DurationVar(&o.budget, "budget", 0, "ext-scale: fail if the sweep exceeds this wall-clock budget (0 = none)")
+	flag.IntVar(&o.flows, "flows", 0, "ext-throughput: concurrent stream flows per combo (default 2000)")
+	flag.StringVar(&o.windows, "windows", "", "ext-throughput: comma-separated send-window sizes (default 1,16)")
+	flag.IntVar(&o.clients, "clients", 0, "ext-throughput: stream sources (default 16)")
+	flag.IntVar(&o.fbytes, "flowbytes", 0, "ext-throughput: payload bytes per stream (default 2048)")
+	outDir := flag.String("out", "", "also write each table as CSV into this directory")
+	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -98,27 +278,32 @@ func main() {
 		}()
 	}
 
-	if *paper {
-		*n = 10_000
-		*tunnels = 5_000
+	if o.paper {
+		o.n = 10_000
+		o.tunnels = 5_000
 	}
 
-	run := func(name string, fn func() (*trace.Table, error)) {
+	runs := selectRuns(*exp, o)
+	if len(runs) == 0 {
+		fmt.Fprintf(os.Stderr, "tapsim: unknown experiment %q (want %s)\n", *exp, names())
+		os.Exit(2)
+	}
+	for _, r := range runs {
 		start := time.Now()
-		tbl, err := fn()
+		tbl, err := r.run(r.opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tapsim: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "tapsim: %s: %v\n", r.name, err)
 			os.Exit(1)
 		}
 		if *csv {
 			tbl.RenderCSV(os.Stdout)
 		} else {
 			tbl.Render(os.Stdout)
-			fmt.Printf("(%s completed in %v)\n", name, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("(%s completed in %v)\n", r.name, time.Since(start).Round(time.Millisecond))
 		}
 		fmt.Println()
 		if *outDir != "" {
-			f, err := os.Create(filepath.Join(*outDir, name+".csv"))
+			f, err := os.Create(filepath.Join(*outDir, r.name+".csv"))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tapsim: -out: %v\n", err)
 				os.Exit(1)
@@ -129,222 +314,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	}
-
-	want := func(name string) bool {
-		return *exp == "all" || strings.EqualFold(*exp, name)
-	}
-	matched := false
-
-	if want("fig2") {
-		matched = true
-		run("fig2", func() (*trace.Table, error) {
-			return experiments.Fig2(experiments.Fig2Params{
-				N: *n, Tunnels: *tunnels, Length: *length,
-				Trials: *trials, Seed: *seed, FullWalk: *walk,
-			})
-		})
-	}
-	if want("fig3") {
-		matched = true
-		run("fig3", func() (*trace.Table, error) {
-			return experiments.Fig3(experiments.Fig3Params{
-				N: *n, Tunnels: *tunnels, Length: *length, K: *k,
-				Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if want("fig4a") {
-		matched = true
-		run("fig4a", func() (*trace.Table, error) {
-			return experiments.Fig4a(experiments.Fig4aParams{
-				N: *n, Tunnels: *tunnels, Length: *length,
-				Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if want("fig4b") {
-		matched = true
-		run("fig4b", func() (*trace.Table, error) {
-			return experiments.Fig4b(experiments.Fig4bParams{
-				N: *n, Tunnels: *tunnels, K: *k,
-				Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if want("fig5") {
-		matched = true
-		run("fig5", func() (*trace.Table, error) {
-			return experiments.Fig5(experiments.Fig5Params{
-				N: *n, Tunnels: *tunnels, Length: *length, K: *k,
-				Units: *units, Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if want("fig6") {
-		matched = true
-		run("fig6", func() (*trace.Table, error) {
-			p := experiments.Fig6Params{
-				K: *k, Sims: *sims, Transfers: *xfers, Seed: *seed,
-				WithTails: *tails, UplinkContention: *contend,
-			}
-			if !*paper {
-				// Scale the size sweep with -n as its ceiling.
-				p.Sizes = sizesUpTo(*n)
-			}
-			return experiments.Fig6(p)
-		})
-	}
-	// Extension experiments (beyond the paper; see EXPERIMENTS.md). Not
-	// part of "all": they answer different questions.
-	if strings.EqualFold(*exp, "ext-secroute") {
-		matched = true
-		run("ext-secroute", func() (*trace.Table, error) {
-			return experiments.ExtSecRoute(experiments.ExtSecRouteParams{
-				N: *n, Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-detect") {
-		matched = true
-		run("ext-detect", func() (*trace.Table, error) {
-			return experiments.ExtDetect(experiments.ExtDetectParams{
-				N: *n, Length: *length, Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-cover") {
-		matched = true
-		run("ext-cover", func() (*trace.Table, error) {
-			return experiments.ExtCover(experiments.ExtCoverParams{
-				N: *n, Length: *length, Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-anon") {
-		matched = true
-		run("ext-anon", func() (*trace.Table, error) {
-			return experiments.ExtAnon(experiments.ExtAnonParams{
-				N: *n, Tunnels: *tunnels, Length: *length, K: *k,
-				Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-session") {
-		matched = true
-		run("ext-session", func() (*trace.Table, error) {
-			return experiments.ExtSession(experiments.ExtSessionParams{
-				N: *n, Length: *length, Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-inflight") {
-		matched = true
-		run("ext-inflight", func() (*trace.Table, error) {
-			return experiments.ExtInflight(experiments.ExtInflightParams{
-				N: *n, Length: *length, Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-timing") {
-		matched = true
-		run("ext-timing", func() (*trace.Table, error) {
-			return experiments.ExtTiming(experiments.ExtTimingParams{
-				N: *n, Length: *length, Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-reliability") {
-		matched = true
-		run("ext-reliability", func() (*trace.Table, error) {
-			return experiments.ExtReliability(experiments.ExtReliabilityParams{
-				N: *n, Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-selfheal") {
-		matched = true
-		run("ext-selfheal", func() (*trace.Table, error) {
-			// k=2, l=3 are the experiment's constants: thin replication
-			// is the point — at the usual k=3, batch churn
-			// almost never kills an anchor and both modes tie at ~1.0.
-			return experiments.ExtSelfHeal(experiments.ExtSelfHealParams{
-				N: *n, Trials: *trials, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-scale") {
-		matched = true
-		var sz []int
-		if *sizes != "" {
-			for _, s := range strings.Split(*sizes, ",") {
-				var v int
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &v); err != nil || v < 1 {
-					fmt.Fprintf(os.Stderr, "tapsim: -sizes: bad size %q\n", s)
-					os.Exit(2)
-				}
-				sz = append(sz, v)
-			}
-		}
-		run("ext-scale", func() (*trace.Table, error) {
-			return experiments.ExtScale(experiments.ExtScaleParams{
-				Sizes: sz, Routes: *routes, Seed: *seed, Budget: *budget,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext-throughput") {
-		matched = true
-		var ws []int
-		if *windows != "" {
-			for _, s := range strings.Split(*windows, ",") {
-				var v int
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &v); err != nil || v < 1 {
-					fmt.Fprintf(os.Stderr, "tapsim: -windows: bad window %q\n", s)
-					os.Exit(2)
-				}
-				ws = append(ws, v)
-			}
-		}
-		run("ext-throughput", func() (*trace.Table, error) {
-			return experiments.ExtThroughput(experiments.ExtThroughputParams{
-				N: *n, Length: *length, Flows: *flows, Windows: ws,
-				Clients: *clients, FlowBytes: *fbytes, Seed: *seed,
-			})
-		})
-	}
-	if strings.EqualFold(*exp, "ext") {
-		matched = true
-		run("ext-secroute", func() (*trace.Table, error) {
-			return experiments.ExtSecRoute(experiments.ExtSecRouteParams{Trials: *trials, Seed: *seed})
-		})
-		run("ext-detect", func() (*trace.Table, error) {
-			return experiments.ExtDetect(experiments.ExtDetectParams{Trials: *trials, Seed: *seed})
-		})
-		run("ext-cover", func() (*trace.Table, error) {
-			return experiments.ExtCover(experiments.ExtCoverParams{Trials: *trials, Seed: *seed})
-		})
-		run("ext-anon", func() (*trace.Table, error) {
-			return experiments.ExtAnon(experiments.ExtAnonParams{Trials: *trials, Seed: *seed})
-		})
-		run("ext-session", func() (*trace.Table, error) {
-			return experiments.ExtSession(experiments.ExtSessionParams{Trials: *trials, Seed: *seed})
-		})
-		run("ext-inflight", func() (*trace.Table, error) {
-			return experiments.ExtInflight(experiments.ExtInflightParams{Trials: *trials, Seed: *seed})
-		})
-		run("ext-timing", func() (*trace.Table, error) {
-			return experiments.ExtTiming(experiments.ExtTimingParams{Trials: *trials, Seed: *seed})
-		})
-		run("ext-reliability", func() (*trace.Table, error) {
-			return experiments.ExtReliability(experiments.ExtReliabilityParams{Trials: *trials, Seed: *seed})
-		})
-		run("ext-selfheal", func() (*trace.Table, error) {
-			return experiments.ExtSelfHeal(experiments.ExtSelfHealParams{Trials: *trials, Seed: *seed})
-		})
-	}
-	if !matched {
-		fmt.Fprintf(os.Stderr, "tapsim: unknown experiment %q (want %s)\n", *exp, experimentNames)
-		os.Exit(2)
 	}
 }
 

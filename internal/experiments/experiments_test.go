@@ -260,15 +260,18 @@ func TestTablesRender(t *testing.T) {
 	}
 }
 
+// Every cell of the grid runs once with its own (pt, trial), and the table
+// receives every cell's sample.
 func TestParallelRunsAll(t *testing.T) {
+	const points, trials = 5, 10
 	tbl := trace.NewTable("t", "x", "s")
-	seen := make([]bool, 50)
-	err := runTrials(tbl, 50, func(i int, mem *pastry.Scratch, add addFn) error {
+	seen := make([]bool, points*trials)
+	err := runTrials(tbl, points, trials, func(pt, trial int, mem *pastry.Scratch, add addFn) error {
 		if mem == nil {
-			t.Errorf("trial %d got no scratch", i)
+			t.Errorf("cell (%d, %d) got no scratch", pt, trial)
 		}
-		seen[i] = true
-		add(0, "s", float64(i))
+		seen[pt*trials+trial] = true
+		add(0, "s", float64(pt*trials+trial))
 		return nil
 	})
 	if err != nil {
@@ -276,31 +279,33 @@ func TestParallelRunsAll(t *testing.T) {
 	}
 	for i, s := range seen {
 		if !s {
-			t.Fatalf("index %d not run", i)
+			t.Fatalf("cell %d not run", i)
 		}
 	}
 	if a := tbl.Get(0, "s"); a == nil || a.N() != 50 || a.Min() != 0 || a.Max() != 49 {
-		t.Fatalf("table did not receive every trial's sample: %+v", a)
+		t.Fatalf("table did not receive every cell's sample: %+v", a)
 	}
 }
 
-// The error reported is the lowest failing index's, not the first to
-// complete: with four workers index 8 fails while index 3 is still asleep.
+// The error reported is the lowest failing cell's in point-major order, not
+// the first to complete: with four workers cell (2, 0) fails while (0, 3)
+// is still asleep.
 func TestParallelPropagatesError(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	err3, err7, err8 := errors.New("trial 3"), errors.New("trial 7"), errors.New("trial 8")
+	err03, err13, err20 := errors.New("cell (0, 3)"), errors.New("cell (1, 3)"), errors.New("cell (2, 0)")
+	type cell struct{ pt, trial int }
 	for _, c := range []struct {
-		errs map[int]error
+		errs map[cell]error
 		want error
 	}{
-		{map[int]error{7: err7}, err7},
-		{map[int]error{8: err8, 3: err3}, err3},
+		{map[cell]error{{1, 3}: err13}, err13},
+		{map[cell]error{{2, 0}: err20, {0, 3}: err03}, err03},
 	} {
-		err := runTrials(trace.NewTable("t", "x", "s"), 10, func(i int, _ *pastry.Scratch, _ addFn) error {
-			if i == 3 {
+		err := runTrials(trace.NewTable("t", "x", "s"), 3, 4, func(pt, trial int, _ *pastry.Scratch, _ addFn) error {
+			if pt == 0 && trial == 3 {
 				time.Sleep(10 * time.Millisecond)
 			}
-			return c.errs[i]
+			return c.errs[cell{pt, trial}]
 		})
 		if err != c.want {
 			t.Fatalf("failing %v: err = %v, want %v", c.errs, err, c.want)

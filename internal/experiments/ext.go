@@ -71,18 +71,10 @@ func ExtSecRoute(p ExtSecRouteParams) (*trace.Table, error) {
 		fmt.Sprintf("Ext: secure routing — honest owner resolution vs malicious routers (N=%d, %d lookups, trials=%d)",
 			p.N, p.Lookups, p.Trials),
 		"p", SeriesNaive, SeriesSecure, SeriesParanoid)
-	type job struct{ fIdx, trial int }
-	var jobs []job
-	for fi := range p.Fracs {
-		for tr := 0; tr < p.Trials; tr++ {
-			jobs = append(jobs, job{fi, tr})
-		}
-	}
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		frac := p.Fracs[j.fIdx]
-		stream := root.SplitN(fmt.Sprintf("extsec-f%d", j.fIdx), j.trial)
+	err := runTrials(tbl, len(p.Fracs), p.Trials, func(fi, trial int, mem *pastry.Scratch, add addFn) error {
+		frac := p.Fracs[fi]
+		stream := root.SplitN(fmt.Sprintf("extsec-f%d", fi), trial)
 		w, err := BuildWorldIn(mem, p.N, 3, stream.Split("world"))
 		if err != nil {
 			return err
@@ -188,18 +180,10 @@ func ExtDetect(p ExtDetectParams) (*trace.Table, error) {
 		fmt.Sprintf("Ext: tunnel detection — send success vs dropper fraction (N=%d, l=%d, %d sends, trials=%d)",
 			p.N, p.Length, p.Sends, p.Trials),
 		"p", SeriesUnmanaged, SeriesMonitored)
-	type job struct{ fIdx, trial int }
-	var jobs []job
-	for fi := range p.Fracs {
-		for tr := 0; tr < p.Trials; tr++ {
-			jobs = append(jobs, job{fi, tr})
-		}
-	}
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		frac := p.Fracs[j.fIdx]
-		stream := root.SplitN(fmt.Sprintf("extdet-f%d", j.fIdx), j.trial)
+	err := runTrials(tbl, len(p.Fracs), p.Trials, func(fi, trial int, mem *pastry.Scratch, add addFn) error {
+		frac := p.Fracs[fi]
+		stream := root.SplitN(fmt.Sprintf("extdet-f%d", fi), trial)
 		w, err := BuildWorldIn(mem, p.N, 3, stream.Split("world"))
 		if err != nil {
 			return err
@@ -346,7 +330,7 @@ func ExtCover(p ExtCoverParams) (*trace.Table, error) {
 			p.N, p.Transfers, p.FileBytes, p.Trials),
 		"rate", SeriesOverheadX, SeriesCoverMsgs)
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
+	err := runTrials(tbl, 1, p.Trials, func(_, trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("extcover", trial)
 		var baseline float64
 		for _, rate := range p.Rates {

@@ -68,7 +68,7 @@ func ExtAnon(p ExtAnonParams) (*trace.Table, error) {
 			p.N, p.Tunnels, p.Length, p.K, p.Trials),
 		"p", SeriesDegree, SeriesIdentified)
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
+	err := runTrials(tbl, 1, p.Trials, func(_, trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("extanon", trial)
 		w, err := BuildWorldIn(mem, p.N, p.K, stream.Split("world"))
 		if err != nil {

@@ -73,22 +73,14 @@ func ExtInflight(p ExtInflightParams) (*trace.Table, error) {
 		fmt.Sprintf("Ext: in-flight churn — 2Mb tunnel transfers racing churn (N=%d, l=%d, %d transfers, trials=%d)",
 			p.N, p.Length, p.Transfers, p.Trials),
 		"churn/min", SeriesDelivered, SeriesMeanSecs)
-	type job struct{ gIdx, trial int }
-	var jobs []job
-	for gi := range p.MeanGaps {
-		for tr := 0; tr < p.Trials; tr++ {
-			jobs = append(jobs, job{gi, tr})
-		}
-	}
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		gap := p.MeanGaps[j.gIdx]
+	err := runTrials(tbl, len(p.MeanGaps), p.Trials, func(gi, trial int, mem *pastry.Scratch, add addFn) error {
+		gap := p.MeanGaps[gi]
 		perMin := 0.0
 		if gap > 0 {
 			perMin = float64(time.Minute) / float64(gap)
 		}
-		stream := root.SplitN(fmt.Sprintf("inflight-g%d", j.gIdx), j.trial)
+		stream := root.SplitN(fmt.Sprintf("inflight-g%d", gi), trial)
 		w, err := BuildWorldIn(mem, p.N, 3, stream.Split("world"))
 		if err != nil {
 			return err

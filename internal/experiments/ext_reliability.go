@@ -87,23 +87,15 @@ func ExtReliability(p ExtReliabilityParams) (*trace.Table, error) {
 		"loss %",
 		SeriesDeliveredRetx, SeriesDeliveredNoRetx,
 		SeriesLatencyRetx, SeriesLatencyNoRetx, SeriesAttemptsRetx)
-	type job struct{ li, trial int }
-	var jobs []job
-	for li := range p.LossRates {
-		for tr := 0; tr < p.Trials; tr++ {
-			jobs = append(jobs, job{li, tr})
-		}
-	}
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		loss := p.LossRates[j.li]
+	err := runTrials(tbl, len(p.LossRates), p.Trials, func(li, trial int, mem *pastry.Scratch, add addFn) error {
+		loss := p.LossRates[li]
 		x := loss * 100
 		for _, retx := range []bool{true, false} {
 			// Split (unlike draws) leaves the parent stream untouched, so
 			// both modes derive identical substreams and replay the same
 			// scenario.
-			stream := root.SplitN(fmt.Sprintf("rel-l%d", j.li), j.trial)
+			stream := root.SplitN(fmt.Sprintf("rel-l%d", li), trial)
 			delivered, lat, att, err := runReliabilityTrial(p, loss, retx, stream, mem)
 			if err != nil {
 				return err

@@ -95,18 +95,10 @@ func ExtSelfHeal(p ExtSelfHealParams) (*trace.Table, error) {
 			p.N, selfHealK, selfHealLength, selfHealPoolSize, selfHealHorizon, p.Trials),
 		"churn %/epoch",
 		SeriesAvailPool, SeriesAvailSingle, SeriesTTRPool)
-	type job struct{ ci, trial int }
-	var jobs []job
-	for ci := range p.ChurnRates {
-		for tr := 0; tr < p.Trials; tr++ {
-			jobs = append(jobs, job{ci, tr})
-		}
-	}
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		frac := p.ChurnRates[j.ci]
-		stream := root.SplitN(fmt.Sprintf("selfheal-c%d", j.ci), j.trial)
+	err := runTrials(tbl, len(p.ChurnRates), p.Trials, func(ci, trial int, mem *pastry.Scratch, add addFn) error {
+		frac := p.ChurnRates[ci]
+		stream := root.SplitN(fmt.Sprintf("selfheal-c%d", ci), trial)
 		res, err := runSelfHealTrial(p, frac, stream, mem)
 		if err != nil {
 			return err

@@ -74,19 +74,11 @@ func ExtSession(p ExtSessionParams) (*trace.Table, error) {
 		fmt.Sprintf("Ext: session survival vs churn rate (N=%d, l=%d, %d exchanges, %d sessions, trials=%d)",
 			p.N, p.Length, p.Exchanges, p.Sessions, p.Trials),
 		"churn/exchange", SeriesTAPSession, SeriesFixedSession)
-	type job struct{ rIdx, trial int }
-	var jobs []job
-	for ri := range p.ChurnRates {
-		for tr := 0; tr < p.Trials; tr++ {
-			jobs = append(jobs, job{ri, tr})
-		}
-	}
 	root := rng.New(p.Seed)
 	echo := func(req []byte) []byte { return req }
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		rate := p.ChurnRates[j.rIdx]
-		stream := root.SplitN(fmt.Sprintf("extsess-r%d", j.rIdx), j.trial)
+	err := runTrials(tbl, len(p.ChurnRates), p.Trials, func(ri, trial int, mem *pastry.Scratch, add addFn) error {
+		rate := p.ChurnRates[ri]
+		stream := root.SplitN(fmt.Sprintf("extsess-r%d", ri), trial)
 		w, err := BuildWorldIn(mem, p.N, 3, stream.Split("world"))
 		if err != nil {
 			return err

@@ -167,21 +167,14 @@ func ExtThroughput(p ExtThroughputParams) (*trace.Table, error) {
 			p.Flows, p.Clients*p.TunnelsPer, p.N, p.Length, p.FlowBytes, p.ChurnFails),
 		"loss %", series...)
 
-	type job struct{ li, wi int }
-	var jobs []job
-	for li := range p.LossRates {
-		for wi := range p.Windows {
-			jobs = append(jobs, job{li, wi})
-		}
-	}
+	// The window sizes are the trial axis. Streams split per loss rate
+	// only: every window size replays the identical world, tunnels, churn
+	// plan, and flow schedule.
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		loss := p.LossRates[j.li]
-		window := p.Windows[j.wi]
-		// Streams split per loss rate only: every window size replays the
-		// identical world, tunnels, churn plan, and flow schedule.
-		stream := root.SplitN(fmt.Sprintf("tp-l%d", j.li), 0)
+	err := runTrials(tbl, len(p.LossRates), len(p.Windows), func(li, wi int, mem *pastry.Scratch, add addFn) error {
+		loss := p.LossRates[li]
+		window := p.Windows[wi]
+		stream := root.SplitN(fmt.Sprintf("tp-l%d", li), 0)
 		m, err := runThroughputTrial(p, loss, window, stream, mem)
 		if err != nil {
 			return err

@@ -87,25 +87,16 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 		fmt.Sprintf("Ext: timing analysis — exits traced to initiator vs traffic density (N=%d, l=%d, %d flows, window=%v, trials=%d)",
 			p.N, p.Length, p.Flows, timingWindow, p.Trials),
 		"flows/min", series...)
-	type job struct {
-		gIdx, fIdx, trial int
-		opt               bool
-	}
-	var jobs []job
-	for gi := range p.FlowGaps {
-		for fi := range p.Fracs {
-			for tr := 0; tr < p.Trials; tr++ {
-				jobs = append(jobs, job{gi, fi, tr, false}, job{gi, fi, tr, true})
-			}
-		}
-	}
+	// A point is a (gap, frac) pair; each trial runs twice, basic then
+	// optimized.
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		gap := p.FlowGaps[j.gIdx]
-		frac := p.Fracs[j.fIdx]
+	err := runTrials(tbl, len(p.FlowGaps)*len(p.Fracs), 2*p.Trials, func(pt, t int, mem *pastry.Scratch, add addFn) error {
+		gi, fi := pt/len(p.Fracs), pt%len(p.Fracs)
+		trial, opt := t/2, t%2 == 1
+		gap := p.FlowGaps[gi]
+		frac := p.Fracs[fi]
 		perMin := float64(time.Minute) / float64(gap)
-		stream := root.SplitN(fmt.Sprintf("exttiming-g%d-f%d-%v", j.gIdx, j.fIdx, j.opt), j.trial)
+		stream := root.SplitN(fmt.Sprintf("exttiming-g%d-f%d-%v", gi, fi, opt), trial)
 		w, err := BuildWorldIn(mem, p.N, 3, stream.Split("world"))
 		if err != nil {
 			return err
@@ -139,7 +130,7 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 				}
 				var dest id.ID
 				ts.Bytes(dest[:])
-				if j.opt {
+				if opt {
 					if err := tun.RefreshHints(w.Svc); err != nil {
 						return
 					}
@@ -159,13 +150,13 @@ func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
 		if score.Exits == 0 {
 			// The adversary never served a tail hop: no opportunities at
 			// all this trial.
-			add(perMin, seriesTraced(frac, j.opt), 0)
+			add(perMin, seriesTraced(frac, opt), 0)
 			return nil
 		}
 		// Best-effort attribution: the adversary commits to the earliest
 		// candidate even under ambiguity (the strict confident-only rate
 		// is near zero everywhere — see package timing tests).
-		add(perMin, seriesTraced(frac, j.opt), float64(score.GuessCorrect)/float64(score.Exits))
+		add(perMin, seriesTraced(frac, opt), float64(score.GuessCorrect)/float64(score.Exits))
 		return nil
 	})
 	if err != nil {

@@ -79,23 +79,13 @@ func Fig2(p Fig2Params) (*trace.Table, error) {
 			p.N, p.Tunnels, p.Length, p.Trials),
 		"p", series...)
 
-	type job struct {
-		kIdx, fIdx, trial int
-	}
-	var jobs []job
-	for ki := range p.Ks {
-		for fi := range p.Fracs {
-			for tr := 0; tr < p.Trials; tr++ {
-				jobs = append(jobs, job{ki, fi, tr})
-			}
-		}
-	}
+	// A point is a (k, frac) pair.
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		k := p.Ks[j.kIdx]
-		frac := p.Fracs[j.fIdx]
-		stream := root.SplitN(fmt.Sprintf("fig2-k%d-f%d", k, j.fIdx), j.trial)
+	err := runTrials(tbl, len(p.Ks)*len(p.Fracs), p.Trials, func(pt, trial int, mem *pastry.Scratch, add addFn) error {
+		ki, fi := pt/len(p.Fracs), pt%len(p.Fracs)
+		k := p.Ks[ki]
+		frac := p.Fracs[fi]
+		stream := root.SplitN(fmt.Sprintf("fig2-k%d-f%d", k, fi), trial)
 		w, err := BuildWorldIn(mem, p.N, k, stream.Split("world"))
 		if err != nil {
 			return err
@@ -106,7 +96,7 @@ func Fig2(p Fig2Params) (*trace.Table, error) {
 		}
 		// Baseline tunnels share the world of the first k only.
 		var fixed []*core.FixedTunnel
-		if j.kIdx == 0 {
+		if ki == 0 {
 			fixed = make([]*core.FixedTunnel, 0, p.Tunnels)
 			fstream := stream.Split("fixed")
 			for t := 0; t < p.Tunnels; t++ {

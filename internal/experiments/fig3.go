@@ -70,7 +70,7 @@ func Fig3(p Fig3Params) (*trace.Table, error) {
 			p.N, p.Tunnels, p.Length, p.K, p.Trials),
 		"p", SeriesCorrupted, SeriesFirstTail)
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
+	err := runTrials(tbl, 1, p.Trials, func(_, trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("fig3", trial)
 		w, err := BuildWorldIn(mem, p.N, p.K, stream.Split("world"))
 		if err != nil {

@@ -58,18 +58,10 @@ func Fig4a(p Fig4aParams) (*trace.Table, error) {
 		fmt.Sprintf("Fig 4a: corrupted tunnels vs replication factor (N=%d, tunnels=%d, l=%d, p=%.2f, trials=%d)",
 			p.N, p.Tunnels, p.Length, p.Malicious, p.Trials),
 		"k", SeriesCorrupted)
-	type job struct{ kIdx, trial int }
-	var jobs []job
-	for ki := range p.Ks {
-		for tr := 0; tr < p.Trials; tr++ {
-			jobs = append(jobs, job{ki, tr})
-		}
-	}
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		k := p.Ks[j.kIdx]
-		stream := root.SplitN(fmt.Sprintf("fig4a-k%d", k), j.trial)
+	err := runTrials(tbl, len(p.Ks), p.Trials, func(ki, trial int, mem *pastry.Scratch, add addFn) error {
+		k := p.Ks[ki]
+		stream := root.SplitN(fmt.Sprintf("fig4a-k%d", k), trial)
 		w, err := BuildWorldIn(mem, p.N, k, stream.Split("world"))
 		if err != nil {
 			return err
@@ -139,7 +131,7 @@ func Fig4b(p Fig4bParams) (*trace.Table, error) {
 			p.N, p.Tunnels, p.K, p.Malicious, p.Trials),
 		"l", SeriesCorrupted)
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
+	err := runTrials(tbl, 1, p.Trials, func(_, trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("fig4b", trial)
 		w, err := BuildWorldIn(mem, p.N, p.K, stream.Split("world"))
 		if err != nil {

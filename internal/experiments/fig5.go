@@ -81,7 +81,7 @@ func Fig5(p Fig5Params) (*trace.Table, error) {
 			p.N, p.Tunnels, p.Length, p.K, p.Malicious, p.LeavePerUnit, p.JoinPerUnit, p.Trials),
 		"time", SeriesUnrefreshed, SeriesRefreshed)
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, p.Trials, func(trial int, mem *pastry.Scratch, add addFn) error {
+	err := runTrials(tbl, 1, p.Trials, func(_, trial int, mem *pastry.Scratch, add addFn) error {
 		stream := root.SplitN("fig5", trial)
 		w, err := BuildWorldIn(mem, p.N, p.K, stream.Split("world"))
 		if err != nil {

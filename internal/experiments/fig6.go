@@ -87,7 +87,7 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 			p.K, p.Sims, p.Transfers),
 		"nodes", series...)
 
-	// Tail collection: each job keeps its own raw observations, so no two
+	// Tail collection: each cell keeps its own raw observations, so no two
 	// workers share a slice.
 	type sampleKey struct {
 		x      float64
@@ -98,19 +98,12 @@ func Fig6(p Fig6Params) (*trace.Table, error) {
 		v   float64
 	}
 
-	type job struct{ sizeIdx, sim int }
-	var jobs []job
-	for si := range p.Sizes {
-		for sim := 0; sim < p.Sims; sim++ {
-			jobs = append(jobs, job{si, sim})
-		}
-	}
-	tails := make([][]tailObs, len(jobs))
+	tails := make([][]tailObs, len(p.Sizes)*p.Sims)
 	root := rng.New(p.Seed)
-	err := runTrials(tbl, len(jobs), func(i int, mem *pastry.Scratch, add addFn) error {
-		j := jobs[i]
-		size := p.Sizes[j.sizeIdx]
-		stream := root.SplitN(fmt.Sprintf("fig6-n%d", size), j.sim)
+	err := runTrials(tbl, len(p.Sizes), p.Sims, func(si, sim int, mem *pastry.Scratch, add addFn) error {
+		size := p.Sizes[si]
+		stream := root.SplitN(fmt.Sprintf("fig6-n%d", size), sim)
+		i := si*p.Sims + sim
 		record := func(s string, v float64) {
 			add(float64(size), s, v)
 			if p.WithTails {

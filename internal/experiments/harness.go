@@ -4,10 +4,12 @@
 // the Monte-Carlo trials and returns a trace.Table whose rows are the
 // figure's x axis and whose columns are its series.
 //
-// Every sweep goes through one runner, runTrials: trials run in parallel
-// across worker goroutines with one deterministic RNG stream per trial,
-// record into per-trial slots, and are folded into the table in trial
-// order, so a table is bit-identical for any GOMAXPROCS.
+// Every sweep goes through one runner, runTrials, over a grid of points
+// (the sweep's x values, or a flattening of several axes) by trials. Cells
+// run in parallel across worker goroutines with one deterministic RNG
+// stream per cell, record into per-cell slots, and are folded into the
+// table in point-major order, so a table is bit-identical for any
+// GOMAXPROCS.
 //
 // cmd/tapsim prints these tables; bench_test.go wraps each in a testing.B
 // benchmark; EXPERIMENTS.md records the measured shapes against the
@@ -150,23 +152,27 @@ func TunnelFunctional(w *World, in *core.Initiator, t *core.Tunnel, fullWalk boo
 // addFn records one sample for (x, series) on behalf of the running trial.
 type addFn func(x float64, series string, v float64)
 
-// runTrials runs fn(i, mem, add) for every i in [0, n) across
-// min(GOMAXPROCS, n) workers, then folds what the trials recorded into tbl.
+// runTrials runs fn(pt, trial, mem, add) for every cell of the points ×
+// trials grid across min(GOMAXPROCS, cells) workers, then folds what the
+// cells recorded into tbl. A cell's index is pt·trials + trial (point-major):
+// a sweep of several axes flattens them into pt, and a sweep that varies
+// nothing passes points = 1.
 //
-// Each worker owns one pastry.Scratch, handed to every trial it runs, so
-// successive trials rebuild their overlay in the same memory (BuildWorldIn);
-// mem is only valid for the duration of fn. Each trial's add appends to that
-// trial's own slot and nothing is shared between workers. After all trials
+// Each worker owns one pastry.Scratch, handed to every cell it runs, so
+// successive cells rebuild their overlay in the same memory (BuildWorldIn);
+// mem is only valid for the duration of fn. Each cell's add appends to that
+// cell's own slot and nothing is shared between workers. After all cells
 // finish the slots are folded into tbl in index order — trace.Accum is a
 // running mean, order-dependent in the last ulp — so a table is bit-identical
 // for any worker count. The error returned is that of the lowest failing
-// index. Each fn must derive all its randomness from its index.
-func runTrials(tbl *trace.Table, n int, fn func(i int, mem *pastry.Scratch, add addFn) error) error {
+// index. Each fn must derive all its randomness from (pt, trial).
+func runTrials(tbl *trace.Table, points, trials int, fn func(pt, trial int, mem *pastry.Scratch, add addFn) error) error {
 	type sample struct {
 		x      float64
 		series string
 		v      float64
 	}
+	n := points * trials
 	slots := make([][]sample, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -177,7 +183,7 @@ func runTrials(tbl *trace.Table, n int, fn func(i int, mem *pastry.Scratch, add 
 			defer wg.Done()
 			mem := pastry.NewScratch()
 			for i := range idx {
-				errs[i] = fn(i, mem, func(x float64, series string, v float64) {
+				errs[i] = fn(i/trials, i%trials, mem, func(x float64, series string, v float64) {
 					slots[i] = append(slots[i], sample{x, series, v})
 				})
 			}
