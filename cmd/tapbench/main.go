@@ -38,6 +38,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,7 +91,7 @@ var defaultGroups = []group{
 func main() {
 	var (
 		groupsFlag      = flag.String("groups", "hot,micro,figures", "comma-separated groups to run (hot, micro, figures)")
-		only            = flag.String("only", "", "extra regex ANDed onto each group's benchmark pattern")
+		only            = flag.String("only", "", "extra regex ANDed onto each group's benchmark pattern; go test runs only the benchmarks it can match")
 		out             = flag.String("out", "", "write the JSON report to this file (default: stdout)")
 		baseline        = flag.String("baseline", "", "compare against this previously captured JSON report")
 		quick           = flag.Bool("quick", false, "force -benchtime=1x -count=1 for every group (CI smoke mode)")
@@ -186,8 +187,27 @@ func main() {
 }
 
 // runGroup shells out to go test for one group and aggregates its output.
+// With -only, go test runs just the group's benchmarks -only can match
+// (onlyPattern), and each result line is filtered by -only as a whole, so
+// a sub-benchmark pattern narrows the report too. A group with no match
+// runs nothing.
 func runGroup(g group, only, pkgs string, extraArgs []string) ([]Result, error) {
 	pattern := g.pattern
+	var onlyRe *regexp.Regexp
+	if only != "" {
+		var err error
+		if onlyRe, err = regexp.Compile(only); err != nil {
+			return nil, fmt.Errorf("bad -only regex: %w", err)
+		}
+		names, err := listBenchmarks(g.pattern, pkgs)
+		if err != nil {
+			return nil, err
+		}
+		if pattern = onlyPattern(names, only); pattern == "" {
+			fmt.Fprintf(os.Stderr, "tapbench: -only matches no benchmark of group %s\n", g.name)
+			return nil, nil
+		}
+	}
 	args := []string{"test", "-run=^$", "-bench=" + pattern, "-benchmem",
 		"-benchtime=" + g.benchtime, "-count=" + strconv.Itoa(g.count)}
 	args = append(args, extraArgs...)
@@ -203,12 +223,6 @@ func runGroup(g group, only, pkgs string, extraArgs []string) ([]Result, error) 
 		return nil, err
 	}
 
-	var onlyRe *regexp.Regexp
-	if only != "" {
-		if onlyRe, err = regexp.Compile(only); err != nil {
-			return nil, fmt.Errorf("bad -only regex: %w", err)
-		}
-	}
 	best := map[string]*Result{}
 	sc := bufio.NewScanner(pipe)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -245,6 +259,48 @@ func runGroup(g group, only, pkgs string, extraArgs []string) ([]Result, error) 
 		out = append(out, *r)
 	}
 	return out, nil
+}
+
+// listBenchmarks returns the top-level benchmarks of pkgs that pattern
+// selects, sorted and without duplicates, as `go test -list` names them.
+func listBenchmarks(pattern, pkgs string) ([]string, error) {
+	cmd := exec.Command("go", "test", "-list="+pattern, pkgs)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go test -list: %w", err)
+	}
+	var names []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) == 1 && strings.HasPrefix(f[0], "Benchmark") {
+			names = append(names, f[0])
+		}
+	}
+	sort.Strings(names)
+	return slices.Compact(names), nil
+}
+
+// onlyPattern is the -bench pattern that runs just the benchmarks of names
+// that only can match: an anchored alternation of the names matched by
+// only's part before its first '/', the level go test matches top-level
+// names against. It is "" when no name matches.
+func onlyPattern(names []string, only string) string {
+	top, _, _ := strings.Cut(only, "/")
+	re, err := regexp.Compile(top)
+	if err != nil {
+		// The '/' sits inside a group or class: match the whole pattern.
+		re = regexp.MustCompile(only)
+	}
+	var keep []string
+	for _, n := range names {
+		if re.MatchString(n) {
+			keep = append(keep, regexp.QuoteMeta(n))
+		}
+	}
+	if len(keep) == 0 {
+		return ""
+	}
+	return "^(" + strings.Join(keep, "|") + ")$"
 }
 
 // parseBenchLine decodes one `go test -bench` output line, e.g.
