@@ -18,7 +18,6 @@ import (
 	"tap/internal/id"
 	"tap/internal/pastry"
 	"tap/internal/rng"
-	"tap/internal/secroute"
 	"time"
 
 	"tap/internal/simnet"
@@ -124,36 +123,6 @@ func BenchmarkFig6Transfer(b *testing.B) {
 }
 
 // --- extension benchmarks -------------------------------------------------------
-
-// BenchmarkExtSecureRouting regenerates the secure-routing extension
-// table (honest-owner resolution vs malicious routers).
-func BenchmarkExtSecureRouting(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.ExtSecRoute(experiments.ExtSecRouteParams{
-			N: 600, Fracs: []float64{0.1, 0.2, 0.3}, Lookups: 60,
-			Trials: 1, Seed: uint64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtDetection regenerates the tunnel-detection extension table
-// (send success, unmanaged vs monitored, under silent droppers).
-func BenchmarkExtDetection(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.ExtDetect(experiments.ExtDetectParams{
-			N: 500, Length: 4, Fracs: []float64{0.05, 0.15}, Sends: 25,
-			Trials: 1, Seed: uint64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkExtCoverTraffic regenerates the cover-traffic cost table
 // (network bytes multiplier vs cover rate) — §2's argument, measured.
@@ -711,35 +680,6 @@ func BenchmarkReplicaMigration(b *testing.B) {
 			b.StartTimer()
 		}
 		if err := w.OV.Fail(w.OV.RandomLive(s).Ref().Addr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSecureLookup measures one paranoid secure lookup (primary +
-// redundant verification routes) in a 2,000-node overlay with 10%
-// malicious routers.
-func BenchmarkSecureLookup(b *testing.B) {
-	root := rng.New(1)
-	ov, err := pastry.Build(pastry.DefaultConfig(), 2000, root.Split("overlay"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	adv := secroute.NewAdversary()
-	adv.MarkFraction(ov, 0.1, root.Split("mark"))
-	r := secroute.NewRouter(ov, adv)
-	r.AlwaysVerify = true
-	s := root.Split("keys")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var key id.ID
-		s.Bytes(key[:])
-		src := ov.RandomLive(s)
-		if adv.IsMalicious(src.Ref().Addr) {
-			continue
-		}
-		if _, err := r.Lookup(src.Ref().Addr, key); err != nil && err != secroute.ErrCensored {
 			b.Fatal(err)
 		}
 	}

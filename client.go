@@ -8,7 +8,6 @@ import (
 	"tap/internal/app/mail"
 	"tap/internal/app/session"
 	"tap/internal/core"
-	"tap/internal/detect"
 	"tap/internal/rng"
 )
 
@@ -18,7 +17,6 @@ type Client struct {
 	net    *Network
 	in     *core.Initiator
 	stream *rng.Stream
-	prb    *detect.Prober
 }
 
 // NewClient attaches a TAP client to a uniformly random live node. The

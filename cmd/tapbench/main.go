@@ -84,7 +84,7 @@ type group struct {
 
 var defaultGroups = []group{
 	{name: "hot", pattern: "^(BenchmarkLayeredSeal|BenchmarkLayeredPeel|BenchmarkPoolProbeCycle|BenchmarkKernelScheduleRun|BenchmarkStreamThroughput|BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkRelayForward|BenchmarkExitEcho|BenchmarkRoundTripStream|BenchmarkNewStream)$", benchtime: "500ms", count: 10},
-	{name: "micro", pattern: "^(BenchmarkSeal|BenchmarkOpen|BenchmarkSealer|BenchmarkNewSealer|BenchmarkTransportSendBulk|BenchmarkPastryRoute|BenchmarkLeafSetClosestTo|BenchmarkOverlayBuild|BenchmarkTunnelWalk|BenchmarkPastryJoinProtocol|BenchmarkReplicaMigration|BenchmarkSecureLookup|BenchmarkWorldSetup)", benchtime: "200ms", count: 3},
+	{name: "micro", pattern: "^(BenchmarkSeal|BenchmarkOpen|BenchmarkSealer|BenchmarkNewSealer|BenchmarkTransportSendBulk|BenchmarkPastryRoute|BenchmarkLeafSetClosestTo|BenchmarkOverlayBuild|BenchmarkTunnelWalk|BenchmarkPastryJoinProtocol|BenchmarkReplicaMigration|BenchmarkWorldSetup)", benchtime: "200ms", count: 3},
 	{name: "figures", pattern: "^(BenchmarkFig|BenchmarkExt|BenchmarkAblation)", benchtime: "1x", count: 1},
 }
 

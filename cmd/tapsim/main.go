@@ -40,7 +40,7 @@ type options struct {
 	seed                          uint64
 	paper, walk, tails, contend   bool
 	sims, xfers, units            int
-	sizes, windows                string
+	sizes, windows                []int
 	routes                        int
 	budget                        time.Duration
 	flows, clients, fbytes        int
@@ -98,16 +98,6 @@ var table = []experiment{
 		}
 		return experiments.Fig6(p)
 	}},
-	{"ext-secroute", "ext", func(o options) (*trace.Table, error) {
-		return experiments.ExtSecRoute(experiments.ExtSecRouteParams{
-			N: o.n, Trials: o.trials, Seed: o.seed,
-		})
-	}},
-	{"ext-detect", "ext", func(o options) (*trace.Table, error) {
-		return experiments.ExtDetect(experiments.ExtDetectParams{
-			N: o.n, Length: o.length, Trials: o.trials, Seed: o.seed,
-		})
-	}},
 	{"ext-cover", "ext", func(o options) (*trace.Table, error) {
 		return experiments.ExtCover(experiments.ExtCoverParams{
 			N: o.n, Length: o.length, Trials: o.trials, Seed: o.seed,
@@ -149,12 +139,12 @@ var table = []experiment{
 	}},
 	{"ext-scale", "", func(o options) (*trace.Table, error) {
 		return experiments.ExtScale(experiments.ExtScaleParams{
-			Sizes: intList("sizes", "size", o.sizes), Routes: o.routes, Seed: o.seed, Budget: o.budget,
+			Sizes: o.sizes, Routes: o.routes, Seed: o.seed, Budget: o.budget,
 		})
 	}},
 	{"ext-throughput", "", func(o options) (*trace.Table, error) {
 		return experiments.ExtThroughput(experiments.ExtThroughputParams{
-			N: o.n, Length: o.length, Flows: o.flows, Windows: intList("windows", "window", o.windows),
+			N: o.n, Length: o.length, Flows: o.flows, Windows: o.windows,
 			Clients: o.clients, FlowBytes: o.fbytes, Seed: o.seed,
 		})
 	}},
@@ -217,6 +207,7 @@ func intList(name, what, s string) []int {
 
 func main() {
 	var o options
+	var sizes, windows string
 	exp := flag.String("experiment", "all", names()+" (all: the paper's figures; ext: the ext-* sweeps that take no flags of their own)")
 	flag.IntVar(&o.n, "n", 1000, "network size (nodes)")
 	flag.IntVar(&o.tunnels, "tunnels", 500, "number of tunnels")
@@ -232,17 +223,21 @@ func main() {
 	flag.IntVar(&o.units, "units", 20, "fig5: churn time units")
 	flag.BoolVar(&o.tails, "tails", false, "fig6: also report p95 per mode")
 	flag.BoolVar(&o.contend, "contention", false, "fig6: per-node uplink queuing in the link model")
-	flag.StringVar(&o.sizes, "sizes", "", "ext-scale: comma-separated network sizes (default 1000,10000,100000,1000000)")
+	flag.StringVar(&sizes, "sizes", "", "ext-scale: comma-separated network sizes (default 1000,10000,100000,1000000)")
 	flag.IntVar(&o.routes, "routes", 0, "ext-scale: measured routes per size (default 10000)")
 	flag.DurationVar(&o.budget, "budget", 0, "ext-scale: fail if the sweep exceeds this wall-clock budget (0 = none)")
 	flag.IntVar(&o.flows, "flows", 0, "ext-throughput: concurrent stream flows per combo (default 2000)")
-	flag.StringVar(&o.windows, "windows", "", "ext-throughput: comma-separated send-window sizes (default 1,16)")
+	flag.StringVar(&windows, "windows", "", "ext-throughput: comma-separated send-window sizes (default 1,16)")
 	flag.IntVar(&o.clients, "clients", 0, "ext-throughput: stream sources (default 16)")
 	flag.IntVar(&o.fbytes, "flowbytes", 0, "ext-throughput: payload bytes per stream (default 2048)")
 	outDir := flag.String("out", "", "also write each table as CSV into this directory")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	// The lists are checked whatever runs: a malformed one is a mistake
+	// even where the experiment would not read it.
+	o.sizes = intList("sizes", "size", sizes)
+	o.windows = intList("windows", "window", windows)
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "tapsim: -out: %v\n", err)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -14,8 +16,8 @@ import (
 	"tap/internal/experiments"
 )
 
-var exts = []string{"ext-secroute", "ext-detect", "ext-cover", "ext-anon", "ext-session",
-	"ext-inflight", "ext-timing", "ext-reliability", "ext-selfheal"}
+var exts = []string{"ext-cover", "ext-anon", "ext-session", "ext-inflight", "ext-timing",
+	"ext-reliability", "ext-selfheal"}
 
 func runNames(runs []selected) []string {
 	var out []string
@@ -28,7 +30,7 @@ func runNames(runs []selected) []string {
 // Every name -experiment lists selects something, and each experiment's
 // own name selects exactly its row with the flags as given.
 func TestNamesSelectRows(t *testing.T) {
-	o := options{n: 1, trials: 2, seed: 3}
+	o := options{n: 1, trials: 2, seed: 3, sizes: []int{4}}
 	for _, name := range strings.Split(names(), "|") {
 		if len(selectRuns(name, o)) == 0 {
 			t.Errorf("-experiment %s selects nothing", name)
@@ -36,7 +38,7 @@ func TestNamesSelectRows(t *testing.T) {
 	}
 	for _, e := range table {
 		runs := selectRuns(strings.ToUpper(e.name), o)
-		if len(runs) != 1 || runs[0].name != e.name || runs[0].opts != o {
+		if len(runs) != 1 || runs[0].name != e.name || !reflect.DeepEqual(runs[0].opts, o) {
 			t.Errorf("-experiment %s selects %v", strings.ToUpper(e.name), runNames(runs))
 		}
 	}
@@ -45,16 +47,16 @@ func TestNamesSelectRows(t *testing.T) {
 	}
 }
 
-// all is the paper's figures with every flag; ext is the nine flagless
+// all is the paper's figures with every flag; ext is the seven flagless
 // ext sweeps, in order, each with only -trials and -seed set.
 func TestGroups(t *testing.T) {
-	o := options{n: 500, tunnels: 40, length: 4, k: 2, trials: 2, seed: 9}
+	o := options{n: 500, tunnels: 40, length: 4, k: 2, trials: 2, seed: 9, windows: []int{1, 16}}
 	all := selectRuns("ALL", o)
 	if got, want := runNames(all), []string{"fig2", "fig3", "fig4a", "fig4b", "fig5", "fig6"}; !slices.Equal(got, want) {
 		t.Errorf("all = %v, want %v", got, want)
 	}
 	for _, r := range all {
-		if r.opts != o {
+		if !reflect.DeepEqual(r.opts, o) {
 			t.Errorf("all runs %s with %+v, want %+v", r.name, r.opts, o)
 		}
 	}
@@ -63,7 +65,7 @@ func TestGroups(t *testing.T) {
 		t.Errorf("ext = %v, want %v", got, exts)
 	}
 	for _, r := range ext {
-		if want := (options{trials: 2, seed: 9}); r.opts != want {
+		if want := (options{trials: 2, seed: 9}); !reflect.DeepEqual(r.opts, want) {
 			t.Errorf("ext runs %s with %+v, want %+v", r.name, r.opts, want)
 		}
 	}
@@ -121,6 +123,7 @@ func TestBadArgumentsExitTwo(t *testing.T) {
 		{[]string{"-experiment", "nope"}, `tapsim: unknown experiment "nope" (want ` + names() + ")\n"},
 		{[]string{"-experiment", "ext-scale", "-sizes", "x"}, "tapsim: -sizes: bad size \"x\"\n"},
 		{[]string{"-experiment", "ext-throughput", "-windows", "0"}, "tapsim: -windows: bad window \"0\"\n"},
+		{[]string{"-experiment", "fig3", "-sizes", "x"}, "tapsim: -sizes: bad size \"x\"\n"},
 	} {
 		stdout, stderr, code := tapsim(t, c.args...)
 		if code != 2 || stderr != c.want || stdout != "" {
@@ -152,4 +155,78 @@ func TestFig3CSV(t *testing.T) {
 	if stdout != want.String() {
 		t.Fatalf("stdout:\n%s\nwant:\n%s", stdout, want.String())
 	}
+}
+
+// resultsRow is one row of results/README.md's table: a file and the
+// tapsim command that prints it.
+var resultsRow = regexp.MustCompile("^\\| `([^`]+)` \\| `tapsim ([^`]+)` \\|$")
+
+// nightly are the rows too slow for every test run (fig5_long.txt takes
+// about 15 s); the nightly workflow regenerates and diffs them instead.
+var nightly = map[string]bool{"fig5_long.txt": true}
+
+// Every file under results/ is the output of the command in its
+// results/README.md row, byte for byte apart from the wall-clock
+// "completed in" lines. The goldens pin small cases with one value on
+// most axes; these run the published sweeps, so a wrong point decode or
+// stream index moves a file.
+func TestResultsMatchTheirCommands(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-runs every published table (about 20 s)")
+	}
+	const dir = "../../results"
+	readme, err := os.ReadFile(filepath.Join(dir, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(string(readme), "\n") {
+		if m := resultsRow.FindStringSubmatch(line); m != nil {
+			rows[m[1]] = strings.Fields(m[2])
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, ok := rows[filepath.Base(f)]; !ok {
+			t.Errorf("results/%s has no row in results/README.md", filepath.Base(f))
+		}
+	}
+	names := make([]string, 0, len(rows))
+	for name := range rows {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatalf("results/README.md row has no file: %v", err)
+			}
+			if nightly[name] {
+				t.Skip("checked by the nightly workflow")
+			}
+			stdout, stderr, code := tapsim(t, rows[name]...)
+			if code != 0 {
+				t.Fatalf("tapsim %v: exit %d: %s", rows[name], code, stderr)
+			}
+			if got, want := withoutTimings(stdout), withoutTimings(string(want)); got != want {
+				t.Errorf("tapsim %v differs from results/%s:\ngot:\n%s\nwant:\n%s", rows[name], name, got, want)
+			}
+		})
+	}
+}
+
+// withoutTimings drops the "(name completed in …)" lines tapsim prints
+// after each table.
+func withoutTimings(s string) string {
+	var keep []string
+	for _, line := range strings.Split(s, "\n") {
+		if !strings.Contains(line, " completed in ") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
 }

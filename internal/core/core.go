@@ -178,8 +178,8 @@ func (svc *Service) anchorAt(self simnet.Addr, hopID id.ID) (tha.Anchor, error) 
 }
 
 // ErrDropped reports a message silently discarded by a misbehaving hop
-// node. Detectors (internal/detect) turn this signal — visible to the
-// initiator only as a missing reply — into tunnel health estimates.
+// node. The walker returns it; on the network a drop shows only as a
+// missing reply, which is what the tunnel pool's echo probes wait for.
 var ErrDropped = errors.New("core: message dropped by misbehaving hop node")
 
 // NewService wires a service.

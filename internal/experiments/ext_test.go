@@ -6,50 +6,6 @@ import (
 	"time"
 )
 
-func TestExtSecRouteOrdering(t *testing.T) {
-	tbl, err := ExtSecRoute(ExtSecRouteParams{
-		N: 500, Fracs: []float64{0.2}, Lookups: 80, Trials: 2, Seed: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive := tbl.Mean(0.2, SeriesNaive)
-	secure := tbl.Mean(0.2, SeriesSecure)
-	paranoid := tbl.Mean(0.2, SeriesParanoid)
-	if math.IsNaN(naive) || math.IsNaN(secure) || math.IsNaN(paranoid) {
-		t.Fatalf("missing cells")
-	}
-	if !(secure > naive) {
-		t.Fatalf("secure (%.2f) not above naive (%.2f)", secure, naive)
-	}
-	if !(paranoid >= secure) {
-		t.Fatalf("paranoid (%.2f) below secure (%.2f)", paranoid, secure)
-	}
-	if paranoid < 0.9 {
-		t.Fatalf("paranoid success %.2f at p=0.2", paranoid)
-	}
-}
-
-func TestExtDetectMonitoredWins(t *testing.T) {
-	tbl, err := ExtDetect(ExtDetectParams{
-		N: 400, Length: 4, Fracs: []float64{0.15}, Sends: 30, Trials: 2, Seed: 43,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	un := tbl.Mean(0.15, SeriesUnmanaged)
-	mon := tbl.Mean(0.15, SeriesMonitored)
-	if math.IsNaN(un) || math.IsNaN(mon) {
-		t.Fatalf("missing cells")
-	}
-	if mon <= un {
-		t.Fatalf("monitored (%.2f) not above unmanaged (%.2f)", mon, un)
-	}
-	if mon < 0.9 {
-		t.Fatalf("monitored success only %.2f at p=0.15", mon)
-	}
-}
-
 func TestExtAnonDegreeFalls(t *testing.T) {
 	tbl, err := ExtAnon(ExtAnonParams{
 		N: 400, Tunnels: 150, Length: 2, K: 3,

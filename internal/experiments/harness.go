@@ -224,14 +224,6 @@ func refuseNegative(exp string, counts ...count) error {
 	return nil
 }
 
-func (p ExtSecRouteParams) validate() error {
-	return refuseNegative("ext-secroute", count{"N", p.N}, count{"Lookups", p.Lookups}, count{"Trials", p.Trials})
-}
-
-func (p ExtDetectParams) validate() error {
-	return refuseNegative("ext-detect", count{"N", p.N}, count{"Length", p.Length}, count{"Sends", p.Sends}, count{"Trials", p.Trials})
-}
-
 func (p ExtCoverParams) validate() error {
 	return refuseNegative("ext-cover", count{"N", p.N}, count{"Length", p.Length}, count{"Transfers", p.Transfers}, count{"FileBytes", p.FileBytes}, count{"Trials", p.Trials})
 }

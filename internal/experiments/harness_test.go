@@ -25,8 +25,6 @@ func TestExperimentsRefuseNegativeCounts(t *testing.T) {
 		{"fig5", "LeavePerUnit", func() (*trace.Table, error) { return Fig5(Fig5Params{LeavePerUnit: -1}) }},
 		{"fig6", "Transfers", func() (*trace.Table, error) { return Fig6(Fig6Params{Transfers: -1}) }},
 		{"fig6", "Sims", func() (*trace.Table, error) { return Fig6(Fig6Params{Sims: -2}) }},
-		{"ext-secroute", "Lookups", func() (*trace.Table, error) { return ExtSecRoute(ExtSecRouteParams{Lookups: -1}) }},
-		{"ext-detect", "Length", func() (*trace.Table, error) { return ExtDetect(ExtDetectParams{Length: -2}) }},
 		{"ext-cover", "Length", func() (*trace.Table, error) { return ExtCover(ExtCoverParams{Length: -2}) }},
 		{"ext-anon", "Tunnels", func() (*trace.Table, error) { return ExtAnon(ExtAnonParams{Tunnels: -1}) }},
 		{"ext-inflight", "Transfers", func() (*trace.Table, error) { return ExtInflight(ExtInflightParams{Transfers: -1}) }},

@@ -14,7 +14,6 @@ import (
 	"tap/internal/onionroute"
 	"tap/internal/pastry"
 	"tap/internal/rng"
-	"tap/internal/secroute"
 	"tap/internal/simnet"
 )
 
@@ -88,7 +87,6 @@ type Network struct {
 
 	clients    int
 	failStream *rng.Stream
-	routeAdv   *secroute.Adversary
 }
 
 // New builds a deployment per opts: the paper's Pastry (b = 4, L = 16) of

@@ -430,3 +430,58 @@ func TestParseAndKeyOf(t *testing.T) {
 		t.Fatalf("bad id accepted")
 	}
 }
+
+func TestBaselineSessionPublicAPI(t *testing.T) {
+	n, err := New(Options{Nodes: 300, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := KeyOf("srv")
+	fsess, err := OpenBaselineSession(n, server, 0) // default length
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := fsess.Exchange([]byte("x"), func(req []byte) []byte { return req })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp) != "x" {
+		t.Fatalf("resp %q", resp)
+	}
+}
+
+func TestChurnWaveWithNetworkDetaches(t *testing.T) {
+	// With the simulated network enabled, churned-out nodes must be
+	// detached so in-flight packets toward them drop.
+	n, err := New(Options{Nodes: 200, Seed: 36})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := n.Size()
+	n.ChurnWave(15, 15)
+	if n.Size() != before {
+		t.Fatalf("population changed")
+	}
+	// A timed transfer still works afterwards (handlers for joiners were
+	// attached, dead addresses detached).
+	c, _ := n.NewClient("x")
+	if err := c.DeployAnchors(8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.TimedTransfer(TAPBasic, KeyOf("d"), 10_000, 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFailFractionWithNetwork(t *testing.T) {
+	n, err := New(Options{Nodes: 200, Seed: 37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.FailFraction(0.25); got != 50 {
+		t.Fatalf("failed %d", got)
+	}
+	if n.Size() != 150 {
+		t.Fatalf("size %d", n.Size())
+	}
+}
