@@ -210,12 +210,6 @@ func (a ID) Sub(b ID) ID {
 	return limbs(&a).sub(limbs(&b)).id()
 }
 
-// Distance is RingDist as an identifier, for callers that go on to
-// compare it with one.
-func (a ID) Distance(b ID) ID {
-	return RingDist(&a, &b).id()
-}
-
 // Closer reports whether a is strictly closer to target than b is, with a
 // deterministic tie-break on the smaller plain value so that "the
 // numerically closest node" is always unique.

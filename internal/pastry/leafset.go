@@ -106,22 +106,6 @@ func (l *LeafSet) Covers(key id.ID) bool {
 	return id.BetweenIncl(&l.smaller[len(l.smaller)-1].ID, &l.larger[len(l.larger)-1].ID, &key)
 }
 
-// Span returns the length of the arc the leaf set spans — from the
-// farthest smaller neighbor clockwise through the owner to the farthest
-// larger one — and the number of gaps between consecutive members along
-// it. It is a ring measurement: an arc that passes zero is no longer than
-// one that does not. With a side short the leaf set is the whole ring
-// (Covers' rule), one gap per node; the overlay keeps the sides disjoint,
-// so that is every entry plus the owner.
-func (l *LeafSet) Span() (arc id.ID, gaps int) {
-	if len(l.smaller) < l.half || len(l.larger) < l.half {
-		return id.Max, l.Size() + 1
-	}
-	lo := l.smaller[len(l.smaller)-1].ID
-	hi := l.larger[len(l.larger)-1].ID
-	return hi.Sub(lo), l.Size()
-}
-
 // nearest carries the best candidate for key seen so far together with
 // its ring distance, so a scan computes one distance per candidate and
 // none for the incumbent. The order is id.Closer's — distance, then the

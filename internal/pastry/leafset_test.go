@@ -90,26 +90,6 @@ func TestLeafSetCoversWrappedArc(t *testing.T) {
 	}
 }
 
-func TestLeafSetSpanIsARingMeasurement(t *testing.T) {
-	// The same neighborhood, once mid-ring and once shifted to straddle
-	// zero, spans the same arc.
-	for _, shift := range []uint64{0, 105} {
-		at := func(v uint64) NodeRef {
-			return NodeRef{ID: id.FromUint64(v).Sub(id.FromUint64(shift)), Addr: simnet.Addr(v)}
-		}
-		l := NewLeafSet(at(100).ID, 4)
-		l.ReplaceAll([]NodeRef{at(90), at(80)}, []NodeRef{at(110), at(130)})
-		if arc, gaps := l.Span(); arc != id.FromUint64(50) || gaps != 4 {
-			t.Errorf("shift %d: Span = %s, %d gaps; want 50 over 4", shift, arc, gaps)
-		}
-		// A short side: the leaf set is the whole ring, one gap per node.
-		l.ReplaceAll([]NodeRef{at(90)}, []NodeRef{at(110), at(130)})
-		if arc, gaps := l.Span(); arc != id.Max || gaps != 4 {
-			t.Errorf("shift %d, short side: Span = %s, %d gaps; want the ring over 4", shift, arc, gaps)
-		}
-	}
-}
-
 func TestLeafSetClosestTo(t *testing.T) {
 	self := ref(100)
 	l := NewLeafSet(self.ID, 4)
