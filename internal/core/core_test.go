@@ -14,6 +14,7 @@ import (
 	"tap/internal/past"
 	"tap/internal/pastry"
 	"tap/internal/rng"
+	"tap/internal/simnet"
 	"tap/internal/tha"
 )
 
@@ -322,6 +323,135 @@ func TestForwardFailsWhenAnchorLost(t *testing.T) {
 	}
 }
 
+// TestForwardToOwnBidComesBack: a message an initiator sends through its
+// own tunnel to one of its bids lands on its own node with the payload
+// intact. That loop is the end-to-end self-probe: it needs no cooperating
+// responder.
+func TestForwardToOwnBidComesBack(t *testing.T) {
+	s := newSys(t, 300, 3, 9)
+	in := s.readyInitiator(t, "a", 10)
+	tun, err := in.FormTunnel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := s.root.Split("probe")
+	for i := 0; i < 5; i++ {
+		nonce := make([]byte, 32)
+		stream.Bytes(nonce)
+		env, err := BuildForward(tun, nil, in.NewBid(), nonce, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.svc.DeliverForward(in.Node().Ref().Addr, env)
+		if err != nil {
+			t.Fatalf("probe %d: %v", i, err)
+		}
+		if res.DestNode.ID != in.Node().ID() {
+			t.Fatalf("probe %d landed on %s, want the initiator %s", i, res.DestNode.ID.Short(), in.Node().ID().Short())
+		}
+		if !bytes.Equal(res.Payload, nonce) {
+			t.Fatalf("probe %d: payload corrupted", i)
+		}
+	}
+}
+
+// TestForwardDroppedByMisbehavingHop: a hop node that drops its hop's
+// traffic fails the message with ErrDropped; once that node dies, the
+// replica that takes the hop over serves the same tunnel again.
+func TestForwardDroppedByMisbehavingHop(t *testing.T) {
+	s := newSys(t, 300, 3, 10)
+	in := s.readyInitiator(t, "a", 10)
+	tun, err := in.FormTunnel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil, ok := s.dir.HopNode(tun.Hops[2].HopID)
+	if !ok {
+		t.Fatal("no hop node")
+	}
+	evilAddr, evilHop := evil.Ref().Addr, tun.Hops[2].HopID
+	s.svc.HopFilter = func(addr simnet.Addr, hopID id.ID) bool {
+		return addr != evilAddr || hopID != evilHop
+	}
+	send := func() (*ForwardResult, error) {
+		env, err := BuildForward(tun, nil, id.HashString("d"), []byte("x"), s.root.Split("b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.svc.DeliverForward(in.Node().Ref().Addr, env)
+	}
+	if _, err := send(); !errors.Is(err, ErrDropped) {
+		t.Fatalf("err = %v, want ErrDropped", err)
+	}
+	if err := s.ov.Fail(evilAddr); err != nil {
+		t.Fatal(err)
+	}
+	res, err := send()
+	if err != nil {
+		t.Fatalf("after the dropper died: %v", err)
+	}
+	if res.Stats.HopNodes[2].Addr == evilAddr {
+		t.Fatal("hop 2 still served by the dead dropper")
+	}
+}
+
+// TestEveryHopDroppingStopsAtTheFirstHop: in a network where every node
+// drops tunnel traffic, a message dies at its tunnel's first hop.
+func TestEveryHopDroppingStopsAtTheFirstHop(t *testing.T) {
+	s := newSys(t, 200, 3, 11)
+	in := s.readyInitiator(t, "a", 12)
+	s.svc.HopFilter = func(simnet.Addr, id.ID) bool { return false }
+	for i := 0; i < 3; i++ {
+		tun, err := in.FormTunnel(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := BuildForward(tun, nil, in.NewBid(), []byte("x"), s.root.Split("b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.svc.DeliverForward(in.Node().Ref().Addr, env)
+		if !errors.Is(err, ErrDropped) {
+			t.Fatalf("tunnel %d: err = %v, want ErrDropped", i, err)
+		}
+		if !strings.Contains(err.Error(), tun.Hops[0].HopID.Short()) {
+			t.Fatalf("tunnel %d: %v does not name the first hop %s", i, err, tun.Hops[0].HopID.Short())
+		}
+	}
+}
+
+// TestSelfProbeCannotSeeAQuietObserver: hop nodes that watch every hop
+// they serve but forward faithfully leave the self-probe nothing to see:
+// it echoes as on a clean tunnel while they learn every hop. Probing
+// catches drops; a quietly, fully leaked tunnel is why refresh stays.
+func TestSelfProbeCannotSeeAQuietObserver(t *testing.T) {
+	s := newSys(t, 300, 3, 13)
+	in := s.readyInitiator(t, "a", 10)
+	tun, err := in.FormTunnel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[id.ID]bool{}
+	s.svc.HopFilter = func(_ simnet.Addr, hopID id.ID) bool {
+		seen[hopID] = true
+		return true
+	}
+	nonce := []byte("probe nonce")
+	env, err := BuildForward(tun, nil, in.NewBid(), nonce, s.root.Split("probe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.svc.DeliverForward(in.Node().Ref().Addr, env)
+	if err != nil || res.DestNode.ID != in.Node().ID() || !bytes.Equal(res.Payload, nonce) {
+		t.Fatalf("probe through watching hops did not echo: %v", err)
+	}
+	for i, h := range tun.Hops {
+		if !seen[h.HopID] {
+			t.Fatalf("hop %d was not observed", i)
+		}
+	}
+}
+
 func TestReplyRoundTrip(t *testing.T) {
 	s := newSys(t, 300, 3, 7)
 	in := s.readyInitiator(t, "a", 20)
@@ -400,6 +530,37 @@ func TestReplySurvivesHopFailure(t *testing.T) {
 	}
 	if res.LandedNode.ID != in.Node().ID() {
 		t.Fatalf("reply lost after hop-node failures")
+	}
+}
+
+// TestReplyDroppedByMisbehavingHop: the reply walker honors HopFilter as
+// the forward walker does: a reply hop node that drops its hop's traffic
+// fails the reply with ErrDropped.
+func TestReplyDroppedByMisbehavingHop(t *testing.T) {
+	s := newSys(t, 300, 3, 12)
+	in := s.readyInitiator(t, "a", 20)
+	rep, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := BuildReply(rep, nil, in.NewBid(), s.root.Split("r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil, ok := s.dir.HopNode(rep.Hops[1].HopID)
+	if !ok {
+		t.Fatal("hop missing")
+	}
+	evilAddr, evilHop := evil.Ref().Addr, rep.Hops[1].HopID
+	s.svc.HopFilter = func(addr simnet.Addr, hopID id.ID) bool {
+		return addr != evilAddr || hopID != evilHop
+	}
+	responder := s.ov.RandomLive(s.root.Split("resp"))
+	_, err = s.svc.DeliverReply(responder.Ref().Addr, &ReplyEnvelope{
+		Target: rt.First, Hint: rt.FirstHint, Onion: rt.Onion, Data: []byte("d"),
+	})
+	if !errors.Is(err, ErrDropped) {
+		t.Fatalf("err = %v, want ErrDropped", err)
 	}
 }
 
@@ -693,6 +854,43 @@ func TestDeleteAnchorsPrunesPool(t *testing.T) {
 		if s.dir.Available(h.HopID) {
 			t.Fatalf("deleted anchor %s still available", h.HopID.Short())
 		}
+	}
+}
+
+// TestDropAnchorSparesActiveTunnels: DropAnchor retires one idle anchor —
+// out of the pool and out of the directory — but refuses one an active
+// tunnel rides on until that tunnel is released.
+func TestDropAnchorSparesActiveTunnels(t *testing.T) {
+	s := newSys(t, 150, 3, 19)
+	in := s.readyInitiator(t, "a", 8)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	riding := tun.Hops[0].HopID
+	var idle id.ID
+	for _, sec := range in.Pool() {
+		if !slices.Contains(tun.HopIDs(), sec.HopID) {
+			idle = sec.HopID
+			break
+		}
+	}
+	if in.DropAnchor(riding) {
+		t.Fatal("dropped an anchor an active tunnel rides on")
+	}
+	if !in.DropAnchor(idle) {
+		t.Fatal("idle anchor not dropped")
+	}
+	if in.PoolSize() != 7 || s.dir.Available(idle) || !s.dir.Available(riding) {
+		t.Fatalf("pool %d, idle available %v, riding available %v; want 7, false, true",
+			in.PoolSize(), s.dir.Available(idle), s.dir.Available(riding))
+	}
+	if in.DropAnchor(idle) {
+		t.Fatal("an anchor already dropped was dropped again")
+	}
+	in.Release(tun)
+	if !in.DropAnchor(riding) || in.PoolSize() != 6 || s.dir.Available(riding) {
+		t.Fatalf("released tunnel's anchor not dropped: pool %d", in.PoolSize())
 	}
 }
 

@@ -488,3 +488,70 @@ func TestRateLimiterExtremes(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolRetiresADroppingHop: a hop node that keeps its anchor but drops
+// the hop's traffic is caught by the probes, not by failure detection.
+// The pool declares the tunnel dead, attributes the death to that hop,
+// and rebuilds on other anchors until it is back at strength.
+func TestPoolRetiresADroppingHop(t *testing.T) {
+	ns, _, p := newPoolSys(t, 400, 47, PoolConfig{Size: 3, Length: 3})
+	p.Start()
+	if err := ns.kernel.RunUntil(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	victim := p.slots[0].tunnel.Hops[1].HopID
+	evil, ok := ns.dir.HopNode(victim)
+	if !ok {
+		t.Fatal("no hop node")
+	}
+	evilAddr := evil.Ref().Addr
+	ns.svc.HopFilter = func(addr simnet.Addr, hopID id.ID) bool {
+		return addr != evilAddr || hopID != victim
+	}
+	if err := ns.kernel.RunUntil(120 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if p.HealthyCount() != p.TargetSize() {
+		t.Fatalf("healthy = %d, want %d; stats %+v", p.HealthyCount(), p.TargetSize(), p.Stats)
+	}
+	if p.Stats.SlotDeaths == 0 || p.Stats.Attributions == 0 || p.Stats.Repairs == 0 {
+		t.Fatalf("dropping hop not detected, attributed and repaired: %+v", p.Stats)
+	}
+	for _, s := range p.slots {
+		for _, h := range s.tunnel.Hops {
+			if h.HopID == victim {
+				t.Fatal("a pool tunnel still rides the dropping hop")
+			}
+		}
+	}
+	p.Stop()
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolDegradesWhenEveryHopDrops: in a network where every node drops
+// tunnel traffic no tunnel ever echoes a probe, so the pool never trusts
+// one: it goes degraded and refuses sends at once.
+func TestPoolDegradesWhenEveryHopDrops(t *testing.T) {
+	ns, _, p := newPoolSys(t, 300, 48, PoolConfig{Size: 3, Length: 3})
+	ns.svc.HopFilter = func(simnet.Addr, id.ID) bool { return false }
+	p.Start()
+	if err := ns.kernel.RunUntil(120 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if p.HealthyCount() != 0 || p.Stats.ProbesOK != 0 {
+		t.Fatalf("healthy = %d, ProbesOK = %d in an all-dropping network", p.HealthyCount(), p.Stats.ProbesOK)
+	}
+	if !p.degraded {
+		t.Fatalf("pool not degraded: %+v", p.Stats)
+	}
+	err := p.Send(id.HashString("dest"), []byte("x"), func(Outcome) { t.Error("done called on a refused send") })
+	if !errors.Is(err, ErrPoolDegraded) {
+		t.Fatalf("Send = %v, want ErrPoolDegraded", err)
+	}
+	p.Stop()
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,6 +233,72 @@ func TestStreamTunnelSegmentDiesAtHopNode(t *testing.T) {
 	ns.eng.finish(mid.Ref().Addr, p, false, "hop lost")
 	if len(ns.eng.pktFree) != free+1 || ns.eng.pktFree[free] != p || p.env.Sealed != nil {
 		t.Fatal("a segment that died at a hop was not recycled")
+	}
+}
+
+// TestStreamFailsThroughDroppingHop: a hop node that keeps its anchor but
+// drops the hop's traffic is no failure the overlay can repair, so a
+// tunnel stream through it retransmits until its budget runs out, then
+// fails, says why, and reports the failure once.
+func TestStreamFailsThroughDroppingHop(t *testing.T) {
+	ns := newNetSys(t, 300, 3, 36)
+	in := ns.readyInitiator(t, "a", 12)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil, ok := ns.dir.HopNode(tun.Hops[2].HopID)
+	if !ok {
+		t.Fatal("no exit hop node")
+	}
+	evilAddr, evilHop := evil.Ref().Addr, tun.Hops[2].HopID
+	ns.svc.HopFilter = func(addr simnet.Addr, hopID id.ID) bool {
+		return addr != evilAddr || hopID != evilHop
+	}
+	sink := &streamSink{}
+	sink.install(ns.eng)
+	s := ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, id.HashString("d"), StreamConfig{Window: 4})
+	var outs []Outcome
+	s.OnComplete = func(o Outcome) { outs = append(outs, o) }
+	s.WriteAll(patternData(2048))
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	failed, why := s.Failed()
+	if !failed || s.Done() || !strings.Contains(why, "retransmit budget exhausted") {
+		t.Fatalf("failed=%v done=%v why=%q, want a retransmit-budget failure", failed, s.Done(), why)
+	}
+	if len(outs) != 1 || outs[0].Delivered || outs[0].FailedAt != why {
+		t.Fatalf("outcomes %+v, want one undelivered outcome naming %q", outs, why)
+	}
+	if len(sink.buf) != 0 || sink.closes != 0 {
+		t.Fatalf("receiver got %d bytes and %d closes through a dropping exit", len(sink.buf), sink.closes)
+	}
+}
+
+// TestRecvStreamKnowsItsDest: the receiving end of a tunnel stream learns
+// the destination id the sender addressed, and its stream id.
+func TestRecvStreamKnowsItsDest(t *testing.T) {
+	ns := newNetSys(t, 300, 3, 37)
+	in := ns.readyInitiator(t, "a", 12)
+	tun, err := in.FormTunnel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dest := id.HashString("named-file")
+	var got []*RecvStream
+	ns.eng.OnStream = func(rs *RecvStream) { got = append(got, rs) }
+	s := ns.eng.OpenTunnelStream(in.Node().Ref().Addr, tun, dest, StreamConfig{Window: 4})
+	s.WriteAll(patternData(1024))
+	if err := ns.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Done() {
+		_, why := s.Failed()
+		t.Fatalf("stream failed: %s", why)
+	}
+	if len(got) != 1 || got[0].Dest() != dest || got[0].ID() != s.ID() {
+		t.Fatalf("receiver saw %d streams; want one to %s with id %d", len(got), dest.Short(), s.ID())
 	}
 }
 

@@ -175,6 +175,28 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseSpelledOutValues: sample values may be the exposition format's
+// spelled-out infinities and NaN, and an optional millisecond timestamp
+// may follow the value.
+func TestParseSpelledOutValues(t *testing.T) {
+	doc := "tap_hi +Inf\ntap_hi2 Inf\ntap_lo -Inf\ntap_nan NaN\ntap_ts 3.5 1700000000000\n"
+	snap, err := ParseText(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{"tap_hi": math.Inf(1), "tap_hi2": math.Inf(1), "tap_lo": math.Inf(-1), "tap_ts": 3.5} {
+		if v, ok := snap.Value(name); !ok || v != want {
+			t.Errorf("%s = %v (ok=%v), want %v", name, v, ok, want)
+		}
+	}
+	if v, ok := snap.Value("tap_nan"); !ok || !math.IsNaN(v) {
+		t.Errorf("tap_nan = %v (ok=%v), want NaN", v, ok)
+	}
+	if _, err := ParseText(strings.NewReader("tap_ts 1 noon\n")); err == nil {
+		t.Error("parser accepted a non-numeric timestamp")
+	}
+}
+
 func TestParseRejectsGarbage(t *testing.T) {
 	for _, doc := range []string{
 		"tap_ok 1\nnot a metric line at all!\n",

@@ -1,8 +1,11 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"time"
+
+	"tap/internal/transport"
 )
 
 func TestKernelOrdersByTime(t *testing.T) {
@@ -325,5 +328,37 @@ func TestDeterministicReplay(t *testing.T) {
 	t2, s2 := run()
 	if t1 != t2 || s1 != s2 {
 		t.Fatalf("replay diverged: %v/%+v vs %v/%+v", t1, s1, t2, s2)
+	}
+}
+
+// TestKernelStepsCountsExecutedEvents: Steps counts events that have run,
+// including ones an event scheduled, and not ones still queued; a
+// network's clock is its kernel's, and a timer armed through the network
+// runs on the kernel's queue.
+func TestKernelStepsCountsExecutedEvents(t *testing.T) {
+	k := NewKernel()
+	net := NewNetwork(k, DefaultLinkModel(1), 2)
+	var at []Time
+	k.Schedule(10*time.Millisecond, func() {
+		at = append(at, net.Now())
+		net.Schedule(15*time.Millisecond, transport.Func(func() { at = append(at, net.Now()) }))
+	})
+	k.Schedule(20*time.Millisecond, func() { at = append(at, net.Now()) })
+	k.Schedule(30*time.Millisecond, func() { at = append(at, net.Now()) })
+	if k.Steps() != 0 {
+		t.Fatalf("Steps = %d before running, want 0", k.Steps())
+	}
+	if err := k.RunUntil(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if k.Steps() != 2 || k.Pending() != 2 || net.Now() != 20*time.Millisecond {
+		t.Fatalf("after RunUntil(20ms): Steps %d, Pending %d, Now %v; want 2, 2, 20ms", k.Steps(), k.Pending(), net.Now())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Time{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond, 30 * time.Millisecond}
+	if k.Steps() != 4 || k.Pending() != 0 || !slices.Equal(at, want) {
+		t.Fatalf("after Run: Steps %d, Pending %d, fired at %v; want 4, 0, %v", k.Steps(), k.Pending(), at, want)
 	}
 }

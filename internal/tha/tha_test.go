@@ -1,6 +1,7 @@
 package tha
 
 import (
+	"bytes"
 	"testing"
 
 	"tap/internal/crypt"
@@ -396,5 +397,59 @@ func TestDeployAllocsPerAnchor(t *testing.T) {
 	t.Logf("Deploy at k = 3: %.0f allocations per anchor", allocs)
 	if allocs > 0 {
 		t.Fatalf("Deploy at k = 3 makes %.0f allocations per anchor, want 0", allocs)
+	}
+}
+
+// sealsUnder reports whether what s seals opens under key k and only k.
+func sealsUnder(t *testing.T, s *crypt.Sealer, k, other crypt.Key) bool {
+	t.Helper()
+	sealed, err := s.SealTo(nil, bytes.NewReader(make([]byte, 64)), []byte("layer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := crypt.NewSealer(k).OpenTo(nil, sealed)
+	_, otherErr := crypt.NewSealer(other).OpenTo(nil, sealed)
+	return err == nil && string(got) == "layer" && otherErr != nil
+}
+
+// TestRekeyedSharesTheSparesCell: Rekeyed gives a bare record a key
+// schedule — in a new cell when the spare has none, in the spare's own
+// cell when it has one — and the record it was called on stays bare. A
+// record with a cell returns the same schedule on every call.
+func TestRekeyedSharesTheSparesCell(t *testing.T) {
+	var k1, k2 crypt.Key
+	s := rng.New(7)
+	s.Bytes(k1[:])
+	s.Bytes(k2[:])
+	bare := Anchor{HopID: id.HashString("h1"), Key: k1}
+	r1 := bare.Rekeyed(Anchor{})
+	if bare.HasSealerCache() || !r1.HasSealerCache() {
+		t.Fatalf("bare has cell %v, rekeyed has cell %v; want false, true", bare.HasSealerCache(), r1.HasSealerCache())
+	}
+	cell := r1.Sealer()
+	if r1.Sealer() != cell || !sealsUnder(t, cell, k1, k2) {
+		t.Fatal("a rekeyed record's schedule is not one stable schedule for its key")
+	}
+	r2 := Anchor{HopID: id.HashString("h2"), Key: k2}.Rekeyed(r1)
+	if r2.Sealer() != cell || !sealsUnder(t, cell, k2, k1) {
+		t.Fatal("rekeying into a spare did not rewrite the spare's cell for the new key")
+	}
+}
+
+// TestBareAnchorSealerIsThrowaway: a record without a cell — what a node
+// decodes off the wire — derives a fresh schedule on every call, each
+// sealing under the record's key.
+func TestBareAnchorSealerIsThrowaway(t *testing.T) {
+	var k, other crypt.Key
+	s := rng.New(8)
+	s.Bytes(k[:])
+	s.Bytes(other[:])
+	bare := Anchor{HopID: id.HashString("h"), Key: k}
+	a, b := bare.Sealer(), bare.Sealer()
+	if a == b {
+		t.Fatal("a bare record handed out one schedule twice")
+	}
+	if !sealsUnder(t, a, k, other) || !sealsUnder(t, b, k, other) || bare.HasSealerCache() {
+		t.Fatal("a bare record's schedule does not seal under its key, or the record kept it")
 	}
 }

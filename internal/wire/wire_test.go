@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"tap/internal/id"
@@ -112,5 +113,57 @@ func TestZeroValueReads(t *testing.T) {
 	r := NewReader(nil)
 	if r.Byte() != 0 || r.Uint32() != 0 || r.Uint64() != 0 || !r.ID().IsZero() || r.Blob() != nil {
 		t.Fatalf("post-error reads not zero-valued")
+	}
+}
+
+// TestFixedBlobOneEncodingOnly: a fixed field decodes only from a blob of
+// exactly its length behind a one-byte prefix. A short blob, a long one,
+// and the right length spelled as a two-byte varint are each ErrBlobLen.
+func TestFixedBlobOneEncodingOnly(t *testing.T) {
+	key := bytes.Repeat([]byte{0xab}, 32)
+	w := NewWriter(40)
+	w.Blob(key)
+	var dst [32]byte
+	r := NewReader(w.Bytes())
+	r.FixedBlob(dst[:])
+	if err := r.Done(); err != nil || dst != [32]byte(key) {
+		t.Fatalf("exact blob: err %v, dst %x", err, dst)
+	}
+
+	nonMinimal := append([]byte{0x80 | 32, 0x00}, key...)
+	for name, enc := range map[string][]byte{
+		"short":       append([]byte{31}, key[:31]...),
+		"long":        append([]byte{33}, append(bytes.Clone(key), 0)...),
+		"non-minimal": nonMinimal,
+	} {
+		var got [32]byte
+		r := NewReader(enc)
+		r.FixedBlob(got[:])
+		if !errors.Is(r.Err(), ErrBlobLen) {
+			t.Errorf("%s: err = %v, want ErrBlobLen", name, r.Err())
+		}
+	}
+}
+
+// TestNewWriterOnKeepsTheReservedBytes: a writer on a caller's buffer
+// appends after what the buffer already holds and leaves those bytes as
+// they were, so a frame header reserved ahead of the body survives.
+func TestNewWriterOnKeepsTheReservedBytes(t *testing.T) {
+	header := []byte{1, 2, 3, 4}
+	dst := make([]byte, len(header), 64)
+	copy(dst, header)
+	w := NewWriterOn(dst)
+	w.Uint32(0xcafef00d)
+	w.Blob([]byte("body"))
+	out := w.Bytes()
+	if !bytes.Equal(out[:len(header)], header) || &out[0] != &dst[0] {
+		t.Fatalf("reserved bytes moved or changed: % x", out[:len(header)])
+	}
+	if w.Len() != len(header)+4+1+4 {
+		t.Fatalf("Len = %d, want %d", w.Len(), len(header)+9)
+	}
+	r := NewReader(out[len(header):])
+	if r.Uint32() != 0xcafef00d || string(r.Blob()) != "body" || r.Done() != nil {
+		t.Fatalf("body did not decode: %v", r.Err())
 	}
 }
