@@ -127,9 +127,6 @@ func (c *Client) RetrieveFileVia(fwd, rep *Tunnel, fid ID) ([]byte, error) {
 // Session is a long-standing anonymous request/response session.
 type Session = session.Session
 
-// SessionHandler is the server-side request processor.
-type SessionHandler = session.Handler
-
 // OpenSession establishes a long-standing session to the owner of server,
 // the paper's remote-login use case. The session survives hop-node
 // failures.

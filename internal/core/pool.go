@@ -226,19 +226,12 @@ func NewTunnelPool(in *Initiator, eng *NetEngine, cfg PoolConfig) (*TunnelPool, 
 	return p, nil
 }
 
-// Start begins the periodic probe/rebuild loop and subscribes to the
-// network's address up/down events so a heal or restart triggers prompt
-// re-probing instead of waiting out backoff timers.
+// Start begins the periodic probe/rebuild loop.
 func (p *TunnelPool) Start() {
 	if p.started {
 		return
 	}
 	p.started = true
-	p.eng.net.WatchAddrs(func(_ simnet.Addr, up bool) {
-		if up && !p.stopped {
-			p.onAddrUp()
-		}
-	})
 	p.scheduleTick()
 }
 
@@ -528,22 +521,6 @@ func (p *TunnelPool) ensureAnchors() error {
 
 func (p *TunnelPool) quarBlocked(h id.ID) bool {
 	return p.quar != nil && p.quar.Blocked(h)
-}
-
-// onAddrUp reacts to any address coming back up (a crash window closing,
-// a partition healing behind it): collapse rebuild backoffs and re-probe
-// unhealthy slots now, so repair time tracks the heal rather than the
-// worst-case timer.
-func (p *TunnelPool) onAddrUp() {
-	now := p.now()
-	for _, s := range p.slots {
-		if s.nextRebuildAt > now {
-			s.nextRebuildAt = now
-		}
-		if s.tunnel != nil && s.health == slotRecovering && !s.probing {
-			p.probeSlot(s)
-		}
-	}
 }
 
 // updateState recomputes the degraded flag.

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"tap/internal/id"
+	"tap/internal/rng"
 	"tap/internal/simnet"
+	"tap/internal/tha"
 )
 
 // newPoolSys wires a netSys and a pool, not yet started.
@@ -553,5 +556,80 @@ func TestPoolDegradesWhenEveryHopDrops(t *testing.T) {
 	p.Stop()
 	if err := ns.kernel.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolRebuildFailureBacksOffAndDegrades: a rebuild whose anchor
+// deployment is refused books a failure, pushes the slot's next attempt
+// back by the jittered backoff, and after degradedAfter failed cycles
+// leaves the pool degraded, so Send fails fast while the only usable
+// tunnel is unproven. The loop is driven by hand, without Start, so each
+// cycle is observed on its own.
+func TestPoolRebuildFailureBacksOffAndDegrades(t *testing.T) {
+	ns, in, p := newPoolSys(t, 300, 49, PoolConfig{Size: 2, Length: 3})
+	dead, unproven := p.slots[0], p.slots[1]
+	unproven.health = slotRecovering // as a fresh rebuild is
+	for _, h := range dead.tunnel.Hops {
+		killAnchor(t, ns, h.HopID, simnet.NoAddr)
+	}
+	p.teardown(dead)
+
+	// A deployment is refused when the hopid it mints is already stored.
+	// A generator restarted from a fixed hkey mints a known first hopid,
+	// so storing that one first refuses the initiator's next deployment.
+	nid := in.Node().ID()
+	fixedGen := func() *tha.Generator {
+		g, err := tha.NewGenerator(nid[:], bytes.NewReader(make([]byte, 16)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	taken, err := fixedGen().Generate(rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.dir.Deploy(taken.Anchor, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	for cycle := 1; cycle <= degradedAfter; cycle++ {
+		in.gen = fixedGen()
+		now := p.now()
+		p.tryRebuild()
+		if p.Stats.Rebuilds != uint64(cycle) || p.Stats.RebuildFailures != uint64(cycle) {
+			t.Fatalf("cycle %d: Rebuilds = %d, RebuildFailures = %d, want %d each",
+				cycle, p.Stats.Rebuilds, p.Stats.RebuildFailures, cycle)
+		}
+		if dead.health != slotEmpty || dead.tunnel != nil {
+			t.Fatalf("cycle %d: failed rebuild left the slot %v", cycle, dead.health)
+		}
+		backoff := rebuildBackoffMin * simnet.Time(1<<(cycle-1))
+		if dead.backoff != backoff {
+			t.Fatalf("cycle %d: backoff = %v, want %v", cycle, dead.backoff, backoff)
+		}
+		lo := now + simnet.Time(float64(backoff)*(1-rebuildJitterFrac))
+		hi := now + simnet.Time(float64(backoff)*(1+rebuildJitterFrac))
+		if dead.nextRebuildAt < lo || dead.nextRebuildAt > hi {
+			t.Fatalf("cycle %d: next attempt at %v, want within [%v, %v]", cycle, dead.nextRebuildAt, lo, hi)
+		}
+		// Nothing is retried before the backoff runs out.
+		p.tryRebuild()
+		if p.Stats.Rebuilds != uint64(cycle) {
+			t.Fatalf("cycle %d: slot rebuilt again before its backoff ran out", cycle)
+		}
+		if want := cycle >= degradedAfter; p.degraded != want {
+			t.Fatalf("cycle %d: degraded = %v, want %v", cycle, p.degraded, want)
+		}
+		if err := ns.kernel.RunUntil(dead.nextRebuildAt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.Stats.DegradedEnters != 1 {
+		t.Fatalf("DegradedEnters = %d, want 1", p.Stats.DegradedEnters)
+	}
+	err = p.Send(id.HashString("dest"), []byte("x"), func(Outcome) { t.Error("done called on a refused send") })
+	if !errors.Is(err, ErrPoolDegraded) {
+		t.Fatalf("Send = %v, want ErrPoolDegraded", err)
 	}
 }

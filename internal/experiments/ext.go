@@ -23,12 +23,12 @@ import (
 // bandwidth multiplier of constant-rate cover for a fixed anonymous
 // workload.
 type ExtCoverParams struct {
-	N         int
+	N         int       `count:""`
 	Rates     []float64 // dummies per second per node (0 = off)
-	Transfers int       // real transfers in the workload
-	FileBytes int
-	Length    int
-	Trials    int
+	Transfers int       `count:""` // real transfers in the workload
+	FileBytes int       `count:""`
+	Length    int       `count:""`
+	Trials    int       `count:""`
 	Seed      uint64
 }
 
@@ -66,7 +66,7 @@ const (
 // ExtCover runs a fixed tunnel workload with cover traffic at each rate
 // and reports total network bytes as a multiple of the no-cover run.
 func ExtCover(p ExtCoverParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("ext-cover", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

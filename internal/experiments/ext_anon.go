@@ -13,12 +13,12 @@ import (
 // entropy-based degree of initiator anonymity (Serjantov/Danezis metric)
 // as the collusion grows — §6's informal analysis as a curve.
 type ExtAnonParams struct {
-	N       int
-	Tunnels int
+	N       int `count:""`
+	Tunnels int `count:""`
 	Length  int
-	K       int
+	K       int `count:""`
 	Fracs   []float64
-	Trials  int
+	Trials  int `count:""`
 	Seed    uint64
 }
 
@@ -58,7 +58,7 @@ const (
 // whose initiator is fully identified (degree zero — the complement view
 // of Figure 3's corruption rate).
 func ExtAnon(p ExtAnonParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("ext-anon", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

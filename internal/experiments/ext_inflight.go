@@ -19,15 +19,15 @@ import (
 // transfer: a relay that dies while holding the message loses it, and a
 // hop anchor that migrates mid-flight is found again through the DHT.
 type ExtInflightParams struct {
-	N         int
-	Length    int
-	FileBytes int
+	N         int `count:""`
+	Length    int `count:""`
+	FileBytes int `count:""`
 	// MeanGaps are the average times between churn events (one
 	// departure + one arrival each); smaller = harsher. 0 means no churn
 	// and is always included as the baseline.
 	MeanGaps  []time.Duration
-	Transfers int
-	Trials    int
+	Transfers int `count:""`
+	Trials    int `count:""`
 	Seed      uint64
 }
 
@@ -65,7 +65,7 @@ const (
 // ExtInflight reports delivery rate and successful-transfer latency per
 // churn intensity. The x axis is churn events per minute (0 = none).
 func ExtInflight(p ExtInflightParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("ext-inflight", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

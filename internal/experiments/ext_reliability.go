@@ -20,7 +20,7 @@ import (
 // experiment measures what that survival is worth to in-flight traffic
 // once someone actually retransmits into the recovered tunnel.
 type ExtReliabilityParams struct {
-	N int
+	N int `count:""`
 	// LossRates are the per-link loss probabilities swept on the x axis.
 	LossRates []float64
 	// CrashFrac is the fraction of flows whose middle-hop node crashes
@@ -28,8 +28,8 @@ type ExtReliabilityParams struct {
 	// node drops out of the overlay, so the hop anchor migrates to its
 	// replica; its address hint goes stale.
 	CrashFrac float64
-	Flows     int
-	Trials    int
+	Flows     int `count:""`
+	Trials    int `count:""`
 	Seed      uint64
 }
 
@@ -77,7 +77,7 @@ const (
 // destinations, and fault plan — differing only in whether the flow is a
 // reliable message or a fire-and-forget envelope.
 func ExtReliability(p ExtReliabilityParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("ext-reliability", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

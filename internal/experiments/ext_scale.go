@@ -17,7 +17,7 @@ import (
 // (the paper's §3 premise that TAP inherits).
 type ExtScaleParams struct {
 	Sizes  []int         // network sizes to sweep
-	Routes int           // measured routes per size
+	Routes int           `count:""` // measured routes per size
 	Seed   uint64        // root random seed
 	Budget time.Duration // optional wall-clock cap for the whole sweep
 }
@@ -51,7 +51,7 @@ const (
 // clock. Exceeding Budget (when set) aborts the sweep with an error
 // naming the offending size, which is what lets CI pin a scale floor.
 func ExtScale(p ExtScaleParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("ext-scale", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

@@ -24,15 +24,15 @@ import (
 // churn is batched and replication is thin (k=2), so tunnels genuinely
 // die mid-session.
 type ExtSelfHealParams struct {
-	N int
+	N int `count:""`
 	// Singles is how many independent single-tunnel baseline clients run
 	// alongside the pool (their availabilities average into one baseline
 	// series).
-	Singles int
+	Singles int `count:""`
 	// ChurnRates are the per-epoch batch-failure fractions swept on the x
 	// axis.
 	ChurnRates []float64
-	Trials     int
+	Trials     int `count:""`
 	Seed       uint64
 }
 
@@ -86,7 +86,7 @@ const (
 // baseline clients share one world, one kernel and the identical churn
 // schedule, so the comparison is paired, not sampled.
 func ExtSelfHeal(p ExtSelfHealParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("ext-selfheal", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

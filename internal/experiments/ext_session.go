@@ -21,14 +21,14 @@ import (
 // succeeds. TAP sessions ride hopid tunnels; baseline sessions ride
 // fixed-node tunnels.
 type ExtSessionParams struct {
-	N         int
-	Length    int
-	Exchanges int
+	N         int `count:""`
+	Length    int `count:""`
+	Exchanges int `count:""`
 	// ChurnRates are the fraction of the network replaced (leave+join)
 	// between consecutive exchanges.
 	ChurnRates []float64
-	Sessions   int // sessions measured per point per trial
-	Trials     int
+	Sessions   int `count:""` // sessions measured per point per trial
+	Trials     int `count:""`
 	Seed       uint64
 }
 
@@ -66,7 +66,7 @@ const (
 // ExtSession measures the fraction of sessions that complete all
 // exchanges, per churn rate, for both tunnel designs.
 func ExtSession(p ExtSessionParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("ext-session", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

@@ -26,18 +26,18 @@ import (
 // (NetEngine.SendMessage) rides — and is the built-in baseline every other
 // window is read against.
 type ExtThroughputParams struct {
-	N          int // overlay size
-	Clients    int // stream sources (each owns TunnelsPer tunnels)
-	TunnelsPer int // formed tunnels per client
-	Length     int // tunnel length l
+	N          int `count:""` // overlay size
+	Clients    int `count:""` // stream sources (each owns TunnelsPer tunnels)
+	TunnelsPer int `count:""` // formed tunnels per client
+	Length     int `count:""` // tunnel length l
 	// Flows is the concurrent stream population per combo. All flows open
 	// within the throughputRamp window, so with flow completion times longer than
 	// the ramp the whole population is in flight at once.
-	Flows     int
-	FlowBytes int // payload bytes per stream
+	Flows     int `count:""`
+	FlowBytes int `count:""` // payload bytes per stream
 	// Dests sizes the destination catalog: Flows draws from a
 	// Zipf(throughputZipfS) popularity over Dests distinct ids.
-	Dests int
+	Dests int `count:""`
 	// Windows are the send-window sizes swept; LossRates the per-link
 	// loss probabilities.
 	Windows   []int
@@ -45,7 +45,7 @@ type ExtThroughputParams struct {
 	// ChurnFails nodes fail at uniformly random times inside the ramp
 	// window (THA migration keeps tunnels functional; address hints go
 	// stale and must be re-resolved).
-	ChurnFails int
+	ChurnFails int `count:""`
 	Seed       uint64
 }
 
@@ -59,9 +59,7 @@ const (
 // validate refuses a negative size, window or loss rate: zero picks the
 // default, and a negative one means nothing.
 func (p ExtThroughputParams) validate() error {
-	if err := refuseNegative("ext-throughput", count{"N", p.N}, count{"Clients", p.Clients}, count{"TunnelsPer", p.TunnelsPer},
-		count{"Length", p.Length}, count{"Flows", p.Flows}, count{"FlowBytes", p.FlowBytes}, count{"Dests", p.Dests},
-		count{"ChurnFails", p.ChurnFails}); err != nil {
+	if err := refuseNegative("ext-throughput", p); err != nil {
 		return err
 	}
 	for _, w := range p.Windows {

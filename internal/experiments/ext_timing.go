@@ -18,15 +18,15 @@ import (
 // tunnel exit back to the true initiator, as a function of traffic
 // density. §6's case-2 discussion, measured.
 type ExtTimingParams struct {
-	N      int
-	Length int
+	N      int `count:""`
+	Length int `count:""`
 	// FlowGaps are the spacings between consecutive flow launches;
 	// smaller = more concurrent traffic = more ambiguity.
 	FlowGaps []time.Duration
 	// Malicious fractions, one series per value.
 	Fracs  []float64
-	Flows  int
-	Trials int
+	Flows  int `count:""`
+	Trials int `count:""`
 	Seed   uint64
 }
 
@@ -72,7 +72,7 @@ func seriesTraced(p float64, opt bool) string {
 // adversary-observed exits that were confidently and correctly traced to
 // their initiator.
 func ExtTiming(p ExtTimingParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("ext-timing", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

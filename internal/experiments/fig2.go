@@ -15,12 +15,12 @@ import (
 // uses a 10^4-node network, 5,000 tunnels of length 5, and compares
 // current tunneling against TAP with k=3 and k=5.
 type Fig2Params struct {
-	N       int // network size (paper: 10_000)
-	Tunnels int // tunnels formed (paper: 5_000)
+	N       int `count:""` // network size (paper: 10_000)
+	Tunnels int `count:""` // tunnels formed (paper: 5_000)
 	Length  int // tunnel length (paper: 5)
 	Ks      []int
 	Fracs   []float64 // node failure fractions p
-	Trials  int
+	Trials  int       `count:""`
 	Seed    uint64
 	// FullWalk verifies surviving tunnels by complete end-to-end delivery
 	// rather than anchor availability. Slower; results agree (a test
@@ -66,7 +66,7 @@ func seriesTAP(k int) string { return fmt.Sprintf("TAP(k=%d)", k) }
 // failure fraction for each series. Baseline tunnels are measured in the
 // first k's world (their behaviour does not depend on k).
 func Fig2(p Fig2Params) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("fig2", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

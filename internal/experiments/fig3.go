@@ -12,12 +12,12 @@ import (
 // corrupted as a function of the fraction of nodes that are malicious",
 // with replication factor k=3 and tunnel length 5.
 type Fig3Params struct {
-	N       int
-	Tunnels int
+	N       int `count:""`
+	Tunnels int `count:""`
 	Length  int
-	K       int
+	K       int       `count:""`
 	Fracs   []float64 // malicious fractions p
-	Trials  int
+	Trials  int       `count:""`
 	Seed    uint64
 }
 
@@ -60,7 +60,7 @@ const SeriesFirstTail = "first+tail"
 // the same adversary — equivalent to independent draws for the mean, and
 // 10× cheaper at the paper's network size.
 func Fig3(p Fig3Params) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("fig3", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

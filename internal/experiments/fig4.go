@@ -13,12 +13,12 @@ import (
 // factor increases, the fraction of tunnels that are corrupted increases"
 // — availability's price.
 type Fig4aParams struct {
-	N         int
-	Tunnels   int
+	N         int `count:""`
+	Tunnels   int `count:""`
 	Length    int
 	Ks        []int
 	Malicious float64
-	Trials    int
+	Trials    int `count:""`
 	Seed      uint64
 }
 
@@ -50,7 +50,7 @@ func (p Fig4aParams) withDefaults() Fig4aParams {
 // Fig4a runs the replication-factor sweep. Each k needs its own world
 // (replication is a storage-layer parameter).
 func Fig4a(p Fig4aParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("fig4a", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()
@@ -84,12 +84,12 @@ func Fig4a(p Fig4aParams) (*trace.Table, error) {
 // k=3, p=0.1. "The fraction decreases with the increasing tunnel length,
 // and the tunnel length of 5 catches the knee of the curve."
 type Fig4bParams struct {
-	N         int
-	Tunnels   int
+	N         int `count:""`
+	Tunnels   int `count:""`
 	Lengths   []int
-	K         int
+	K         int `count:""`
 	Malicious float64
-	Trials    int
+	Trials    int `count:""`
 	Seed      uint64
 }
 
@@ -122,7 +122,7 @@ func (p Fig4bParams) withDefaults() Fig4bParams {
 // tunnel length is owner-side, so each length deploys its own tunnel
 // population into the same network, before the adversary is marked.
 func Fig4b(p Fig4bParams) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("fig4b", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

@@ -17,15 +17,15 @@ import (
 // series keeps the original 5,000 tunnels throughout; the refreshed series
 // replaces all tunnels with fresh anchors every unit.
 type Fig5Params struct {
-	N            int
-	Tunnels      int
+	N            int `count:""`
+	Tunnels      int `count:""`
 	Length       int
-	K            int
+	K            int `count:""`
 	Malicious    float64
-	Units        int
-	LeavePerUnit int
-	JoinPerUnit  int
-	Trials       int
+	Units        int `count:""`
+	LeavePerUnit int `count:""`
+	JoinPerUnit  int `count:""`
+	Trials       int `count:""`
 	Seed         uint64
 }
 
@@ -72,7 +72,7 @@ const (
 // Fig5 runs the churn experiment and reports the corrupted fraction after
 // each time unit for both policies.
 func Fig5(p Fig5Params) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("fig5", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

@@ -18,10 +18,10 @@ import (
 type Fig6Params struct {
 	Sizes     []int // network sizes (paper: 100 .. 10,000)
 	Lengths   []int // tunnel lengths (paper: 3 and 5)
-	K         int
-	FileBytes int // paper: 2 Mb = 250,000 bytes
-	Transfers int // transfers measured per simulation (paper: 1,000)
-	Sims      int // simulations per size (paper: 30)
+	K         int   `count:""`
+	FileBytes int   `count:""` // paper: 2 Mb = 250,000 bytes
+	Transfers int   `count:""` // transfers measured per simulation (paper: 1,000)
+	Sims      int   `count:""` // simulations per size (paper: 30)
 	Seed      uint64
 	// WithTails adds a p95 series per mode alongside the means, for tail
 	// latency analysis beyond the paper's mean-only plot.
@@ -65,7 +65,7 @@ func seriesOpt(l int) string   { return fmt.Sprintf("TAP_opt(l=%d)", l) }
 // Fig6 runs the latency experiment and reports mean transfer time in
 // seconds per network size and mode.
 func Fig6(p Fig6Params) (*trace.Table, error) {
-	if err := p.validate(); err != nil {
+	if err := refuseNegative("fig6", p); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()

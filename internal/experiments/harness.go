@@ -18,6 +18,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 
@@ -205,77 +206,19 @@ func runTrials(tbl *trace.Table, points, trials int, fn func(pt, trial int, mem 
 	return nil
 }
 
-// count is one named count among an experiment's parameters.
-type count struct {
-	name string
-	v    int
-}
-
-// refuseNegative reports the first negative count of experiment exp. Zero
-// picks a count's default; a negative count is a mistake, not less work.
-// A negative tunnel length that DeployTunnels would deploy is refused
-// there, by core.
-func refuseNegative(exp string, counts ...count) error {
-	for _, c := range counts {
-		if c.v < 0 {
-			return fmt.Errorf("experiments: %s: %s is %d, must not be negative", exp, c.name, c.v)
+// refuseNegative reports the first negative count among experiment exp's
+// parameters p, a struct whose count fields are int fields tagged
+// `count:""`. Zero picks a count's default; a negative count is a
+// mistake, not less work. A negative tunnel length that DeployTunnels
+// would deploy is refused there, by core, so such Length fields go
+// untagged.
+func refuseNegative(exp string, p any) error {
+	v := reflect.ValueOf(p)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if _, ok := f.Tag.Lookup("count"); ok && v.Field(i).Int() < 0 {
+			return fmt.Errorf("experiments: %s: %s is %d, must not be negative", exp, f.Name, v.Field(i).Int())
 		}
 	}
 	return nil
-}
-
-func (p ExtCoverParams) validate() error {
-	return refuseNegative("ext-cover", count{"N", p.N}, count{"Length", p.Length}, count{"Transfers", p.Transfers}, count{"FileBytes", p.FileBytes}, count{"Trials", p.Trials})
-}
-
-func (p ExtAnonParams) validate() error {
-	return refuseNegative("ext-anon", count{"N", p.N}, count{"Tunnels", p.Tunnels}, count{"K", p.K}, count{"Trials", p.Trials})
-}
-
-func (p ExtInflightParams) validate() error {
-	return refuseNegative("ext-inflight", count{"N", p.N}, count{"Length", p.Length}, count{"FileBytes", p.FileBytes}, count{"Transfers", p.Transfers}, count{"Trials", p.Trials})
-}
-
-func (p ExtReliabilityParams) validate() error {
-	return refuseNegative("ext-reliability", count{"N", p.N}, count{"Flows", p.Flows}, count{"Trials", p.Trials})
-}
-
-func (p ExtScaleParams) validate() error {
-	return refuseNegative("ext-scale", count{"Routes", p.Routes})
-}
-
-func (p ExtSelfHealParams) validate() error {
-	return refuseNegative("ext-selfheal", count{"N", p.N}, count{"Singles", p.Singles}, count{"Trials", p.Trials})
-}
-
-func (p ExtSessionParams) validate() error {
-	return refuseNegative("ext-session", count{"N", p.N}, count{"Length", p.Length}, count{"Exchanges", p.Exchanges}, count{"Sessions", p.Sessions}, count{"Trials", p.Trials})
-}
-
-func (p ExtTimingParams) validate() error {
-	return refuseNegative("ext-timing", count{"N", p.N}, count{"Length", p.Length}, count{"Flows", p.Flows}, count{"Trials", p.Trials})
-}
-
-func (p Fig2Params) validate() error {
-	return refuseNegative("fig2", count{"N", p.N}, count{"Tunnels", p.Tunnels}, count{"Trials", p.Trials})
-}
-
-func (p Fig3Params) validate() error {
-	return refuseNegative("fig3", count{"N", p.N}, count{"Tunnels", p.Tunnels}, count{"K", p.K}, count{"Trials", p.Trials})
-}
-
-func (p Fig4aParams) validate() error {
-	return refuseNegative("fig4a", count{"N", p.N}, count{"Tunnels", p.Tunnels}, count{"Trials", p.Trials})
-}
-
-func (p Fig4bParams) validate() error {
-	return refuseNegative("fig4b", count{"N", p.N}, count{"Tunnels", p.Tunnels}, count{"K", p.K}, count{"Trials", p.Trials})
-}
-
-func (p Fig5Params) validate() error {
-	return refuseNegative("fig5", count{"N", p.N}, count{"Tunnels", p.Tunnels}, count{"K", p.K}, count{"Units", p.Units}, count{"LeavePerUnit", p.LeavePerUnit}, count{"JoinPerUnit", p.JoinPerUnit}, count{"Trials", p.Trials})
-}
-
-func (p Fig6Params) validate() error {
-	return refuseNegative("fig6", count{"K", p.K}, count{"FileBytes", p.FileBytes}, count{"Transfers", p.Transfers}, count{"Sims", p.Sims})
 }

@@ -7,33 +7,31 @@ import (
 )
 
 // FaultPlan describes the adverse conditions a simulation runs under:
-// probabilistic per-message link loss, latency spikes, scheduled node
-// crash/restart windows, and network partitions. A plan is installed once
-// with Network.InstallFaults and applied inside Network.Send, so every
+// probabilistic per-message link loss, latency spikes, and scheduled node
+// crash/restart windows. A plan is installed once with
+// Network.InstallFaults and applied inside Network.Send, so every
 // experiment can run under identical, reproducible faults without bespoke
 // harness code. All randomness derives from Seed and is drawn in event
 // order on the single-threaded kernel, so the same plan over the same
-// workload yields bit-identical schedules.
-//
-// The plan is JSON-clean (the notification hooks are excluded), so fault
-// schedules can be stored alongside scenario artifacts and replayed.
+// workload yields bit-identical schedules. Partitions are cut and healed
+// directly with Network.StartPartition and HealPartition.
 type FaultPlan struct {
 	// Seed roots the fault stream (loss and spike draws).
-	Seed uint64 `json:"seed"`
+	Seed uint64
 
 	// LossRate is the probability that any one transmission is lost in
 	// transit: the bits leave the sender's uplink but never arrive.
 	// Local (self-addressed) deliveries are exempt — they never cross a
 	// link.
-	LossRate float64 `json:"lossRate,omitempty"`
+	LossRate float64
 
 	// SpikeRate is the probability a transmission suffers an additional
 	// latency spike, drawn uniformly from [SpikeMin, SpikeMax] — a
 	// transient congestion event on top of the link model's stable
 	// pairwise latency.
-	SpikeRate float64       `json:"spikeRate,omitempty"`
-	SpikeMin  time.Duration `json:"spikeMin,omitempty"`
-	SpikeMax  time.Duration `json:"spikeMax,omitempty"`
+	SpikeRate float64
+	SpikeMin  time.Duration
+	SpikeMax  time.Duration
 
 	// Crashes schedules node down-windows. While down, a node transmits
 	// nothing and everything addressed to it is dropped on arrival, but
@@ -41,48 +39,20 @@ type FaultPlan struct {
 	// reachable again (possibly as a "zombie" whose overlay node is
 	// dead — exactly the stale-hint hazard the reliability layer must
 	// survive).
-	Crashes []CrashWindow `json:"crashes,omitempty"`
+	Crashes []CrashWindow
 
-	// Partitions schedules network partitions: windows during which a set
-	// of member addresses is cut off from the rest of the network (see
-	// PartitionWindow for symmetric vs asymmetric semantics).
-	Partitions []PartitionWindow `json:"partitions,omitempty"`
-
-	// OnCrash and OnRestart, when non-nil, notify higher layers at window
-	// edges — e.g. an experiment fails the overlay node so THA replicas
-	// migrate (the paper's anchor failover), or rejoins a fresh node.
-	// Observers that only need the down/up signal should prefer
-	// Network.WatchAddrs, which also sees Detach.
-	OnCrash   func(Addr) `json:"-"`
-	OnRestart func(Addr) `json:"-"`
+	// OnCrash, when non-nil, runs as each crash window opens — e.g. an
+	// experiment fails the overlay node so THA replicas migrate (the
+	// paper's anchor failover).
+	OnCrash func(Addr)
 }
 
 // CrashWindow is one scheduled outage: the node at Addr is down from At
 // until Restart. Restart <= At means the node never comes back.
 type CrashWindow struct {
-	Addr    Addr `json:"addr"`
-	At      Time `json:"at"`
-	Restart Time `json:"restart,omitempty"`
-}
-
-// PartitionWindow is one scheduled partition: from At until Heal the
-// member set is separated from the rest of the network. Messages between
-// two members, or between two non-members, flow normally.
-//
-// Symmetric (Asym false): any transmission crossing the boundary — in
-// either direction — is lost, modeling a clean network split.
-//
-// Asymmetric (Asym true): only traffic INTO the member set is lost;
-// members can still transmit outward. This models one-way link failure
-// (e.g. a broken return path), where a member's sends arrive but every
-// reply, ACK, and probe echo addressed back to it vanishes.
-//
-// Heal <= At means the partition never heals.
-type PartitionWindow struct {
-	Members []Addr `json:"members"`
-	At      Time   `json:"at"`
-	Heal    Time   `json:"heal,omitempty"`
-	Asym    bool   `json:"asym,omitempty"`
+	Addr    Addr
+	At      Time
+	Restart Time
 }
 
 // faultState is the installed plan plus its runtime state.
@@ -92,10 +62,10 @@ type faultState struct {
 	down   map[Addr]bool
 }
 
-// InstallFaults installs plan on the network and schedules its crash and
-// partition windows on the kernel. Call it before running the kernel
-// (window starts must not be in the past). A nil plan clears fault
-// injection (but leaves any manually started partitions in place).
+// InstallFaults installs plan on the network and schedules its crash
+// windows on the kernel. Call it before running the kernel (window starts
+// must not be in the past). A nil plan clears fault injection (but leaves
+// any started partitions in place).
 func (n *Network) InstallFaults(plan *FaultPlan) {
 	if plan == nil {
 		n.faults = nil
@@ -114,26 +84,10 @@ func (n *Network) InstallFaults(plan *FaultPlan) {
 			if plan.OnCrash != nil {
 				plan.OnCrash(w.Addr)
 			}
-			n.notifyAddr(w.Addr, false)
 		})
 		if w.Restart > w.At {
-			n.Kernel.At(w.Restart, func() {
-				delete(fs.down, w.Addr)
-				if plan.OnRestart != nil {
-					plan.OnRestart(w.Addr)
-				}
-				n.notifyAddr(w.Addr, true)
-			})
+			n.Kernel.At(w.Restart, func() { delete(fs.down, w.Addr) })
 		}
-	}
-	for _, w := range plan.Partitions {
-		w := w
-		n.Kernel.At(w.At, func() {
-			id := n.StartPartition(w.Members, w.Asym)
-			if w.Heal > w.At {
-				n.Kernel.At(w.Heal, func() { n.HealPartition(id) })
-			}
-		})
 	}
 }
 

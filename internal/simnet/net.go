@@ -125,12 +125,10 @@ type Network struct {
 	// network (the default).
 	faults *faultState
 
-	// partitions holds the active partitions by id. Independent of the
-	// FaultPlan so tests and higher layers can cut and heal links at
-	// runtime without scheduling a full plan.
-	partitions  map[int]*partition
-	nextPartID  int
-	addrWatches []func(addr Addr, up bool)
+	// partitions holds the active partitions by id, cut and healed at
+	// runtime with StartPartition and HealPartition.
+	partitions map[int]*partition
+	nextPartID int
 }
 
 // partition is one active cut: a member set separated from the rest.
@@ -169,14 +167,10 @@ func (n *Network) Detach(addr Addr) {
 	if int(addr) < 0 || int(addr) >= len(n.handlers) {
 		return
 	}
-	wasAttached := n.handlers[addr] != nil
 	n.handlers[addr] = nil
 	// A crashed node's uplink dies with it: a later restart at this
 	// address must not inherit the stale uplink-busy horizon.
 	delete(n.uplinkFree, addr)
-	if wasAttached {
-		n.notifyAddr(addr, false)
-	}
 }
 
 // Attached reports whether addr currently has a live handler.
@@ -279,10 +273,16 @@ var _ transport.Transport = (*Network)(nil)
 
 // StartPartition severs the member set from the rest of the network and
 // returns a handle for HealPartition. Traffic among members, and among
-// non-members, is unaffected. With asym false the cut is bidirectional;
-// with asym true only traffic into the member set is lost (members can
-// still transmit outward) — see PartitionWindow. Self-addressed messages
-// never cross a link and are always exempt.
+// non-members, is unaffected. Self-addressed messages never cross a link
+// and are always exempt.
+//
+// Symmetric (asym false): any transmission crossing the boundary — in
+// either direction — is lost, modeling a clean network split.
+//
+// Asymmetric (asym true): only traffic INTO the member set is lost;
+// members can still transmit outward. This models one-way link failure
+// (e.g. a broken return path), where a member's sends arrive but every
+// reply, ACK, and probe echo addressed back to it vanishes.
 func (n *Network) StartPartition(members []Addr, asym bool) int {
 	p := &partition{members: make(map[Addr]bool, len(members)), asym: asym}
 	for _, a := range members {
@@ -326,25 +326,4 @@ func (n *Network) Partitioned(src, dst Addr) bool {
 		return true
 	}
 	return false
-}
-
-// --- address availability watchers ------------------------------------------
-
-// WatchAddrs registers fn to observe per-address availability
-// transitions: fn(addr, false) when the address goes down (a crash window
-// opens, or the handler is detached) and fn(addr, true) when a crash
-// window ends. Watchers run synchronously on the event loop, in
-// registration order, after the FaultPlan's own OnCrash/OnRestart hooks —
-// so a watcher observes the post-transition world. This is the
-// deterministic down/up signal the tunnel-pool prober and the tests
-// subscribe to.
-func (n *Network) WatchAddrs(fn func(addr Addr, up bool)) {
-	n.addrWatches = append(n.addrWatches, fn)
-}
-
-// notifyAddr fans an availability transition out to the watchers.
-func (n *Network) notifyAddr(addr Addr, up bool) {
-	for _, fn := range n.addrWatches {
-		fn(addr, up)
-	}
 }

@@ -10,18 +10,17 @@
 // (internal/board) in a deployment.
 //
 // Concurrency model. The transport preserves the seam's contract that
-// engine callbacks never run concurrently: every message delivery,
-// Schedule callback and watcher notification runs holding one
-// transport-wide dispatch lock. A frame read off a socket is decoded and
-// handed to its handler right there, on the goroutine that read it — one
-// reader per accepted connection, each with a Decoder of its own — so an
-// inbound message crosses no queue and no goroutine. The dispatch goroutine
-// (the "loop") runs only what has no goroutine of its own: timers, watcher
-// notifications and deliveries to co-hosted addresses. One writer per
-// dialed peer keeps a slow peer from stalling a handler; a full outbound
-// queue, or a full dispatch queue, drops messages instead, which is exactly
-// the unreliable-send semantics the seam promises and the layers above
-// already recover from.
+// engine callbacks never run concurrently: every message delivery and
+// Schedule callback runs holding one transport-wide dispatch lock. A frame
+// read off a socket is decoded and handed to its handler right there, on
+// the goroutine that read it — one reader per accepted connection, each
+// with a Decoder of its own — so an inbound message crosses no queue and
+// no goroutine. The dispatch goroutine (the "loop") runs only what has no
+// goroutine of its own: timers and deliveries to co-hosted addresses. One
+// writer per dialed peer keeps a slow peer from stalling a handler; a full
+// outbound queue, or a full dispatch queue, drops messages instead, which
+// is exactly the unreliable-send semantics the seam promises and the
+// layers above already recover from.
 //
 // Dialing goes through the Dialer seam: the default is a net.Dialer,
 // every attempt is bounded by dialTimeout, and tests (or an onion-routed
@@ -297,7 +296,7 @@ type Transport struct {
 	m     *metrics
 
 	events   chan event
-	dispatch sync.Mutex // held by every delivery, Schedule callback and watcher notification
+	dispatch sync.Mutex // held by every delivery and Schedule callback
 	quit     chan struct{}
 	wg       sync.WaitGroup
 
@@ -306,7 +305,6 @@ type Transport struct {
 	peers    map[transport.Addr]string
 	conns    map[transport.Addr]*peer
 	down     map[transport.Addr]bool
-	watchers []func(addr transport.Addr, up bool)
 	ln       net.Listener
 	closed   bool
 }
@@ -351,7 +349,7 @@ type event struct {
 }
 
 // loop is the dispatch goroutine for what has no goroutine of its own:
-// Schedule callbacks, watcher notifications and co-hosted deliveries.
+// Schedule callbacks and co-hosted deliveries.
 func (t *Transport) loop() {
 	defer t.wg.Done()
 	for {
@@ -783,23 +781,12 @@ func (t *Transport) writeLoop(dst transport.Addr, p *peer) {
 func (t *Transport) dropPeer(dst transport.Addr, p *peer) {
 	p.shutdown()
 	t.mu.Lock()
-	current := t.conns[dst] == p
-	if current {
+	if t.conns[dst] == p {
 		delete(t.conns, dst)
-	}
-	wasDown := t.down[dst]
-	if current {
 		t.down[dst] = true
 	}
-	watchers := t.snapshotWatchersLocked()
 	t.mu.Unlock()
 	t.discardQueued(p)
-	if current && !wasDown {
-		for _, fn := range watchers {
-			fn := fn
-			t.enqueue(transport.Func(func() { fn(dst, false) }))
-		}
-	}
 }
 
 // discardQueued drains whatever was queued behind a dead connection,
@@ -816,27 +803,11 @@ func (t *Transport) discardQueued(p *peer) {
 	}
 }
 
-// snapshotWatchersLocked copies the watcher list for use outside the lock.
-func (t *Transport) snapshotWatchersLocked() []func(transport.Addr, bool) {
-	out := make([]func(transport.Addr, bool), len(t.watchers))
-	copy(out, t.watchers)
-	return out
-}
-
-// markUp clears the down flag after a successful dial and notifies
-// watchers of the recovery.
+// markUp clears the down flag after a successful dial.
 func (t *Transport) markUp(dst transport.Addr) {
 	t.mu.Lock()
-	wasDown := t.down[dst]
 	delete(t.down, dst)
-	watchers := t.snapshotWatchersLocked()
 	t.mu.Unlock()
-	if wasDown {
-		for _, fn := range watchers {
-			fn := fn
-			t.enqueue(transport.Func(func() { fn(dst, true) }))
-		}
-	}
 }
 
 // Attach binds h to addr. Attaching over a live handler is a programming
@@ -879,16 +850,6 @@ func (t *Transport) Reachable(addr transport.Addr) bool {
 
 // Grow is a no-op: the TCP address space is the peer table.
 func (t *Transport) Grow(n int) {}
-
-// WatchAddrs registers fn for up/down transitions observed through
-// dialing: a failed dial or dead connection reports down, a successful
-// re-dial reports up. Watchers run on the dispatch loop, under the
-// dispatch lock.
-func (t *Transport) WatchAddrs(fn func(addr transport.Addr, up bool)) {
-	t.mu.Lock()
-	t.watchers = append(t.watchers, fn)
-	t.mu.Unlock()
-}
 
 // --- peer table -------------------------------------------------------------
 

@@ -123,9 +123,4 @@ type Transport interface {
 	// deployments that add nodes after construction. Implementations with
 	// an unbounded address space treat it as a no-op.
 	Grow(n int)
-
-	// WatchAddrs registers fn to observe per-address availability
-	// transitions: fn(addr, false) when an address goes down and
-	// fn(addr, true) when it comes back. Watchers run on the event loop.
-	WatchAddrs(fn func(addr Addr, up bool))
 }

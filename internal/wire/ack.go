@@ -101,11 +101,6 @@ func AckSizeSACK(nranges int) int {
 // one-shot payloads without any out-of-band signal.
 var streamMagic = [4]byte{'T', 'S', 'G', 1}
 
-// StreamSegmentOverhead is the framing cost of one segment: magic, stream
-// id, sequence number, flags, ack-return address, and the data length
-// prefix (worst-case uvarint for the sizes in play).
-const StreamSegmentOverhead = 4 + 8 + 8 + 1 + 8 + 2
-
 // AppendStreamSegment encodes one stream segment into w.
 func AppendStreamSegment(w *Writer, stream, seq uint64, fin bool, ackTo int64, data []byte) {
 	w.buf = append(w.buf, streamMagic[:]...)
