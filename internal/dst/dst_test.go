@@ -3,6 +3,7 @@ package dst
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestCleanScenariosHold runs honest (unmutated) scenarios across seeds
@@ -94,6 +95,27 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sc, got) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", sc, got)
+	}
+}
+
+// TestViolationStringNamesWhere pins the line tapcheck prints on a
+// failure: the checker, the schedule event (or quiescence for a
+// violation found after the schedule drained), the simulated time and
+// the message.
+func TestViolationStringNamesWhere(t *testing.T) {
+	cases := []struct {
+		v    Violation
+		want string
+	}{
+		{Violation{Checker: "exactly-once", Event: 3, At: 1500 * time.Millisecond, Msg: "dup"},
+			"[exactly-once] at event 3 (t=1.5s): dup"},
+		{Violation{Checker: "pool-reconverge", Event: -1, At: 2 * time.Second, Msg: "stuck"},
+			"[pool-reconverge] at quiescence (t=2s): stuck"},
+	}
+	for _, c := range cases {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
 	}
 }
 

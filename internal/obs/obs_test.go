@@ -139,6 +139,97 @@ func TestHandlerServesExposition(t *testing.T) {
 	}
 }
 
+// TestServeBindsAndStops drives the listener the node binaries open
+// behind -metrics-addr: host:0 binds a free port, /metrics and pprof are
+// served there, and stop closes the port.
+func TestServeBindsAndStops(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("tap_test_depth", "Depth.").Set(11)
+	bound, stop, err := Serve("127.0.0.1:0", r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.HasSuffix(bound, ":0") {
+		t.Fatalf("bound address %q names no port", bound)
+	}
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
+	resp, err := client.Get("http://" + bound + "/metrics")
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	snap, err := ParseText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	if v, ok := snap.Value("tap_test_depth"); !ok || v != 11 {
+		stop()
+		t.Fatalf("scraped value %v ok=%v", v, ok)
+	}
+	resp, err = client.Get("http://" + bound + "/debug/pprof/cmdline")
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		stop()
+		t.Fatalf("pprof endpoint status %d", resp.StatusCode)
+	}
+
+	stop()
+	if resp, err := client.Get("http://" + bound + "/metrics"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("scrape after stop succeeded with status %d", resp.StatusCode)
+	}
+}
+
+// TestServeReportsListenError: a port already held is an error naming
+// the address, not a listener that silently serves nothing.
+func TestServeReportsListenError(t *testing.T) {
+	bound, stop, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	_, stop2, err := Serve(bound, NewRegistry())
+	if err == nil {
+		stop2()
+		t.Fatalf("second Serve on %s succeeded", bound)
+	}
+	if !strings.Contains(err.Error(), bound) {
+		t.Fatalf("error %q does not name %s", err, bound)
+	}
+}
+
+// TestRegisterRuntimeMetricsPublishesOnScrape: the process gauges are
+// filled in by the scrape itself, and a nil registry is left alone.
+func TestRegisterRuntimeMetricsPublishesOnScrape(t *testing.T) {
+	RegisterRuntimeMetrics(nil)
+
+	r := NewRegistry()
+	RegisterRuntimeMetrics(r)
+	var buf strings.Builder
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseText(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"go_goroutines", "go_heap_alloc_bytes"} {
+		if v, ok := snap.Value(name); !ok || v <= 0 {
+			t.Fatalf("%s = %v ok=%v, want a positive value", name, v, ok)
+		}
+	}
+	if _, ok := snap.Value("go_gc_cycles_total"); !ok {
+		t.Fatal("go_gc_cycles_total missing from the scrape")
+	}
+}
+
 func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("tap_rt_total", "C.", Label{"peer", `quo"te\slash`}).Add(7)

@@ -135,6 +135,50 @@ func TestFaultCrashWindow(t *testing.T) {
 	}
 }
 
+// TestFaultCrashWindowEdges walks every crash and restart edge of a plan
+// with several windows: OnCrash runs once per window opening, in time
+// order, and a window whose Restart is not after At never closes.
+func TestFaultCrashWindowEdges(t *testing.T) {
+	var crashed []Addr
+	plan := &FaultPlan{
+		Seed: 1,
+		Crashes: []CrashWindow{
+			{Addr: 3, At: 300 * time.Millisecond, Restart: 250 * time.Millisecond},
+			{Addr: 2, At: 50 * time.Millisecond},
+			{Addr: 3, At: 100 * time.Millisecond, Restart: 200 * time.Millisecond},
+		},
+		OnCrash: func(a Addr) { crashed = append(crashed, a) },
+	}
+	k, net, _ := faultNet(t, plan)
+	want := []struct {
+		at           Time
+		down2, down3 bool
+	}{
+		{10 * time.Millisecond, false, false},
+		{150 * time.Millisecond, true, true},
+		{250 * time.Millisecond, true, false},
+		{10 * time.Second, true, true},
+	}
+	for _, w := range want {
+		w := w
+		k.At(w.at, func() {
+			if net.Down(2) != w.down2 || net.Down(3) != w.down3 {
+				t.Errorf("t=%v: Down(2)=%v Down(3)=%v, want %v %v",
+					w.at, net.Down(2), net.Down(3), w.down2, w.down3)
+			}
+			if net.Reachable(3) == w.down3 {
+				t.Errorf("t=%v: Reachable(3)=%v while Down(3)=%v", w.at, net.Reachable(3), w.down3)
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(crashed) != 3 || crashed[0] != 2 || crashed[1] != 3 || crashed[2] != 3 {
+		t.Fatalf("OnCrash calls = %v, want [2 3 3]", crashed)
+	}
+}
+
 func TestDetachClearsUplinkHorizon(t *testing.T) {
 	k := NewKernel()
 	net := NewNetwork(k, DefaultLinkModel(9), 3)
